@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/code"
@@ -430,18 +431,10 @@ func vecsOf(m map[string]f2.Vec) []f2.Vec {
 		keys = append(keys, k)
 	}
 	// Deterministic order for reproducible synthesis.
-	sortStrings(keys)
+	sort.Strings(keys)
 	out := make([]f2.Vec, 0, len(m))
 	for _, k := range keys {
 		out = append(out, m[k])
 	}
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -24,12 +24,12 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 	if s.unsat {
 		nClauses++
 	}
-	fmt.Fprintf(bw, "p cnf %d %d\n", len(s.assigns), nClauses)
+	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), nClauses)
 	for _, l := range units {
 		fmt.Fprintf(bw, "%d 0\n", dimacsLit(l))
 	}
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			fmt.Fprintf(bw, "%d ", dimacsLit(l))
 		}
 		fmt.Fprintln(bw, "0")

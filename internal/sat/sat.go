@@ -6,9 +6,12 @@
 //
 // The solver is the decision oracle behind the synthesis procedures in this
 // repository (verification- and correction-circuit synthesis); the instances
-// it must handle are small (thousands of variables), so the implementation
-// favours clarity over last-percent throughput while still being a complete,
-// industrial-style CDCL engine.
+// it must handle are small (thousands of variables). Clauses live in one flat
+// literal arena addressed by int32 references, and assignments are kept per
+// literal, so the propagation loop touches no pointers; the search order —
+// every watch visit, swap, restart and deletion — is fixed by the instance
+// alone, so a given formula always yields the same decisions, conflicts and
+// model.
 package sat
 
 import (
@@ -57,32 +60,37 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
+// cref addresses a clause in the solver's arena: the index of its header.
+//
+// A clause occupies 2+size consecutive arena slots: a header
+// (size<<2 | deleted<<1 | learnt), an activity counter (learned clauses are
+// bumped by one per conflict they take part in), then the literals. lits[0]
+// and lits[1] are the watched literals.
+type cref int32
 
-// clause is a disjunction of literals. lits[0] and lits[1] are the watched
-// literals. learnt clauses carry an activity for deletion heuristics.
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-}
+// noRef is the reason of decisions, level-0 units and unassigned variables.
+const noRef cref = -1
+
+const (
+	hdrLearnt  = 1
+	hdrDeleted = 2
+	hdrShift   = 2
+	hdrSlots   = 2 // header and activity precede the literals
+)
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create solvers
 // with NewSolver.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learned clauses
-	watches [][]*clause
+	arena   []Lit  // clause storage, see cref
+	wasted  int    // arena slots held by deleted clauses
+	clauses []cref // problem clauses
+	learnts []cref // learned clauses
+	watches [][]cref
 
-	assigns  []lbool // current assignment per variable
+	vals     []lbool // current assignment per literal
 	phase    []bool  // saved phase per variable
 	level    []int   // decision level per assigned variable
-	reason   []*clause
+	reason   []cref
 	trail    []Lit
 	trailLim []int // trail index at each decision level
 	qhead    int
@@ -91,6 +99,9 @@ type Solver struct {
 	varInc   float64
 	heap     varHeap
 	seen     []bool
+
+	// Scratch buffers reused across calls.
+	addBuf, learntBuf, analyzeBuf []Lit
 
 	model []bool // last satisfying assignment
 
@@ -119,7 +130,7 @@ func (s *Solver) SetBudget(conflicts int64) { s.maxConflicts = conflicts }
 var ErrBudget = errors.New("sat: conflict budget exhausted")
 
 // NumVars returns the number of variables known to the solver.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses currently stored.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
@@ -131,11 +142,11 @@ func (s *Solver) Stats() (decisions, propagations, conflicts int64) {
 
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noRef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -143,19 +154,25 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// value returns the current assignment of a literal.
-func (s *Solver) value(l Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Solver) lits(c cref) []Lit {
+	n := int(s.arena[c] >> hdrShift)
+	at := int(c) + hdrSlots
+	return s.arena[at : at+n : at+n]
+}
+
+func (s *Solver) learnt(c cref) bool { return s.arena[c]&hdrLearnt != 0 }
+
+// alloc copies lits into the arena as a new clause.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	hdr := Lit(len(lits)) << hdrShift
+	if learnt {
+		hdr |= hdrLearnt
 	}
-	if l.Sign() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
+	s.arena = append(s.arena, hdr, 0)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
 // AddClause adds a clause over existing variables. Duplicate literals are
@@ -167,12 +184,12 @@ func (s *Solver) AddClause(lits ...Lit) {
 	}
 	s.cancelUntil(0)
 	// Sort/simplify: detect tautology and duplicates.
-	out := make([]Lit, 0, len(lits))
+	out := s.addBuf[:0]
 	for _, l := range lits {
-		if l.Var() >= len(s.assigns) || l < 0 {
+		if l.Var() >= s.NumVars() || l < 0 {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
-		switch s.value(l) {
+		switch s.vals[l] {
 		case lTrue:
 			return // clause already satisfied at level 0
 		case lFalse:
@@ -192,30 +209,33 @@ func (s *Solver) AddClause(lits ...Lit) {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out[:0] // alloc copies the clause out of the buffer
 	switch len(out) {
 	case 0:
 		s.unsat = true
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], noRef)
+		if s.propagate() != noRef {
 			s.unsat = true
 		}
 	default:
-		c := &clause{lits: out}
+		c := s.alloc(out, false)
 		s.clauses = append(s.clauses, c)
 		s.attach(c)
 	}
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], c)
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Neg()] = append(s.watches[lits[0].Neg()], c)
+	s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], c)
 }
 
 // uncheckedEnqueue records l as true with the given reason clause.
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Sign())
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -229,10 +249,12 @@ func (s *Solver) cancelUntil(lvl int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Sign()
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
+		s.reason[v] = noRef
 		s.heap.insert(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
@@ -241,36 +263,37 @@ func (s *Solver) cancelUntil(lvl int) {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil if the queue drained without conflict.
-func (s *Solver) propagate() *clause {
+// noRef if the queue drained without conflict.
+func (s *Solver) propagate() cref {
+	arena, vals := s.arena, s.vals // neither header changes while propagating
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; look at clauses watching ~p
 		s.qhead++
 		s.propags++
+		falseLit := p.Neg()
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noRef
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
-			if confl != nil {
-				kept = append(kept, c)
-				continue
-			}
-			// Normalize: make lits[1] the false literal (~p ... p.Neg()).
-			if c.lits[0] == p.Neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			at := int(c) + hdrSlots
+			lits := arena[at : at+int(arena[c]>>hdrShift)]
+			// Normalize: make lits[1] the false literal.
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
 			// If the other watch is true, the clause is satisfied.
-			if s.value(c.lits[0]) == lTrue {
+			if vals[lits[0]] == lTrue {
 				kept = append(kept, c)
 				continue
 			}
 			// Look for a new literal to watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					w := lits[1].Neg()
+					s.watches[w] = append(s.watches[w], c)
 					moved = true
 					break
 				}
@@ -280,25 +303,27 @@ func (s *Solver) propagate() *clause {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, c)
-			if s.value(c.lits[0]) == lFalse {
+			if vals[lits[0]] == lFalse {
 				confl = c
 				s.qhead = len(s.trail) // flush queue
-			} else {
-				s.uncheckedEnqueue(c.lits[0], c)
+				kept = append(kept, ws[wi+1:]...)
+				break
 			}
+			s.uncheckedEnqueue(lits[0], c)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != noRef {
 			return confl
 		}
 	}
-	return nil
+	return noRef
 }
 
 // analyze computes a 1UIP learned clause from the conflict and the level to
 // backtrack to. The learned clause's first literal is the asserting literal.
-func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int) {
-	learnt = append(learnt, 0) // placeholder for asserting literal
+// The returned slice is a scratch buffer, valid until the next call.
+func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int) {
+	learnt = append(s.learntBuf[:0], 0) // placeholder for asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -309,10 +334,10 @@ func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int) {
 		if p != -1 {
 			start = 1
 		}
-		if confl.learnt {
-			s.bumpClause(confl)
+		if s.learnt(confl) {
+			s.arena[confl+1]++ // bump clause activity
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -341,10 +366,10 @@ func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int) {
 	learnt[0] = p.Neg()
 
 	// Clause minimization: drop literals implied by the rest of the clause.
-	orig := append([]Lit(nil), learnt...)
+	orig := append(s.analyzeBuf[:0], learnt...)
 	minimized := learnt[:1]
 	for _, q := range learnt[1:] {
-		if !s.redundant(q, learnt) {
+		if !s.redundant(q) {
 			minimized = append(minimized, q)
 		}
 	}
@@ -354,6 +379,8 @@ func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int) {
 	for _, q := range orig {
 		s.seen[q.Var()] = false
 	}
+	s.analyzeBuf = orig[:0]
+	s.learntBuf = learnt[:0]
 
 	// Backtrack level: the second-highest level in the clause.
 	btLevel = 0
@@ -372,12 +399,12 @@ func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int) {
 
 // redundant reports whether literal q of the learned clause is implied by
 // the remaining literals (simple, non-recursive self-subsumption check).
-func (s *Solver) redundant(q Lit, learnt []Lit) bool {
+func (s *Solver) redundant(q Lit) bool {
 	r := s.reason[q.Var()]
-	if r == nil {
+	if r == noRef {
 		return false
 	}
-	for _, l := range r.lits {
+	for _, l := range s.lits(r) {
 		if l == q.Neg() {
 			continue
 		}
@@ -398,10 +425,6 @@ func (s *Solver) bumpVar(v int) {
 		s.varInc *= 1e-100
 	}
 	s.heap.update(v)
-}
-
-func (s *Solver) bumpClause(c *clause) {
-	c.activity++
 }
 
 const varDecay = 1 / 0.95
@@ -428,7 +451,7 @@ func (s *Solver) SolveContext(ctx context.Context) (bool, error) {
 		return false, err
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noRef {
 		s.unsat = true
 		return false, nil
 	}
@@ -466,7 +489,7 @@ func (s *Solver) search(ctx context.Context, maxConfl int64) (sat bool, done boo
 			}
 		}
 		c := s.propagate()
-		if c != nil {
+		if c != noRef {
 			s.conflicts++
 			confl++
 			if s.decisionLevel() == 0 {
@@ -476,9 +499,9 @@ func (s *Solver) search(ctx context.Context, maxConfl int64) (sat bool, done boo
 			learnt, btLevel := s.analyze(c)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noRef)
 			} else {
-				lc := &clause{lits: learnt, learnt: true}
+				lc := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, lc)
 				s.attach(lc)
 				s.uncheckedEnqueue(learnt[0], lc)
@@ -506,14 +529,14 @@ func (s *Solver) search(ctx context.Context, maxConfl int64) (sat bool, done boo
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), noRef)
 	}
 }
 
 func (s *Solver) pickBranchVar() int {
 	for !s.heap.empty() {
 		v := s.heap.pop()
-		if s.assigns[v] == lUndef {
+		if s.vals[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -521,12 +544,13 @@ func (s *Solver) pickBranchVar() int {
 }
 
 func (s *Solver) extractModel() {
-	if cap(s.model) < len(s.assigns) {
-		s.model = make([]bool, len(s.assigns))
+	n := s.NumVars()
+	if cap(s.model) < n {
+		s.model = make([]bool, n)
 	}
-	s.model = s.model[:len(s.assigns)]
-	for v, a := range s.assigns {
-		s.model[v] = a == lTrue
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.vals[MkLit(v, false)] == lTrue
 	}
 }
 
@@ -538,37 +562,45 @@ func (s *Solver) Value(v int) bool {
 	return s.model[v]
 }
 
+// locked reports whether learned clause c is the reason of a current
+// assignment. A reason clause always holds its implied literal at lits[0]
+// while that literal stays assigned, so one lookup decides it.
+func (s *Solver) locked(c cref) bool {
+	return s.reason[s.lits(c)[0].Var()] == c
+}
+
 // reduceDB removes the less active half of the learned clauses, keeping
-// binary clauses and clauses that are reasons for current assignments.
+// binary clauses and clauses that are reasons for current assignments, then
+// compacts the arena once deleted clauses fill half of it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
-	locked := make(map[*clause]bool)
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil && r.learnt {
-			locked[r] = true
-		}
-	}
 	sort.Slice(s.learnts, func(i, j int) bool {
-		return s.learnts[i].activity < s.learnts[j].activity
+		return s.arena[s.learnts[i]+1] < s.arena[s.learnts[j]+1]
 	})
 	removeTarget := len(s.learnts) / 2
 	kept := s.learnts[:0]
 	removed := 0
 	for _, c := range s.learnts {
-		if removed < removeTarget && !locked[c] && len(c.lits) > 2 {
+		if removed < removeTarget && len(s.lits(c)) > 2 && !s.locked(c) {
 			s.detach(c)
+			s.arena[c] |= hdrDeleted
+			s.wasted += hdrSlots + len(s.lits(c))
 			removed++
 		} else {
 			kept = append(kept, c)
 		}
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	for _, w := range [2]Lit{lits[0].Neg(), lits[1].Neg()} {
 		ws := s.watches[w]
 		for i, cc := range ws {
 			if cc == c {
@@ -576,6 +608,39 @@ func (s *Solver) detach(c *clause) {
 				s.watches[w] = ws[:len(ws)-1]
 				break
 			}
+		}
+	}
+}
+
+// compact copies the live clauses, in arena order, into a fresh arena and
+// rewrites every reference. Only addresses change: watch lists, clause
+// lists and reasons keep their order, so the search is unaffected.
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, len(old)-s.wasted)
+	for c := 0; c < len(old); {
+		size := hdrSlots + int(old[c]>>hdrShift)
+		if old[c]&hdrDeleted == 0 {
+			moved := Lit(len(s.arena))
+			s.arena = append(s.arena, old[c:c+size]...)
+			old[c+1] = moved // forwarding address, read by the remap below
+		}
+		c += size
+	}
+	s.wasted = 0
+	fwd := func(refs []cref) {
+		for i, c := range refs {
+			refs[i] = cref(old[c+1])
+		}
+	}
+	fwd(s.clauses)
+	fwd(s.learnts)
+	for _, ws := range s.watches {
+		fwd(ws)
+	}
+	for v, r := range s.reason {
+		if r != noRef {
+			s.reason[v] = cref(old[r+1])
 		}
 	}
 }
