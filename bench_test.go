@@ -187,7 +187,7 @@ func BenchmarkFig4Adaptive(b *testing.B) {
 	est := sim.NewEstimator(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := est.DirectMCAdaptive(context.Background(), 0.02, 0.1, 5_000_000, int64(i+1), 0)
+		res, err := est.AdaptiveModel(context.Background(), sim.MethodDirect, noise.Uniform(0.02), 0.1, 5_000_000, int64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func BenchmarkFig4RareEvent(b *testing.B) {
 	est := sim.NewEstimator(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := est.RareEventAdaptive(context.Background(), 1e-4, 0.1, 50_000_000, int64(i+1), 0)
+		res, err := est.RareEventAdaptiveModel(context.Background(), noise.Uniform(1e-4), 0.1, 50_000_000, int64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,11 +227,11 @@ func BenchmarkFig4Estimate(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := est.FaultOrder(context.Background(), 2, 2000, rng)
+				res, err := est.FaultOrderModel(context.Background(), 2, 2000, rng, noise.Uniform(1))
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.Rate(1e-3)*1e6, "pL@1e-3·1e6")
+				b.ReportMetric(res.RateModel(noise.Uniform(1e-3))*1e6, "pL@1e-3·1e6")
 			}
 		})
 	}
@@ -540,7 +540,7 @@ func TestBenchTrajectory(t *testing.T) {
 		// PR 6: rare-event time-to-solution at p=1e-4. One timed adaptive run
 		// per code; single-worker so the wall-clock figure is scheduling-free.
 		start := time.Now()
-		rr, err := est.RareEventAdaptive(context.Background(), rareP, rareRSE, 100_000_000, 1, 1)
+		rr, err := est.RareEventAdaptiveModel(context.Background(), noise.Uniform(rareP), rareRSE, 100_000_000, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -356,9 +356,8 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 		}
 	}
 	// The noise ratio routes every stage: a uniform ratio (the zero value of
-	// the bias fields) resolves each Model call to the legacy scalar-rate
-	// code paths, so the paper's model stays bit-identical to earlier
-	// releases.
+	// the bias fields) runs each sampler's single-rate inner path, so the
+	// paper's model stays bit-identical to earlier releases.
 	ratio := eo.NoiseRatio()
 	fo, err := est.FaultOrderModel(ctx, eo.MaxOrder, eo.Samples, rand.New(rand.NewSource(eo.Seed)), ratio)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -33,20 +34,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(99))
 	est := sim.NewEstimator(proto)
+	model := noise.Uniform(*pp)
 
-	det, err := est.DirectMC(*pp, *shots, rng)
+	det, err := est.AdaptiveModel(context.Background(), sim.MethodDirect, model, 0, *shots, 99, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rus := est.NonDeterministicStats(*pp, *shots, 200, rng)
+	rus := est.NonDeterministicStats(model, *shots, 200, rand.New(rand.NewSource(99)))
 
 	fmt.Printf("%s at p = %g (%d shots per scheme)\n\n", cs, *pp, *shots)
 	fmt.Printf("%-28s %-14s %-14s\n", "", "deterministic", "repeat-until-success")
 	fmt.Printf("%-28s %-14s %-14.3f\n", "mean preparation rounds", "1 (always)", rus.MeanAttempts)
 	fmt.Printf("%-28s %-14s %-14.3f\n", "acceptance rate per round", "1 (always)", rus.AcceptRate)
-	fmt.Printf("%-28s %-14.4g %-14.4g\n", "logical error rate", det, rus.LogicalRate)
+	fmt.Printf("%-28s %-14.4g %-14.4g\n", "logical error rate", det.PL, rus.LogicalRate)
 	fmt.Println("\nthe deterministic protocol trades the baseline's stochastic")
 	fmt.Println("restart overhead for a few conditional measurements, keeping")
 	fmt.Println("the same quadratic error suppression (paper, Section III.B).")

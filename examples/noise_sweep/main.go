@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -30,9 +31,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2024))
 	est := sim.NewEstimator(proto)
-	res, err := est.FaultOrder(ctx, 3, 30000, rng)
+	res, err := est.FaultOrderModel(ctx, 3, 30000, rand.New(rand.NewSource(2024)), noise.Uniform(1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,14 +40,14 @@ func main() {
 		cs.Name, res.N, res.F[1], res.F[2], res.F[3])
 	fmt.Printf("%-10s %-12s %-12s %-10s\n", "p", "pL(strat)", "pL(MC)", "pL/p^2")
 	for _, p := range []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1} {
-		strat := res.Rate(p)
+		strat := res.RateModel(noise.Uniform(p))
 		mc := "-"
 		if p >= 1e-2 {
-			v, err := est.DirectMC(p, 40000, rng)
+			v, err := est.AdaptiveModel(ctx, sim.MethodDirect, noise.Uniform(p), 0, 40000, 2024, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			mc = fmt.Sprintf("%.3g", v)
+			mc = fmt.Sprintf("%.3g", v.PL)
 		}
 		fmt.Printf("%-10.1e %-12.3g %-12s %-10.3g\n", p, strat, mc, strat/(p*p))
 	}

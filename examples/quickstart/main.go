@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -43,13 +44,13 @@ func main() {
 
 	// 4. Estimate the logical error rate curve (Fig. 4 of the paper).
 	est := sim.NewEstimator(proto)
-	res, err := est.FaultOrder(ctx, 3, 20000, rand.New(rand.NewSource(1)))
+	res, err := est.FaultOrderModel(ctx, 3, 20000, rand.New(rand.NewSource(1)), noise.Uniform(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("conditional failure rates: f1=%g (FT!), f2=%.3f, f3=%.3f\n",
 		res.F[1], res.F[2], res.F[3])
 	for _, p := range []float64{1e-4, 1e-3, 1e-2} {
-		fmt.Printf("p=%.0e  ->  pL=%.3g\n", p, res.Rate(p))
+		fmt.Printf("p=%.0e  ->  pL=%.3g\n", p, res.RateModel(noise.Uniform(p)))
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/prep"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -49,7 +50,7 @@ func main() {
 	// Quantify the gain: conditional failure given one fault, bare vs
 	// protected (the protocol must reach exactly zero).
 	est := sim.NewEstimator(proto)
-	res, err := est.FaultOrder(ctx, 2, 20000, rand.New(rand.NewSource(7)))
+	res, err := est.FaultOrderModel(ctx, 2, 20000, rand.New(rand.NewSource(7)), noise.Uniform(1))
 	if err != nil {
 		log.Fatal(err)
 	}

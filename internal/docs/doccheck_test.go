@@ -24,6 +24,8 @@ var checkedPackages = []string{
 	"../../internal/jobs",
 	"../../internal/telemetry",
 	"../../internal/shardrpc",
+	"../../internal/sim",
+	"../../internal/noise",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

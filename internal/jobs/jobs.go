@@ -21,7 +21,7 @@
 // same sim.BlocksPerRound boundaries the in-process estimators use.
 // Because shard (shots, fails, strata) counts pool by exact integer
 // addition (sim.PoolCounts) and the coordinator recomputes the statistics
-// from the pooled counts (sim.Counts.Result), a job's results are
+// from the pooled counts (sim.Counts.ResultModel), a job's results are
 // bit-identical to a single-process estimate with the same seed — no
 // matter how many workers, restarts or replicas the shards were spread
 // over.
@@ -155,8 +155,8 @@ func (s Spec) NoiseRatio() noise.Model {
 
 // Model returns the noise model sampled at physical rate p: the spec's
 // noise ratio scaled by p. For a spec without bias fields this is
-// noise.Uniform(p), which the estimators resolve to the legacy scalar-rate
-// code paths bit-identically.
+// noise.Uniform(p), which the estimators run on their single-rate inner
+// paths bit-identically.
 func (s Spec) Model(p float64) noise.Model { return s.NoiseRatio().Scale(p) }
 
 // Biased reports whether the spec selects anything other than the uniform

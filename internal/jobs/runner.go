@@ -56,7 +56,7 @@ type PointStatus struct {
 	Fails int64 `json:"fails"`
 
 	// PL, RSE, CILo and CIHi are the estimate and its statistics
-	// recomputed from the pooled counts (sim.Counts.Result); present
+	// recomputed from the pooled counts (sim.Counts.ResultModel); present
 	// whenever Shots > 0.
 	PL   float64 `json:"pl,omitempty"`
 	RSE  float64 `json:"rse,omitempty"`
@@ -779,9 +779,11 @@ func pointStatuses(spec Spec, points map[int]PointState) []PointStatus {
 // pointStatus derives a point's reported statistics from its durable
 // counts via the shared finisher, so the job layer reports exactly what an
 // in-process estimate of the same counts would. Biased specs finish
-// rare-event counts through the model finisher using the point's durable
-// per-class location counts; a biased rare point missing them (which no
-// writer produces) reports raw counts only.
+// rare-event counts with the point's durable per-class location counts; a
+// uniform point stores only its location total and passes it as a single
+// class, since under equal class rates only the total matters. A biased
+// rare point missing its class counts (which no writer produces) reports
+// raw counts only.
 func pointStatus(spec Spec, ps PointState) PointStatus {
 	out := PointStatus{
 		Point:  ps.Point,
@@ -795,16 +797,13 @@ func pointStatus(spec Spec, ps PointState) PointStatus {
 	if err != nil || ps.Counts.Shots <= 0 {
 		return out
 	}
-	var res sim.AdaptiveResult
-	if spec.Biased() && method == sim.MethodRare {
-		if len(ps.ClassCounts) != 3 {
-			return out
-		}
-		counts := [3]int{ps.ClassCounts[0], ps.ClassCounts[1], ps.ClassCounts[2]}
-		res, err = ps.Counts.ResultModel(method, spec.Model(ps.Rate), counts)
-	} else {
-		res, err = ps.Counts.Result(method, ps.Rate, ps.Locations)
+	counts := [3]int{ps.Locations}
+	if len(ps.ClassCounts) == 3 {
+		counts = [3]int(ps.ClassCounts)
+	} else if spec.Biased() && method == sim.MethodRare {
+		return out
 	}
+	res, err := ps.Counts.ResultModel(method, spec.Model(ps.Rate), counts)
 	if err != nil {
 		return out
 	}

@@ -49,8 +49,9 @@ func steaneResolver(t *testing.T) Resolver {
 }
 
 // singleProcessPoint computes the expected result of one job point with
-// the plain in-process adaptive estimator — the reference every sharded,
-// checkpointed, resumed execution must match bit-for-bit.
+// the plain in-process adaptive estimator under the spec's noise model —
+// the reference every sharded, checkpointed, resumed execution must match
+// bit-for-bit.
 func singleProcessPoint(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
 	t.Helper()
 	spec = spec.Normalized()
@@ -62,7 +63,7 @@ func singleProcessPoint(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
 	}
 	method, _ := sim.ParseMethod(spec.Method)
 	target, budget := spec.Budget()
-	ar, err := est.Adaptive(context.Background(), method, spec.Rates[point], target, budget,
+	ar, err := est.AdaptiveModel(context.Background(), method, spec.Model(spec.Rates[point]), target, budget,
 		sim.PointSeed(spec.Seed, point), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func prepPartial(t *testing.T, store *Store, spec Spec, shards int, bias int64) 
 	_, budget := spec.Budget()
 	seed := sim.PointSeed(spec.Seed, 0)
 	for sh := 0; sh < shards; sh++ {
-		br, err := est.NewBlockRunner(sim.MethodDirect, spec.Rates[0])
+		br, err := est.NewBlockRunnerModel(sim.MethodDirect, spec.Model(spec.Rates[0]))
 		if err != nil {
 			t.Fatal(err)
 		}

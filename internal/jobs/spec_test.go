@@ -168,28 +168,6 @@ func FuzzSpecID(f *testing.F) {
 	})
 }
 
-// singleProcessPointModel is singleProcessPoint under the spec's noise
-// model: the biased reference every sharded execution must match bit for
-// bit.
-func singleProcessPointModel(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
-	t.Helper()
-	spec = spec.Normalized()
-	est := sim.NewEstimator(steaneProto(t))
-	if eng, _ := sim.ParseEngine(spec.Engine); eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	method, _ := sim.ParseMethod(spec.Method)
-	target, budget := spec.Budget()
-	ar, err := est.AdaptiveModel(context.Background(), method, spec.Model(spec.Rates[point]), target, budget,
-		sim.PointSeed(spec.Seed, point), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ar
-}
-
 // TestBiasedJobMatchesSingleProcess extends the core sharding invariant to
 // biased noise models on both engines and both methods: a checkpointed,
 // pooled job under per-class rates must reproduce the in-process
@@ -225,7 +203,7 @@ func TestBiasedJobMatchesSingleProcess(t *testing.T) {
 					t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
 				}
 				for i := range spec.Rates {
-					want := singleProcessPointModel(t, spec, i)
+					want := singleProcessPoint(t, spec, i)
 					checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], want)
 				}
 
@@ -238,7 +216,7 @@ func TestBiasedJobMatchesSingleProcess(t *testing.T) {
 				}
 				reloaded := pointStatuses(disk.Spec, disk.Points)
 				for i := range spec.Rates {
-					want := singleProcessPointModel(t, spec, i)
+					want := singleProcessPoint(t, spec, i)
 					checkPointMatches(t, fmt.Sprintf("reloaded point %d", i), reloaded[i], want)
 				}
 			})

@@ -19,16 +19,19 @@ func testKinds(reps int) []LocKind {
 }
 
 // TestCondProbModelUniformDelegation pins the bit-identity contract: a model
-// with one shared class rate must return exactly CondProb(n, p) — the same
-// code path, not a numerically-close reimplementation.
+// with one shared class rate must return exactly condProb(n, p) over the
+// total — the same code path, not a numerically-close reimplementation — so
+// a uniform point may pass its location total as a single class.
 func TestCondProbModelUniformDelegation(t *testing.T) {
 	for _, p := range []float64{0, 1e-9, 1e-3, 0.3, 1} {
 		for _, counts := range [][3]int{{3, 4, 5}, {0, 0, 0}, {100, 0, 0}} {
 			n := counts[0] + counts[1] + counts[2]
 			got := CondProbModel(Uniform(p), counts)
-			want := CondProb(n, p)
-			if got != want {
-				t.Fatalf("p=%g counts=%v: CondProbModel = %g, CondProb = %g (must be bit-equal)", p, counts, got, want)
+			if want := condProb(n, p); got != want {
+				t.Fatalf("p=%g counts=%v: CondProbModel = %g, condProb = %g (must be bit-equal)", p, counts, got, want)
+			}
+			if single := CondProbModel(Uniform(p), [3]int{n}); got != single {
+				t.Fatalf("p=%g counts=%v: %g, but the total as one class gives %g", p, counts, got, single)
 			}
 		}
 	}
@@ -129,30 +132,32 @@ func condModelStream(s *CondSampler, kinds []LocKind, live uint64) []uint64 {
 }
 
 // TestCondSamplerModelUniformBitIdentical pins the rare-event batch engine's
-// compatibility contract: a uniform-rate model with eta = 1 must draw the
-// exact legacy NewCondSampler stream, and changing eta alone must keep the
-// fault locations (each fire costs one draw under either menu).
+// uniform contract: a uniform-rate model runs the single global chain, so
+// its stream depends on the location count alone — relabelling every
+// location as one-qubit must draw the identical fault sites — its CondP is
+// condProb over the total, and changing eta alone must keep the fault
+// locations (each fire costs one draw under either menu).
 func TestCondSamplerModelUniformBitIdentical(t *testing.T) {
 	const p, seed = 0.03, uint64(29)
 	kinds := testKinds(25)
-	legacy := NewCondSampler(p, len(kinds), seed)
-	model := NewCondSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, kinds, seed)
-	if legacy.CondP != model.CondP {
-		t.Fatalf("CondP differs: legacy %g, model %g", legacy.CondP, model.CondP)
+	single := NewCondSamplerModel(Uniform(p), make([]LocKind, len(kinds)), seed)
+	model := NewCondSamplerModel(Uniform(p), kinds, seed)
+	if model.tab != nil || model.CondP != condProb(len(kinds), p) {
+		t.Fatalf("uniform model left the single-chain path: tab %v, CondP %g", model.tab != nil, model.CondP)
 	}
 	for word := 0; word < 20; word++ {
-		a := condModelStream(legacy, kinds, ^uint64(0))
+		a := condModelStream(single, kinds, ^uint64(0))
 		b := condModelStream(model, kinds, ^uint64(0))
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("word %d: uniform model sampler diverged from the legacy stream", word)
+			t.Fatalf("word %d: uniform stream depends on the location classes", word)
 		}
-		if legacy.Faults != model.Faults {
+		if single.Faults != model.Faults {
 			t.Fatalf("word %d: fault tallies diverged", word)
 		}
 	}
 
 	biased := NewCondSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 8}, kinds, seed)
-	reference := NewCondSampler(p, len(kinds), seed)
+	reference := NewCondSamplerModel(Uniform(p), kinds, seed)
 	for word := 0; word < 20; word++ {
 		a := condModelStream(reference, kinds, ^uint64(0))
 		b := condModelStream(biased, kinds, ^uint64(0))
@@ -311,25 +316,25 @@ func TestCondModelFaultCountMeans(t *testing.T) {
 }
 
 // TestCondInjectorModelUniformBitIdentical pins the scalar injector's
-// compatibility contract, mirroring the batch sampler's: a uniform model
-// draws the legacy NewCondInjector stream exactly.
+// uniform contract, mirroring the batch sampler's: a uniform model runs the
+// single chain, whose stream depends on the location count alone.
 func TestCondInjectorModelUniformBitIdentical(t *testing.T) {
 	const p, seed = 0.05, uint64(911)
 	kinds := testKinds(20)
-	legacy := NewCondInjector(p, len(kinds), seed)
-	model := NewCondInjectorModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, kinds, seed)
-	if legacy.CondP != model.CondP {
-		t.Fatalf("CondP differs: legacy %g, model %g", legacy.CondP, model.CondP)
+	single := NewCondInjectorModel(Uniform(p), make([]LocKind, len(kinds)), seed)
+	model := NewCondInjectorModel(Uniform(p), kinds, seed)
+	if model.tab != nil || model.CondP != condProb(len(kinds), p) {
+		t.Fatalf("uniform model left the single-chain path: tab %v, CondP %g", model.tab != nil, model.CondP)
 	}
 	for shot := 0; shot < 200; shot++ {
-		legacy.Reset()
+		single.Reset()
 		model.Reset()
 		for i, k := range kinds {
-			if a, b := legacy.Next(k), model.Next(k); a != b {
-				t.Fatalf("shot %d location %d: legacy %+v, model %+v", shot, i, a, b)
+			if a, b := single.Next(k), model.Next(k); a != b {
+				t.Fatalf("shot %d location %d: single-class %+v, model %+v", shot, i, a, b)
 			}
 		}
-		if legacy.Faults != model.Faults {
+		if single.Faults != model.Faults {
 			t.Fatalf("shot %d: fault tallies differ", shot)
 		}
 	}

@@ -24,9 +24,9 @@ func TestCondProb(t *testing.T) {
 		{3, 0.1, 1 - 0.9*0.9*0.9},
 	}
 	for _, c := range cases {
-		got := CondProb(c.n, c.p)
+		got := condProb(c.n, c.p)
 		if math.Abs(got-c.want) > 1e-15 {
-			t.Errorf("CondProb(%d, %g) = %g, want %g", c.n, c.p, got, c.want)
+			t.Errorf("condProb(%d, %g) = %g, want %g", c.n, c.p, got, c.want)
 		}
 	}
 
@@ -34,10 +34,10 @@ func TestCondProb(t *testing.T) {
 	// the naive 1-(1-p)^n collapses to 0 or loses all digits.
 	for _, n := range []int{1, 21, 500} {
 		p := 1e-12
-		got := CondProb(n, p)
+		got := condProb(n, p)
 		approx := float64(n) * p
 		if got <= 0 || math.Abs(got-approx)/approx > 1e-6 {
-			t.Errorf("CondProb(%d, %g) = %g, want ~%g", n, p, got, approx)
+			t.Errorf("condProb(%d, %g) = %g, want ~%g", n, p, got, approx)
 		}
 	}
 }
@@ -70,7 +70,7 @@ func condDrawAll(s *CondSampler, live uint64, n int) (first [64]int, faulted uin
 func TestCondSamplerForcesFault(t *testing.T) {
 	const n = 37
 	const p = 1e-3 // small enough that unconditional words would be mostly fault-free
-	s := NewCondSampler(p, n, 7)
+	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 7)
 	live := uint64(0xF0F0_F0F0_F0F0_F0F0)
 	for word := 0; word < 200; word++ {
 		s.Reset(live)
@@ -100,7 +100,7 @@ func TestCondSamplerFirstFaultDistribution(t *testing.T) {
 	const n = 6
 	const p = 0.25
 	const words = 2000 // 128k samples across 64 lanes
-	s := NewCondSampler(p, n, 11)
+	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 11)
 	var counts [n]int
 	for w := 0; w < words; w++ {
 		s.Reset(^uint64(0))
@@ -113,7 +113,7 @@ func TestCondSamplerFirstFaultDistribution(t *testing.T) {
 		}
 	}
 	total := float64(words * 64)
-	condP := CondProb(n, p)
+	condP := condProb(n, p)
 	for j := 0; j < n; j++ {
 		q := math.Pow(1-p, float64(j)) * p / condP
 		mean := total * q
@@ -131,8 +131,8 @@ func TestCondSamplerTotalFaults(t *testing.T) {
 	const n = 40
 	const p = 0.05
 	const words = 1500
-	s := NewCondSampler(p, n, 13)
-	condP := CondProb(n, p)
+	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 13)
+	condP := condProb(n, p)
 
 	// E[J] for the truncated geometric.
 	var ej float64
@@ -168,7 +168,7 @@ func TestCondInjectorMatchesSampler(t *testing.T) {
 	const p = 0.04
 	const shots = 60_000
 
-	cj := NewCondInjector(p, n, 17)
+	cj := NewCondInjectorModel(Uniform(p), make([]LocKind, n), 17)
 	var sumS, sumS2 float64
 	for s := 0; s < shots; s++ {
 		cj.Reset()
@@ -188,7 +188,7 @@ func TestCondInjectorMatchesSampler(t *testing.T) {
 		sumS2 += float64(faults) * float64(faults)
 	}
 
-	bs := NewCondSampler(p, n, 19)
+	bs := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 19)
 	var sumB, sumB2 float64
 	for w := 0; w < shots/64; w++ {
 		bs.Reset(^uint64(0))
@@ -213,8 +213,8 @@ func TestCondInjectorMatchesSampler(t *testing.T) {
 // two samplers re-keyed to the same seed must produce identical draws.
 func TestCondSamplerReseedDeterministic(t *testing.T) {
 	const n = 25
-	a := NewCondSampler(0.1, n, 1)
-	b := NewCondSampler(0.1, n, 2)
+	a := NewCondSamplerModel(Uniform(0.1), make([]LocKind, n), 1)
+	b := NewCondSamplerModel(Uniform(0.1), make([]LocKind, n), 2)
 	a.Reseed(42)
 	b.Reseed(42)
 	a.Reset(^uint64(0))

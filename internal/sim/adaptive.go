@@ -2,11 +2,9 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/noise"
 )
@@ -82,8 +80,8 @@ type AdaptiveResult struct {
 	WeightVariance float64
 }
 
-// runAdaptive drives the deterministic block-scheduled sampling loop shared
-// by the direct and rare-event adaptive estimators. The budget is cut into
+// runAdaptive drives the deterministic block-scheduled sampling loop of the
+// adaptive estimator, for both methods. The budget is cut into
 // fixed blocks of adaptiveChunk shots; workers claim block indices from a
 // shared atomic queue and call runBlock(worker, block, n), which must sample
 // exactly n shots seeded by the block index and return the failure count.
@@ -144,72 +142,6 @@ func runAdaptive(ctx context.Context, targetRSE float64, maxShots, workers int, 
 		}
 	}
 	return shots, fails, nil
-}
-
-// DirectMCAdaptive estimates the logical error rate at physical rate p by
-// direct Monte-Carlo with an adaptive stopping rule: sampling proceeds in
-// fixed 4096-shot blocks across a bounded worker pool until the relative
-// standard error of the estimate drops to targetRSE or maxShots is reached,
-// whichever comes first. targetRSE == 0 disables the early stop, so exactly
-// maxShots shots run — the fixed-budget DirectMCParallel is this special
-// case.
-//
-// maxShots must be positive (ErrBadShots) and targetRSE in [0, 1)
-// (ErrBadTarget). workers <= 0 selects DefaultWorkers(). Every block's RNG
-// stream is derived from seed via the SplitMix64 sequence keyed by block
-// index — scalar blocks re-seed a math/rand source, batch blocks a
-// SparseSampler — so the result is a pure function of (seed, maxShots,
-// targetRSE, engine) on every machine: the worker count only changes
-// wall-clock time, never the pooled (shots, fails). The final block is
-// clamped to the remaining budget (batch workers mask the last lane word),
-// so the reported Shots never exceeds maxShots. Cancelling ctx stops every
-// worker promptly and returns ctx.Err().
-func (est *Estimator) DirectMCAdaptive(ctx context.Context, p float64, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	return est.DirectMCAdaptiveModel(ctx, noise.Uniform(p), targetRSE, maxShots, seed, workers)
-}
-
-// DirectMCAdaptiveModel is DirectMCAdaptive over a per-class noise model:
-// the sampling engines draw each location class at its own rate (and, for
-// Eta != 1, from the Z-biased two-qubit menu), while the block scheduling,
-// stopping rule and determinism contract are unchanged. A uniform-rate model
-// with Eta == 1 reproduces DirectMCAdaptive(p, ...) bit-identically.
-func (est *Estimator) DirectMCAdaptiveModel(ctx context.Context, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	if maxShots <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
-	}
-	if targetRSE < 0 || targetRSE >= 1 {
-		return AdaptiveResult{}, fmt.Errorf("%w: %g outside [0,1)", ErrBadTarget, targetRSE)
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-
-	// Per-worker block runners persist across blocks; the RNG state is
-	// re-keyed per block so the runner owner does not matter.
-	ws := make([]*BlockRunner, workers)
-	for w := range ws {
-		r, err := est.NewBlockRunnerModel(MethodDirect, m)
-		if err != nil {
-			return AdaptiveResult{}, err
-		}
-		ws[w] = r
-	}
-	runBlock := func(w, b, n int) int { return ws[w].RunBlock(ctx, seed, b, n) }
-
-	start := time.Now()
-	shots, fails, err := runAdaptive(ctx, targetRSE, maxShots, workers, runBlock)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-
-	res, err := Counts{Shots: int64(shots), Fails: int64(fails)}.Result(MethodDirect, m.P1Q, 0)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-		res.ShotsPerSec = float64(shots) / elapsed
-	}
-	return res, nil
 }
 
 // Wilson returns the 95% Wilson score confidence interval for a binomial

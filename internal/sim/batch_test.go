@@ -19,6 +19,22 @@ func buildBatch(t *testing.T, cs *code.CSS) (*Estimator, *Batch) {
 	return est, est.Batch()
 }
 
+// sample runs exactly shots shots in 64-lane words (the final word masked
+// down to the remainder, so the count is exact) and returns the failure
+// count: the bare batch shot loop, without the block scheduler's reseeding.
+func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
+	fails := 0
+	for done := 0; done < shots; done += 64 {
+		live := ^uint64(0)
+		if rem := shots - done; rem < 64 {
+			live = 1<<uint(rem) - 1
+		}
+		b.Run(bs, inj, live)
+		fails += bits.OnesCount64(b.Judge(bs))
+	}
+	return fails
+}
+
 // TestBatchMatchesScalarFixedFaults is the fixed-fault-mask cross-check of
 // the 64-lane engine: an explicit per-lane fault plan is injected into both
 // the scalar interpreted executor (per lane, via noise.Plan) and the batch
@@ -240,7 +256,7 @@ func TestAdaptiveEnginesAgree(t *testing.T) {
 		if err := est.SetEngine(e); err != nil {
 			t.Fatal(err)
 		}
-		res, err := est.DirectMCAdaptive(ctx, pp, 0, shots, 31, 4)
+		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +287,7 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, maxShots := range []int{10_001, 8192, 63, 1} {
-			res, err := est.DirectMCAdaptive(ctx, 0.05, 1e-9, maxShots, 7, 3)
+			res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,20 +298,16 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 	}
 }
 
-// TestBatchDirectMCDeterministic pins reproducibility: DirectMC on the
-// batch engine is a pure function of the caller's RNG seed.
+// TestBatchDirectMCDeterministic pins reproducibility: direct sampling on
+// the batch engine is a pure function of the caller's seed.
 func TestBatchDirectMCDeterministic(t *testing.T) {
 	est, _ := buildBatch(t, code.Steane())
-	a, err := est.DirectMC(0.03, 10_000, rand.New(rand.NewSource(3)))
-	if err != nil {
+	if err := est.SetEngine(EngineBatch); err != nil {
 		t.Fatal(err)
 	}
-	b, err := est.DirectMC(0.03, 10_000, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("batch DirectMC not deterministic: %g vs %g", a, b)
+	a := directPL(t, est, 0.03, 10_000, 3, 1)
+	if b := directPL(t, est, 0.03, 10_000, 3, 1); a != b {
+		t.Fatalf("batch direct sampling not deterministic: %g vs %g", a, b)
 	}
 }
 

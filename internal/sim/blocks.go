@@ -65,7 +65,7 @@ type StratumCount struct {
 // Counts is the raw outcome of a sampling slice — a block, a shard, a whole
 // run — in the exactly-poolable representation the distributed job layer
 // checkpoints and aggregates: (shots, fails) integer pairs sum exactly, so
-// pooling N slices and finishing the pool (Result) is bit-identical to
+// pooling N slices and finishing the pool (ResultModel) is bit-identical to
 // having sampled the union in one process. Strata carry the rare-event
 // estimator's per-fault-count breakdown (sorted by W, only strata that
 // received shots); direct sampling leaves it nil.
@@ -86,7 +86,8 @@ type Counts struct {
 // and grouping of the parts — the "sums exactly" contract that makes
 // adaptive estimation embarrassingly shardable: workers, replicas and
 // checkpoint slices can be pooled in any order and the coordinator's
-// recomputed statistics (Result) match a single-process run bit-for-bit.
+// recomputed statistics (ResultModel) match a single-process run
+// bit-for-bit.
 func PoolCounts(parts ...Counts) Counts {
 	var out Counts
 	strata := map[int]*StratumCount{}
@@ -110,116 +111,55 @@ func PoolCounts(parts ...Counts) Counts {
 	return out
 }
 
-// Result finishes a pooled count into the derived statistics of an adaptive
-// run: the rate estimate, RSE and 95% Wilson confidence interval, plus — for
-// MethodRare — the conditioning weight CondP, the Kish effective sample size
-// and the weight variance under the fault-count post-stratification weights
-// of CondWeights. It computes exactly what DirectMCAdaptive and
-// RareEventAdaptive compute from their own in-process counts (they share
-// this code), so a coordinator pooling checkpointed shard counts reproduces
-// the single-process result bit-identically — except ShotsPerSec, which is
-// wall-clock and stays 0 here.
+// ResultModel finishes a pooled count into the derived statistics of an
+// adaptive run under the noise model m: the rate estimate, RSE and 95%
+// Wilson confidence interval, plus — for MethodRare — the conditioning
+// weight CondP = noise.CondProbModel(m, counts), the Kish effective sample
+// size and the weight variance under the fault-count post-stratification
+// weights of CondWeightsModel. It computes exactly what AdaptiveModel and
+// RareEventAdaptiveModel compute from their own in-process counts (they
+// share this code), so a coordinator pooling checkpointed shard counts
+// reproduces the single-process result bit-identically — except
+// ShotsPerSec, which is wall-clock and stays 0 here.
 //
-// method must be resolved (MethodDirect or MethodRare, not MethodAuto).
-// locations is the protocol's fault-location count, used only by MethodRare,
-// which also requires p strictly inside (0, 1) (ErrBadRate). Counts with no
-// shots wrap ErrBadShots.
-func (c Counts) Result(method Method, p float64, locations int) (AdaptiveResult, error) {
+// method must be resolved (MethodDirect or MethodRare, not MethodAuto). A
+// direct pool's statistics do not depend on the model. counts holds the
+// protocol's fault locations by class (Estimator.ClassCounts) and is used
+// only by MethodRare; under a uniform-rate model only its total matters, so
+// a uniform pool may pass the location total as a single class. MethodRare
+// also requires every class rate below 1 and a model that fires at least
+// one fault (ErrBadRate). Counts with no shots wrap ErrBadShots.
+func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (AdaptiveResult, error) {
 	if c.Shots <= 0 {
 		return AdaptiveResult{}, fmt.Errorf("%w: cannot finish a pool of %d shots", ErrBadShots, c.Shots)
 	}
+	res := AdaptiveResult{
+		Shots:  int(c.Shots),
+		Fails:  int(c.Fails),
+		Method: method,
+		RSE:    RSE(c.Fails, c.Shots),
+	}
+	q := float64(c.Fails) / float64(c.Shots)
+	lo, hi := Wilson(int(c.Fails), int(c.Shots))
 	switch method {
 	case MethodDirect:
-		res := AdaptiveResult{
-			PL:               float64(c.Fails) / float64(c.Shots),
-			Shots:            int(c.Shots),
-			Fails:            int(c.Fails),
-			Method:           MethodDirect,
-			CondP:            1,
-			EffectiveSamples: float64(c.Shots),
-		}
-		res.RSE = RSE(c.Fails, c.Shots)
-		res.CILo, res.CIHi = Wilson(int(c.Fails), int(c.Shots))
-		return res, nil
-
-	case MethodRare:
-		if p <= 0 || p >= 1 {
-			return AdaptiveResult{}, fmt.Errorf("%w: p = %g", ErrBadRate, p)
-		}
-		if locations <= 0 {
-			return AdaptiveResult{}, fmt.Errorf("%w: %d fault locations", ErrBadRate, locations)
-		}
-		condP := noise.CondProb(locations, p)
-		q := float64(c.Fails) / float64(c.Shots)
-		res := AdaptiveResult{
-			PL:     condP * q,
-			Shots:  int(c.Shots),
-			Fails:  int(c.Fails),
-			Method: MethodRare,
-			CondP:  condP,
-		}
-		res.RSE = RSE(c.Fails, c.Shots)
-		lo, hi := Wilson(int(c.Fails), int(c.Shots))
-		res.CILo, res.CIHi = condP*lo, condP*hi
-
-		weights := CondWeights(locations, rareMaxW, p)
-		var sumW, sumW2 float64
-		for _, s := range c.Strata {
-			if s.Shots <= 0 || s.W < 0 || s.W > rareMaxW {
-				continue // W outside [0, rareMaxW] carries no binomial mass
-			}
-			sumW += weights[s.W]
-			sumW2 += weights[s.W] * weights[s.W] / float64(s.Shots)
-		}
+		res.PL, res.CondP = q, 1
+		res.CILo, res.CIHi = lo, hi
 		res.EffectiveSamples = float64(c.Shots)
-		if sumW2 > 0 {
-			res.EffectiveSamples = sumW * sumW / sumW2
-		}
-		if res.EffectiveSamples > 0 {
-			res.WeightVariance = math.Max(0, float64(c.Shots)/res.EffectiveSamples-1)
-		}
 		return res, nil
+	case MethodRare:
+	default:
+		return AdaptiveResult{}, fmt.Errorf("sim: Counts.ResultModel needs a resolved method (direct or rare), got %q", method)
 	}
-	return AdaptiveResult{}, fmt.Errorf("sim: Counts.Result needs a resolved method (direct or rare), got %q", method)
-}
 
-// ResultModel is Result over a per-class noise model: counts holds the
-// protocol's fault locations by class (Estimator.ClassCounts), the
-// conditioning weight becomes noise.CondProbModel and the
-// post-stratification weights CondWeightsModel. A uniform-rate model (and
-// any MethodDirect pool, whose statistics do not depend on the model)
-// delegates to Result bit-identically.
-func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (AdaptiveResult, error) {
-	total := counts[0] + counts[1] + counts[2]
-	if p, ok := m.UniformRate(); ok {
-		return c.Result(method, p, total)
-	}
-	if method != MethodRare {
-		return c.Result(method, m.P1Q, total)
-	}
-	if c.Shots <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: cannot finish a pool of %d shots", ErrBadShots, c.Shots)
-	}
 	if m.MaxRate() >= 1 {
 		return AdaptiveResult{}, fmt.Errorf("%w: max class rate = %g", ErrBadRate, m.MaxRate())
 	}
-	if total <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: %d fault locations", ErrBadRate, total)
-	}
 	condP := noise.CondProbModel(m, counts)
 	if condP <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: model fires no faults on this protocol", ErrBadRate)
+		return AdaptiveResult{}, fmt.Errorf("%w: model fires no faults on %d fault locations", ErrBadRate, counts[0]+counts[1]+counts[2])
 	}
-	q := float64(c.Fails) / float64(c.Shots)
-	res := AdaptiveResult{
-		PL:     condP * q,
-		Shots:  int(c.Shots),
-		Fails:  int(c.Fails),
-		Method: MethodRare,
-		CondP:  condP,
-	}
-	res.RSE = RSE(c.Fails, c.Shots)
-	lo, hi := Wilson(int(c.Fails), int(c.Shots))
+	res.PL, res.CondP = condP*q, condP
 	res.CILo, res.CIHi = condP*lo, condP*hi
 
 	weights := CondWeightsModel(counts, rareMaxW, m)
@@ -246,11 +186,11 @@ func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (Adapti
 type stratum struct{ shots, fails int }
 
 // BlockRunner samples deterministic blocks of the adaptive scheduler's grid
-// for one (method, physical rate) pair: block b of a run seeded s always
+// for one (method, noise model) pair: block b of a run seeded s always
 // draws from the RNG stream keyed by (s, b), so any assignment of blocks to
 // runners — across goroutines, processes or machines — accumulates the same
 // per-block (shots, fails, strata) counts. It is the primitive under
-// DirectMCAdaptive and RareEventAdaptive and the unit of work of the
+// AdaptiveModel and RareEventAdaptiveModel and the unit of work of the
 // distributed job layer's shards.
 //
 // A BlockRunner is not safe for concurrent use; create one per worker. The
@@ -259,8 +199,6 @@ type stratum struct{ shots, fails int }
 type BlockRunner struct {
 	est    *Estimator
 	method Method // resolved: direct or rare
-	p      float64
-	n      int // fault locations; rare only
 	batch  bool
 
 	// Engine state; exactly one engine/method combination is populated.
@@ -276,33 +214,22 @@ type BlockRunner struct {
 	strata [rareMaxW + 1]stratum
 }
 
-// NewBlockRunner builds a block sampler for physical rate p. method may be
-// MethodAuto, which resolves through the crossover policy; an explicit
-// MethodRare requires p strictly inside (0, 1) (ErrBadRate) and a protocol
-// with fault locations. The runner samples on the estimator's selected
-// engine (SetEngine), which is part of the deterministic identity of the
-// stream: batch and scalar engines draw different RNG sequences.
-func (est *Estimator) NewBlockRunner(method Method, p float64) (*BlockRunner, error) {
-	return est.NewBlockRunnerModel(method, noise.Uniform(p))
-}
-
-// NewBlockRunnerModel is NewBlockRunner over a per-class noise model; an
-// explicit MethodRare requires every class rate below 1 and a model that can
-// fire at least one fault on the protocol (ErrBadRate). A uniform-rate model
-// with Eta == 1 constructs exactly the legacy engines, so its blocks draw the
-// same RNG streams as NewBlockRunner(method, p) bit-for-bit.
+// NewBlockRunnerModel builds a block sampler for the noise model m —
+// noise.Uniform(p) for the paper's model. method may be MethodAuto, which
+// resolves through the crossover policy (CrossoverModel); an explicit
+// MethodRare requires every class rate below 1 and a model that can fire at
+// least one fault on the protocol (ErrBadRate). The runner samples on the
+// estimator's selected engine (SetEngine), which is part of the
+// deterministic identity of the stream: batch and scalar engines draw
+// different RNG sequences.
 func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*BlockRunner, error) {
 	m, err := est.resolveMethodModel(method, model)
 	if err != nil {
 		return nil, err
 	}
-	r := &BlockRunner{est: est, method: m, p: model.P1Q, batch: est.useBatch()}
+	r := &BlockRunner{est: est, method: m, batch: est.useBatch()}
 	if m == MethodRare {
 		kinds := est.LocationKinds()
-		r.n = len(kinds)
-		if r.n <= 0 {
-			return nil, fmt.Errorf("%w: protocol has no fault locations", ErrBadRate)
-		}
 		if r.batch {
 			r.csmp = noise.NewCondSamplerModel(model, kinds, 0)
 			r.bs = est.batch.NewShot()
@@ -329,10 +256,6 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 // Method reports the resolved sampling method the runner executes
 // (MethodDirect or MethodRare, never MethodAuto).
 func (r *BlockRunner) Method() Method { return r.method }
-
-// Locations returns the fault-location count backing the rare-event
-// conditioning; 0 for direct runners.
-func (r *BlockRunner) Locations() int { return r.n }
 
 // RunBlock samples exactly n shots of block b of the run seeded seed,
 // folding them into the runner's accumulated counts, and returns the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
@@ -34,44 +33,45 @@ var (
 	ErrBadTarget = errors.New("sim: target RSE out of range")
 )
 
-// Estimator measures logical error rates of a protocol under the E1_1
-// depolarizing model, following the paper's evaluation: the protocol is
-// followed by one perfect round of lookup-table error correction and a
-// destructive Z-basis readout; a logical error is registered when the
-// corrected result anticommutes with a logical operator of the prepared
-// eigenstate (a logical Z for |0>_L, flipped by residual X errors).
-//
-// NewEstimator also compiles the protocol into a Program; every sampling
-// entry point (DirectMC, DirectMCParallel, DirectMCAdaptive) runs the
-// compiled allocation-free engine when compilation succeeded and falls back
-// to the interpreted executor otherwise. Both paths are bit-identical for a
-// shared RNG stream.
 // xDecoder is the slice of the decoder API Judge needs; both
 // decoder.Lookup and decoder.Dense satisfy it with bit-identical results.
 type xDecoder interface {
 	Decode(e f2.Vec) f2.Vec
 }
 
+// Estimator measures logical error rates of a protocol under a circuit-level
+// noise.Model (the paper's E1_1 depolarizing model is noise.Uniform(p)),
+// following the paper's evaluation: the protocol is followed by one perfect
+// round of lookup-table error correction and a destructive Z-basis readout;
+// a logical error is registered when the corrected result anticommutes with
+// a logical operator of the prepared eigenstate (a logical Z for |0>_L,
+// flipped by residual X errors).
+//
+// NewEstimator also compiles the protocol into a Program and its 64-lane
+// Batch; every sampling entry point (AdaptiveModel, RareEventAdaptiveModel,
+// NewBlockRunnerModel) runs the selected compiled engine when compilation
+// succeeded and falls back to the interpreted executor otherwise. The
+// interpreted executor and the compiled Program are bit-identical for a
+// shared RNG stream; the batch engine draws its own.
 type Estimator struct {
 	P        *core.Protocol
 	decX     xDecoder        // corrects X errors via Z checks
 	prog     *Program        // compiled shot engine; nil if compilation failed
 	batch    *Batch          // 64-lane engine over prog; nil if compilation failed
 	engine   Engine          // requested engine; resolved by useBatch
-	locs     int             // cached fault-location count; 0 until Locations runs
 	locKinds []noise.LocKind // cached fault-free-path location kinds
 }
 
 // LocationKinds returns the location-kind vector of the protocol's
-// fault-free path in execution order — the per-class view of Locations,
-// needed by the per-class conditional samplers and the fault-order
-// enumerator — counting it on first use and caching it on the estimator.
+// fault-free path in execution order — its length is the fault-location
+// count N of the fault-order and rare-event estimators, and its classes feed
+// the per-class conditional samplers and the fault-order enumerator —
+// counting it on first use and caching it on the estimator.
 func (est *Estimator) LocationKinds() []noise.LocKind {
 	if est.locKinds == nil {
 		ctr := &noise.Counter{}
 		Run(est.P, ctr)
 		est.locKinds = ctr.Kinds
-		est.locs = len(ctr.Kinds)
 	}
 	return est.locKinds
 }
@@ -128,58 +128,6 @@ func (est *Estimator) Judge(out Outcome) bool {
 	return false
 }
 
-// DirectMC estimates the logical error rate at physical rate p by direct
-// Monte-Carlo sampling with the given number of shots. shots must be
-// positive; violations return an error wrapping ErrBadShots (the estimate
-// used to silently come out as 0/0 = NaN). On the batch engine the rng only
-// seeds the sampler's SplitMix64 stream; the scalar engines consume it
-// directly.
-func (est *Estimator) DirectMC(p float64, shots int, rng *rand.Rand) (float64, error) {
-	if shots <= 0 {
-		return 0, fmt.Errorf("%w: %d shots", ErrBadShots, shots)
-	}
-	fails := 0
-	if est.useBatch() {
-		smp := noise.NewSparseSampler(p, rng.Uint64())
-		bs := est.batch.NewShot()
-		fails = est.batch.sample(bs, smp, shots)
-	} else if est.prog != nil {
-		inj := &noise.Depolarizing{P: p, Rng: rng}
-		sh := est.prog.NewShot()
-		for s := 0; s < shots; s++ {
-			est.prog.Run(sh, inj)
-			if est.prog.Judge(sh) {
-				fails++
-			}
-		}
-	} else {
-		inj := &noise.Depolarizing{P: p, Rng: rng}
-		for s := 0; s < shots; s++ {
-			if est.Judge(Run(est.P, inj)) {
-				fails++
-			}
-		}
-	}
-	return float64(fails) / float64(shots), nil
-}
-
-// sample runs exactly shots shots in 64-lane words (the final word masked
-// down to the remainder, so the count is exact) and returns the failure
-// count. It is the uncancellable inner loop shared by DirectMC and the
-// adaptive workers.
-func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
-	fails := 0
-	for done := 0; done < shots; done += 64 {
-		live := ^uint64(0)
-		if rem := shots - done; rem < 64 {
-			live = 1<<uint(rem) - 1
-		}
-		b.Run(bs, inj, live)
-		fails += bits.OnesCount64(b.Judge(bs))
-	}
-	return fails
-}
-
 // FaultOrderResult holds the stratified conditional failure probabilities:
 // F[w] is the probability of a logical error given exactly w faulted
 // locations, estimated exactly for w ≤ 1 and by sampling above.
@@ -188,39 +136,17 @@ type FaultOrderResult struct {
 	F []float64
 
 	// ClassCounts breaks N down by location class (indexed by
-	// noise.LocKind); populated by FaultOrder and FaultOrderModel, and
-	// required by RateModel under a per-class model. Results built
-	// elsewhere (e.g. RareEventResult.ToFaultOrder) leave it zero and
-	// support only uniform-rate recombination.
+	// noise.LocKind); populated by FaultOrderModel and
+	// RareEventResult.ToFaultOrder, and required by RateModel under a
+	// per-class model.
 	ClassCounts [3]int
 }
 
-// FaultOrder computes the stratified estimator (the dynamic-subset-sampling
-// substitute described in DESIGN.md): order w = 0 and 1 are enumerated
-// exhaustively — for a fault-tolerant protocol F[1] must be exactly 0, which
-// doubles as the FT certificate — and orders 2..maxW are sampled with the
-// given number of samples per order. Cancelling ctx aborts the enumeration
-// and sampling loops promptly with ctx.Err().
-//
-// maxW must lie in [0, N] where N is the protocol's fault location count
-// (violations wrap ErrBadOrder; orders above N used to feed binomPMF a
-// negative n-w), and samples must be positive whenever maxW >= 2 requires
-// sampling (violations wrap ErrBadSamples; those strata used to come out
-// as 0/0 = NaN).
-func (est *Estimator) FaultOrder(ctx context.Context, maxW, samples int, rng *rand.Rand) (FaultOrderResult, error) {
-	if maxW < 0 {
-		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
-	}
-	if maxW >= 2 && samples <= 0 {
-		return FaultOrderResult{}, fmt.Errorf("%w: %d samples for sampled orders 2..%d", ErrBadSamples, samples, maxW)
-	}
-	counter := &noise.Counter{}
-	Run(est.P, counter)
-	kinds := counter.Kinds
+// faultOrder is the uniform branch of FaultOrderModel: locations and
+// operators are weighted uniformly (the E1_1 conditionals), drawing the
+// sampled orders straight from rng.
+func (est *Estimator) faultOrder(ctx context.Context, maxW, samples int, rng *rand.Rand, kinds []noise.LocKind) (FaultOrderResult, error) {
 	n := len(kinds)
-	if maxW > n {
-		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d exceeds the %d fault locations", ErrBadOrder, maxW, n)
-	}
 	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: noise.CountKinds(kinds)}
 
 	if maxW >= 1 {
@@ -271,20 +197,30 @@ func (est *Estimator) FaultOrder(ctx context.Context, maxW, samples int, rng *ra
 	return res, nil
 }
 
-// FaultOrderModel generalizes FaultOrder to a per-class noise model given as
-// a ratio model: the class rates of ratio are relative weights (their overall
-// scale cancels — pass the model at any physical rate, or the ratio vector
-// itself), and ratio.Eta tilts the two-qubit operator menu. Locations are
-// weighted by their class rate and operators by the menu weights — the
-// conditional fault distribution of the model in the p -> 0 limit, which is
-// the regime the stratified estimator targets (at finite rates the
-// order-conditional location law acquires O(p) corrections the subset sampler
-// ignores, exactly as published subset-sampling estimators do). A uniform
-// ratio delegates to FaultOrder bit-identically. Recombine with RateModel.
+// FaultOrderModel computes the stratified estimator (the
+// dynamic-subset-sampling substitute described in DESIGN.md): order w = 0
+// and 1 are enumerated exhaustively — for a fault-tolerant protocol F[1]
+// must be exactly 0, which doubles as the FT certificate — and orders
+// 2..maxW are sampled with the given number of samples per order.
+// Cancelling ctx aborts the enumeration and sampling loops promptly with
+// ctx.Err(). Recombine with RateModel.
+//
+// The noise is given as a ratio model: the class rates of ratio are relative
+// weights (their overall scale cancels — pass the model at any physical
+// rate, the ratio vector itself, or noise.Uniform(1) for the paper's model),
+// and ratio.Eta tilts the two-qubit operator menu. Locations are weighted by
+// their class rate and operators by the menu weights — the conditional fault
+// distribution of the model in the p -> 0 limit, which is the regime the
+// stratified estimator targets (at finite rates the order-conditional
+// location law acquires O(p) corrections the subset sampler ignores, exactly
+// as published subset-sampling estimators do).
+//
+// maxW must lie in [0, N] where N is the protocol's fault location count
+// (violations wrap ErrBadOrder; orders above N used to feed binomPMF a
+// negative n-w), and samples must be positive whenever maxW >= 2 requires
+// sampling (violations wrap ErrBadSamples; those strata used to come out
+// as 0/0 = NaN).
 func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rng *rand.Rand, ratio noise.Model) (FaultOrderResult, error) {
-	if ratio.IsUniform() {
-		return est.FaultOrder(ctx, maxW, samples, rng)
-	}
 	if maxW < 0 {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
 	}
@@ -295,6 +231,9 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 	n := len(kinds)
 	if maxW > n {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d exceeds the %d fault locations", ErrBadOrder, maxW, n)
+	}
+	if ratio.IsUniform() {
+		return est.faultOrder(ctx, maxW, samples, rng, kinds)
 	}
 	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: noise.CountKinds(kinds)}
 
@@ -389,29 +328,15 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 	return res, nil
 }
 
-// Rate evaluates the stratified logical error rate at physical rate p:
-// pL(p) = Σ_w C(N,w) p^w (1-p)^(N-w) F[w], with the unsampled tail
-// (w > maxW) bounded by 1/2 as in dynamic subset sampling's upper bound.
-// Use RateLower for the no-tail lower bound.
-func (r FaultOrderResult) Rate(p float64) float64 {
-	return r.rate(p, r.F, true)
-}
-
-// RateLower is Rate without the tail bound.
-func (r FaultOrderResult) RateLower(p float64) float64 {
-	return r.rate(p, r.F, false)
-}
-
-// RateModel evaluates the stratified logical error rate under a per-class
-// model m: the fault-order distribution becomes the convolution of the three
-// class binomials Binomial(n_c, p_c) over ClassCounts, replacing the single
-// Binomial(N, p) of Rate, with the same 1/2 tail bound on the uncovered
-// orders. A uniform-rate m delegates to Rate(p) bit-identically; a
-// per-class m requires ClassCounts (populated by FaultOrder and
-// FaultOrderModel).
+// RateModel evaluates the stratified logical error rate under the noise
+// model m: pL = Σ_w P(K = w) F[w], with the unsampled tail (w > maxW)
+// bounded by 1/2 as in dynamic subset sampling's upper bound. The fault
+// count K is Binomial(N, p) for a uniform-rate m and otherwise the
+// convolution of the three class binomials Binomial(n_c, p_c) over
+// ClassCounts, which a per-class m therefore requires.
 func (r FaultOrderResult) RateModel(m noise.Model) float64 {
 	if p, ok := m.UniformRate(); ok {
-		return r.Rate(p)
+		return r.rate(p)
 	}
 	pmf := orderPMFModel(r.ClassCounts, len(r.F)-1, m)
 	total := 0.0
@@ -472,17 +397,17 @@ func convolveBinom(a []float64, n int, p float64, maxW int) []float64 {
 	return res
 }
 
-func (r FaultOrderResult) rate(p float64, f []float64, tail bool) float64 {
+// rate is the uniform branch of RateModel: the single Binomial(N, p) fault
+// count over the N fault locations.
+func (r FaultOrderResult) rate(p float64) float64 {
 	total := 0.0
 	covered := 0.0
-	for w := 0; w < len(f); w++ {
+	for w := 0; w < len(r.F); w++ {
 		aw := binomPMF(r.N, w, p)
 		covered += aw
-		total += aw * f[w]
+		total += aw * r.F[w]
 	}
-	if tail {
-		total += 0.5 * math.Max(0, 1-covered)
-	}
+	total += 0.5 * math.Max(0, 1-covered)
 	return total
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func ExampleEstimator() {
 	}
 
 	est := sim.NewEstimator(proto)
-	res, err := est.FaultOrder(context.Background(), 1, 0, rand.New(rand.NewSource(1)))
+	res, err := est.FaultOrderModel(context.Background(), 1, 0, rand.New(rand.NewSource(1)), noise.Uniform(1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,10 +36,11 @@ func ExampleEstimator() {
 	// P(logical error | 1 fault) = 0
 }
 
-// ExampleEstimator_DirectMCAdaptive samples the Steane protocol's logical
-// error rate on the compiled shot engine until the estimate reaches a 20%
-// relative standard error, instead of guessing a shot budget up front.
-func ExampleEstimator_DirectMCAdaptive() {
+// ExampleEstimator_AdaptiveModel samples the Steane protocol's logical
+// error rate by direct Monte-Carlo under the paper's uniform noise model
+// until the estimate reaches a 20% relative standard error, instead of
+// guessing a shot budget up front.
+func ExampleEstimator_AdaptiveModel() {
 	proto, err := core.Build(context.Background(), code.Steane(), core.Config{})
 	if err != nil {
 		log.Fatal(err)
@@ -46,7 +48,7 @@ func ExampleEstimator_DirectMCAdaptive() {
 	est := sim.NewEstimator(proto)
 
 	const targetRSE, maxShots = 0.2, 1_000_000
-	res, err := est.DirectMCAdaptive(context.Background(), 0.05, targetRSE, maxShots, 1, 1)
+	res, err := est.AdaptiveModel(context.Background(), sim.MethodDirect, noise.Uniform(0.05), targetRSE, maxShots, 1, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

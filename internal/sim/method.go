@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/noise"
 )
@@ -23,13 +24,15 @@ const (
 	MethodDirect
 
 	// MethodRare forces the >= 1-fault conditional (rare-event) estimator;
-	// it requires a physical rate strictly inside (0, 1).
+	// it requires every class rate below 1 and at least one fault to
+	// condition on.
 	MethodRare
 )
 
-// ErrBadRate rejects physical rates the rare-event estimator cannot
-// condition on: p <= 0 has no faults to condition on, and p >= 1 makes the
-// conditioning vacuous (direct sampling is already exact there).
+// ErrBadRate rejects noise models the rare-event estimator cannot condition
+// on: a model that fires no fault on the protocol (every rate 0) has nothing
+// to condition on, and a class rate >= 1 makes the conditioning vacuous
+// (direct sampling is already exact there).
 var ErrBadRate = errors.New("sim: physical rate outside (0,1) for the rare-event estimator")
 
 // rareCrossover is the auto-selection threshold on P(#faults >= 1): below
@@ -64,24 +67,12 @@ func (m Method) String() string {
 	}
 }
 
-// Crossover reports the method MethodAuto resolves to at physical rate p:
-// MethodRare when 0 < p < 1 and P(#faults >= 1) = 1-(1-p)^N falls below the
-// crossover threshold, MethodDirect otherwise.
-func (est *Estimator) Crossover(p float64) Method {
-	if p > 0 && p < 1 && noise.CondProb(est.Locations(), p) < rareCrossover {
-		return MethodRare
-	}
-	return MethodDirect
-}
-
-// CrossoverModel generalizes Crossover to per-class noise models: MethodRare
-// when every class rate lies below 1 and 0 < P(#faults >= 1) < the crossover
-// threshold under the model's per-class location counts, MethodDirect
-// otherwise. A uniform-rate model resolves exactly as Crossover does.
+// CrossoverModel reports the method MethodAuto resolves to under the noise
+// model m: MethodRare when every class rate lies below 1 and
+// 0 < P(#faults >= 1) < the crossover threshold over the protocol's
+// per-class location counts — for noise.Uniform(p), 1-(1-p)^N — and
+// MethodDirect otherwise.
 func (est *Estimator) CrossoverModel(m noise.Model) Method {
-	if p, ok := m.UniformRate(); ok {
-		return est.Crossover(p)
-	}
 	if m.MaxRate() < 1 {
 		if cp := noise.CondProbModel(m, est.ClassCounts()); cp > 0 && cp < rareCrossover {
 			return MethodRare
@@ -90,30 +81,11 @@ func (est *Estimator) CrossoverModel(m noise.Model) Method {
 	return MethodDirect
 }
 
-// resolveMethod maps a requested method to the one that will run,
-// validating the rare-event rate requirement.
-func (est *Estimator) resolveMethod(m Method, p float64) (Method, error) {
-	switch m {
-	case MethodRare:
-		if p <= 0 || p >= 1 {
-			return m, fmt.Errorf("%w: p = %g", ErrBadRate, p)
-		}
-		return MethodRare, nil
-	case MethodDirect:
-		return MethodDirect, nil
-	default:
-		return est.Crossover(p), nil
-	}
-}
-
-// resolveMethodModel is resolveMethod over a per-class model: an explicit
-// MethodRare needs every class rate below 1 and a strictly positive
-// conditioning probability under the model (ErrBadRate otherwise), the exact
-// generalization of the uniform 0 < p < 1 requirement.
+// resolveMethodModel maps a requested method to the one that will run: an
+// explicit MethodRare needs every class rate below 1 and a strictly positive
+// conditioning probability under the model (ErrBadRate otherwise), which for
+// noise.Uniform(p) is the requirement 0 < p < 1.
 func (est *Estimator) resolveMethodModel(method Method, m noise.Model) (Method, error) {
-	if p, ok := m.UniformRate(); ok {
-		return est.resolveMethod(method, p)
-	}
 	switch method {
 	case MethodRare:
 		if m.MaxRate() >= 1 {
@@ -130,32 +102,88 @@ func (est *Estimator) resolveMethodModel(method Method, m noise.Model) (Method, 
 	}
 }
 
-// Adaptive is the method-dispatching adaptive estimation entry point: it
-// resolves the requested method against the crossover policy (MethodAuto)
-// and runs DirectMCAdaptive or RareEventAdaptive accordingly. The argument
-// contract is the union of the two: ErrBadShots, ErrBadTarget, and — for an
-// explicit MethodRare at a rate outside (0, 1) — ErrBadRate.
-func (est *Estimator) Adaptive(ctx context.Context, method Method, p, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	return est.AdaptiveModel(ctx, method, noise.Uniform(p), targetRSE, maxShots, seed, workers)
+// AdaptiveModel estimates the logical error rate under the noise model m —
+// noise.Uniform(p) for the paper's E1_1 model — with an adaptive stopping
+// rule: sampling proceeds in fixed 4096-shot blocks across a bounded worker
+// pool until the relative standard error of the estimate drops to targetRSE
+// or maxShots is reached, whichever comes first. targetRSE == 0 disables the
+// early stop, so exactly maxShots shots run.
+//
+// method selects direct Monte-Carlo, the rare-event conditional estimator
+// (see RareEventAdaptiveModel), or — MethodAuto — the crossover policy
+// (CrossoverModel). maxShots must be positive (ErrBadShots), targetRSE in
+// [0, 1) (ErrBadTarget), and an explicit MethodRare needs a model it can
+// condition on (ErrBadRate). workers <= 0 selects DefaultWorkers(). Every
+// block's RNG stream is derived from seed via the SplitMix64 sequence keyed
+// by block index, so the result is a pure function of (seed, maxShots,
+// targetRSE, engine) on every machine: the worker count only changes
+// wall-clock time, never the pooled (shots, fails). The final block is
+// clamped to the remaining budget, so the reported Shots never exceeds
+// maxShots. Cancelling ctx stops every worker promptly and returns
+// ctx.Err().
+func (est *Estimator) AdaptiveModel(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
+	res, _, err := est.adaptive(ctx, method, m, targetRSE, maxShots, seed, workers)
+	return res, err
 }
 
-// AdaptiveModel is Adaptive over a per-class noise model, dispatching to
-// DirectMCAdaptiveModel or RareEventAdaptiveModel after resolving the method
-// with resolveMethodModel. Adaptive(p, ...) is exactly
-// AdaptiveModel(noise.Uniform(p), ...): a uniform-rate model with Eta == 1
-// draws the same RNG streams as the legacy scalar-rate estimators and
-// reproduces their results bit-identically.
-func (est *Estimator) AdaptiveModel(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
-	resolved, err := est.resolveMethodModel(method, m)
+// adaptive is the one driver behind AdaptiveModel and
+// RareEventAdaptiveModel: it validates the arguments, resolves the method,
+// runs one BlockRunner per worker under the block scheduler and finishes the
+// pooled counts with Counts.ResultModel — the finisher the job layer applies
+// to its checkpointed shards. It also returns the pooled counts, whose
+// strata the rare-event view reports.
+func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, Counts, error) {
+	if maxShots <= 0 {
+		return AdaptiveResult{}, Counts{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
+	}
+	if targetRSE < 0 || targetRSE >= 1 {
+		return AdaptiveResult{}, Counts{}, fmt.Errorf("%w: %g outside [0,1)", ErrBadTarget, targetRSE)
+	}
+	method, err := est.resolveMethodModel(method, m)
 	if err != nil {
-		return AdaptiveResult{}, err
+		return AdaptiveResult{}, Counts{}, err
 	}
-	if resolved == MethodRare {
-		r, err := est.RareEventAdaptiveModel(ctx, m, targetRSE, maxShots, seed, workers)
-		if err != nil {
-			return AdaptiveResult{}, err
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+
+	// Per-worker block runners persist across blocks; the RNG state is
+	// re-keyed per block so the runner owner does not matter.
+	ws := make([]*BlockRunner, workers)
+	for w := range ws {
+		if ws[w], err = est.NewBlockRunnerModel(method, m); err != nil {
+			return AdaptiveResult{}, Counts{}, err
 		}
-		return r.AdaptiveResult, nil
 	}
-	return est.DirectMCAdaptiveModel(ctx, m, targetRSE, maxShots, seed, workers)
+	runBlock := func(w, b, n int) int { return ws[w].RunBlock(ctx, seed, b, n) }
+
+	start := time.Now()
+	shots, fails, err := runAdaptive(ctx, targetRSE, maxShots, workers, runBlock)
+	if err != nil {
+		return AdaptiveResult{}, Counts{}, err
+	}
+
+	// Merge the per-worker counts; integer sums are order-independent, so
+	// the totals share the block scheduler's worker-count determinism. The
+	// pooled (shots, fails) necessarily equal runAdaptive's, which remain
+	// authoritative for the round-clamped totals.
+	parts := make([]Counts, len(ws))
+	for w, r := range ws {
+		parts[w] = r.Counts()
+	}
+	pooled := PoolCounts(parts...)
+	pooled.Shots, pooled.Fails = int64(shots), int64(fails)
+
+	var counts [3]int // the direct finisher ignores them
+	if method == MethodRare {
+		counts = est.ClassCounts()
+	}
+	res, err := pooled.ResultModel(method, m, counts)
+	if err != nil {
+		return AdaptiveResult{}, Counts{}, err
+	}
+	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+		res.ShotsPerSec = float64(shots) / elapsed
+	}
+	return res, pooled, nil
 }

@@ -78,21 +78,23 @@ func TestGoldenRatesModelPathFourEngines(t *testing.T) {
 }
 
 // TestFaultOrderModelUniformDelegates pins the delegation contract: a
-// uniform ratio must produce exactly FaultOrder's result on the same RNG
-// stream — same F vector, same class counts.
+// uniform ratio at any scale must produce exactly the uniform branch's
+// result on the same RNG stream — same F vector, same class counts.
 func TestFaultOrderModelUniformDelegates(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
-	legacy, err := est.FaultOrder(ctx, 2, 300, rand.New(rand.NewSource(3)))
+	uniform, err := est.faultOrder(ctx, 2, 300, rand.New(rand.NewSource(3)), est.LocationKinds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := est.FaultOrderModel(ctx, 2, 300, rand.New(rand.NewSource(3)), noise.Uniform(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, model) {
-		t.Fatalf("uniform FaultOrderModel diverged:\nlegacy %+v\nmodel  %+v", legacy, model)
+	for _, ratio := range []noise.Model{noise.Uniform(1), noise.Uniform(0.37)} {
+		model, err := est.FaultOrderModel(ctx, 2, 300, rand.New(rand.NewSource(3)), ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(uniform, model) {
+			t.Fatalf("%+v: FaultOrderModel diverged from the uniform branch:\nuniform %+v\nmodel   %+v", ratio, uniform, model)
+		}
 	}
 }
 
@@ -205,14 +207,16 @@ func bigCondWeightModel(counts [3]int, w int, rates [3]float64) float64 {
 }
 
 // TestCondWeightsModelUniformDelegates pins the strata-weight delegation:
-// a uniform-rate model must return exactly CondWeights' slice.
+// under a uniform-rate model only the location total matters, so the
+// per-class counts and their total as a single class must return exactly
+// the same slice.
 func TestCondWeightsModelUniformDelegates(t *testing.T) {
 	for _, p := range []float64{1e-6, 1e-3, 0.2} {
 		counts := [3]int{12, 30, 9}
 		got := CondWeightsModel(counts, 10, noise.Uniform(p))
-		want := CondWeights(51, 10, p)
+		want := CondWeightsModel([3]int{51}, 10, noise.Uniform(p))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%g: CondWeightsModel %v != CondWeights %v", p, got, want)
+			t.Fatalf("p=%g: per-class weights %v != single-class weights %v", p, got, want)
 		}
 	}
 }
@@ -292,15 +296,16 @@ func TestOrderPMFModelBoundaries(t *testing.T) {
 	}
 }
 
-// TestResultModelBoundaries covers the pooled-count finishers at the model
-// boundaries: uniform models delegate to Result field-for-field, a direct
+// TestResultModelBoundaries covers the pooled-count finisher at the model
+// boundaries: a uniform model finishes per-class counts exactly as their
+// total passed as a single class (the job layer's uniform points), a direct
 // pool ignores the bias entirely, and a rare pool under a boundary model
 // returns a typed error rather than NaN statistics.
 func TestResultModelBoundaries(t *testing.T) {
 	counts := [3]int{10, 20, 5}
 	pool := Counts{Shots: 4096, Fails: 17, Strata: []StratumCount{{W: 1, Shots: 4000, Fails: 10}, {W: 2, Shots: 96, Fails: 7}}}
 
-	legacy, err := pool.Result(MethodRare, 0.01, 35)
+	single, err := pool.ResultModel(MethodRare, noise.Uniform(0.01), [3]int{35})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +313,8 @@ func TestResultModelBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy != model {
-		t.Fatalf("uniform ResultModel diverged from Result:\nlegacy %+v\nmodel  %+v", legacy, model)
+	if single != model {
+		t.Fatalf("uniform ResultModel depends on the class split:\nsingle %+v\nmodel  %+v", single, model)
 	}
 
 	direct, err := pool.ResultModel(MethodDirect, noise.Model{P1Q: 0, P2Q: 1, PMeas: 0.5, Eta: 1}, counts)
@@ -348,9 +353,14 @@ func TestCrossoverModelAndResolve(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
 
+	n := float64(len(est.LocationKinds()))
 	for _, p := range []float64{1e-6, 1e-4, 1e-2, 0.2} {
-		if got, want := est.CrossoverModel(noise.Uniform(p)), est.Crossover(p); got != want {
-			t.Fatalf("p=%g: CrossoverModel %v, Crossover %v", p, got, want)
+		want := MethodDirect
+		if 1-math.Pow(1-p, n) < rareCrossover {
+			want = MethodRare
+		}
+		if got := est.CrossoverModel(noise.Uniform(p)); got != want {
+			t.Fatalf("p=%g: CrossoverModel %v, want %v from 1-(1-p)^N", p, got, want)
 		}
 	}
 	if got := est.CrossoverModel(biasedTestModel(1e-6)); got != MethodRare {
@@ -383,7 +393,7 @@ func TestRareMatchesDirectBiased(t *testing.T) {
 		t.Run(cs.Name, func(t *testing.T) {
 			est := NewEstimator(buildProto(t, cs))
 
-			direct, err := est.DirectMCAdaptiveModel(ctx, m, 0, 512*1024, 11, 0)
+			direct, err := est.AdaptiveModel(ctx, MethodDirect, m, 0, 512*1024, 11, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,7 +437,7 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 			if err := scalar.SetEngine(EngineScalar); err != nil {
 				t.Fatal(err)
 			}
-			sres, err := scalar.DirectMCAdaptiveModel(ctx, m, 0, shots, 31, 0)
+			sres, err := scalar.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,7 +446,7 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 			if err := batch.SetEngine(EngineBatch); err != nil {
 				t.Fatal(err)
 			}
-			bres, err := batch.DirectMCAdaptiveModel(ctx, m, 0, shots, 37, 0)
+			bres, err := batch.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,22 +33,23 @@ func RunNonDeterministic(p *core.Protocol, mkInj func() noise.Injector, maxAttem
 }
 
 // NonDetStats estimates the acceptance behaviour and post-selected logical
-// error rate of the baseline at physical rate pp.
+// error rate of the baseline under a noise model.
 type NonDetStats struct {
 	AcceptRate   float64 // fraction of rounds passing verification
 	MeanAttempts float64 // average rounds until acceptance
 	LogicalRate  float64 // logical error rate of accepted states
 }
 
-// NonDeterministicStats samples the baseline scheme. Shots counts accepted
-// preparations; each uses up to maxAttempts rounds.
-func (est *Estimator) NonDeterministicStats(pp float64, shots, maxAttempts int, rng *rand.Rand) NonDetStats {
+// NonDeterministicStats samples the baseline scheme under the noise model m
+// (noise.Uniform(p) for the paper's model) on the interpreted executor,
+// drawing every round from rng. Shots counts accepted preparations; each
+// uses up to maxAttempts rounds.
+func (est *Estimator) NonDeterministicStats(m noise.Model, shots, maxAttempts int, rng *rand.Rand) NonDetStats {
 	rounds, accepted, fails := 0, 0, 0
 	attemptsTotal := 0
+	inj := noise.NewDepolarizing(m, rng) // stateless beyond rng: every round may share it
 	for s := 0; s < shots; s++ {
-		res := RunNonDeterministic(est.P, func() noise.Injector {
-			return &noise.Depolarizing{P: pp, Rng: rng}
-		}, maxAttempts)
+		res := RunNonDeterministic(est.P, func() noise.Injector { return inj }, maxAttempts)
 		rounds += res.Attempts
 		if res.GaveUp {
 			continue

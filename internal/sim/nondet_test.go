@@ -59,7 +59,7 @@ func TestNonDetStatsBehaviour(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(9))
-	st := est.NonDeterministicStats(0.02, 4000, 100, rng)
+	st := est.NonDeterministicStats(noise.Uniform(0.02), 4000, 100, rng)
 	if st.AcceptRate <= 0.5 || st.AcceptRate >= 1 {
 		t.Fatalf("acceptance rate %.3f implausible at p=0.02", st.AcceptRate)
 	}
@@ -80,11 +80,8 @@ func TestDeterministicMatchesBaselineQuality(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(10))
-	det, err := est.DirectMC(0.01, 60000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd := est.NonDeterministicStats(0.01, 30000, 100, rng)
+	det := directPL(t, est, 0.01, 60000, 10, 1)
+	nd := est.NonDeterministicStats(noise.Uniform(0.01), 30000, 100, rng)
 	if det <= 0 || nd.LogicalRate < 0 {
 		t.Fatalf("degenerate rates: det=%g nd=%g", det, nd.LogicalRate)
 	}

@@ -8,28 +8,27 @@ import (
 	"time"
 
 	"repro/internal/code"
+	"repro/internal/noise"
 )
 
-// mcp runs DirectMCParallel under a background context and fails the test on
-// error; the shared shape of the determinism tests below.
-func mcp(t *testing.T, est *Estimator, p float64, shots int, seed int64, workers int) float64 {
+// directPL runs a fixed-budget direct estimate (targetRSE 0) at the uniform
+// rate p under a background context and fails the test on error; the shared
+// shape of the determinism tests below.
+func directPL(t *testing.T, est *Estimator, p float64, shots int, seed int64, workers int) float64 {
 	t.Helper()
-	v, err := est.DirectMCParallel(context.Background(), p, shots, seed, workers)
+	res, err := est.AdaptiveModel(context.Background(), MethodDirect, noise.Uniform(p), 0, shots, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return res.PL
 }
 
 func TestDirectMCParallelAgreesWithSerial(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	const pp, shots = 0.03, 40000
-	par := mcp(t, est, pp, shots, 5, 0)
-	ser, err := est.DirectMC(pp, shots, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := directPL(t, est, pp, shots, 5, 0)
+	ser := directPL(t, est, pp, shots, 6, 1)
 	if par == 0 || ser == 0 {
 		t.Fatalf("no failures sampled: par=%g ser=%g", par, ser)
 	}
@@ -42,8 +41,8 @@ func TestDirectMCParallelAgreesWithSerial(t *testing.T) {
 func TestDirectMCParallelDeterministicForSeed(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
-	a := mcp(t, est, 0.05, 5000, 42, 0)
-	b := mcp(t, est, 0.05, 5000, 42, 0)
+	a := directPL(t, est, 0.05, 5000, 42, 0)
+	b := directPL(t, est, 0.05, 5000, 42, 0)
 	if a != b {
 		t.Fatalf("same seed gave %g and %g", a, b)
 	}
@@ -53,7 +52,7 @@ func TestDirectMCParallelSmallShotCount(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	// Fewer shots than CPUs must still work.
-	_ = mcp(t, est, 0.1, 3, 1, 0)
+	_ = directPL(t, est, 0.1, 3, 1, 0)
 }
 
 func TestDirectMCParallelExplicitWorkers(t *testing.T) {
@@ -61,12 +60,12 @@ func TestDirectMCParallelExplicitWorkers(t *testing.T) {
 	est := NewEstimator(p)
 	// The result is a pure function of (seed, workers, shots), so a fixed
 	// worker count must reproduce exactly regardless of the machine.
-	a := mcp(t, est, 0.05, 4000, 7, 3)
-	b := mcp(t, est, 0.05, 4000, 7, 3)
+	a := directPL(t, est, 0.05, 4000, 7, 3)
+	b := directPL(t, est, 0.05, 4000, 7, 3)
 	if a != b {
 		t.Fatalf("explicit worker count not deterministic: %g vs %g", a, b)
 	}
-	if c := mcp(t, est, 0.05, 4000, 7, 1); c == 0 && a == 0 {
+	if c := directPL(t, est, 0.05, 4000, 7, 1); c == 0 && a == 0 {
 		t.Fatal("no failures sampled at p=0.05")
 	}
 }
@@ -82,7 +81,7 @@ func TestDirectMCParallelCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := est.DirectMCParallel(ctx, 0.01, 500_000_000, 1, 2)
+	_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 0, 500_000_000, 1, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -97,7 +96,7 @@ func TestFaultOrderCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := est.FaultOrder(ctx, 4, 50_000_000, rand.New(rand.NewSource(1)))
+	_, err := est.FaultOrderModel(ctx, 4, 50_000_000, rand.New(rand.NewSource(1)), noise.Uniform(1))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -81,9 +81,9 @@ func TestCountsResultDirectBig(t *testing.T) {
 		{0, 1}, {0, 10_000_000}, {1, 4096}, {43, 4000}, {4000, 4000}, {123456, 10_000_000},
 	}
 	for _, tc := range cases {
-		res, err := Counts{Shots: tc.shots, Fails: tc.fails}.Result(MethodDirect, 1e-2, 0)
+		res, err := Counts{Shots: tc.shots, Fails: tc.fails}.ResultModel(MethodDirect, noise.Uniform(1e-2), [3]int{0})
 		if err != nil {
-			t.Fatalf("Result(%d/%d): %v", tc.fails, tc.shots, err)
+			t.Fatalf("ResultModel(%d/%d): %v", tc.fails, tc.shots, err)
 		}
 		// PL reference.
 		pl := new(big.Float).SetPrec(prec).Quo(big.NewFloat(float64(tc.fails)), big.NewFloat(float64(tc.shots)))
@@ -123,7 +123,7 @@ func TestCountsResultDirectBig(t *testing.T) {
 // TestCountsResultRareBig cross-checks the rare-event finisher against
 // math/big references: PL = CondP·q exactly, the CI scaled by CondP, and
 // the Kish effective sample size (Σ W_w)²/(Σ W_w²/n_w) recomputed at
-// 200-bit precision from the same CondWeights.
+// 200-bit precision from the same CondWeightsModel.
 func TestCountsResultRareBig(t *testing.T) {
 	const (
 		prec = 200
@@ -135,11 +135,11 @@ func TestCountsResultRareBig(t *testing.T) {
 			{W: 2, Shots: 900, Fails: 12},
 			{W: 3, Shots: 100, Fails: 5},
 		}}
-		res, err := c.Result(MethodRare, p, n)
+		res, err := c.ResultModel(MethodRare, noise.Uniform(p), [3]int{n})
 		if err != nil {
 			t.Fatalf("p=%g: %v", p, err)
 		}
-		condP := noise.CondProb(n, p)
+		condP := noise.CondProbModel(noise.Uniform(p), [3]int{n})
 		if res.CondP != condP {
 			t.Fatalf("p=%g: CondP = %g, want %g", p, res.CondP, condP)
 		}
@@ -151,7 +151,7 @@ func TestCountsResultRareBig(t *testing.T) {
 			t.Errorf("p=%g: PL = %g, big reference %g (rel %g)", p, res.PL, ref, rel)
 		}
 		// Kish effective samples in big from the same weights.
-		weights := CondWeights(n, rareMaxW, p)
+		weights := CondWeightsModel([3]int{n}, rareMaxW, noise.Uniform(p))
 		sumW := new(big.Float).SetPrec(prec)
 		sumW2 := new(big.Float).SetPrec(prec)
 		for _, s := range c.Strata {
@@ -179,16 +179,16 @@ func TestCountsResultRareBig(t *testing.T) {
 
 // TestCountsResultValidation pins the finisher's error contract.
 func TestCountsResultValidation(t *testing.T) {
-	if _, err := (Counts{}).Result(MethodDirect, 1e-2, 0); err == nil {
+	if _, err := (Counts{}).ResultModel(MethodDirect, noise.Uniform(1e-2), [3]int{0}); err == nil {
 		t.Error("empty pool: want ErrBadShots, got nil")
 	}
-	if _, err := (Counts{Shots: 10}).Result(MethodAuto, 1e-2, 10); err == nil {
+	if _, err := (Counts{Shots: 10}).ResultModel(MethodAuto, noise.Uniform(1e-2), [3]int{10}); err == nil {
 		t.Error("unresolved method: want error, got nil")
 	}
-	if _, err := (Counts{Shots: 10}).Result(MethodRare, 0, 10); err == nil {
+	if _, err := (Counts{Shots: 10}).ResultModel(MethodRare, noise.Uniform(0), [3]int{10}); err == nil {
 		t.Error("rare at p=0: want ErrBadRate, got nil")
 	}
-	if _, err := (Counts{Shots: 10}).Result(MethodRare, 1e-2, 0); err == nil {
+	if _, err := (Counts{Shots: 10}).ResultModel(MethodRare, noise.Uniform(1e-2), [3]int{0}); err == nil {
 		t.Error("rare without locations: want ErrBadRate, got nil")
 	}
 }
@@ -219,14 +219,14 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 
 				var want AdaptiveResult
 				if method == MethodRare {
-					r, err := est.RareEventAdaptive(ctx, p, 0, maxShots, seed, 3)
+					r, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0, maxShots, seed, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want = r.AdaptiveResult
 				} else {
 					var err error
-					want, err = est.DirectMCAdaptive(ctx, p, 0, maxShots, seed, 3)
+					want, err = est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0, maxShots, seed, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -237,7 +237,7 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 				shards := [][]int{{0}, {1, 2}, {3}}
 				var parts []Counts
 				for _, blocks := range shards {
-					r, err := est.NewBlockRunner(method, p)
+					r, err := est.NewBlockRunnerModel(method, noise.Uniform(p))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -253,7 +253,7 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 					}
 					parts = append(parts, r.Counts())
 				}
-				got, err := PoolCounts(parts...).Result(method, p, est.Locations())
+				got, err := PoolCounts(parts...).ResultModel(method, noise.Uniform(p), est.ClassCounts())
 				if err != nil {
 					t.Fatal(err)
 				}

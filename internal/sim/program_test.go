@@ -192,23 +192,36 @@ func TestEstimatorValidation(t *testing.T) {
 	ctx := t.Context()
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
 	n := Locations(p)
+	direct := func(shots, workers int) error {
+		_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 0, shots, 1, workers)
+		return err
+	}
 
 	cases := []struct {
 		name string
 		run  func() error
 		want error
 	}{
-		{"DirectMC zero shots", func() error { _, err := est.DirectMC(0.01, 0, rng()); return err }, ErrBadShots},
-		{"DirectMC negative shots", func() error { _, err := est.DirectMC(0.01, -5, rng()); return err }, ErrBadShots},
-		{"DirectMCParallel zero shots", func() error { _, err := est.DirectMCParallel(ctx, 0.01, 0, 1, 2); return err }, ErrBadShots},
-		{"DirectMCParallel negative shots", func() error { _, err := est.DirectMCParallel(ctx, 0.01, -1, 1, 2); return err }, ErrBadShots},
-		{"Adaptive zero cap", func() error { _, err := est.DirectMCAdaptive(ctx, 0.01, 0.1, 0, 1, 2); return err }, ErrBadShots},
-		{"Adaptive negative target", func() error { _, err := est.DirectMCAdaptive(ctx, 0.01, -0.5, 100, 1, 2); return err }, ErrBadTarget},
-		{"Adaptive target >= 1", func() error { _, err := est.DirectMCAdaptive(ctx, 0.01, 1, 100, 1, 2); return err }, ErrBadTarget},
-		{"FaultOrder zero samples", func() error { _, err := est.FaultOrder(ctx, 2, 0, rng()); return err }, ErrBadSamples},
-		{"FaultOrder negative samples", func() error { _, err := est.FaultOrder(ctx, 3, -10, rng()); return err }, ErrBadSamples},
-		{"FaultOrder negative order", func() error { _, err := est.FaultOrder(ctx, -1, 100, rng()); return err }, ErrBadOrder},
-		{"FaultOrder order above N", func() error { _, err := est.FaultOrder(ctx, n+1, 100, rng()); return err }, ErrBadOrder},
+		{"DirectMC zero shots", func() error { return direct(0, 1) }, ErrBadShots},
+		{"DirectMC negative shots", func() error { return direct(-5, 1) }, ErrBadShots},
+		{"DirectMCParallel zero shots", func() error { return direct(0, 2) }, ErrBadShots},
+		{"DirectMCParallel negative shots", func() error { return direct(-1, 2) }, ErrBadShots},
+		{"Adaptive zero cap", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 0.1, 0, 1, 2)
+			return err
+		}, ErrBadShots},
+		{"Adaptive negative target", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), -0.5, 100, 1, 2)
+			return err
+		}, ErrBadTarget},
+		{"Adaptive target >= 1", func() error {
+			_, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.01), 1, 100, 1, 2)
+			return err
+		}, ErrBadTarget},
+		{"FaultOrder zero samples", func() error { _, err := est.FaultOrderModel(ctx, 2, 0, rng(), noise.Uniform(1)); return err }, ErrBadSamples},
+		{"FaultOrder negative samples", func() error { _, err := est.FaultOrderModel(ctx, 3, -10, rng(), noise.Uniform(1)); return err }, ErrBadSamples},
+		{"FaultOrder negative order", func() error { _, err := est.FaultOrderModel(ctx, -1, 100, rng(), noise.Uniform(1)); return err }, ErrBadOrder},
+		{"FaultOrder order above N", func() error { _, err := est.FaultOrderModel(ctx, n+1, 100, rng(), noise.Uniform(1)); return err }, ErrBadOrder},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -222,27 +235,19 @@ func TestEstimatorValidation(t *testing.T) {
 
 	// The boundary cases stay valid: samples is irrelevant below order 2,
 	// and maxW == N is the largest legal order.
-	if _, err := est.FaultOrder(ctx, 1, 0, rng()); err != nil {
+	if _, err := est.FaultOrderModel(ctx, 1, 0, rng(), noise.Uniform(1)); err != nil {
 		t.Fatalf("maxW 1 with 0 samples should be valid: %v", err)
 	}
 }
 
 // TestDirectMCParallelWorkerClamp pins the clamp fix: more workers than
-// shots now clamps to one shot per worker instead of serializing the whole
-// job onto a single worker.
+// blocks clamps to one block per worker, and the result stays the one a
+// smaller pool computes.
 func TestDirectMCParallelWorkerClamp(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
-	ctx := t.Context()
-	clamped, err := est.DirectMCParallel(ctx, 0.1, 3, 11, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := est.DirectMCParallel(ctx, 0.1, 3, 11, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped != explicit {
+	clamped := directPL(t, est, 0.1, 3, 11, 64)
+	if explicit := directPL(t, est, 0.1, 3, 11, 3); clamped != explicit {
 		t.Fatalf("workers=64 shots=3 gave %g, want the workers=3 result %g", clamped, explicit)
 	}
 }
@@ -255,7 +260,7 @@ func TestDirectMCAdaptive(t *testing.T) {
 	est := NewEstimator(p)
 	ctx := t.Context()
 
-	res, err := est.DirectMCAdaptive(ctx, 0.05, 0.2, 2_000_000, 21, 4)
+	res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 0.2, 2_000_000, 21, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +277,7 @@ func TestDirectMCAdaptive(t *testing.T) {
 		t.Fatalf("throughput not reported: %+v", res)
 	}
 
-	capped, err := est.DirectMCAdaptive(ctx, 0.05, 1e-6, 10_000, 21, 4)
+	capped, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-6, 10_000, 21, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +285,11 @@ func TestDirectMCAdaptive(t *testing.T) {
 		t.Fatalf("impossible target should exhaust the cap: ran %d of 10000", capped.Shots)
 	}
 
-	a, err := est.DirectMCAdaptive(ctx, 0.05, 0.3, 500_000, 5, 3)
+	a, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 0.3, 500_000, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := est.DirectMCAdaptive(ctx, 0.05, 0.3, 500_000, 5, 3)
+	b, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 0.3, 500_000, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

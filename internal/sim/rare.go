@@ -2,77 +2,51 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/noise"
 )
-
-// Locations returns the number of fault locations on the protocol's
-// fault-free path — the N of the fault-order and rare-event estimators —
-// counting it on first use and caching it on the estimator.
-func (est *Estimator) Locations() int {
-	if est.locs == 0 {
-		est.locs = Locations(est.P)
-	}
-	return est.locs
-}
 
 // rareMaxW is the highest separately-tracked fault-count stratum; shots
 // with more realized faults (possible only through correction blocks
 // extending the trajectory) collapse into it.
 const rareMaxW = 63
 
-// CondWeights returns the conditional fault-count distribution
-// P(K = w | K >= 1) for w = 0..maxW, where K ~ Binomial(n, p) counts faults
-// over the n locations of the fault-free path: weights[0] is always 0, and
-// weights[w] = C(n,w) p^w (1-p)^(n-w) / (1-(1-p)^n) for 1 <= w <= n (0 for
-// w > n). The weights over w = 1..n sum to exactly 1. Boundary rates take
-// their exact limits NaN/Inf-free: p <= 0 returns all zeros (the
-// conditional distribution does not exist), p >= 1 a point mass at w = n.
-func CondWeights(n, maxW int, p float64) []float64 {
-	weights := make([]float64, maxW+1)
-	if n <= 0 || p <= 0 {
-		return weights
-	}
-	if p >= 1 {
-		if n <= maxW {
-			weights[n] = 1
-		}
-		return weights
-	}
-	condP := noise.CondProb(n, p)
-	for w := 1; w <= maxW && w <= n; w++ {
-		// The log-space binomial mass can overshoot the exact ratio by a
-		// few ulps (exp(log p) != p); clamp so the result is always a
-		// probability.
-		if weights[w] = binomPMF(n, w, p) / condP; weights[w] > 1 {
-			weights[w] = 1
-		}
-	}
-	return weights
-}
-
-// CondWeightsModel generalizes CondWeights to per-class rates: the fault
-// count K becomes the sum of three independent class binomials
-// Binomial(counts[c], p_c), so weights[w] = P(K = w) / P(K >= 1) with the
-// numerator computed by exact convolution (orderPMFModel) and the
-// denominator by noise.CondProbModel. Boundary rates keep their exact
-// NaN/Inf-free limits: an all-zero model returns all zeros, a class at rate
-// 1 contributes its point mass at counts[c]. A uniform-rate model delegates
-// to CondWeights bit-identically.
+// CondWeightsModel returns the conditional fault-count distribution
+// P(K = w | K >= 1) for w = 0..maxW under the noise model m, where K counts
+// faults over the fault-free path with the given per-class location counts:
+// weights[0] is always 0, and the weights over the reachable orders sum to
+// exactly 1. For a uniform-rate model K ~ Binomial(N, p) over the total N
+// (only the total of counts matters), so
+// weights[w] = C(N,w) p^w (1-p)^(N-w) / (1-(1-p)^N); otherwise K is the sum
+// of the independent class binomials Binomial(counts[c], p_c), whose mass
+// comes from their exact convolution (orderPMFModel). The denominator is
+// noise.CondProbModel. Boundary rates take their exact limits NaN/Inf-free:
+// a model with no fault to condition on returns all zeros, and a rate-1
+// class contributes its point mass at counts[c].
 func CondWeightsModel(counts [3]int, maxW int, m noise.Model) []float64 {
-	if p, ok := m.UniformRate(); ok {
-		return CondWeights(counts[0]+counts[1]+counts[2], maxW, p)
-	}
 	weights := make([]float64, maxW+1)
 	condP := noise.CondProbModel(m, counts)
 	if condP <= 0 {
 		return weights
 	}
-	pmf := orderPMFModel(counts, maxW, m)
+	p, uniform := m.UniformRate()
+	n := counts[0] + counts[1] + counts[2]
+	var pmf []float64
+	if !uniform {
+		pmf = orderPMFModel(counts, maxW, m)
+	}
 	for w := 1; w <= maxW; w++ {
-		if weights[w] = pmf[w] / condP; weights[w] > 1 {
+		var mass float64
+		switch {
+		case !uniform:
+			mass = pmf[w]
+		case w <= n:
+			mass = binomPMF(n, w, p)
+		}
+		// The log-space binomial mass can overshoot the exact ratio by a
+		// few ulps (exp(log p) != p); clamp so the result is always a
+		// probability.
+		if weights[w] = mass / condP; weights[w] > 1 {
 			weights[w] = 1
 		}
 	}
@@ -115,16 +89,18 @@ type RareEventResult struct {
 	// Strata holds the realized-fault-count strata that received at least
 	// one shot, in increasing W order.
 	Strata []RareStratum
+
+	classCounts [3]int // N by location class, for ToFaultOrder
 }
 
 // ToFaultOrder converts the stratified view into a FaultOrderResult: F[w]
 // is the sampled conditional failure probability given w realized faults
 // (F[0] = 0 exactly — a fault-free shot follows the deterministic
 // fault-free path and cannot fail), up to the highest stratum that
-// received shots. Rate/RateLower then recombine the strata under the
-// binomial location weights, which reproduces the pooled PL up to
-// post-stratification noise and lets rare-event runs feed every consumer
-// of the subset-sampling estimator.
+// received shots, with the run's per-class location counts. RateModel then
+// recombines the strata under the location weights of any noise model,
+// which reproduces the pooled PL up to post-stratification noise and lets
+// rare-event runs feed every consumer of the subset-sampling estimator.
 func (r RareEventResult) ToFaultOrder() FaultOrderResult {
 	maxW := 0
 	for _, s := range r.Strata {
@@ -138,108 +114,39 @@ func (r RareEventResult) ToFaultOrder() FaultOrderResult {
 			f[s.W] = float64(s.Fails) / float64(s.Shots)
 		}
 	}
-	return FaultOrderResult{N: r.N, F: f}
+	return FaultOrderResult{N: r.N, F: f, ClassCounts: r.classCounts}
 }
 
-// RareEventAdaptive estimates the logical error rate at physical rate p by
-// >= 1-fault conditional sampling: every shot is drawn from the exact
-// conditional fault distribution (see noise.CondSampler), so no sampling
-// effort is spent on the fault-free shots that dominate direct Monte-Carlo
-// at low rates, and the conditional failure proportion q is reweighted by
-// the exact conditioning probability CondP = 1-(1-p)^N to the unconditional
-// PL = CondP·q. The stopping rule, block scheduling, worker-count
-// determinism, and argument contract match DirectMCAdaptive (targetRSE
-// applies to PL, whose relative error equals that of q since CondP is an
-// exact constant); additionally p must lie strictly inside (0, 1)
-// (ErrBadRate — outside it the conditional distribution does not exist).
+// RareEventAdaptiveModel estimates the logical error rate under the noise
+// model m by >= 1-fault conditional sampling: every shot is drawn from the
+// exact conditional fault distribution (see noise.NewCondSamplerModel), so
+// no sampling effort is spent on the fault-free shots that dominate direct
+// Monte-Carlo at low rates, and the conditional failure proportion q is
+// reweighted by the exact conditioning probability
+// CondP = 1-∏_c(1-p_c)^(n_c) — 1-(1-p)^N for noise.Uniform(p) — to the
+// unconditional PL = CondP·q. It is AdaptiveModel with MethodRare, so the
+// stopping rule, block scheduling, worker-count determinism and argument
+// contract are AdaptiveModel's (targetRSE applies to PL, whose relative
+// error equals that of q since CondP is an exact constant); the model must
+// have every class rate below 1 and fire at least one fault on the protocol
+// (ErrBadRate).
 //
 // Alongside the pooled estimate the result bins shots by realized fault
-// count, yielding FaultOrder-compatible strata plus the Kish effective
-// sample size and weight variance of the post-stratification weights.
-func (est *Estimator) RareEventAdaptive(ctx context.Context, p float64, targetRSE float64, maxShots int, seed int64, workers int) (RareEventResult, error) {
-	return est.RareEventAdaptiveModel(ctx, noise.Uniform(p), targetRSE, maxShots, seed, workers)
-}
-
-// RareEventAdaptiveModel is RareEventAdaptive over a per-class noise model:
-// conditional shots draw the first fault from the exact per-class first-fault
-// distribution (see noise.NewCondSamplerModel), the conditioning weight
-// becomes CondP = 1-∏_c(1-p_c)^(n_c), and the strata weights come from the
-// class-binomial convolution (CondWeightsModel). The model must have every
-// class rate below 1 and a strictly positive CondP on the protocol
-// (ErrBadRate); a uniform-rate model with Eta == 1 reproduces
-// RareEventAdaptive(p, ...) bit-identically.
+// count, yielding FaultOrder-compatible strata weighted by CondWeightsModel,
+// plus the Kish effective sample size and weight variance of those
+// post-stratification weights.
 func (est *Estimator) RareEventAdaptiveModel(ctx context.Context, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (RareEventResult, error) {
-	if maxShots <= 0 {
-		return RareEventResult{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
-	}
-	if targetRSE < 0 || targetRSE >= 1 {
-		return RareEventResult{}, fmt.Errorf("%w: %g outside [0,1)", ErrBadTarget, targetRSE)
-	}
-	uniform := false
-	if p, ok := m.UniformRate(); ok {
-		uniform = true
-		if p <= 0 || p >= 1 {
-			return RareEventResult{}, fmt.Errorf("%w: p = %g", ErrBadRate, p)
-		}
-	} else if m.MaxRate() >= 1 {
-		return RareEventResult{}, fmt.Errorf("%w: max class rate = %g", ErrBadRate, m.MaxRate())
+	ar, pooled, err := est.adaptive(ctx, MethodRare, m, targetRSE, maxShots, seed, workers)
+	if err != nil {
+		return RareEventResult{}, err
 	}
 	counts := est.ClassCounts()
-	n := counts[0] + counts[1] + counts[2]
-	if n <= 0 {
-		return RareEventResult{}, fmt.Errorf("%w: protocol has no fault locations", ErrBadRate)
-	}
-	if !uniform && noise.CondProbModel(m, counts) <= 0 {
-		return RareEventResult{}, fmt.Errorf("%w: model fires no faults on this protocol", ErrBadRate)
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-
-	// Per-worker block runners; the RNG state is re-keyed per block so the
-	// runner owner does not matter.
-	ws := make([]*BlockRunner, workers)
-	for w := range ws {
-		r, err := est.NewBlockRunnerModel(MethodRare, m)
-		if err != nil {
-			return RareEventResult{}, err
-		}
-		ws[w] = r
-	}
-	runBlock := func(w, b, nShots int) int { return ws[w].RunBlock(ctx, seed, b, nShots) }
-
-	start := time.Now()
-	shots, fails, err := runAdaptive(ctx, targetRSE, maxShots, workers, runBlock)
-	if err != nil {
-		return RareEventResult{}, err
-	}
-
-	// Merge the per-worker strata; integer sums are order-independent, so
-	// the totals share the block scheduler's worker-count determinism. The
-	// pooled (shots, fails) necessarily equal runAdaptive's, which remain
-	// authoritative for the round-clamped totals.
-	parts := make([]Counts, len(ws))
-	for w, r := range ws {
-		parts[w] = r.Counts()
-	}
-	pooled := PoolCounts(parts...)
-	pooled.Shots, pooled.Fails = int64(shots), int64(fails)
-
-	ar, err := pooled.ResultModel(MethodRare, m, counts)
-	if err != nil {
-		return RareEventResult{}, err
-	}
 	res := RareEventResult{
 		AdaptiveResult: ar,
-		N:              n,
-		Q:              float64(fails) / float64(shots),
+		N:              counts[0] + counts[1] + counts[2],
+		Q:              float64(ar.Fails) / float64(ar.Shots),
+		classCounts:    counts,
 	}
-	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-		res.ShotsPerSec = float64(shots) / elapsed
-	}
-
-	// The stratified view with its post-stratification weights, the
-	// FaultOrder-compatible breakdown of the same shots.
 	weights := CondWeightsModel(counts, rareMaxW, m)
 	for _, s := range pooled.Strata {
 		res.Strata = append(res.Strata, RareStratum{

@@ -89,7 +89,7 @@ func TestFaultOrderF1IsZero(t *testing.T) {
 	for _, cs := range []*code.CSS{code.Steane(), code.Surface3()} {
 		p := buildProto(t, cs)
 		est := NewEstimator(p)
-		res, err := est.FaultOrder(context.Background(), 1, 0, rng)
+		res, err := est.FaultOrderModel(context.Background(), 1, 0, rng, noise.Uniform(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +103,12 @@ func TestQuadraticScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
-	res, err := est.FaultOrder(context.Background(), 3, 4000, rng)
+	res, err := est.FaultOrderModel(context.Background(), 3, 4000, rng, noise.Uniform(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3 := res.Rate(1e-3)
-	r4 := res.Rate(1e-4)
+	r3 := res.RateModel(noise.Uniform(1e-3))
+	r4 := res.RateModel(noise.Uniform(1e-4))
 	ratio := r3 / r4
 	// Exact quadratic scaling gives 100; allow slack for the cubic term.
 	if ratio < 80 || ratio > 120 {
@@ -120,16 +120,13 @@ func TestDirectMCAgreesWithStratified(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
-	res, err := est.FaultOrder(context.Background(), 3, 20000, rng)
+	res, err := est.FaultOrderModel(context.Background(), 3, 20000, rng, noise.Uniform(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pp = 0.02
-	mc, err := est.DirectMC(pp, 30000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strat := res.Rate(pp)
+	mc := directPL(t, est, pp, 30000, 3, 1)
+	strat := res.RateModel(noise.Uniform(pp))
 	if mc == 0 {
 		t.Fatal("MC sampled no failures at p=0.02")
 	}
