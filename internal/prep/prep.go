@@ -9,8 +9,10 @@
 //     applicable to all codes.
 //   - Optimal: exact minimum-CNOT-count synthesis by bidirectional
 //     breadth-first search over the reachable X-stabilizer subspaces, with
-//     a configurable state budget. Feasible for the smaller codes, exactly
-//     where the paper reports "Opt" results.
+//     a configurable state budget. Each subspace is stored as the packed
+//     RREF of its span in a flat word arena and found again by a byte key,
+//     so the search allocates only once per new state. Feasible for the
+//     smaller codes, exactly where the paper reports "Opt" results.
 //
 // A CSS |0>_L state is fully determined by its X-stabilizer span: the
 // preparation circuits have the form "|+> on a pivots, |0> elsewhere,
@@ -21,7 +23,8 @@ package prep
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/code"
@@ -38,7 +41,6 @@ func Heuristic(c *code.CSS) *circuit.Circuit {
 	n := c.N
 	rx := m.Rows()
 
-	type colop struct{ p, q int }
 	var ops []colop
 	processed := make([]bool, rx)
 	usedPivot := make([]bool, n)
@@ -129,207 +131,349 @@ func Heuristic(c *code.CSS) *circuit.Circuit {
 }
 
 // Optimal synthesizes a minimum-CNOT-count preparation circuit by
-// bidirectional BFS over X-stabilizer subspaces. maxStates bounds the total
-// number of visited states per direction; on exhaustion it returns a nil
+// bidirectional BFS over X-stabilizer subspaces. maxStates bounds the number
+// of distinct states visited per direction; on exhaustion it returns a nil
 // circuit and nil error (fall back to Heuristic). A maxStates of 0 selects a
 // default budget. Cancelling ctx aborts the search with ctx.Err().
+//
+// The forward search starts from every unit-selection subspace (|+> on rx
+// qubits, |0> elsewhere), so a code with more than maxStates such seeds is
+// given up at once, before any of them is generated. The backward search
+// starts from the span of Hx. A state is the RREF of its span, rx rows of
+// ⌈n/64⌉ packed words, and costs rx·⌈n/64⌉·8 arena bytes, 24 bytes of
+// parent, op and depth, and one map entry keyed by rx·⌈n/8⌉ bytes (see
+// side): 24 + 24 bytes plus a 3-byte key for Steane. The search order is
+// fixed: frontiers are expanded in discovery order, successors p-major then
+// q, the smaller frontier first, and a meet replaces the best one only when
+// strictly shorter. The RREF names a span uniquely and a column operation
+// maps spans to spans, so this order alone fixes the states, the meet and
+// the path: the circuit is the one any exact span representation yields.
 func Optimal(ctx context.Context, c *code.CSS, maxStates int) (*circuit.Circuit, error) {
+	circ, _, err := optimal(ctx, c, maxStates)
+	return circ, err
+}
+
+// optimal is Optimal that also reports the number of distinct states
+// visited in both directions.
+func optimal(ctx context.Context, c *code.CSS, maxStates int) (*circuit.Circuit, int, error) {
 	if maxStates == 0 {
 		maxStates = 400_000
 	}
 	n := c.N
 	rx := c.Hx.Rows()
 	if rx == 0 {
-		return circuit.New(n), nil
+		return circuit.New(n), 0, nil
 	}
+	fwd := newSide(n, rx)
+	bwd := newSide(n, rx)
 
-	type edge struct {
-		parent string
-		p, q   int
-		depth  int
+	// The target is the RREF of Hx; a rank-deficient Hx keeps zero rows at
+	// the bottom, which no seed has, so the two never meet.
+	for i := 0; i < rx; i++ {
+		copy(bwd.cur[i*bwd.w:], c.Hx.Row(i).Words())
 	}
-	targetKey := canonKey(c.Hx)
+	bwd.rref(bwd.cur)
+	if circ := bwd.prefix(bwd.cur); circ != nil {
+		// The target is itself a seed: it needs no CNOTs at all.
+		return circ, 1, nil
+	}
+	bwd.add(bwd.cur, -1, -1, -1, 0)
 
-	fwd := map[string]edge{} // reached from a start state
-	bwd := map[string]edge{} // reached from the target
-	fwdMat := map[string]*f2.Mat{}
-	bwdMat := map[string]*f2.Mat{}
-
-	// Seed forward with every unit-selection subspace.
-	var fwdFrontier, bwdFrontier []string
+	// Seed forward with every unit-selection subspace, in lexicographic
+	// order of the selected qubits. Unit rows in ascending order are
+	// already in RREF.
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	if rx > n || seedsOver(n, rx, maxStates) {
+		return nil, 0, nil
+	}
 	comb := make([]int, rx)
-	var seed func(start, idx int)
-	seed = func(start, idx int) {
-		if idx == rx {
-			m := f2.NewMat(n)
-			for _, p := range comb {
-				m.MustAppendRow(f2.FromSupport(n, p))
-			}
-			k := canonKey(m)
-			if _, ok := fwd[k]; !ok {
-				fwd[k] = edge{parent: "", p: -1, q: -1, depth: 0}
-				fwdMat[k] = m
-				fwdFrontier = append(fwdFrontier, k)
-			}
-			return
-		}
-		for p := start; p < n; p++ {
-			comb[idx] = p
-			seed(p+1, idx+1)
-		}
+	for i := range comb {
+		comb[i] = i
 	}
-	seed(0, 0)
-
-	bwd[targetKey] = edge{parent: "", p: -1, q: -1, depth: 0}
-	bwdMat[targetKey] = c.Hx.SpanBasis()
-	bwdFrontier = append(bwdFrontier, targetKey)
-
-	if _, ok := fwd[targetKey]; ok {
-		// Target needs no CNOTs at all.
-		return assemble(c, nil, fwdMat[targetKey]), nil
+	for seeds := 1; ; seeds++ {
+		if seeds%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+		}
+		clear(fwd.cur)
+		for i, p := range comb {
+			fwd.cur[i*fwd.w+p/64] = 1 << (p % 64)
+		}
+		fwd.add(fwd.cur, -1, -1, -1, 0)
+		// Advance to the next rx-subset of {0..n-1}.
+		i := rx - 1
+		for i >= 0 && comb[i] == n-rx+i {
+			i--
+		}
+		if i < 0 {
+			break
+		}
+		comb[i]++
+		for j := i + 1; j < rx; j++ {
+			comb[j] = comb[j-1] + 1
+		}
 	}
 
 	// Bidirectional level-by-level BFS. After the first meet, expansion
 	// continues while a strictly shorter total is still possible, which
-	// guarantees a minimum-length path.
-	meet := ""
+	// guarantees a minimum-length path. A frontier is the index range of
+	// the states its level discovered.
+	meetFwd, meetBwd := int32(-1), int32(-1)
 	best := int(^uint(0) >> 1)
+	fwdLo, fwdHi := 0, fwd.states()
+	bwdLo, bwdHi := 0, bwd.states()
 	fwdDepth, bwdDepth := 0, 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if len(fwdFrontier) == 0 || len(bwdFrontier) == 0 {
+		if fwdLo == fwdHi || bwdLo == bwdHi {
 			break
 		}
 		if fwdDepth+bwdDepth+1 >= best {
 			break // no shorter meet can appear
 		}
-		if len(fwd) > maxStates || len(bwd) > maxStates {
-			if meet == "" {
-				return nil, nil
+		if fwd.states() > maxStates || bwd.states() > maxStates {
+			if meetFwd < 0 {
+				return nil, 0, nil
 			}
 			break
 		}
 		// Expand the smaller frontier by one level.
-		expandFwd := len(fwdFrontier) <= len(bwdFrontier)
-		var frontier *[]string
-		this, thisMat := fwd, fwdMat
-		other := bwd
+		this, other := fwd, bwd
+		lo, hi := fwdLo, fwdHi
 		depth := fwdDepth + 1
-		if expandFwd {
-			frontier = &fwdFrontier
+		if fwdHi-fwdLo <= bwdHi-bwdLo {
 			fwdDepth++
 		} else {
-			frontier = &bwdFrontier
-			this, thisMat = bwd, bwdMat
-			other = fwd
+			this, other = bwd, fwd
+			lo, hi = bwdLo, bwdHi
 			depth = bwdDepth + 1
 			bwdDepth++
 		}
-		var next []string
-		for _, key := range *frontier {
+		found := func(idx int32) {
+			o, hit := other.index[string(this.key)]
+			if !hit {
+				return
+			}
+			if total := depth + int(other.depth[o]); total < best {
+				best = total
+				if this == fwd {
+					meetFwd, meetBwd = idx, o
+				} else {
+					meetFwd, meetBwd = o, idx
+				}
+			}
+		}
+		for s := lo; s < hi; s++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			// Bail out mid-level once the budget is blown; waiting for
 			// the level barrier can cost minutes on larger codes.
-			if len(this) > maxStates {
-				if meet == "" {
-					return nil, nil
+			if this.states() > maxStates {
+				if meetFwd < 0 {
+					return nil, 0, nil
 				}
 				break
 			}
-			m := thisMat[key]
-			for p := 0; p < n; p++ {
-				for q := 0; q < n; q++ {
-					if p == q {
-						continue
-					}
-					nm := applyColOp(m, p, q)
-					nk := canonKey(nm)
-					if _, seen := this[nk]; seen {
-						continue
-					}
-					this[nk] = edge{parent: key, p: p, q: q, depth: depth}
-					thisMat[nk] = nm
-					next = append(next, nk)
-					if o, hit := other[nk]; hit {
-						if total := depth + o.depth; total < best {
-							best = total
-							meet = nk
-						}
-					}
-				}
-			}
+			this.expand(int32(s), found)
 		}
-		*frontier = next
+		if this == fwd {
+			fwdLo, fwdHi = hi, fwd.states()
+		} else {
+			bwdLo, bwdHi = hi, bwd.states()
+		}
 	}
-	if meet == "" {
-		return nil, nil
+	states := fwd.states() + bwd.states()
+	if meetFwd < 0 {
+		return nil, states, nil
 	}
 
-	// Reconstruct: forward path ops (application order) then backward path
-	// ops from meet to target (in discovered order reversed = application
-	// order after the meet point, since column ops are involutions).
-	type colop struct{ p, q int }
+	// Reconstruct: the forward ops from the seed to the meet in application
+	// order, then the backward ops from the meet to the target in discovery
+	// order reversed, which is their application order since column ops are
+	// involutions.
 	var fops []colop
-	for k := meet; ; {
-		e := fwd[k]
-		if e.p < 0 {
-			break
-		}
-		fops = append(fops, colop{e.p, e.q})
-		k = e.parent
+	root := meetFwd
+	for ; fwd.parent[root] >= 0; root = fwd.parent[root] {
+		fops = append(fops, fwd.op[root])
 	}
-	// fops currently lists last-applied first; reverse to application order.
-	for i, j := 0, len(fops)-1; i < j; i, j = i+1, j-1 {
-		fops[i], fops[j] = fops[j], fops[i]
+	slices.Reverse(fops)
+	ops := fops
+	for s := meetBwd; bwd.parent[s] >= 0; s = bwd.parent[s] {
+		ops = append(ops, bwd.op[s])
 	}
-	var bops []colop
-	for k := meet; ; {
-		e := bwd[k]
-		if e.p < 0 {
-			break
-		}
-		bops = append(bops, colop{e.p, e.q})
-		k = e.parent
-	}
-	ops := append(fops, bops...)
-
-	// Find the start state to know the |+> pivots: undo all ops from the
-	// target backwards... simpler: walk the forward chain to its root.
-	rootKey := meet
-	for {
-		e := fwd[rootKey]
-		if e.p < 0 {
-			break
-		}
-		rootKey = e.parent
-	}
-	start := fwdMat[rootKey]
-
-	circ := assemble(c, nil, start)
+	circ := fwd.prefix(fwd.state(root))
 	for _, o := range ops {
 		circ.AppendCNOT(o.p, o.q)
 	}
-	return circ, nil
+	return circ, states, nil
 }
 
-// assemble creates the preparation prefix: |+> on the support of the unit
-// rows of start, |0> elsewhere. Extra ops are appended by the caller.
-func assemble(c *code.CSS, _ interface{}, start *f2.Mat) *circuit.Circuit {
-	n := c.N
-	isPivot := make([]bool, n)
-	for i := 0; i < start.Rows(); i++ {
-		sup := start.Row(i).Support()
-		if len(sup) != 1 {
-			panic("prep: start state is not a unit-selection subspace")
-		}
-		isPivot[sup[0]] = true
+// colop is the column operation col_q += col_p, the action of CNOT(p, q).
+type colop struct{ p, q int }
+
+// side is one direction of the bidirectional search. State i is the RREF of
+// its span, stored as rx rows of w = ⌈n/64⌉ packed words at
+// words[i*rx*w:]: pivots ascending, zero rows (rank-deficient targets only)
+// last. Its parent index, the column op that reached it and its depth sit
+// at index i of the parallel slices. index maps the state's key, its rows
+// as ⌈n/8⌉ little-endian bytes each, to i. A state so costs rx·w·8 arena
+// bytes, 24 bytes of parallel slices, and one map entry holding its
+// rx·⌈n/8⌉-byte key.
+type side struct {
+	n, rx, w int
+	words    []uint64
+	parent   []int32
+	op       []colop
+	depth    []int32
+	index    map[string]int32
+	cur, nxt []uint64 // scratch states
+	key      []byte   // scratch key of nxt
+}
+
+func newSide(n, rx int) *side {
+	w := (n + 63) / 64
+	return &side{
+		n: n, rx: rx, w: w,
+		index: map[string]int32{},
+		cur:   make([]uint64, rx*w),
+		nxt:   make([]uint64, rx*w),
+		key:   make([]byte, rx*((n+7)/8)),
 	}
-	circ := circuit.New(n)
-	for q := 0; q < n; q++ {
+}
+
+func (s *side) states() int { return len(s.parent) }
+
+// state returns the rows of state i.
+func (s *side) state(i int32) []uint64 {
+	k := s.rx * s.w
+	return s.words[int(i)*k : int(i+1)*k]
+}
+
+// encode writes the key of rows into s.key.
+func (s *side) encode(rows []uint64) {
+	rb := (s.n + 7) / 8
+	for r := 0; r < s.rx; r++ {
+		row := rows[r*s.w : (r+1)*s.w]
+		for b := 0; b < rb; b++ {
+			s.key[r*rb+b] = byte(row[b/8] >> (8 * (b % 8)))
+		}
+	}
+}
+
+// add stores rows (in RREF) as a new state unless it is already known, and
+// reports the new index or -1.
+func (s *side) add(rows []uint64, parent int32, p, q, depth int) int32 {
+	s.encode(rows)
+	if _, seen := s.index[string(s.key)]; seen {
+		return -1
+	}
+	idx := int32(len(s.parent))
+	s.index[string(s.key)] = idx
+	s.words = append(s.words, rows...)
+	s.parent = append(s.parent, parent)
+	s.op = append(s.op, colop{p, q})
+	s.depth = append(s.depth, int32(depth))
+	return idx
+}
+
+// expand adds every unseen successor of state i under the column ops
+// (p, q), p-major, and calls found with each new index while s.key still
+// holds its key.
+func (s *side) expand(i int32, found func(int32)) {
+	copy(s.cur, s.state(i))
+	depth := int(s.depth[i]) + 1
+	for p := 0; p < s.n; p++ {
+		pw, pb := p/64, uint64(1)<<(p%64)
+		// A column that is zero on the span leaves it unchanged, and the
+		// span itself is already known.
+		live := false
+		for r := 0; r < s.rx; r++ {
+			if s.cur[r*s.w+pw]&pb != 0 {
+				live = true
+				break
+			}
+		}
+		if !live {
+			continue
+		}
+		for q := 0; q < s.n; q++ {
+			if p == q {
+				continue
+			}
+			qw, qb := q/64, uint64(1)<<(q%64)
+			copy(s.nxt, s.cur)
+			for r := 0; r < s.rx; r++ {
+				if s.nxt[r*s.w+pw]&pb != 0 {
+					s.nxt[r*s.w+qw] ^= qb
+				}
+			}
+			s.rref(s.nxt)
+			if idx := s.add(s.nxt, i, p, q, depth); idx >= 0 {
+				found(idx)
+			}
+		}
+	}
+}
+
+// rref brings rows to reduced row echelon form in place: pivot columns
+// ascending, each pivot column clear in every other row, zero rows last.
+func (s *side) rref(rows []uint64) {
+	w := s.w
+	r := 0
+	for c := 0; c < s.n && r < s.rx; c++ {
+		cw, cb := c/64, uint64(1)<<(c%64)
+		sel := -1
+		for i := r; i < s.rx; i++ {
+			if rows[i*w+cw]&cb != 0 {
+				sel = i
+				break
+			}
+		}
+		if sel < 0 {
+			continue
+		}
+		if sel != r {
+			for k := 0; k < w; k++ {
+				rows[r*w+k], rows[sel*w+k] = rows[sel*w+k], rows[r*w+k]
+			}
+		}
+		for i := 0; i < s.rx; i++ {
+			if i != r && rows[i*w+cw]&cb != 0 {
+				for k := 0; k < w; k++ {
+					rows[i*w+k] ^= rows[r*w+k]
+				}
+			}
+		}
+		r++
+	}
+}
+
+// prefix returns the preparation prefix of a unit-selection state, |+> on
+// the qubits its rows select and |0> elsewhere, or nil if some row does not
+// select exactly one qubit. The caller appends the CNOTs.
+func (s *side) prefix(rows []uint64) *circuit.Circuit {
+	isPivot := make([]bool, s.n)
+	for r := 0; r < s.rx; r++ {
+		wt, q := 0, 0
+		for k, x := range rows[r*s.w : (r+1)*s.w] {
+			if x != 0 {
+				wt += bits.OnesCount64(x)
+				q = k*64 + bits.TrailingZeros64(x)
+			}
+		}
+		if wt != 1 {
+			return nil
+		}
+		isPivot[q] = true
+	}
+	circ := circuit.New(s.n)
+	for q := 0; q < s.n; q++ {
 		if isPivot[q] {
 			circ.AppendPrepX(q)
 		} else {
@@ -339,31 +483,24 @@ func assemble(c *code.CSS, _ interface{}, start *f2.Mat) *circuit.Circuit {
 	return circ
 }
 
-// applyColOp returns a copy of m with column q replaced by col_q + col_p
-// (the action of CNOT(p,q) on X-stabilizer spans).
-func applyColOp(m *f2.Mat, p, q int) *f2.Mat {
-	nm := m.Clone()
-	for r := 0; r < nm.Rows(); r++ {
-		if nm.Row(r).Get(p) {
-			nm.Row(r).Flip(q)
+// seedsOver reports whether C(n, k) > limit for 0 < k <= n. The partial
+// products C(n-k+i, i) grow with i, so it stops at the first one above
+// limit; 128-bit products keep it exact for any n.
+func seedsOver(n, k, limit int) bool {
+	if limit < 1 {
+		return true
+	}
+	c := uint64(1)
+	for i := uint64(1); i <= uint64(k); i++ {
+		hi, lo := bits.Mul64(c, uint64(n-k)+i)
+		if hi >= i {
+			return true // the quotient needs more than 64 bits
+		}
+		if c, _ = bits.Div64(hi, lo, i); c > uint64(limit) {
+			return true
 		}
 	}
-	return nm
-}
-
-// canonKey returns a canonical identifier of the row span of m.
-func canonKey(m *f2.Mat) string {
-	red := m.SpanBasis()
-	keys := make([]string, red.Rows())
-	for i := 0; i < red.Rows(); i++ {
-		keys[i] = red.Row(i).String()
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += k
-	}
-	return out
+	return false
 }
 
 // Verify checks on the exact stabilizer simulator that circ prepares
