@@ -97,6 +97,31 @@ func TestSynthesizeSecondRequestIsCacheHit(t *testing.T) {
 	}
 }
 
+// TestSearchBudgetsRejected pins the server side of the search-budget
+// bounds: a negative or over-maximum prep_budget and a negative
+// global_limit are 400 with an error body, on synthesis and estimation.
+func TestSearchBudgetsRejected(t *testing.T) {
+	ts := newTestServer(t)
+	for _, opts := range []string{
+		`{"code":"Steane","prep":"opt","prep_budget":-1}`,
+		`{"code":"Steane","prep":"opt","prep_budget":400001}`,
+		`{"code":"Steane","verif":"global","global_limit":-1}`,
+	} {
+		for path, body := range map[string]string{
+			"/synthesize": opts,
+			"/estimate":   `{"options":` + opts + `,"estimate":{"rates":[0.01]}}`,
+		} {
+			status, out := postJSON(t, ts.URL+path, body)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d: %v, want 400", path, body, status, out)
+			}
+			if _, ok := out["error"]; !ok {
+				t.Fatalf("%s %s: no error field: %v", path, body, out)
+			}
+		}
+	}
+}
+
 func TestSynthesizeQASMAndErrors(t *testing.T) {
 	ts := newTestServer(t)
 

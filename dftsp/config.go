@@ -9,6 +9,7 @@ import (
 	"repro/internal/code"
 	"repro/internal/core"
 	"repro/internal/f2"
+	"repro/internal/prep"
 )
 
 // Synthesis method names accepted by Options.Prep and Options.Verif.
@@ -53,11 +54,13 @@ type Options struct {
 	Verif string `json:"verif,omitempty"`
 
 	// PrepBudget bounds the optimal preparation search (states per
-	// direction); 0 selects the default.
+	// direction); 0 selects the default, which is also the maximum
+	// (prep.DefaultBudget, 400000). Negative values are rejected.
 	PrepBudget int `json:"prep_budget,omitempty"`
 
 	// GlobalLimit caps the optimal verifications explored per layer by the
-	// global method; 0 selects the default of 16.
+	// global method; 0 selects the default of 16. Negative values are
+	// rejected.
 	GlobalLimit int `json:"global_limit,omitempty"`
 
 	// FlagAll forces a flag on every verification measurement of weight >= 3
@@ -163,6 +166,12 @@ func (o Options) normalized() (Options, error) {
 	case VerifOptimal, VerifGlobal:
 	default:
 		return o, badOptions("unknown verif method %q (want %q or %q)", o.Verif, VerifOptimal, VerifGlobal)
+	}
+	if o.PrepBudget < 0 || o.PrepBudget > prep.DefaultBudget {
+		return o, badOptions("prep_budget must be in [0, %d], got %d", prep.DefaultBudget, o.PrepBudget)
+	}
+	if o.GlobalLimit < 0 {
+		return o, badOptions("global_limit must be >= 0, got %d", o.GlobalLimit)
 	}
 	return o, nil
 }

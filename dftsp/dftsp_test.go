@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/prep"
 )
 
 var bg = context.Background()
@@ -86,6 +88,32 @@ func TestOptionsValidationTypedErrors(t *testing.T) {
 	_, err := Synthesize(bg, Options{Code: "NoSuchCode"})
 	if !errors.Is(err, ErrUnknownCode) {
 		t.Fatalf("unknown code error %v does not wrap ErrUnknownCode", err)
+	}
+}
+
+// TestOptionsSearchBudgetsBounded pins the bounds on the client-set search
+// budgets: a negative prep_budget or global_limit, or a prep_budget above
+// prep.DefaultBudget, is ErrBadOptions before any synthesis, while the
+// bounds themselves are valid options.
+func TestOptionsSearchBudgetsBounded(t *testing.T) {
+	for _, o := range []Options{
+		{Code: "Steane", Prep: PrepOptimal, PrepBudget: -1},
+		{Code: "Steane", Prep: PrepOptimal, PrepBudget: prep.DefaultBudget + 1},
+		{Code: "Steane", Verif: VerifGlobal, GlobalLimit: -1},
+	} {
+		if _, err := o.Key(); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%+v: Key error %v, want ErrBadOptions", o, err)
+		}
+		if _, err := Synthesize(bg, o); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%+v: Synthesize error %v, want ErrBadOptions", o, err)
+		}
+	}
+	key, err := Options{Code: "Steane", PrepBudget: prep.DefaultBudget, GlobalLimit: 1}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "code:Steane|prep=heu,budget=400000|verif=opt,limit=1|flagall=false"; key != want {
+		t.Fatalf("key = %q, want %q", key, want)
 	}
 }
 

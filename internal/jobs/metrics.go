@@ -9,7 +9,6 @@ import (
 // nil, so an uninstrumented runner pays nothing.
 type runnerMetrics struct {
 	running      *telemetry.Gauge     // jobs with a live coordinator goroutine
-	queueDepth   *telemetry.Gauge     // shard tasks dispatched but not yet started
 	shards       *telemetry.Counter   // shards checkpointed durably
 	resumed      *telemetry.Counter   // jobs resumed by ResumeAll
 	shardSeconds *telemetry.Histogram // wall time per shard task
@@ -17,8 +16,10 @@ type runnerMetrics struct {
 
 // Instrument registers the runner's metrics on reg: running-job and
 // shard-queue-depth gauges, checkpointed-shard and resume counters, and a
-// shard wall-time histogram. Call it once, before the first Submit; an
-// uninstrumented runner runs identically with no metrics recorded.
+// histogram of local shard wall time; with a workers listener active, also
+// the lease coordinator's dftsp_remote_* families. Call it once, after
+// StartRemote and before the first Submit; an uninstrumented runner runs
+// identically with no metrics recorded.
 func (r *Runner) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -26,17 +27,18 @@ func (r *Runner) Instrument(reg *telemetry.Registry) {
 	r.metrics = runnerMetrics{
 		running: reg.Gauge("dftsp_jobs_running",
 			"Estimation jobs with a live coordinator in this process."),
-		queueDepth: reg.Gauge("dftsp_jobs_queue_depth",
-			"Shard tasks dispatched to the worker pool and not yet started."),
 		shards: reg.Counter("dftsp_jobs_shards_total",
 			"Shard checkpoints appended durably to job logs."),
 		resumed: reg.Counter("dftsp_jobs_resumed_total",
 			"Unfinished jobs resumed from the store by ResumeAll."),
 		shardSeconds: reg.Histogram("dftsp_jobs_shard_seconds",
-			"Wall time of shard tasks, from dequeue to completion.",
+			"Wall time of shard tasks run by the local pool.",
 			telemetry.LatencyBuckets),
 	}
-	if r.remote != nil {
-		r.remote.Instrument(reg)
+	reg.GaugeFunc("dftsp_jobs_queue_depth",
+		"Shard tasks queued at the lease coordinator and not yet granted to a worker.",
+		func() float64 { return float64(r.queue.Pending()) })
+	if r.remoteLn != nil {
+		r.queue.Instrument(reg)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -99,5 +100,39 @@ func TestRunnerMetrics(t *testing.T) {
 	}
 	if got := metricValue(t, sb.String(), "dftsp_jobs_resumed_total"); got != "1" {
 		t.Errorf("dftsp_jobs_resumed_total = %s, want 1", got)
+	}
+}
+
+// TestQueueDepthWithListener pins dftsp_jobs_queue_depth on the one shard
+// queue: with a workers listener active and no worker connected, a
+// one-goroutine pool keeps the rest of each round's shards pending, and
+// the gauge must report them.
+func TestQueueDepthWithListener(t *testing.T) {
+	r, _ := remoteRunner(t, 1)
+	reg := telemetry.New()
+	r.Instrument(reg)
+	st, err := r.Submit(Spec{
+		ProtocolKey: testProtocolKey,
+		Method:      "direct",
+		Rates:       []float64{3e-2},
+		MCShots:     16 * sim.BlocksPerRound * sim.BlockShots,
+		Seed:        5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Cancel(st.ID)
+	for {
+		var sb strings.Builder
+		if err := reg.Expose(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if metricValue(t, sb.String(), "dftsp_jobs_queue_depth") != "0" {
+			return
+		}
+		if st, err := r.Job(st.ID); err != nil || st.State != StateRunning {
+			t.Fatalf("job settled (%q, %v) and the queue depth never left 0", st.State, err)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }

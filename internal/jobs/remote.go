@@ -38,89 +38,66 @@ type RemoteStatus struct {
 	Idle int `json:"idle"`
 }
 
-// StartRemote starts the remote shard-dispatch listener on the runner's
-// remoteAddr (the server's -workers-addr): a shardrpc coordinator that
-// leases shard tasks to registered cmd/worker processes while the local
-// pool keeps racing for the same tasks — zero connected workers therefore
-// executes exactly like a purely local runner. protocol, when non-nil,
-// serves store-encoded protocol bytes to workers that cannot resolve a key
-// from their own catalog. With an empty remoteAddr StartRemote is a no-op.
+// StartRemote opens the remote shard-dispatch listener on the runner's
+// remoteAddr (the server's -workers-addr) and serves the runner's shard
+// queue there: registered cmd/worker processes lease shards from the same
+// queue the local pool leases from, so zero connected workers executes
+// exactly like a runner without a listener. protocol, when non-nil, serves
+// store-encoded protocol bytes to workers that cannot resolve a key from
+// their own catalog. With an empty remoteAddr StartRemote is a no-op.
 // Call it before the first Submit and at most once.
 func (r *Runner) StartRemote(protocol func(key string) ([]byte, error)) error {
 	if r.remoteAddr == "" {
 		return nil
 	}
-	if r.remote != nil {
+	if r.remoteLn != nil {
 		return fmt.Errorf("jobs: remote dispatch already started on %s", r.remoteLn.Addr())
 	}
 	ln, err := net.Listen("tcp", r.remoteAddr)
 	if err != nil {
 		return fmt.Errorf("jobs: workers listener: %w", err)
 	}
-	c := shardrpc.NewCoordinator(shardrpc.Config{
-		TTL:         leaseTTL(),
-		Protocol:    protocol,
-		SubmitLocal: r.submitLocalClaim,
-	})
-	r.remote = c
+	r.protocol = protocol
 	r.remoteLn = ln
-	r.remoteSrv = &http.Server{Handler: c.Handler()}
+	r.remoteSrv = &http.Server{Handler: r.queue.Handler()}
 	go r.remoteSrv.Serve(ln)
 	return nil
+}
+
+// encodedProtocol answers the queue's protocol endpoint with the function
+// StartRemote was given.
+func (r *Runner) encodedProtocol(key string) ([]byte, error) {
+	if r.protocol == nil {
+		return nil, fmt.Errorf("jobs: no protocol source for %q", key)
+	}
+	return r.protocol(key)
 }
 
 // Remote reports the runner's remote dispatch state (global lease count),
 // and whether a workers listener is active.
 func (r *Runner) Remote() (RemoteStatus, bool) {
-	if r.remote == nil {
+	if r.remoteLn == nil {
 		return RemoteStatus{}, false
 	}
-	workers, leases := r.remote.Stats()
+	workers, leases := r.queue.Stats()
 	return RemoteStatus{
 		Addr:    r.remoteLn.Addr().String(),
 		Workers: workers,
 		Leases:  leases,
-		Idle:    r.remote.Idle(),
+		Idle:    r.queue.Idle(),
 	}, true
 }
 
 // annotate attaches the remote dispatch state to a job's status, scoping
 // the lease count to that job.
 func (r *Runner) annotate(st Status) Status {
-	if r.remote == nil {
+	rs, ok := r.Remote()
+	if !ok {
 		return st
 	}
-	rs, _ := r.Remote()
-	rs.Leases = r.remote.JobLeases(st.ID)
+	rs.Leases = r.queue.JobLeases(st.ID)
 	st.Remote = &rs
 	return st
-}
-
-// submitLocalClaim offers a coordinator task to the local worker pool: a
-// goroutine holds the claim closure at the task queue until a pool worker
-// takes it or the task settles (completed remotely, or aborted). The
-// claimWG lets Close wait these goroutines out before closing the queue.
-func (r *Runner) submitLocalClaim(claim func(), settled <-chan struct{}) {
-	r.claimWG.Add(1)
-	go func() {
-		defer r.claimWG.Done()
-		select {
-		case r.tasks <- claim:
-		case <-settled:
-		}
-	}()
-}
-
-// closeRemote shuts the remote layer down after all jobs have settled:
-// the listener stops accepting, the coordinator aborts any stray tasks and
-// expires, and every pending local claim drains. Runs exactly once, from
-// Close.
-func (r *Runner) closeRemote() {
-	if r.remote == nil {
-		return
-	}
-	r.remoteSrv.Close()
-	r.remote.Close()
 }
 
 // leaseTTL resolves the remote lease TTL from LeaseTTLEnv.

@@ -63,9 +63,10 @@ func remoteSpec() Spec {
 	}
 }
 
-// TestDelegationNoRemote pins the degraded path: an empty remoteAddr means
-// no coordinator, no listener, no Remote status — and execution takes the
-// exact local-pool path, bit-identical to the single-process reference.
+// TestDelegationNoRemote pins the path without a listener: an empty
+// remoteAddr means no workers listener and no Remote status, and every
+// shard runs on the local pool through the in-process lease coordinator,
+// bit-identical to the single-process reference.
 func TestDelegationNoRemote(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {

@@ -88,7 +88,7 @@ type Status struct {
 
 	// Remote reports the remote worker fleet when the runner has an active
 	// workers listener — connected workers and this job's outstanding
-	// leases; nil when remote dispatch is disabled.
+	// leases; nil without a workers listener.
 	Remote *RemoteStatus `json:"remote,omitempty"`
 
 	// Error carries the failure cause when State is failed.
@@ -132,28 +132,28 @@ type Resolver func(ctx context.Context, protocolKey string) (*sim.Estimator, err
 var errQuiesced = errors.New("jobs: runner quiescing")
 
 // Runner executes jobs from a store on a shared local worker pool. Every
-// job gets one coordinator goroutine that walks its points and rounds;
-// shard tasks from all running jobs funnel through one task queue that the
-// pool's workers drain — a work-stealing dispatcher in which an idle
-// worker always takes the next shard from whichever job produced it.
-// Checkpoint appends happen only on the coordinator, so each job file has
-// exactly one writer.
+// job gets one coordinator goroutine that walks its points and rounds and
+// offers each round's shards to one shard queue, a shardrpc.Coordinator;
+// the pool's goroutines lease from that queue, so an idle worker always
+// takes the next shard from whichever job produced it. StartRemote serves
+// the same queue to remote workers. Checkpoint appends happen only on the
+// job's coordinator goroutine, so each job file has exactly one writer.
 type Runner struct {
 	store   *Store
 	resolve Resolver
 	workers int
 
-	// remoteAddr is the listen address for remote worker replicas (the
-	// server's -workers-addr flag); StartRemote turns it into a live
-	// shardrpc coordinator whose remote workers and the local pool race
-	// for the same shard tasks. Empty disables remote dispatch entirely.
+	// queue is the lease coordinator every shard passes through, with or
+	// without remote workers. remoteAddr is the listen address for remote
+	// worker replicas (the server's -workers-addr flag); StartRemote serves
+	// the queue's lease protocol there, answering protocol fetches with
+	// protocol. Empty keeps the queue in-process.
+	queue      *shardrpc.Coordinator
 	remoteAddr string
-	remote     *shardrpc.Coordinator
+	protocol   func(key string) ([]byte, error)
 	remoteLn   net.Listener
 	remoteSrv  *http.Server
-	claimWG    sync.WaitGroup
 
-	tasks   chan func()
 	quiesce chan struct{}
 	metrics runnerMetrics // zero value: uninstrumented, all no-ops
 
@@ -183,9 +183,10 @@ type job struct {
 }
 
 // NewRunner returns a runner executing jobs from store with the given
-// local worker count (<= 0 selects sim.DefaultWorkers()). remoteAddr is
-// the listen address for remote worker replicas — StartRemote activates
-// it; empty disables remote dispatch.
+// local worker count (<= 0 selects sim.DefaultWorkers()). It creates the
+// runner's shard queue and starts the pool leasing from it. remoteAddr is
+// the listen address for remote worker replicas, which StartRemote opens;
+// empty keeps every shard on the local pool.
 func NewRunner(store *Store, resolve Resolver, workers int, remoteAddr string) *Runner {
 	if workers <= 0 {
 		workers = sim.DefaultWorkers()
@@ -195,16 +196,20 @@ func NewRunner(store *Store, resolve Resolver, workers int, remoteAddr string) *
 		resolve:    resolve,
 		workers:    workers,
 		remoteAddr: remoteAddr,
-		tasks:      make(chan func()),
 		quiesce:    make(chan struct{}),
 		jobs:       map[string]*job{},
 	}
+	r.queue = shardrpc.NewCoordinator(shardrpc.Config{TTL: leaseTTL(), Protocol: r.encodedProtocol})
 	for w := 0; w < workers; w++ {
 		r.workerWG.Add(1)
 		go func() {
 			defer r.workerWG.Done()
-			for task := range r.tasks {
-				task()
+			for {
+				run, ok := r.queue.LeaseLocal()
+				if !ok {
+					return
+				}
+				run()
 			}
 		}()
 	}
@@ -387,8 +392,8 @@ func (r *Runner) ResumeAll() ([]Status, error) {
 // exit at the next checkpoint boundary leaving their jobs paused on disk.
 // A shard leased to a remote worker either completes in time or its lease
 // expires and the local pool finishes it — either way the round reaches
-// its boundary and the job quiesces resumable; the workers listener shuts
-// down only after every job has settled.
+// its boundary and the job quiesces resumable; the workers listener and
+// the shard queue shut down only after every job has settled.
 // If ctx expires first, remaining jobs are cancelled hard — their in-flight
 // partial counts are discarded, which is always safe because only completed
 // shards are ever written. Close returns ctx.Err() in that case.
@@ -419,13 +424,13 @@ func (r *Runner) Close(ctx context.Context) error {
 		r.mu.Unlock()
 		<-done
 	}
-	// Jobs have settled; only now tear the remote layer down, so in-flight
-	// lease completions could land right up to the last round boundary.
-	// closeRemote settles every coordinator task, which releases the local
-	// claim goroutines the claimWG waits out before the queue closes.
-	r.closeRemote()
-	r.claimWG.Wait()
-	close(r.tasks)
+	// Jobs have settled; only now close the listener and the queue, so
+	// in-flight lease completions could land right up to the last round
+	// boundary. Closing the queue ends the pool's LeaseLocal loops.
+	if r.remoteSrv != nil {
+		r.remoteSrv.Close()
+	}
+	r.queue.Close()
 	r.workerWG.Wait()
 	return err
 }
@@ -552,6 +557,8 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				b1 := min(b0+ShardBlocks, end)
 				sh := sh
 				run := func() (sim.Counts, error) {
+					start := time.Now()
+					defer func() { r.metrics.shardSeconds.Observe(time.Since(start).Seconds()) }()
 					br, err := est.NewBlockRunnerModel(method, model)
 					if err != nil {
 						return sim.Counts{}, err
@@ -569,57 +576,26 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				deliver := func(counts sim.Counts, err error) {
 					results <- shardResult{shard: sh, counts: counts, err: err}
 				}
-
-				if r.remote != nil {
-					// Remote dispatch: offer the shard to the worker fleet
-					// and the local pool simultaneously; the coordinator
-					// guarantees exactly one delivery, fenced by lease
-					// generation. The task carries the resolved engine and
-					// method so a worker samples the identical stream.
-					desc := shardrpc.Task{
-						ID:          shardrpc.TaskID(j.id, i, round, sh),
-						Job:         j.id,
-						Point:       i,
-						Round:       round,
-						Shard:       sh,
-						ProtocolKey: spec.ProtocolKey,
-						Engine:      est.EngineInUse().String(),
-						Method:      method.String(),
-						Model:       model,
-						Seed:        seed,
-						Block0:      b0,
-						Block1:      b1,
-						Budget:      budget,
-					}
-					timedRun := func() (sim.Counts, error) {
-						start := time.Now()
-						counts, err := run()
-						r.metrics.shardSeconds.Observe(time.Since(start).Seconds())
-						return counts, err
-					}
-					r.remote.Offer(ctx, desc, timedRun, deliver)
-					continue
+				// The queue guarantees exactly one delivery, fenced by lease
+				// generation, whether the local pool or a remote worker runs
+				// the shard. The task carries the resolved engine and method
+				// so a worker samples the identical stream.
+				desc := shardrpc.Task{
+					ID:          shardrpc.TaskID(j.id, i, round, sh),
+					Job:         j.id,
+					Point:       i,
+					Round:       round,
+					Shard:       sh,
+					ProtocolKey: spec.ProtocolKey,
+					Engine:      est.EngineInUse().String(),
+					Method:      method.String(),
+					Model:       model,
+					Seed:        seed,
+					Block0:      b0,
+					Block1:      b1,
+					Budget:      budget,
 				}
-
-				task := func() {
-					counts, err := run()
-					deliver(counts, err)
-				}
-				// The queue-depth gauge covers dispatch to start-of-run; the
-				// wrapped task decrements it and times the shard either way
-				// it executes (pool worker or the inline cancellation path).
-				r.metrics.queueDepth.Add(1)
-				timed := func() {
-					r.metrics.queueDepth.Add(-1)
-					start := time.Now()
-					task()
-					r.metrics.shardSeconds.Observe(time.Since(start).Seconds())
-				}
-				select {
-				case r.tasks <- timed:
-				case <-ctx.Done():
-					timed() // returns immediately with the context error
-				}
+				r.queue.Offer(ctx, desc, run, deliver)
 			}
 
 			// Checkpoint every shard that completed, even if a sibling

@@ -130,11 +130,16 @@ func Heuristic(c *code.CSS) *circuit.Circuit {
 	return circ
 }
 
+// DefaultBudget is the state budget per search direction Optimal uses when
+// given 0. It is also the largest budget a client may ask for: Optimal
+// keeps up to this many packed states per direction in memory.
+const DefaultBudget = 400_000
+
 // Optimal synthesizes a minimum-CNOT-count preparation circuit by
 // bidirectional BFS over X-stabilizer subspaces. maxStates bounds the number
 // of distinct states visited per direction; on exhaustion it returns a nil
-// circuit and nil error (fall back to Heuristic). A maxStates of 0 selects a
-// default budget. Cancelling ctx aborts the search with ctx.Err().
+// circuit and nil error (fall back to Heuristic). A maxStates of 0 selects
+// DefaultBudget. Cancelling ctx aborts the search with ctx.Err().
 //
 // The forward search starts from every unit-selection subspace (|+> on rx
 // qubits, |0> elsewhere), so a code with more than maxStates such seeds is
@@ -157,7 +162,7 @@ func Optimal(ctx context.Context, c *code.CSS, maxStates int) (*circuit.Circuit,
 // visited in both directions.
 func optimal(ctx context.Context, c *code.CSS, maxStates int) (*circuit.Circuit, int, error) {
 	if maxStates == 0 {
-		maxStates = 400_000
+		maxStates = DefaultBudget
 	}
 	n := c.N
 	rx := c.Hx.Rows()

@@ -315,7 +315,7 @@ func randomCSS(t *testing.T, rng *rand.Rand, n int) *code.CSS {
 // few seeds.
 func refOptimal(ctx context.Context, c *code.CSS, maxStates int) (*circuit.Circuit, error) {
 	if maxStates == 0 {
-		maxStates = 400_000
+		maxStates = DefaultBudget
 	}
 	n := c.N
 	rx := c.Hx.Rows()

@@ -56,14 +56,6 @@ type Config struct {
 	// Protocol serves the store encoding of a protocol by key to workers
 	// that cannot resolve it locally; nil disables the protocol endpoint.
 	Protocol func(key string) ([]byte, error)
-
-	// SubmitLocal, when non-nil, offers every queued task to the
-	// coordinator's local worker pool as well: claim is a closure that
-	// executes the task if (and only if) it is still pending when a local
-	// worker picks it up, and settled closes when the task no longer needs
-	// running. The local pool and remote workers race for each task;
-	// whoever claims it first wins.
-	SubmitLocal func(claim func(), settled <-chan struct{})
 }
 
 // taskState is the lease state of one offered task.
@@ -75,12 +67,14 @@ const (
 	taskDone                     // settled: delivered (or aborted) exactly once
 )
 
-// task is the coordinator-side state of one offered shard.
+// task is the coordinator-side state of one offered shard. Settling a
+// task drops its closures; only a task settled by a remote worker stays in
+// the task table, as the tombstone that answers a duplicate completion.
 type task struct {
-	desc     Task
-	localRun func() (sim.Counts, error)
-	deliver  func(sim.Counts, error)
-	settled  chan struct{}
+	desc      Task
+	localRun  func() (sim.Counts, error)
+	deliver   func(sim.Counts, error)
+	stopAbort func() bool // unregisters the Offer context's abort
 
 	state      taskState
 	gen        uint64 // increments on every grant; the fencing token
@@ -113,14 +107,19 @@ type waiter struct {
 	worker string
 }
 
-// Coordinator owns the complete lease state of a shard-dispatch fleet: the
-// task queue, the lease table with TTLs and fencing generations, and the
-// worker registry. All methods are safe for concurrent use.
+// Coordinator is a shard queue with a lease table: every offered task is
+// pending until it is granted — to a remote worker's lease long-poll or to
+// a local pool goroutine blocked in LeaseLocal — and every grant bumps the
+// task's fencing generation, so exactly one holder delivers it. It also
+// keeps the remote worker registry. Handler serves the remote side over
+// HTTP; without it the coordinator is simply the in-process queue of the
+// local pool. All methods are safe for concurrent use.
 type Coordinator struct {
 	cfg Config
 	ttl time.Duration
 
 	mu         sync.Mutex
+	local      sync.Cond // signalled when a locally runnable task turns pending
 	closed     bool
 	workers    map[string]*workerState
 	tasks      map[string]*task
@@ -146,6 +145,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		tasks:   map[string]*task{},
 		waiters: map[int]waiter{},
 	}
+	c.local.L = &c.mu
 	if c.ttl <= 0 {
 		c.ttl = DefaultTTL
 	}
@@ -164,9 +164,6 @@ func (c *Coordinator) now() time.Time {
 	}
 	return time.Now()
 }
-
-// TTL reports the lease TTL in force.
-func (c *Coordinator) TTL() time.Duration { return c.ttl }
 
 // sweep expires leases on a real-time ticker until Close.
 func (c *Coordinator) sweep() {
@@ -192,43 +189,32 @@ func (c *Coordinator) sweep() {
 
 // Offer queues one task for execution and guarantees deliver is called
 // exactly once — with the shard's counts, or with an error if ctx is
-// cancelled first. The task is offered to remote workers and (when
-// Config.SubmitLocal is set) to the local pool simultaneously.
+// cancelled first. The task goes to a parked remote lease poll if one is
+// waiting, and is otherwise pending for the next remote Lease or, when
+// localRun is non-nil, the next LeaseLocal.
 func (c *Coordinator) Offer(ctx context.Context, desc Task, localRun func() (sim.Counts, error), deliver func(sim.Counts, error)) {
-	t := &task{
-		desc:     desc,
-		localRun: localRun,
-		deliver:  deliver,
-		settled:  make(chan struct{}),
-	}
+	t := &task{desc: desc, localRun: localRun, deliver: deliver}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		deliver(sim.Counts{}, ErrClosed)
 		return
 	}
+	if ctx != nil {
+		t.stopAbort = context.AfterFunc(ctx, func() { c.abort(t, ctx.Err()) })
+	}
 	c.tasks[desc.ID] = t
 	c.enqueueLocked(t)
 	c.mu.Unlock()
-
-	if ctx != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.abort(t, ctx.Err())
-			case <-t.settled:
-			}
-		}()
-	}
 }
 
 // enqueueLocked puts a task on the pending queue and hands it out: a
 // parked lease long-poll, if any, is granted the task directly — under
 // this same lock, so a waiting remote worker wins deterministically rather
-// than racing the local pool's freshly-spawned claim goroutine for the
-// wakeup (a race the remote side systematically loses on a single-P
-// scheduler). Only when no waiter is parked does the task go to the local
-// pool. Caller holds c.mu.
+// than racing the local pool for the wakeup (a race the remote side
+// systematically loses on a single-P scheduler). Only when no poll is
+// parked does the task stay pending and wake one LeaseLocal caller.
+// Caller holds c.mu.
 func (c *Coordinator) enqueueLocked(t *task) {
 	t.state = taskPending
 	c.pending = append(c.pending, t)
@@ -247,41 +233,60 @@ func (c *Coordinator) enqueueLocked(t *task) {
 		delete(c.waiters, id)
 		return
 	}
-	if c.cfg.SubmitLocal != nil && t.localRun != nil {
-		c.cfg.SubmitLocal(c.localClaim(t), t.settled)
+	if t.localRun != nil {
+		c.local.Signal()
 	}
 }
 
-// localClaim builds the closure the local pool runs to claim and execute a
-// task. It no-ops if the task is no longer pending by the time a local
-// worker reaches it.
-func (c *Coordinator) localClaim(t *task) func() {
+// LeaseLocal is the local pool's lease call. It blocks until a pending
+// task with a local runner exists, grants it to LocalHolder through the
+// same fenced path as a remote lease, and returns the function that runs
+// the task and delivers its counts. The run no-ops when the task settled
+// in between (an abort), so running it twice delivers once. ok is false
+// once the coordinator is closed; the pool goroutine then exits.
+func (c *Coordinator) LeaseLocal() (run func(), ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.closed {
+		for _, t := range c.pending {
+			if t.localRun != nil {
+				c.grantLocked(t, LocalHolder, LocalHolder)
+				return c.localRunner(t, t.gen), true
+			}
+		}
+		c.local.Wait()
+	}
+	return nil, false
+}
+
+// localRunner runs a task granted to LocalHolder at generation gen and
+// settles it, unless the lease is no longer held when the run starts or
+// ends.
+func (c *Coordinator) localRunner(t *task, gen uint64) func() {
+	held := func() bool { return t.state == taskLeased && t.holder == LocalHolder && t.gen == gen }
 	return func() {
 		c.mu.Lock()
-		if c.closed || t.state != taskPending {
-			c.mu.Unlock()
+		run := t.localRun
+		ok := held()
+		c.mu.Unlock()
+		if !ok {
 			return
 		}
-		c.grantLocked(t, LocalHolder, LocalHolder)
-		c.mu.Unlock()
-
-		counts, err := t.localRun()
-
+		counts, err := run()
 		c.mu.Lock()
-		if t.state != taskLeased || t.holder != LocalHolder {
+		if !held() {
 			// Aborted while running; the abort already delivered.
 			c.mu.Unlock()
 			return
 		}
-		c.settleLocked(t, LocalHolder, t.gen)
+		deliver := c.settleLocked(t, LocalHolder, gen)
 		c.mu.Unlock()
-		t.deliver(counts, err)
+		deliver(counts, err)
 	}
 }
 
-// grantLocked moves a pending task into the leased state under holder,
-// bumping the fencing generation. Caller holds c.mu and has removed (or
-// will remove) the task from the pending queue.
+// grantLocked moves a pending task off the queue into the leased state
+// under holder, bumping the fencing generation. Caller holds c.mu.
 func (c *Coordinator) grantLocked(t *task, holder, holderName string) {
 	c.dropPendingLocked(t)
 	stolen := t.gen > 0
@@ -299,15 +304,31 @@ func (c *Coordinator) grantLocked(t *task, holder, holderName string) {
 	}
 }
 
-// settleLocked marks a task done and records which lease completed it.
-// Caller holds c.mu and then invokes deliver outside the lock.
-func (c *Coordinator) settleLocked(t *task, holder string, gen uint64) {
+// settleLocked marks a task done and returns its deliver function, which
+// the caller invokes outside the lock. A task a remote worker completed
+// stays in the task table as a tombstone without its closures, so a
+// duplicate of that completion is acknowledged; any other settled task —
+// run locally, aborted or closed — leaves the table at once, and a late
+// completion for it is stale. Caller holds c.mu.
+func (c *Coordinator) settleLocked(t *task, holder string, gen uint64) func(sim.Counts, error) {
+	deliver := t.deliver
 	t.state = taskDone
+	t.localRun, t.deliver = nil, nil
+	if t.stopAbort != nil {
+		t.stopAbort()
+		t.stopAbort = nil
+	}
+	c.dropPendingLocked(t)
+	if holder == "" || holder == LocalHolder {
+		if c.tasks[t.desc.ID] == t {
+			delete(c.tasks, t.desc.ID)
+		}
+		return deliver
+	}
 	t.doneHolder = holder
 	t.doneGen = gen
 	t.settledAt = c.now()
-	close(t.settled)
-	c.dropPendingLocked(t)
+	return deliver
 }
 
 // dropPendingLocked removes a task from the pending queue if present.
@@ -328,9 +349,9 @@ func (c *Coordinator) abort(t *task, err error) {
 		c.mu.Unlock()
 		return
 	}
-	c.settleLocked(t, "", 0)
+	deliver := c.settleLocked(t, "", 0)
 	c.mu.Unlock()
-	t.deliver(sim.Counts{}, err)
+	deliver(sim.Counts{}, err)
 }
 
 // Register adds a worker under a coordinator-assigned ID and returns the ID
@@ -383,7 +404,6 @@ func (c *Coordinator) Lease(workerID string, wait time.Duration) (*Lease, error)
 		w.lastSeen = c.now()
 		if len(c.pending) > 0 {
 			t := c.pending[0]
-			c.pending = c.pending[1:]
 			c.grantLocked(t, workerID, w.name)
 			lease := &Lease{Task: t.desc, Gen: t.gen, TTLMs: c.ttl.Milliseconds()}
 			c.mu.Unlock()
@@ -489,10 +509,10 @@ func (c *Coordinator) Complete(workerID, taskID string, gen uint64, counts sim.C
 	}
 	elapsed := c.now().Sub(t.grantedAt).Seconds()
 	name := t.holderName
-	c.settleLocked(t, workerID, gen)
+	deliver := c.settleLocked(t, workerID, gen)
 	c.mu.Unlock()
 	c.metrics.shardSeconds(name, elapsed)
-	t.deliver(counts, nil)
+	deliver(counts, nil)
 	return false, nil
 }
 
@@ -589,6 +609,14 @@ func (c *Coordinator) Idle() int {
 	return idle
 }
 
+// Pending reports the number of offered tasks that no one holds yet: the
+// depth of the shard queue.
+func (c *Coordinator) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
 // JobLeases reports how many of a job's shards are currently leased to
 // remote workers — the number a drain waits to see reach zero.
 func (c *Coordinator) JobLeases(job string) int {
@@ -620,16 +648,16 @@ func (c *Coordinator) Close() {
 		delete(c.waiters, id)
 		close(w.ch)
 	}
-	var orphans []*task
+	c.local.Broadcast()
+	var orphans []func(sim.Counts, error)
 	for _, t := range c.tasks {
 		if t.state != taskDone {
-			c.settleLocked(t, "", 0)
-			orphans = append(orphans, t)
+			orphans = append(orphans, c.settleLocked(t, "", 0))
 		}
 	}
 	c.mu.Unlock()
-	for _, t := range orphans {
-		t.deliver(sim.Counts{}, ErrClosed)
+	for _, deliver := range orphans {
+		deliver(sim.Counts{}, ErrClosed)
 	}
 	if c.sweepStop != nil {
 		close(c.sweepStop)

@@ -3,6 +3,7 @@ package shardrpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -299,41 +300,155 @@ func TestCompletionMatrix(t *testing.T) {
 }
 
 func TestLocalPoolClaimRace(t *testing.T) {
-	// SubmitLocal hands claims to a fake local pool; a claimed task is
-	// gone before a remote worker can lease it.
-	var mu sync.Mutex
-	var claims []func()
-	c, _, _ := testCoord(t, Config{
-		SubmitLocal: func(claim func(), settled <-chan struct{}) {
-			mu.Lock()
-			claims = append(claims, claim)
-			mu.Unlock()
-		},
-	})
-	ran := false
-	ch := make(chan delivery, 1)
+	// The local pool leases through the same fenced grant path: a task
+	// leased locally is gone before a remote worker can lease it, and
+	// running the local lease a second time does nothing.
+	c, _, _ := testCoord(t, Config{})
+	ran := 0
+	ch := make(chan delivery, 2)
 	c.Offer(context.Background(), testTask("t1"), func() (sim.Counts, error) {
-		ran = true
+		ran++
 		return goodCounts(11), nil
 	}, func(counts sim.Counts, err error) { ch <- delivery{counts, err} })
 
-	mu.Lock()
-	claim := claims[0]
-	mu.Unlock()
-	claim()
-	if !ran {
-		t.Fatal("local claim did not execute the task")
+	run, ok := c.LeaseLocal()
+	if !ok {
+		t.Fatal("LeaseLocal on an open coordinator returned !ok")
+	}
+	wid, _, _ := c.Register("late")
+	if lease, err := c.Lease(wid, 0); err != nil || lease != nil {
+		t.Fatalf("lease of a locally held task = %+v, %v", lease, err)
+	}
+	run()
+	if ran != 1 {
+		t.Fatalf("local lease ran the task %d times, want 1", ran)
 	}
 	expectDelivered(t, ch, goodCounts(11))
 
-	// A remote worker arriving after the local claim gets nothing, and a
-	// second invocation of the claim is a no-op.
-	wid, _, _ := c.Register("late")
-	if lease, err := c.Lease(wid, 0); err != nil || lease != nil {
-		t.Fatalf("post-claim lease = %+v, %v", lease, err)
+	run()
+	if ran != 1 {
+		t.Fatalf("second run of the local lease ran the task again (%d runs)", ran)
 	}
-	claim()
 	expectNone(t, ch)
+	if lease, err := c.Lease(wid, 0); err != nil || lease != nil {
+		t.Fatalf("post-run lease = %+v, %v", lease, err)
+	}
+}
+
+// TestLeaseLocalOrder pins who gets a task: a parked remote poll before
+// the local pool, and never the local pool for a task without a local
+// runner. LeaseLocal returns !ok once the coordinator closes.
+func TestLeaseLocalOrder(t *testing.T) {
+	c, _, _ := testCoord(t, Config{})
+	local := func() (sim.Counts, error) { return goodCounts(0), nil }
+	nop := func(sim.Counts, error) {}
+
+	wid, _, _ := c.Register("parked")
+	got := make(chan *Lease, 1)
+	go func() {
+		lease, _ := c.Lease(wid, 10*time.Second)
+		got <- lease
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.Idle() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("long-poll never parked")
+		}
+	}
+	c.Offer(context.Background(), testTask("remote-first"), local, nop)
+	if lease := <-got; lease == nil || lease.Task.ID != "remote-first" {
+		t.Fatalf("parked poll got %+v, want remote-first", lease)
+	}
+
+	c.Offer(context.Background(), testTask("remote-only"), nil, nop)
+	c.Offer(context.Background(), testTask("either"), local, nop)
+	if _, ok := c.LeaseLocal(); !ok {
+		t.Fatal("LeaseLocal returned !ok")
+	}
+	lease, err := c.Lease(wid, 0)
+	if err != nil || lease == nil || lease.Task.ID != "remote-only" {
+		t.Fatalf("remote lease = %+v, %v; want remote-only left for it", lease, err)
+	}
+	if n := c.Pending(); n != 0 {
+		t.Fatalf("pending = %d, want 0", n)
+	}
+
+	done := make(chan bool)
+	go func() {
+		_, ok := c.LeaseLocal()
+		done <- ok
+	}()
+	c.Close()
+	if <-done {
+		t.Fatal("LeaseLocal returned ok on a closed coordinator")
+	}
+}
+
+// TestSettledTasksReleased pins the task table's retention: a task run by
+// the local pool or aborted leaves the table as it settles, a remotely
+// completed task stays only as a closure-free tombstone that still
+// acknowledges a duplicate, and a late completion of a local task is
+// stale.
+func TestSettledTasksReleased(t *testing.T) {
+	c, _, _ := testCoord(t, Config{})
+	const n = 64
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				run, ok := c.LeaseLocal()
+				if !ok {
+					return
+				}
+				run()
+			}
+		}()
+	}
+	delivered := make(chan delivery, n+1)
+	deliver := func(counts sim.Counts, err error) { delivered <- delivery{counts, err} }
+	for i := 0; i < n; i++ {
+		c.Offer(context.Background(), testTask(fmt.Sprintf("local/%d", i)), func() (sim.Counts, error) {
+			return goodCounts(1), nil
+		}, deliver)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.Offer(ctx, testTask("aborted"), nil, deliver)
+	cancel()
+	for i := 0; i < n+1; i++ {
+		<-delivered
+	}
+	c.mu.Lock()
+	left := len(c.tasks)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d tasks left in the table after every local run and abort settled", left)
+	}
+
+	wid, _, _ := c.Register("a")
+	if _, err := c.Complete(wid, "local/0", 1, goodCounts(1)); !errors.Is(err, ErrStaleCompletion) {
+		t.Fatalf("late completion of a local task: %v", err)
+	}
+	ch := offer(c, testTask("remote"))
+	lease, _ := c.Lease(wid, 0)
+	if dup, err := c.Complete(wid, "remote", lease.Gen, goodCounts(4)); err != nil || dup {
+		t.Fatalf("complete: dup=%v err=%v", dup, err)
+	}
+	expectDelivered(t, ch, goodCounts(4))
+	c.mu.Lock()
+	tomb, ok := c.tasks["remote"]
+	closures := ok && (tomb.localRun != nil || tomb.deliver != nil || tomb.stopAbort != nil)
+	c.mu.Unlock()
+	if !ok || closures {
+		t.Fatalf("remote tombstone present=%v, holds closures=%v", ok, closures)
+	}
+	if dup, err := c.Complete(wid, "remote", lease.Gen, goodCounts(4)); err != nil || !dup {
+		t.Fatalf("duplicate complete: dup=%v err=%v", dup, err)
+	}
+	expectNone(t, ch)
+
+	c.Close()
+	wg.Wait()
 }
 
 func TestOfferAbortsOnContextCancel(t *testing.T) {

@@ -12,6 +12,10 @@ import (
 // pin a handler goroutine indefinitely.
 const maxLeaseWait = 30 * time.Second
 
+// maxBodyBytes caps a protocol request body. The largest valid one is a
+// complete with at most 64 strata, a few KiB.
+const maxBodyBytes = 1 << 20
+
 // Handler returns the coordinator's HTTP handler, serving the protocol
 // under PathPrefix:
 //
@@ -24,6 +28,7 @@ const maxLeaseWait = 30 * time.Second
 //
 // Non-2xx responses carry a JSON {"error": ...} body; 409/422/410 map to
 // ErrStaleCompletion, ErrGarbageCompletion and ErrLeaseLost on the client.
+// A malformed body is 400 and one over maxBodyBytes is 413.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathPrefix+"register", func(w http.ResponseWriter, r *http.Request) {
@@ -111,16 +116,20 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// readJSON decodes a POSTed JSON body, writing the error response itself
-// on failure.
+// readJSON decodes a POSTed JSON body of at most maxBodyBytes, writing the
+// error response itself on failure.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true

@@ -29,8 +29,8 @@ import (
 // so a future incompatible revision can coexist with this one.
 const PathPrefix = "/shardrpc/v1/"
 
-// LocalHolder is the holder name the coordinator uses for leases claimed by
-// its own local worker pool.
+// LocalHolder is the holder name of leases granted to the coordinator's own
+// local worker pool through LeaseLocal.
 const LocalHolder = "local"
 
 // Task describes one shard of an estimation job: which blocks to run, with
