@@ -58,7 +58,7 @@ func main() {
 		mcShots   = flag.Int("mcshots", 0, "if > 0, add Monte-Carlo cross-check rows")
 		tgtRSE    = flag.Float64("target-rse", 0, "if > 0, sample MC rows adaptively to this relative standard error")
 		maxShots  = flag.Int("max-shots", 0, "adaptive sampling cap per rate (0: 10,000,000)")
-		engine    = flag.String("engine", "", "Monte-Carlo engine: auto, scalar or batch (default: auto / DFTSP_ENGINE)")
+		engine    = flag.String("engine", "", "Monte-Carlo engine: auto, scalar or batch (default: auto)")
 		method    = flag.String("method", "", "Monte-Carlo method: auto, direct or rare (default: auto)")
 		pMin      = flag.Float64("pmin", 1e-4, "lowest physical rate of the sweep")
 		pMax      = flag.Float64("pmax", 1e-1, "highest physical rate of the sweep")

@@ -93,8 +93,7 @@
 // "engine" option selects the Monte-Carlo engine ("auto" default: the
 // 64-lane bit-parallel batch engine when the protocol compiles; "scalar"
 // forces the compiled scalar path; "batch" rejects protocols past the
-// packing limits with 400). The server-wide default is overridable with
-// the DFTSP_ENGINE environment variable.
+// packing limits with 400).
 //
 // Both /estimate and /jobs accept per-location-class noise model options:
 // "bias_2q" and "bias_meas" scale the two-qubit and measurement fault rates

@@ -76,8 +76,7 @@ type EstimateOptions struct {
 	// available (the 64-lane bit-parallel batch engine when the protocol
 	// compiles, else the scalar compiled engine), "scalar" forces the scalar
 	// path, and "batch" requires the batch engine (rejected with
-	// ErrBadOptions when the protocol exceeds its packing limits). The
-	// DFTSP_ENGINE environment variable changes what "auto" resolves to.
+	// ErrBadOptions when the protocol exceeds its packing limits).
 	Engine string `json:"engine,omitempty"`
 
 	// Bias2Q scales the two-qubit (CNOT) fault rate relative to the base
@@ -347,13 +346,10 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 	eo = eo.withDefaults()
 	est := sim.NewEstimator(p.Core)
 	// Validated above; only the explicit batch selection can still fail,
-	// when the protocol exceeds the engine's packing limits. "auto" (like
-	// "") keeps the estimator's default so the DFTSP_ENGINE process-wide
-	// override stays in force.
-	if engine, _ := sim.ParseEngine(eo.Engine); engine != sim.EngineAuto {
-		if err := est.SetEngine(engine); err != nil {
-			return EstimateResult{}, badOptions("%w", err)
-		}
+	// when the protocol exceeds the engine's packing limits.
+	engine, _ := sim.ParseEngine(eo.Engine)
+	if err := est.SetEngine(engine); err != nil {
+		return EstimateResult{}, badOptions("%w", err)
 	}
 	// The noise ratio routes every stage: a uniform ratio (the zero value of
 	// the bias fields) runs each sampler's single-rate inner path, so the

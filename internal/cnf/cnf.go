@@ -144,6 +144,22 @@ func (b *Builder) Xor(lits ...sat.Lit) sat.Lit {
 	return acc
 }
 
+// LexLE constrains the equal-length vectors x <= y lexicographically, with
+// x[0] and y[0] most significant: wherever the prefixes before position k
+// agree, x[k] <= y[k]. The synthesis encodings use it to order selection
+// vectors and break the symmetry of interchangeable measurements.
+func (b *Builder) LexLE(x, y []sat.Lit) {
+	prefixEq := b.True() // the prefixes before position k are equal
+	for k := 0; k < len(x); k++ {
+		// prefixEq -> (x[k] <= y[k]) i.e. (¬prefixEq ∨ ¬x[k] ∨ y[k])
+		b.AddClause(prefixEq.Neg(), x[k].Neg(), y[k])
+		if k+1 < len(x) {
+			eqk := b.Xor(x[k], y[k]).Neg()
+			prefixEq = b.And(prefixEq, eqk)
+		}
+	}
+}
+
 // AtMostOne adds the constraint that at most one of lits is true, using the
 // pairwise encoding (optimal for the small arities used here). An optional
 // guard may be supplied via AtMostOneGuarded.

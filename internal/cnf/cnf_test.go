@@ -287,3 +287,36 @@ func TestEnumerateModelsDistinct(t *testing.T) {
 		t.Fatalf("enumerated %d models, want 8", len(seen))
 	}
 }
+
+// TestLexLEModelCounts counts the models of an n-bit x <= y: every pair
+// with x <= y as integers (MSB first), 2^n(2^n+1)/2 of them, and each
+// enumerated model must be such a pair.
+func TestLexLEModelCounts(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		b := NewBuilder()
+		x, y := b.NewVars(n), b.NewVars(n)
+		b.LexLE(x, y)
+		got, err := b.EnumerateModels(append(x[:n:n], y...), 0, func(vals []bool) bool {
+			var xv, yv int
+			for k := 0; k < n; k++ {
+				xv, yv = xv<<1, yv<<1
+				if vals[k] {
+					xv |= 1
+				}
+				if vals[n+k] {
+					yv |= 1
+				}
+			}
+			if xv > yv {
+				t.Errorf("n=%d: model x=%d > y=%d", n, xv, yv)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (1 << n) * (1<<n + 1) / 2; got != want {
+			t.Errorf("n=%d: %d models, want %d", n, got, want)
+		}
+	}
+}

@@ -260,7 +260,7 @@ func (c *class) measurements(b *cnf.Builder, u, v int) (sel, sigma [][]sat.Lit) 
 		b.AddClause(sel[i]...) // non-trivial measurement
 	}
 	for i := 0; i+1 < u; i++ {
-		addLexLE(b, sel[i], sel[i+1])
+		b.LexLE(sel[i], sel[i+1])
 	}
 
 	// Weight bound.
@@ -452,16 +452,4 @@ func Check(blk *Block, cs *code.CSS, kind code.ErrType, errs []f2.Vec) error {
 		}
 	}
 	return nil
-}
-
-// addLexLE constrains vector x <= y lexicographically.
-func addLexLE(b *cnf.Builder, x, y []sat.Lit) {
-	prefixEq := b.True()
-	for k := 0; k < len(x); k++ {
-		b.AddClause(prefixEq.Neg(), x[k].Neg(), y[k])
-		if k+1 < len(x) {
-			eqk := b.Xor(x[k], y[k]).Neg()
-			prefixEq = b.And(prefixEq, eqk)
-		}
-	}
 }

@@ -481,10 +481,9 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	if err != nil {
 		return fmt.Errorf("resolve protocol: %w", err)
 	}
-	if eng, _ := sim.ParseEngine(spec.Engine); eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			return err
-		}
+	eng, _ := sim.ParseEngine(spec.Engine)
+	if err := est.SetEngine(eng); err != nil {
+		return err
 	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec
 	target, budget := spec.Budget()

@@ -189,6 +189,44 @@ func TestAdaptiveJobMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestAutoJobIgnoresEngineEnv pins that an "auto" job's stream depends on
+// its spec alone: the engine is part of the job ID, so a process
+// environment that names an engine (the retired DFTSP_ENGINE override)
+// must not move an auto job's counts off the ones it samples elsewhere.
+func TestAutoJobIgnoresEngineEnv(t *testing.T) {
+	spec := Spec{
+		ProtocolKey: testProtocolKey,
+		Method:      "direct",
+		Rates:       []float64{3e-2},
+		MCShots:     4 * sim.BlockShots,
+		Seed:        5,
+	}
+	run := func() PointStatus {
+		store, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(store, steaneResolver(t), 2, "")
+		defer r.Close(context.Background())
+		st, err := r.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitTerminal(t, r, st.ID)
+		if st.State != StateDone {
+			t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+		}
+		return st.Points[0]
+	}
+	want := run()
+	t.Setenv("DFTSP_ENGINE", "scalar")
+	got := run()
+	if got.Shots != want.Shots || got.Fails != want.Fails || got.PL != want.PL {
+		t.Errorf("auto job under DFTSP_ENGINE=scalar: (%d shots, %d fails), want (%d, %d)",
+			got.Shots, got.Fails, want.Shots, want.Fails)
+	}
+}
+
 // prepPartial writes a job file holding the point-start record and the
 // first `shards` shard checkpoints of point 0, computed with the same
 // block runners the coordinator uses (plus an optional fail-count bias to

@@ -82,33 +82,39 @@ type BatchInjector interface {
 // on its own class's sites, all drawing gaps from the sampler's one shared
 // SplitMix64 stream.
 type skipChain struct {
-	p      float64
 	invLog float64 // 1 / log(1-p); 0 when p == 0
 	base   uint64  // cell index where the chain's next site starts
 	next   uint64  // absolute cell index of the chain's next faulting cell
 }
 
-// init (re)starts the chain at cell 0, drawing its first gap from rng; a
-// zero-rate chain never fires and draws nothing.
-func (c *skipChain) init(rng *SplitMix64) {
+// maxSkip caps geomSkip far past any cell or location a chain can reach, so
+// the float-to-integer conversion never overflows.
+const maxSkip = math.MaxUint64 / 2
+
+// geomSkip is the one geometric draw behind every fault chain in this
+// package, skip-sampling and conditional alike: the number of fault-free
+// locations before the next fault of a Bernoulli(p) chain,
+// floor(log(u)/log(1-p)) for u uniform in (0, 1], given invLog =
+// 1/log(1-p). It consumes exactly one RNG output and saturates at maxSkip.
+func geomSkip(rng *SplitMix64, invLog float64) uint64 {
+	g := math.Log(rng.Float64()) * invLog // >= 0; Float64 is in (0,1]
+	if g >= maxSkip {
+		return maxSkip
+	}
+	return uint64(g)
+}
+
+// init (re)starts the chain for rate p at cell 0, drawing its first skip
+// from rng; a zero-rate chain never fires and draws nothing.
+func (c *skipChain) init(rng *SplitMix64, p float64) {
 	c.base = 0
-	if c.p <= 0 {
+	if p <= 0 {
 		c.invLog = 0
 		c.next = math.MaxUint64
 		return
 	}
-	c.invLog = 1 / math.Log1p(-c.p)
-	c.next = c.gap(rng) - 1 // cell 0 itself faults with probability p
-}
-
-// gap draws the geometric inter-fault gap: delta >= 1 with
-// P(delta = k) = (1-p)^(k-1) p.
-func (c *skipChain) gap(rng *SplitMix64) uint64 {
-	g := math.Log(rng.Float64()) * c.invLog // >= 0; Float64 is in (0,1]
-	if g >= math.MaxUint64/2 {
-		return math.MaxUint64 / 2 // effectively never; avoids cast overflow
-	}
-	return 1 + uint64(g)
+	c.invLog = 1 / math.Log1p(-p)
+	c.next = geomSkip(rng, c.invLog) // cell 0 itself faults with probability p
 }
 
 // site advances the chain by one site (64 cells) and reports the faulted
@@ -118,11 +124,42 @@ func (c *skipChain) site(rng *SplitMix64, active uint64, visit func(lane uint)) 
 	c.base += 64
 	for c.next < c.base {
 		lane := uint(c.next - base)
-		c.next += c.gap(rng)
+		c.next += 1 + geomSkip(rng, c.invLog)
 		if active>>lane&1 == 1 {
 			visit(lane)
 		}
 	}
+}
+
+// chainLayout maps a model's location classes onto independent fault
+// chains: a uniform-rate model is one chain that every LocKind maps to (the
+// legacy single-rate stream), any other model one chain per class. Both the
+// skip-sampling and the conditional samplers lay their chains out this way.
+type chainLayout struct {
+	nch  int        // live chains: 1 (uniform) or 3 (per class)
+	cls  [3]uint8   // LocKind -> chain index
+	rate [3]float64 // per-chain fault probability
+}
+
+// layoutOf returns the chain layout of model m.
+func layoutOf(m Model) chainLayout {
+	if p, ok := m.UniformRate(); ok {
+		return chainLayout{nch: 1, rate: [3]float64{p}}
+	}
+	return chainLayout{nch: 3, cls: [3]uint8{0, 1, 2}, rate: [3]float64{m.P1Q, m.P2Q, m.PMeas}}
+}
+
+// laneFaults gathers faults drawn lane by lane into the batch words of
+// BatchInjector: bit l of x1/z1 (x2/z2) carries the X/Z component of lane
+// l's fault on the location's first (second) qubit.
+type laneFaults struct{ x1, z1, x2, z2 uint64 }
+
+// add ORs fault f into lane's bit of the words.
+func (w *laneFaults) add(lane uint, f Fault) {
+	w.x1 |= uint64(f.P1&1) << lane
+	w.z1 |= uint64(f.P1>>1&1) << lane
+	w.x2 |= uint64(f.P2&1) << lane
+	w.z2 |= uint64(f.P2>>1&1) << lane
 }
 
 // SparseSampler is the depolarizing model vectorized for the batch engine:
@@ -143,8 +180,7 @@ type SparseSampler struct {
 	P float64
 
 	rng   SplitMix64
-	cls   [3]uint8 // LocKind -> chain index
-	nch   int      // live chains: 1 (uniform) or 3 (per-class)
+	lay   chainLayout
 	ch    [3]skipChain
 	menus menuSet
 }
@@ -161,18 +197,7 @@ func NewSparseSampler(p float64, seed uint64) *SparseSampler {
 // rates run one skip chain per class, initialized and drawn in fixed
 // (Loc1Q, Loc2Q, LocMeas) order from the shared RNG stream.
 func NewSparseSamplerModel(m Model, seed uint64) *SparseSampler {
-	s := &SparseSampler{P: m.P1Q, menus: newMenuSet(m.Eta)}
-	if p, ok := m.UniformRate(); ok {
-		s.P = p
-		s.nch = 1
-		s.ch[0].p = p
-	} else {
-		s.nch = 3
-		s.cls = [3]uint8{0, 1, 2}
-		for k := range s.ch {
-			s.ch[k].p = m.Rate(LocKind(k))
-		}
-	}
+	s := &SparseSampler{P: m.P1Q, lay: layoutOf(m), menus: newMenuSet(m.Eta)}
 	s.Reseed(seed)
 	return s
 }
@@ -183,52 +208,36 @@ func NewSparseSamplerModel(m Model, seed uint64) *SparseSampler {
 // deterministic sampling block without reallocating.
 func (s *SparseSampler) Reseed(seed uint64) {
 	s.rng.State = seed
-	for i := 0; i < s.nch; i++ {
-		s.ch[i].init(&s.rng)
+	for i := 0; i < s.lay.nch; i++ {
+		s.ch[i].init(&s.rng, s.lay.rate[i])
 	}
 }
 
 // Draw1Q implements BatchInjector: uniform {X, Y, Z} on faulted lanes.
 func (s *SparseSampler) Draw1Q(active uint64) (x, z uint64) {
+	var w laneFaults
 	mn := &s.menus[Loc1Q]
-	s.ch[s.cls[Loc1Q]].site(&s.rng, active, func(lane uint) {
-		f := mn.draw(&s.rng)
-		if f.P1&1 != 0 {
-			x |= 1 << lane
-		}
-		if f.P1&2 != 0 {
-			z |= 1 << lane
-		}
+	s.ch[s.lay.cls[Loc1Q]].site(&s.rng, active, func(lane uint) {
+		w.add(lane, mn.draw(&s.rng))
 	})
-	return
+	return w.x1, w.z1
 }
 
 // Draw2Q implements BatchInjector: the model's two-qubit menu — uniform
 // over the 15 non-identity two-qubit Paulis at Eta == 1, Z-biased otherwise
 // — on faulted lanes.
 func (s *SparseSampler) Draw2Q(active uint64) (x1, z1, x2, z2 uint64) {
+	var w laneFaults
 	mn := &s.menus[Loc2Q]
-	s.ch[s.cls[Loc2Q]].site(&s.rng, active, func(lane uint) {
-		f := mn.draw(&s.rng)
-		if f.P1&1 != 0 {
-			x1 |= 1 << lane
-		}
-		if f.P1&2 != 0 {
-			z1 |= 1 << lane
-		}
-		if f.P2&1 != 0 {
-			x2 |= 1 << lane
-		}
-		if f.P2&2 != 0 {
-			z2 |= 1 << lane
-		}
+	s.ch[s.lay.cls[Loc2Q]].site(&s.rng, active, func(lane uint) {
+		w.add(lane, mn.draw(&s.rng))
 	})
-	return
+	return w.x1, w.z1, w.x2, w.z2
 }
 
 // DrawMeas implements BatchInjector: a classical flip on faulted lanes.
 func (s *SparseSampler) DrawMeas(active uint64) (flip uint64) {
-	s.ch[s.cls[LocMeas]].site(&s.rng, active, func(lane uint) {
+	s.ch[s.lay.cls[LocMeas]].site(&s.rng, active, func(lane uint) {
 		flip |= 1 << lane
 	})
 	return
@@ -277,34 +286,16 @@ func (p *BatchPlan) draw(active uint64, visit func(lane uint, f Fault)) {
 
 // Draw1Q implements BatchInjector.
 func (p *BatchPlan) Draw1Q(active uint64) (x, z uint64) {
-	p.draw(active, func(lane uint, f Fault) {
-		if f.P1&1 != 0 {
-			x |= 1 << lane
-		}
-		if f.P1&2 != 0 {
-			z |= 1 << lane
-		}
-	})
-	return
+	var w laneFaults
+	p.draw(active, w.add)
+	return w.x1, w.z1
 }
 
 // Draw2Q implements BatchInjector.
 func (p *BatchPlan) Draw2Q(active uint64) (x1, z1, x2, z2 uint64) {
-	p.draw(active, func(lane uint, f Fault) {
-		if f.P1&1 != 0 {
-			x1 |= 1 << lane
-		}
-		if f.P1&2 != 0 {
-			z1 |= 1 << lane
-		}
-		if f.P2&1 != 0 {
-			x2 |= 1 << lane
-		}
-		if f.P2&2 != 0 {
-			z2 |= 1 << lane
-		}
-	})
-	return
+	var w laneFaults
+	p.draw(active, w.add)
+	return w.x1, w.z1, w.x2, w.z2
 }
 
 // DrawMeas implements BatchInjector.

@@ -142,8 +142,8 @@ func TestCondSamplerModelUniformBitIdentical(t *testing.T) {
 	kinds := testKinds(25)
 	single := NewCondSamplerModel(Uniform(p), make([]LocKind, len(kinds)), seed)
 	model := NewCondSamplerModel(Uniform(p), kinds, seed)
-	if model.tab != nil || model.CondP != condProb(len(kinds), p) {
-		t.Fatalf("uniform model left the single-chain path: tab %v, CondP %g", model.tab != nil, model.CondP)
+	if model.law.nch != 1 || model.CondP != condProb(len(kinds), p) {
+		t.Fatalf("uniform model left the single-chain path: %d chains, CondP %g", model.law.nch, model.CondP)
 	}
 	for word := 0; word < 20; word++ {
 		a := condModelStream(single, kinds, ^uint64(0))
@@ -323,8 +323,8 @@ func TestCondInjectorModelUniformBitIdentical(t *testing.T) {
 	kinds := testKinds(20)
 	single := NewCondInjectorModel(Uniform(p), make([]LocKind, len(kinds)), seed)
 	model := NewCondInjectorModel(Uniform(p), kinds, seed)
-	if model.tab != nil || model.CondP != condProb(len(kinds), p) {
-		t.Fatalf("uniform model left the single-chain path: tab %v, CondP %g", model.tab != nil, model.CondP)
+	if model.law.nch != 1 || model.CondP != condProb(len(kinds), p) {
+		t.Fatalf("uniform model left the single-chain path: %d chains, CondP %g", model.law.nch, model.CondP)
 	}
 	for shot := 0; shot < 200; shot++ {
 		single.Reset()

@@ -192,3 +192,119 @@ func FuzzSparseSamplerModel(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCondSamplerModel locks down the conditional samplers' shared
+// schedule (condLaw) under arbitrary per-class models. For random
+// (p_1q, p_2q, p_meas, eta, seed, path, live, stray) inputs — rates kept
+// below 1/2, the path's kinds and per-site activity drawn from pathSeed —
+// it walks 64-lane words along the fault-free path and a divergent tail and
+// checks that
+//   - every live lane active at every fault-free-path site faults at least
+//     once (the conditioning guarantee),
+//   - lanes outside the active mask, and lanes outside live, never fault,
+//   - Faults[l] equals the number of sites that fired on lane l, and
+//   - on gate-only paths CondInjector matches a one-lane CondSampler draw
+//     for draw (they diverge only at measurements, where the injector
+//     draws from the one-element menu and the sampler draws nothing).
+func FuzzCondSamplerModel(f *testing.F) {
+	f.Add(uint64(1)<<60, uint64(1)<<60, uint64(1)<<60, uint64(1)<<61, uint64(1), uint64(11), 40, ^uint64(0), uint64(0))
+	f.Add(uint64(1)<<58, uint64(1)<<60, uint64(1)<<56, uint64(1)<<63, uint64(2), uint64(12), 90, ^uint64(0), ^uint64(0))
+	f.Add(uint64(0), uint64(1)<<61, uint64(0), uint64(0), uint64(3), uint64(13), 25, uint64(0xF0F0F0F0F0F0F0F0), uint64(0x0F))
+	f.Add(uint64(1)<<50, uint64(1)<<50, uint64(1)<<62, ^uint64(0), uint64(4), uint64(14), 150, uint64(1), uint64(0))
+	f.Add(^uint64(0), uint64(1)<<40, uint64(1)<<59, uint64(1)<<62, uint64(5), uint64(15), 1, uint64(0x8000000000000001), uint64(2))
+
+	f.Fuzz(func(t *testing.T, p1Raw, p2Raw, pmRaw, etaRaw, seed, pathSeed uint64, n int, live, stray uint64) {
+		if n < 1 || n > 300 {
+			return
+		}
+		m := Model{
+			P1Q:   rawRate(p1Raw) / 2,
+			P2Q:   rawRate(p2Raw) / 2,
+			PMeas: rawRate(pmRaw) / 2,
+			Eta:   0.1 + 10*rawRate(etaRaw),
+		}
+		ctl := SplitMix64{State: pathSeed}
+		kinds := make([]LocKind, n)
+		gates := make([]LocKind, n) // the same path with measurements turned into CNOTs
+		for i := range kinds {
+			kinds[i] = LocKind(ctl.Next() % 3)
+			gates[i] = min(kinds[i], Loc2Q)
+		}
+		tail := make([]LocKind, n/2+1) // sites past a divergence
+		for i := range tail {
+			tail[i] = LocKind(ctl.Next() % 3)
+		}
+		flaky := ctl.Next() & ctl.Next() // lanes whose activity varies by site
+
+		for _, path := range [][]LocKind{kinds, gates} {
+			if condP := CondProbModel(m, CountKinds(path)); condP <= 0 || condP >= 1 {
+				continue // outside the conditional samplers' contract
+			}
+			s := NewCondSamplerModel(m, path, seed)
+			for word := 0; word < 3; word++ {
+				s.Reset(live)
+				var fired [64]int
+				walked := live
+				for i, k := range append(path[:n:n], tail...) {
+					active := live&(^flaky|ctl.Next()) | stray&^live
+					if i < n {
+						walked &= active
+					}
+					var hit uint64
+					switch k {
+					case Loc1Q:
+						x, z := s.Draw1Q(active)
+						hit = x | z
+					case Loc2Q:
+						x1, z1, x2, z2 := s.Draw2Q(active)
+						hit = x1 | z1 | x2 | z2
+					default:
+						hit = s.DrawMeas(active)
+					}
+					if hit&^(active&live) != 0 {
+						t.Fatalf("word %d site %d: fault %016x outside active %016x & live %016x", word, i, hit, active, live)
+					}
+					for h := hit; h != 0; h &= h - 1 {
+						fired[bits.TrailingZeros64(h)]++
+					}
+				}
+				for lane := 0; lane < 64; lane++ {
+					if int(s.Faults[lane]) != fired[lane] {
+						t.Fatalf("word %d lane %d: Faults = %d, %d sites fired", word, lane, s.Faults[lane], fired[lane])
+					}
+					if walked>>lane&1 == 1 && fired[lane] == 0 {
+						t.Fatalf("word %d lane %d: walked the whole path active without a fault", word, lane)
+					}
+				}
+			}
+		}
+
+		// Gate-only path: the scalar injector is a one-lane sampler.
+		if condP := CondProbModel(m, CountKinds(gates)); condP <= 0 || condP >= 1 {
+			return
+		}
+		s := NewCondSamplerModel(m, gates, seed)
+		c := NewCondInjectorModel(m, gates, seed)
+		for shot := 0; shot < 4; shot++ {
+			s.Reset(1)
+			c.Reset()
+			for i, k := range gates {
+				f := c.Next(k)
+				var lane Fault
+				if k == Loc1Q {
+					x, z := s.Draw1Q(1)
+					lane.P1 = byte(x | z<<1)
+				} else {
+					x1, z1, x2, z2 := s.Draw2Q(1)
+					lane.P1, lane.P2 = byte(x1|z1<<1), byte(x2|z2<<1)
+				}
+				if f != lane {
+					t.Fatalf("shot %d site %d (%v): injector %+v, one-lane sampler %+v", shot, i, k, f, lane)
+				}
+			}
+			if c.Faults != int(s.Faults[0]) {
+				t.Fatalf("shot %d: injector Faults %d, sampler %d", shot, c.Faults, s.Faults[0])
+			}
+		}
+	})
+}

@@ -227,21 +227,6 @@ func TestEngineSelection(t *testing.T) {
 	}
 }
 
-// TestEngineEnvDefault pins the DFTSP_ENGINE escape hatch: a fresh
-// estimator honors the process-wide override, which "auto" must not
-// displace (the facade only calls SetEngine for explicit scalar/batch).
-func TestEngineEnvDefault(t *testing.T) {
-	t.Setenv(EngineEnv, "scalar")
-	est := NewEstimator(buildProto(t, code.Steane()))
-	if est.EngineInUse() != EngineScalar {
-		t.Fatalf("DFTSP_ENGINE=scalar resolved to %v", est.EngineInUse())
-	}
-	t.Setenv(EngineEnv, "nonsense")
-	if DefaultEngine() != EngineAuto {
-		t.Fatalf("unparseable DFTSP_ENGINE did not fall back to auto")
-	}
-}
-
 // TestAdaptiveEnginesAgree runs the adaptive estimator once per engine at
 // the same physical rate and checks the two estimates agree statistically —
 // the end-to-end guarantee that swapping the engine flag does not move the

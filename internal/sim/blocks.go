@@ -199,19 +199,32 @@ type stratum struct{ shots, fails int }
 type BlockRunner struct {
 	est    *Estimator
 	method Method // resolved: direct or rare
-	batch  bool
 
-	// Engine state; exactly one engine/method combination is populated.
-	inj  *noise.Depolarizing
-	smp  *noise.SparseSampler
-	cj   *noise.CondInjector
-	csmp *noise.CondSampler
-	sh   *Shot
+	// Batch engine (bs != nil): one 64-lane word per iteration through
+	// binj, which is csmp for the rare method.
 	bs   *BatchShot
+	binj reseedableBatch
+	csmp *noise.CondSampler
+
+	// Scalar engine (bs == nil): shot runs one shot through the compiled
+	// program or, past its packing limits, the interpreter, reporting
+	// failure; inj is cj for the rare method.
+	shot   func(noise.Injector) bool
+	inj    noise.Injector
+	reseed func(seed uint64)
+	cj     *noise.CondInjector
 
 	shots  int64
 	fails  int64
 	strata [rareMaxW + 1]stratum
+}
+
+// reseedableBatch is a batch fault source whose stream can be re-keyed to a
+// block: noise.SparseSampler for direct sampling, noise.CondSampler for
+// rare-event sampling.
+type reseedableBatch interface {
+	noise.BatchInjector
+	Reseed(seed uint64)
 }
 
 // NewBlockRunnerModel builds a block sampler for the noise model m —
@@ -227,28 +240,34 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 	if err != nil {
 		return nil, err
 	}
-	r := &BlockRunner{est: est, method: m, batch: est.useBatch()}
-	if m == MethodRare {
-		kinds := est.LocationKinds()
-		if r.batch {
-			r.csmp = noise.NewCondSamplerModel(model, kinds, 0)
-			r.bs = est.batch.NewShot()
+	r := &BlockRunner{est: est, method: m}
+	if est.useBatch() {
+		r.bs = est.batch.NewShot()
+		if m == MethodRare {
+			r.csmp = noise.NewCondSamplerModel(model, est.LocationKinds(), 0)
+			r.binj = r.csmp
 		} else {
-			r.cj = noise.NewCondInjectorModel(model, kinds, 0)
-			if est.prog != nil {
-				r.sh = est.prog.NewShot()
-			}
+			r.binj = noise.NewSparseSamplerModel(model, 0)
 		}
 		return r, nil
 	}
-	if r.batch {
-		r.smp = noise.NewSparseSamplerModel(model, 0)
-		r.bs = est.batch.NewShot()
+
+	if m == MethodRare {
+		r.cj = noise.NewCondInjectorModel(model, est.LocationKinds(), 0)
+		r.inj, r.reseed = r.cj, r.cj.Reseed
 	} else {
-		r.inj = noise.NewDepolarizing(model, rand.New(rand.NewSource(0)))
-		if est.prog != nil {
-			r.sh = est.prog.NewShot()
+		dep := noise.NewDepolarizing(model, rand.New(rand.NewSource(0)))
+		r.inj = dep
+		r.reseed = func(seed uint64) { dep.Rng.Seed(int64(seed)) }
+	}
+	if prog := est.prog; prog != nil {
+		sh := prog.NewShot()
+		r.shot = func(inj noise.Injector) bool {
+			prog.Run(sh, inj)
+			return prog.Judge(sh)
 		}
+	} else {
+		r.shot = func(inj noise.Injector) bool { return est.Judge(Run(est.P, inj)) }
 	}
 	return r, nil
 }
@@ -269,78 +288,9 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 	count := 0
 	defer func() { r.fails += int64(count) }()
 
-	est := r.est
-	if r.method == MethodRare {
-		switch {
-		case r.batch:
-			r.csmp.Reseed(blockSeed(seed, b))
-			for i := 0; i < n; i += 64 {
-				if ctx.Err() != nil {
-					return count
-				}
-				live := ^uint64(0)
-				if rem := n - i; rem < 64 {
-					live = 1<<uint(rem) - 1
-				}
-				r.csmp.Reset(live)
-				est.batch.Run(r.bs, r.csmp, live)
-				failed := est.batch.Judge(r.bs) & live
-				count += bits.OnesCount64(failed)
-				for l := live; l != 0; l &= l - 1 {
-					lane := uint(bits.TrailingZeros64(l))
-					k := int(r.csmp.Faults[lane])
-					if k > rareMaxW {
-						k = rareMaxW
-					}
-					r.strata[k].shots++
-					if failed>>lane&1 == 1 {
-						r.strata[k].fails++
-					}
-				}
-			}
-		case est.prog != nil:
-			r.cj.Reseed(blockSeed(seed, b))
-			for i := 0; i < n; i++ {
-				if i%ctxPollShots == 0 && ctx.Err() != nil {
-					return count
-				}
-				r.cj.Reset()
-				est.prog.Run(r.sh, r.cj)
-				k := r.cj.Faults
-				if k > rareMaxW {
-					k = rareMaxW
-				}
-				r.strata[k].shots++
-				if est.prog.Judge(r.sh) {
-					r.strata[k].fails++
-					count++
-				}
-			}
-		default:
-			r.cj.Reseed(blockSeed(seed, b))
-			for i := 0; i < n; i++ {
-				if i%ctxPollShots == 0 && ctx.Err() != nil {
-					return count
-				}
-				r.cj.Reset()
-				out := Run(est.P, r.cj)
-				k := r.cj.Faults
-				if k > rareMaxW {
-					k = rareMaxW
-				}
-				r.strata[k].shots++
-				if est.Judge(out) {
-					r.strata[k].fails++
-					count++
-				}
-			}
-		}
-		return count
-	}
-
-	switch {
-	case r.batch:
-		r.smp.Reseed(blockSeed(seed, b))
+	if r.bs != nil {
+		batch := r.est.batch
+		r.binj.Reseed(blockSeed(seed, b))
 		// One 64-lane word per iteration; the final word is masked to the
 		// remainder so exactly n shots run and the reported total can never
 		// exceed the budget.
@@ -352,32 +302,49 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 			if rem := n - i; rem < 64 {
 				live = 1<<uint(rem) - 1
 			}
-			est.batch.Run(r.bs, r.smp, live)
-			count += bits.OnesCount64(est.batch.Judge(r.bs))
+			if r.csmp != nil {
+				r.csmp.Reset(live)
+			}
+			batch.Run(r.bs, r.binj, live)
+			failed := batch.Judge(r.bs) // Judge reports live lanes only
+			count += bits.OnesCount64(failed)
+			if r.csmp != nil {
+				for l := live; l != 0; l &= l - 1 {
+					lane := uint(bits.TrailingZeros64(l))
+					r.tally(int(r.csmp.Faults[lane]), failed>>lane&1 == 1)
+				}
+			}
 		}
-	case est.prog != nil:
-		r.inj.Rng.Seed(int64(blockSeed(seed, b)))
-		for i := 0; i < n; i++ {
-			if i%ctxPollShots == 0 && ctx.Err() != nil {
-				return count
-			}
-			est.prog.Run(r.sh, r.inj)
-			if est.prog.Judge(r.sh) {
-				count++
-			}
+		return count
+	}
+
+	r.reseed(blockSeed(seed, b))
+	for i := 0; i < n; i++ {
+		if i%ctxPollShots == 0 && ctx.Err() != nil {
+			return count
 		}
-	default:
-		r.inj.Rng.Seed(int64(blockSeed(seed, b)))
-		for i := 0; i < n; i++ {
-			if i%ctxPollShots == 0 && ctx.Err() != nil {
-				return count
-			}
-			if est.Judge(Run(est.P, r.inj)) {
-				count++
-			}
+		if r.cj != nil {
+			r.cj.Reset()
+		}
+		failed := r.shot(r.inj)
+		if failed {
+			count++
+		}
+		if r.cj != nil {
+			r.tally(r.cj.Faults, failed)
 		}
 	}
 	return count
+}
+
+// tally bins one rare-event shot that realized k faults into its stratum;
+// counts above rareMaxW share the top stratum.
+func (r *BlockRunner) tally(k int, failed bool) {
+	k = min(k, rareMaxW)
+	r.strata[k].shots++
+	if failed {
+		r.strata[k].fails++
+	}
 }
 
 // Counts snapshots the runner's accumulated totals in the poolable
@@ -393,11 +360,4 @@ func (r *BlockRunner) Counts() Counts {
 		}
 	}
 	return c
-}
-
-// ResetCounts clears the accumulated totals, keeping the engine state, so a
-// runner can be reused across checkpointed slices.
-func (r *BlockRunner) ResetCounts() {
-	r.shots, r.fails = 0, 0
-	r.strata = [rareMaxW + 1]stratum{}
 }

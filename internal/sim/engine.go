@@ -3,12 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"os"
 )
-
-// EngineEnv is the environment variable consulted by DefaultEngine for the
-// Monte-Carlo engine selection; it accepts the same names as ParseEngine.
-const EngineEnv = "DFTSP_ENGINE"
 
 // Engine selects the Monte-Carlo sampling engine of an Estimator.
 type Engine uint8
@@ -59,18 +54,8 @@ func (e Engine) String() string {
 	}
 }
 
-// DefaultEngine returns the engine selected by the DFTSP_ENGINE environment
-// variable, or EngineAuto when it is unset or unparseable.
-func DefaultEngine() Engine {
-	e, err := ParseEngine(os.Getenv(EngineEnv))
-	if err != nil {
-		return EngineAuto
-	}
-	return e
-}
-
 // SetEngine overrides the estimator's engine selection (NewEstimator
-// defaults to DefaultEngine()). Selecting EngineBatch on an estimator whose
+// defaults to EngineAuto). Selecting EngineBatch on an estimator whose
 // protocol fell back to the interpreted executor returns
 // ErrEngineUnavailable.
 func (est *Estimator) SetEngine(e Engine) error {

@@ -86,10 +86,10 @@ func (est *Estimator) ClassCounts() [3]int {
 // shot program plus its 64-lane batch engine. When compilation succeeds
 // Judge shares the program's dense decoder (the minimum-weight table is
 // built exactly once); the interpreted fallback builds a lookup table
-// instead. The sampling engine defaults to DefaultEngine() — batch when
-// available unless DFTSP_ENGINE says otherwise; override with SetEngine.
+// instead. The sampling engine defaults to EngineAuto — batch when the
+// protocol compiled, scalar otherwise; override with SetEngine.
 func NewEstimator(p *core.Protocol) *Estimator {
-	est := &Estimator{P: p, engine: DefaultEngine()}
+	est := &Estimator{P: p}
 	if prog, err := Compile(p); err == nil {
 		est.prog = prog
 		est.decX = prog.dec

@@ -68,3 +68,63 @@ func TestUniformStreamsPinned(t *testing.T) {
 		t.Errorf("fault-order F = %#v, want %#v", fo.F, want)
 	}
 }
+
+// TestModelStreamsPinned is the per-class twin of TestUniformStreamsPinned:
+// rare-event and direct adaptive runs on Steane under a class-biased model
+// (distinct class rates: one skip or conditional chain per class) and under
+// a uniform-rate model with a biased two-qubit menu (one chain, weighted
+// operator draws), on both engines. The recorded counts pin which faults
+// each per-class path draws.
+func TestModelStreamsPinned(t *testing.T) {
+	ctx := context.Background()
+	est := NewEstimator(buildProto(t, code.Steane()))
+	defer est.SetEngine(EngineAuto)
+
+	type run struct {
+		shots, fails int
+		strata       []RareStratum
+	}
+	classes := noise.Model{P1Q: 3e-3, P2Q: 6e-3, PMeas: 1e-3, Eta: 4}
+	menu := noise.Model{P1Q: 3e-3, P2Q: 3e-3, PMeas: 3e-3, Eta: 8}
+	for _, tc := range []struct {
+		model        noise.Model
+		engine       Engine
+		rare, direct run
+	}{
+		{classes, EngineBatch,
+			run{65536, 386, []RareStratum{{W: 1, Shots: 62215}, {W: 2, Shots: 3197, Fails: 361}, {W: 3, Shots: 121, Fails: 24}, {W: 4, Shots: 3, Fails: 1}}},
+			run{shots: 65536, fails: 33}},
+		{classes, EngineScalar,
+			run{65536, 432, []RareStratum{{W: 1, Shots: 62133}, {W: 2, Shots: 3295, Fails: 411}, {W: 3, Shots: 104, Fails: 19}, {W: 4, Shots: 4, Fails: 2}}},
+			run{shots: 65536, fails: 37}},
+		{menu, EngineBatch,
+			run{65536, 205, []RareStratum{{W: 1, Shots: 63304}, {W: 2, Shots: 2185, Fails: 197}, {W: 3, Shots: 46, Fails: 8}, {W: 4, Shots: 1}}},
+			run{shots: 65536, fails: 10}},
+		{menu, EngineScalar,
+			run{65536, 188, []RareStratum{{W: 1, Shots: 63352}, {W: 2, Shots: 2138, Fails: 182}, {W: 3, Shots: 46, Fails: 6}}},
+			run{shots: 65536, fails: 7}},
+	} {
+		if err := est.SetEngine(tc.engine); err != nil {
+			t.Fatal(err)
+		}
+		rare, err := est.RareEventAdaptiveModel(ctx, tc.model, 0, 65536, 7, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := run{rare.Shots, rare.Fails, rare.Strata}
+		for i := range got.strata {
+			got.strata[i].Weight = 0 // closed-form weights are pinned elsewhere
+		}
+		if !reflect.DeepEqual(got, tc.rare) {
+			t.Errorf("%+v %v rare: got %#v, want %#v", tc.model, tc.engine, got, tc.rare)
+		}
+
+		direct, err := est.AdaptiveModel(ctx, MethodDirect, tc.model, 0, 65536, 7, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (run{shots: direct.Shots, fails: direct.Fails}); !reflect.DeepEqual(got, tc.direct) {
+			t.Errorf("%+v %v direct: got %#v, want %#v", tc.model, tc.engine, got, tc.direct)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/code"
+	"repro/internal/decoder"
 	"repro/internal/noise"
 )
 
@@ -263,6 +264,47 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 					t.Fatalf("pooled shard result diverges from single-process run:\n got %+v\nwant %+v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestBlockRunnerInterpretedMatchesCompiled covers RunBlock's interpreted
+// fallback, which only protocols past the compiled engine's packing limits
+// reach: an estimator stripped of its compiled program and batch engine
+// (deciding with the lookup decoder, as NewEstimator's fallback does) must
+// accumulate the same Counts as the compiled scalar engine for the same
+// seeds and blocks — the two executors are bit-identical by design.
+func TestBlockRunnerInterpretedMatchesCompiled(t *testing.T) {
+	p := buildProto(t, code.Steane())
+	compiled := NewEstimator(p)
+	if err := compiled.SetEngine(EngineScalar); err != nil {
+		t.Fatal(err)
+	}
+	interp := &Estimator{P: p, decX: decoder.NewLookup(p.Code.Hz)}
+	ctx := context.Background()
+
+	for _, m := range []noise.Model{
+		noise.Uniform(2e-2),
+		{P1Q: 1e-2, P2Q: 3e-2, PMeas: 5e-3, Eta: 4},
+	} {
+		for _, method := range []Method{MethodDirect, MethodRare} {
+			var got [2]Counts
+			for i, est := range []*Estimator{compiled, interp} {
+				r, err := est.NewBlockRunnerModel(method, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b := 0; b < 3; b++ {
+					r.RunBlock(ctx, 99, b, 700)
+				}
+				got[i] = r.Counts()
+			}
+			if got[0].Fails == 0 {
+				t.Fatalf("%+v %v: no failures sampled; the comparison is vacuous", m, method)
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("%+v %v: interpreted %+v, compiled %+v", m, method, got[1], got[0])
+			}
 		}
 	}
 }

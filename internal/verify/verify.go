@@ -231,23 +231,9 @@ func buildVerification(det *f2.Mat, errs []f2.Vec, u, v int) (*cnf.Builder, [][]
 
 	// Symmetry breaking: measurements ordered by selection bit-vector.
 	for i := 0; i+1 < u; i++ {
-		addLexLE(b, sel[i], sel[i+1])
+		b.LexLE(sel[i], sel[i+1])
 	}
 	return b, sel, true
-}
-
-// addLexLE constrains vector a <= vector b lexicographically (MSB first).
-func addLexLE(b *cnf.Builder, x, y []sat.Lit) {
-	// eq[k]: prefixes of length k equal.
-	prefixEq := b.True()
-	for k := 0; k < len(x); k++ {
-		// prefixEq -> (x[k] <= y[k]) i.e. (¬prefixEq ∨ ¬x[k] ∨ y[k])
-		b.AddClause(prefixEq.Neg(), x[k].Neg(), y[k])
-		if k+1 < len(x) {
-			eqk := b.Xor(x[k], y[k]).Neg()
-			prefixEq = b.And(prefixEq, eqk)
-		}
-	}
 }
 
 func extractStabs(b *cnf.Builder, sel [][]sat.Lit, det *f2.Mat, u int) []f2.Vec {
