@@ -160,6 +160,45 @@ func (b *Builder) LexLE(x, y []sat.Lit) {
 	}
 }
 
+// RREF constrains the equal-length rows to a matrix in reduced row echelon
+// form: row i+1's leading one lies strictly right of row i's, and a leading
+// one's column is zero in every other row. The caller makes every row
+// nonzero; then each len(rows)-dimensional subspace has exactly one model,
+// its RREF basis. Where LexLE removes only the row orders of one basis, RREF
+// removes every change of basis, so an encoding may use it in place of a
+// LexLE chain only when its answer depends on the rows' span alone. Under
+// LexLE's order RREF rows are lex-descending, so the two never mix.
+func (b *Builder) RREF(rows [][]sat.Lit) {
+	// lead[i][j]: row i's leading one is column j. none[i][j]: row i is
+	// zero in the columns before j (none[i][0] is true and never built).
+	lead := make([][]sat.Lit, len(rows))
+	none := make([][]sat.Lit, len(rows))
+	for i, row := range rows {
+		lead[i] = make([]sat.Lit, len(row))
+		none[i] = make([]sat.Lit, len(row)+1)
+		for j, x := range row {
+			if j == 0 {
+				lead[i][0], none[i][1] = x, x.Neg()
+				continue
+			}
+			lead[i][j] = b.And(none[i][j], x)
+			none[i][j+1] = b.And(none[i][j], x.Neg())
+		}
+	}
+	for i, row := range rows {
+		for j := range row {
+			if i+1 < len(rows) {
+				b.Implies(lead[i][j], none[i+1][j+1]) // next pivot right of j
+			}
+			for k := range rows {
+				if k != i {
+					b.Implies(lead[i][j], rows[k][j].Neg()) // pivot column
+				}
+			}
+		}
+	}
+}
+
 // AtMostOne adds the constraint that at most one of lits is true, using the
 // pairwise encoding (optimal for the small arities used here). An optional
 // guard may be supplied via AtMostOneGuarded.

@@ -320,3 +320,65 @@ func TestLexLEModelCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRREFModelCounts counts the models of RREF over u nonzero rows of r
+// bits: one per u-dimensional subspace of F_2^r, the Gaussian binomial
+// [r choose u]_2 of them, and each enumerated model must be a matrix in
+// reduced row echelon form.
+func TestRREFModelCounts(t *testing.T) {
+	for r := 1; r <= 5; r++ {
+		for u := 1; u <= r; u++ {
+			b := NewBuilder()
+			rows := make([][]sat.Lit, u)
+			var all []sat.Lit
+			for i := range rows {
+				rows[i] = b.NewVars(r)
+				b.AddClause(rows[i]...)
+				all = append(all, rows[i]...)
+			}
+			b.RREF(rows)
+			got, err := b.EnumerateModels(all, 0, func(vals []bool) bool {
+				if !isRREF(vals, u, r) {
+					t.Errorf("r=%d u=%d: model %v is not in RREF", r, u, vals)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// [r choose u]_2 = Π_{i<u} (2^(r-i) - 1) / (2^(i+1) - 1).
+			num, den := 1, 1
+			for i := 0; i < u; i++ {
+				num *= 1<<(r-i) - 1
+				den *= 1<<(i+1) - 1
+			}
+			if want := num / den; got != want {
+				t.Errorf("r=%d u=%d: %d models, want %d", r, u, got, want)
+			}
+		}
+	}
+}
+
+// isRREF reports whether the row-major u×r bit matrix m has nonzero rows,
+// strictly increasing leading ones and pivot columns zero outside their row.
+func isRREF(m []bool, u, r int) bool {
+	prev := -1
+	for i := 0; i < u; i++ {
+		lead := -1
+		for j := 0; j < r && lead < 0; j++ {
+			if m[i*r+j] {
+				lead = j
+			}
+		}
+		if lead <= prev {
+			return false
+		}
+		for k := 0; k < u; k++ {
+			if k != i && m[k*r+lead] {
+				return false
+			}
+		}
+		prev = lead
+	}
+	return true
+}

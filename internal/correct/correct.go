@@ -25,6 +25,14 @@
 // at p = 1e-2 rises from 2.05e-3 to 2.65e-3 (+30%), Carbon's by about 3%.
 // So the recovery encoding stays the extractor, and every synthesized block
 // is the one it alone would give.
+//
+// The u measurements are interchangeable, and each probe breaks that
+// symmetry. An unbounded decide (v < 0) constrains them to the RREF basis of
+// their span: its answer depends on the span alone, so one basis per span
+// suffices, and that is |GL(u,2)| times fewer models where lex removes only
+// u! row orders. A weighted probe (v ≥ 0) orders them lexicographically,
+// since its weight bound depends on the basis, and so does every
+// extraction, since its model is the protocol.
 package correct
 
 import (
@@ -83,7 +91,8 @@ func (b *Block) RecoveryFor(key string, n int) f2.Vec {
 // Options tune the synthesis; the zero value is the paper's setting.
 type Options struct {
 	// MaxU caps the number of additional measurements; 0 means the rank
-	// of the detection group (always sufficient).
+	// of the detection group (always sufficient). A cap above the rank is
+	// lowered to it: more measurements than the rank cannot grow their span.
 	MaxU int
 
 	// NoPairPruning disables the precomputed incompatible-pair clauses
@@ -120,13 +129,15 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 	return c.search(func(u, v int) (*Block, error) { return c.solveCorrection(ctx, u, v) })
 }
 
-// search runs the optimization over (u, v) probes: u upward from 0, then a
-// binary search on v for the first feasible u. probe returns nil for an
-// unsatisfiable probe and the block of its model otherwise.
+// search runs the optimization over (u, v) probes: u upward from 0 to at
+// most the detection rank, then a binary search on v for the first feasible
+// u. probe returns nil for an unsatisfiable probe and the block of its model
+// otherwise.
 func (c *class) search(probe func(u, v int) (*Block, error)) (*Block, error) {
+	rank := c.gens.Rows()
 	maxU := c.opt.MaxU
-	if maxU <= 0 {
-		maxU = c.gens.Rows()
+	if maxU <= 0 || maxU > rank {
+		maxU = rank
 	}
 	for u := 0; u <= maxU; u++ {
 		blk, err := probe(u, -1)
@@ -157,7 +168,7 @@ func (c *class) search(probe func(u, v int) (*Block, error)) (*Block, error) {
 		}
 		return best, nil
 	}
-	return nil, fmt.Errorf("correct: no correction with up to %d measurements; class has inequivalent errors sharing the full syndrome", maxU)
+	return nil, fmt.Errorf("correct: no correction with up to %d measurements (detection rank %d); class has inequivalent errors sharing the full syndrome", maxU, rank)
 }
 
 // class is one error class with everything its probes share, computed once
@@ -248,19 +259,29 @@ func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
 	return blk, err
 }
 
-// measurements adds what both encodings share: u lexicographically ordered,
-// non-trivial measurements sel[i] (coefficients over the detection basis),
-// the total weight bound v (v < 0: none) and the syndrome bits
-// sigma[k][i] = s_i · e_k.
-func (c *class) measurements(b *cnf.Builder, u, v int) (sel, sigma [][]sat.Lit) {
+// measurements adds what both encodings share: u non-trivial measurements
+// sel[i] (coefficients over the detection basis), the total weight bound v
+// (v < 0: none) and the syndrome bits sigma[k][i] = s_i · e_k.
+//
+// With rref the rows of sel are an RREF basis of their span (cnf.RREF),
+// otherwise they are lexicographically ordered (cnf.LexLE). Only an
+// unbounded decide may use rref: its answer depends on the span alone, and
+// every span of dimension u ≤ rank(det) has one RREF basis, so the two
+// forms are equisatisfiable (see ARCHITECTURE.md). A weight bound depends on
+// the basis, and an extracted model is the protocol, so those keep lex.
+func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma [][]sat.Lit) {
 	r, n := c.gens.Rows(), c.gens.Cols()
 	sel = make([][]sat.Lit, u)
 	for i := range sel {
 		sel[i] = b.NewVars(r)
 		b.AddClause(sel[i]...) // non-trivial measurement
 	}
-	for i := 0; i+1 < u; i++ {
-		b.LexLE(sel[i], sel[i+1])
+	if rref {
+		b.RREF(sel)
+	} else {
+		for i := 0; i+1 < u; i++ {
+			b.LexLE(sel[i], sel[i+1])
+		}
 	}
 
 	// Weight bound.
@@ -334,9 +355,15 @@ func (c *class) link(b *cnf.Builder, sigma [][]sat.Lit, join func(p *pair, eq sa
 // one recovery up to S, which is all a recovery must achieve; the encoding is
 // equisatisfiable with the recovery encoding.
 func (c *class) decideCorrection(ctx context.Context, u, v int) (bool, error) {
+	return c.decide(ctx, u, v, v < 0)
+}
+
+// decide is decideCorrection with the symmetry break of sel chosen by the
+// caller (see measurements); rref requires v < 0 and u ≤ rank(det).
+func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 	n := c.gens.Cols()
 	b := cnf.NewBuilder()
-	_, sigma := c.measurements(b, u, v)
+	_, sigma := c.measurements(b, u, v, rref)
 	z := make([][]sat.Lit, len(c.errs))
 	for k := range z {
 		z[k] = b.NewVars(n + 1)
@@ -374,7 +401,7 @@ func (c *class) decideCorrection(ctx context.Context, u, v int) (bool, error) {
 func (c *class) extractCorrection(ctx context.Context, u, v int) (*Block, error) {
 	r, n, rr := c.gens.Rows(), c.gens.Cols(), c.redGens.Rows()
 	b := cnf.NewBuilder()
-	sel, sigma := c.measurements(b, u, v)
+	sel, sigma := c.measurements(b, u, v, false)
 
 	// Per-error recovery with correctability: wt(e ⊕ c_e ⊕ t) ≤ 1.
 	recovery := make([][]sat.Lit, len(c.errs))

@@ -14,15 +14,17 @@ import (
 	"repro/internal/f2"
 )
 
-// tableClass is one line of testdata/classes.txt.
+// tableClass is one line of testdata/classes.txt, or one seeded random
+// class with its options.
 type tableClass struct {
 	name string
 	cs   *code.CSS
 	kind code.ErrType
 	errs []f2.Vec
+	opt  Options
 }
 
-func loadTableClasses(t *testing.T) []tableClass {
+func loadTableClasses(t testing.TB) []tableClass {
 	t.Helper()
 	data, err := os.ReadFile("testdata/classes.txt")
 	if err != nil {
@@ -116,18 +118,22 @@ func TestEncodingsAgreeOnTableClasses(t *testing.T) {
 	t.Logf("%d classes, %d probes", len(classes), probes)
 }
 
-// TestEncodingsAgreeOnRandomClasses covers seeded random small classes on
-// small codes, with and without pair pruning, including classes no
-// correction can serve. The code without X stabilizers leaves X errors
-// unreduced and lets every Z measurement detect them.
-func TestEncodingsAgreeOnRandomClasses(t *testing.T) {
-	bare := code.MustNew("bare6", f2.NewMat(6), f2.MustMatFromStrings("110000"))
-	// Pairwise compatible, yet no recovery serves all four: only the
-	// residual constraints, not the pair compatibility, rule out u = 0.
-	differential(t, bare, code.ErrX, []f2.Vec{vec("000000"), vec("110000"), vec("101000"), vec("011000")}, Options{})
+// bare6 has no X stabilizers: it leaves X errors unreduced and lets every
+// Z measurement detect them.
+var bare6 = code.MustNew("bare6", f2.NewMat(6), f2.MustMatFromStrings("110000"))
 
+// pairwiseOnly is pairwise compatible, yet no recovery serves all four of
+// its errors: only the residual constraints, not the pair compatibility,
+// rule out u = 0.
+var pairwiseOnly = []f2.Vec{vec("000000"), vec("110000"), vec("101000"), vec("011000")}
+
+// randomClasses returns 200 seeded random small classes on small codes,
+// every other one without pair pruning, including classes no correction can
+// serve.
+func randomClasses() []tableClass {
 	rng := rand.New(rand.NewSource(7))
-	codes := []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.C4(), code.C6(), bare}
+	codes := []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.C4(), code.C6(), bare6}
+	var out []tableClass
 	for i := 0; i < 200; i++ {
 		cs := codes[rng.Intn(len(codes))]
 		kind := code.ErrType(rng.Intn(2))
@@ -144,10 +150,121 @@ func TestEncodingsAgreeOnRandomClasses(t *testing.T) {
 				errs = append(errs, rep)
 			}
 		}
-		opt := Options{NoPairPruning: i%2 == 1}
-		t.Run(fmt.Sprintf("%d-%s-%v", i, cs.Name, kind), func(t *testing.T) {
-			differential(t, cs, kind, errs, opt)
+		out = append(out, tableClass{
+			name: fmt.Sprintf("%d-%s-%v", i, cs.Name, kind),
+			cs:   cs, kind: kind, errs: errs,
+			opt: Options{NoPairPruning: i%2 == 1},
 		})
+	}
+	return out
+}
+
+// TestEncodingsAgreeOnRandomClasses runs the encoding differential on the
+// random classes and on pairwiseOnly.
+func TestEncodingsAgreeOnRandomClasses(t *testing.T) {
+	differential(t, bare6, code.ErrX, pairwiseOnly, Options{})
+	for _, tc := range randomClasses() {
+		t.Run(tc.name, func(t *testing.T) {
+			differential(t, tc.cs, tc.kind, tc.errs, tc.opt)
+		})
+	}
+}
+
+// TestRREFDecideMatchesLex decides every unbounded probe, u = 0..rank(det),
+// of every table class, every random class, pairwiseOnly and pivotGap
+// twice: with sel's symmetry broken by RREF, as decideCorrection does, and
+// by the lex chain every other probe uses, the reference. The answers must
+// agree.
+func TestRREFDecideMatchesLex(t *testing.T) {
+	classes := append(loadTableClasses(t), randomClasses()...)
+	classes = append(classes, tableClass{name: "pairwise-only", cs: bare6, kind: code.ErrX, errs: pairwiseOnly})
+	for _, tc := range classes {
+		rrefMatchesLex(t, tc.name, newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs, tc.opt))
+	}
+
+	// pivotGap's four errors are pairwise incompatible and their syndromes
+	// under the detection basis Z0, Z1, Z2 are 000, 001, 100 and 011. The
+	// one 2-dimensional span that separates them is {000, 110, 001, 111},
+	// whose RREF basis 110, 001 has its pivots two columns apart: an RREF
+	// constraint that lost such spans would answer u = 2 wrongly.
+	det := f2.MustMatFromStrings("100000000", "010000000", "001000000")
+	pivotGap := []f2.Vec{vec("000000000"), vec("001111000"), vec("100000111"), vec("011100100")}
+	rrefMatchesLex(t, "pivot-gap", newClass(det, f2.NewMat(9), pivotGap, Options{}))
+}
+
+// rrefMatchesLex decides the unbounded probes u = 0..rank(det) of c with
+// both symmetry breaks and reports every disagreement.
+func rrefMatchesLex(t *testing.T, name string, c *class) {
+	t.Helper()
+	ctx := context.Background()
+	for u := 0; u <= c.gens.Rows(); u++ {
+		lex, err := c.decide(ctx, u, -1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rref, err := c.decide(ctx, u, -1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lex != rref {
+			t.Errorf("%s u=%d: lex SAT=%v, RREF SAT=%v", name, u, lex, rref)
+		}
+	}
+}
+
+// TestMaxUClampedToRank gives search a MaxU past the detection rank: a
+// feasible class must get the block of the default cap, and an infeasible
+// one the default cap's error, which names the rank.
+func TestMaxUClampedToRank(t *testing.T) {
+	ctx := context.Background()
+	tc := loadTableClasses(t)[0]
+	det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
+	rank := det.SpanBasis().Rows()
+	want, err := Synthesize(ctx, det, red, tc.errs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Synthesize(ctx, det, red, tc.errs, Options{MaxU: rank + 3})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("MaxU = rank+3: %v, %v; MaxU = 0: %v", got, err, want)
+	}
+
+	// X1X2 and X3X4 share no recovery, and the only detector, Z1Z2,
+	// overlaps both evenly: no number of measurements separates them.
+	det = f2.MustMatFromStrings("110000")
+	errs := []f2.Vec{vec("110000"), vec("001100")}
+	_, wantErr := Synthesize(ctx, det, f2.NewMat(6), errs, Options{})
+	_, gotErr := Synthesize(ctx, det, f2.NewMat(6), errs, Options{MaxU: 4})
+	if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("MaxU = 4: %v; MaxU = 0: %v", gotErr, wantErr)
+	}
+	if !strings.Contains(gotErr.Error(), "detection rank 1") {
+		t.Fatalf("error %q does not name the rank", gotErr)
+	}
+}
+
+// BenchmarkDecideUnbounded times the two costliest unbounded probes of the
+// table classes: u = 3, v = -1 on the Hamming and Tetrahedral X classes,
+// both UNSAT.
+func BenchmarkDecideUnbounded(b *testing.B) {
+	ctx := context.Background()
+	found := 0
+	for _, tc := range loadTableClasses(b) {
+		if tc.kind != code.ErrX || (tc.cs.Name != "Hamming" && tc.cs.Name != "Tetrahedral") {
+			continue
+		}
+		found++
+		c := newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs, Options{})
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if ok, err := c.decideCorrection(ctx, 3, -1); err != nil || ok {
+					b.Fatalf("u=3 v=-1: SAT=%v, err=%v; want UNSAT", ok, err)
+				}
+			}
+		})
+	}
+	if found != 2 {
+		b.Fatalf("found %d Hamming/Tetrahedral X classes, want 2", found)
 	}
 }
 
