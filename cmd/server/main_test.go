@@ -305,6 +305,27 @@ func TestEstimateEndpoint(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsNegativeOrderSamples pins the stratified-order
+// validation: a negative max_order or samples is a 400, where it used to be
+// replaced by the default silently; 0 still selects the default (orders
+// 0..3).
+func TestEstimateRejectsNegativeOrderSamples(t *testing.T) {
+	ts := newTestServer(t)
+	for _, field := range []string{`"max_order":-1`, `"samples":-1`} {
+		status, out := postJSON(t, ts.URL+"/estimate", `{"options":{"code":"Steane"},"estimate":{"rates":[0.01],`+field+`}}`)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %v", field, status, out)
+		}
+	}
+	status, out := postJSON(t, ts.URL+"/estimate", `{"options":{"code":"Steane"},"estimate":{"rates":[0.01],"max_order":0,"samples":0}}`)
+	if status != http.StatusOK {
+		t.Fatalf("zero order and samples: status %d: %v", status, out)
+	}
+	if f, ok := out["f"].([]any); !ok || len(f) != 4 {
+		t.Fatalf("zero max_order should select orders 0..3, got f = %v", out["f"])
+	}
+}
+
 func TestEstimateBiasedNoiseModel(t *testing.T) {
 	ts := newTestServer(t)
 

@@ -207,6 +207,32 @@ func TestEstimateBadOptionsRegressions(t *testing.T) {
 	}
 }
 
+// TestEstimateNegativeOrderSamplesRejected pins the validation of the
+// stratified-order options: a negative MaxOrder or Samples wraps
+// ErrBadOptions (it used to be replaced by the default silently), while 0
+// still selects the default orders 0..3.
+func TestEstimateNegativeOrderSamplesRejected(t *testing.T) {
+	for _, eo := range []EstimateOptions{{MaxOrder: -1}, {Samples: -1}, {MaxOrder: -3, Samples: -5}} {
+		if err := eo.Validate(); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Validate(%+v) = %v, want ErrBadOptions", eo, err)
+		}
+	}
+	p, err := Synthesize(bg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, Samples: -1}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("Estimate with negative samples: err = %v, want ErrBadOptions", err)
+	}
+	res, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.F) != 4 {
+		t.Fatalf("zero MaxOrder should select orders 0..3, got F = %v", res.F)
+	}
+}
+
 // TestEstimateAdaptive exercises the TargetRSE path end to end: the sampled
 // point must report its shot count, an RSE at or below the target, and a
 // Wilson interval bracketing the estimate.

@@ -19,10 +19,12 @@ type EstimateOptions struct {
 	Rates []float64 `json:"rates,omitempty"`
 
 	// MaxOrder is the highest stratified fault order; orders 0 and 1 are
-	// enumerated exhaustively, orders 2..MaxOrder are sampled. 0 selects 3.
+	// enumerated exhaustively, orders 2..MaxOrder are sampled. 0 selects 3;
+	// negative values are rejected.
 	MaxOrder int `json:"max_order,omitempty"`
 
-	// Samples is the sample count per sampled fault order. 0 selects 20000.
+	// Samples is the sample count per sampled fault order. 0 selects 20000;
+	// negative values are rejected.
 	Samples int `json:"samples,omitempty"`
 
 	// MCShots, when > 0, adds a direct Monte-Carlo cross-check at every
@@ -271,6 +273,12 @@ func (eo EstimateOptions) Validate() error {
 		if r <= 0 || r >= 1 {
 			return badOptions("physical rate %g outside (0,1)", r)
 		}
+	}
+	if eo.MaxOrder < 0 {
+		return badOptions("max_order %d must be >= 0", eo.MaxOrder)
+	}
+	if eo.Samples < 0 {
+		return badOptions("samples %d must be >= 0", eo.Samples)
 	}
 	if eo.MCShots < 0 {
 		return badOptions("mc_shots %d must be >= 0", eo.MCShots)

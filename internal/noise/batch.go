@@ -244,17 +244,29 @@ func (s *SparseSampler) DrawMeas(active uint64) (flip uint64) {
 }
 
 // BatchPlan replays explicit per-lane fault plans through the batch engine,
-// the vectorized twin of Plan: lane l's map is keyed by that lane's own
+// the vectorized twin of Plan: lane l's faults are keyed by that lane's own
 // location index, which advances only while the lane is active — exactly
 // the location numbering the scalar executor would see for the same lane.
-// It backs the fixed-fault-mask cross-check that pins the batch engine to
-// the scalar one lane by lane.
+//
+// Each lane keeps its faults sorted by location with a cursor on the next
+// one, so a draw costs one counter compare per active lane that still has a
+// fault ahead, and a lane whose plan is spent costs nothing. A plan is
+// reusable: fill it with Set, run one word, and Reset it for the next. The
+// stratified fault-order estimator evaluates its fault sets 64 per word
+// through one plan, and the fixed-fault-mask cross-check pins the batch
+// engine to the scalar one lane by lane with it.
 type BatchPlan struct {
-	// Lanes holds one location-indexed fault plan per lane; nil means the
-	// lane runs fault-free.
-	Lanes [64]map[int]Fault
+	lanes   [64][]plannedFault // per-lane faults, sorted by location
+	ctr     [64]int32          // locations executed per lane
+	cur     [64]int32          // index of each lane's next planned fault
+	next    [64]int32          // location of that fault
+	pending uint64             // lanes with a planned fault still ahead
+}
 
-	ctr [64]int
+// plannedFault is one entry of a lane's plan.
+type plannedFault struct {
+	loc int32
+	f   Fault
 }
 
 // NewBatchPlan builds a plan from a lane -> (location -> fault) map; lanes
@@ -263,23 +275,78 @@ func NewBatchPlan(lanes map[int]map[int]Fault) *BatchPlan {
 	p := &BatchPlan{}
 	for lane, plan := range lanes {
 		if lane >= 0 && lane < 64 {
-			p.Lanes[lane] = plan
+			for loc, f := range plan {
+				p.Set(lane, loc, f)
+			}
 		}
 	}
 	return p
 }
 
-// draw advances every active lane's location counter and reports the
-// planned fault, if any, for each.
+// Reset empties every lane's plan and rewinds its location counter, keeping
+// the lists' storage, so refilling the plan does not allocate.
+func (p *BatchPlan) Reset() {
+	for l := range p.lanes {
+		p.lanes[l] = p.lanes[l][:0]
+	}
+	p.ctr = [64]int32{}
+	p.cur = [64]int32{}
+	p.pending = 0
+}
+
+// Set plans fault f at location loc of lane's execution path (lane in
+// [0, 64)), replacing any fault already planned there, as assigning into
+// Plan's map would. Plans are filled before the run that replays them.
+func (p *BatchPlan) Set(lane, loc int, f Fault) {
+	fs := p.lanes[lane]
+	at := int32(loc)
+	i := len(fs)
+	for i > 0 && fs[i-1].loc >= at {
+		i--
+	}
+	if i < len(fs) && fs[i].loc == at {
+		fs[i].f = f
+		return
+	}
+	fs = append(fs, plannedFault{})
+	copy(fs[i+1:], fs[i:])
+	fs[i] = plannedFault{loc: at, f: f}
+	p.lanes[lane] = fs
+	p.next[lane] = fs[0].loc
+	p.pending |= 1 << uint(lane)
+}
+
+// Lane returns lane's plan as a scalar injector for the interpreted
+// executor (allocating; the fallback for protocols past the batch engine's
+// packing limits).
+func (p *BatchPlan) Lane(lane int) *Plan {
+	faults := make(map[int]Fault, len(p.lanes[lane]))
+	for _, pf := range p.lanes[lane] {
+		faults[int(pf.loc)] = pf.f
+	}
+	return NewPlan(faults)
+}
+
+// draw advances every active lane that still has a fault ahead by one
+// location and reports the planned fault, if any, for each.
 func (p *BatchPlan) draw(active uint64, visit func(lane uint, f Fault)) {
-	for a := active; a != 0; a &= a - 1 {
+	for a := active & p.pending; a != 0; a &= a - 1 {
 		lane := uint(bits.TrailingZeros64(a))
 		loc := p.ctr[lane]
-		p.ctr[lane]++
-		if plan := p.Lanes[lane]; plan != nil {
-			if f, ok := plan[loc]; ok && !f.IsTrivial() {
-				visit(lane, f)
-			}
+		p.ctr[lane] = loc + 1
+		if loc != p.next[lane] {
+			continue
+		}
+		fs := p.lanes[lane]
+		c := p.cur[lane] + 1
+		p.cur[lane] = c
+		if int(c) < len(fs) {
+			p.next[lane] = fs[c].loc
+		} else {
+			p.pending &^= 1 << lane
+		}
+		if f := fs[c-1].f; !f.IsTrivial() {
+			visit(lane, f)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package noise
 import (
 	"math"
 	"math/bits"
+	"reflect"
 	"testing"
 )
 
@@ -97,5 +98,31 @@ func TestBatchPlanCounters(t *testing.T) {
 	x, z = plan.Draw1Q(^uint64(0))
 	if x != 0 || z != 1 {
 		t.Fatalf("site 3: x=%x z=%x, want z=1", x, z)
+	}
+}
+
+// TestBatchPlanSetReset pins the reusable-plan API: Set keeps a lane's
+// faults sorted by location whatever the insertion order, a second Set at
+// one location replaces the first (as a map assignment would), Lane hands
+// the same plan to the scalar executor, and Reset empties every lane and
+// rewinds its location counter for the next word.
+func TestBatchPlanSetReset(t *testing.T) {
+	var plan BatchPlan
+	for word := 0; word < 2; word++ {
+		plan.Set(5, 3, Fault{P1: PZ})
+		plan.Set(5, 1, Fault{P1: PY})
+		plan.Set(5, 3, Fault{P1: PX}) // replaces Z at location 3
+		if want := map[int]Fault{1: {P1: PY}, 3: {P1: PX}}; !reflect.DeepEqual(plan.Lane(5).Faults, want) {
+			t.Fatalf("word %d: lane 5 plan %v, want %v", word, plan.Lane(5).Faults, want)
+		}
+		for loc, want := range []struct{ x, z uint64 }{{0, 0}, {1 << 5, 1 << 5}, {0, 0}, {1 << 5, 0}, {0, 0}} {
+			if x, z := plan.Draw1Q(^uint64(0)); x != want.x || z != want.z {
+				t.Fatalf("word %d location %d: x=%x z=%x, want x=%x z=%x", word, loc, x, z, want.x, want.z)
+			}
+		}
+		plan.Reset()
+		if x, z := plan.Draw1Q(^uint64(0)); x != 0 || z != 0 {
+			t.Fatalf("word %d: reset plan still faults: x=%x z=%x", word, x, z)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
@@ -142,61 +143,6 @@ type FaultOrderResult struct {
 	ClassCounts [3]int
 }
 
-// faultOrder is the uniform branch of FaultOrderModel: locations and
-// operators are weighted uniformly (the E1_1 conditionals), drawing the
-// sampled orders straight from rng.
-func (est *Estimator) faultOrder(ctx context.Context, maxW, samples int, rng *rand.Rand, kinds []noise.LocKind) (FaultOrderResult, error) {
-	n := len(kinds)
-	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: noise.CountKinds(kinds)}
-
-	if maxW >= 1 {
-		// Exhaustive order 1, weighting each location uniformly and each
-		// operator uniformly within its location (the E1_1 conditionals).
-		var sum float64
-		for loc, kind := range kinds {
-			if err := ctx.Err(); err != nil {
-				return FaultOrderResult{}, err
-			}
-			ops := noise.OpsFor(kind)
-			var x float64
-			for _, op := range ops {
-				out := Run(est.P, noise.NewPlan(map[int]noise.Fault{loc: op}))
-				if est.Judge(out) {
-					x++
-				}
-			}
-			sum += x / float64(len(ops))
-		}
-		res.F[1] = sum / float64(n)
-	}
-
-	for w := 2; w <= maxW; w++ {
-		var x float64
-		for s := 0; s < samples; s++ {
-			if s%ctxPollShots == 0 {
-				if err := ctx.Err(); err != nil {
-					return FaultOrderResult{}, err
-				}
-			}
-			faults := map[int]noise.Fault{}
-			for len(faults) < w {
-				loc := rng.Intn(n)
-				if _, dup := faults[loc]; dup {
-					continue
-				}
-				ops := noise.OpsFor(kinds[loc])
-				faults[loc] = ops[rng.Intn(len(ops))]
-			}
-			out := Run(est.P, noise.NewPlan(faults))
-			if est.Judge(out) {
-				x++
-			}
-		}
-		res.F[w] = x / float64(samples)
-	}
-	return res, nil
-}
-
 // FaultOrderModel computes the stratified estimator (the
 // dynamic-subset-sampling substitute described in DESIGN.md): order w = 0
 // and 1 are enumerated exhaustively — for a fault-tolerant protocol F[1]
@@ -215,11 +161,20 @@ func (est *Estimator) faultOrder(ctx context.Context, maxW, samples int, rng *ra
 // location law acquires O(p) corrections the subset sampler ignores, exactly
 // as published subset-sampling estimators do).
 //
-// maxW must lie in [0, N] where N is the protocol's fault location count
-// (violations wrap ErrBadOrder; orders above N used to feed binomPMF a
-// negative n-w), and samples must be positive whenever maxW >= 2 requires
-// sampling (violations wrap ErrBadSamples; those strata used to come out
-// as 0/0 = NaN).
+// Fault sets are evaluated 64 per word on the batch engine (a
+// noise.BatchPlan lane per set, Batch.Run plus Batch.Judge), or lane by lane
+// through the interpreted executor when the protocol exceeds the batch
+// engine's packing limits. Either way the sets, their draws from rng and
+// their verdicts are those of a one-at-a-time interpreted evaluation, so F
+// is bit-identical to it for the same rng.
+//
+// maxW must lie in [0, N] where N is the protocol's fault location count,
+// and may not exceed the locations of positive-weight classes, from which
+// alone fault sets are drawn (violations wrap ErrBadOrder; orders above N
+// used to feed binomPMF a negative n-w). Every class weight must be finite
+// and non-negative, and at least one positive (violations wrap ErrBadRate).
+// samples must be positive whenever maxW >= 2 requires sampling (violations
+// wrap ErrBadSamples; those strata used to come out as 0/0 = NaN).
 func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rng *rand.Rand, ratio noise.Model) (FaultOrderResult, error) {
 	if maxW < 0 {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
@@ -227,105 +182,258 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 	if maxW >= 2 && samples <= 0 {
 		return FaultOrderResult{}, fmt.Errorf("%w: %d samples for sampled orders 2..%d", ErrBadSamples, samples, maxW)
 	}
+	classW := [3]float64{ratio.P1Q, ratio.P2Q, ratio.PMeas}
+	if w := classW[0] + classW[1] + classW[2]; !(w > 0) || math.IsInf(w, 0) || min(classW[0], classW[1], classW[2]) < 0 {
+		return FaultOrderResult{}, fmt.Errorf("%w: class weights %v need one positive and none negative, NaN or infinite", ErrBadRate, classW)
+	}
 	kinds := est.LocationKinds()
 	n := len(kinds)
 	if maxW > n {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d exceeds the %d fault locations", ErrBadOrder, maxW, n)
 	}
-	if ratio.IsUniform() {
-		return est.faultOrder(ctx, maxW, samples, rng, kinds)
-	}
-	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: noise.CountKinds(kinds)}
-
-	// Per-class operator distributions and their cumulative tables, built
-	// once for the whole enumeration.
-	var opW, opCum [3][]float64
-	for k := range opW {
-		opW[k] = noise.OpWeights(noise.LocKind(k), ratio.Eta)
-		opCum[k] = make([]float64, len(opW[k]))
-		cum := 0.0
-		for i, w := range opW[k] {
-			cum += w
-			opCum[k][i] = cum
+	counts := noise.CountKinds(kinds)
+	weighted := 0
+	for k, c := range counts {
+		if classW[k] > 0 {
+			weighted += c
 		}
-		opCum[k][len(opCum[k])-1] = 1
 	}
-	classW := [3]float64{ratio.P1Q, ratio.P2Q, ratio.PMeas}
+	if maxW > weighted {
+		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d exceeds the %d fault locations of positive-weight classes", ErrBadOrder, maxW, weighted)
+	}
 
+	law := newFaultLaw(kinds, ratio)
+	ev := est.newSetEval(n)
+	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: counts}
 	if maxW >= 1 {
-		// Exhaustive order 1: locations weighted by their class rate,
-		// operators by the biased menu weights — the model's single-fault
-		// conditionals.
-		var sum, totW float64
-		for loc, kind := range kinds {
-			if err := ctx.Err(); err != nil {
-				return FaultOrderResult{}, err
-			}
-			ops := noise.OpsFor(kind)
-			var x float64
-			for oi, op := range ops {
-				out := Run(est.P, noise.NewPlan(map[int]noise.Fault{loc: op}))
-				if est.Judge(out) {
-					x += opW[kind][oi]
-				}
-			}
-			sum += classW[kind] * x
-			totW += classW[kind]
+		verdicts, err := ev.singles(ctx, kinds)
+		if err != nil {
+			return FaultOrderResult{}, err
 		}
-		res.F[1] = sum / totW
+		res.F[1] = law.order1(verdicts)
 	}
-
-	// Per-class location index lists and the class-selection distribution
-	// for the sampled orders.
-	var locIdx [3][]int32
-	for loc, kind := range kinds {
-		locIdx[kind] = append(locIdx[kind], int32(loc))
-	}
-	var classCum [3]float64
-	classTot := 0.0
-	for k := range classCum {
-		classTot += classW[k] * float64(len(locIdx[k]))
-		classCum[k] = classTot
-	}
-
 	for w := 2; w <= maxW; w++ {
-		var x float64
-		for s := 0; s < samples; s++ {
-			if s%ctxPollShots == 0 {
-				if err := ctx.Err(); err != nil {
-					return FaultOrderResult{}, err
-				}
-			}
-			faults := map[int]noise.Fault{}
-			for len(faults) < w {
-				u := rng.Float64() * classTot
-				kind := 0
-				// Skip past lighter classes and — at exact cum boundaries —
-				// classes that carry no mass at all.
-				for kind < 2 && (u > classCum[kind] || classW[kind]*float64(len(locIdx[kind])) == 0) {
-					kind++
-				}
-				idx := locIdx[kind]
-				loc := int(idx[rng.Intn(len(idx))])
-				if _, dup := faults[loc]; dup {
-					continue
-				}
-				ops := noise.OpsFor(noise.LocKind(kind))
-				uo := rng.Float64()
-				oi := 0
-				for oi < len(ops)-1 && uo > opCum[kind][oi] {
-					oi++
-				}
-				faults[loc] = ops[oi]
-			}
-			out := Run(est.P, noise.NewPlan(faults))
-			if est.Judge(out) {
-				x++
-			}
+		fails, err := ev.sampled(ctx, law, w, samples, rng)
+		if err != nil {
+			return FaultOrderResult{}, err
 		}
-		res.F[w] = x / float64(samples)
+		res.F[w] = float64(fails) / float64(samples)
 	}
 	return res, nil
+}
+
+// faultLaw is the fault-set law of one FaultOrderModel branch: how the
+// sampled orders draw a location and its operator from rng, and how order 1
+// weighs the single-fault verdicts. The uniform branch (the paper's E1_1
+// conditionals) weighs locations and operators uniformly; the biased branch
+// weighs locations by class rate and operators by the tilted menu. Each
+// keeps its own draws, call for call.
+type faultLaw struct {
+	kinds   []noise.LocKind
+	uniform bool
+
+	// Biased branch: per-class operator weights and their cumulative
+	// tables, class weights, per-class location lists and the cumulative
+	// class-selection distribution.
+	opW, opCum [3][]float64
+	classW     [3]float64
+	locIdx     [3][]int32
+	classCum   [3]float64
+	classTot   float64
+}
+
+// newFaultLaw builds the law of ratio over a fault-free path's location
+// kinds; a uniform ratio at any scale selects the uniform branch.
+func newFaultLaw(kinds []noise.LocKind, ratio noise.Model) *faultLaw {
+	l := &faultLaw{kinds: kinds, uniform: ratio.IsUniform()}
+	if l.uniform {
+		return l
+	}
+	for k := range l.opW {
+		l.opW[k] = noise.OpWeights(noise.LocKind(k), ratio.Eta)
+		l.opCum[k] = make([]float64, len(l.opW[k]))
+		cum := 0.0
+		for i, w := range l.opW[k] {
+			cum += w
+			l.opCum[k][i] = cum
+		}
+		l.opCum[k][len(l.opCum[k])-1] = 1
+	}
+	l.classW = [3]float64{ratio.P1Q, ratio.P2Q, ratio.PMeas}
+	for loc, kind := range kinds {
+		l.locIdx[kind] = append(l.locIdx[kind], int32(loc))
+	}
+	for k := range l.classCum {
+		l.classTot += l.classW[k] * float64(len(l.locIdx[k]))
+		l.classCum[k] = l.classTot
+	}
+	return l
+}
+
+// loc draws a fault location.
+func (l *faultLaw) loc(rng *rand.Rand) int {
+	if l.uniform {
+		return rng.Intn(len(l.kinds))
+	}
+	u := rng.Float64() * l.classTot
+	kind := 0
+	// Skip past lighter classes and — at exact cum boundaries — classes
+	// that carry no mass at all.
+	for kind < 2 && (u > l.classCum[kind] || l.classW[kind]*float64(len(l.locIdx[kind])) == 0) {
+		kind++
+	}
+	idx := l.locIdx[kind]
+	return int(idx[rng.Intn(len(idx))])
+}
+
+// op draws the fault operator at location loc.
+func (l *faultLaw) op(rng *rand.Rand, loc int) noise.Fault {
+	kind := l.kinds[loc]
+	ops := noise.OpsFor(kind)
+	if l.uniform {
+		return ops[rng.Intn(len(ops))]
+	}
+	uo := rng.Float64()
+	oi := 0
+	for oi < len(ops)-1 && uo > l.opCum[kind][oi] {
+		oi++
+	}
+	return ops[oi]
+}
+
+// order1 is F[1]: the law's weighted mean of the single-fault verdicts,
+// bit i of verdicts holding the verdict of the i-th (location, operator)
+// pair in location/operator order. The sums run in that order, as the
+// one-at-a-time enumeration summed them.
+func (l *faultLaw) order1(verdicts []uint64) float64 {
+	var sum, totW float64
+	i := 0
+	for _, kind := range l.kinds {
+		nops := len(noise.OpsFor(kind))
+		var x float64
+		for oi := 0; oi < nops; oi, i = oi+1, i+1 {
+			switch {
+			case verdicts[i/64]>>uint(i%64)&1 == 0:
+			case l.uniform:
+				x++
+			default:
+				x += l.opW[kind][oi]
+			}
+		}
+		if l.uniform {
+			sum += x / float64(nops)
+		} else {
+			sum += l.classW[kind] * x
+			totW += l.classW[kind]
+		}
+	}
+	if l.uniform {
+		totW = float64(len(l.kinds))
+	}
+	return sum / totW
+}
+
+// setEval evaluates fault sets 64 per word: lane l of plan carries one set,
+// and one Batch.Run plus Batch.Judge decides all of them. Past the batch
+// engine's packing limits (est.batch == nil) each lane replays through the
+// interpreted executor and Estimator.Judge instead.
+type setEval struct {
+	est   *Estimator
+	bs    *BatchShot // nil: interpreted fallback
+	plan  noise.BatchPlan
+	stamp []int // per location: the last set that drew it
+	set   int   // sets drawn so far
+}
+
+// newSetEval returns an evaluator for a path of n fault locations.
+func (est *Estimator) newSetEval(n int) *setEval {
+	ev := &setEval{est: est, stamp: make([]int, n)}
+	if est.batch != nil {
+		ev.bs = est.batch.NewShot()
+	}
+	return ev
+}
+
+// run decides the sets planned in the lanes of live, returns the mask of
+// failing lanes and resets the plan for the next word.
+func (ev *setEval) run(live uint64) uint64 {
+	var fails uint64
+	if ev.bs != nil {
+		ev.est.batch.Run(ev.bs, &ev.plan, live)
+		fails = ev.est.batch.Judge(ev.bs)
+	} else {
+		for l := live; l != 0; l &= l - 1 {
+			lane := bits.TrailingZeros64(l)
+			if ev.est.Judge(Run(ev.est.P, ev.plan.Lane(lane))) {
+				fails |= 1 << uint(lane)
+			}
+		}
+	}
+	ev.plan.Reset()
+	return fails
+}
+
+// singles decides every single fault — each operator at each location, in
+// location/operator order — and returns the verdicts as a bitset indexed by
+// pair number. ctx is polled once per word.
+func (ev *setEval) singles(ctx context.Context, kinds []noise.LocKind) ([]uint64, error) {
+	var verdicts []uint64
+	lane := 0
+	flush := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		verdicts = append(verdicts, ev.run(1<<uint(lane)-1))
+		lane = 0
+		return nil
+	}
+	for loc, kind := range kinds {
+		for _, op := range noise.OpsFor(kind) {
+			ev.plan.Set(lane, loc, op)
+			if lane++; lane == 64 {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if lane > 0 {
+		if err := flush(); err != nil {
+			return nil, err
+		}
+	}
+	return verdicts, nil
+}
+
+// sampled draws samples sets of w distinct fault locations under law, one
+// lane per set, and returns how many of them fail. ctx is polled once per
+// word, before its sets are drawn.
+func (ev *setEval) sampled(ctx context.Context, law *faultLaw, w, samples int, rng *rand.Rand) (int, error) {
+	fails := 0
+	for s := 0; s < samples; s += 64 {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		lanes := min(64, samples-s)
+		for lane := 0; lane < lanes; lane++ {
+			ev.set++
+			for k := 0; k < w; {
+				loc := law.loc(rng)
+				if ev.stamp[loc] == ev.set {
+					continue
+				}
+				ev.stamp[loc] = ev.set
+				ev.plan.Set(lane, loc, law.op(rng, loc))
+				k++
+			}
+		}
+		live := ^uint64(0)
+		if lanes < 64 {
+			live = 1<<uint(lanes) - 1
+		}
+		fails += bits.OnesCount64(ev.run(live))
+	}
+	return fails, nil
 }
 
 // RateModel evaluates the stratified logical error rate under the noise

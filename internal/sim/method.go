@@ -29,11 +29,13 @@ const (
 	MethodRare
 )
 
-// ErrBadRate rejects noise models the rare-event estimator cannot condition
-// on: a model that fires no fault on the protocol (every rate 0) has nothing
-// to condition on, and a class rate >= 1 makes the conditioning vacuous
-// (direct sampling is already exact there).
-var ErrBadRate = errors.New("sim: physical rate outside (0,1) for the rare-event estimator")
+// ErrBadRate rejects noise models an estimator cannot draw faults from. For
+// the rare-event estimator, a model that fires no fault on the protocol
+// (every rate 0) has nothing to condition on, and a class rate >= 1 makes
+// the conditioning vacuous (direct sampling is already exact there). For
+// the stratified estimator, a ratio needs a positive class weight and no
+// negative, NaN or infinite one.
+var ErrBadRate = errors.New("sim: noise rates unusable by the estimator")
 
 // rareCrossover is the auto-selection threshold on P(#faults >= 1): below
 // it the conditional estimator needs fewer than half the shots of direct

@@ -79,11 +79,12 @@ func TestGoldenRatesModelPathFourEngines(t *testing.T) {
 
 // TestFaultOrderModelUniformDelegates pins the delegation contract: a
 // uniform ratio at any scale must produce exactly the uniform branch's
-// result on the same RNG stream — same F vector, same class counts.
+// result on the same RNG stream — same F vector, same class counts. The
+// uniform branch is taken from its interpreted reference, refFaultOrder.
 func TestFaultOrderModelUniformDelegates(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
-	uniform, err := est.faultOrder(ctx, 2, 300, rand.New(rand.NewSource(3)), est.LocationKinds())
+	uniform, err := refFaultOrder(est, ctx, 2, 300, rand.New(rand.NewSource(3)), est.LocationKinds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/noise"
 )
 
-func buildProto(t *testing.T, cs *code.CSS) *core.Protocol {
+func buildProto(t testing.TB, cs *code.CSS) *core.Protocol {
 	t.Helper()
 	p, err := core.Build(context.Background(), cs, core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
 	if err != nil {
