@@ -1,7 +1,8 @@
 // Package repro benchmarks every experiment of the paper: one benchmark per
 // Table I row family (protocol synthesis per code and method) and one per
 // Fig. 4 series (noise-simulation throughput and full stratified estimates),
-// plus ablation benchmarks for the design choices called out in DESIGN.md.
+// plus ablation benchmarks for the synthesis encoding and protocol design
+// choices.
 package repro
 
 import (
@@ -205,7 +206,7 @@ func BenchmarkFig4RareEvent(b *testing.B) {
 	est := sim.NewEstimator(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := est.RareEventAdaptiveModel(context.Background(), noise.Uniform(1e-4), 0.1, 50_000_000, int64(i+1), 0)
+		res, err := est.AdaptiveModel(context.Background(), sim.MethodRare, noise.Uniform(1e-4), 0.1, 50_000_000, int64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +256,7 @@ func BenchmarkFTCertificate(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md): encoding and protocol design choices.
+// Ablations: encoding and protocol design choices.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationPairPruning compares correction synthesis with and
@@ -540,7 +541,7 @@ func TestBenchTrajectory(t *testing.T) {
 		// PR 6: rare-event time-to-solution at p=1e-4. One timed adaptive run
 		// per code; single-worker so the wall-clock figure is scheduling-free.
 		start := time.Now()
-		rr, err := est.RareEventAdaptiveModel(context.Background(), noise.Uniform(rareP), rareRSE, 100_000_000, 1, 1)
+		rr, err := est.AdaptiveModel(context.Background(), sim.MethodRare, noise.Uniform(rareP), rareRSE, 100_000_000, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

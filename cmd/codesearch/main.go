@@ -2,7 +2,7 @@
 // parameters by randomized subspace sampling with exact distance
 // certification. It was used to produce the stand-in instances for the
 // paper's Carbon [[12,2,4]], [[11,1,3]] and [[16,2,4]] rows, whose exact
-// generator matrices are not public (see DESIGN.md "Substitutions"). It is a
+// generator matrices are not public (see README.md, "Codes in the catalog"). It is a
 // thin flag wrapper over dftsp.Search; the printed Hx/Hz rows feed directly
 // into `dftsp -hx ... -hz ...` or the server's "hx"/"hz" options.
 //

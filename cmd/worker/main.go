@@ -4,9 +4,10 @@
 // leases job shards one at a time over the shardrpc protocol
 // (docs/shard-protocol.md): resolve the shard's protocol by key (from a
 // local read-only store if -store is given, otherwise fetched from the
-// coordinator), execute its block range on the deterministic block
-// scheduler with the resolved engine, method, noise model and seed, and
-// report the pooled counts back under the lease's fencing generation.
+// coordinator), execute the task with shardrpc.Task.Run — the same shard
+// executor the coordinator's local pool runs, with the task's resolved
+// engine, method, noise model and seed — and report the shard's counts
+// back under the lease's fencing generation.
 //
 // Because shard RNG streams are keyed by block index and counts pool by
 // exact integer addition, a fleet of workers finishes a job bit-identical
@@ -26,9 +27,9 @@
 //	worker -coordinator host:9090 -store /srv/catalog -parallel 4
 //	worker -coordinator host:9090 -name chaos -delay-max 500ms
 //
-// -delay-max injects a uniformly random sleep before every block — a
-// chaos/test aid that makes slow-worker and kill-mid-shard scenarios easy
-// to provoke.
+// -delay-max injects one uniformly random sleep per block of a shard, all
+// taken before the shard starts sampling — a chaos/test aid that makes
+// slow-worker and kill-mid-shard scenarios easy to provoke.
 package main
 
 import (
@@ -69,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		storeDir    = fs.String("store", "", "local read-only protocol store; protocols not found there are fetched from the coordinator")
 		parallel    = fs.Int("parallel", 1, "shards executed concurrently")
 		leaseWait   = fs.Duration("lease-wait", 5*time.Second, "coordinator-side long-poll per lease request")
-		delayMax    = fs.Duration("delay-max", 0, "inject a uniformly random sleep up to this duration before every block (chaos/test aid)")
+		delayMax    = fs.Duration("delay-max", 0, "before each shard, sleep a uniformly random duration up to this once per block of the shard (chaos/test aid)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -231,45 +232,32 @@ func (w *worker) execute(lease *shardrpc.Lease) {
 	}
 }
 
-// runShard executes the task's block range on the deterministic block
-// scheduler — the identical streams the coordinator's local pool would run.
+// runShard executes the task with shardrpc.Task.Run — the identical
+// streams the coordinator's local pool would run — after the -delay-max
+// chaos sleeps.
 func (w *worker) runShard(ctx context.Context, task shardrpc.Task) (sim.Counts, error) {
 	est, err := w.src.estimator(ctx, task.ProtocolKey, task.Engine)
 	if err != nil {
 		return sim.Counts{}, err
 	}
-	method, err := sim.ParseMethod(task.Method)
-	if err != nil {
-		return sim.Counts{}, err
-	}
-	br, err := est.NewBlockRunnerModel(method, task.Model)
-	if err != nil {
-		return sim.Counts{}, err
-	}
-	for b := task.Block0; b < task.Block1; b++ {
-		w.chaosDelay(ctx)
-		if err := ctx.Err(); err != nil {
-			return sim.Counts{}, err
-		}
-		br.RunBlock(ctx, task.Seed, b, task.BlockShots(b))
-	}
-	if err := ctx.Err(); err != nil {
-		return sim.Counts{}, err
-	}
-	return br.Counts(), nil
+	w.chaosDelay(ctx, task.Block1-task.Block0)
+	return task.Run(ctx, est)
 }
 
-// chaosDelay sleeps a uniformly random duration up to -delay-max.
-func (w *worker) chaosDelay(ctx context.Context) {
+// chaosDelay sleeps, one after another, blocks uniformly random durations
+// up to -delay-max, returning early if ctx is cancelled.
+func (w *worker) chaosDelay(ctx context.Context, blocks int) {
 	if w.delayMax <= 0 {
 		return
 	}
-	w.mu.Lock()
-	d := time.Duration(w.rng.Int63n(int64(w.delayMax)))
-	w.mu.Unlock()
-	select {
-	case <-time.After(d):
-	case <-ctx.Done():
+	for i := 0; i < blocks && ctx.Err() == nil; i++ {
+		w.mu.Lock()
+		d := time.Duration(w.rng.Int63n(int64(w.delayMax)))
+		w.mu.Unlock()
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ func Tesseract() *CSS {
 // [[4,2,2]] C4 blocks under a [[6,2,2]] C6 outer code (Knill's C4/C6
 // scheme), with the outer qubits assigned across blocks so that every
 // weight-2 outer logical splits over two blocks; the distance dX = dZ = 4
-// is certified exactly by Distance. See DESIGN.md ("Substitutions").
+// is certified exactly by Distance.
 func Carbon() *CSS {
 	hx := f2.NewMat(12)
 	hz := f2.NewMat(12)
@@ -165,8 +165,7 @@ func Carbon() *CSS {
 
 // CSS11 returns a weakly self-dual [[11,1,3]] CSS code standing in for the
 // Grassl-wsd-table instance referenced by the paper (exact generators not
-// public). Found by cmd/codesearch; distance certified exactly. See
-// DESIGN.md.
+// public). Found by cmd/codesearch; distance certified exactly.
 func CSS11() *CSS {
 	h := f2.MustMatFromStrings(css11Rows...)
 	return MustNew("[[11,1,3]]", h, h.Clone())
@@ -174,7 +173,7 @@ func CSS11() *CSS {
 
 // CSS16 returns a weakly self-dual [[16,2,4]] CSS code standing in for the
 // Grassl-wsd-table instance referenced by the paper. Found by
-// cmd/codesearch; distance certified exactly. See DESIGN.md.
+// cmd/codesearch; distance certified exactly.
 func CSS16() *CSS {
 	h := f2.MustMatFromStrings(css16Rows...)
 	return MustNew("[[16,2,4]]", h, h.Clone())

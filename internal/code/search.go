@@ -31,7 +31,8 @@ type SearchOptions struct {
 // This is how the stand-in instances for the paper's [[11,1,3]], [[12,2,4]]
 // (Carbon) and [[16,2,4]] rows were produced: the exact generator matrices of
 // those codes are not printed in the paper, so parameter-equivalent codes
-// are discovered here and embedded in the catalog (see DESIGN.md).
+// are discovered here and embedded in the catalog (see README.md, "Codes in
+// the catalog").
 //
 // Cancelling ctx stops the search early; like budget exhaustion, this
 // returns nil (the caller distinguishes the two via ctx.Err()).

@@ -1,8 +1,8 @@
 package code
 
 // Generator matrices discovered by the randomized/hill-climbing search in
-// cmd/codesearch (see Search, SearchSelfDualClimb and DESIGN.md
-// "Substitutions"). Distances are certified exactly by catalog_test.go.
+// cmd/codesearch (see Search and SearchSelfDualClimb). Distances are
+// certified exactly by catalog_test.go.
 //
 // These stand in for instances whose exact generators the paper does not
 // print: the Carbon code [[12,2,4]] (da Silva et al.) and the

@@ -141,7 +141,8 @@ type Config struct {
 
 	// FlagAll forces a flag on every verification measurement (of weight
 	// >= 3) even when a CNOT ordering defuses its hook errors. This is the
-	// "always-flag" ablation of DESIGN.md; it can only add overhead.
+	// "always-flag" ablation (BenchmarkAblationFlagAll); it can only add
+	// overhead.
 	FlagAll bool
 }
 

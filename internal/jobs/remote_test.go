@@ -149,18 +149,11 @@ func (w *fakeWorker) runTask(task shardrpc.Task) sim.Counts {
 			w.t.Fatal(err)
 		}
 	}
-	method, err := sim.ParseMethod(task.Method)
+	counts, err := task.Run(context.Background(), w.est)
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	br, err := w.est.NewBlockRunnerModel(method, task.Model)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	for b := task.Block0; b < task.Block1; b++ {
-		br.RunBlock(context.Background(), task.Seed, b, task.BlockShots(b))
-	}
-	return br.Counts()
+	return counts
 }
 
 // serve leases and completes tasks until ctx cancels.

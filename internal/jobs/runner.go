@@ -487,7 +487,7 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec
 	target, budget := spec.Budget()
-	totalBlocks := (budget + sim.BlockShots - 1) / sim.BlockShots
+	totalBlocks := sim.NumBlocks(budget)
 
 	j.emit(Event{Type: "started", Job: j.id, Shots: totalShots(j.points)})
 
@@ -555,26 +555,6 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				b0 := start + sh*ShardBlocks
 				b1 := min(b0+ShardBlocks, end)
 				sh := sh
-				run := func() (sim.Counts, error) {
-					start := time.Now()
-					defer func() { r.metrics.shardSeconds.Observe(time.Since(start).Seconds()) }()
-					br, err := est.NewBlockRunnerModel(method, model)
-					if err != nil {
-						return sim.Counts{}, err
-					}
-					for b := b0; b < b1; b++ {
-						br.RunBlock(ctx, seed, b, min(sim.BlockShots, budget-b*sim.BlockShots))
-					}
-					if err := ctx.Err(); err != nil {
-						// A cancelled runner's counts are partial; they
-						// must never reach a checkpoint.
-						return sim.Counts{}, err
-					}
-					return br.Counts(), nil
-				}
-				deliver := func(counts sim.Counts, err error) {
-					results <- shardResult{shard: sh, counts: counts, err: err}
-				}
 				// The queue guarantees exactly one delivery, fenced by lease
 				// generation, whether the local pool or a remote worker runs
 				// the shard. The task carries the resolved engine and method
@@ -593,6 +573,14 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 					Block0:      b0,
 					Block1:      b1,
 					Budget:      budget,
+				}
+				run := func() (sim.Counts, error) {
+					start := time.Now()
+					defer func() { r.metrics.shardSeconds.Observe(time.Since(start).Seconds()) }()
+					return desc.Run(ctx, est)
+				}
+				deliver := func(counts sim.Counts, err error) {
+					results <- shardResult{shard: sh, counts: counts, err: err}
 				}
 				r.queue.Offer(ctx, desc, run, deliver)
 			}
@@ -629,10 +617,9 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 
 			// The stopping rule, evaluated at the same round boundaries
 			// and from the same pooled integers as the in-process
-			// estimators — the invariant that keeps a sharded job
+			// estimator — the invariant that keeps a sharded job
 			// bit-identical to a single-process run.
-			pooled = sim.PoolCounts(parts...)
-			if target > 0 && pooled.Fails > 0 && sim.RSE(pooled.Fails, pooled.Shots) <= target {
+			if pooled = sim.PoolCounts(parts...); pooled.Converged(target) {
 				break
 			}
 		}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/shardrpc"
 	"repro/internal/sim"
 )
 
@@ -245,18 +246,16 @@ func prepPartial(t *testing.T, store *Store, spec Spec, shards int, bias int64) 
 	}
 	est := sim.NewEstimator(steaneProto(t))
 	_, budget := spec.Budget()
-	seed := sim.PointSeed(spec.Seed, 0)
 	for sh := 0; sh < shards; sh++ {
-		br, err := est.NewBlockRunnerModel(sim.MethodDirect, spec.Model(spec.Rates[0]))
+		b0 := sh * ShardBlocks
+		task := shardrpc.Task{
+			Engine: est.EngineInUse().String(), Method: "direct", Model: spec.Model(spec.Rates[0]),
+			Seed: sim.PointSeed(spec.Seed, 0), Block0: b0, Block1: min(b0+ShardBlocks, sim.NumBlocks(budget)), Budget: budget,
+		}
+		c, err := task.Run(context.Background(), est)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b0 := sh * ShardBlocks
-		b1 := min(b0+ShardBlocks, (budget+sim.BlockShots-1)/sim.BlockShots)
-		for b := b0; b < b1; b++ {
-			br.RunBlock(context.Background(), seed, b, min(sim.BlockShots, budget-b*sim.BlockShots))
-		}
-		c := br.Counts()
 		c.Fails += bias
 		if err := lg.Append(Record{Kind: "shard", Point: 0, Round: 0, Shard: sh, Counts: &c}); err != nil {
 			t.Fatal(err)

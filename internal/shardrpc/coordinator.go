@@ -517,26 +517,17 @@ func (c *Coordinator) Complete(workerID, taskID string, gen uint64, counts sim.C
 }
 
 // validateCounts checks a completion's counts against the task's exact
-// expected shot total and basic internal consistency.
+// expected shot total and the shape sim requires of counts sampled by the
+// task's method (sim.Counts.Validate).
 func validateCounts(desc Task, counts sim.Counts) error {
-	want := desc.ExpectedShots()
-	if counts.Shots != want {
+	if want := desc.ExpectedShots(); counts.Shots != want {
 		return fmt.Errorf("%w: %d shots, task requires exactly %d", ErrGarbageCompletion, counts.Shots, want)
 	}
-	if counts.Fails < 0 || counts.Fails > counts.Shots {
-		return fmt.Errorf("%w: %d fails out of %d shots", ErrGarbageCompletion, counts.Fails, counts.Shots)
-	}
-	var strataShots, strataFails int64
-	for _, s := range counts.Strata {
-		if s.Shots < 0 || s.Fails < 0 || s.Fails > s.Shots {
-			return fmt.Errorf("%w: stratum w=%d has %d fails out of %d shots", ErrGarbageCompletion, s.W, s.Fails, s.Shots)
-		}
-		strataShots += s.Shots
-		strataFails += s.Fails
-	}
-	if len(counts.Strata) > 0 && (strataShots != counts.Shots || strataFails != counts.Fails) {
-		return fmt.Errorf("%w: strata sum (%d shots, %d fails) disagrees with totals (%d, %d)",
-			ErrGarbageCompletion, strataShots, strataFails, counts.Shots, counts.Fails)
+	// A task's method is resolved by its producer; an unparseable one
+	// validates as a non-rare method, whose counts carry no strata.
+	method, _ := sim.ParseMethod(desc.Method)
+	if err := counts.Validate(method); err != nil {
+		return fmt.Errorf("%w: %v", ErrGarbageCompletion, err)
 	}
 	return nil
 }

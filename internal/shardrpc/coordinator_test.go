@@ -289,6 +289,54 @@ func TestCompletionMatrix(t *testing.T) {
 			}
 			expectNone(t, ch)
 		}},
+		{"direct task with strata rejected", func(t *testing.T, c *Coordinator, clock *fakeClock, reg *telemetry.Registry, ch chan delivery) {
+			a, _, _ := c.Register("a")
+			la, _ := c.Lease(a, 0)
+			// Consistent sums, but a direct shard has no strata to report.
+			bad := sim.Counts{Shots: sim.BlockShots, Fails: 1,
+				Strata: []sim.StratumCount{{W: 1, Shots: sim.BlockShots, Fails: 1}}}
+			if _, err := c.Complete(a, "t1", la.Gen, bad); !errors.Is(err, ErrGarbageCompletion) {
+				t.Fatalf("direct strata: %v", err)
+			}
+			expectNone(t, ch)
+		}},
+		{"malformed rare strata rejected", func(t *testing.T, c *Coordinator, clock *fakeClock, reg *telemetry.Registry, ch chan delivery) {
+			a, _, _ := c.Register("a")
+			c.Lease(a, 0) // t1 stays held, so every lease below grants r1
+			rare := testTask("r1")
+			rare.Method = "rare"
+			rch := offer(c, rare)
+			strata := func(s ...sim.StratumCount) sim.Counts {
+				return sim.Counts{Shots: sim.BlockShots, Fails: 3, Strata: s}
+			}
+			for _, tc := range []struct {
+				name string
+				bad  sim.Counts
+			}{
+				{"W = -1", strata(sim.StratumCount{W: -1, Shots: sim.BlockShots, Fails: 3})},
+				{"W = 64", strata(sim.StratumCount{W: 64, Shots: sim.BlockShots, Fails: 3})},
+				{"no strata", strata()},
+				{"duplicate W", strata(sim.StratumCount{W: 1, Shots: sim.BlockShots - 10}, sim.StratumCount{W: 1, Shots: 10, Fails: 3})},
+			} {
+				lr, _ := c.Lease(a, 0)
+				if lr == nil || lr.Task.ID != "r1" {
+					t.Fatalf("%s: lease = %+v, want r1", tc.name, lr)
+				}
+				if _, err := c.Complete(a, "r1", lr.Gen, tc.bad); !errors.Is(err, ErrGarbageCompletion) {
+					t.Fatalf("%s: %v, want ErrGarbageCompletion", tc.name, err)
+				}
+				expectNone(t, rch)
+			}
+			if got := c.metrics.garbage.Value(); got != 4 {
+				t.Fatalf("garbage = %d, want 4", got)
+			}
+			good := strata(sim.StratumCount{W: 1, Shots: sim.BlockShots - 10}, sim.StratumCount{W: 2, Shots: 10, Fails: 3})
+			lr, _ := c.Lease(a, 0)
+			if dup, err := c.Complete(a, "r1", lr.Gen, good); err != nil || dup {
+				t.Fatalf("good rare complete: dup=%v err=%v", dup, err)
+			}
+			expectDelivered(t, rch, good)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,6 +19,7 @@
 package shardrpc
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/noise"
@@ -75,21 +76,43 @@ type Task struct {
 	Budget int `json:"budget"`
 }
 
-// BlockShots returns the shot count of block b under the task's budget:
-// full sim.BlockShots blocks except for a truncated final block.
-func (t Task) BlockShots(b int) int {
-	return min(sim.BlockShots, t.Budget-b*sim.BlockShots)
-}
-
 // ExpectedShots returns the exact shot total a faithful execution of the
 // task must report. The coordinator rejects completions that disagree
 // (garbage guard) and re-leases the shard.
 func (t Task) ExpectedShots() int64 {
 	var total int64
 	for b := t.Block0; b < t.Block1; b++ {
-		total += int64(t.BlockShots(b))
+		total += int64(sim.BlockLen(t.Budget, b))
 	}
 	return total
+}
+
+// Run executes the task's block range [Block0, Block1) on one
+// sim.BlockRunner and returns the shard's counts. It is the one shard
+// executor: the coordinator's local pool and every remote worker run it,
+// so both sample the identical streams; est must already sample on the
+// task's resolved Engine. ctx is checked before every block and after the
+// last, and a cancelled run returns ctx.Err() with zero counts — a partial
+// shard never leaves Run.
+func (t Task) Run(ctx context.Context, est *sim.Estimator) (sim.Counts, error) {
+	method, err := sim.ParseMethod(t.Method)
+	if err != nil {
+		return sim.Counts{}, err
+	}
+	br, err := est.NewBlockRunnerModel(method, t.Model)
+	if err != nil {
+		return sim.Counts{}, err
+	}
+	for b := t.Block0; b < t.Block1; b++ {
+		if err := ctx.Err(); err != nil {
+			return sim.Counts{}, err
+		}
+		br.RunBlock(ctx, t.Seed, b, sim.BlockLen(t.Budget, b))
+	}
+	if err := ctx.Err(); err != nil {
+		return sim.Counts{}, err
+	}
+	return br.Counts(), nil
 }
 
 // Lease is a granted task lease: the task, its fencing generation, and the

@@ -5,32 +5,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/noise"
 )
-
-// adaptiveChunk is the number of shots in one sampling block, the unit of
-// deterministic work distribution: each block owns an RNG stream derived
-// from its block index (not from the worker that happens to run it), so the
-// pooled (shots, fails) counts are independent of the worker count. It is a
-// multiple of 64 so batch-engine blocks run whole lane words except in the
-// (clamped) final block of a budget.
-const adaptiveChunk = 4096
-
-// adaptiveBlocksPerRound is the number of blocks between stopping-rule
-// checks. It is a fixed constant — deliberately not scaled by the worker
-// count, which would make the stopping decision (and therefore the reported
-// shot totals) depend on the machine: large enough that per-round
-// synchronization is invisible in the throughput, small enough that an easy
-// target stops within ~10^5 shots.
-const adaptiveBlocksPerRound = 32
-
-// blockSeed derives the RNG seed of sampling block b from the caller's
-// seed via the SplitMix64 sequence; successive block indices get
-// well-separated streams.
-func blockSeed(seed int64, b int) uint64 {
-	return noise.SplitMix64{State: uint64(seed)}.Seq(uint64(b))
-}
 
 // AdaptiveResult reports an adaptive (or fixed-budget) Monte-Carlo estimate
 // together with its statistical quality. Direct estimates fill the direct
@@ -81,67 +56,49 @@ type AdaptiveResult struct {
 }
 
 // runAdaptive drives the deterministic block-scheduled sampling loop of the
-// adaptive estimator, for both methods. The budget is cut into
-// fixed blocks of adaptiveChunk shots; workers claim block indices from a
-// shared atomic queue and call runBlock(worker, block, n), which must sample
-// exactly n shots seeded by the block index and return the failure count.
-// Because the stream is keyed by block — not worker — and the stopping rule
-// is evaluated at fixed round boundaries, the pooled (shots, fails)
-// sequence is a pure function of (seed, targetRSE, maxShots, engine):
-// the worker count changes wall-clock time only.
-func runAdaptive(ctx context.Context, targetRSE float64, maxShots, workers int, runBlock func(worker, block, n int) int) (shots, fails int, err error) {
-	totalBlocks := (maxShots + adaptiveChunk - 1) / adaptiveChunk
-	if workers > totalBlocks {
-		workers = totalBlocks
-	}
-	results := make([]int, workers)
-	for start := 0; start < totalBlocks; {
-		end := start + adaptiveBlocksPerRound
-		if end > totalBlocks {
-			end = totalBlocks
-		}
-		next := int64(start)
+// adaptive estimator, for both methods. The budget is cut into the block
+// grid (NumBlocks, BlockLen); one goroutine per runner claims block indices
+// from a shared atomic queue and samples each on its runner. At every
+// BlocksPerRound boundary the runners' counts are pooled and the run stops
+// once the pool meets the target (Counts.Converged). Because the stream is
+// keyed by block — not runner — and the stopping rule is evaluated at fixed
+// round boundaries, the pooled counts are a pure function of (seed,
+// targetRSE, maxShots, engine): the runner count changes wall-clock time
+// only.
+func runAdaptive(ctx context.Context, runners []*BlockRunner, seed int64, targetRSE float64, maxShots int) (Counts, error) {
+	totalBlocks := NumBlocks(maxShots)
+	parts := make([]Counts, len(runners))
+	var pooled Counts
+	for start := 0; start < totalBlocks; start += BlocksPerRound {
+		end := min(start+BlocksPerRound, totalBlocks)
+		var next atomic.Int64
+		next.Store(int64(start))
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, r := range runners {
 			wg.Add(1)
-			go func(w int) {
+			go func(r *BlockRunner) {
 				defer wg.Done()
-				count := 0
 				for ctx.Err() == nil {
-					b := int(atomic.AddInt64(&next, 1)) - 1
+					b := int(next.Add(1)) - 1
 					if b >= end {
-						break
+						return
 					}
-					n := adaptiveChunk
-					if rem := maxShots - b*adaptiveChunk; n > rem {
-						n = rem
-					}
-					count += runBlock(w, b, n)
+					r.RunBlock(ctx, seed, b, BlockLen(maxShots, b))
 				}
-				results[w] = count
-			}(w)
+			}(r)
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
-			return 0, 0, err
+			return Counts{}, err
 		}
-		for w, c := range results {
-			fails += c
-			results[w] = 0
+		for i, r := range runners {
+			parts[i] = r.Counts()
 		}
-		endShot := end * adaptiveChunk
-		if endShot > maxShots {
-			endShot = maxShots
-		}
-		shots = endShot
-		start = end
-		if targetRSE > 0 && fails > 0 {
-			if rse := RSE(int64(fails), int64(shots)); rse <= targetRSE {
-				break
-			}
+		if pooled = PoolCounts(parts...); pooled.Converged(targetRSE) {
+			break
 		}
 	}
-	return shots, fails, nil
+	return pooled, nil
 }
 
 // Wilson returns the 95% Wilson score confidence interval for a binomial

@@ -13,7 +13,7 @@ import (
 
 // Block geometry of the deterministic adaptive scheduler, exported so the
 // distributed job layer (internal/jobs) shards work on exactly the same
-// grid the in-process estimators sample on: a point's budget is cut into
+// grid the in-process estimator samples on: a point's budget is cut into
 // BlockShots-shot blocks whose RNG streams are keyed by block index, and
 // the stopping rule is evaluated every BlocksPerRound blocks. Any scheduler
 // that runs the same blocks with the same seed and pools the counts — no
@@ -23,11 +23,37 @@ const (
 	// BlockShots is the number of shots in one sampling block (a multiple
 	// of 64, so batch blocks run whole lane words except in the clamped
 	// final block of a budget).
-	BlockShots = adaptiveChunk
+	BlockShots = 4096
 
 	// BlocksPerRound is the number of blocks between stopping-rule checks.
-	BlocksPerRound = adaptiveBlocksPerRound
+	// It is a fixed constant — deliberately not scaled by the worker
+	// count, which would make the stopping decision (and therefore the
+	// reported shot totals) depend on the machine: large enough that
+	// per-round synchronization is invisible in the throughput, small
+	// enough that an easy target stops within ~10^5 shots.
+	BlocksPerRound = 32
 )
+
+// NumBlocks returns the number of blocks a budget of the given shots is cut
+// into: full BlockShots blocks and, when the budget is not a multiple of
+// BlockShots, one truncated final block.
+func NumBlocks(budget int) int {
+	return (budget + BlockShots - 1) / BlockShots
+}
+
+// BlockLen returns the shot count of block b under the budget: BlockShots,
+// except for the final block, which is clamped to what is left of the
+// budget so no run ever samples past it.
+func BlockLen(budget, b int) int {
+	return min(BlockShots, budget-b*BlockShots)
+}
+
+// blockSeed derives the RNG seed of sampling block b from the caller's
+// seed via the SplitMix64 sequence; successive block indices get
+// well-separated streams.
+func blockSeed(seed int64, b int) uint64 {
+	return noise.SplitMix64{State: uint64(seed)}.Seq(uint64(b))
+}
 
 // PointSeed derives the sampling seed of curve point i from a run seed, the
 // convention shared by Protocol.Estimate and the job layer: offsetting the
@@ -48,6 +74,53 @@ func RSE(fails, shots int64) float64 {
 		return 0
 	}
 	return math.Sqrt((1 - float64(fails)/float64(shots)) / float64(fails))
+}
+
+// rareMaxW is the highest separately-tracked fault-count stratum; shots
+// with more realized faults (possible only through correction blocks
+// extending the trajectory) collapse into it.
+const rareMaxW = 63
+
+// CondWeightsModel returns the conditional fault-count distribution
+// P(K = w | K >= 1) for w = 0..maxW under the noise model m, where K counts
+// faults over the fault-free path with the given per-class location counts:
+// weights[0] is always 0, and the weights over the reachable orders sum to
+// exactly 1. For a uniform-rate model K ~ Binomial(N, p) over the total N
+// (only the total of counts matters), so
+// weights[w] = C(N,w) p^w (1-p)^(N-w) / (1-(1-p)^N); otherwise K is the sum
+// of the independent class binomials Binomial(counts[c], p_c), whose mass
+// comes from their exact convolution (orderPMFModel). The denominator is
+// noise.CondProbModel. Boundary rates take their exact limits NaN/Inf-free:
+// a model with no fault to condition on returns all zeros, and a rate-1
+// class contributes its point mass at counts[c].
+func CondWeightsModel(counts [3]int, maxW int, m noise.Model) []float64 {
+	weights := make([]float64, maxW+1)
+	condP := noise.CondProbModel(m, counts)
+	if condP <= 0 {
+		return weights
+	}
+	p, uniform := m.UniformRate()
+	n := counts[0] + counts[1] + counts[2]
+	var pmf []float64
+	if !uniform {
+		pmf = orderPMFModel(counts, maxW, m)
+	}
+	for w := 1; w <= maxW; w++ {
+		var mass float64
+		switch {
+		case !uniform:
+			mass = pmf[w]
+		case w <= n:
+			mass = binomPMF(n, w, p)
+		}
+		// The log-space binomial mass can overshoot the exact ratio by a
+		// few ulps (exp(log p) != p); clamp so the result is always a
+		// probability.
+		if weights[w] = mass / condP; weights[w] > 1 {
+			weights[w] = 1
+		}
+	}
+	return weights
 }
 
 // StratumCount is the exactly-poolable view of one realized-fault-count
@@ -78,6 +151,54 @@ type Counts struct {
 	// Strata is the realized-fault-count breakdown of the same shots, in
 	// increasing W order; nil for direct sampling.
 	Strata []StratumCount `json:"strata,omitempty"`
+}
+
+// Converged is the adaptive stopping rule, evaluated on pooled counts at
+// round boundaries by the in-process estimator and the job layer alike: a
+// positive target RSE met by a pool that has observed at least one failure
+// (the RSE is undefined without failures). A target of 0 never stops early.
+func (c Counts) Converged(targetRSE float64) bool {
+	return targetRSE > 0 && c.Fails > 0 && RSE(c.Fails, c.Shots) <= targetRSE
+}
+
+// Validate checks that c has the shape of counts sampled by method, the
+// shape BlockRunner.Counts and PoolCounts produce and ResultModel trusts:
+// fails within [0, Shots]; no strata unless method is MethodRare; and for
+// MethodRare, strata in strictly increasing W within [0, rareMaxW], each
+// with fails within [0, shots], whose shots and fails sum exactly to the
+// totals. Counts that cross a process boundary must pass it before they are
+// pooled: a stratum outside the range or a missing breakdown would
+// otherwise finish silently into different diagnostics.
+func (c Counts) Validate(method Method) error {
+	if c.Shots < 0 || c.Fails < 0 || c.Fails > c.Shots {
+		return fmt.Errorf("sim: %d fails out of %d shots", c.Fails, c.Shots)
+	}
+	if method != MethodRare {
+		if len(c.Strata) > 0 {
+			return fmt.Errorf("sim: %v counts carry %d strata", method, len(c.Strata))
+		}
+		return nil
+	}
+	var shots, fails int64
+	for i, s := range c.Strata {
+		switch {
+		case s.W < 0 || s.W > rareMaxW:
+			return fmt.Errorf("sim: stratum w=%d outside [0, %d]", s.W, rareMaxW)
+		case i > 0 && s.W <= c.Strata[i-1].W:
+			return fmt.Errorf("sim: stratum w=%d repeated or out of order", s.W)
+		case s.Shots < 0 || s.Fails < 0 || s.Fails > s.Shots:
+			return fmt.Errorf("sim: stratum w=%d has %d fails out of %d shots", s.W, s.Fails, s.Shots)
+		case s.Shots > c.Shots-shots:
+			return fmt.Errorf("sim: strata hold more than the %d shots", c.Shots)
+		}
+		shots += s.Shots
+		fails += s.Fails
+	}
+	if shots != c.Shots || fails != c.Fails {
+		return fmt.Errorf("sim: strata sum (%d shots, %d fails) disagrees with totals (%d, %d)",
+			shots, fails, c.Shots, c.Fails)
+	}
+	return nil
 }
 
 // PoolCounts merges sampling slices by exact integer addition: pooled shots
@@ -116,11 +237,11 @@ func PoolCounts(parts ...Counts) Counts {
 // Wilson confidence interval, plus — for MethodRare — the conditioning
 // weight CondP = noise.CondProbModel(m, counts), the Kish effective sample
 // size and the weight variance under the fault-count post-stratification
-// weights of CondWeightsModel. It computes exactly what AdaptiveModel and
-// RareEventAdaptiveModel compute from their own in-process counts (they
-// share this code), so a coordinator pooling checkpointed shard counts
-// reproduces the single-process result bit-identically — except
-// ShotsPerSec, which is wall-clock and stays 0 here.
+// weights of CondWeightsModel. It computes exactly what AdaptiveModel
+// computes from its own in-process counts (they share this code), so a
+// coordinator pooling checkpointed shard counts reproduces the
+// single-process result bit-identically — except ShotsPerSec, which is
+// wall-clock and stays 0 here.
 //
 // method must be resolved (MethodDirect or MethodRare, not MethodAuto). A
 // direct pool's statistics do not depend on the model. counts holds the
@@ -181,8 +302,7 @@ func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (Adapti
 	return res, nil
 }
 
-// stratum is the bare per-fault-count accumulator shared by the rare-event
-// estimator's workers and the block runner.
+// stratum is the block runner's bare per-fault-count accumulator.
 type stratum struct{ shots, fails int }
 
 // BlockRunner samples deterministic blocks of the adaptive scheduler's grid
@@ -190,8 +310,7 @@ type stratum struct{ shots, fails int }
 // draws from the RNG stream keyed by (s, b), so any assignment of blocks to
 // runners — across goroutines, processes or machines — accumulates the same
 // per-block (shots, fails, strata) counts. It is the primitive under
-// AdaptiveModel and RareEventAdaptiveModel and the unit of work of the
-// distributed job layer's shards.
+// AdaptiveModel and the unit of work of the distributed job layer's shards.
 //
 // A BlockRunner is not safe for concurrent use; create one per worker. The
 // accumulated Counts of a runner whose RunBlock was cut short by context
@@ -272,22 +391,14 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 	return r, nil
 }
 
-// Method reports the resolved sampling method the runner executes
-// (MethodDirect or MethodRare, never MethodAuto).
-func (r *BlockRunner) Method() Method { return r.method }
-
 // RunBlock samples exactly n shots of block b of the run seeded seed,
-// folding them into the runner's accumulated counts, and returns the
-// block's failure count. The block's RNG stream depends only on (seed, b) —
-// never on the runner, goroutine or prior blocks — which is what makes any
-// block-to-worker assignment reproduce the same totals. Cancelling ctx
-// returns early with the failures seen so far; the runner's accumulated
+// folding them into the runner's accumulated counts. The block's RNG stream
+// depends only on (seed, b) — never on the runner, goroutine or prior
+// blocks — which is what makes any block-to-worker assignment reproduce the
+// same totals. Cancelling ctx returns early; the runner's accumulated
 // Counts are then partial and must be discarded.
-func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
+func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) {
 	r.shots += int64(n)
-	count := 0
-	defer func() { r.fails += int64(count) }()
-
 	if r.bs != nil {
 		batch := r.est.batch
 		r.binj.Reseed(blockSeed(seed, b))
@@ -296,7 +407,7 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 		// exceed the budget.
 		for i := 0; i < n; i += 64 {
 			if ctx.Err() != nil {
-				return count
+				return
 			}
 			live := ^uint64(0)
 			if rem := n - i; rem < 64 {
@@ -307,7 +418,7 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 			}
 			batch.Run(r.bs, r.binj, live)
 			failed := batch.Judge(r.bs) // Judge reports live lanes only
-			count += bits.OnesCount64(failed)
+			r.fails += int64(bits.OnesCount64(failed))
 			if r.csmp != nil {
 				for l := live; l != 0; l &= l - 1 {
 					lane := uint(bits.TrailingZeros64(l))
@@ -315,26 +426,25 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) int {
 				}
 			}
 		}
-		return count
+		return
 	}
 
 	r.reseed(blockSeed(seed, b))
 	for i := 0; i < n; i++ {
 		if i%ctxPollShots == 0 && ctx.Err() != nil {
-			return count
+			return
 		}
 		if r.cj != nil {
 			r.cj.Reset()
 		}
 		failed := r.shot(r.inj)
 		if failed {
-			count++
+			r.fails++
 		}
 		if r.cj != nil {
 			r.tally(r.cj.Faults, failed)
 		}
 	}
-	return count
 }
 
 // tally bins one rare-event shot that realized k faults into its stratum;

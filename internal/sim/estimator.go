@@ -49,9 +49,9 @@ type xDecoder interface {
 // flipped by residual X errors).
 //
 // NewEstimator also compiles the protocol into a Program and its 64-lane
-// Batch; every sampling entry point (AdaptiveModel, RareEventAdaptiveModel,
-// NewBlockRunnerModel) runs the selected compiled engine when compilation
-// succeeded and falls back to the interpreted executor otherwise. The
+// Batch; every Monte-Carlo entry point (AdaptiveModel, NewBlockRunnerModel)
+// runs the selected compiled engine when compilation succeeded and falls
+// back to the interpreted executor otherwise. The
 // interpreted executor and the compiled Program are bit-identical for a
 // shared RNG stream; the batch engine draws its own.
 type Estimator struct {
@@ -137,14 +137,13 @@ type FaultOrderResult struct {
 	F []float64
 
 	// ClassCounts breaks N down by location class (indexed by
-	// noise.LocKind); populated by FaultOrderModel and
-	// RareEventResult.ToFaultOrder, and required by RateModel under a
-	// per-class model.
+	// noise.LocKind); populated by FaultOrderModel, and required by
+	// RateModel under a per-class model.
 	ClassCounts [3]int
 }
 
-// FaultOrderModel computes the stratified estimator (the
-// dynamic-subset-sampling substitute described in DESIGN.md): order w = 0
+// FaultOrderModel computes the stratified estimator (ARCHITECTURE.md, "The
+// stratified fault-order estimator on the batch engine"): order w = 0
 // and 1 are enumerated exhaustively — for a fault-tolerant protocol F[1]
 // must be exactly 0, which doubles as the FT certificate — and orders
 // 2..maxW are sampled with the given number of samples per order.

@@ -111,29 +111,37 @@ func (est *Estimator) resolveMethodModel(method Method, m noise.Model) (Method, 
 // or maxShots is reached, whichever comes first. targetRSE == 0 disables the
 // early stop, so exactly maxShots shots run.
 //
-// method selects direct Monte-Carlo, the rare-event conditional estimator
-// (see RareEventAdaptiveModel), or — MethodAuto — the crossover policy
-// (CrossoverModel). maxShots must be positive (ErrBadShots), targetRSE in
-// [0, 1) (ErrBadTarget), and an explicit MethodRare needs a model it can
-// condition on (ErrBadRate). workers <= 0 selects DefaultWorkers(). Every
-// block's RNG stream is derived from seed via the SplitMix64 sequence keyed
-// by block index, so the result is a pure function of (seed, maxShots,
-// targetRSE, engine) on every machine: the worker count only changes
-// wall-clock time, never the pooled (shots, fails). The final block is
-// clamped to the remaining budget, so the reported Shots never exceeds
-// maxShots. Cancelling ctx stops every worker promptly and returns
-// ctx.Err().
+// method selects direct Monte-Carlo, the rare-event estimator, or —
+// MethodAuto — the crossover policy (CrossoverModel). The rare-event
+// estimator draws every shot from the exact >= 1-fault conditional
+// distribution (see noise.NewCondSamplerModel), so no sampling effort is
+// spent on the fault-free shots that dominate direct Monte-Carlo at low
+// rates, and reweights the conditional failure proportion q by the exact
+// conditioning probability CondP = 1-∏_c(1-p_c)^(n_c) — 1-(1-p)^N for
+// noise.Uniform(p) — to the unconditional PL = CondP·q; targetRSE applies
+// to PL, whose relative error equals that of q since CondP is an exact
+// constant.
+//
+// maxShots must be positive (ErrBadShots), targetRSE in [0, 1)
+// (ErrBadTarget), and an explicit MethodRare needs a model it can condition
+// on (ErrBadRate). workers <= 0 selects DefaultWorkers(). Every block's RNG
+// stream is derived from seed via the SplitMix64 sequence keyed by block
+// index, so the result is a pure function of (seed, maxShots, targetRSE,
+// engine) on every machine: the worker count only changes wall-clock time,
+// never the pooled (shots, fails). The final block is clamped to the
+// remaining budget, so the reported Shots never exceeds maxShots.
+// Cancelling ctx stops every worker promptly and returns ctx.Err().
 func (est *Estimator) AdaptiveModel(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, error) {
 	res, _, err := est.adaptive(ctx, method, m, targetRSE, maxShots, seed, workers)
 	return res, err
 }
 
-// adaptive is the one driver behind AdaptiveModel and
-// RareEventAdaptiveModel: it validates the arguments, resolves the method,
-// runs one BlockRunner per worker under the block scheduler and finishes the
-// pooled counts with Counts.ResultModel — the finisher the job layer applies
-// to its checkpointed shards. It also returns the pooled counts, whose
-// strata the rare-event view reports.
+// adaptive is the driver behind AdaptiveModel: it validates the arguments,
+// resolves the method, runs one BlockRunner per worker — never more runners
+// than blocks — under the block scheduler and finishes the pooled counts
+// with Counts.ResultModel, the finisher the job layer applies to its
+// checkpointed shards. It also returns the pooled counts, whose strata break
+// a rare-event run down by realized fault count.
 func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, Counts, error) {
 	if maxShots <= 0 {
 		return AdaptiveResult{}, Counts{}, fmt.Errorf("%w: %d max shots", ErrBadShots, maxShots)
@@ -151,30 +159,18 @@ func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model
 
 	// Per-worker block runners persist across blocks; the RNG state is
 	// re-keyed per block so the runner owner does not matter.
-	ws := make([]*BlockRunner, workers)
-	for w := range ws {
-		if ws[w], err = est.NewBlockRunnerModel(method, m); err != nil {
+	runners := make([]*BlockRunner, min(workers, NumBlocks(maxShots)))
+	for i := range runners {
+		if runners[i], err = est.NewBlockRunnerModel(method, m); err != nil {
 			return AdaptiveResult{}, Counts{}, err
 		}
 	}
-	runBlock := func(w, b, n int) int { return ws[w].RunBlock(ctx, seed, b, n) }
 
 	start := time.Now()
-	shots, fails, err := runAdaptive(ctx, targetRSE, maxShots, workers, runBlock)
+	pooled, err := runAdaptive(ctx, runners, seed, targetRSE, maxShots)
 	if err != nil {
 		return AdaptiveResult{}, Counts{}, err
 	}
-
-	// Merge the per-worker counts; integer sums are order-independent, so
-	// the totals share the block scheduler's worker-count determinism. The
-	// pooled (shots, fails) necessarily equal runAdaptive's, which remain
-	// authoritative for the round-clamped totals.
-	parts := make([]Counts, len(ws))
-	for w, r := range ws {
-		parts[w] = r.Counts()
-	}
-	pooled := PoolCounts(parts...)
-	pooled.Shots, pooled.Fails = int64(shots), int64(fails)
 
 	var counts [3]int // the direct finisher ignores them
 	if method == MethodRare {
@@ -185,7 +181,7 @@ func (est *Estimator) adaptive(ctx context.Context, method Method, m noise.Model
 		return AdaptiveResult{}, Counts{}, err
 	}
 	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-		res.ShotsPerSec = float64(shots) / elapsed
+		res.ShotsPerSec = float64(pooled.Shots) / elapsed
 	}
 	return res, pooled, nil
 }

@@ -398,19 +398,19 @@ func TestRareMatchesDirectBiased(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rare, err := est.RareEventAdaptiveModel(ctx, m, 0, 256*1024, 23, 0)
+			rare, err := est.AdaptiveModel(ctx, MethodRare, m, 0, 256*1024, 23, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if direct.Fails == 0 || rare.Fails == 0 {
 				t.Fatalf("degenerate biased sample: direct %d, rare %d fails", direct.Fails, rare.Fails)
 			}
-			if rare.PL != rare.CondP*rare.Q {
-				t.Fatalf("rare invariant broken: PL %g != CondP·Q %g", rare.PL, rare.CondP*rare.Q)
+			q := float64(rare.Fails) / float64(rare.Shots)
+			if rare.PL != rare.CondP*q {
+				t.Fatalf("rare invariant broken: PL %g != CondP·q %g", rare.PL, rare.CondP*q)
 			}
 
 			varD := direct.PL * (1 - direct.PL) / float64(direct.Shots)
-			q := rare.Q
 			varR := rare.CondP * rare.CondP * q * (1 - q) / float64(rare.Shots)
 			sd := math.Sqrt(varD + varR)
 			if diff := math.Abs(direct.PL - rare.PL); diff > 5*sd {
@@ -465,29 +465,40 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 	}
 }
 
-// TestRareEventAdaptiveModelStrataWeights checks that a biased rare-event
-// run reports the class-binomial strata weights and covers all its shots
+// TestRareStrataWeightsBiased checks that a biased rare-event run weights
+// its strata with the class-binomial weights of the model — not the
+// uniform-rate binomial of the location total — and covers all its shots
 // with the strata breakdown.
-func TestRareEventAdaptiveModelStrataWeights(t *testing.T) {
+func TestRareStrataWeightsBiased(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	m := biasedTestModel(5e-3)
-	res, err := est.RareEventAdaptiveModel(context.Background(), m, 0, 64*1024, 7, 0)
+	res, pooled, err := est.adaptive(context.Background(), MethodRare, m, 0, 64*1024, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights := CondWeightsModel(est.ClassCounts(), 63, m)
-	total := 0
-	for _, s := range res.Strata {
+	counts := est.ClassCounts()
+	weights := CondWeightsModel(counts, rareMaxW, m)
+	uniform := CondWeightsModel([3]int{counts[0] + counts[1] + counts[2]}, rareMaxW, noise.Uniform(m.MaxRate()))
+	var total int64
+	var sumW, sumW2, sumU, sumU2 float64
+	for _, s := range pooled.Strata {
 		if s.W == 0 {
 			t.Fatalf("conditioning leaked a zero-fault stratum: %+v", s)
 		}
-		if s.Weight != weights[s.W] {
-			t.Fatalf("stratum W=%d reports weight %g, want the model weight %g", s.W, s.Weight, weights[s.W])
-		}
 		total += s.Shots
+		sumW += weights[s.W]
+		sumW2 += weights[s.W] * weights[s.W] / float64(s.Shots)
+		sumU += uniform[s.W]
+		sumU2 += uniform[s.W] * uniform[s.W] / float64(s.Shots)
 	}
-	if total != res.Shots {
+	if total != int64(res.Shots) {
 		t.Fatalf("strata cover %d of %d shots", total, res.Shots)
+	}
+	if want := sumW * sumW / sumW2; res.EffectiveSamples != want {
+		t.Fatalf("effective samples %g, want %g from the model's class-binomial weights", res.EffectiveSamples, want)
+	}
+	if res.EffectiveSamples == sumU*sumU/sumU2 {
+		t.Fatalf("effective samples %g match the uniform-rate weights; the bias is not reaching the strata", res.EffectiveSamples)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 const WorkersEnv = "DFTSP_WORKERS"
 
 // DefaultWorkers returns the worker count the adaptive estimator
-// (AdaptiveModel, RareEventAdaptiveModel) uses when the caller passes
-// workers <= 0: the value of the DFTSP_WORKERS environment variable when set
-// to a positive integer, otherwise runtime.NumCPU().
+// (AdaptiveModel) uses when the caller passes workers <= 0: the value of the
+// DFTSP_WORKERS environment variable when set to a positive integer,
+// otherwise runtime.NumCPU().
 func DefaultWorkers() int {
 	if s := os.Getenv(WorkersEnv); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {

@@ -218,23 +218,13 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 				}
 				defer est.SetEngine(EngineAuto)
 
-				var want AdaptiveResult
-				if method == MethodRare {
-					r, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0, maxShots, seed, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = r.AdaptiveResult
-				} else {
-					var err error
-					want, err = est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0, maxShots, seed, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
+				want, err := est.AdaptiveModel(ctx, method, noise.Uniform(p), 0, maxShots, seed, 3)
+				if err != nil {
+					t.Fatal(err)
 				}
 
 				// Shard the block grid unevenly: blocks {0}, {1,2}, {3}.
-				totalBlocks := (maxShots + BlockShots - 1) / BlockShots
+				totalBlocks := NumBlocks(maxShots)
 				shards := [][]int{{0}, {1, 2}, {3}}
 				var parts []Counts
 				for _, blocks := range shards {
@@ -246,11 +236,7 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 						if b >= totalBlocks {
 							t.Fatalf("shard block %d outside the %d-block grid", b, totalBlocks)
 						}
-						n := BlockShots
-						if rem := maxShots - b*BlockShots; n > rem {
-							n = rem
-						}
-						r.RunBlock(ctx, seed, b, n)
+						r.RunBlock(ctx, seed, b, BlockLen(maxShots, b))
 					}
 					parts = append(parts, r.Counts())
 				}

@@ -35,7 +35,7 @@ func TestRareMatchesDirectOverlap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rare, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0, 256*1024, 23, 0)
+			rare, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, 256*1024, 23, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestRareMatchesDirectOverlap(t *testing.T) {
 			}
 
 			varD := direct.PL * (1 - direct.PL) / float64(direct.Shots)
-			q := rare.Q
+			q := float64(rare.Fails) / float64(rare.Shots)
 			varR := rare.CondP * rare.CondP * q * (1 - q) / float64(rare.Shots)
 			sd := math.Sqrt(varD + varR)
 			if diff := math.Abs(direct.PL - rare.PL); diff > 5*sd {
@@ -73,47 +73,21 @@ func TestRareMatchesFaultOrderSingleFault(t *testing.T) {
 			if fo.F[1] != 0 {
 				t.Fatalf("FaultOrder F[1] = %g, want exactly 0 (FT certificate)", fo.F[1])
 			}
+			if c := est.ClassCounts(); c[0]+c[1]+c[2] != fo.N {
+				t.Fatalf("location counts differ: rare %v, FaultOrder %d", c, fo.N)
+			}
 
-			rare, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(1e-3), 0, 128*1024, 7, 0)
+			_, rare, err := est.adaptive(ctx, MethodRare, noise.Uniform(1e-3), 0, 128*1024, 7, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rfo := rare.ToFaultOrder()
-			if rfo.N != fo.N {
-				t.Fatalf("location counts differ: rare %d, FaultOrder %d", rfo.N, fo.N)
+			if len(rare.Strata) == 0 || rare.Strata[0].W != 1 || rare.Strata[0].Shots == 0 {
+				t.Fatalf("rare strata %+v, want a sampled w = 1 stratum first (no w = 0)", rare.Strata)
 			}
-			if len(rfo.F) < 2 || rfo.F[0] != 0 || rfo.F[1] != 0 {
-				t.Fatalf("rare strata F = %v, want F[0] = F[1] = 0 exactly", rfo.F)
-			}
-			for _, s := range rare.Strata {
-				if s.W == 0 {
-					t.Fatalf("conditioning leaked a zero-fault stratum: %+v", s)
-				}
-				if s.W == 1 && s.Fails != 0 {
-					t.Fatalf("single-fault stratum recorded %d fails; enumeration proves 0", s.Fails)
-				}
+			if s := rare.Strata[0]; s.Fails != 0 {
+				t.Fatalf("single-fault stratum recorded %d fails of %d; enumeration proves 0", s.Fails, s.Shots)
 			}
 		})
-	}
-}
-
-// TestRareToFaultOrderBiased is the regression test for per-class
-// recombination of rare-event strata: ToFaultOrder must carry the run's
-// class counts, so RateModel under the same biased model recombines to a
-// positive rate near the pooled estimate instead of a silent 0.
-func TestRareToFaultOrderBiased(t *testing.T) {
-	est := NewEstimator(buildProto(t, code.Steane()))
-	m := noise.Model{P1Q: 5e-3, P2Q: 1e-2, PMeas: 2.5e-3, Eta: 4}
-	res, err := est.RareEventAdaptiveModel(context.Background(), m, 0.1, 1<<20, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rfo := res.ToFaultOrder()
-	if rfo.ClassCounts != est.ClassCounts() {
-		t.Fatalf("ToFaultOrder class counts %v, want the estimator's %v", rfo.ClassCounts, est.ClassCounts())
-	}
-	if r := rfo.RateModel(m); r <= 0 || r < res.PL/2 || r > 2*res.PL {
-		t.Fatalf("recombined rate %g, want a positive rate near the pooled PL %g", r, res.PL)
 	}
 }
 
@@ -249,40 +223,25 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, method := range []Method{MethodDirect, MethodRare} {
-			type outcome struct {
-				shots, fails int
-				strata       []RareStratum
-			}
-			var ref *outcome
+			var ref *Counts
 			for _, workers := range []int{1, 2, 5} {
-				var got outcome
-				if method == MethodRare {
-					res, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0.08, 300_000, seed, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = outcome{res.Shots, res.Fails, res.Strata}
-				} else {
-					res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(p), 0.08, 300_000, seed, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = outcome{shots: res.Shots, fails: res.Fails}
+				_, got, err := est.adaptive(ctx, method, noise.Uniform(p), 0.08, 300_000, seed, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if ref == nil {
-					r := got
-					ref = &r
+					ref = &got
 					continue
 				}
-				if got.shots != ref.shots || got.fails != ref.fails {
+				if got.Shots != ref.Shots || got.Fails != ref.Fails {
 					t.Errorf("%v/%v: workers=%d got (%d, %d), workers=1 got (%d, %d)",
-						engine, method, workers, got.shots, got.fails, ref.shots, ref.fails)
+						engine, method, workers, got.Shots, got.Fails, ref.Shots, ref.Fails)
 				}
-				if !reflect.DeepEqual(got.strata, ref.strata) {
-					t.Errorf("%v/%v: workers=%d strata %v != %v", engine, method, workers, got.strata, ref.strata)
+				if !reflect.DeepEqual(got.Strata, ref.Strata) {
+					t.Errorf("%v/%v: workers=%d strata %v != %v", engine, method, workers, got.Strata, ref.Strata)
 				}
 			}
-			if ref.fails == 0 {
+			if ref.Fails == 0 {
 				t.Errorf("%v/%v: degenerate run, no failures at p=%g", engine, method, p)
 			}
 		}
@@ -305,14 +264,14 @@ func TestRareEnginesAgree(t *testing.T) {
 	if err := est.SetEngine(EngineBatch); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0, shots, 31, 2)
+	batch, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := est.SetEngine(EngineScalar); err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0, shots, 41, 2)
+	scalar, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 41, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,21 +282,25 @@ func TestRareEnginesAgree(t *testing.T) {
 	if batch.Fails == 0 || scalar.Fails == 0 {
 		t.Fatalf("degenerate sample: batch %d, scalar %d fails", batch.Fails, scalar.Fails)
 	}
-	pool := (batch.Q + scalar.Q) / 2
+	qb := float64(batch.Fails) / float64(batch.Shots)
+	qs := float64(scalar.Fails) / float64(scalar.Shots)
+	pool := (qb + qs) / 2
 	sd := math.Sqrt(2 * pool * (1 - pool) / shots)
-	if diff := math.Abs(batch.Q - scalar.Q); diff > 5*sd {
+	if diff := math.Abs(qb - qs); diff > 5*sd {
 		t.Fatalf("conditional engines disagree: batch q=%.5f vs scalar q=%.5f (diff > 5σ = %.5f)",
-			batch.Q, scalar.Q, 5*sd)
+			qb, qs, 5*sd)
 	}
 }
 
 // TestRareResultConsistency checks the internal accounting of a rare-event
 // run: strata partition the shot and failure totals, the pooled estimate is
-// exactly CondP·Q with a bracketing scaled Wilson interval, and the
-// weighted-sample diagnostics stay in their defined ranges.
+// exactly CondP·q with a bracketing scaled Wilson interval, and the
+// weighted-sample diagnostics are the Kish statistics of the strata under
+// CondWeightsModel.
 func TestRareResultConsistency(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
-	res, err := est.RareEventAdaptiveModel(context.Background(), noise.Uniform(5e-3), 0, 100_000, 3, 0)
+	m := noise.Uniform(5e-3)
+	res, pooled, err := est.adaptive(context.Background(), MethodRare, m, 0, 100_000, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,40 +310,39 @@ func TestRareResultConsistency(t *testing.T) {
 	if res.Shots != 100_000 {
 		t.Errorf("shots %d, want exactly the 100000 budget with targetRSE=0", res.Shots)
 	}
-	wantCondP := noise.CondProbModel(noise.Uniform(5e-3), [3]int{res.N})
-	if res.CondP != wantCondP {
+	if wantCondP := noise.CondProbModel(m, est.ClassCounts()); res.CondP != wantCondP {
 		t.Errorf("CondP %g, want %g", res.CondP, wantCondP)
 	}
-	if got := res.CondP * res.Q; math.Abs(got-res.PL) > 1e-15 {
-		t.Errorf("PL %g != CondP·Q = %g", res.PL, got)
+	if got := res.CondP * float64(res.Fails) / float64(res.Shots); math.Abs(got-res.PL) > 1e-15 {
+		t.Errorf("PL %g != CondP·q = %g", res.PL, got)
 	}
 	if !(res.CILo <= res.PL && res.PL <= res.CIHi) {
 		t.Errorf("CI [%g, %g] does not bracket PL %g", res.CILo, res.CIHi, res.PL)
 	}
 
-	shots, fails := 0, 0
-	weights := CondWeightsModel([3]int{res.N}, rareMaxW, noise.Uniform(5e-3))
-	for _, s := range res.Strata {
-		if s.W < 1 || s.W > rareMaxW {
-			t.Errorf("stratum W=%d out of range", s.W)
-		}
-		if s.Fails > s.Shots || s.Shots <= 0 {
-			t.Errorf("stratum %+v inconsistent", s)
-		}
-		if s.W < len(weights) && s.Weight != weights[s.W] {
-			t.Errorf("stratum %d weight %g, want %g", s.W, s.Weight, weights[s.W])
+	if err := pooled.Validate(MethodRare); err != nil {
+		t.Errorf("pooled counts malformed: %v", err)
+	}
+	weights := CondWeightsModel(est.ClassCounts(), rareMaxW, m)
+	var shots, fails int64
+	var sumW, sumW2 float64
+	for _, s := range pooled.Strata {
+		if s.W < 1 || s.Shots <= 0 {
+			t.Errorf("stratum %+v: want W >= 1 and shots > 0", s)
 		}
 		shots += s.Shots
 		fails += s.Fails
+		sumW += weights[s.W]
+		sumW2 += weights[s.W] * weights[s.W] / float64(s.Shots)
 	}
-	if shots != res.Shots || fails != res.Fails {
+	if shots != int64(res.Shots) || fails != int64(res.Fails) {
 		t.Errorf("strata sum to (%d, %d), totals are (%d, %d)", shots, fails, res.Shots, res.Fails)
+	}
+	if want := sumW * sumW / sumW2; res.EffectiveSamples != want {
+		t.Errorf("effective samples %g, want the Kish size %g of the strata", res.EffectiveSamples, want)
 	}
 	if res.EffectiveSamples <= 0 || res.EffectiveSamples > float64(res.Shots)+1e-9 {
 		t.Errorf("effective samples %g outside (0, %d]", res.EffectiveSamples, res.Shots)
-	}
-	if res.WeightVariance < 0 {
-		t.Errorf("negative weight variance %g", res.WeightVariance)
 	}
 	if want := math.Max(0, float64(res.Shots)/res.EffectiveSamples-1); math.Abs(res.WeightVariance-want) > 1e-12 {
 		t.Errorf("weight variance %g inconsistent with effective samples (want %g)", res.WeightVariance, want)
@@ -469,25 +431,22 @@ func TestAdaptiveMethodDispatch(t *testing.T) {
 	}
 }
 
-// TestRareValidation covers the argument contract of the rare-event entry
-// points: rates outside (0,1) wrap ErrBadRate (forced method only — auto
+// TestRareValidation covers the argument contract of the rare-event
+// method: rates outside (0,1) wrap ErrBadRate (forced method only — auto
 // falls back to direct there), bad budgets and targets reuse the shared
 // sentinels.
 func TestRareValidation(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
 	for _, p := range []float64{0, -0.1, 1, 1.5} {
-		if _, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(p), 0.1, 1000, 1, 1); !errors.Is(err, ErrBadRate) {
-			t.Errorf("RareEventAdaptiveModel(p=%g) error %v, want ErrBadRate", p, err)
-		}
 		if _, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0.1, 1000, 1, 1); !errors.Is(err, ErrBadRate) {
 			t.Errorf("AdaptiveModel(rare, p=%g) error %v, want ErrBadRate", p, err)
 		}
 	}
-	if _, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(0.01), 0.1, 0, 1, 1); !errors.Is(err, ErrBadShots) {
+	if _, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(0.01), 0.1, 0, 1, 1); !errors.Is(err, ErrBadShots) {
 		t.Errorf("zero budget error %v, want ErrBadShots", err)
 	}
-	if _, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(0.01), 1.0, 1000, 1, 1); !errors.Is(err, ErrBadTarget) {
+	if _, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(0.01), 1.0, 1000, 1, 1); !errors.Is(err, ErrBadTarget) {
 		t.Errorf("target 1.0 error %v, want ErrBadTarget", err)
 	}
 	// Auto never routes a degenerate rate to the conditional estimator.
@@ -503,18 +462,18 @@ func TestRareNeverExceedsMaxShots(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
 	for _, cap := range []int{10_001, 8192, 63, 1} {
-		res, err := est.RareEventAdaptiveModel(ctx, noise.Uniform(0.01), 0, cap, 2, 3)
+		_, res, err := est.adaptive(ctx, MethodRare, noise.Uniform(0.01), 0, cap, 2, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Shots != cap {
+		if res.Shots != int64(cap) {
 			t.Errorf("cap %d: ran %d shots", cap, res.Shots)
 		}
-		shots := 0
+		var shots int64
 		for _, s := range res.Strata {
 			shots += s.Shots
 		}
-		if shots != cap {
+		if shots != int64(cap) {
 			t.Errorf("cap %d: strata count %d shots", cap, shots)
 		}
 	}
@@ -526,7 +485,7 @@ func TestRareNeverExceedsMaxShots(t *testing.T) {
 // a modest shot budget, with a positive estimate and a bracketing CI.
 func TestRareEventResolvesTinyRates(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
-	res, err := est.RareEventAdaptiveModel(context.Background(), noise.Uniform(1e-5), 0.1, 8_000_000, 77, 0)
+	res, err := est.AdaptiveModel(context.Background(), MethodRare, noise.Uniform(1e-5), 0.1, 8_000_000, 77, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
