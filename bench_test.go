@@ -199,8 +199,9 @@ func BenchmarkFig4Adaptive(b *testing.B) {
 
 // BenchmarkFig4RareEvent measures a complete rare-event adaptive estimate at
 // p = 1e-4 (10% RSE target) — the regime where direct Monte-Carlo needs ~10^9
-// shots per point and the >= 1-fault conditional estimator is the only way a
-// Fig. 4 sweep extends below the direct floor in interactive time.
+// shots per point and the conditional estimator (>= 2 faults on this
+// certified protocol) is the only way a Fig. 4 sweep extends below the
+// direct floor in interactive time.
 func BenchmarkFig4RareEvent(b *testing.B) {
 	p := cachedProtocol(b, code.Steane())
 	est := sim.NewEstimator(p)

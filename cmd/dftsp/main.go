@@ -19,7 +19,7 @@
 // -engine selects the Monte-Carlo engine (auto/scalar/batch; auto prefers
 // the 64-lane batch engine). -method selects the
 // sampling method (auto/direct/rare; auto switches to the rare-event
-// >= 1-fault conditional estimator below the crossover rate, which makes
+// conditional estimator below the crossover rate, which makes
 // tiny physical rates tractable). -bias2q, -biasmeas and -eta generalize
 // the noise model to per-class rates (two-qubit and measurement multipliers
 // relative to the one-qubit rate) and a Z-biased two-qubit operator menu;

@@ -82,14 +82,16 @@
 // "mc_min_rate" (with method "direct" the adaptive default is 1e-2: points
 // that cannot observe a failure would always burn the whole cap; "auto" and
 // "rare" sample every rate) and "method" ("auto" default: picks per rate
-// between direct Monte-Carlo and the rare-event >= 1-fault conditional
-// estimator, which resolves logical rates far below 1/max_shots; "direct"
-// and "rare" force their method). Every sampled point of the response
-// carries "shots", "rse", "ci_lo" and "ci_hi" (95% Wilson interval),
-// "method" (the method that ran), "effective_samples" (Kish effective
-// sample size under the rare-event post-stratification weights) and
-// "weight_variance" alongside the "mc" estimate, even when those values
-// are legitimately zero; unsampled points carry only "p" and "pl". The
+// between direct Monte-Carlo and the rare-event conditional estimator
+// (>= 2 faults per shot when no single fault fails, else >= 1), which
+// resolves logical rates far below 1/max_shots; "direct" and "rare" force
+// their method). Every sampled point of the response carries "shots",
+// "rse", "ci_lo" and "ci_hi" (95% Wilson interval), "method" (the method
+// that ran), "effective_samples" (Kish effective sample size under the
+// rare-event post-stratification weights) and "weight_variance" alongside
+// the "mc" estimate, even when those values are legitimately zero, plus
+// "min_faults" when the rare-event estimator conditioned on two faults;
+// unsampled points carry only "p" and "pl". The
 // "engine" option selects the Monte-Carlo engine ("auto" default: the
 // 64-lane bit-parallel batch engine when the protocol compiles; "scalar"
 // forces the compiled scalar path; "batch" rejects protocols past the

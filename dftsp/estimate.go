@@ -46,8 +46,9 @@ type EstimateOptions struct {
 	MCMinRate float64 `json:"mc_min_rate,omitempty"`
 
 	// Method selects the Monte-Carlo sampling method: "" or "auto" picks
-	// per rate between direct sampling and the rare-event (>= 1-fault
-	// conditional) estimator by the crossover policy — rare when
+	// per rate between direct sampling and the rare-event (conditional:
+	// every shot holds >= 2 faults when no single fault of the protocol
+	// fails, >= 1 otherwise) estimator by the crossover policy — rare when
 	// P(#faults >= 1) < 0.5 at that rate — while "direct" and "rare" force
 	// their method at every sampled rate ("rare" requires all rates
 	// strictly inside (0,1), which Validate already guarantees). Sampled
@@ -175,6 +176,12 @@ type RatePoint struct {
 	// "rare" (the auto selection resolved per rate).
 	Method string `json:"method,omitempty"`
 
+	// MinFaults is 2 when the rare-event estimator conditioned every shot
+	// on at least two faults, which it does whenever no single fault of
+	// the protocol fails (P(fail) = P(#faults >= 2)·q exactly); omitted
+	// when it conditioned on one.
+	MinFaults int `json:"min_faults,omitempty"`
+
 	// EffSamples is the Kish effective sample size under the rare-event
 	// estimator's fault-count post-stratification weights; equal to Shots
 	// for direct sampling.
@@ -188,10 +195,11 @@ type RatePoint struct {
 // MarshalJSON serializes the point so that the presence of the sampling
 // statistics tracks whether sampling ran, not whether the values happen to
 // be zero: a sampled point (Shots > 0) always carries mc, shots, rse,
-// ci_lo, ci_hi, method, effective_samples and weight_variance — a 10M-shot
-// run with zero observed failures legitimately has mc = rse = ci_lo = 0,
-// and plain omitempty would silently drop those fields and make the point
-// look unsampled — while an unsampled point carries only p and pl.
+// ci_lo, ci_hi, method, effective_samples and weight_variance (plus
+// min_faults when it is 2) — a 10M-shot run with zero observed failures
+// legitimately has mc = rse = ci_lo = 0, and plain omitempty would silently
+// drop those fields and make the point look unsampled — while an unsampled
+// point carries only p and pl.
 func (pt RatePoint) MarshalJSON() ([]byte, error) {
 	type bare struct {
 		P  float64 `json:"p"`
@@ -208,6 +216,7 @@ func (pt RatePoint) MarshalJSON() ([]byte, error) {
 		CILo       float64 `json:"ci_lo"`
 		CIHi       float64 `json:"ci_hi"`
 		Method     string  `json:"method"`
+		MinFaults  int     `json:"min_faults,omitempty"`
 		EffSamples float64 `json:"effective_samples"`
 		WeightVar  float64 `json:"weight_variance"`
 	}
@@ -219,6 +228,7 @@ func (pt RatePoint) MarshalJSON() ([]byte, error) {
 		CILo:       pt.CILo,
 		CIHi:       pt.CIHi,
 		Method:     pt.Method,
+		MinFaults:  pt.MinFaults,
 		EffSamples: pt.EffSamples,
 		WeightVar:  pt.WeightVar,
 	})
@@ -335,7 +345,8 @@ func (eo EstimateOptions) Validate() error {
 // are allocation-free in steady state. The sampling method follows Method:
 // "auto" (the default) switches per rate between direct sampling and the
 // rare-event conditional estimator, which resolves logical rates far below
-// 1/MaxShots by conditioning every shot on at least one fault. With
+// 1/MaxShots by conditioning every shot on at least one fault — two when
+// no single fault of the protocol fails (RatePoint.MinFaults). With
 // TargetRSE set, each sampled point runs adaptively until its relative
 // standard error reaches the target or MaxShots is exhausted, and reports
 // shots, RSE, a 95% Wilson confidence interval, the method that ran, and
@@ -396,6 +407,9 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 			pt.RSE = ar.RSE
 			pt.CILo, pt.CIHi = ar.CILo, ar.CIHi
 			pt.Method = ar.Method.String()
+			if ar.MinFaults > 1 {
+				pt.MinFaults = ar.MinFaults
+			}
 			pt.EffSamples = ar.EffectiveSamples
 			pt.WeightVar = ar.WeightVariance
 			res.Engine = est.EngineInUse().String()

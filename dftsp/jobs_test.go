@@ -48,7 +48,7 @@ func checkJobPointMatchesEstimate(t *testing.T, jp JobPoint, pt RatePoint) {
 	if jp.PL != pt.MC || jp.RSE != pt.RSE || jp.CILo != pt.CILo || jp.CIHi != pt.CIHi {
 		t.Errorf("point %d stats diverge from estimate:\n job     = %+v\n estimate= %+v", jp.Point, jp, pt)
 	}
-	if jp.Method != pt.Method || jp.EffSamples != pt.EffSamples || jp.WeightVar != pt.WeightVar {
+	if jp.Method != pt.Method || jp.MinFaults != pt.MinFaults || jp.EffSamples != pt.EffSamples || jp.WeightVar != pt.WeightVar {
 		t.Errorf("point %d diagnostics diverge from estimate:\n job     = %+v\n estimate= %+v", jp.Point, jp, pt)
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/store"
 )
 
-// TestProtocolBytesPinned pins the stored bytes of default-option protocols
-// and of the two "Opt"-encoder protocols of Table I.
+// TestProtocolBytesPinned pins the stored bytes of the default-option
+// protocol of every catalog code and of the two "Opt"-encoder protocols of
+// Table I.
 // Correction synthesis may get faster, but a change in which measurements or
 // recoveries it picks moves the simulated logical error rates (up to +30%
 // for Surface at p = 1e-2 with another optimal choice), so it must show
@@ -22,6 +23,9 @@ func TestProtocolBytesPinned(t *testing.T) {
 		{"[[11,1,3]]", "", "10011e7d4ea02acc0ff9f2dbcd19ed0dfa331f13cf4f5c3d3c2c3f8dfa977bc1"},
 		{"Carbon", "", "f2bedd31bec0505f431533bdb45b1d73ab6c685cbc49a995bcefae779e8b3348"},
 		{"[[16,2,4]]", "", "ca27dbfe8318913924e1534ac8cc7965caa1f69cb5cb5bba09413a79ee5f8927"},
+		{"Tetrahedral", "", "7f06184cc9459625bb33b4946a093c4047c805b393a82df18275d432c31c8fc9"},
+		{"Hamming", "", "4e9882929282216bbbe2d61c5875585d1583a5709b8c25e4eaba3b47988d03ea"},
+		{"Tesseract", "", "f5acd582f3d9d954ff1190f8bde3c49fa42614faffb8ff761bf7f6277bb43f50"},
 		{"Steane", PrepOptimal, "f21b64d4a55e3b3de3818706693f53ee00b59e708bb249d64485d07637a4fc09"},
 		{"Shor", PrepOptimal, "b172d94ef48f7b429f1cd9ef7b65f4c4f15aa57f76c4c91c4b61a469bd58618f"},
 	} {

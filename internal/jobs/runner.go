@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/noise"
 	"repro/internal/shardrpc"
 	"repro/internal/sim"
 )
@@ -50,6 +51,10 @@ type PointStatus struct {
 	// Method is the resolved sampling method ("direct" or "rare"); empty
 	// until the point has started.
 	Method string `json:"method,omitempty"`
+
+	// MinFaults is a rare point's conditioning k when it is 2 (every shot
+	// held at least two faults); omitted when 1.
+	MinFaults int `json:"min_faults,omitempty"`
 
 	// Shots and Fails are the durable pooled counts of the point.
 	Shots int64 `json:"shots"`
@@ -499,26 +504,26 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 			return err
 		}
 
-		// Resolve the method and warm the estimator's location cache on
-		// the coordinator, before shard tasks share the estimator
-		// read-only across workers.
+		// A new point resolves its sampling once and records it; a
+		// started point samples exactly as recorded.
 		model := spec.Model(rate)
-		method := reqMethod
-		if method == sim.MethodAuto {
-			method = est.CrossoverModel(model)
-		}
-		locs := 0
-		var classCounts []int
-		if method == sim.MethodRare {
-			counts := est.ClassCounts()
-			locs = counts[0] + counts[1] + counts[2]
-			if spec.Biased() {
-				classCounts = counts[:]
-			}
-		}
 		ps, ok := st.Points[i]
 		if !ok {
-			ps = PointState{Point: i, Rate: rate, Method: method.String(), Locations: locs, ClassCounts: classCounts}
+			s, err := est.Resolve(reqMethod, model)
+			if err != nil {
+				return err
+			}
+			ps = PointState{Point: i, Rate: rate, Method: s.Method.String()}
+			if s.Method == sim.MethodRare {
+				counts := est.ClassCounts()
+				ps.Locations = counts[0] + counts[1] + counts[2]
+				if spec.Biased() {
+					ps.ClassCounts = counts[:]
+				}
+				if s.MinFaults == 2 {
+					ps.MinFaults, ps.CondP = 2, s.CondP
+				}
+			}
 			if err := lg.Append(Record{Kind: "point", Point: i, State: &ps}); err != nil {
 				return err
 			}
@@ -557,8 +562,9 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				sh := sh
 				// The queue guarantees exactly one delivery, fenced by lease
 				// generation, whether the local pool or a remote worker runs
-				// the shard. The task carries the resolved engine and method
-				// so a worker samples the identical stream.
+				// the shard. The task carries the resolved engine and the
+				// point's recorded sampling so a worker samples the
+				// identical stream.
 				desc := shardrpc.Task{
 					ID:          shardrpc.TaskID(j.id, i, round, sh),
 					Job:         j.id,
@@ -567,7 +573,8 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 					Shard:       sh,
 					ProtocolKey: spec.ProtocolKey,
 					Engine:      est.EngineInUse().String(),
-					Method:      method.String(),
+					Method:      ps.Method,
+					MinFaults:   ps.MinFaults,
 					Model:       model,
 					Seed:        seed,
 					Block0:      b0,
@@ -743,17 +750,19 @@ func pointStatuses(spec Spec, points map[int]PointState) []PointStatus {
 // in-process estimate of the same counts would. Biased specs finish
 // rare-event counts with the point's durable per-class location counts; a
 // uniform point stores only its location total and passes it as a single
-// class, since under equal class rates only the total matters. A biased
-// rare point missing its class counts (which no writer produces) reports
-// raw counts only.
+// class, since under equal class rates only the total matters. A k = 1
+// rare point's conditioning weight follows from those counts, a k = 2
+// point's is its recorded CondP. A biased rare point missing its class
+// counts (which no writer produces) reports raw counts only.
 func pointStatus(spec Spec, ps PointState) PointStatus {
 	out := PointStatus{
-		Point:  ps.Point,
-		Rate:   ps.Rate,
-		Done:   ps.Done,
-		Method: ps.Method,
-		Shots:  ps.Counts.Shots,
-		Fails:  ps.Counts.Fails,
+		Point:     ps.Point,
+		Rate:      ps.Rate,
+		Done:      ps.Done,
+		Method:    ps.Method,
+		MinFaults: ps.MinFaults,
+		Shots:     ps.Counts.Shots,
+		Fails:     ps.Counts.Fails,
 	}
 	method, err := sim.ParseMethod(ps.Method)
 	if err != nil || ps.Counts.Shots <= 0 {
@@ -765,7 +774,12 @@ func pointStatus(spec Spec, ps PointState) PointStatus {
 	} else if spec.Biased() && method == sim.MethodRare {
 		return out
 	}
-	res, err := ps.Counts.ResultModel(method, spec.Model(ps.Rate), counts)
+	model := spec.Model(ps.Rate)
+	s := sim.Sampling{Method: method, MinFaults: ps.MinFaults, CondP: ps.CondP}
+	if method == sim.MethodRare && ps.MinFaults <= 1 {
+		s.CondP = noise.CondProbModel(model, counts)
+	}
+	res, err := ps.Counts.ResultModel(s, model, counts)
 	if err != nil {
 		return out
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/shardrpc"
 	"repro/internal/sim"
 )
@@ -92,6 +93,10 @@ func checkPointMatches(t *testing.T, label string, pt PointStatus, want sim.Adap
 		t.Errorf("%s: diagnostics (%s condP=%g eff=%g var=%g), want (%s condP=%g eff=%g var=%g)",
 			label, pt.Method, pt.CondP, pt.EffSamples, pt.WeightVar,
 			want.Method, want.CondP, want.EffectiveSamples, want.WeightVariance)
+	}
+	// min_faults is reported when it is 2 and omitted when it is 1.
+	if wantK := want.MinFaults; pt.MinFaults != wantK && !(wantK == 1 && pt.MinFaults == 0) {
+		t.Errorf("%s: min_faults %d, want %d", label, pt.MinFaults, wantK)
 	}
 }
 
@@ -665,5 +670,83 @@ func TestResumeAll(t *testing.T) {
 	}
 	if len(resumed) != 0 {
 		t.Fatalf("second ResumeAll resumed %d jobs, want 0", len(resumed))
+	}
+}
+
+// TestRareOldPointResumesK1 resumes a rare job whose first point was
+// started in the format written before k = 2 existed — no min_faults, one
+// k = 1 shard durable — and requires that point to finish as k = 1, bit
+// for bit the k = 1 stream over every block, while the job's new point
+// resolves to k = 2 and records its conditioning and weight durably.
+func TestRareOldPointResumesK1(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		ProtocolKey: testProtocolKey,
+		Method:      "rare",
+		Rates:       []float64{2e-3, 1e-3},
+		MCShots:     24 * sim.BlockShots, // three shards: two run concurrently on resume
+		Seed:        5,
+	}.Normalized()
+	est := sim.NewEstimator(steaneProto(t))
+	counts := est.ClassCounts()
+	_, budget := spec.Budget()
+	model := spec.Model(spec.Rates[0])
+	seed := sim.PointSeed(spec.Seed, 0)
+
+	lg, _, err := store.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := PointState{Point: 0, Rate: spec.Rates[0], Method: "rare", Locations: counts[0] + counts[1] + counts[2]}
+	if err := lg.Append(Record{Kind: "point", Point: 0, State: &ps}); err != nil {
+		t.Fatal(err)
+	}
+	old := shardrpc.Task{Engine: est.EngineInUse().String(), Method: "rare", Model: model, Seed: seed,
+		Block0: 0, Block1: ShardBlocks, Budget: budget}
+	c, err := old.Run(context.Background(), est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append(Record{Kind: "shard", Point: 0, Round: 0, Shard: 0, Counts: &c}); err != nil {
+		t.Fatal(err)
+	}
+	lg.Close()
+
+	// The k = 1 reference: every block of point 0 on one k = 1 runner.
+	k1 := sim.Sampling{Method: sim.MethodRare, MinFaults: 1, CondP: noise.CondProbModel(model, counts)}
+	br, err := est.NewBlockRunner(k1, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < sim.NumBlocks(budget); b++ {
+		br.RunBlock(context.Background(), seed, b, sim.BlockLen(budget, b))
+	}
+	want, err := br.Counts().ResultModel(k1, model, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(store, steaneResolver(t), 2, "")
+	defer r.Close(context.Background())
+	if _, err := r.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, r, spec.ID())
+	if st.State != StateDone {
+		t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+	}
+	checkPointMatches(t, "old point 0", st.Points[0], want)
+	checkPointMatches(t, "new point 1", st.Points[1], singleProcessPoint(t, spec, 1))
+
+	disk, err := store.Load(spec.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p0, p1 := disk.Points[0], disk.Points[1]; p0.MinFaults != 0 || p0.CondP != 0 || p1.MinFaults != 2 ||
+		p1.CondP != est.Singles().CondProb(spec.Model(spec.Rates[1])) {
+		t.Fatalf("durable points %+v / %+v: want the old point unconditioned on k and the new one at k = 2 with its weight", p0, p1)
 	}
 }

@@ -70,9 +70,10 @@ type Record struct {
 }
 
 // PointState is the durable state of one job point. A non-done state is
-// written when the point starts (pinning the resolved method, so offline
-// status needs no protocol); a done state carries the pooled counts the
-// final statistics are recomputed from.
+// written when the point starts (pinning the resolved sampling, so a
+// resumed point samples exactly as it started and offline status needs no
+// protocol); a done state carries the pooled counts the final statistics
+// are recomputed from.
 type PointState struct {
 	// Point is the point index in the spec's rate grid.
 	Point int `json:"point"`
@@ -83,6 +84,18 @@ type PointState struct {
 	// Method is the resolved sampling method, "direct" or "rare" (an
 	// "auto" spec resolves per point through the crossover policy).
 	Method string `json:"method"`
+
+	// MinFaults is the resolved rare-event conditioning k of a rare point
+	// (sim.Sampling.MinFaults): 2 when no single fault of the protocol
+	// fails. It is omitted when 1, so points written before k = 2 existed
+	// decode, resume and finish as k = 1.
+	MinFaults int `json:"min_faults,omitempty"`
+
+	// CondP is the exact conditioning weight P(#faults >= 2) of a k = 2
+	// point, recorded so offline status can finish its counts without the
+	// protocol's single-fault table; omitted otherwise (a k = 1 weight
+	// follows from the location counts).
+	CondP float64 `json:"cond_p,omitempty"`
 
 	// Locations is the protocol's fault-location count, needed to finish
 	// rare-event counts; 0 for direct points.

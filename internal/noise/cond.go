@@ -25,7 +25,8 @@ import (
 // This is the exact conditional law, not an approximation: replaying it and
 // reweighting verdicts by P(#faults >= 1) = 1-(1-p)^N reproduces the direct
 // Monte-Carlo distribution bit-for-bit in expectation, which is what the
-// overlap-regime cross-check tests pin statistically.
+// overlap-regime cross-check tests pin statistically. singles.go extends the
+// law to shots conditioned on at least two faults.
 
 // noFault marks a location counter value no real location reaches: a lane
 // (or scalar shot) whose next-fault index is noFault runs fault-free until
@@ -59,23 +60,18 @@ type condLaw struct {
 	cdf  []float64   // first-fault CDF over fault-free-path locations
 	kcls []uint8     // location class of each fault-free-path location
 	pfx  [][3]uint32 // pfx[j][c] = class-c locations among locations [0..j]
+
+	// pair is the K >= 2 law (singles.go); nil for the K >= 1 law.
+	pair *pairLaw
 }
 
 // newCondLaw builds the schedule for model m over a fault-free path with the
 // given location kinds. The caller guarantees 0 < CondP < 1 (see
 // NewCondSamplerModel).
 func newCondLaw(m Model, kinds []LocKind) condLaw {
-	l := condLaw{
-		chainLayout: layoutOf(m),
-		n:           uint32(len(kinds)),
-		condP:       CondProbModel(m, CountKinds(kinds)),
-		menus:       newMenuSet(m.Eta),
-	}
-	for c, p := range l.rate {
-		if p > 0 {
-			l.invLog[c] = 1 / math.Log1p(-p)
-		}
-	}
+	l := newChains(m)
+	l.n = uint32(len(kinds))
+	l.condP = CondProbModel(m, CountKinds(kinds))
 	if l.nch == 1 {
 		return l
 	}
@@ -104,6 +100,28 @@ func newCondLaw(m Model, kinds []LocKind) condLaw {
 	return l
 }
 
+// newChains returns the law's chain layout, geometric exponents and
+// operator menus for model m, with no first-fault tables yet.
+func newChains(m Model) condLaw {
+	l := condLaw{chainLayout: layoutOf(m), menus: newMenuSet(m.Eta)}
+	for c, p := range l.rate {
+		if p > 0 {
+			l.invLog[c] = 1 / math.Log1p(-p)
+		}
+	}
+	return l
+}
+
+// newCondLaw2 builds the K >= 2 schedule for model m over the protocol's
+// single-fault table. The caller guarantees every class rate below 1 and
+// 0 < tab.CondProb(m).
+func newCondLaw2(m Model, tab *Singles) condLaw {
+	l := newChains(m)
+	l.n = uint32(tab.N)
+	l.pair, l.condP = newPairLaw(m, tab)
+	return l
+}
+
 // at schedules chain c's next fault at or after chain-local location from:
 // from plus one geometric skip, saturating to noFault past the uint32 range
 // (no protocol executes 4 billion locations in one shot).
@@ -129,16 +147,7 @@ func (l *condLaw) first(rng *SplitMix64) [3]uint32 {
 		next[0] = min(j, l.n-1)
 		return next
 	}
-	u := rng.Float64()
-	lo, hi := 0, len(l.cdf)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if u <= l.cdf[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	lo := searchCDF(l.cdf, rng.Float64())
 	c0 := int(l.kcls[lo])
 	next[c0] = l.pfx[lo][c0] - 1 // the forced location, class-locally
 	for c := range next {
@@ -151,17 +160,18 @@ func (l *condLaw) first(rng *SplitMix64) [3]uint32 {
 	return next
 }
 
-// CondSampler is the >=1-fault conditional twin of SparseSampler for the
-// 64-lane batch engine: every live lane of every word is guaranteed at least
-// one fault, drawn from the exact conditional distribution above. Unlike
-// SparseSampler it must track per-lane location indices (the conditioning is
-// defined in each lane's own location order, which advances only while the
-// lane is in the active mask), so each draw costs one counter update per
-// active lane instead of the sparse sampler's single comparison per site —
-// the price of never sampling a fault-free shot.
+// CondSampler is the conditional twin of SparseSampler for the 64-lane
+// batch engine: every live lane of every word is guaranteed at least k
+// faults (k = 1, or k = 2 under the single-fault table's law), drawn from
+// the exact conditional distribution above. Unlike SparseSampler it must
+// track per-lane location indices (the conditioning is defined in each
+// lane's own location order, which advances only while the lane is in the
+// active mask), so each draw costs one counter update per active lane
+// instead of the sparse sampler's single comparison per site — the price of
+// never sampling a shot with fewer than k faults.
 //
-// Call Reset before every 64-shot word to redraw the forced first-fault
-// locations; a CondSampler is not safe for concurrent use.
+// Call Reset before every 64-shot word to redraw the forced faults; a
+// CondSampler is not safe for concurrent use.
 type CondSampler struct {
 	// P is the one-qubit-class physical fault probability — for a uniform
 	// model, the single rate of every location.
@@ -170,10 +180,10 @@ type CondSampler struct {
 	// N is the number of fault locations on the fault-free path.
 	N int
 
-	// CondP is the conditioning weight P(#faults >= 1) over the fault-free
-	// path (CondProbModel): the exact probability mass the conditional
-	// sample represents. Multiply conditional failure proportions by CondP
-	// to recover unconditional ones.
+	// CondP is the conditioning weight P(#faults >= k) — CondProbModel
+	// for k = 1, Singles.CondProb for k = 2: the exact probability mass the
+	// conditional sample represents. Multiply conditional failure
+	// proportions by CondP to recover unconditional ones.
 	CondP float64
 
 	// Faults[l] counts the faults injected into lane l since the last
@@ -185,6 +195,14 @@ type CondSampler struct {
 	law  condLaw
 	cnt  [3][64]uint32 // chain-local locations executed per lane since Reset
 	next [3][64]uint32 // chain-local index of each lane's next fault
+
+	// K >= 2 law only: each lane's fault after next on the chains in
+	// hasThen, and the table operator of the first fault of the lanes in
+	// forced.
+	then    [3][64]uint32
+	hasThen [3]uint64
+	forced  uint64
+	op      [64]Fault
 }
 
 // NewCondSamplerModel returns a conditional sampler for a per-class noise
@@ -197,8 +215,20 @@ type CondSampler struct {
 // exist (no faults to condition on, or conditioning vacuous and the plain
 // SparseSampler exact); callers validate before constructing.
 func NewCondSamplerModel(m Model, kinds []LocKind, seed uint64) *CondSampler {
-	s := &CondSampler{P: m.P1Q, N: len(kinds), rng: SplitMix64{State: seed}, law: newCondLaw(m, kinds)}
-	s.CondP = s.law.condP
+	return newCondSampler(m, newCondLaw(m, kinds), seed)
+}
+
+// NewCondSampler2 returns a K >= 2 conditional sampler for model m over the
+// protocol's single-fault table (singles.go): every live lane holds at least
+// two faults, the first one a table entry with the table's operator. Every
+// class rate must lie in [0, 1) and tab.CondProb(m) must be positive;
+// callers validate before constructing.
+func NewCondSampler2(m Model, tab *Singles, seed uint64) *CondSampler {
+	return newCondSampler(m, newCondLaw2(m, tab), seed)
+}
+
+func newCondSampler(m Model, law condLaw, seed uint64) *CondSampler {
+	s := &CondSampler{P: m.P1Q, N: int(law.n), CondP: law.condP, rng: SplitMix64{State: seed}, law: law}
 	s.Reset(0) // every lane fault-free until the first Reset
 	return s
 }
@@ -253,10 +283,12 @@ func CondProbModel(m Model, counts [3]int) float64 {
 func (s *CondSampler) Reseed(seed uint64) { s.rng.State = seed }
 
 // Reset begins a new 64-shot word: location counters and fault tallies
-// clear, and every lane in live gets its forced first fault from the shared
-// schedule (condLaw.first). Lanes outside live run fault-free.
+// clear, and every lane in live gets its forced faults from the shared
+// schedule (condLaw.first, or condLaw.pairs under the K >= 2 law). Lanes
+// outside live run fault-free.
 func (s *CondSampler) Reset(live uint64) {
 	s.Faults = [64]uint16{}
+	s.hasThen, s.forced = [3]uint64{}, 0
 	for c := 0; c < s.law.nch; c++ {
 		s.cnt[c] = [64]uint32{}
 		for lane := range s.next[c] {
@@ -265,17 +297,35 @@ func (s *CondSampler) Reset(live uint64) {
 	}
 	for l := live; l != 0; l &= l - 1 {
 		lane := bits.TrailingZeros64(l)
-		next := s.law.first(&s.rng)
-		for c := 0; c < s.law.nch; c++ {
-			s.next[c][lane] = next[c]
+		if s.law.pair == nil {
+			next := s.law.first(&s.rng)
+			for c := 0; c < s.law.nch; c++ {
+				s.next[c][lane] = next[c]
+			}
+			continue
 		}
+		sc := s.law.pairs(&s.rng)
+		bit := uint64(1) << lane
+		for c := 0; c < s.law.nch; c++ {
+			s.next[c][lane] = sc.next[c]
+			if sc.hasThen>>c&1 == 1 {
+				s.then[c][lane] = sc.then[c]
+				s.hasThen[c] |= bit
+			}
+		}
+		s.op[lane] = sc.op
+		s.forced |= bit
 	}
 }
 
 // draw advances every active lane by one location on the kind's chain and
 // fires the scheduled faults, mirroring BatchPlan's location semantics
-// (counters advance only while the lane is active).
-func (s *CondSampler) draw(kind LocKind, active uint64, visit func(lane uint)) {
+// (counters advance only while the lane is active). A fired fault
+// reschedules its chain — to the lane's planned fault after it, or one
+// geometric gap on — and then takes the table operator of a forced first
+// fault or, at gate locations, a draw from the kind's menu (a measurement
+// flip draws nothing).
+func (s *CondSampler) draw(kind LocKind, active uint64, visit func(lane uint, f Fault)) {
 	c := int(s.law.cls[kind])
 	cnt, next := &s.cnt[c], &s.next[c]
 	for a := active; a != 0; a &= a - 1 {
@@ -286,18 +336,29 @@ func (s *CondSampler) draw(kind LocKind, active uint64, visit func(lane uint)) {
 			continue
 		}
 		s.Faults[lane]++
-		next[lane] = s.law.at(&s.rng, c, loc+1)
-		visit(lane)
+		bit := uint64(1) << lane
+		if s.hasThen[c]&bit != 0 {
+			s.hasThen[c] &^= bit
+			next[lane] = s.then[c][lane]
+		} else {
+			next[lane] = s.law.at(&s.rng, c, loc+1)
+		}
+		var f Fault
+		switch {
+		case s.forced&bit != 0:
+			s.forced &^= bit
+			f = s.op[lane]
+		case kind != LocMeas:
+			f = s.law.menus[kind].draw(&s.rng)
+		}
+		visit(lane, f)
 	}
 }
 
 // Draw1Q implements BatchInjector: uniform {X, Y, Z} on faulted lanes.
 func (s *CondSampler) Draw1Q(active uint64) (x, z uint64) {
 	var w laneFaults
-	mn := &s.law.menus[Loc1Q]
-	s.draw(Loc1Q, active, func(lane uint) {
-		w.add(lane, mn.draw(&s.rng))
-	})
+	s.draw(Loc1Q, active, w.add)
 	return w.x1, w.z1
 }
 
@@ -306,10 +367,7 @@ func (s *CondSampler) Draw1Q(active uint64) (x, z uint64) {
 // — on faulted lanes.
 func (s *CondSampler) Draw2Q(active uint64) (x1, z1, x2, z2 uint64) {
 	var w laneFaults
-	mn := &s.law.menus[Loc2Q]
-	s.draw(Loc2Q, active, func(lane uint) {
-		w.add(lane, mn.draw(&s.rng))
-	})
+	s.draw(Loc2Q, active, w.add)
 	return w.x1, w.z1, w.x2, w.z2
 }
 
@@ -317,17 +375,17 @@ func (s *CondSampler) Draw2Q(active uint64) (x1, z1, x2, z2 uint64) {
 // Unlike CondInjector.Next it draws no operator from the one-element
 // measurement menu.
 func (s *CondSampler) DrawMeas(active uint64) (flip uint64) {
-	s.draw(LocMeas, active, func(lane uint) {
+	s.draw(LocMeas, active, func(lane uint, _ Fault) {
 		flip |= 1 << lane
 	})
 	return
 }
 
 // CondInjector is the scalar twin of CondSampler for the compiled and
-// interpreted engines: one shot per Reset, the same exact >=1-fault
-// conditional law drawn through the same schedule. It backs the rare-event
-// estimator's scalar fallback when a protocol exceeds the batch engine's
-// packing limits, and the scalar-vs-batch conditional cross-check.
+// interpreted engines: one shot per Reset, the same exact conditional law
+// drawn through the same schedule. It backs the rare-event estimator's
+// scalar fallback when a protocol exceeds the batch engine's packing
+// limits, and the scalar-vs-batch conditional cross-check.
 type CondInjector struct {
 	// P, N and CondP mirror the CondSampler fields.
 	P     float64
@@ -341,6 +399,12 @@ type CondInjector struct {
 	law  condLaw
 	cnt  [3]uint32 // chain-local locations executed since Reset
 	next [3]uint32 // chain-local index of the next fault
+
+	// K >= 2 law only, as in CondSampler.
+	then    [3]uint32
+	hasThen uint8
+	forced  bool
+	op      Fault
 }
 
 // NewCondInjectorModel returns a scalar conditional injector for a
@@ -348,8 +412,17 @@ type CondInjector struct {
 // (0 < CondP < 1), and a model with one shared class rate likewise runs the
 // single-chain path.
 func NewCondInjectorModel(m Model, kinds []LocKind, seed uint64) *CondInjector {
-	c := &CondInjector{P: m.P1Q, N: len(kinds), rng: SplitMix64{State: seed}, law: newCondLaw(m, kinds)}
-	c.CondP = c.law.condP
+	return newCondInjector(m, newCondLaw(m, kinds), seed)
+}
+
+// NewCondInjector2 returns a scalar K >= 2 conditional injector; the
+// argument contract matches NewCondSampler2.
+func NewCondInjector2(m Model, tab *Singles, seed uint64) *CondInjector {
+	return newCondInjector(m, newCondLaw2(m, tab), seed)
+}
+
+func newCondInjector(m Model, law condLaw, seed uint64) *CondInjector {
+	c := &CondInjector{P: m.P1Q, N: int(law.n), CondP: law.condP, rng: SplitMix64{State: seed}, law: law}
 	c.next = [3]uint32{noFault, noFault, noFault}
 	return c
 }
@@ -358,17 +431,25 @@ func NewCondInjectorModel(m Model, kinds []LocKind, seed uint64) *CondInjector {
 // constructed.
 func (c *CondInjector) Reseed(seed uint64) { c.rng.State = seed }
 
-// Reset begins a new shot: the location counters and fault tally clear and a
-// fresh forced first fault is drawn.
+// Reset begins a new shot: the location counters and fault tally clear and
+// fresh forced faults are drawn.
 func (c *CondInjector) Reset() {
 	c.Faults = 0
 	c.cnt = [3]uint32{}
-	c.next = c.law.first(&c.rng)
+	if c.law.pair == nil {
+		c.next = c.law.first(&c.rng)
+		return
+	}
+	sc := c.law.pairs(&c.rng)
+	c.next, c.then, c.hasThen = sc.next, sc.then, sc.hasThen
+	c.op, c.forced = sc.op, true
 }
 
-// Next implements Injector. Every fired fault draws its operator from the
-// kind's menu — at a measurement location the one-element menu still
-// consumes one RNG output, where CondSampler.DrawMeas draws none.
+// Next implements Injector. A fired fault reschedules its chain as
+// CondSampler.draw does; a forced first fault takes the table operator, and
+// every other fault draws its operator from the kind's menu — at a
+// measurement location the one-element menu still consumes one RNG output,
+// where CondSampler.DrawMeas draws none.
 func (c *CondInjector) Next(kind LocKind) Fault {
 	ch := int(c.law.cls[kind])
 	loc := c.cnt[ch]
@@ -377,6 +458,15 @@ func (c *CondInjector) Next(kind LocKind) Fault {
 		return Fault{}
 	}
 	c.Faults++
-	c.next[ch] = c.law.at(&c.rng, ch, loc+1)
+	if c.hasThen>>ch&1 == 1 {
+		c.hasThen &^= 1 << ch
+		c.next[ch] = c.then[ch]
+	} else {
+		c.next[ch] = c.law.at(&c.rng, ch, loc+1)
+	}
+	if c.forced {
+		c.forced = false
+		return c.op
+	}
 	return c.law.menus[kind].draw(&c.rng)
 }

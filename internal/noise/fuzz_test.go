@@ -3,6 +3,7 @@ package noise
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -206,14 +207,22 @@ func FuzzSparseSamplerModel(f *testing.F) {
 //   - on gate-only paths CondInjector matches a one-lane CondSampler draw
 //     for draw (they diverge only at measurements, where the injector
 //     draws from the one-element menu and the sampler draws nothing).
+//
+// With pairs set it also runs the K >= 2 law over a single-fault table
+// whose trajectories follow the path and then stop early, end with it, or
+// run on through the tail (checkPairs).
 func FuzzCondSamplerModel(f *testing.F) {
-	f.Add(uint64(1)<<60, uint64(1)<<60, uint64(1)<<60, uint64(1)<<61, uint64(1), uint64(11), 40, ^uint64(0), uint64(0))
-	f.Add(uint64(1)<<58, uint64(1)<<60, uint64(1)<<56, uint64(1)<<63, uint64(2), uint64(12), 90, ^uint64(0), ^uint64(0))
-	f.Add(uint64(0), uint64(1)<<61, uint64(0), uint64(0), uint64(3), uint64(13), 25, uint64(0xF0F0F0F0F0F0F0F0), uint64(0x0F))
-	f.Add(uint64(1)<<50, uint64(1)<<50, uint64(1)<<62, ^uint64(0), uint64(4), uint64(14), 150, uint64(1), uint64(0))
-	f.Add(^uint64(0), uint64(1)<<40, uint64(1)<<59, uint64(1)<<62, uint64(5), uint64(15), 1, uint64(0x8000000000000001), uint64(2))
+	f.Add(uint64(1)<<60, uint64(1)<<60, uint64(1)<<60, uint64(1)<<61, uint64(1), uint64(11), 40, ^uint64(0), uint64(0), false)
+	f.Add(uint64(1)<<58, uint64(1)<<60, uint64(1)<<56, uint64(1)<<63, uint64(2), uint64(12), 90, ^uint64(0), ^uint64(0), false)
+	f.Add(uint64(0), uint64(1)<<61, uint64(0), uint64(0), uint64(3), uint64(13), 25, uint64(0xF0F0F0F0F0F0F0F0), uint64(0x0F), false)
+	f.Add(uint64(1)<<50, uint64(1)<<50, uint64(1)<<62, ^uint64(0), uint64(4), uint64(14), 150, uint64(1), uint64(0), false)
+	f.Add(^uint64(0), uint64(1)<<40, uint64(1)<<59, uint64(1)<<62, uint64(5), uint64(15), 1, uint64(0x8000000000000001), uint64(2), false)
+	f.Add(uint64(1)<<60, uint64(1)<<60, uint64(1)<<60, uint64(1)<<61, uint64(6), uint64(16), 40, ^uint64(0), uint64(0), true)
+	f.Add(uint64(1)<<58, uint64(1)<<61, uint64(1)<<56, uint64(1)<<63, uint64(7), uint64(17), 120, ^uint64(0), ^uint64(0), true)
+	f.Add(uint64(0), uint64(1)<<61, uint64(1)<<59, uint64(0), uint64(8), uint64(18), 25, uint64(0xF0F0F0F0F0F0F0F0), uint64(0x0F), true)
+	f.Add(uint64(1)<<50, uint64(1)<<50, uint64(1)<<62, ^uint64(0), uint64(9), uint64(19), 3, uint64(1), uint64(0), true)
 
-	f.Fuzz(func(t *testing.T, p1Raw, p2Raw, pmRaw, etaRaw, seed, pathSeed uint64, n int, live, stray uint64) {
+	f.Fuzz(func(t *testing.T, p1Raw, p2Raw, pmRaw, etaRaw, seed, pathSeed uint64, n int, live, stray uint64, pairs bool) {
 		if n < 1 || n > 300 {
 			return
 		}
@@ -279,12 +288,29 @@ func FuzzCondSamplerModel(f *testing.F) {
 			}
 		}
 
+		if pairs {
+			checkPairs(t, m, seed, kinds, tail, live, stray, ctl.Next())
+		}
+
 		// Gate-only path: the scalar injector is a one-lane sampler.
 		if condP := CondProbModel(m, CountKinds(gates)); condP <= 0 || condP >= 1 {
 			return
 		}
 		s := NewCondSamplerModel(m, gates, seed)
 		c := NewCondInjectorModel(m, gates, seed)
+		if pairs {
+			// Every trajectory of the table is the whole gate path.
+			tab := &Singles{}
+			for j, k := range gates {
+				for oi := range OpsFor(k) {
+					tab.Add(j, oi, gates, false)
+				}
+			}
+			if tab.CondProb(m) <= 0 {
+				return
+			}
+			s, c = NewCondSampler2(m, tab, seed), NewCondInjector2(m, tab, seed)
+		}
 		for shot := 0; shot < 4; shot++ {
 			s.Reset(1)
 			c.Reset()
@@ -307,4 +333,102 @@ func FuzzCondSamplerModel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPairs runs the K >= 2 sampler over a single-fault table whose
+// trajectories are prefixes of the global site sequence path+tail: after
+// its first fault (j, op) a lane runs to a stop drawn from (j, op) — early
+// inside the path, at the path's end, or through the tail. Live lanes walk
+// their trajectories exactly; stray lanes are active at random and must
+// never fault. Every live lane must tally at least two faults, its first
+// one carrying the operator of the table entry the law drew.
+func checkPairs(t *testing.T, m Model, seed uint64, path, tail []LocKind, live, stray, salt uint64) {
+	t.Helper()
+	sites := append(path[:len(path):len(path)], tail...)
+	n := len(path)
+	stop := func(j, oi int) int {
+		h := SplitMix64{State: salt ^ uint64(j*16+oi)}
+		switch v := h.Next(); v % 3 {
+		case 0:
+			return n
+		case 1:
+			return len(sites)
+		default:
+			return j + 1 + int(v>>8%uint64(n-j))
+		}
+	}
+	tab := &Singles{}
+	for j, k := range path {
+		for oi := range OpsFor(k) {
+			tab.Add(j, oi, sites[:stop(j, oi)], false)
+		}
+	}
+	if m.MaxRate() >= 1 || tab.CondProb(m) <= 0 {
+		return // outside the K >= 2 sampler's contract
+	}
+	s := NewCondSampler2(m, tab, seed)
+	ctl := SplitMix64{State: salt}
+	for word := 0; word < 3; word++ {
+		s.Reset(live)
+		forced := s.op // the table operators the law drew
+		var fired [64]int
+		var end [64]int // each lane's trajectory end; the path's until its first fault
+		for lane := range end {
+			end[lane] = n
+		}
+		for i, k := range sites {
+			var on uint64
+			for lane := 0; lane < 64; lane++ {
+				if i < end[lane] {
+					on |= 1 << lane
+				}
+			}
+			active := live&on | stray&^live&ctl.Next()
+			var ops [64]Fault
+			var hit uint64
+			switch k {
+			case Loc1Q:
+				x, z := s.Draw1Q(active)
+				hit = x | z
+				for h := hit; h != 0; h &= h - 1 {
+					l := bits.TrailingZeros64(h)
+					ops[l].P1 = byte(x>>l&1 | z>>l&1<<1)
+				}
+			case Loc2Q:
+				x1, z1, x2, z2 := s.Draw2Q(active)
+				hit = x1 | z1 | x2 | z2
+				for h := hit; h != 0; h &= h - 1 {
+					l := bits.TrailingZeros64(h)
+					ops[l] = Fault{P1: byte(x1>>l&1 | z1>>l&1<<1), P2: byte(x2>>l&1 | z2>>l&1<<1)}
+				}
+			default:
+				hit = s.DrawMeas(active)
+				for h := hit; h != 0; h &= h - 1 {
+					ops[bits.TrailingZeros64(h)].Flip = true
+				}
+			}
+			if hit&^(active&live) != 0 {
+				t.Fatalf("pairs word %d site %d: fault %016x outside active %016x & live %016x", word, i, hit, active, live)
+			}
+			for h := hit; h != 0; h &= h - 1 {
+				l := bits.TrailingZeros64(h)
+				if fired[l]++; fired[l] > 1 {
+					continue
+				}
+				if i >= n || ops[l] != forced[l] {
+					t.Fatalf("pairs word %d lane %d: first fault %+v at site %d, want the table operator %+v on the path", word, l, ops[l], i, forced[l])
+				}
+				oi := slices.Index(OpsFor(k), ops[l])
+				end[l] = stop(i, oi)
+			}
+		}
+		for lane := 0; lane < 64; lane++ {
+			if int(s.Faults[lane]) != fired[lane] {
+				t.Fatalf("pairs word %d lane %d: Faults = %d, %d sites fired", word, lane, s.Faults[lane], fired[lane])
+			}
+			if live>>lane&1 == 1 && fired[lane] < 2 {
+				t.Fatalf("pairs word %d lane %d: %d faults on a K >= 2 shot", word, lane, fired[lane])
+			}
+		}
+	}
 }

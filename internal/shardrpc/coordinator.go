@@ -517,16 +517,17 @@ func (c *Coordinator) Complete(workerID, taskID string, gen uint64, counts sim.C
 }
 
 // validateCounts checks a completion's counts against the task's exact
-// expected shot total and the shape sim requires of counts sampled by the
-// task's method (sim.Counts.Validate).
+// expected shot total and the shape sim requires of counts sampled under
+// the task's sampling (sim.Counts.Validate): a rare task conditioned on k
+// faults has no stratum below k.
 func validateCounts(desc Task, counts sim.Counts) error {
 	if want := desc.ExpectedShots(); counts.Shots != want {
 		return fmt.Errorf("%w: %d shots, task requires exactly %d", ErrGarbageCompletion, counts.Shots, want)
 	}
-	// A task's method is resolved by its producer; an unparseable one
-	// validates as a non-rare method, whose counts carry no strata.
-	method, _ := sim.ParseMethod(desc.Method)
-	if err := counts.Validate(method); err != nil {
+	// A task's sampling is resolved by its producer; an unparseable method
+	// validates as a non-rare one, whose counts carry no strata.
+	s, _ := desc.Sampling()
+	if err := counts.Validate(s); err != nil {
 		return fmt.Errorf("%w: %v", ErrGarbageCompletion, err)
 	}
 	return nil

@@ -337,6 +337,47 @@ func TestCompletionMatrix(t *testing.T) {
 			}
 			expectDelivered(t, rch, good)
 		}},
+		{"rare strata below the conditioning rejected", func(t *testing.T, c *Coordinator, clock *fakeClock, reg *telemetry.Registry, ch chan delivery) {
+			a, _, _ := c.Register("a")
+			c.Lease(a, 0) // t1 stays held, so every lease below grants the rare task
+			strata := func(s ...sim.StratumCount) sim.Counts {
+				return sim.Counts{Shots: sim.BlockShots, Fails: 3, Strata: s}
+			}
+			// Every conditional shot holds at least k faults, so a W < k
+			// stratum cannot come from a faithful run.
+			for i, tc := range []struct {
+				name      string
+				k         int
+				bad, good sim.Counts
+			}{
+				{"W = 0 at k = 1", 0,
+					strata(sim.StratumCount{W: 0, Shots: 10}, sim.StratumCount{W: 1, Shots: sim.BlockShots - 10, Fails: 3}),
+					strata(sim.StratumCount{W: 1, Shots: sim.BlockShots - 10}, sim.StratumCount{W: 2, Shots: 10, Fails: 3})},
+				{"W = 1 at k = 2", 2,
+					strata(sim.StratumCount{W: 1, Shots: 10}, sim.StratumCount{W: 2, Shots: sim.BlockShots - 10, Fails: 3}),
+					strata(sim.StratumCount{W: 2, Shots: sim.BlockShots - 10, Fails: 2}, sim.StratumCount{W: 3, Shots: 10, Fails: 1})},
+			} {
+				rare := testTask(fmt.Sprintf("r%d", i))
+				rare.Method, rare.MinFaults = "rare", tc.k
+				rch := offer(c, rare)
+				lr, _ := c.Lease(a, 0)
+				if lr == nil || lr.Task.ID != rare.ID {
+					t.Fatalf("%s: lease = %+v, want %s", tc.name, lr, rare.ID)
+				}
+				if _, err := c.Complete(a, rare.ID, lr.Gen, tc.bad); !errors.Is(err, ErrGarbageCompletion) {
+					t.Fatalf("%s: %v, want ErrGarbageCompletion", tc.name, err)
+				}
+				expectNone(t, rch)
+				lr, _ = c.Lease(a, 0)
+				if dup, err := c.Complete(a, rare.ID, lr.Gen, tc.good); err != nil || dup {
+					t.Fatalf("%s: good completion: dup=%v err=%v", tc.name, dup, err)
+				}
+				expectDelivered(t, rch, tc.good)
+			}
+			if got := c.metrics.garbage.Value(); got != 2 {
+				t.Fatalf("garbage = %d, want 2", got)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

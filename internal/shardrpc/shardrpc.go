@@ -35,10 +35,11 @@ const PathPrefix = "/shardrpc/v1/"
 const LocalHolder = "local"
 
 // Task describes one shard of an estimation job: which blocks to run, with
-// which protocol, engine, method, noise model and seed. It carries the
+// which protocol, engine, sampling, noise model and seed. It carries the
 // coordinator's fully resolved choices — Engine and Method are never
-// "auto" — so every worker samples the exact stream the coordinator's own
-// pool would, regardless of the worker's environment.
+// "auto", and a rare task names its conditioning — so every worker samples
+// the exact stream the coordinator's own pool would, regardless of the
+// worker's environment.
 type Task struct {
 	// ID names the task uniquely within the coordinator ("job/point/round/shard").
 	ID string `json:"id"`
@@ -59,6 +60,12 @@ type Task struct {
 
 	// Method is the resolved sampling method ("direct" or "rare").
 	Method string `json:"method"`
+
+	// MinFaults is the resolved rare-event conditioning k of a "rare"
+	// task: every shot holds at least k faults (sim.Sampling.MinFaults).
+	// It is omitted when 1, so a task encoded before k = 2 existed decodes
+	// and runs as k = 1.
+	MinFaults int `json:"min_faults,omitempty"`
 
 	// Model is the per-location-class noise model of the task's rate point.
 	Model noise.Model `json:"model"`
@@ -87,19 +94,28 @@ func (t Task) ExpectedShots() int64 {
 	return total
 }
 
+// Sampling returns the task's resolved sampling: its method and, for a
+// rare task, its conditioning. The conditioning weight is left 0; only the
+// point's finisher needs it.
+func (t Task) Sampling() (sim.Sampling, error) {
+	method, err := sim.ParseMethod(t.Method)
+	return sim.Sampling{Method: method, MinFaults: t.MinFaults}, err
+}
+
 // Run executes the task's block range [Block0, Block1) on one
 // sim.BlockRunner and returns the shard's counts. It is the one shard
 // executor: the coordinator's local pool and every remote worker run it,
 // so both sample the identical streams; est must already sample on the
-// task's resolved Engine. ctx is checked before every block and after the
-// last, and a cancelled run returns ctx.Err() with zero counts — a partial
-// shard never leaves Run.
+// task's resolved Engine. The task's sampling is run as recorded, never
+// re-resolved. ctx is checked before every block and after the last, and a
+// cancelled run returns ctx.Err() with zero counts — a partial shard never
+// leaves Run.
 func (t Task) Run(ctx context.Context, est *sim.Estimator) (sim.Counts, error) {
-	method, err := sim.ParseMethod(t.Method)
+	s, err := t.Sampling()
 	if err != nil {
 		return sim.Counts{}, err
 	}
-	br, err := est.NewBlockRunnerModel(method, t.Model)
+	br, err := est.NewBlockRunner(s, t.Model)
 	if err != nil {
 		return sim.Counts{}, err
 	}

@@ -2,8 +2,10 @@ package shardrpc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -68,5 +70,64 @@ func TestTaskRunCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || !reflect.DeepEqual(got, sim.Counts{}) {
 			t.Fatalf("Run cancelled at poll %d of %d = %+v, %v; want zero counts and context.Canceled", trip, polls, got, err)
 		}
+	}
+}
+
+// TestRareOldTaskRunsK1 decodes a rare task encoded before the
+// conditioning field existed and requires it to run the k = 1 stream bit
+// for bit — the stream a k = 1 block runner samples over the same blocks —
+// while a k = 2 task carries min_faults on the wire, samples only shots
+// with at least two faults, and a k = 1 task encodes exactly as before.
+func TestRareOldTaskRunsK1(t *testing.T) {
+	p, err := core.Build(context.Background(), code.Steane(), core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := sim.NewEstimator(p)
+	ctx := context.Background()
+	old := `{"id":"job/0/0/0","job":"job","point":0,"round":0,"shard":0,"protocol_key":"k",` +
+		`"engine":"batch","method":"rare","model":{"p_1q":0.001,"p_2q":0.001,"p_meas":0.001,"eta":1},` +
+		`"seed":9,"block0":0,"block1":2,"budget":8000}`
+	var task Task
+	if err := json.Unmarshal([]byte(old), &task); err != nil {
+		t.Fatal(err)
+	}
+	got, err := task.Run(ctx, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := est.NewBlockRunner(sim.Sampling{Method: sim.MethodRare, MinFaults: 1}, task.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 2; b++ {
+		br.RunBlock(ctx, task.Seed, b, sim.BlockLen(task.Budget, b))
+	}
+	if want := br.Counts(); !reflect.DeepEqual(got, want) || got.Strata[0].W != 1 {
+		t.Fatalf("old rare task ran %+v, want the k = 1 stream %+v", got, want)
+	}
+	if data, err := json.Marshal(task); err != nil || string(data) != old {
+		t.Fatalf("k = 1 task re-encodes as %s (%v), want %s", data, err, old)
+	}
+
+	task.MinFaults = 2
+	data, err := json.Marshal(task)
+	if err != nil || !strings.Contains(string(data), `"min_faults":2`) {
+		t.Fatalf("k = 2 task encodes as %s (%v)", data, err)
+	}
+	var k2 Task
+	if err := json.Unmarshal(data, &k2); err != nil || k2 != task {
+		t.Fatalf("k = 2 task decodes as %+v (%v)", k2, err)
+	}
+	c2, err := k2.Run(ctx, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.Shots != task.ExpectedShots() || c2.Strata[0].W < 2 {
+		t.Fatalf("k = 2 task sampled %+v; want %d shots, none below two faults", c2, task.ExpectedShots())
+	}
+	s, _ := k2.Sampling()
+	if err := c2.Validate(s); err != nil {
+		t.Fatalf("k = 2 counts fail their own validation: %v", err)
 	}
 }

@@ -17,8 +17,8 @@ type AdaptiveResult struct {
 	PL float64
 
 	// Shots and Fails are the executed shot count and observed failures.
-	// For the rare-event estimator both count conditional (>= 1 fault)
-	// shots.
+	// For the rare-event estimator both count conditional (>= MinFaults
+	// faults) shots.
 	Shots int
 	Fails int
 
@@ -40,8 +40,14 @@ type AdaptiveResult struct {
 	// MethodRare (never MethodAuto — auto resolves before sampling).
 	Method Method
 
-	// CondP is the conditioning weight P(#faults >= 1) applied to the
-	// conditional failure proportion; 1 for direct sampling.
+	// MinFaults is the rare-event conditioning k — every shot held at
+	// least k faults: 2 when no single fault fails, 1 otherwise (Resolve);
+	// 0 for direct sampling.
+	MinFaults int
+
+	// CondP is the conditioning weight P(#faults >= k), k = MinFaults,
+	// applied to the conditional failure proportion; 1 for direct
+	// sampling.
 	CondP float64
 
 	// EffectiveSamples is the Kish effective sample size of the run under

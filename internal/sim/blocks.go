@@ -161,29 +161,31 @@ func (c Counts) Converged(targetRSE float64) bool {
 	return targetRSE > 0 && c.Fails > 0 && RSE(c.Fails, c.Shots) <= targetRSE
 }
 
-// Validate checks that c has the shape of counts sampled by method, the
+// Validate checks that c has the shape of counts sampled under s, the
 // shape BlockRunner.Counts and PoolCounts produce and ResultModel trusts:
-// fails within [0, Shots]; no strata unless method is MethodRare; and for
-// MethodRare, strata in strictly increasing W within [0, rareMaxW], each
-// with fails within [0, shots], whose shots and fails sum exactly to the
-// totals. Counts that cross a process boundary must pass it before they are
-// pooled: a stratum outside the range or a missing breakdown would
+// fails within [0, Shots]; no strata unless s.Method is MethodRare; and for
+// MethodRare conditioned on k faults, strata in strictly increasing W
+// within [k, rareMaxW] — every conditional shot holds at least k faults —
+// each with fails within [0, shots], whose shots and fails sum exactly to
+// the totals. Counts that cross a process boundary must pass it before they
+// are pooled: a stratum outside the range or a missing breakdown would
 // otherwise finish silently into different diagnostics.
-func (c Counts) Validate(method Method) error {
+func (c Counts) Validate(s Sampling) error {
 	if c.Shots < 0 || c.Fails < 0 || c.Fails > c.Shots {
 		return fmt.Errorf("sim: %d fails out of %d shots", c.Fails, c.Shots)
 	}
-	if method != MethodRare {
+	if s.Method != MethodRare {
 		if len(c.Strata) > 0 {
-			return fmt.Errorf("sim: %v counts carry %d strata", method, len(c.Strata))
+			return fmt.Errorf("sim: %v counts carry %d strata", s.Method, len(c.Strata))
 		}
 		return nil
 	}
+	k := s.k()
 	var shots, fails int64
 	for i, s := range c.Strata {
 		switch {
-		case s.W < 0 || s.W > rareMaxW:
-			return fmt.Errorf("sim: stratum w=%d outside [0, %d]", s.W, rareMaxW)
+		case s.W < k || s.W > rareMaxW:
+			return fmt.Errorf("sim: stratum w=%d outside [%d, %d]", s.W, k, rareMaxW)
 		case i > 0 && s.W <= c.Strata[i-1].W:
 			return fmt.Errorf("sim: stratum w=%d repeated or out of order", s.W)
 		case s.Shots < 0 || s.Fails < 0 || s.Fails > s.Shots:
@@ -233,36 +235,40 @@ func PoolCounts(parts ...Counts) Counts {
 }
 
 // ResultModel finishes a pooled count into the derived statistics of an
-// adaptive run under the noise model m: the rate estimate, RSE and 95%
-// Wilson confidence interval, plus — for MethodRare — the conditioning
-// weight CondP = noise.CondProbModel(m, counts), the Kish effective sample
-// size and the weight variance under the fault-count post-stratification
-// weights of CondWeightsModel. It computes exactly what AdaptiveModel
-// computes from its own in-process counts (they share this code), so a
-// coordinator pooling checkpointed shard counts reproduces the
+// adaptive run sampled under s and the noise model m: the rate estimate,
+// RSE and 95% Wilson confidence interval, plus — for MethodRare — the
+// conditioning weight s.CondP = P(#faults >= k) with PL = CondP·q, the Kish
+// effective sample size and the weight variance under the fault-count
+// post-stratification weights of CondWeightsModel. Those weights are the
+// fault-free-path binomial; a k = 2 pool has no stratum below 2, so its
+// diagnostics are those of the binomial truncated to w >= 2 (the Kish size
+// does not depend on the weights' normalization). It computes exactly what
+// AdaptiveModel computes from its own in-process counts (they share this
+// code), so a coordinator pooling checkpointed shard counts reproduces the
 // single-process result bit-identically — except ShotsPerSec, which is
 // wall-clock and stays 0 here.
 //
-// method must be resolved (MethodDirect or MethodRare, not MethodAuto). A
+// s must be resolved (MethodDirect or MethodRare, not MethodAuto). A
 // direct pool's statistics do not depend on the model. counts holds the
 // protocol's fault locations by class (Estimator.ClassCounts) and is used
 // only by MethodRare; under a uniform-rate model only its total matters, so
 // a uniform pool may pass the location total as a single class. MethodRare
-// also requires every class rate below 1 and a model that fires at least
-// one fault (ErrBadRate). Counts with no shots wrap ErrBadShots.
-func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (AdaptiveResult, error) {
+// also requires every class rate below 1 and a positive s.CondP
+// (ErrBadRate), and k of 1 or 2 (ErrBadConditioning). Counts with no shots
+// wrap ErrBadShots.
+func (c Counts) ResultModel(s Sampling, m noise.Model, counts [3]int) (AdaptiveResult, error) {
 	if c.Shots <= 0 {
 		return AdaptiveResult{}, fmt.Errorf("%w: cannot finish a pool of %d shots", ErrBadShots, c.Shots)
 	}
 	res := AdaptiveResult{
 		Shots:  int(c.Shots),
 		Fails:  int(c.Fails),
-		Method: method,
+		Method: s.Method,
 		RSE:    RSE(c.Fails, c.Shots),
 	}
 	q := float64(c.Fails) / float64(c.Shots)
 	lo, hi := Wilson(int(c.Fails), int(c.Shots))
-	switch method {
+	switch s.Method {
 	case MethodDirect:
 		res.PL, res.CondP = q, 1
 		res.CILo, res.CIHi = lo, hi
@@ -270,16 +276,20 @@ func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (Adapti
 		return res, nil
 	case MethodRare:
 	default:
-		return AdaptiveResult{}, fmt.Errorf("sim: Counts.ResultModel needs a resolved method (direct or rare), got %q", method)
+		return AdaptiveResult{}, fmt.Errorf("sim: Counts.ResultModel needs a resolved method (direct or rare), got %q", s.Method)
 	}
 
 	if m.MaxRate() >= 1 {
 		return AdaptiveResult{}, fmt.Errorf("%w: max class rate = %g", ErrBadRate, m.MaxRate())
 	}
-	condP := noise.CondProbModel(m, counts)
-	if condP <= 0 {
-		return AdaptiveResult{}, fmt.Errorf("%w: model fires no faults on %d fault locations", ErrBadRate, counts[0]+counts[1]+counts[2])
+	k, condP := s.k(), s.CondP
+	if k > 2 {
+		return AdaptiveResult{}, fmt.Errorf("%w: %d faults (want 1 or 2)", ErrBadConditioning, k)
 	}
+	if !(condP > 0 && condP <= 1) {
+		return AdaptiveResult{}, fmt.Errorf("%w: conditioning weight %g outside (0, 1]", ErrBadRate, condP)
+	}
+	res.MinFaults = k
 	res.PL, res.CondP = condP*q, condP
 	res.CILo, res.CIHi = condP*lo, condP*hi
 
@@ -306,7 +316,7 @@ func (c Counts) ResultModel(method Method, m noise.Model, counts [3]int) (Adapti
 type stratum struct{ shots, fails int }
 
 // BlockRunner samples deterministic blocks of the adaptive scheduler's grid
-// for one (method, noise model) pair: block b of a run seeded s always
+// for one (sampling, noise model) pair: block b of a run seeded s always
 // draws from the RNG stream keyed by (s, b), so any assignment of blocks to
 // runners — across goroutines, processes or machines — accumulates the same
 // per-block (shots, fails, strata) counts. It is the primitive under
@@ -347,35 +357,64 @@ type reseedableBatch interface {
 }
 
 // NewBlockRunnerModel builds a block sampler for the noise model m —
-// noise.Uniform(p) for the paper's model. method may be MethodAuto, which
-// resolves through the crossover policy (CrossoverModel); an explicit
-// MethodRare requires every class rate below 1 and a model that can fire at
-// least one fault on the protocol (ErrBadRate). The runner samples on the
-// estimator's selected engine (SetEngine), which is part of the
-// deterministic identity of the stream: batch and scalar engines draw
-// different RNG sequences.
+// noise.Uniform(p) for the paper's model — under the sampling Resolve
+// picks for method: MethodAuto resolves through the crossover policy
+// (CrossoverModel), and an explicit MethodRare requires every class rate
+// below 1 and a model that can fire at least one fault on the protocol
+// (ErrBadRate).
 func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*BlockRunner, error) {
-	m, err := est.resolveMethodModel(method, model)
+	s, err := est.Resolve(method, model)
 	if err != nil {
 		return nil, err
 	}
-	r := &BlockRunner{est: est, method: m}
+	return est.NewBlockRunner(s, model)
+}
+
+// NewBlockRunner builds a block sampler for a resolved sampling under the
+// noise model m: the sampling recorded for a job point or carried by a
+// shard task, run exactly as recorded and never re-resolved. A rare-event
+// sampling conditioned on k faults needs what est.rare needs of k
+// (ErrBadRate, ErrBadConditioning). The runner samples on the estimator's
+// selected engine (SetEngine), which is part of the deterministic identity
+// of the stream: batch and scalar engines draw different RNG sequences.
+func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, error) {
+	k := 0 // direct
+	switch s.Method {
+	case MethodDirect:
+	case MethodRare:
+		rs, err := est.rare(s.MinFaults, m)
+		if err != nil {
+			return nil, err
+		}
+		k = rs.MinFaults
+	default:
+		return nil, fmt.Errorf("sim: a block runner needs a resolved method (direct or rare), got %q", s.Method)
+	}
+	r := &BlockRunner{est: est, method: s.Method}
 	if est.useBatch() {
 		r.bs = est.batch.NewShot()
-		if m == MethodRare {
-			r.csmp = noise.NewCondSamplerModel(model, est.LocationKinds(), 0)
+		switch k {
+		case 2:
+			r.csmp = noise.NewCondSampler2(m, est.Singles(), 0)
 			r.binj = r.csmp
-		} else {
-			r.binj = noise.NewSparseSamplerModel(model, 0)
+		case 1:
+			r.csmp = noise.NewCondSamplerModel(m, est.LocationKinds(), 0)
+			r.binj = r.csmp
+		default:
+			r.binj = noise.NewSparseSamplerModel(m, 0)
 		}
 		return r, nil
 	}
 
-	if m == MethodRare {
-		r.cj = noise.NewCondInjectorModel(model, est.LocationKinds(), 0)
+	switch k {
+	case 2:
+		r.cj = noise.NewCondInjector2(m, est.Singles(), 0)
 		r.inj, r.reseed = r.cj, r.cj.Reseed
-	} else {
-		dep := noise.NewDepolarizing(model, rand.New(rand.NewSource(0)))
+	case 1:
+		r.cj = noise.NewCondInjectorModel(m, est.LocationKinds(), 0)
+		r.inj, r.reseed = r.cj, r.cj.Reseed
+	default:
+		dep := noise.NewDepolarizing(m, rand.New(rand.NewSource(0)))
 		r.inj = dep
 		r.reseed = func(seed uint64) { dep.Rng.Seed(int64(seed)) }
 	}

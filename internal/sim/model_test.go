@@ -306,11 +306,11 @@ func TestResultModelBoundaries(t *testing.T) {
 	counts := [3]int{10, 20, 5}
 	pool := Counts{Shots: 4096, Fails: 17, Strata: []StratumCount{{W: 1, Shots: 4000, Fails: 10}, {W: 2, Shots: 96, Fails: 7}}}
 
-	single, err := pool.ResultModel(MethodRare, noise.Uniform(0.01), [3]int{35})
+	single, err := pool.ResultModel(rareK1(noise.Uniform(0.01), [3]int{35}), noise.Uniform(0.01), [3]int{35})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := pool.ResultModel(MethodRare, noise.Uniform(0.01), counts)
+	model, err := pool.ResultModel(rareK1(noise.Uniform(0.01), counts), noise.Uniform(0.01), counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestResultModelBoundaries(t *testing.T) {
 		t.Fatalf("uniform ResultModel depends on the class split:\nsingle %+v\nmodel  %+v", single, model)
 	}
 
-	direct, err := pool.ResultModel(MethodDirect, noise.Model{P1Q: 0, P2Q: 1, PMeas: 0.5, Eta: 1}, counts)
+	direct, err := pool.ResultModel(directSampling, noise.Model{P1Q: 0, P2Q: 1, PMeas: 0.5, Eta: 1}, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +326,14 @@ func TestResultModelBoundaries(t *testing.T) {
 		t.Fatalf("direct boundary-model result %+v", direct)
 	}
 
-	if _, err := pool.ResultModel(MethodRare, noise.Model{P1Q: 0.5, P2Q: 1, PMeas: 0.5, Eta: 1}, counts); !errors.Is(err, ErrBadRate) {
-		t.Fatalf("rate-1 class rare pool: err = %v, want ErrBadRate", err)
+	if m := (noise.Model{P1Q: 0.5, P2Q: 1, PMeas: 0.5, Eta: 1}); !errors.Is(poolErr(pool, m, counts), ErrBadRate) {
+		t.Fatal("rate-1 class rare pool: want ErrBadRate")
 	}
-	if _, err := pool.ResultModel(MethodRare, noise.Model{P1Q: 0, P2Q: 0, PMeas: 0.5, Eta: 1}, [3]int{10, 20, 0}); !errors.Is(err, ErrBadRate) {
-		t.Fatalf("zero-CondP rare pool: err = %v, want ErrBadRate", err)
+	if m := (noise.Model{P1Q: 0, P2Q: 0, PMeas: 0.5, Eta: 1}); !errors.Is(poolErr(pool, m, [3]int{10, 20, 0}), ErrBadRate) {
+		t.Fatal("zero-CondP rare pool: want ErrBadRate")
 	}
 
-	biased, err := pool.ResultModel(MethodRare, biasedTestModel(1e-3), counts)
+	biased, err := pool.ResultModel(rareK1(biasedTestModel(1e-3), counts), biasedTestModel(1e-3), counts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestUniformStreamsPinned(t *testing.T) {
 		if err := est.SetEngine(tc.engine); err != nil {
 			t.Fatal(err)
 		}
-		_, rare, err := est.adaptive(ctx, MethodRare, noise.Uniform(5e-3), 0, 65536, 7, 2)
+		_, rare, err := rareAt(ctx, est, 1, noise.Uniform(5e-3), 0, 65536, 7, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestModelStreamsPinned(t *testing.T) {
 		if err := est.SetEngine(tc.engine); err != nil {
 			t.Fatal(err)
 		}
-		_, rare, err := est.adaptive(ctx, MethodRare, tc.model, 0, 65536, 7, 2)
+		_, rare, err := rareAt(ctx, est, 1, tc.model, 0, 65536, 7, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

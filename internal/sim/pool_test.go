@@ -82,7 +82,7 @@ func TestCountsResultDirectBig(t *testing.T) {
 		{0, 1}, {0, 10_000_000}, {1, 4096}, {43, 4000}, {4000, 4000}, {123456, 10_000_000},
 	}
 	for _, tc := range cases {
-		res, err := Counts{Shots: tc.shots, Fails: tc.fails}.ResultModel(MethodDirect, noise.Uniform(1e-2), [3]int{0})
+		res, err := Counts{Shots: tc.shots, Fails: tc.fails}.ResultModel(directSampling, noise.Uniform(1e-2), [3]int{0})
 		if err != nil {
 			t.Fatalf("ResultModel(%d/%d): %v", tc.fails, tc.shots, err)
 		}
@@ -136,7 +136,7 @@ func TestCountsResultRareBig(t *testing.T) {
 			{W: 2, Shots: 900, Fails: 12},
 			{W: 3, Shots: 100, Fails: 5},
 		}}
-		res, err := c.ResultModel(MethodRare, noise.Uniform(p), [3]int{n})
+		res, err := c.ResultModel(rareK1(noise.Uniform(p), [3]int{n}), noise.Uniform(p), [3]int{n})
 		if err != nil {
 			t.Fatalf("p=%g: %v", p, err)
 		}
@@ -178,18 +178,43 @@ func TestCountsResultRareBig(t *testing.T) {
 	}
 }
 
+// directSampling is the resolved direct sampling.
+var directSampling = Sampling{Method: MethodDirect, CondP: 1}
+
+// rareK1 is the K >= 1 rare-event sampling of model m over a fault-free
+// path with the given class counts, as the finisher sees it.
+func rareK1(m noise.Model, counts [3]int) Sampling {
+	return Sampling{Method: MethodRare, MinFaults: 1, CondP: noise.CondProbModel(m, counts)}
+}
+
+// poolErr is the error of finishing pool as a K >= 1 rare-event pool.
+func poolErr(pool Counts, m noise.Model, counts [3]int) error {
+	_, err := pool.ResultModel(rareK1(m, counts), m, counts)
+	return err
+}
+
+// rareAt runs the adaptive driver under the rare-event sampling
+// conditioned on k faults, bypassing Resolve's choice of k.
+func rareAt(ctx context.Context, est *Estimator, k int, m noise.Model, targetRSE float64, maxShots int, seed int64, workers int) (AdaptiveResult, Counts, error) {
+	s, err := est.rare(k, m)
+	if err != nil {
+		return AdaptiveResult{}, Counts{}, err
+	}
+	return est.sample(ctx, s, m, targetRSE, maxShots, seed, workers)
+}
+
 // TestCountsResultValidation pins the finisher's error contract.
 func TestCountsResultValidation(t *testing.T) {
-	if _, err := (Counts{}).ResultModel(MethodDirect, noise.Uniform(1e-2), [3]int{0}); err == nil {
+	if _, err := (Counts{}).ResultModel(directSampling, noise.Uniform(1e-2), [3]int{0}); err == nil {
 		t.Error("empty pool: want ErrBadShots, got nil")
 	}
-	if _, err := (Counts{Shots: 10}).ResultModel(MethodAuto, noise.Uniform(1e-2), [3]int{10}); err == nil {
+	if _, err := (Counts{Shots: 10}).ResultModel(Sampling{Method: MethodAuto}, noise.Uniform(1e-2), [3]int{10}); err == nil {
 		t.Error("unresolved method: want error, got nil")
 	}
-	if _, err := (Counts{Shots: 10}).ResultModel(MethodRare, noise.Uniform(0), [3]int{10}); err == nil {
+	if err := poolErr(Counts{Shots: 10}, noise.Uniform(0), [3]int{10}); err == nil {
 		t.Error("rare at p=0: want ErrBadRate, got nil")
 	}
-	if _, err := (Counts{Shots: 10}).ResultModel(MethodRare, noise.Uniform(1e-2), [3]int{0}); err == nil {
+	if err := poolErr(Counts{Shots: 10}, noise.Uniform(1e-2), [3]int{0}); err == nil {
 		t.Error("rare without locations: want ErrBadRate, got nil")
 	}
 }
@@ -240,7 +265,11 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 					}
 					parts = append(parts, r.Counts())
 				}
-				got, err := PoolCounts(parts...).ResultModel(method, noise.Uniform(p), est.ClassCounts())
+				s, err := est.Resolve(method, noise.Uniform(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := PoolCounts(parts...).ResultModel(s, noise.Uniform(p), est.ClassCounts())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -77,7 +77,7 @@ func TestRareMatchesFaultOrderSingleFault(t *testing.T) {
 				t.Fatalf("location counts differ: rare %v, FaultOrder %d", c, fo.N)
 			}
 
-			_, rare, err := est.adaptive(ctx, MethodRare, noise.Uniform(1e-3), 0, 128*1024, 7, 0)
+			_, rare, err := rareAt(ctx, est, 1, noise.Uniform(1e-3), 0, 128*1024, 7, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func TestRareEnginesAgree(t *testing.T) {
 func TestRareResultConsistency(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	m := noise.Uniform(5e-3)
-	res, pooled, err := est.adaptive(context.Background(), MethodRare, m, 0, 100_000, 3, 0)
+	res, pooled, err := rareAt(context.Background(), est, 1, m, 0, 100_000, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestRareResultConsistency(t *testing.T) {
 		t.Errorf("CI [%g, %g] does not bracket PL %g", res.CILo, res.CIHi, res.PL)
 	}
 
-	if err := pooled.Validate(MethodRare); err != nil {
+	if err := pooled.Validate(Sampling{Method: MethodRare, MinFaults: 1}); err != nil {
 		t.Errorf("pooled counts malformed: %v", err)
 	}
 	weights := CondWeightsModel(est.ClassCounts(), rareMaxW, m)
