@@ -52,6 +52,11 @@ type Protocol struct {
 
 	// Options is the normalized configuration the protocol was built from.
 	Options Options
+
+	// est is the estimation state every Estimate call on this protocol
+	// shares (estimate.go); its zero value is ready, so a Protocol literal
+	// built from Core and Options estimates like a synthesized one.
+	est estimateState
 }
 
 // Synthesize builds the complete deterministic fault-tolerant preparation

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/sim"
 )
@@ -156,8 +159,14 @@ func (eo EstimateOptions) withDefaults() EstimateOptions {
 // Monte-Carlo fields are populated whenever sampling ran at this point
 // (MCShots > 0 or TargetRSE > 0, and P >= MCMinRate).
 type RatePoint struct {
-	P  float64 `json:"p"`            // physical error rate
-	PL float64 `json:"pl"`           // stratified logical error rate (upper bound)
+	P float64 `json:"p"` // physical error rate
+
+	// PL is the stratified logical error rate. It leaves out fault pairs
+	// whose second fault runs in a correction branch, so it is not an
+	// upper bound: at low P it sits below MC (ARCHITECTURE.md, "The
+	// stratified fault-order estimator").
+	PL float64 `json:"pl"`
+
 	MC float64 `json:"mc,omitempty"` // direct Monte-Carlo estimate, when requested
 
 	// Shots is the number of Monte-Carlo shots actually executed at this
@@ -352,33 +361,59 @@ func (eo EstimateOptions) Validate() error {
 // shots, RSE, a 95% Wilson confidence interval, the method that ran, and
 // the weighted-sample diagnostics.
 //
+// Calls on one protocol share its estimation state, and Estimate is safe
+// for concurrent use. The compiled estimator (program, batch engine,
+// location kinds, single-fault table) is built once per engine, and the
+// stratified curve F is remembered per (MaxOrder, Samples, Seed, noise
+// ratio) for the 16 most recent such keys, so requests that differ only in
+// Rates, Method, Engine or the Monte-Carlo options reuse it. Every
+// Monte-Carlo point is sampled fresh on each call. Answers are the same
+// either way: F depends on nothing else, and the returned F is a copy.
+//
 // Cancelling ctx stops the fault enumeration and every Monte-Carlo worker
 // promptly; the returned error then matches context.Canceled /
 // context.DeadlineExceeded via errors.Is.
 func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateResult, error) {
+	res, _, err := p.estimate(ctx, eo)
+	return res, err
+}
+
+// estimate is Estimate that also reports whether the stratified curve came
+// from the protocol's memo (hit) rather than being computed by this call.
+func (p *Protocol) estimate(ctx context.Context, eo EstimateOptions) (EstimateResult, bool, error) {
 	// Validate the options as given, before withDefaults rewrites empty
 	// fields — otherwise a negative MaxShots in adaptive mode would be
 	// silently replaced by the default instead of rejected.
 	if err := eo.Validate(); err != nil {
-		return EstimateResult{}, err
+		return EstimateResult{}, false, err
+	}
+	// A remembered curve polls no context, so check it here: a request
+	// cancelled before it starts fails whether or not its curve is known.
+	if err := ctx.Err(); err != nil {
+		return EstimateResult{}, false, err
 	}
 	eo = eo.withDefaults()
-	est := sim.NewEstimator(p.Core)
 	// Validated above; only the explicit batch selection can still fail,
 	// when the protocol exceeds the engine's packing limits.
 	engine, _ := sim.ParseEngine(eo.Engine)
-	if err := est.SetEngine(engine); err != nil {
-		return EstimateResult{}, badOptions("%w", err)
+	est, err := p.est.estimator(p.Core, engine)
+	if err != nil {
+		return EstimateResult{}, false, badOptions("%w", err)
 	}
 	// The noise ratio routes every stage: a uniform ratio (the zero value of
 	// the bias fields) runs each sampler's single-rate inner path, so the
 	// paper's model stays bit-identical to earlier releases.
 	ratio := eo.NoiseRatio()
-	fo, err := est.FaultOrderModel(ctx, eo.MaxOrder, eo.Samples, rand.New(rand.NewSource(eo.Seed)), ratio)
-	if err != nil {
-		return EstimateResult{}, estimateError(err)
+	key := curveKey{maxOrder: eo.MaxOrder, samples: eo.Samples, seed: eo.Seed, ratio: ratio}
+	fo, hit := p.est.curve(key)
+	if !hit {
+		fo, err = est.FaultOrderModel(ctx, eo.MaxOrder, eo.Samples, rand.New(rand.NewSource(eo.Seed)), ratio)
+		if err != nil {
+			return EstimateResult{}, false, estimateError(err)
+		}
+		p.est.remember(key, fo)
 	}
-	res := EstimateResult{Locations: fo.N, F: fo.F}
+	res := EstimateResult{Locations: fo.N, F: slices.Clone(fo.F)}
 	if !ratio.IsUniform() {
 		res.NoiseBias = &NoiseBias{Bias2Q: ratio.P2Q, BiasMeas: ratio.PMeas, Eta: ratio.Eta}
 	}
@@ -399,7 +434,7 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 			mcStart := time.Now()
 			ar, err := est.AdaptiveModel(ctx, method, model, target, budget, seed, eo.Workers)
 			if err != nil {
-				return EstimateResult{}, estimateError(err)
+				return EstimateResult{}, hit, estimateError(err)
 			}
 			res.MCSeconds += time.Since(mcStart).Seconds()
 			pt.MC = ar.PL
@@ -416,7 +451,88 @@ func (p *Protocol) Estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 		}
 		res.Points = append(res.Points, pt)
 	}
-	return res, nil
+	return res, hit, nil
+}
+
+// maxCurves bounds the stratified curves one protocol remembers.
+const maxCurves = 16
+
+// estimateState is the estimation state a Protocol keeps across Estimate
+// calls: one compiled estimator per engine and a FIFO memo of stratified
+// curves. Its zero value is ready; mu guards both fields, and a published
+// estimator is never reconfigured, so callers run it without the lock.
+type estimateState struct {
+	mu     sync.Mutex
+	ests   [sim.EngineBatch + 1]*sim.Estimator // indexed by sim.Engine
+	curves []curveEntry                        // oldest first, at most maxCurves
+}
+
+// curveKey identifies a stratified curve: the options FaultOrderModel
+// reads, after withDefaults. The engine is not part of it, because F is
+// bit-identical on every engine.
+type curveKey struct {
+	maxOrder, samples int
+	seed              int64
+	ratio             noise.Model
+}
+
+// curveEntry is one remembered curve.
+type curveEntry struct {
+	key curveKey
+	fo  sim.FaultOrderResult
+}
+
+// estimator returns the protocol's estimator for engine, building and
+// publishing it on first use. A SetEngine failure (batch past the packing
+// limits) is returned and not remembered. Two first calls may both build;
+// the first to publish wins and the other's estimator is dropped.
+func (st *estimateState) estimator(cp *core.Protocol, engine sim.Engine) (*sim.Estimator, error) {
+	st.mu.Lock()
+	est := st.ests[engine]
+	st.mu.Unlock()
+	if est != nil {
+		return est, nil
+	}
+	est = sim.NewEstimator(cp)
+	if err := est.SetEngine(engine); err != nil {
+		return nil, err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ests[engine] == nil {
+		st.ests[engine] = est
+	}
+	return st.ests[engine], nil
+}
+
+// curve returns the remembered curve for key, if any. Callers must not
+// modify its F.
+func (st *estimateState) curve(key curveKey) (sim.FaultOrderResult, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, e := range st.curves {
+		if e.key == key {
+			return e.fo, true
+		}
+	}
+	return sim.FaultOrderResult{}, false
+}
+
+// remember stores a computed curve under key, evicting the oldest curve
+// past maxCurves. A curve another call stored meanwhile is kept as is; it
+// is identical.
+func (st *estimateState) remember(key curveKey, fo sim.FaultOrderResult) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, e := range st.curves {
+		if e.key == key {
+			return
+		}
+	}
+	if len(st.curves) == maxCurves {
+		st.curves = slices.Delete(st.curves, 0, 1)
+	}
+	st.curves = append(st.curves, curveEntry{key, fo})
 }
 
 // estimateError maps the simulator's validation sentinels onto the facade

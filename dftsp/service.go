@@ -60,6 +60,8 @@ type Service struct {
 	shotsSampled  *telemetry.CounterVec // labels: engine, method
 	synthSeconds  *telemetry.Histogram
 	estSeconds    *telemetry.Histogram
+	strataHits    *telemetry.Counter // requests that reused a remembered curve
+	strataMisses  *telemetry.Counter // requests that computed their curve
 
 	estSem   chan struct{} // bounds concurrent estimation jobs
 	batchSem chan struct{} // bounds concurrent batch synthesis items
@@ -152,6 +154,10 @@ func NewService(workers int) *Service {
 	s.estSeconds = r.Histogram("dftsp_estimate_seconds",
 		"Wall time of estimation requests, queueing for a pool slot included.",
 		telemetry.LatencyBuckets)
+	strata := r.CounterVec("dftsp_estimate_strata_total",
+		"Estimation requests by whether their stratified fault-order curve was reused from the protocol (hit) or computed (miss).",
+		"result")
+	s.strataHits, s.strataMisses = strata.With("hit"), strata.With("miss")
 	r.Gauge("dftsp_service_workers",
 		"Monte-Carlo workers per estimation job.").Set(float64(workers))
 	r.GaugeFunc("dftsp_service_cache_entries",
@@ -342,9 +348,14 @@ func (s *Service) EstimateProtocol(ctx context.Context, p *Protocol, eo Estimate
 		return EstimateResult{}, ctx.Err()
 	}
 	defer func() { <-s.estSem }()
-	res, err := p.Estimate(ctx, eo)
+	res, hit, err := p.estimate(ctx, eo)
 	if err == nil {
 		s.estSeconds.Observe(time.Since(start).Seconds())
+		if hit {
+			s.strataHits.Inc()
+		} else {
+			s.strataMisses.Inc()
+		}
 		shots := 0
 		for _, pt := range res.Points {
 			if pt.Shots == 0 {

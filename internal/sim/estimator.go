@@ -55,6 +55,14 @@ type xDecoder interface {
 // back to the interpreted executor otherwise. The
 // interpreted executor and the compiled Program are bit-identical for a
 // shared RNG stream; the batch engine draws its own.
+//
+// Once SetEngine has run (or never will), an Estimator is read-only and
+// safe for concurrent use: any number of goroutines may call
+// AdaptiveModel, NewBlockRunnerModel, FaultOrderModel, Judge, Resolve and
+// the lazily built, sync.Once-guarded LocationKinds and Singles on it at
+// once, each call keeping its own shot state. SetEngine itself is not safe
+// to call concurrently with anything, so configure an Estimator before
+// sharing it.
 type Estimator struct {
 	P      *core.Protocol
 	decX   xDecoder // corrects X errors via Z checks
