@@ -16,8 +16,8 @@ const maxDenseRank = 24
 // syndrome is packed into a uint64 index (bit i = parity of check row i
 // against the error) addressing a flat array of corrections. It answers the
 // same queries as Lookup — Decode, DecodeSyndrome, Size, Validate — plus
-// allocation-free word-level primitives (Index, CorrectionWords) used by the
-// compiled shot engine.
+// allocation-free word-level primitives (Index, CheckRow, CorrectionWords)
+// used by the compiled shot engines.
 type Dense struct {
 	h    *f2.Mat    // row-independent span basis of the check matrix
 	n    int        // error vector length
@@ -101,6 +101,11 @@ func (d *Dense) Index(e []uint64) uint64 {
 	}
 	return idx
 }
+
+// CheckRow returns check row i — the row whose parity against an error is
+// bit i of Index — bit-packed in nw words. The slice is shared table
+// storage; callers must only read it.
+func (d *Dense) CheckRow(i int) []uint64 { return d.rows[i] }
 
 // CorrectionWords returns the bit-packed minimum-weight correction for a
 // syndrome index. The slice is shared table storage — callers must only

@@ -82,39 +82,20 @@ type BatchInjector interface {
 // on its own class's sites, all drawing gaps from the sampler's one shared
 // SplitMix64 stream.
 type skipChain struct {
-	invLog float64 // 1 / log(1-p); 0 when p == 0
-	base   uint64  // cell index where the chain's next site starts
-	next   uint64  // absolute cell index of the chain's next faulting cell
+	tab  *skipTable // gap table of the chain's rate; nil when p == 0
+	base uint64     // cell index where the chain's next site starts
+	next uint64     // absolute cell index of the chain's next faulting cell
 }
 
-// maxSkip caps geomSkip far past any cell or location a chain can reach, so
-// the float-to-integer conversion never overflows.
-const maxSkip = math.MaxUint64 / 2
-
-// geomSkip is the one geometric draw behind every fault chain in this
-// package, skip-sampling and conditional alike: the number of fault-free
-// locations before the next fault of a Bernoulli(p) chain,
-// floor(log(u)/log(1-p)) for u uniform in (0, 1], given invLog =
-// 1/log(1-p). It consumes exactly one RNG output and saturates at maxSkip.
-func geomSkip(rng *SplitMix64, invLog float64) uint64 {
-	g := math.Log(rng.Float64()) * invLog // >= 0; Float64 is in (0,1]
-	if g >= maxSkip {
-		return maxSkip
-	}
-	return uint64(g)
-}
-
-// init (re)starts the chain for rate p at cell 0, drawing its first skip
-// from rng; a zero-rate chain never fires and draws nothing.
-func (c *skipChain) init(rng *SplitMix64, p float64) {
+// init (re)starts the chain at cell 0, drawing its first skip from rng; a
+// zero-rate chain never fires and draws nothing.
+func (c *skipChain) init(rng *SplitMix64) {
 	c.base = 0
-	if p <= 0 {
-		c.invLog = 0
+	if c.tab == nil {
 		c.next = math.MaxUint64
 		return
 	}
-	c.invLog = 1 / math.Log1p(-p)
-	c.next = geomSkip(rng, c.invLog) // cell 0 itself faults with probability p
+	c.next = geomSkip(rng, c.tab) // cell 0 itself faults with probability p
 }
 
 // site advances the chain by one site (64 cells) and reports the faulted
@@ -124,7 +105,7 @@ func (c *skipChain) site(rng *SplitMix64, active uint64, visit func(lane uint)) 
 	c.base += 64
 	for c.next < c.base {
 		lane := uint(c.next - base)
-		c.next += 1 + geomSkip(rng, c.invLog)
+		c.next += 1 + geomSkip(rng, c.tab)
 		if active>>lane&1 == 1 {
 			visit(lane)
 		}
@@ -136,17 +117,25 @@ func (c *skipChain) site(rng *SplitMix64, active uint64, visit func(lane uint)) 
 // legacy single-rate stream), any other model one chain per class. Both the
 // skip-sampling and the conditional samplers lay their chains out this way.
 type chainLayout struct {
-	nch  int        // live chains: 1 (uniform) or 3 (per class)
-	cls  [3]uint8   // LocKind -> chain index
-	rate [3]float64 // per-chain fault probability
+	nch  int           // live chains: 1 (uniform) or 3 (per class)
+	cls  [3]uint8      // LocKind -> chain index
+	rate [3]float64    // per-chain fault probability
+	tab  [3]*skipTable // per-chain gap table; nil for a zero-rate chain
 }
 
-// layoutOf returns the chain layout of model m.
-func layoutOf(m Model) chainLayout {
+// layoutOf returns the chain layout of model m, with each faultable
+// chain's gap table taken from sk (nil builds private tables).
+func layoutOf(m Model, sk *Skips) chainLayout {
+	l := chainLayout{nch: 3, cls: [3]uint8{0, 1, 2}, rate: [3]float64{m.P1Q, m.P2Q, m.PMeas}}
 	if p, ok := m.UniformRate(); ok {
-		return chainLayout{nch: 1, rate: [3]float64{p}}
+		l = chainLayout{nch: 1, rate: [3]float64{p}}
 	}
-	return chainLayout{nch: 3, cls: [3]uint8{0, 1, 2}, rate: [3]float64{m.P1Q, m.P2Q, m.PMeas}}
+	for c := 0; c < l.nch; c++ {
+		if l.rate[c] > 0 {
+			l.tab[c] = sk.table(l.rate[c])
+		}
+	}
+	return l
 }
 
 // laneFaults gathers faults drawn lane by lane into the batch words of
@@ -186,18 +175,23 @@ type SparseSampler struct {
 }
 
 // NewSparseSampler returns a sampler for the uniform physical rate p (in
-// [0, 1)) whose RNG stream is seeded with seed.
+// [0, 1)) whose RNG stream is seeded with seed, over a private gap table.
 func NewSparseSampler(p float64, seed uint64) *SparseSampler {
-	return NewSparseSamplerModel(Uniform(p), seed)
+	return NewSparseSamplerModel(Uniform(p), seed, nil)
 }
 
 // NewSparseSamplerModel returns a sampler for a per-class noise model. A
 // model with one shared class rate runs the legacy single-chain grid (and
 // with Eta == 1 is bit-identical to NewSparseSampler(p, seed)); distinct
 // rates run one skip chain per class, initialized and drawn in fixed
-// (Loc1Q, Loc2Q, LocMeas) order from the shared RNG stream.
-func NewSparseSamplerModel(m Model, seed uint64) *SparseSampler {
-	s := &SparseSampler{P: m.P1Q, lay: layoutOf(m), menus: newMenuSet(m.Eta)}
+// (Loc1Q, Loc2Q, LocMeas) order from the shared RNG stream. Each chain's
+// gap table comes from sk, or is built for this sampler alone when sk is
+// nil; the stream is the same either way.
+func NewSparseSamplerModel(m Model, seed uint64, sk *Skips) *SparseSampler {
+	s := &SparseSampler{P: m.P1Q, lay: layoutOf(m, sk), menus: newMenuSet(m.Eta)}
+	for i := range s.ch {
+		s.ch[i].tab = s.lay.tab[i]
+	}
 	s.Reseed(seed)
 	return s
 }
@@ -209,7 +203,7 @@ func NewSparseSamplerModel(m Model, seed uint64) *SparseSampler {
 func (s *SparseSampler) Reseed(seed uint64) {
 	s.rng.State = seed
 	for i := 0; i < s.lay.nch; i++ {
-		s.ch[i].init(&s.rng, s.lay.rate[i])
+		s.ch[i].init(&s.rng)
 	}
 }
 

@@ -36,7 +36,7 @@ const noFault = ^uint32(0)
 // condLaw is the conditional fault schedule every shot of a conditional
 // sampler shares, built once per (model, protocol) pair: the chain layout
 // (one chain for a uniform-rate model, one per class otherwise), each
-// chain's 1/log(1-p), the first-fault law and the operator menus.
+// chain's gap table, the first-fault law and the operator menus.
 // CondSampler and CondInjector both draw every shot's first faults (first)
 // and continuation gaps (at) through it.
 //
@@ -51,10 +51,9 @@ const noFault = ^uint32(0)
 // single chain, which keeps the legacy RNG stream bit-identically.
 type condLaw struct {
 	chainLayout
-	invLog [3]float64 // per-chain 1/log(1-p); 0 for a zero-rate chain
-	n      uint32     // fault-free-path length N
-	condP  float64    // P(#faults >= 1) over the fault-free path
-	menus  menuSet
+	n     uint32  // fault-free-path length N
+	condP float64 // P(#faults >= 1) over the fault-free path
+	menus menuSet
 
 	// Per-class first-fault tables; nil for a uniform model.
 	cdf  []float64   // first-fault CDF over fault-free-path locations
@@ -66,10 +65,10 @@ type condLaw struct {
 }
 
 // newCondLaw builds the schedule for model m over a fault-free path with the
-// given location kinds. The caller guarantees 0 < CondP < 1 (see
-// NewCondSamplerModel).
-func newCondLaw(m Model, kinds []LocKind) condLaw {
-	l := newChains(m)
+// given location kinds, with gap tables from sk. The caller guarantees
+// 0 < CondP < 1 (see NewCondSamplerModel).
+func newCondLaw(m Model, kinds []LocKind, sk *Skips) condLaw {
+	l := newChains(m, sk)
 	l.n = uint32(len(kinds))
 	l.condP = CondProbModel(m, CountKinds(kinds))
 	if l.nch == 1 {
@@ -100,23 +99,17 @@ func newCondLaw(m Model, kinds []LocKind) condLaw {
 	return l
 }
 
-// newChains returns the law's chain layout, geometric exponents and
-// operator menus for model m, with no first-fault tables yet.
-func newChains(m Model) condLaw {
-	l := condLaw{chainLayout: layoutOf(m), menus: newMenuSet(m.Eta)}
-	for c, p := range l.rate {
-		if p > 0 {
-			l.invLog[c] = 1 / math.Log1p(-p)
-		}
-	}
-	return l
+// newChains returns the law's chain layout, gap tables and operator menus
+// for model m, with no first-fault tables yet.
+func newChains(m Model, sk *Skips) condLaw {
+	return condLaw{chainLayout: layoutOf(m, sk), menus: newMenuSet(m.Eta)}
 }
 
 // newCondLaw2 builds the K >= 2 schedule for model m over the protocol's
 // single-fault table. The caller guarantees every class rate below 1 and
 // 0 < tab.CondProb(m).
-func newCondLaw2(m Model, tab *Singles) condLaw {
-	l := newChains(m)
+func newCondLaw2(m Model, tab *Singles, sk *Skips) condLaw {
+	l := newChains(m, sk)
 	l.n = uint32(tab.N)
 	l.pair, l.condP = newPairLaw(m, tab)
 	return l
@@ -126,7 +119,7 @@ func newCondLaw2(m Model, tab *Singles) condLaw {
 // from plus one geometric skip, saturating to noFault past the uint32 range
 // (no protocol executes 4 billion locations in one shot).
 func (l *condLaw) at(rng *SplitMix64, c int, from uint32) uint32 {
-	nxt := uint64(from) + geomSkip(rng, l.invLog[c])
+	nxt := uint64(from) + geomSkip(rng, l.tab[c])
 	if nxt >= uint64(noFault) {
 		return noFault
 	}
@@ -143,7 +136,7 @@ func (l *condLaw) at(rng *SplitMix64, c int, from uint32) uint32 {
 func (l *condLaw) first(rng *SplitMix64) [3]uint32 {
 	next := [3]uint32{noFault, noFault, noFault}
 	if l.cdf == nil {
-		j := uint32(math.Log1p(-rng.Float64()*l.condP) * l.invLog[0])
+		j := uint32(math.Log1p(-rng.Float64()*l.condP) * l.tab[0].invLog)
 		next[0] = min(j, l.n-1)
 		return next
 	}
@@ -151,7 +144,7 @@ func (l *condLaw) first(rng *SplitMix64) [3]uint32 {
 	c0 := int(l.kcls[lo])
 	next[c0] = l.pfx[lo][c0] - 1 // the forced location, class-locally
 	for c := range next {
-		if c != c0 && l.invLog[c] != 0 {
+		if c != c0 && l.tab[c] != nil {
 			// The first class-c location after the forced one is
 			// class-local index pfx[lo][c].
 			next[c] = l.at(rng, c, l.pfx[lo][c])
@@ -213,9 +206,10 @@ type CondSampler struct {
 // satisfy 0 < CondP < 1 — every class rate in [0, 1) and at least one
 // faultable location — outside which the conditional distribution does not
 // exist (no faults to condition on, or conditioning vacuous and the plain
-// SparseSampler exact); callers validate before constructing.
-func NewCondSamplerModel(m Model, kinds []LocKind, seed uint64) *CondSampler {
-	return newCondSampler(m, newCondLaw(m, kinds), seed)
+// SparseSampler exact); callers validate before constructing. Gap tables
+// come from sk as in NewSparseSamplerModel.
+func NewCondSamplerModel(m Model, kinds []LocKind, seed uint64, sk *Skips) *CondSampler {
+	return newCondSampler(m, newCondLaw(m, kinds, sk), seed)
 }
 
 // NewCondSampler2 returns a K >= 2 conditional sampler for model m over the
@@ -223,8 +217,8 @@ func NewCondSamplerModel(m Model, kinds []LocKind, seed uint64) *CondSampler {
 // two faults, the first one a table entry with the table's operator. Every
 // class rate must lie in [0, 1) and tab.CondProb(m) must be positive;
 // callers validate before constructing.
-func NewCondSampler2(m Model, tab *Singles, seed uint64) *CondSampler {
-	return newCondSampler(m, newCondLaw2(m, tab), seed)
+func NewCondSampler2(m Model, tab *Singles, seed uint64, sk *Skips) *CondSampler {
+	return newCondSampler(m, newCondLaw2(m, tab, sk), seed)
 }
 
 func newCondSampler(m Model, law condLaw, seed uint64) *CondSampler {
@@ -411,14 +405,14 @@ type CondInjector struct {
 // per-class noise model; the argument contract matches NewCondSamplerModel
 // (0 < CondP < 1), and a model with one shared class rate likewise runs the
 // single-chain path.
-func NewCondInjectorModel(m Model, kinds []LocKind, seed uint64) *CondInjector {
-	return newCondInjector(m, newCondLaw(m, kinds), seed)
+func NewCondInjectorModel(m Model, kinds []LocKind, seed uint64, sk *Skips) *CondInjector {
+	return newCondInjector(m, newCondLaw(m, kinds, sk), seed)
 }
 
 // NewCondInjector2 returns a scalar K >= 2 conditional injector; the
 // argument contract matches NewCondSampler2.
-func NewCondInjector2(m Model, tab *Singles, seed uint64) *CondInjector {
-	return newCondInjector(m, newCondLaw2(m, tab), seed)
+func NewCondInjector2(m Model, tab *Singles, seed uint64, sk *Skips) *CondInjector {
+	return newCondInjector(m, newCondLaw2(m, tab, sk), seed)
 }
 
 func newCondInjector(m Model, law condLaw, seed uint64) *CondInjector {

@@ -140,8 +140,8 @@ func condModelStream(s *CondSampler, kinds []LocKind, live uint64) []uint64 {
 func TestCondSamplerModelUniformBitIdentical(t *testing.T) {
 	const p, seed = 0.03, uint64(29)
 	kinds := testKinds(25)
-	single := NewCondSamplerModel(Uniform(p), make([]LocKind, len(kinds)), seed)
-	model := NewCondSamplerModel(Uniform(p), kinds, seed)
+	single := NewCondSamplerModel(Uniform(p), make([]LocKind, len(kinds)), seed, nil)
+	model := NewCondSamplerModel(Uniform(p), kinds, seed, nil)
 	if model.law.nch != 1 || model.CondP != condProb(len(kinds), p) {
 		t.Fatalf("uniform model left the single-chain path: %d chains, CondP %g", model.law.nch, model.CondP)
 	}
@@ -156,8 +156,8 @@ func TestCondSamplerModelUniformBitIdentical(t *testing.T) {
 		}
 	}
 
-	biased := NewCondSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 8}, kinds, seed)
-	reference := NewCondSamplerModel(Uniform(p), kinds, seed)
+	biased := NewCondSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 8}, kinds, seed, nil)
+	reference := NewCondSamplerModel(Uniform(p), kinds, seed, nil)
 	for word := 0; word < 20; word++ {
 		a := condModelStream(reference, kinds, ^uint64(0))
 		b := condModelStream(biased, kinds, ^uint64(0))
@@ -173,7 +173,7 @@ func TestCondSamplerModelUniformBitIdentical(t *testing.T) {
 func TestCondSamplerModelForcesFault(t *testing.T) {
 	m := Model{P1Q: 0.002, P2Q: 0.01, PMeas: 0, Eta: 2}
 	kinds := testKinds(30)
-	s := NewCondSamplerModel(m, kinds, 71)
+	s := NewCondSamplerModel(m, kinds, 71, nil)
 	const live = uint64(0x00FF_FFFF_FFFF_FF0F)
 	for word := 0; word < 50; word++ {
 		s.Reset(live)
@@ -236,7 +236,7 @@ func firstFaultPMF(m Model, kinds []LocKind) []float64 {
 func TestCondInjectorModelFirstFaultDistribution(t *testing.T) {
 	m := Model{P1Q: 0.3, P2Q: 0.1, PMeas: 0.2, Eta: 1}
 	kinds := testKinds(3) // 12 locations, heavy rates: every bin well-populated
-	inj := NewCondInjectorModel(m, kinds, 123)
+	inj := NewCondInjectorModel(m, kinds, 123, nil)
 	const shots = 40000
 	counts := make([]int, len(kinds))
 	for s := 0; s < shots; s++ {
@@ -293,7 +293,7 @@ func TestCondModelFaultCountMeans(t *testing.T) {
 		}
 	}
 
-	inj := NewCondInjectorModel(m, kinds, 404)
+	inj := NewCondInjectorModel(m, kinds, 404, nil)
 	scalar := make([]float64, 0, 20000)
 	for s := 0; s < 20000; s++ {
 		inj.Reset()
@@ -304,7 +304,7 @@ func TestCondModelFaultCountMeans(t *testing.T) {
 	}
 	check("scalar injector", scalar)
 
-	smp := NewCondSamplerModel(m, kinds, 505)
+	smp := NewCondSamplerModel(m, kinds, 505, nil)
 	batch := make([]float64, 0, 320*64)
 	for word := 0; word < 320; word++ {
 		condModelStream(smp, kinds, ^uint64(0))
@@ -321,8 +321,8 @@ func TestCondModelFaultCountMeans(t *testing.T) {
 func TestCondInjectorModelUniformBitIdentical(t *testing.T) {
 	const p, seed = 0.05, uint64(911)
 	kinds := testKinds(20)
-	single := NewCondInjectorModel(Uniform(p), make([]LocKind, len(kinds)), seed)
-	model := NewCondInjectorModel(Uniform(p), kinds, seed)
+	single := NewCondInjectorModel(Uniform(p), make([]LocKind, len(kinds)), seed, nil)
+	model := NewCondInjectorModel(Uniform(p), kinds, seed, nil)
 	if model.law.nch != 1 || model.CondP != condProb(len(kinds), p) {
 		t.Fatalf("uniform model left the single-chain path: %d chains, CondP %g", model.law.nch, model.CondP)
 	}

@@ -70,7 +70,7 @@ func condDrawAll(s *CondSampler, live uint64, n int) (first [64]int, faulted uin
 func TestCondSamplerForcesFault(t *testing.T) {
 	const n = 37
 	const p = 1e-3 // small enough that unconditional words would be mostly fault-free
-	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 7)
+	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 7, nil)
 	live := uint64(0xF0F0_F0F0_F0F0_F0F0)
 	for word := 0; word < 200; word++ {
 		s.Reset(live)
@@ -100,7 +100,7 @@ func TestCondSamplerFirstFaultDistribution(t *testing.T) {
 	const n = 6
 	const p = 0.25
 	const words = 2000 // 128k samples across 64 lanes
-	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 11)
+	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 11, nil)
 	var counts [n]int
 	for w := 0; w < words; w++ {
 		s.Reset(^uint64(0))
@@ -131,7 +131,7 @@ func TestCondSamplerTotalFaults(t *testing.T) {
 	const n = 40
 	const p = 0.05
 	const words = 1500
-	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 13)
+	s := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 13, nil)
 	condP := condProb(n, p)
 
 	// E[J] for the truncated geometric.
@@ -168,7 +168,7 @@ func TestCondInjectorMatchesSampler(t *testing.T) {
 	const p = 0.04
 	const shots = 60_000
 
-	cj := NewCondInjectorModel(Uniform(p), make([]LocKind, n), 17)
+	cj := NewCondInjectorModel(Uniform(p), make([]LocKind, n), 17, nil)
 	var sumS, sumS2 float64
 	for s := 0; s < shots; s++ {
 		cj.Reset()
@@ -188,7 +188,7 @@ func TestCondInjectorMatchesSampler(t *testing.T) {
 		sumS2 += float64(faults) * float64(faults)
 	}
 
-	bs := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 19)
+	bs := NewCondSamplerModel(Uniform(p), make([]LocKind, n), 19, nil)
 	var sumB, sumB2 float64
 	for w := 0; w < shots/64; w++ {
 		bs.Reset(^uint64(0))
@@ -213,8 +213,8 @@ func TestCondInjectorMatchesSampler(t *testing.T) {
 // two samplers re-keyed to the same seed must produce identical draws.
 func TestCondSamplerReseedDeterministic(t *testing.T) {
 	const n = 25
-	a := NewCondSamplerModel(Uniform(0.1), make([]LocKind, n), 1)
-	b := NewCondSamplerModel(Uniform(0.1), make([]LocKind, n), 2)
+	a := NewCondSamplerModel(Uniform(0.1), make([]LocKind, n), 1, nil)
+	b := NewCondSamplerModel(Uniform(0.1), make([]LocKind, n), 2, nil)
 	a.Reseed(42)
 	b.Reseed(42)
 	a.Reset(^uint64(0))

@@ -123,7 +123,7 @@ func FuzzSparseSamplerModel(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("constructed model invalid: %v", err)
 		}
-		s := NewSparseSamplerModel(m, seed)
+		s := NewSparseSamplerModel(m, seed, nil)
 
 		lanes := bits.OnesCount64(active)
 		var kindSites [3]int
@@ -174,7 +174,7 @@ func FuzzSparseSamplerModel(f *testing.F) {
 
 		// Determinism: a fresh sampler with the same (model, seed) must
 		// reproduce the exact mask stream.
-		r := NewSparseSamplerModel(m, seed)
+		r := NewSparseSamplerModel(m, seed, nil)
 		for i := 0; i < sites; i++ {
 			var hit uint64
 			switch LocKind(i % 3) {
@@ -249,7 +249,7 @@ func FuzzCondSamplerModel(f *testing.F) {
 			if condP := CondProbModel(m, CountKinds(path)); condP <= 0 || condP >= 1 {
 				continue // outside the conditional samplers' contract
 			}
-			s := NewCondSamplerModel(m, path, seed)
+			s := NewCondSamplerModel(m, path, seed, nil)
 			for word := 0; word < 3; word++ {
 				s.Reset(live)
 				var fired [64]int
@@ -296,8 +296,8 @@ func FuzzCondSamplerModel(f *testing.F) {
 		if condP := CondProbModel(m, CountKinds(gates)); condP <= 0 || condP >= 1 {
 			return
 		}
-		s := NewCondSamplerModel(m, gates, seed)
-		c := NewCondInjectorModel(m, gates, seed)
+		s := NewCondSamplerModel(m, gates, seed, nil)
+		c := NewCondInjectorModel(m, gates, seed, nil)
 		if pairs {
 			// Every trajectory of the table is the whole gate path.
 			tab := &Singles{}
@@ -309,7 +309,7 @@ func FuzzCondSamplerModel(f *testing.F) {
 			if tab.CondProb(m) <= 0 {
 				return
 			}
-			s, c = NewCondSampler2(m, tab, seed), NewCondInjector2(m, tab, seed)
+			s, c = NewCondSampler2(m, tab, seed, nil), NewCondInjector2(m, tab, seed, nil)
 		}
 		for shot := 0; shot < 4; shot++ {
 			s.Reset(1)
@@ -366,7 +366,7 @@ func checkPairs(t *testing.T, m Model, seed uint64, path, tail []LocKind, live, 
 	if m.MaxRate() >= 1 || tab.CondProb(m) <= 0 {
 		return // outside the K >= 2 sampler's contract
 	}
-	s := NewCondSampler2(m, tab, seed)
+	s := NewCondSampler2(m, tab, seed, nil)
 	ctl := SplitMix64{State: salt}
 	for word := 0; word < 3; word++ {
 		s.Reset(live)

@@ -315,7 +315,7 @@ func sparseStream(s *SparseSampler, n int, active uint64) []uint64 {
 func TestSparseSamplerModelUniformBitIdentical(t *testing.T) {
 	const p, seed, sites = 0.07, uint64(5), 600
 	legacy := NewSparseSampler(p, seed)
-	model := NewSparseSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, seed)
+	model := NewSparseSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, seed, nil)
 	a := sparseStream(legacy, sites, ^uint64(0))
 	b := sparseStream(model, sites, ^uint64(0))
 	if !reflect.DeepEqual(a, b) {
@@ -330,8 +330,8 @@ func TestSparseSamplerModelUniformBitIdentical(t *testing.T) {
 // eta = 1 and eta = 8 streams coincide exactly.
 func TestSparseSamplerEtaPreservesFaultSites(t *testing.T) {
 	const p, seed, sites = 0.1, uint64(13), 450
-	plain := NewSparseSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, seed)
-	biased := NewSparseSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 8}, seed)
+	plain := NewSparseSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}, seed, nil)
+	biased := NewSparseSamplerModel(Model{P1Q: p, P2Q: p, PMeas: p, Eta: 8}, seed, nil)
 	a := sparseStream(plain, sites, ^uint64(0))
 	b := sparseStream(biased, sites, ^uint64(0))
 	if !reflect.DeepEqual(a, b) {
@@ -344,7 +344,7 @@ func TestSparseSamplerEtaPreservesFaultSites(t *testing.T) {
 // must match Binomial(cells, p_class) within 5 sigma.
 func TestSparseSamplerModelPerClassRates(t *testing.T) {
 	m := Model{P1Q: 0.02, P2Q: 0.1, PMeas: 0.25, Eta: 1}
-	s := NewSparseSamplerModel(m, 77)
+	s := NewSparseSamplerModel(m, 77, nil)
 	const perKind = 1500
 	var fired [3]int
 	for i := 0; i < 3*perKind; i++ {
@@ -378,7 +378,7 @@ func TestSparseSamplerModelPerClassRates(t *testing.T) {
 // stream, and a different seed must (at these rates) produce a different one.
 func TestSparseSamplerModelReseedDeterministic(t *testing.T) {
 	m := Model{P1Q: 0.05, P2Q: 0.2, PMeas: 0.1, Eta: 4}
-	s := NewSparseSamplerModel(m, 3)
+	s := NewSparseSamplerModel(m, 3, nil)
 	first := sparseStream(s, 300, ^uint64(0))
 	s.Reseed(3)
 	if !reflect.DeepEqual(first, sparseStream(s, 300, ^uint64(0))) {

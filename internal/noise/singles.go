@@ -246,7 +246,7 @@ func (l *condLaw) pairs(rng *SplitMix64) schedule {
 	cj := int(l.cls[pathKind(pfx, j)])
 	cs := int(l.cls[pathKind(pfx, s)])
 	for c := 0; c < l.nch; c++ {
-		if c != cs && l.invLog[c] != 0 {
+		if c != cs && l.tab[c] != nil {
 			sc.next[c] = l.at(rng, c, l.chainPos(pfx[s], c))
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -129,5 +131,79 @@ func TestRareOldTaskRunsK1(t *testing.T) {
 	s, _ := k2.Sampling()
 	if err := c2.Validate(s); err != nil {
 		t.Fatalf("k = 2 counts fail their own validation: %v", err)
+	}
+}
+
+// TestSharedSkipsConcurrent drives one estimator — and so the one set of
+// geometric gap tables every block runner on it shares — from 8 goroutines
+// at two rates, direct and rare, through both sim.AdaptiveModel and
+// Task.Run. Every answer must equal the one a separate estimator gives
+// serially; CI runs the test under -race, which checks the shared tables
+// are only read.
+func TestSharedSkipsConcurrent(t *testing.T) {
+	p, err := core.Build(context.Background(), code.Steane(), core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	type point struct {
+		method sim.Method
+		rate   float64
+	}
+	points := []point{{sim.MethodDirect, 1e-2}, {sim.MethodDirect, 3e-3}, {sim.MethodRare, 1e-2}, {sim.MethodRare, 3e-3}}
+	type answer struct {
+		adaptive sim.AdaptiveResult
+		task     sim.Counts
+	}
+	run := func(est *sim.Estimator, i int) (answer, error) {
+		pt, seed := points[i], int64(i+1)
+		m := noise.Uniform(pt.rate)
+		ar, err := est.AdaptiveModel(ctx, pt.method, m, 0, sim.BlockShots+500, seed, 2)
+		if err != nil {
+			return answer{}, err
+		}
+		ar.ShotsPerSec = 0 // wall-clock, the one field that may differ
+		s, err := est.Resolve(pt.method, m)
+		if err != nil {
+			return answer{}, err
+		}
+		task := Task{
+			ID: "job/0/0/0", Engine: est.EngineInUse().String(), Method: pt.method.String(), MinFaults: s.MinFaults,
+			Model: m, Seed: seed, Block0: 0, Block1: 2, Budget: sim.BlockShots + 700,
+		}
+		c, err := task.Run(ctx, est)
+		return answer{ar, c}, err
+	}
+	want := make([]answer, len(points))
+	for i := range points {
+		if want[i], err = run(sim.NewEstimator(p), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	shared := sim.NewEstimator(p)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(points))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range points {
+				i := (g + k) % len(points)
+				got, err := run(shared, i)
+				if err == nil && !reflect.DeepEqual(got, want[i]) {
+					err = fmt.Errorf("%+v: shared estimator gave %+v, want %+v", points[i], got, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -38,12 +38,17 @@ import (
 type Batch struct {
 	prog    *Program
 	maxMeas int // widest verification layer, sizes the outcome scratch
+
+	// Judge's word-wide parities: the qubits of each decoder check row
+	// (bit i of the syndrome index) and of each logical-Z row.
+	checks, logicals [][]int32
 }
 
 // NewBatch wraps a compiled program in the 64-lane engine. The only
 // requirement is the program itself: every protocol within the Program
-// packing limits batches cleanly for any code length (the Judge transpose
-// works block-wise over 64-qubit blocks).
+// packing limits batches cleanly for any code length. NewBatch lists the
+// qubits of every decoder check row and logical-Z row, so Judge computes
+// all 64 lanes' syndromes and logical parities with word-wide XORs.
 func NewBatch(prog *Program) (*Batch, error) {
 	if prog == nil {
 		return nil, errors.New("sim: nil program")
@@ -54,13 +59,29 @@ func NewBatch(prog *Program) (*Batch, error) {
 			b.maxMeas = m
 		}
 	}
+	for i := 0; i < prog.dec.Rank(); i++ {
+		b.checks = append(b.checks, qubitList(prog.dec.CheckRow(i)))
+	}
+	for _, row := range prog.lz {
+		b.logicals = append(b.logicals, qubitList(row))
+	}
 	return b, nil
 }
 
+// qubitList returns the positions of the set bits of a bit-packed row.
+func qubitList(row []uint64) []int32 {
+	var qs []int32
+	for j, w := range row {
+		for ; w != 0; w &= w - 1 {
+			qs = append(qs, int32(j*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return qs
+}
+
 // BatchShot is the reusable per-worker scratch of the batch engine: frames,
-// outcome words and the Judge transpose buffer are allocated once by
-// NewShot, so the steady-state loop performs zero heap allocations per
-// 64-shot word.
+// outcome words and the Judge parity words are allocated once by NewShot,
+// so the steady-state loop performs zero heap allocations per 64-shot word.
 //
 // The branch flags are lane masks mirroring the scalar Shot's booleans.
 // Per-layer signature history is not kept: the batch engine resolves each
@@ -69,8 +90,7 @@ func NewBatch(prog *Program) (*Batch, error) {
 type BatchShot struct {
 	ex, ez     []uint64 // lane-major frames, one word per data qubit
 	bOut, fOut []uint64 // per-measurement outcome/flag words of one layer
-	exT        []uint64 // Judge scratch: 64 × nw qubit-major lane frames
-	tmp        []uint64 // Judge scratch: one corrected lane frame
+	syn, lgc   []uint64 // Judge scratch: syndrome and logical parity words
 
 	// Live is the lane mask the last Run was asked to simulate.
 	Live uint64
@@ -89,8 +109,8 @@ func (b *Batch) NewShot() *BatchShot {
 		ez:   make([]uint64, pr.n),
 		bOut: make([]uint64, b.maxMeas),
 		fOut: make([]uint64, b.maxMeas),
-		exT:  make([]uint64, 64*pr.nw),
-		tmp:  make([]uint64, pr.nw),
+		syn:  make([]uint64, len(b.checks)),
+		lgc:  make([]uint64, len(b.logicals)),
 	}
 }
 
@@ -310,60 +330,50 @@ func (b *Batch) measure(bs *BatchShot, m *progMeas, inj noise.BatchInjector, act
 
 // Judge applies the perfect lookup-table EC round to every live lane's
 // residual X frame and returns the mask of lanes with a logical error,
-// exactly like Program.Judge per lane, without allocating. Lanes with an
-// all-zero X frame — the overwhelming majority at realistic rates — are
-// skipped wholesale: a zero frame has syndrome zero, the zero correction,
-// and cannot flip a logical.
+// exactly like Program.Judge per lane, without allocating. It XORs frame
+// words into one syndrome word per check row and one logical word per
+// logical-Z row, bit l holding lane l's parity. The zero syndrome's
+// correction is the identity, so a lane with a zero syndrome — the
+// overwhelming majority at realistic rates — fails iff one of its logical
+// bits is set, which is one word-wide test for all of them. Only the lanes
+// with a nonzero syndrome s gather their syndrome index and logical bits
+// and compare the latter with λ(s), as Program.Judge does.
 func (b *Batch) Judge(bs *BatchShot) uint64 {
-	pr := b.prog
-	var any uint64
-	for _, w := range bs.ex {
-		any |= w
+	var dirty, flipped uint64 // lanes with a nonzero syndrome; with a logical bit set
+	for i, qs := range b.checks {
+		bs.syn[i] = parityWord(bs.ex, qs)
+		dirty |= bs.syn[i]
 	}
-	any &= bs.Live
-	if any == 0 {
-		return 0
+	for j, qs := range b.logicals {
+		bs.lgc[j] = parityWord(bs.ex, qs)
+		flipped |= bs.lgc[j]
 	}
-
-	// Transpose the lane-major frame into per-lane qubit-major words, one
-	// 64×64 block per 64 qubits.
-	var t [64]uint64
-	for blk := 0; blk < pr.nw; blk++ {
-		lo := blk * 64
-		hi := lo + 64
-		if hi > pr.n {
-			hi = pr.n
+	dirty &= bs.Live
+	fails := flipped &^ dirty & bs.Live
+	for a := dirty; a != 0; a &= a - 1 {
+		lane := uint(bits.TrailingZeros64(a))
+		var idx, lgc uint64
+		for i, w := range bs.syn {
+			idx |= (w >> lane & 1) << uint(i)
 		}
-		copy(t[:hi-lo], bs.ex[lo:hi])
-		for i := hi - lo; i < 64; i++ {
-			t[i] = 0
+		for j, w := range bs.lgc {
+			lgc |= (w >> lane & 1) << uint(j)
 		}
-		f2.Transpose64(&t)
-		for lane := 0; lane < 64; lane++ {
-			bs.exT[lane*pr.nw+blk] = t[lane]
-		}
-	}
-
-	var fails uint64
-	for a := any; a != 0; a &= a - 1 {
-		lane := bits.TrailingZeros64(a)
-		e := bs.exT[lane*pr.nw : (lane+1)*pr.nw]
-		corr := pr.dec.CorrectionWords(pr.dec.Index(e))
-		for j := range e {
-			bs.tmp[j] = e[j] ^ corr[j]
-		}
-		for _, row := range pr.lz {
-			var acc uint64
-			for j, w := range row {
-				acc ^= w & bs.tmp[j]
-			}
-			if bits.OnesCount64(acc)&1 == 1 {
-				fails |= 1 << uint(lane)
-				break
-			}
+		if lgc != b.prog.lambda[idx] {
+			fails |= 1 << lane
 		}
 	}
 	return fails
+}
+
+// parityWord XORs the lane-major frame words of the listed qubits: bit l
+// of the result is lane l's parity over them.
+func parityWord(frame []uint64, qs []int32) uint64 {
+	var w uint64
+	for _, q := range qs {
+		w ^= frame[q]
+	}
+	return w
 }
 
 // LaneOutcome converts one lane of the batch state into the scalar Outcome

@@ -395,23 +395,23 @@ func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, e
 		r.bs = est.batch.NewShot()
 		switch k {
 		case 2:
-			r.csmp = noise.NewCondSampler2(m, est.Singles(), 0)
+			r.csmp = noise.NewCondSampler2(m, est.Singles(), 0, &est.skips)
 			r.binj = r.csmp
 		case 1:
-			r.csmp = noise.NewCondSamplerModel(m, est.LocationKinds(), 0)
+			r.csmp = noise.NewCondSamplerModel(m, est.LocationKinds(), 0, &est.skips)
 			r.binj = r.csmp
 		default:
-			r.binj = noise.NewSparseSamplerModel(m, 0)
+			r.binj = noise.NewSparseSamplerModel(m, 0, &est.skips)
 		}
 		return r, nil
 	}
 
 	switch k {
 	case 2:
-		r.cj = noise.NewCondInjector2(m, est.Singles(), 0)
+		r.cj = noise.NewCondInjector2(m, est.Singles(), 0, &est.skips)
 		r.inj, r.reseed = r.cj, r.cj.Reseed
 	case 1:
-		r.cj = noise.NewCondInjectorModel(m, est.LocationKinds(), 0)
+		r.cj = noise.NewCondInjectorModel(m, est.LocationKinds(), 0, &est.skips)
 		r.inj, r.reseed = r.cj, r.cj.Reseed
 	default:
 		dep := noise.NewDepolarizing(m, rand.New(rand.NewSource(0)))

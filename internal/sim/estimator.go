@@ -76,6 +76,10 @@ type Estimator struct {
 	locKinds    []noise.LocKind // cached fault-free-path location kinds
 	singlesOnce sync.Once
 	singles     *noise.Singles // single-fault table; built by Singles
+
+	// Geometric gap tables, one per chain rate, shared read-only by every
+	// sampler a block runner builds on this estimator.
+	skips noise.Skips
 }
 
 // LocationKinds returns the location-kind vector of the protocol's

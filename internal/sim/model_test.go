@@ -65,7 +65,7 @@ func TestGoldenRatesModelPathFourEngines(t *testing.T) {
 		}
 	}
 
-	smp := noise.NewSparseSamplerModel(model, seed)
+	smp := noise.NewSparseSamplerModel(model, seed, nil)
 	countBatch := batch.sample(batch.NewShot(), smp, shots)
 
 	if countRun != goldenSteaneFails || countProg != goldenSteaneFails || countTab != goldenSteaneFails {
@@ -529,7 +529,7 @@ func TestProgramZeroAllocsBiased(t *testing.T) {
 // sampler with a biased menu must keep the 64-shot word loop allocation-free.
 func TestBatchZeroAllocsBiased(t *testing.T) {
 	_, batch := buildBatch(t, code.Steane())
-	smp := noise.NewSparseSamplerModel(noise.Model{P1Q: 0.02, P2Q: 0.05, PMeas: 0.01, Eta: 4}, 9)
+	smp := noise.NewSparseSamplerModel(noise.Model{P1Q: 0.02, P2Q: 0.05, PMeas: 0.01, Eta: 4}, 9, nil)
 	bs := batch.NewShot()
 	fails := 0
 	allocs := testing.AllocsPerRun(200, func() {

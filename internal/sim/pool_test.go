@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/code"
@@ -319,6 +320,34 @@ func TestBlockRunnerInterpretedMatchesCompiled(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {
 				t.Errorf("%+v %v: interpreted %+v, compiled %+v", m, method, got[1], got[0])
+			}
+		}
+	}
+}
+
+// TestBlockRunnerSharesSkipTables checks that block runners take their
+// geometric gap tables from the estimator instead of building their own:
+// once a rate's table exists, a further direct or rare runner at that rate
+// allocates less than the 16 KB one table takes.
+func TestBlockRunnerSharesSkipTables(t *testing.T) {
+	est := NewEstimator(buildProto(t, code.Steane()))
+	for _, method := range []Method{MethodDirect, MethodRare} {
+		for _, p := range []float64{1e-2, 3e-3} {
+			m := noise.Uniform(p)
+			if _, err := est.NewBlockRunnerModel(method, m); err != nil {
+				t.Fatal(err)
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := est.NewBlockRunnerModel(method, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+				t.Fatalf("%s p=%g: a block runner allocates %d B, want no table of its own", method, p, per)
 			}
 		}
 	}

@@ -26,8 +26,9 @@ import (
 //     class index, so the shot loop never builds a string or hashes one;
 //   - correction blocks carry dense recovery tables indexed by the packed
 //     block syndrome, with recoveries bit-packed for word-wise XOR;
-//   - the final perfect-EC round uses a decoder.Dense table and bit-packed
-//     logical-Z rows.
+//   - the final perfect-EC round uses a decoder.Dense table, bit-packed
+//     logical-Z rows and the table of each syndrome's correction's
+//     logical-Z parities (see Judge).
 //
 // A Program is immutable after Compile and safe for concurrent use; all
 // per-shot mutable state lives in a Shot. Run consumes the fault injector
@@ -39,7 +40,8 @@ type Program struct {
 	prep   []gateOp
 	layers []progLayer
 	dec    *decoder.Dense
-	lz     [][]uint64
+	lz     [][]uint64 // bit-packed logical-Z rows, at most maxLogicals
+	lambda []uint64   // syndrome index s -> λ(s) = Lz·c(s), bit j for row j
 }
 
 // gate op kinds of the compiled preparation circuit.
@@ -89,13 +91,16 @@ const maxLayerMeas = 31
 // recovery table (2^u entries) stays small.
 const maxBlockStabs = 20
 
+// maxLogicals bounds the logical-Z rows so a frame's logical parities pack
+// into one uint64.
+const maxLogicals = 64
+
 // Shot is the reusable per-worker scratch of the compiled engine: the Pauli
-// frame, the decoder scratch and the signature ring are allocated once by
-// NewShot and reused for every subsequent Run, so the steady-state loop
-// performs zero heap allocations per shot.
+// frame and the signature ring are allocated once by NewShot and reused for
+// every subsequent Run, so the steady-state loop performs zero heap
+// allocations per shot.
 type Shot struct {
 	ex, ez []uint64
-	tmp    []uint64 // Judge scratch: corrected X frame
 	sigs   []uint64 // packed signature per executed layer
 
 	// Branch flags of the last Run, mirroring Outcome.
@@ -105,8 +110,9 @@ type Shot struct {
 // Compile flattens the protocol into a Program. It returns an error when
 // the protocol exceeds the engine's packing limits (more than 31
 // verification measurements in a layer, more than 20 block measurements, a
-// decoder rank above the dense-table bound) or contains malformed class
-// keys; callers fall back to the interpreted Run path in that case.
+// decoder rank above the dense-table bound, more than 64 logical qubits) or
+// contains malformed class keys; callers fall back to the interpreted Run
+// path in that case.
 func Compile(p *core.Protocol) (*Program, error) {
 	n := p.Code.N
 	pr := &Program{n: n, nw: (n + 63) / 64}
@@ -166,17 +172,33 @@ func Compile(p *core.Protocol) (*Program, error) {
 		pr.layers = append(pr.layers, pl)
 	}
 
-	dec, err := decoder.NewDenseChecked(p.Code.Hz)
-	if err != nil {
+	if err := pr.compileJudge(p.Code); err != nil {
 		return nil, err
 	}
+	return pr, nil
+}
+
+// compileJudge builds the final perfect-EC round of code c: the dense
+// decoder, the packed logical-Z rows and λ of every syndrome index.
+func (pr *Program) compileJudge(c *code.CSS) error {
+	dec, err := decoder.NewDenseChecked(c.Hz)
+	if err != nil {
+		return err
+	}
+	if k := c.Lz.Rows(); k > maxLogicals {
+		return fmt.Errorf("sim: %d logical qubits exceed the compiled limit %d", k, maxLogicals)
+	}
 	pr.dec = dec
-	for i := 0; i < p.Code.Lz.Rows(); i++ {
+	for i := 0; i < c.Lz.Rows(); i++ {
 		row := make([]uint64, pr.nw)
-		copy(row, p.Code.Lz.Row(i).Words())
+		copy(row, c.Lz.Row(i).Words())
 		pr.lz = append(pr.lz, row)
 	}
-	return pr, nil
+	pr.lambda = make([]uint64, dec.Size())
+	for idx := range pr.lambda {
+		pr.lambda[idx] = pr.logicals(dec.CorrectionWords(uint64(idx)))
+	}
+	return nil
 }
 
 // compileMeas freezes one verification measurement: explicit CNOT order or
@@ -255,7 +277,6 @@ func (pr *Program) NewShot() *Shot {
 	return &Shot{
 		ex:   make([]uint64, pr.nw),
 		ez:   make([]uint64, pr.nw),
-		tmp:  make([]uint64, pr.nw),
 		sigs: make([]uint64, 0, len(pr.layers)),
 	}
 }
@@ -479,22 +500,26 @@ func (pr *Program) measure(sh *Shot, m *progMeas, inj noise.Injector) (out, flag
 
 // Judge applies the perfect lookup-table EC round to the shot's residual X
 // frame and reports a logical error, exactly like Estimator.Judge on the
-// interpreted outcome, without allocating.
+// interpreted outcome, without allocating. The corrected frame e ⊕ c(s) is
+// never built: logical parities are linear, Lz·(e ⊕ c(s)) = Lz·e ⊕ λ(s),
+// so the shot fails iff Lz·e differs from the precomputed λ of its
+// syndrome index s.
 func (pr *Program) Judge(sh *Shot) bool {
-	corr := pr.dec.CorrectionWords(pr.dec.Index(sh.ex))
-	for i := range sh.tmp {
-		sh.tmp[i] = sh.ex[i] ^ corr[i]
-	}
-	for _, row := range pr.lz {
+	return pr.logicals(sh.ex) != pr.lambda[pr.dec.Index(sh.ex)]
+}
+
+// logicals packs the logical-Z parities of the bit-packed X frame e: bit j
+// is the GF(2) inner product of row j of Lz with e.
+func (pr *Program) logicals(e []uint64) uint64 {
+	var l uint64
+	for j, row := range pr.lz {
 		var acc uint64
-		for j, w := range row {
-			acc ^= w & sh.tmp[j]
+		for i, w := range row {
+			acc ^= w & e[i]
 		}
-		if bits.OnesCount64(acc)&1 == 1 {
-			return true
-		}
+		l |= uint64(bits.OnesCount64(acc)&1) << uint(j)
 	}
-	return false
+	return l
 }
 
 // Outcome converts the shot's state into the interpreted executor's Outcome
