@@ -236,7 +236,7 @@ func (w *worker) execute(lease *shardrpc.Lease) {
 // streams the coordinator's local pool would run — after the -delay-max
 // chaos sleeps.
 func (w *worker) runShard(ctx context.Context, task shardrpc.Task) (sim.Counts, error) {
-	est, err := w.src.estimator(ctx, task.ProtocolKey, task.Engine)
+	est, err := w.src.estimator(ctx, task.ProtocolKey)
 	if err != nil {
 		return sim.Counts{}, err
 	}
@@ -261,11 +261,11 @@ func (w *worker) chaosDelay(ctx context.Context, blocks int) {
 	}
 }
 
-// protocolSource resolves protocol keys to engine-configured estimators,
-// caching one estimator per (key, engine): a local read-only store first,
-// the coordinator's protocol endpoint second. Estimators are shared
-// read-only across slots, exactly as the coordinator's own pool shares
-// them.
+// protocolSource resolves protocol keys to estimators, caching one
+// estimator per key: a local read-only store first, the coordinator's
+// protocol endpoint second. Estimators are shared read-only across slots,
+// exactly as the coordinator's own pool shares them; Task.Run applies each
+// task's engine.
 type protocolSource struct {
 	client *shardrpc.Client
 	store  *store.Store
@@ -274,17 +274,11 @@ type protocolSource struct {
 	ests map[string]*sim.Estimator
 }
 
-// estimator returns the cached (or freshly resolved) estimator for key
-// with the given resolved engine selected.
-func (ps *protocolSource) estimator(ctx context.Context, key, engine string) (*sim.Estimator, error) {
-	eng, err := sim.ParseEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	ck := key + "\x00" + engine
+// estimator returns the cached (or freshly resolved) estimator for key.
+func (ps *protocolSource) estimator(ctx context.Context, key string) (*sim.Estimator, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if est, ok := ps.ests[ck]; ok {
+	if est, ok := ps.ests[key]; ok {
 		return est, nil
 	}
 	var cp *core.Protocol
@@ -304,11 +298,6 @@ func (ps *protocolSource) estimator(ctx context.Context, key, engine string) (*s
 		}
 	}
 	est := sim.NewEstimator(cp)
-	if eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			return nil, err
-		}
-	}
-	ps.ests[ck] = est
+	ps.ests[key] = est
 	return est, nil
 }

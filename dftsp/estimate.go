@@ -108,17 +108,7 @@ type EstimateOptions struct {
 // obtain the model sampled at that rate; the zero ratio is the paper's
 // uniform E1_1 model.
 func (eo EstimateOptions) NoiseRatio() noise.Model {
-	m := noise.Model{P1Q: 1, P2Q: 1, PMeas: 1, Eta: 1}
-	if eo.Bias2Q != 0 {
-		m.P2Q = eo.Bias2Q
-	}
-	if eo.BiasMeas != 0 {
-		m.PMeas = eo.BiasMeas
-	}
-	if eo.Eta != 0 {
-		m.Eta = eo.Eta
-	}
-	return m
+	return noise.Ratio(eo.Bias2Q, eo.BiasMeas, eo.Eta)
 }
 
 // Biased reports whether the options select anything other than the paper's
@@ -317,15 +307,8 @@ func (eo EstimateOptions) Validate() error {
 	if _, err := sim.ParseMethod(eo.Method); err != nil {
 		return badOptions("method %q (want auto, direct or rare)", eo.Method)
 	}
-	for _, b := range []struct {
-		name string
-		v    float64
-	}{{"bias_2q", eo.Bias2Q}, {"bias_meas", eo.BiasMeas}, {"eta", eo.Eta}} {
-		// 0 selects the default of 1; anything else must be a positive
-		// finite multiplier.
-		if b.v != 0 && !(b.v > 0 && b.v < math.Inf(1)) {
-			return badOptions("%s %g must be a positive finite multiplier (or 0 for 1)", b.name, b.v)
-		}
+	if err := noise.CheckRatio(eo.Bias2Q, eo.BiasMeas, eo.Eta); err != nil {
+		return badOptions("%v", err)
 	}
 	// Every scaled per-class rate must stay inside (0, 1) across the grid —
 	// checked against the requested rates, or the default grid's top rate
@@ -363,7 +346,8 @@ func (eo EstimateOptions) Validate() error {
 //
 // Calls on one protocol share its estimation state, and Estimate is safe
 // for concurrent use. The compiled estimator (program, batch engine,
-// location kinds, single-fault table) is built once per engine, and the
+// location kinds, single-fault table) is built once, shared by every
+// engine and by the jobs on this protocol, and the
 // stratified curve F is remembered per (MaxOrder, Samples, Seed, noise
 // ratio) for the 16 most recent such keys, so requests that differ only in
 // Rates, Method, Engine or the Monte-Carlo options reuse it. Every
@@ -396,7 +380,7 @@ func (p *Protocol) estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 	// Validated above; only the explicit batch selection can still fail,
 	// when the protocol exceeds the engine's packing limits.
 	engine, _ := sim.ParseEngine(eo.Engine)
-	est, err := p.est.estimator(p.Core, engine)
+	est, err := p.est.estimator(p.Core).WithEngine(engine)
 	if err != nil {
 		return EstimateResult{}, false, badOptions("%w", err)
 	}
@@ -458,13 +442,14 @@ func (p *Protocol) estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 const maxCurves = 16
 
 // estimateState is the estimation state a Protocol keeps across Estimate
-// calls: one compiled estimator per engine and a FIFO memo of stratified
-// curves. Its zero value is ready; mu guards both fields, and a published
-// estimator is never reconfigured, so callers run it without the lock.
+// calls and the jobs on it: one compiled estimator, whose engine views every
+// request takes, and a FIFO memo of stratified curves. Its zero value is
+// ready; mu guards curves.
 type estimateState struct {
+	once   sync.Once
+	est    *sim.Estimator // built by the first estimator call
 	mu     sync.Mutex
-	ests   [sim.EngineBatch + 1]*sim.Estimator // indexed by sim.Engine
-	curves []curveEntry                        // oldest first, at most maxCurves
+	curves []curveEntry // oldest first, at most maxCurves
 }
 
 // curveKey identifies a stratified curve: the options FaultOrderModel
@@ -482,27 +467,11 @@ type curveEntry struct {
 	fo  sim.FaultOrderResult
 }
 
-// estimator returns the protocol's estimator for engine, building and
-// publishing it on first use. A SetEngine failure (batch past the packing
-// limits) is returned and not remembered. Two first calls may both build;
-// the first to publish wins and the other's estimator is dropped.
-func (st *estimateState) estimator(cp *core.Protocol, engine sim.Engine) (*sim.Estimator, error) {
-	st.mu.Lock()
-	est := st.ests[engine]
-	st.mu.Unlock()
-	if est != nil {
-		return est, nil
-	}
-	est = sim.NewEstimator(cp)
-	if err := est.SetEngine(engine); err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ests[engine] == nil {
-		st.ests[engine] = est
-	}
-	return st.ests[engine], nil
+// estimator returns the protocol's estimator, building it on first use;
+// concurrent first callers share one build.
+func (st *estimateState) estimator(cp *core.Protocol) *sim.Estimator {
+	st.once.Do(func() { st.est = sim.NewEstimator(cp) })
+	return st.est
 }
 
 // curve returns the remembered curve for key, if any. Callers must not

@@ -49,7 +49,8 @@ func curveCount(p *Protocol) int {
 // on every engine and two seeds from 8 goroutines against one Protocol, and
 // requires each answer to equal, byte for byte, the answer of a separately
 // synthesized protocol that keeps no estimation state. Run under -race it
-// checks that the shared estimators and curve memo are safe.
+// checks that the shared estimator, its engine views and the curve memo are
+// safe.
 func TestEstimateSharedProtocol(t *testing.T) {
 	for _, code := range []string{"Steane", "Carbon"} {
 		t.Run(code, func(t *testing.T) {

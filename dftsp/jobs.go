@@ -118,8 +118,26 @@ func (s *Service) JobRemote() (JobRemoteStatus, bool) {
 
 // encodedProtocol serves the store encoding of a cached or stored protocol
 // by key — the coordinator's protocol endpoint for remote workers that
-// cannot resolve a key from a local catalog. It never triggers synthesis.
+// cannot resolve a key from a local catalog. It never triggers synthesis,
+// and its store reads are not counted as disk hits or misses.
 func (s *Service) encodedProtocol(key string) ([]byte, error) {
+	p, _ := s.lookup(key)
+	if p == nil {
+		return nil, fmt.Errorf("protocol %s is not available", key)
+	}
+	optsJSON, err := json.Marshal(p.Options)
+	if err != nil {
+		return nil, err
+	}
+	return store.Encode(store.Meta{Key: key, Options: optsJSON}, p.Core)
+}
+
+// lookup returns the protocol under key without ever synthesizing:
+// a completed in-memory cache entry first, stored protocols second. An
+// in-flight synthesis falls through to the store rather than block the
+// caller (possibly a job coordinator) on SAT work. read reports whether
+// the store was read; a nil p with read set is a store miss.
+func (s *Service) lookup(key string) (p *Protocol, read bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	st := s.store
@@ -128,27 +146,16 @@ func (s *Service) encodedProtocol(key string) ([]byte, error) {
 		select {
 		case <-e.ready:
 			if e.err == nil && e.p != nil {
-				optsJSON, err := json.Marshal(e.p.Options)
-				if err != nil {
-					return nil, err
-				}
-				return store.Encode(store.Meta{Key: key, Options: optsJSON}, e.p.Core)
+				return e.p, false
 			}
 		default:
-			// In-flight synthesis: fall through to disk rather than block
-			// a worker's fetch on SAT work.
 		}
 	}
-	if st != nil {
-		if p, ok := s.loadStored(st, key); ok {
-			optsJSON, err := json.Marshal(p.Options)
-			if err != nil {
-				return nil, err
-			}
-			return store.Encode(store.Meta{Key: key, Options: optsJSON}, p.Core)
-		}
+	if st == nil {
+		return nil, false
 	}
-	return nil, fmt.Errorf("protocol %s is not available", key)
+	p, _ = s.loadStored(st, key)
+	return p, true
 }
 
 // JobsDir returns the directory of the attached job store, or "" when no
@@ -167,35 +174,25 @@ func (s *Service) runner() *jobs.Runner {
 	return s.jobRunner
 }
 
-// resolveEstimator is the job runner's protocol resolver: completed
-// in-memory cache entries first, stored protocols second. It never triggers
-// a synthesis — SubmitJob synthesizes before submitting, and at resume time
-// a protocol that is neither cached nor stored cannot be reconstructed from
-// its key alone.
+// resolveEstimator is the job runner's protocol resolver, over lookup: it
+// returns the protocol's own estimator, so a job on a cached protocol
+// shares its compile, single-fault table and gap tables with /estimate. It
+// never triggers a synthesis — SubmitJob synthesizes before submitting, and
+// at resume time a protocol that is neither cached nor stored cannot be
+// reconstructed from its key alone. Store reads count as disk hits or
+// misses.
 func (s *Service) resolveEstimator(ctx context.Context, key string) (*sim.Estimator, error) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	st := s.store
-	s.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-			if e.err == nil && e.p != nil {
-				return sim.NewEstimator(e.p.Core), nil
-			}
-		default:
-			// In-flight synthesis: fall through to disk rather than join
-			// (and possibly block a coordinator on) SAT work.
-		}
-	}
-	if st != nil {
-		if p, ok := s.loadStored(st, key); ok {
-			s.diskHits.Inc()
-			return sim.NewEstimator(p.Core), nil
-		}
+	p, read := s.lookup(key)
+	switch {
+	case p != nil && read:
+		s.diskHits.Inc()
+	case read:
 		s.diskMisses.Inc()
 	}
-	return nil, fmt.Errorf("protocol %s is not available (synthesize it first, or attach its store)", key)
+	if p == nil {
+		return nil, fmt.Errorf("protocol %s is not available (synthesize it first, or attach its store)", key)
+	}
+	return p.est.estimator(p.Core), nil
 }
 
 // SubmitJob synthesizes (or fetches) the protocol for opts and submits a

@@ -97,6 +97,65 @@ func TestSubmitJobMatchesEstimate(t *testing.T) {
 	}
 }
 
+// TestResolveEstimatorSharesProtocol requires the job resolver to return a
+// cached protocol's own estimator — the compiled program /estimate built,
+// not a second compile — and pins which lookups count as store traffic:
+// job resolution counts its disk hits and misses, the worker protocol
+// endpoint counts neither.
+func TestResolveEstimatorSharesProtocol(t *testing.T) {
+	dir := t.TempDir()
+	s1 := NewService(2)
+	if err := s1.AttachStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := s1.Protocol(bg, Options{Code: "Steane"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, MaxOrder: 1, MCShots: 64, Engine: "scalar"}); err != nil {
+		t.Fatal(err)
+	}
+	key, err := p.Options.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s1.Stats()
+	est, err := s1.resolveEstimator(bg, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog := est.Program(); prog == nil || prog != p.est.estimator(p.Core).Program() {
+		t.Fatalf("job estimator does not share the cached protocol's compiled program")
+	}
+	if after := s1.Stats(); after.DiskHits != before.DiskHits || after.DiskMisses != before.DiskMisses {
+		t.Fatalf("a memory resolution touched the store counters: %+v -> %+v", before, after)
+	}
+
+	// A restarted service resolves from disk only.
+	s2 := NewService(2)
+	if err := s2.AttachStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.encodedProtocol(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.encodedProtocol("missing"); err == nil {
+		t.Fatal("protocol endpoint served an unknown key")
+	}
+	if st := s2.Stats(); st.DiskHits != 0 || st.DiskMisses != 0 {
+		t.Fatalf("protocol endpoint counted store traffic: %+v", st)
+	}
+	if _, err := s2.resolveEstimator(bg, key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.resolveEstimator(bg, "missing"); err == nil {
+		t.Fatal("resolver returned an estimator for an unknown key")
+	}
+	if st := s2.Stats(); st.DiskHits != 1 || st.DiskMisses != 1 {
+		t.Fatalf("job resolution store counters: %+v, want one disk hit and one miss", st)
+	}
+}
+
 func TestSubmitJobValidation(t *testing.T) {
 	detached := NewService(2)
 	if _, err := detached.SubmitJob(bg, Options{}, EstimateOptions{MCShots: 1}); err == nil {

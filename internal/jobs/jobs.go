@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/noise"
 	"repro/internal/sim"
@@ -139,19 +138,7 @@ type Spec struct {
 
 // NoiseRatio returns the per-class noise model ratio the spec selects, with
 // zero bias fields replaced by 1; Model scales it to a point's rate.
-func (s Spec) NoiseRatio() noise.Model {
-	m := noise.Model{P1Q: 1, P2Q: 1, PMeas: 1, Eta: 1}
-	if s.Bias2Q != 0 {
-		m.P2Q = s.Bias2Q
-	}
-	if s.BiasMeas != 0 {
-		m.PMeas = s.BiasMeas
-	}
-	if s.Eta != 0 {
-		m.Eta = s.Eta
-	}
-	return m
-}
+func (s Spec) NoiseRatio() noise.Model { return noise.Ratio(s.Bias2Q, s.BiasMeas, s.Eta) }
 
 // Model returns the noise model sampled at physical rate p: the spec's
 // noise ratio scaled by p. For a spec without bias fields this is
@@ -219,13 +206,8 @@ func (s Spec) Validate() error {
 	if len(s.Rates) == 0 {
 		return fmt.Errorf("%w: no rates", ErrBadSpec)
 	}
-	for _, b := range []struct {
-		name string
-		v    float64
-	}{{"bias_2q", s.Bias2Q}, {"bias_meas", s.BiasMeas}, {"eta", s.Eta}} {
-		if b.v != 0 && !(b.v > 0 && !math.IsInf(b.v, 1)) {
-			return fmt.Errorf("%w: %s %g must be a positive finite multiplier (or 0 for 1)", ErrBadSpec, b.name, b.v)
-		}
+	if err := noise.CheckRatio(s.Bias2Q, s.BiasMeas, s.Eta); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	for _, r := range s.Rates {
 		if r <= 0 || r >= 1 {

@@ -140,15 +140,6 @@ func newFakeWorker(t *testing.T, addr, name string) *fakeWorker {
 // runTask executes one leased task exactly as cmd/worker does.
 func (w *fakeWorker) runTask(task shardrpc.Task) sim.Counts {
 	w.t.Helper()
-	eng, err := sim.ParseEngine(task.Engine)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	if eng != sim.EngineAuto {
-		if err := w.est.SetEngine(eng); err != nil {
-			w.t.Fatal(err)
-		}
-	}
 	counts, err := task.Run(context.Background(), w.est)
 	if err != nil {
 		w.t.Fatal(err)

@@ -126,10 +126,10 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Resolver maps a protocol key to a fresh estimator for that protocol.
-// The runner calls it once per job start; it must return an estimator not
-// shared with any other consumer (the runner selects the job's engine on
-// it). dftsp supplies a resolver backed by its protocol cache and store.
+// Resolver maps a protocol key to an estimator for that protocol. The
+// runner calls it once per job start and only reads the estimator, so a
+// resolver may return one it shares with other jobs and requests. dftsp
+// supplies a resolver backed by its protocol cache and store.
 type Resolver func(ctx context.Context, protocolKey string) (*sim.Estimator, error)
 
 // errQuiesced aborts a coordinator at the next checkpoint boundary during
@@ -487,7 +487,7 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 		return fmt.Errorf("resolve protocol: %w", err)
 	}
 	eng, _ := sim.ParseEngine(spec.Engine)
-	if err := est.SetEngine(eng); err != nil {
+	if est, err = est.WithEngine(eng); err != nil {
 		return err
 	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec

@@ -39,14 +39,15 @@ func steaneProto(t *testing.T) *core.Protocol {
 	return proto
 }
 
-// steaneResolver resolves testProtocolKey to a fresh Steane estimator.
+// steaneResolver resolves testProtocolKey to one Steane estimator, shared
+// by every job the runner starts.
 func steaneResolver(t *testing.T) Resolver {
-	p := steaneProto(t)
+	est := sim.NewEstimator(steaneProto(t))
 	return func(ctx context.Context, key string) (*sim.Estimator, error) {
 		if key != testProtocolKey {
 			return nil, fmt.Errorf("unknown protocol %q", key)
 		}
-		return sim.NewEstimator(p), nil
+		return est, nil
 	}
 }
 
@@ -57,11 +58,10 @@ func steaneResolver(t *testing.T) Resolver {
 func singleProcessPoint(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
 	t.Helper()
 	spec = spec.Normalized()
-	est := sim.NewEstimator(steaneProto(t))
-	if eng, _ := sim.ParseEngine(spec.Engine); eng != sim.EngineAuto {
-		if err := est.SetEngine(eng); err != nil {
-			t.Fatal(err)
-		}
+	eng, _ := sim.ParseEngine(spec.Engine)
+	est, err := sim.NewEstimator(steaneProto(t)).WithEngine(eng)
+	if err != nil {
+		t.Fatal(err)
 	}
 	method, _ := sim.ParseMethod(spec.Method)
 	target, budget := spec.Budget()

@@ -39,6 +39,38 @@ func Uniform(p float64) Model {
 	return Model{P1Q: p, P2Q: p, PMeas: p, Eta: 1}
 }
 
+// Ratio returns the ratio model a request's bias multipliers select:
+// one-qubit rate 1, two-qubit rate bias2Q, measurement rate biasMeas and
+// the two-qubit Z-bias eta, each 0 read as 1. Scale evaluates it at a
+// physical rate; with every multiplier 0 or 1 it is Uniform(1).
+func Ratio(bias2Q, biasMeas, eta float64) Model {
+	m := Uniform(1)
+	if bias2Q != 0 {
+		m.P2Q = bias2Q
+	}
+	if biasMeas != 0 {
+		m.PMeas = biasMeas
+	}
+	if eta != 0 {
+		m.Eta = eta
+	}
+	return m
+}
+
+// CheckRatio rejects Ratio multipliers that are neither 0 (read as 1) nor
+// positive and finite, naming the offending field by its request name.
+func CheckRatio(bias2Q, biasMeas, eta float64) error {
+	for _, b := range []struct {
+		name string
+		v    float64
+	}{{"bias_2q", bias2Q}, {"bias_meas", biasMeas}, {"eta", eta}} {
+		if b.v != 0 && !(b.v > 0 && !math.IsInf(b.v, 1)) {
+			return fmt.Errorf("%s %g must be a positive finite multiplier (or 0 for 1)", b.name, b.v)
+		}
+	}
+	return nil
+}
+
 // Scale returns the model with every class rate multiplied by p, keeping the
 // bias ratio. It is how a ratio model (class rates relative to a swept
 // physical rate) is evaluated at one grid point.

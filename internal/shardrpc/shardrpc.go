@@ -105,14 +105,21 @@ func (t Task) Sampling() (sim.Sampling, error) {
 // Run executes the task's block range [Block0, Block1) on one
 // sim.BlockRunner and returns the shard's counts. It is the one shard
 // executor: the coordinator's local pool and every remote worker run it,
-// so both sample the identical streams; est must already sample on the
-// task's resolved Engine. The task's sampling is run as recorded, never
-// re-resolved. ctx is checked before every block and after the last, and a
-// cancelled run returns ctx.Err() with zero counts — a partial shard never
-// leaves Run.
+// so both sample the identical streams. It samples on the task's resolved
+// Engine whatever engine est was built for, and runs the task's sampling as
+// recorded, never re-resolved. ctx is checked before every block and after
+// the last, and a cancelled run returns ctx.Err() with zero counts — a
+// partial shard never leaves Run.
 func (t Task) Run(ctx context.Context, est *sim.Estimator) (sim.Counts, error) {
 	s, err := t.Sampling()
 	if err != nil {
+		return sim.Counts{}, err
+	}
+	engine, err := sim.ParseEngine(t.Engine)
+	if err != nil {
+		return sim.Counts{}, err
+	}
+	if est, err = est.WithEngine(engine); err != nil {
 		return sim.Counts{}, err
 	}
 	br, err := est.NewBlockRunner(s, t.Model)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -210,20 +211,27 @@ func TestEngineSelection(t *testing.T) {
 	if est.EngineInUse() != EngineBatch {
 		t.Fatalf("auto engine resolved to %v, want batch", est.EngineInUse())
 	}
-	if err := est.SetEngine(EngineScalar); err != nil {
+	scalar, err := est.WithEngine(EngineScalar)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if est.EngineInUse() != EngineScalar {
+	if scalar.EngineInUse() != EngineScalar {
 		t.Fatalf("scalar override not honored")
 	}
-	if err := est.SetEngine(EngineBatch); err != nil {
+	if est.EngineInUse() != EngineBatch {
+		t.Fatalf("scalar view changed the estimator it came from")
+	}
+	if scalar.Program() != est.Program() || scalar.Batch() != est.Batch() {
+		t.Fatal("scalar view does not share the compiled engines")
+	}
+	if _, err := scalar.WithEngine(EngineBatch); err != nil {
 		t.Fatal(err)
 	}
 
 	// An estimator without a compiled program must reject EngineBatch.
-	broken := &Estimator{}
-	if err := broken.SetEngine(EngineBatch); err == nil {
-		t.Fatal("EngineBatch accepted without a batch engine")
+	broken := &Estimator{shared: &shared{}}
+	if _, err := broken.WithEngine(EngineBatch); !errors.Is(err, ErrEngineUnavailable) {
+		t.Fatalf("EngineBatch without a batch engine: err %v, want ErrEngineUnavailable", err)
 	}
 }
 
@@ -238,7 +246,8 @@ func TestAdaptiveEnginesAgree(t *testing.T) {
 
 	run := func(e Engine) AdaptiveResult {
 		t.Helper()
-		if err := est.SetEngine(e); err != nil {
+		est, err := est.WithEngine(e)
+		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
@@ -268,7 +277,8 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := t.Context()
 	for _, engine := range []Engine{EngineScalar, EngineBatch} {
-		if err := est.SetEngine(engine); err != nil {
+		est, err := est.WithEngine(engine)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, maxShots := range []int{10_001, 8192, 63, 1} {
@@ -287,7 +297,8 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 // the batch engine is a pure function of the caller's seed.
 func TestBatchDirectMCDeterministic(t *testing.T) {
 	est, _ := buildBatch(t, code.Steane())
-	if err := est.SetEngine(EngineBatch); err != nil {
+	est, err := est.WithEngine(EngineBatch)
+	if err != nil {
 		t.Fatal(err)
 	}
 	a := directPL(t, est, 0.03, 10_000, 3, 1)

@@ -375,7 +375,7 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 // shard task, run exactly as recorded and never re-resolved. A rare-event
 // sampling conditioned on k faults needs what est.rare needs of k
 // (ErrBadRate, ErrBadConditioning). The runner samples on the estimator's
-// selected engine (SetEngine), which is part of the deterministic identity
+// engine (WithEngine), which is part of the deterministic identity
 // of the stream: batch and scalar engines draw different RNG sequences.
 func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, error) {
 	k := 0 // direct

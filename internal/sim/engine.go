@@ -54,16 +54,21 @@ func (e Engine) String() string {
 	}
 }
 
-// SetEngine overrides the estimator's engine selection (NewEstimator
-// defaults to EngineAuto). Selecting EngineBatch on an estimator whose
-// protocol fell back to the interpreted executor returns
-// ErrEngineUnavailable.
-func (est *Estimator) SetEngine(e Engine) error {
+// WithEngine returns an estimator that samples on engine e and shares
+// everything else with est: protocol, decoder, compiled program and batch
+// engine, location kinds, single-fault table and gap tables. Selecting
+// EngineBatch on an estimator whose protocol fell back to the interpreted
+// executor returns ErrEngineUnavailable.
+func (est *Estimator) WithEngine(e Engine) (*Estimator, error) {
 	if e == EngineBatch && est.batch == nil {
-		return ErrEngineUnavailable
+		return nil, ErrEngineUnavailable
 	}
-	est.engine = e
-	return nil
+	if e == est.engine {
+		return est, nil
+	}
+	view := *est
+	view.engine = e
+	return &view, nil
 }
 
 // EngineInUse reports the engine the sampling entry points will actually

@@ -56,19 +56,24 @@ type xDecoder interface {
 // interpreted executor and the compiled Program are bit-identical for a
 // shared RNG stream; the batch engine draws its own.
 //
-// Once SetEngine has run (or never will), an Estimator is read-only and
-// safe for concurrent use: any number of goroutines may call
-// AdaptiveModel, NewBlockRunnerModel, FaultOrderModel, Judge, Resolve and
-// the lazily built, sync.Once-guarded LocationKinds and Singles on it at
-// once, each call keeping its own shot state. SetEngine itself is not safe
-// to call concurrently with anything, so configure an Estimator before
-// sharing it.
+// An Estimator is read-only and safe for concurrent use from construction
+// on: any number of goroutines may call AdaptiveModel, NewBlockRunnerModel,
+// FaultOrderModel, Judge, Resolve, WithEngine and the lazily built,
+// sync.Once-guarded LocationKinds and Singles on it at once, each call
+// keeping its own shot state. The engine is fixed per Estimator; WithEngine
+// returns a view on another engine that shares every compiled table.
 type Estimator struct {
-	P      *core.Protocol
-	decX   xDecoder // corrects X errors via Z checks
-	prog   *Program // compiled shot engine; nil if compilation failed
-	batch  *Batch   // 64-lane engine over prog; nil if compilation failed
-	engine Engine   // requested engine; resolved by useBatch
+	P *core.Protocol
+	*shared
+	engine Engine // requested engine; resolved by useBatch
+}
+
+// shared is the engine-independent state of an Estimator, built once by
+// NewEstimator and shared by every view WithEngine returns.
+type shared struct {
+	decX  xDecoder // corrects X errors via Z checks
+	prog  *Program // compiled shot engine; nil if compilation failed
+	batch *Batch   // 64-lane engine over prog; nil if compilation failed
 
 	// Lazily built, shared by concurrent block runners: a resumed job
 	// point's shard tasks are the first to ask for them.
@@ -156,10 +161,10 @@ func (est *Estimator) ClassCounts() [3]int {
 // shot program plus its 64-lane batch engine. When compilation succeeds
 // Judge shares the program's dense decoder (the minimum-weight table is
 // built exactly once); the interpreted fallback builds a lookup table
-// instead. The sampling engine defaults to EngineAuto — batch when the
-// protocol compiled, scalar otherwise; override with SetEngine.
+// instead. The sampling engine is EngineAuto — batch when the protocol
+// compiled, scalar otherwise; WithEngine selects another.
 func NewEstimator(p *core.Protocol) *Estimator {
-	est := &Estimator{P: p}
+	est := &Estimator{P: p, shared: &shared{}}
 	if prog, err := Compile(p); err == nil {
 		est.prog = prog
 		est.decX = prog.dec

@@ -229,7 +229,7 @@ func TestFaultOrderMatchesInterpreted(t *testing.T) {
 			t.Fatalf("%s: protocol did not compile", cs.Name)
 		}
 		if cs.Name == "Steane" || cs.Name == "Surface_3" {
-			ests = append(ests, &Estimator{P: p, decX: decoder.NewLookup(p.Code.Hz)})
+			ests = append(ests, &Estimator{P: p, shared: &shared{decX: decoder.NewLookup(p.Code.Hz)}})
 		}
 		for ei, est := range ests {
 			for _, ratio := range faultOrderRatios {

@@ -434,8 +434,8 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 		t.Run(cs.Name, func(t *testing.T) {
 			p := buildProto(t, cs)
 
-			scalar := NewEstimator(p)
-			if err := scalar.SetEngine(EngineScalar); err != nil {
+			scalar, err := NewEstimator(p).WithEngine(EngineScalar)
+			if err != nil {
 				t.Fatal(err)
 			}
 			sres, err := scalar.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
@@ -443,8 +443,8 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			batch := NewEstimator(p)
-			if err := batch.SetEngine(EngineBatch); err != nil {
+			batch, err := NewEstimator(p).WithEngine(EngineBatch)
+			if err != nil {
 				t.Fatal(err)
 			}
 			bres, err := batch.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)

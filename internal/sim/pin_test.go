@@ -19,7 +19,6 @@ import (
 func TestUniformStreamsPinned(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
-	defer est.SetEngine(EngineAuto)
 
 	type run struct {
 		shots, fails int
@@ -36,7 +35,8 @@ func TestUniformStreamsPinned(t *testing.T) {
 			run{65536, 806, []StratumCount{{W: 1, Shots: 61644}, {W: 2, Shots: 3748, Fails: 760}, {W: 3, Shots: 142, Fails: 45}, {W: 4, Shots: 2, Fails: 1}}},
 			run{shots: 65536, fails: 1126}},
 	} {
-		if err := est.SetEngine(tc.engine); err != nil {
+		est, err := est.WithEngine(tc.engine)
+		if err != nil {
 			t.Fatal(err)
 		}
 		_, rare, err := rareAt(ctx, est, 1, noise.Uniform(5e-3), 0, 65536, 7, 2)
@@ -75,7 +75,6 @@ func TestUniformStreamsPinned(t *testing.T) {
 func TestModelStreamsPinned(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
-	defer est.SetEngine(EngineAuto)
 
 	type run struct {
 		shots, fails int
@@ -101,7 +100,8 @@ func TestModelStreamsPinned(t *testing.T) {
 			run{65536, 188, []StratumCount{{W: 1, Shots: 63352}, {W: 2, Shots: 2138, Fails: 182}, {W: 3, Shots: 46, Fails: 6}}},
 			run{shots: 65536, fails: 7}},
 	} {
-		if err := est.SetEngine(tc.engine); err != nil {
+		est, err := est.WithEngine(tc.engine)
+		if err != nil {
 			t.Fatal(err)
 		}
 		_, rare, err := rareAt(ctx, est, 1, tc.model, 0, 65536, 7, 2)

@@ -239,10 +239,10 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 	for _, engine := range []Engine{EngineBatch, EngineScalar} {
 		for _, method := range []Method{MethodDirect, MethodRare} {
 			t.Run(engine.String()+"/"+method.String(), func(t *testing.T) {
-				if err := est.SetEngine(engine); err != nil {
+				est, err := est.WithEngine(engine)
+				if err != nil {
 					t.Fatal(err)
 				}
-				defer est.SetEngine(EngineAuto)
 
 				want, err := est.AdaptiveModel(ctx, method, noise.Uniform(p), 0, maxShots, seed, 3)
 				if err != nil {
@@ -292,11 +292,11 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 // seeds and blocks — the two executors are bit-identical by design.
 func TestBlockRunnerInterpretedMatchesCompiled(t *testing.T) {
 	p := buildProto(t, code.Steane())
-	compiled := NewEstimator(p)
-	if err := compiled.SetEngine(EngineScalar); err != nil {
+	compiled, err := NewEstimator(p).WithEngine(EngineScalar)
+	if err != nil {
 		t.Fatal(err)
 	}
-	interp := &Estimator{P: p, decX: decoder.NewLookup(p.Code.Hz)}
+	interp := &Estimator{P: p, shared: &shared{decX: decoder.NewLookup(p.Code.Hz)}}
 	ctx := context.Background()
 
 	for _, m := range []noise.Model{

@@ -298,7 +298,6 @@ func TestRarePrepOnlyResolvesK1(t *testing.T) {
 func TestRareK2StreamsPinned(t *testing.T) {
 	ctx := context.Background()
 	est := NewEstimator(buildProto(t, code.Steane()))
-	defer est.SetEngine(EngineAuto)
 
 	type run struct {
 		shots, fails int
@@ -319,7 +318,8 @@ func TestRareK2StreamsPinned(t *testing.T) {
 		{classes, EngineScalar,
 			run{16384, 1922, []StratumCount{{W: 2, Shots: 15843, Fails: 1795}, {W: 3, Shots: 531, Fails: 126}, {W: 4, Shots: 10, Fails: 1}}}},
 	} {
-		if err := est.SetEngine(tc.engine); err != nil {
+		est, err := est.WithEngine(tc.engine)
+		if err != nil {
 			t.Fatal(err)
 		}
 		res, counts, err := est.adaptive(ctx, MethodRare, tc.model, 0, 16384, 7, 2)

@@ -219,7 +219,8 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	const seed = 5
 
 	for _, engine := range []Engine{EngineBatch, EngineScalar} {
-		if err := est.SetEngine(engine); err != nil {
+		est, err := est.WithEngine(engine)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, method := range []Method{MethodDirect, MethodRare} {
@@ -246,9 +247,6 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 			}
 		}
 	}
-	if err := est.SetEngine(EngineAuto); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRareEnginesAgree pins the batch conditional sampler to the scalar
@@ -261,21 +259,20 @@ func TestRareEnginesAgree(t *testing.T) {
 	const p = 0.01
 	const shots = 128 * 1024
 
-	if err := est.SetEngine(EngineBatch); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 31, 2)
+	onBatch, err := est.WithEngine(EngineBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := est.SetEngine(EngineScalar); err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := est.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 41, 2)
+	batch, err := onBatch.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := est.SetEngine(EngineAuto); err != nil {
+	onScalar, err := est.WithEngine(EngineScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar, err := onScalar.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 41, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 

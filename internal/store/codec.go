@@ -248,6 +248,11 @@ func decodeRecord(rec *record) (*core.Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The simulators index code-length vectors by prep qubit, so a wider
+	// circuit would panic there rather than fail here.
+	if prep.N != cs.N {
+		return nil, corrupt("preparation circuit has %d wires for a %d-qubit code", prep.N, cs.N)
+	}
 	p := &core.Protocol{Code: cs, Prep: prep}
 	for li, lr := range rec.Layers {
 		l := &core.Layer{Classes: map[string]*core.ClassCorrection{}}

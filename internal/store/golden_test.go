@@ -164,12 +164,17 @@ func TestDecodeRejectsSemanticCorruption(t *testing.T) {
 	break3.Layers[0].Verif[0].Order = []int{0, 1, 2, 99} // CNOT order off the code
 	break4 := fixtureProtocol()
 	break4.Prep.Gates[len(break4.Prep.Gates)-1].Bit = 5 // classical bit >= num_bits
+	break5 := fixtureProtocol()
+	break5.Prep.N = 8 // wider than the 4-qubit code
+	break5.Prep.Gates = break5.Prep.Gates[:len(break5.Prep.Gates)-1]
+	break5.Prep.AppendH(7)
 
 	for name, p := range map[string]*core.Protocol{
 		"qubit out of range":         break1,
 		"stab length":                break2,
 		"order qubit out of range":   break3,
 		"classical bit out of range": break4,
+		"prep wider than code":       break5,
 	} {
 		t.Run(name, func(t *testing.T) {
 			data, err := store.Encode(store.Meta{Key: goldenKey}, p)
