@@ -194,6 +194,10 @@ func TestEstimateBadOptionsRegressions(t *testing.T) {
 		{"negative target_rse", EstimateOptions{Rates: []float64{1e-2}, TargetRSE: -0.1}},
 		{"target_rse >= 1", EstimateOptions{Rates: []float64{1e-2}, TargetRSE: 1.5}},
 		{"negative mc_min_rate", EstimateOptions{Rates: []float64{1e-2}, MCMinRate: -1}},
+		{"NaN rate", EstimateOptions{Rates: []float64{math.NaN()}}},
+		{"NaN rate among valid ones", EstimateOptions{Rates: []float64{1e-2, math.NaN()}, MCShots: 1000}},
+		{"NaN target_rse", EstimateOptions{Rates: []float64{1e-2}, TargetRSE: math.NaN()}},
+		{"NaN mc_min_rate", EstimateOptions{Rates: []float64{1e-2}, MCShots: 1000, MCMinRate: math.NaN()}},
 		{"max_order above locations", EstimateOptions{Rates: []float64{1e-2}, MaxOrder: 10_000, Samples: 10}},
 	}
 	for _, tc := range cases {

@@ -276,10 +276,10 @@ type EstimateResult struct {
 
 // Validate reports whether the estimation options are usable, so callers
 // can reject a request before paying for protocol synthesis. Rejections
-// wrap ErrBadOptions.
+// wrap ErrBadOptions. Every range check is written so that NaN fails it.
 func (eo EstimateOptions) Validate() error {
 	for _, r := range eo.Rates {
-		if r <= 0 || r >= 1 {
+		if !(r > 0 && r < 1) {
 			return badOptions("physical rate %g outside (0,1)", r)
 		}
 	}
@@ -295,10 +295,10 @@ func (eo EstimateOptions) Validate() error {
 	if eo.MaxShots < 0 {
 		return badOptions("max_shots %d must be >= 0", eo.MaxShots)
 	}
-	if eo.TargetRSE < 0 || eo.TargetRSE >= 1 {
+	if !(eo.TargetRSE >= 0 && eo.TargetRSE < 1) {
 		return badOptions("target_rse %g outside [0,1)", eo.TargetRSE)
 	}
-	if eo.MCMinRate < 0 {
+	if !(eo.MCMinRate >= 0) {
 		return badOptions("mc_min_rate %g must be >= 0", eo.MCMinRate)
 	}
 	if _, err := sim.ParseEngine(eo.Engine); err != nil {

@@ -210,14 +210,14 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	for _, r := range s.Rates {
-		if r <= 0 || r >= 1 {
+		if !(r > 0 && r < 1) { // NaN fails too
 			return fmt.Errorf("%w: physical rate %g outside (0,1)", ErrBadSpec, r)
 		}
 		if m := s.Model(r); m.MaxRate() >= 1 {
 			return fmt.Errorf("%w: biased rate %g at p = %g reaches 1", ErrBadSpec, m.MaxRate(), r)
 		}
 	}
-	if s.TargetRSE < 0 || s.TargetRSE >= 1 {
+	if !(s.TargetRSE >= 0 && s.TargetRSE < 1) {
 		return fmt.Errorf("%w: target_rse %g outside [0,1)", ErrBadSpec, s.TargetRSE)
 	}
 	if s.MCShots < 0 || s.MaxShots < 0 {

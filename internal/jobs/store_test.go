@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,6 +65,9 @@ func TestSpecValidate(t *testing.T) {
 		{"rate at 0", func(s *Spec) { s.Rates = []float64{0} }},
 		{"rate at 1", func(s *Spec) { s.Rates = []float64{1} }},
 		{"target_rse at 1", func(s *Spec) { s.TargetRSE = 1 }},
+		{"NaN rate", func(s *Spec) { s.Rates = []float64{1e-3, math.NaN()} }},
+		{"NaN target_rse, no budget", func(s *Spec) { s.MCShots = 0; s.TargetRSE = math.NaN() }},
+		{"NaN target_rse", func(s *Spec) { s.TargetRSE = math.NaN() }},
 		{"negative budget", func(s *Spec) { s.MCShots = -1 }},
 		{"no budget", func(s *Spec) { s.MCShots = 0; s.TargetRSE = 0 }},
 	}

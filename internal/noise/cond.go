@@ -52,15 +52,21 @@ const noFault = ^uint32(0)
 type condLaw struct {
 	chainLayout
 	n     uint32  // fault-free-path length N
-	condP float64 // P(#faults >= 1) over the fault-free path
+	condP float64 // P(#faults >= k) over the fault-free path
 	menus menuSet
+
+	// reach bounds every chain-local location a shot can execute: at
+	// schedules nothing at or past it. It is the single-fault table's Reach
+	// under the K >= 2 law and noFault (no bound) otherwise.
+	reach uint64
 
 	// Per-class first-fault tables; nil for a uniform model.
 	cdf  []float64   // first-fault CDF over fault-free-path locations
 	kcls []uint8     // location class of each fault-free-path location
 	pfx  [][3]uint32 // pfx[j][c] = class-c locations among locations [0..j]
 
-	// pair is the K >= 2 law (singles.go); nil for the K >= 1 law.
+	// pair is the K >= 2 law (singles.go), shared through the table's
+	// cache; nil for the K >= 1 law.
 	pair *pairLaw
 }
 
@@ -102,28 +108,43 @@ func newCondLaw(m Model, kinds []LocKind, sk *Skips) condLaw {
 // newChains returns the law's chain layout, gap tables and operator menus
 // for model m, with no first-fault tables yet.
 func newChains(m Model, sk *Skips) condLaw {
-	return condLaw{chainLayout: layoutOf(m, sk), menus: newMenuSet(m.Eta)}
+	return condLaw{chainLayout: layoutOf(m, sk), menus: newMenuSet(m.Eta), reach: uint64(noFault)}
 }
 
-// newCondLaw2 builds the K >= 2 schedule for model m over the protocol's
-// single-fault table. The caller guarantees every class rate below 1 and
-// 0 < tab.CondProb(m).
+// newCondLaw2 returns the K >= 2 schedule for model m over the protocol's
+// single-fault table: the table's cached law of m (Singles.law) on the
+// chains of m, with gap tables from sk. It allocates nothing once the law
+// and the gap tables exist. The caller guarantees every class rate below 1
+// and 0 < tab.CondProb(m).
 func newCondLaw2(m Model, tab *Singles, sk *Skips) condLaw {
-	l := newChains(m, sk)
-	l.n = uint32(tab.N)
-	l.pair, l.condP = newPairLaw(m, tab)
+	pl := tab.law(m)
+	l := condLaw{chainLayout: layoutOf(m, sk), n: uint32(tab.N), condP: pl.condP, menus: pl.menus, reach: uint64(noFault), pair: pl}
+	if tab.Reach > 0 {
+		l.reach = uint64(tab.Reach)
+	}
 	return l
 }
 
 // at schedules chain c's next fault at or after chain-local location from:
-// from plus one geometric skip, saturating to noFault past the uint32 range
-// (no protocol executes 4 billion locations in one shot).
+// from plus one geometric skip, or noFault when that lands at or past the
+// law's reach, where no shot gets to. It consumes exactly one RNG output,
+// as geomSkip does, and returns the same location whenever that is below
+// the reach. A fallback gap bucket whose lower bound already carries the
+// fault past the reach answers without evaluating the logarithm.
 func (l *condLaw) at(rng *SplitMix64, c int, from uint32) uint32 {
-	nxt := uint64(from) + geomSkip(rng, l.tab[c])
-	if nxt >= uint64(noFault) {
-		return noFault
+	t := l.tab[c]
+	x := rng.Next()
+	gap := uint64(t.gap[x>>(64-skipBits)])
+	if gap&uint64(skipMiss) != 0 {
+		if uint64(from)+(gap&^uint64(skipMiss)) >= l.reach {
+			return noFault
+		}
+		gap = t.expr(x)
 	}
-	return uint32(nxt)
+	if nxt := uint64(from) + gap; nxt < l.reach {
+		return uint32(nxt)
+	}
+	return noFault
 }
 
 // first draws one shot's forced first fault and returns every chain's
@@ -157,11 +178,15 @@ func (l *condLaw) first(rng *SplitMix64) [3]uint32 {
 // batch engine: every live lane of every word is guaranteed at least k
 // faults (k = 1, or k = 2 under the single-fault table's law), drawn from
 // the exact conditional distribution above. Unlike SparseSampler it must
-// track per-lane location indices (the conditioning is defined in each
-// lane's own location order, which advances only while the lane is in the
-// active mask), so each draw costs one counter update per active lane
-// instead of the sparse sampler's single comparison per site — the price of
-// never sampling a shot with fewer than k faults.
+// track each lane's own position on every chain (the conditioning is
+// defined in each lane's own location order, which advances only while the
+// lane is in the active mask) — the price of never sampling a shot with
+// fewer than k faults. Each chain keeps those positions as a calendar of
+// the lanes with a fault still pending (laneClock), so a draw costs one
+// slot lookup plus one update per lane of whichever group is smaller, the
+// pending lanes that advance or those that sit the draw out, instead of
+// one counter update per active lane. A lane whose next fault on a chain
+// is noFault leaves that chain's calendar until the next Reset.
 //
 // Call Reset before every 64-shot word to redraw the forced faults; a
 // CondSampler is not safe for concurrent use.
@@ -184,10 +209,9 @@ type CondSampler struct {
 	// strata).
 	Faults [64]uint16
 
-	rng  SplitMix64
-	law  condLaw
-	cnt  [3][64]uint32 // chain-local locations executed per lane since Reset
-	next [3][64]uint32 // chain-local index of each lane's next fault
+	rng   SplitMix64
+	law   condLaw
+	clock [3]laneClock // per chain: each lane's next fault and its distance
 
 	// K >= 2 law only: each lane's fault after next on the chains in
 	// hasThen, and the table operator of the first fault of the lanes in
@@ -276,7 +300,7 @@ func CondProbModel(m Model, counts [3]int) float64 {
 // runs it.
 func (s *CondSampler) Reseed(seed uint64) { s.rng.State = seed }
 
-// Reset begins a new 64-shot word: location counters and fault tallies
+// Reset begins a new 64-shot word: lane positions and fault tallies
 // clear, and every lane in live gets its forced faults from the shared
 // schedule (condLaw.first, or condLaw.pairs under the K >= 2 law). Lanes
 // outside live run fault-free.
@@ -284,24 +308,21 @@ func (s *CondSampler) Reset(live uint64) {
 	s.Faults = [64]uint16{}
 	s.hasThen, s.forced = [3]uint64{}, 0
 	for c := 0; c < s.law.nch; c++ {
-		s.cnt[c] = [64]uint32{}
-		for lane := range s.next[c] {
-			s.next[c][lane] = noFault
-		}
+		s.clock[c].reset()
 	}
 	for l := live; l != 0; l &= l - 1 {
 		lane := bits.TrailingZeros64(l)
+		bit := uint64(1) << lane
 		if s.law.pair == nil {
 			next := s.law.first(&s.rng)
 			for c := 0; c < s.law.nch; c++ {
-				s.next[c][lane] = next[c]
+				s.clock[c].plan(lane, next[c], uint64(next[c]))
 			}
 			continue
 		}
 		sc := s.law.pairs(&s.rng)
-		bit := uint64(1) << lane
 		for c := 0; c < s.law.nch; c++ {
-			s.next[c][lane] = sc.next[c]
+			s.clock[c].plan(lane, sc.next[c], uint64(sc.next[c]))
 			if sc.hasThen>>c&1 == 1 {
 				s.then[c][lane] = sc.then[c]
 				s.hasThen[c] |= bit
@@ -313,30 +334,28 @@ func (s *CondSampler) Reset(live uint64) {
 }
 
 // draw advances every active lane by one location on the kind's chain and
-// fires the scheduled faults, mirroring BatchPlan's location semantics
-// (counters advance only while the lane is active). A fired fault
-// reschedules its chain — to the lane's planned fault after it, or one
-// geometric gap on — and then takes the table operator of a forced first
-// fault or, at gate locations, a draw from the kind's menu (a measurement
-// flip draws nothing).
+// fires the scheduled faults in lane order, mirroring BatchPlan's location
+// semantics (positions advance only while the lane is active). A fired
+// fault reschedules its chain — to the lane's planned fault after it, or
+// one geometric gap on — and then takes the table operator of a forced
+// first fault or, at gate locations, a draw from the kind's menu (a
+// measurement flip draws nothing).
 func (s *CondSampler) draw(kind LocKind, active uint64, visit func(lane uint, f Fault)) {
 	c := int(s.law.cls[kind])
-	cnt, next := &s.cnt[c], &s.next[c]
-	for a := active; a != 0; a &= a - 1 {
-		lane := uint(bits.TrailingZeros64(a))
-		loc := cnt[lane]
-		cnt[lane] = loc + 1
-		if loc != next[lane] {
-			continue
-		}
+	k := &s.clock[c]
+	for fire := k.step(active); fire != 0; fire &= fire - 1 {
+		lane := uint(bits.TrailingZeros64(fire))
+		loc := k.next[lane]
 		s.Faults[lane]++
 		bit := uint64(1) << lane
+		var nxt uint32
 		if s.hasThen[c]&bit != 0 {
 			s.hasThen[c] &^= bit
-			next[lane] = s.then[c][lane]
+			nxt = s.then[c][lane]
 		} else {
-			next[lane] = s.law.at(&s.rng, c, loc+1)
+			nxt = s.law.at(&s.rng, c, loc+1)
 		}
+		k.plan(int(lane), nxt, uint64(nxt-loc-1))
 		var f Fault
 		switch {
 		case s.forced&bit != 0:
@@ -347,6 +366,107 @@ func (s *CondSampler) draw(kind LocKind, active uint64, visit func(lane uint, f 
 		}
 		visit(lane, f)
 	}
+}
+
+// ring is the number of calendar slots of a laneClock.
+const ring = 64
+
+// laneClock is one chain's calendar of the lanes of a word with a fault
+// still to come on the chain. A pending lane's distance is the number of
+// its own chain locations left before its next fault; the lane fires at
+// the draw it is active in at distance 0. The clock stores a due tick per
+// lane, distance = due - tick, and a lane at distance below ring sits in
+// slot due mod ring, so the slot of the current tick holds exactly the
+// lanes at distance 0. A draw (step) then either advances the tick, which
+// brings every lane one closer at once, and moves the pending lanes that
+// sat the draw out one tick on; or, when fewer lanes advance than sit
+// out, leaves the tick and moves each advancing lane one tick closer.
+// Lanes at distance ring or more wait outside the slots, in far, and enter
+// them before they can come due.
+type laneClock struct {
+	tick    uint64
+	pending uint64 // lanes with a fault to come
+	far     uint64 // pending lanes outside the slots
+	minFar  uint64 // at most the smallest due tick in far
+	due     [64]uint64
+	next    [64]uint32 // chain-local index of each pending lane's next fault
+	slot    [ring]uint64
+}
+
+// reset empties the clock for a new word.
+func (k *laneClock) reset() {
+	for p := k.pending &^ k.far; p != 0; p &= p - 1 {
+		k.slot[k.due[bits.TrailingZeros64(p)]%ring] = 0
+	}
+	k.tick, k.pending, k.far, k.minFar = 0, 0, 0, math.MaxUint64
+}
+
+// plan sets lane's next fault to chain-local location at, dist of the
+// lane's chain locations away; noFault retires the lane until reset.
+func (k *laneClock) plan(lane int, at uint32, dist uint64) {
+	bit := uint64(1) << lane
+	if at == noFault {
+		k.pending &^= bit
+		return
+	}
+	k.pending |= bit
+	k.next[lane] = at
+	d := k.tick + dist
+	k.due[lane] = d
+	if dist < ring {
+		k.slot[d%ring] |= bit
+		return
+	}
+	k.far |= bit
+	k.minFar = min(k.minFar, d)
+}
+
+// move shifts the due tick of every lane in m by one, later for by = 1 and
+// earlier for by = -1 (as a uint64).
+func (k *laneClock) move(m, by uint64) {
+	for ; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		bit := uint64(1) << lane
+		d := k.due[lane]
+		k.due[lane] = d + by
+		if k.far&bit != 0 {
+			k.minFar = min(k.minFar, d+by)
+			continue
+		}
+		k.slot[d%ring] &^= bit
+		k.slot[(d+by)%ring] |= bit
+	}
+}
+
+// step accounts one draw on the chain with the given lanes active and
+// returns the active lanes at distance 0, taken out of the calendar's
+// slots: those fire at this draw.
+func (k *laneClock) step(active uint64) uint64 {
+	t := k.tick
+	if k.minFar < t+ring {
+		// Far lanes come at most one tick closer per draw: slot every one
+		// now within ring of the tick before any of them can come due.
+		k.minFar = math.MaxUint64
+		for f := k.far; f != 0; f &= f - 1 {
+			lane := bits.TrailingZeros64(f)
+			if d := k.due[lane]; d < t+ring {
+				k.far &^= 1 << lane
+				k.slot[d%ring] |= 1 << lane
+			} else {
+				k.minFar = min(k.minFar, d)
+			}
+		}
+	}
+	on, off := active&k.pending, k.pending&^active
+	fire := k.slot[t%ring] & on
+	if bits.OnesCount64(off) < bits.OnesCount64(on) {
+		k.move(off, 1)
+		k.tick = t + 1
+	} else {
+		k.move(on&^fire, ^uint64(0))
+	}
+	k.slot[t%ring] &^= fire
+	return fire
 }
 
 // Draw1Q implements BatchInjector: uniform {X, Y, Z} on faulted lanes.

@@ -3,6 +3,7 @@ package noise
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"testing"
 )
 
@@ -228,5 +229,137 @@ func TestCondSamplerReseedDeterministic(t *testing.T) {
 	}
 	if a.Faults != b.Faults {
 		t.Fatalf("reseeded samplers tally differently: %v vs %v", a.Faults, b.Faults)
+	}
+}
+
+// TestSinglesLawCache checks the single-fault table's per-model K >= 2 law
+// cache: one law per model, shared by CondProb and every sampler built on
+// the table, also when built concurrently; a sampler holds the law by
+// reference, not a copy; and past maxPairLaws models the cache starts over
+// instead of growing.
+func TestSinglesLawCache(t *testing.T) {
+	path := []LocKind{Loc1Q, Loc2Q, Loc2Q, LocMeas, Loc1Q, Loc2Q}
+	tab := &Singles{Reach: len(path) + 2}
+	for j, k := range path {
+		for oi := range OpsFor(k) {
+			tab.Add(j, oi, append(path[:j+1:j+1], path[j:]...), false)
+		}
+	}
+	m := Model{P1Q: 1e-3, P2Q: 2e-3, PMeas: 5e-4, Eta: 2}
+	var wg sync.WaitGroup
+	laws := make([]*pairLaw, 8)
+	for i := range laws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			laws[i] = NewCondSampler2(m, tab, uint64(i), nil).law.pair
+		}()
+	}
+	wg.Wait()
+	for _, pl := range laws {
+		if pl != laws[0] || pl != tab.law(m) {
+			t.Fatal("samplers of one model must share the table's law")
+		}
+	}
+	if got, want := tab.CondProb(m), laws[0].condP; got != want {
+		t.Fatalf("CondProb %v, cached law %v", got, want)
+	}
+	if c := NewCondInjector2(m, tab, 1, nil); c.law.pair != laws[0] || c.law.reach != uint64(tab.Reach) {
+		t.Fatal("the scalar injector must share the law and carry the table's reach")
+	}
+	if tab.law(Uniform(1e-3)) == laws[0] {
+		t.Fatal("distinct models must get distinct laws")
+	}
+	for i := 0; i <= 2*maxPairLaws; i++ {
+		tab.law(Uniform(float64(i+1) * 1e-4))
+		if len(tab.laws) > maxPairLaws {
+			t.Fatalf("cache holds %d laws, want at most %d", len(tab.laws), maxPairLaws)
+		}
+	}
+}
+
+// TestLaneClockMatchesCounters holds the batch sampler's per-chain
+// calendar to the per-lane location counters it replaces: under random
+// activity — every lane, all but a few, single lanes, random masks, sparse
+// masks, each in runs of 100 draws or mixed — and random reschedules near,
+// past the slot ring and never again, each step
+// must fire exactly the active pending lanes whose counter has reached
+// their next fault.
+func TestLaneClockMatchesCounters(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := SplitMix64{State: seed}
+		var k laneClock
+		var cnt, next [64]uint32
+		var pending uint64
+		dist := func() uint32 {
+			switch rng.Next() % 4 {
+			case 0:
+				return uint32(rng.Next() % 4)
+			case 1:
+				return uint32(rng.Next() % (2 * ring))
+			case 2:
+				return uint32(ring - 2 + rng.Next()%4)
+			default:
+				return uint32(rng.Next() % 2000)
+			}
+		}
+		for word := 0; word < 4; word++ {
+			k.reset()
+			pending, cnt = 0, [64]uint32{}
+			for lane := 0; lane < 64; lane++ {
+				if rng.Next()%8 == 0 {
+					continue
+				}
+				next[lane] = dist()
+				pending |= 1 << lane
+				k.plan(lane, next[lane], uint64(next[lane]))
+			}
+			style := uint64(0)
+			for step := 0; step < 1500; step++ {
+				if step%100 == 0 {
+					style = rng.Next() % 6 // 5: a new style every step
+				}
+				pick := style
+				if pick == 5 {
+					pick = rng.Next() % 5
+				}
+				var active uint64
+				switch pick {
+				case 0:
+					active = ^uint64(0)
+				case 1:
+					active = ^uint64(0) &^ (1 << (rng.Next() % 64)) &^ (1 << (rng.Next() % 64))
+				case 2:
+					active = 1 << (rng.Next() % 64)
+				case 3:
+					active = rng.Next()
+				default:
+					active = rng.Next() & rng.Next() // fewer advance than sit out
+				}
+				var want uint64
+				for a := active & pending; a != 0; a &= a - 1 {
+					lane := bits.TrailingZeros64(a)
+					if cnt[lane] == next[lane] {
+						want |= 1 << lane
+					}
+					cnt[lane]++
+				}
+				got := k.step(active)
+				if got != want {
+					t.Fatalf("seed %d word %d step %d: fired %016x, counters fire %016x", seed, word, step, got, want)
+				}
+				for f := got; f != 0; f &= f - 1 {
+					lane := bits.TrailingZeros64(f)
+					loc := next[lane]
+					if rng.Next()%5 == 0 {
+						pending &^= 1 << lane
+						k.plan(lane, noFault, 0)
+						continue
+					}
+					next[lane] = loc + 1 + dist()
+					k.plan(lane, next[lane], uint64(next[lane]-loc-1))
+				}
+			}
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // value of the top skipBits bits of the RNG output a geometric draw reads.
 const skipBits = 12
 
-// skipMiss marks a bucket whose draws fall back to the float expression.
-const skipMiss = ^uint32(0)
+// skipMiss flags a bucket whose draws fall back to the float expression;
+// the word's other bits hold a lower bound of the bucket's gaps.
+const skipMiss = uint32(1) << 31
 
 // skipTable is the guide table behind geomSkip for one chain rate p. The
 // geometric gap of an RNG output x, floor(log(u)/log(1-p)) with
@@ -20,9 +21,13 @@ const skipMiss = ^uint32(0)
 // the bucket lands in one integer cell, at least g·1e-12 + 1e-12 away from
 // either edge of that cell. math.Log is within 1 ulp, so no value between
 // the two ends can then cross an edge, and the stored gap equals the
-// expression for every x in the bucket. All other buckets hold skipMiss,
-// and their draws evaluate the expression itself, so a table draw is
-// bit-identical to the plain expression by construction.
+// expression for every x in the bucket. Every other bucket falls back: its
+// word is skipMiss plus a lower bound of its gaps, floor of the highest
+// output's value less the same margin, and its draws evaluate the
+// expression itself, so a table draw is bit-identical to the plain
+// expression by construction. The lower bound lets a caller that only
+// needs to know whether a gap passes some reach answer without the
+// logarithm (condLaw.at).
 //
 // A skipTable is read-only after newSkipTable and safe for concurrent use.
 type skipTable struct {
@@ -41,7 +46,6 @@ func newSkipTable(p float64) *skipTable {
 	for b := range t.gap {
 		lo := uint64(b) << (64 - skipBits)
 		hi := lo | (1<<(64-skipBits) - 1)
-		t.gap[b] = skipMiss
 		// g is non-increasing in x: the largest gap sits at the bucket's
 		// lowest output, the smallest at its highest.
 		gHi, gLo := t.float(lo), t.float(hi)
@@ -49,6 +53,11 @@ func newSkipTable(p float64) *skipTable {
 		margin := c*1e-12 + 1e-12
 		if c < float64(skipMiss) && gLo-c >= margin && c+1-gHi >= margin {
 			t.gap[b] = uint32(c)
+			continue
+		}
+		t.gap[b] = skipMiss
+		if lb := math.Floor(gLo - margin); lb > 0 { // false for NaN
+			t.gap[b] |= uint32(min(lb, float64(skipMiss-1)))
 		}
 	}
 	return t
@@ -118,7 +127,7 @@ func geomSkip(rng *SplitMix64, t *skipTable) uint64 { return t.draw(rng.Next()) 
 // draw is the gap of RNG output x: its bucket's stored gap, or the
 // expression when the bucket falls back.
 func (t *skipTable) draw(x uint64) uint64 {
-	if g := t.gap[x>>(64-skipBits)]; g != skipMiss {
+	if g := t.gap[x>>(64-skipBits)]; g&skipMiss == 0 {
 		return uint64(g)
 	}
 	return t.expr(x)

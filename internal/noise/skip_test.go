@@ -23,7 +23,9 @@ var skipRates = []float64{0.1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5}
 // at seven rates from 0.1 to 1e-5, both end values of every bucket (and
 // the values next to them), then 2·10^7 consecutive draws of one SplitMix64
 // stream through geomSkip against the expression on a second copy of the
-// stream (2·10^6 under -short). It logs each rate's fallback share.
+// stream (2·10^6 under -short). A fallback bucket's lower bound must not
+// exceed the expression at any of those outputs. It logs each rate's
+// fallback share.
 func TestSkipTableExact(t *testing.T) {
 	draws := 20_000_000
 	if testing.Short() {
@@ -44,28 +46,41 @@ func TestSkipTableExact(t *testing.T) {
 				if got, want := tab.draw(x), refGeomSkip(x, invLog); got != want {
 					t.Fatalf("p=%g bucket %d x=%#x: table %d, expression %d", p, b, x, got, want)
 				}
+				checkSkipFloor(t, tab, x, p)
 			}
-			if tab.gap[b] == skipMiss {
+			if tab.gap[b]&skipMiss != 0 {
 				misses++
 			}
 		}
 		a, r := SplitMix64{State: uint64(p * 1e9)}, SplitMix64{State: uint64(p * 1e9)}
 		for i := 0; i < draws; i++ {
-			if got, want := geomSkip(&a, tab), refGeomSkip(r.Next(), invLog); got != want {
+			x := r.Next()
+			if got, want := geomSkip(&a, tab), refGeomSkip(x, invLog); got != want {
 				t.Fatalf("p=%g draw %d: table %d, expression %d", p, i, got, want)
 			}
+			checkSkipFloor(t, tab, x, p)
 		}
 		t.Logf("p=%g: %.1f%% of buckets fall back", p, 100*float64(misses)/float64(len(tab.gap)))
 	}
 }
 
+// checkSkipFloor fails t when x's bucket falls back with a lower bound
+// above the expression's gap at x.
+func checkSkipFloor(t *testing.T, tab *skipTable, x uint64, p float64) {
+	t.Helper()
+	if g := tab.gap[x>>(64-skipBits)]; g&skipMiss != 0 && uint64(g&^skipMiss) > tab.expr(x) {
+		t.Fatalf("p=%g x=%#x: bucket lower bound %d above the gap %d", p, x, g&^skipMiss, tab.expr(x))
+	}
+}
+
 // TestSkipTableZeroRate pins the zero-rate table: exponent 0 and every
-// bucket falling back, so its draws are the expression's (zero) too.
+// bucket falling back with lower bound 0, so its draws are the
+// expression's (zero) too.
 func TestSkipTableZeroRate(t *testing.T) {
 	tab := newSkipTable(0)
 	for b, g := range tab.gap {
 		if g != skipMiss {
-			t.Fatalf("bucket %d stores %d, want a fallback", b, g)
+			t.Fatalf("bucket %d holds %#x, want a fallback with lower bound 0", b, g)
 		}
 	}
 	for _, x := range []uint64{0, 1 << 40, ^uint64(0)} {
@@ -108,7 +123,8 @@ func TestSkipsShared(t *testing.T) {
 
 // FuzzGeomSkip checks the table draw against the expression for any RNG
 // output x and any rate p in (0, 1), at x itself and at both ends of x's
-// bucket; other rates are skipped. The seeded corpus runs as unit tests;
+// bucket, and a fallback bucket's lower bound against the expression at
+// the same outputs; other rates are skipped. The seeded corpus runs as unit tests;
 // `go test -fuzz=FuzzGeomSkip ./internal/noise` explores further.
 func FuzzGeomSkip(f *testing.F) {
 	f.Add(uint64(0), 0.5)
@@ -132,6 +148,7 @@ func FuzzGeomSkip(f *testing.F) {
 			if got != want {
 				t.Fatalf("p=%g x=%#x: table %d, expression %d", p, y, got, want)
 			}
+			checkSkipFloor(t, tab, y, p)
 		}
 		rng := SplitMix64{State: x}
 		if got, want := geomSkip(&rng, tab), refGeomSkip((&SplitMix64{State: x}).Next(), invLog); got != want {

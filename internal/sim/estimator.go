@@ -105,10 +105,11 @@ func (est *Estimator) LocationKinds() []noise.LocKind {
 // operator at every fault-free-path location, in location/operator order,
 // with the verdict of the shot it causes and the location kinds of the
 // trajectory it forces. It backs the k = 2 rare-event law and its
-// resolution rule (Resolve). The table is built on first use — one
-// single-fault shot per entry on the compiled program, or the interpreted
-// executor past its packing limits — and cached; concurrent callers share
-// one build.
+// resolution rule (Resolve); with a compiled program, the table carries
+// the program's static location bound (Program.reach) as its Reach. The
+// table is built on first use — one single-fault shot per entry on the
+// compiled program, or the interpreted executor past its packing limits —
+// and cached; concurrent callers share one build.
 func (est *Estimator) Singles() *noise.Singles {
 	est.singlesOnce.Do(func() {
 		kinds := est.LocationKinds()
@@ -122,6 +123,9 @@ func (est *Estimator) Singles() *noise.Singles {
 			}
 		}
 		tab := &noise.Singles{}
+		if prog := est.prog; prog != nil {
+			tab.Reach = prog.reach()
+		}
 		for j, kind := range kinds {
 			for oi, op := range noise.OpsFor(kind) {
 				rec.kinds, rec.at, rec.op = rec.kinds[:0], j, op

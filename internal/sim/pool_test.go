@@ -352,3 +352,44 @@ func TestBlockRunnerSharesSkipTables(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockRunnerSharesPairLaw checks that k = 2 rare-event runners take
+// the K >= 2 law from the single-fault table's per-model cache instead of
+// building their own: once a model's law exists, a further runner on the
+// batch or scalar engine allocates only itself and its sampler — under
+// 8 KB, less than Carbon's law (first-fault CDF, guide and suffix data) —
+// and the runner's stream does not change.
+func TestBlockRunnerSharesPairLaw(t *testing.T) {
+	est := NewEstimator(buildProto(t, code.Carbon()))
+	k2 := Sampling{Method: MethodRare, MinFaults: 2}
+	for _, engine := range []Engine{EngineBatch, EngineScalar} {
+		est, err := est.WithEngine(engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []noise.Model{noise.Uniform(1e-4), {P1Q: 6e-5, P2Q: 1e-4, PMeas: 2e-5, Eta: 4}} {
+			first, err := est.NewBlockRunner(k2, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := est.NewBlockRunner(k2, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
+				t.Fatalf("%v %+v: a k = 2 runner allocates %d B, want no law of its own", engine, m, per)
+			}
+			second, _ := est.NewBlockRunner(k2, m)
+			first.RunBlock(context.Background(), 3, 0, 512)
+			second.RunBlock(context.Background(), 3, 0, 512)
+			if a, b := first.Counts(), second.Counts(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%v %+v: runners on one cached law disagree: %+v vs %+v", engine, m, a, b)
+			}
+		}
+	}
+}

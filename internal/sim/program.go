@@ -281,6 +281,46 @@ func (pr *Program) NewShot() *Shot {
 	}
 }
 
+// reach returns a static upper bound on the fault locations one shot
+// executes, whatever its faults: the preparation, then in every layer its
+// verification measurements and the costliest class's primary and hook
+// blocks together. A shot that stops early or runs no correction executes
+// fewer.
+func (pr *Program) reach() int {
+	n := len(pr.prep)
+	for li := range pr.layers {
+		lay := &pr.layers[li]
+		n += measLocs(lay.meas)
+		worst := 0
+		for _, cc := range lay.classList {
+			w := 0
+			for _, blk := range []*progBlock{cc.primary, cc.hook} {
+				if blk != nil {
+					w += measLocs(blk.meas)
+				}
+			}
+			worst = max(worst, w)
+		}
+		n += worst
+	}
+	return n
+}
+
+// measLocs counts the fault locations of a measurement sequence: each
+// measurement's ancilla preparation, one CNOT per qubit of its order and
+// its readout, plus a flag's preparation, two CNOTs and readout where one
+// is compiled in (see measure).
+func measLocs(ms []progMeas) int {
+	n := 0
+	for i := range ms {
+		n += len(ms[i].order) + 2
+		if ms[i].useFlag {
+			n += 4
+		}
+	}
+	return n
+}
+
 // word-level frame primitives; q is always in range by construction.
 
 func getBit(w []uint64, q int32) bool { return w[q>>6]>>(uint(q)&63)&1 == 1 }

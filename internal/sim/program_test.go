@@ -318,3 +318,52 @@ func TestWilson(t *testing.T) {
 		t.Fatalf("Wilson(500,1000) = [%g, %g]", lo, hi)
 	}
 }
+
+// locCounter forwards to an injector and counts the locations a shot
+// executes.
+type locCounter struct {
+	inj noise.Injector
+	n   int
+}
+
+func (c *locCounter) Next(k noise.LocKind) noise.Fault {
+	c.n++
+	return c.inj.Next(k)
+}
+
+// TestProgramReach checks the static location bound the K >= 2 law drops
+// continuation faults past: no single-fault trajectory, and no shot under
+// dense noise that drives every correction branch, executes more locations
+// than reach, and the single-fault table carries it.
+func TestProgramReach(t *testing.T) {
+	for _, cs := range []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.CSS11(), code.Carbon()} {
+		est := NewEstimator(buildProto(t, cs))
+		prog := est.Program()
+		reach := prog.reach()
+		if got := est.Singles().Reach; got != reach {
+			t.Fatalf("%s: table reach %d, program reach %d", cs.Name, got, reach)
+		}
+		sh := prog.NewShot()
+		longest := 0
+		rec := &trajectory{}
+		for j, kind := range est.LocationKinds() {
+			for _, op := range noise.OpsFor(kind) {
+				rec.kinds, rec.at, rec.op = rec.kinds[:0], j, op
+				prog.Run(sh, rec)
+				longest = max(longest, len(rec.kinds))
+			}
+		}
+		for _, p := range []float64{0.02, 0.1, 0.3} {
+			ctr := &locCounter{inj: noise.NewDepolarizing(noise.Uniform(p), rand.New(rand.NewSource(int64(p*1e3))))}
+			for shot := 0; shot < 5000; shot++ {
+				ctr.n = 0
+				prog.Run(sh, ctr)
+				longest = max(longest, ctr.n)
+			}
+		}
+		if longest > reach {
+			t.Fatalf("%s: a shot executed %d locations, past the reach %d", cs.Name, longest, reach)
+		}
+		t.Logf("%s: fault-free path %d, longest shot seen %d, reach %d", cs.Name, len(est.LocationKinds()), longest, reach)
+	}
+}

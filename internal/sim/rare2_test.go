@@ -290,35 +290,53 @@ func TestRarePrepOnlyResolvesK1(t *testing.T) {
 	}
 }
 
-// TestRareK2StreamsPinned pins the k = 2 rare-event streams on Steane —
-// batch and scalar engines, the uniform model and a class-biased one — to
-// recorded counts, as TestUniformStreamsPinned pins k = 1: a change that
-// moves them has changed which fault pairs the K >= 2 law draws. Every
-// stratum holds at least two faults.
+// TestRareK2StreamsPinned pins the k = 2 rare-event streams — batch and
+// scalar engines, uniform and class-biased models — to recorded counts, as
+// TestUniformStreamsPinned pins k = 1: a change that moves them has changed
+// which fault pairs the K >= 2 law draws. The Steane rows at 5e-3 reach
+// second-fault continuations often; the Surface and Carbon rows at 1e-4,
+// the benchmark's rare-event rate, are the regime where nearly every
+// continuation gap runs past the end of the shot. Every stratum holds at
+// least two faults.
 func TestRareK2StreamsPinned(t *testing.T) {
 	ctx := context.Background()
-	est := NewEstimator(buildProto(t, code.Steane()))
+	ests := map[string]*Estimator{}
+	for _, cs := range []*code.CSS{code.Steane(), code.Surface3(), code.Carbon()} {
+		ests[cs.Name] = NewEstimator(buildProto(t, cs))
+	}
 
 	type run struct {
 		shots, fails int
 		strata       []StratumCount
 	}
 	classes := noise.Model{P1Q: 3e-3, P2Q: 6e-3, PMeas: 1e-3, Eta: 4}
+	classes4 := noise.Model{P1Q: 6e-5, P2Q: 1e-4, PMeas: 2e-5, Eta: 4}
 	for _, tc := range []struct {
+		code   string
 		model  noise.Model
 		engine Engine
 		want   run
 	}{
-		{noise.Uniform(5e-3), EngineBatch,
+		{"Steane", noise.Uniform(5e-3), EngineBatch,
 			run{16384, 3357, []StratumCount{{W: 2, Shots: 15771, Fails: 3151}, {W: 3, Shots: 590, Fails: 197}, {W: 4, Shots: 23, Fails: 9}}}},
-		{noise.Uniform(5e-3), EngineScalar,
+		{"Steane", noise.Uniform(5e-3), EngineScalar,
 			run{16384, 3330, []StratumCount{{W: 2, Shots: 15780, Fails: 3152}, {W: 3, Shots: 593, Fails: 173}, {W: 4, Shots: 10, Fails: 5}, {W: 5, Shots: 1}}}},
-		{classes, EngineBatch,
+		{"Steane", classes, EngineBatch,
 			run{16384, 1990, []StratumCount{{W: 2, Shots: 15789, Fails: 1847}, {W: 3, Shots: 582, Fails: 140}, {W: 4, Shots: 13, Fails: 3}}}},
-		{classes, EngineScalar,
+		{"Steane", classes, EngineScalar,
 			run{16384, 1922, []StratumCount{{W: 2, Shots: 15843, Fails: 1795}, {W: 3, Shots: 531, Fails: 126}, {W: 4, Shots: 10, Fails: 1}}}},
+		{"Surface", noise.Uniform(1e-4), EngineBatch,
+			run{16384, 1657, []StratumCount{{W: 2, Shots: 16368, Fails: 1655}, {W: 3, Shots: 16, Fails: 2}}}},
+		{"Surface", noise.Uniform(1e-4), EngineScalar,
+			run{16384, 1792, []StratumCount{{W: 2, Shots: 16371, Fails: 1790}, {W: 3, Shots: 13, Fails: 2}}}},
+		{"Carbon", noise.Uniform(1e-4), EngineBatch,
+			run{16384, 3525, []StratumCount{{W: 2, Shots: 16330, Fails: 3507}, {W: 3, Shots: 54, Fails: 18}}}},
+		{"Carbon", noise.Uniform(1e-4), EngineScalar,
+			run{16384, 3518, []StratumCount{{W: 2, Shots: 16348, Fails: 3504}, {W: 3, Shots: 36, Fails: 14}}}},
+		{"Carbon", classes4, EngineBatch,
+			run{16384, 1907, []StratumCount{{W: 2, Shots: 16340, Fails: 1892}, {W: 3, Shots: 44, Fails: 15}}}},
 	} {
-		est, err := est.WithEngine(tc.engine)
+		est, err := ests[tc.code].WithEngine(tc.engine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,11 +345,11 @@ func TestRareK2StreamsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.MinFaults != 2 {
-			t.Fatalf("%+v %v: resolved k = %d, want 2", tc.model, tc.engine, res.MinFaults)
+			t.Fatalf("%s %+v %v: resolved k = %d, want 2", tc.code, tc.model, tc.engine, res.MinFaults)
 		}
 		got := run{int(counts.Shots), int(counts.Fails), counts.Strata}
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%+v %v: got %#v, want %#v", tc.model, tc.engine, got, tc.want)
+			t.Errorf("%s %+v %v: got %#v, want %#v", tc.code, tc.model, tc.engine, got, tc.want)
 		}
 	}
 }
