@@ -505,7 +505,9 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 		}
 
 		// A new point resolves its sampling once and records it; a
-		// started point samples exactly as recorded.
+		// started point samples exactly as recorded. A started point whose
+		// shards come from another stream than this build draws keeps its
+		// sampling but restarts from shard 0 under a new start record.
 		model := spec.Model(rate)
 		ps, ok := st.Points[i]
 		if !ok {
@@ -524,15 +526,19 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 					ps.MinFaults, ps.CondP = 2, s.CondP
 				}
 			}
+		}
+		if !ok || ps.Stream != est.Stream() {
+			ps.Stream, ps.Counts = est.Stream(), sim.Counts{}
 			if err := lg.Append(Record{Kind: "point", Point: i, State: &ps}); err != nil {
 				return err
 			}
-			st.Points[i] = ps
+			st.setPoint(ps)
 			j.setPoint(ps)
 		}
 		seed := sim.PointSeed(spec.Seed, i)
 
-		var parts []sim.Counts
+		// pooled is the running pool of the point's shards, the same
+		// integers as pooling every part at once.
 		var pooled sim.Counts
 		for start := 0; start < totalBlocks; start += sim.BlocksPerRound {
 			select {
@@ -553,7 +559,7 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 			missing := 0
 			for sh := 0; sh < numShards; sh++ {
 				if c, ok := st.Shards[ShardKey{Point: i, Round: round, Shard: sh}]; ok {
-					parts = append(parts, c) // already durable; never re-run
+					pooled = sim.PoolCounts(pooled, c) // already durable; never re-run
 					continue
 				}
 				missing++
@@ -612,8 +618,8 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				}
 				r.metrics.shards.Inc()
 				st.Shards[ShardKey{Point: i, Round: round, Shard: res.shard}] = res.counts
-				parts = append(parts, res.counts)
-				ps.Counts = sim.PoolCounts(parts...)
+				pooled = sim.PoolCounts(pooled, res.counts)
+				ps.Counts = pooled
 				st.Points[i] = ps
 				j.setPoint(ps)
 				j.emit(Event{Type: "shard", Job: j.id, Point: i, Round: round, Shard: res.shard, Shots: totalShots(j.snapshotPoints())})
@@ -626,7 +632,7 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 			// and from the same pooled integers as the in-process
 			// estimator — the invariant that keeps a sharded job
 			// bit-identical to a single-process run.
-			if pooled = sim.PoolCounts(parts...); pooled.Converged(target) {
+			if pooled.Converged(target) {
 				break
 			}
 		}

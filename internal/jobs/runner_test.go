@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,13 @@ func TestAutoJobIgnoresEngineEnv(t *testing.T) {
 // block runners the coordinator uses (plus an optional fail-count bias to
 // make checkpoint reuse observable). It returns the job ID.
 func prepPartial(t *testing.T, store *Store, spec Spec, shards int, bias int64) string {
+	return prepShards(t, store, spec, shards, bias, true)
+}
+
+// prepShards is prepPartial with the point's stream tag optional: an
+// untagged start record is what a build that predates stream versions
+// wrote.
+func prepShards(t *testing.T, store *Store, spec Spec, shards int, bias int64, tagged bool) string {
 	t.Helper()
 	spec = spec.Normalized()
 	lg, _, err := store.Create(spec)
@@ -245,11 +253,14 @@ func prepPartial(t *testing.T, store *Store, spec Spec, shards int, bias int64) 
 		t.Fatal(err)
 	}
 	defer lg.Close()
+	est := sim.NewEstimator(steaneProto(t))
 	ps := PointState{Point: 0, Rate: spec.Rates[0], Method: "direct"}
+	if tagged {
+		ps.Stream = est.Stream()
+	}
 	if err := lg.Append(Record{Kind: "point", Point: 0, State: &ps}); err != nil {
 		t.Fatal(err)
 	}
-	est := sim.NewEstimator(steaneProto(t))
 	_, budget := spec.Budget()
 	for sh := 0; sh < shards; sh++ {
 		b0 := sh * ShardBlocks
@@ -333,6 +344,60 @@ func TestResumeTrustsCheckpoints(t *testing.T) {
 	if pt.Shots != int64(want.Shots) || pt.Fails != int64(want.Fails)+bias {
 		t.Errorf("point 0 counts (%d,%d), want (%d,%d): checkpointed shard was re-executed",
 			pt.Shots, pt.Fails, want.Shots, int64(want.Fails)+bias)
+	}
+}
+
+// TestResumeRestartsUntaggedStream resumes a job whose unfinished batch
+// point carries no stream tag, as a build that drew the batch stream
+// before it was versioned wrote it, with a deliberately biased durable
+// shard. The point must restart from shard 0 under the same job ID — the
+// bias does not reach its result — finish bit-identical to a
+// single-process run, and leave a log whose replay holds only the
+// restarted point's shards, tagged with this build's stream.
+func TestResumeRestartsUntaggedStream(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := partialSpec()
+	id := prepShards(t, store, spec, 1, 1000, false)
+	if before, err := store.Load(id); err != nil || before.Points[0].Stream != 0 || len(before.Shards) != 1 {
+		t.Fatalf("prepared log: %+v, %v; want one shard of an untagged point", before, err)
+	}
+
+	r := NewRunner(store, steaneResolver(t), 2, "")
+	defer r.Close(context.Background())
+	st, err := r.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != id {
+		t.Fatalf("resubmitted job has ID %q, want %q", st.ID, id)
+	}
+	st = waitTerminal(t, r, id)
+	if st.State != StateDone {
+		t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+	}
+	for i := range spec.Rates {
+		checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], singleProcessPoint(t, spec, i))
+	}
+
+	disk, err := store.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []sim.Counts
+	for k, c := range disk.Shards {
+		if k.Point == 0 {
+			parts = append(parts, c)
+		}
+	}
+	p0 := disk.Points[0]
+	if p0.Stream != sim.BatchStream || !p0.Done {
+		t.Fatalf("durable point 0 %+v: want done on stream %d", p0, sim.BatchStream)
+	}
+	if !reflect.DeepEqual(sim.PoolCounts(parts...), p0.Counts) {
+		t.Fatalf("replayed shards of point 0 pool to %+v, the point finished with %+v", sim.PoolCounts(parts...), p0.Counts)
 	}
 }
 

@@ -107,6 +107,14 @@ type PointState struct {
 	// legacy job files round-trip unchanged.
 	ClassCounts []int `json:"class_counts,omitempty"`
 
+	// Stream is the version of the sampled stream the point's shards are
+	// drawn from (sim.Estimator.Stream): sim.BatchStream on the batch
+	// engine. It is omitted when 0, the scalar engines' stream and the
+	// batch stream before versions were recorded. An unfinished point
+	// whose stream is not the one this build draws restarts from shard 0
+	// on resume, so no point pools shards of two streams.
+	Stream int `json:"stream,omitempty"`
+
 	// Counts is the pooled outcome of the point's executed shards.
 	Counts sim.Counts `json:"counts"`
 
@@ -143,6 +151,20 @@ type State struct {
 
 	// Records is the number of valid checkpoint records folded in.
 	Records int64
+}
+
+// setPoint folds ps in as the latest state of its point. A state that is
+// not done starts the point, so any shards of the point folded before it
+// belong to an earlier start and are dropped.
+func (st *State) setPoint(ps PointState) {
+	if !ps.Done {
+		for k := range st.Shards {
+			if k.Point == ps.Point {
+				delete(st.Shards, k)
+			}
+		}
+	}
+	st.Points[ps.Point] = ps
 }
 
 // Entry describes one stored job without replaying its log.
@@ -405,7 +427,7 @@ func (s *Store) load(id string) (State, int64, error) {
 			if rec.State == nil {
 				return st, offset, nil
 			}
-			st.Points[rec.State.Point] = *rec.State
+			st.setPoint(*rec.State)
 		case "done":
 			st.Done = true
 		default:

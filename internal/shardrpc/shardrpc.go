@@ -26,9 +26,12 @@ import (
 	"repro/internal/sim"
 )
 
-// PathPrefix is the URL prefix of every shard-dispatch endpoint, versioned
-// so a future incompatible revision can coexist with this one.
-const PathPrefix = "/shardrpc/v1/"
+// PathPrefix is the URL prefix of every shard-dispatch endpoint. Its
+// version moves whenever a task's shard would sample differently in an
+// older worker: v2 came with the batch engine's stream version 2
+// (sim.BatchStream), so a worker that draws the older stream cannot lease
+// a task whose point pools version-2 shards.
+const PathPrefix = "/shardrpc/v2/"
 
 // LocalHolder is the holder name of leases granted to the coordinator's own
 // local worker pool through LeaseLocal.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/bits"
 
-	"repro/internal/f2"
 	"repro/internal/noise"
 )
 
@@ -21,15 +20,18 @@ import (
 // RNG calls, instead of the 64 per-lane draws the scalar engine would make.
 //
 // Divergent control flow is handled with lane masks: every measurement runs
-// word-wide under the mask of still-active lanes, the (rare) lanes whose
+// word-wide under the mask of still-active lanes. The (rare) lanes whose
 // layer signature is nonzero are extracted with bits.TrailingZeros64 and
-// resolved individually through the program's dense class and correction
-// tables, and a lane that terminates early (hook flag fired, Fig. 3(e))
-// simply leaves the active mask — subsequent sites neither fault nor touch
-// it. Correction blocks re-enter the same word-wide measurement routine
-// with a single-lane mask, which is exactly a scalar replay on the batch
-// state and keeps the per-lane location order identical to the scalar
-// engine's (the fixed-fault-mask cross-check pins this).
+// classified through the program's dense class tables; then each class's
+// correction blocks run once, word-wide, under the mask of the class's
+// lanes — primary blocks first, then the hook blocks of the flagged lanes —
+// and each lane's recovery is read off its own syndrome bits. A
+// lane therefore meets exactly the locations the scalar engine would, in
+// the same order (the fixed-fault-mask cross-check pins this), while a skip
+// chain draws one site per block measurement for the whole class instead
+// of one per lane. A lane that terminates early (hook flag fired,
+// Fig. 3(e)) simply leaves the active mask — subsequent sites neither
+// fault nor touch it.
 //
 // A Batch is immutable and safe for concurrent use; all mutable state lives
 // in a BatchShot. The repeat-until-success baseline (nondet.go) is out of
@@ -120,116 +122,176 @@ func (b *Batch) NewShot() *BatchShot {
 // residual frames and branch-flag masks are left in bs. It performs no heap
 // allocations.
 func (b *Batch) Run(bs *BatchShot, inj noise.BatchInjector, live uint64) {
-	pr := b.prog
+	b.prepare(bs, inj, live)
+	active := live
+	for li := range b.prog.layers {
+		if active == 0 {
+			return
+		}
+		lay := &b.prog.layers[li]
+		if trig := b.verify(bs, lay, inj, active); trig != 0 {
+			bs.Triggered |= trig
+			// Fig. 3(e): a lane whose hook flag fired terminates after its
+			// correction; later sites skip it via the mask.
+			active &^= b.correct(bs, lay, inj, trig)
+		}
+	}
+}
+
+// prepare clears the frames and branch flags of bs and runs the
+// preparation circuit over the lanes in live: straight-line, no divergence
+// possible yet.
+func (b *Batch) prepare(bs *BatchShot, inj noise.BatchInjector, live uint64) {
 	for q := range bs.ex {
 		bs.ex[q] = 0
 		bs.ez[q] = 0
 	}
 	bs.Live = live
 	bs.Triggered, bs.UnknownClass, bs.TerminatedEarly = 0, 0, 0
-	active := live
-
-	// Preparation circuit: straight-line, no divergence possible yet.
-	for _, g := range pr.prep {
+	for _, g := range b.prog.prep {
 		switch g.kind {
 		case opPrep:
 			bs.ex[g.q1] = 0
 			bs.ez[g.q1] = 0
-			x, z := inj.Draw1Q(active)
+			x, z := inj.Draw1Q(live)
 			bs.ex[g.q1] ^= x
 			bs.ez[g.q1] ^= z
 		case opH:
 			bs.ex[g.q1], bs.ez[g.q1] = bs.ez[g.q1], bs.ex[g.q1]
-			x, z := inj.Draw1Q(active)
+			x, z := inj.Draw1Q(live)
 			bs.ex[g.q1] ^= x
 			bs.ez[g.q1] ^= z
 		case opCNOT:
 			bs.ex[g.q2] ^= bs.ex[g.q1]
 			bs.ez[g.q1] ^= bs.ez[g.q2]
-			x1, z1, x2, z2 := inj.Draw2Q(active)
+			x1, z1, x2, z2 := inj.Draw2Q(live)
 			bs.ex[g.q1] ^= x1
 			bs.ez[g.q1] ^= z1
 			bs.ex[g.q2] ^= x2
 			bs.ez[g.q2] ^= z2
 		}
 	}
-
-	// Verification layers: word-wide measurements, masked divergence.
-	for li := range pr.layers {
-		if active == 0 {
-			return
-		}
-		lay := &pr.layers[li]
-		m := uint(len(lay.meas))
-		trig := uint64(0)
-		for mi := range lay.meas {
-			out, flag := b.measure(bs, &lay.meas[mi], inj, active)
-			bs.bOut[mi] = out
-			bs.fOut[mi] = flag
-			trig |= out | flag
-		}
-		if trig == 0 {
-			continue
-		}
-		bs.Triggered |= trig
-		// Resolve the rare nonzero-signature lanes one by one through the
-		// dense class tables.
-		for t := trig; t != 0; t &= t - 1 {
-			lane := uint(bits.TrailingZeros64(t))
-			var bBits, fBits uint64
-			for mi := range lay.meas {
-				bBits |= (bs.bOut[mi] >> lane & 1) << uint(mi)
-				fBits |= (bs.fOut[mi] >> lane & 1) << uint(mi)
-			}
-			ci, ok := lay.classes[bBits|fBits<<m]
-			if !ok {
-				bs.UnknownClass |= 1 << lane
-				continue
-			}
-			cc := &lay.classList[ci]
-			flagFired := fBits != 0
-			if cc.primary != nil {
-				b.runBlock(bs, cc.primary, inj, lane)
-			}
-			if cc.hook != nil && flagFired {
-				b.runBlock(bs, cc.hook, inj, lane)
-			}
-			if flagFired {
-				// Fig. 3(e): hook detected, this lane's protocol terminates
-				// after the correction; later sites skip it via the mask.
-				bs.TerminatedEarly |= 1 << lane
-				active &^= 1 << lane
-			}
-		}
-	}
 }
 
-// runBlock measures the block's stabilizers for one lane — the scalar
-// fallback path, implemented as the word-wide measurement under a
-// single-lane mask so the lane's fault-location order matches the scalar
-// engine's — and XORs the dense-table recovery into the corrected sector.
-func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector, lane uint) {
-	mask := uint64(1) << lane
-	var idx uint64
-	for i := range blk.meas {
-		out, _ := b.measure(bs, &blk.meas[i], inj, mask)
-		if out != 0 {
-			idx |= 1 << uint(i)
+// verify runs one verification layer's measurements word-wide over the
+// lanes in active, leaving the outcome and flag words in bs, and returns
+// the mask of lanes with a nonzero signature.
+func (b *Batch) verify(bs *BatchShot, lay *progLayer, inj noise.BatchInjector, active uint64) (trig uint64) {
+	for mi := range lay.meas {
+		out, flag := b.measure(bs, &lay.meas[mi], inj, active)
+		bs.bOut[mi] = out
+		bs.fOut[mi] = flag
+		trig |= out | flag
+	}
+	return trig
+}
+
+// signature packs lane's verification outcomes of the layer just measured
+// into the key of the layer's class table.
+func (bs *BatchShot) signature(lay *progLayer, lane uint) uint64 {
+	var bBits, fBits uint64
+	for mi := range lay.meas {
+		bBits |= (bs.bOut[mi] >> lane & 1) << uint(mi)
+		fBits |= (bs.fOut[mi] >> lane & 1) << uint(mi)
+	}
+	return bBits | fBits<<uint(len(lay.meas))
+}
+
+// correct resolves the triggered lanes trig of the layer just measured and
+// returns the mask of lanes whose hook flag fired. It first looks every
+// lane's class up in the dense class table, then runs each class's primary
+// block once over all of the class's lanes, and then each class's hook
+// block once over its flagged lanes, taking classes in first-lane order.
+// Every lane thus still meets its primary block's locations before its
+// hook's, in the scalar engine's order. Each class compiles blocks of its
+// own, so one class is one distinct block.
+func (b *Batch) correct(bs *BatchShot, lay *progLayer, inj noise.BatchInjector, trig uint64) (flagged uint64) {
+	m := uint(len(lay.meas))
+	var prim, hook uint64 // lanes with a primary, a hook block to run
+	// Bit k of lane l's class index is bit l of cls[k].
+	var cls [32]uint64
+	nk := bits.Len(uint(len(lay.classList)))
+	for t := trig; t != 0; t &= t - 1 {
+		lane := uint(bits.TrailingZeros64(t))
+		sig := bs.signature(lay, lane)
+		ci, ok := lay.classes[sig]
+		if !ok {
+			bs.UnknownClass |= 1 << lane
+			continue
+		}
+		for k := 0; k < nk; k++ {
+			cls[k] |= uint64(ci>>k&1) << lane
+		}
+		cc := &lay.classList[ci]
+		if cc.primary != nil {
+			prim |= 1 << lane
+		}
+		if sig>>m != 0 {
+			flagged |= 1 << lane
+			if cc.hook != nil {
+				hook |= 1 << lane
+			}
 		}
 	}
-	rec := blk.rec[idx]
-	if rec == nil {
-		return
+	for prim != 0 {
+		ci, lanes := classOf(&cls, nk, prim)
+		b.runBlock(bs, lay.classList[ci].primary, inj, lanes)
+		prim &^= lanes
+	}
+	for hook != 0 {
+		ci, lanes := classOf(&cls, nk, hook)
+		b.runBlock(bs, lay.classList[ci].hook, inj, lanes)
+		hook &^= lanes
+	}
+	bs.TerminatedEarly |= flagged
+	return flagged
+}
+
+// classOf returns the class index of the first lane in pending, read off
+// the bit planes cls of nk bits, and the lanes of pending in that class.
+func classOf(cls *[32]uint64, nk int, pending uint64) (ci int, lanes uint64) {
+	lane := uint(bits.TrailingZeros64(pending))
+	lanes = pending
+	for k, plane := range cls[:nk] {
+		if plane>>lane&1 == 1 {
+			ci |= 1 << k
+			lanes &= plane
+		} else {
+			lanes &^= plane
+		}
+	}
+	return ci, lanes
+}
+
+// runBlock measures the block's stabilizers word-wide over lanes and XORs
+// each lane's dense-table recovery, indexed by that lane's own outcome
+// bits, into the lane's corrected sector.
+func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector, lanes uint64) {
+	var outs [maxBlockStabs]uint64
+	var fired uint64 // lanes with a nonzero syndrome
+	for i := range blk.meas {
+		outs[i], _ = b.measure(bs, &blk.meas[i], inj, lanes)
+		fired |= outs[i]
+	}
+	if blk.rec[0] != nil {
+		fired = lanes // the zero syndrome has a recovery too
 	}
 	dst := bs.ex
 	if !blk.corrEx {
 		dst = bs.ez
 	}
-	// rec is qubit-major (bit q of word q/64); scatter it into bit `lane`
-	// of the lane-major frame.
-	for j, w := range rec {
-		for ww := w; ww != 0; ww &= ww - 1 {
-			dst[j*64+bits.TrailingZeros64(ww)] ^= mask
+	for t := fired; t != 0; t &= t - 1 {
+		lane := uint(bits.TrailingZeros64(t))
+		var idx uint64
+		for i := range blk.meas {
+			idx |= (outs[i] >> lane & 1) << uint(i)
+		}
+		// rec is qubit-major (bit q of word q/64); scatter it into bit
+		// lane of the lane-major frame.
+		for j, w := range blk.rec[idx] {
+			for ; w != 0; w &= w - 1 {
+				dst[j*64+bits.TrailingZeros64(w)] ^= 1 << lane
+			}
 		}
 	}
 }
@@ -374,29 +436,4 @@ func parityWord(frame []uint64, qs []int32) uint64 {
 		w ^= frame[q]
 	}
 	return w
-}
-
-// LaneOutcome converts one lane of the batch state into the scalar Outcome
-// form (allocating; used by the cross-check tests, never by the hot loop).
-// Outcome.Sigs is left empty — the batch engine does not retain signature
-// history.
-func (b *Batch) LaneOutcome(bs *BatchShot, lane int) Outcome {
-	pr := b.prog
-	bit := uint64(1) << uint(lane)
-	out := Outcome{
-		Ex:              f2.NewVec(pr.n),
-		Ez:              f2.NewVec(pr.n),
-		Triggered:       bs.Triggered&bit != 0,
-		UnknownClass:    bs.UnknownClass&bit != 0,
-		TerminatedEarly: bs.TerminatedEarly&bit != 0,
-	}
-	for q := 0; q < pr.n; q++ {
-		if bs.ex[q]&bit != 0 {
-			out.Ex.Flip(q)
-		}
-		if bs.ez[q]&bit != 0 {
-			out.Ez.Flip(q)
-		}
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/code"
+	"repro/internal/f2"
 	"repro/internal/noise"
 )
 
@@ -34,6 +35,31 @@ func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
 		fails += bits.OnesCount64(b.Judge(bs))
 	}
 	return fails
+}
+
+// LaneOutcome converts one lane of the batch state into the scalar Outcome
+// form (allocating; for the cross-check tests).
+// Outcome.Sigs is left empty — the batch engine does not retain signature
+// history.
+func (b *Batch) LaneOutcome(bs *BatchShot, lane int) Outcome {
+	pr := b.prog
+	bit := uint64(1) << uint(lane)
+	out := Outcome{
+		Ex:              f2.NewVec(pr.n),
+		Ez:              f2.NewVec(pr.n),
+		Triggered:       bs.Triggered&bit != 0,
+		UnknownClass:    bs.UnknownClass&bit != 0,
+		TerminatedEarly: bs.TerminatedEarly&bit != 0,
+	}
+	for q := 0; q < pr.n; q++ {
+		if bs.ex[q]&bit != 0 {
+			out.Ex.Flip(q)
+		}
+		if bs.ez[q]&bit != 0 {
+			out.Ez.Flip(q)
+		}
+	}
+	return out
 }
 
 // TestBatchMatchesScalarFixedFaults is the fixed-fault-mask cross-check of

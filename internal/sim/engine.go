@@ -80,6 +80,24 @@ func (est *Estimator) EngineInUse() Engine {
 	return EngineScalar
 }
 
+// BatchStream is the version of the batch engine's sampled stream. It
+// changes whenever one seed makes the 64-lane engine draw different
+// faults, so a checkpointed job can tell shards it may pool from shards it
+// must redraw. Version 2 runs each correction block once per class over
+// all of the class's triggered lanes; the unversioned stream before it ran
+// each triggered lane's blocks alone. The scalar engines' streams have
+// never changed and carry no version.
+const BatchStream = 2
+
+// Stream reports the version of the sampled stream the sampling entry
+// points draw: BatchStream on the batch engine, 0 on the scalar engines.
+func (est *Estimator) Stream() int {
+	if est.useBatch() {
+		return BatchStream
+	}
+	return 0
+}
+
 // useBatch reports whether direct Monte-Carlo sampling should run on the
 // 64-lane engine.
 func (est *Estimator) useBatch() bool {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/big"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -71,6 +72,43 @@ func TestPoolCountsExact(t *testing.T) {
 				t.Fatalf("reversed PoolCounts = %+v, want %+v", got2, tc.want)
 			}
 		})
+	}
+}
+
+// TestPoolCountsIncremental holds the running pool a job keeps per point —
+// each arriving shard pooled into the pool so far — to pooling every part
+// at once, on 128 shard-like parts with random strata (some without any)
+// in shuffled arrival orders: the integers must be identical.
+func TestPoolCountsIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	parts := make([]Counts, 128)
+	for i := range parts {
+		c := Counts{Shots: int64(1 + rng.Intn(4096))}
+		if i%5 != 0 {
+			for w := 1; w <= 6; w++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				s := StratumCount{W: w, Shots: int64(rng.Intn(1000))}
+				s.Fails = rng.Int63n(s.Shots + 1)
+				c.Strata = append(c.Strata, s)
+				c.Fails += s.Fails
+			}
+		} else {
+			c.Fails = rng.Int63n(c.Shots + 1)
+		}
+		parts[i] = c
+	}
+	want := PoolCounts(parts...)
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		var pooled Counts
+		for _, c := range parts {
+			pooled = PoolCounts(pooled, c)
+		}
+		if !reflect.DeepEqual(pooled, want) {
+			t.Fatalf("trial %d: running pool %+v, full pool %+v", trial, pooled, want)
+		}
 	}
 }
 

@@ -96,10 +96,12 @@ const goldenSteaneFails = 43
 
 // goldenSteaneBatchFails is the fourth engine's pin: the 64-lane batch
 // engine consumes its (sparse, skip-sampled) stream differently, so it has
-// its own fixed-seed count. The 2M-shot bias probe puts the true rate near
-// 0.0165, so both 43 and 64 are ordinary draws of Binomial(4000, 0.0165);
-// the golden test additionally bounds the batch count against that rate.
-const goldenSteaneBatchFails = 64
+// its own fixed-seed count. Running each correction block once per class,
+// not once per lane, draws fewer sites and moved it from 64 to 74. The
+// 2M-shot bias probe puts the true rate near 0.0165, so 43, 64 and 74 are
+// all ordinary draws of Binomial(4000, 0.0165); the golden test
+// additionally bounds the batch count against that rate.
+const goldenSteaneBatchFails = 74
 
 func TestGoldenRatesFourEngines(t *testing.T) {
 	p := buildProto(t, code.Steane())

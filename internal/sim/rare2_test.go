@@ -318,23 +318,23 @@ func TestRareK2StreamsPinned(t *testing.T) {
 		want   run
 	}{
 		{"Steane", noise.Uniform(5e-3), EngineBatch,
-			run{16384, 3357, []StratumCount{{W: 2, Shots: 15771, Fails: 3151}, {W: 3, Shots: 590, Fails: 197}, {W: 4, Shots: 23, Fails: 9}}}},
+			run{16384, 3380, []StratumCount{{W: 2, Shots: 15791, Fails: 3161}, {W: 3, Shots: 576, Fails: 209}, {W: 4, Shots: 16, Fails: 10}, {W: 5, Shots: 1}}}},
 		{"Steane", noise.Uniform(5e-3), EngineScalar,
 			run{16384, 3330, []StratumCount{{W: 2, Shots: 15780, Fails: 3152}, {W: 3, Shots: 593, Fails: 173}, {W: 4, Shots: 10, Fails: 5}, {W: 5, Shots: 1}}}},
 		{"Steane", classes, EngineBatch,
-			run{16384, 1990, []StratumCount{{W: 2, Shots: 15789, Fails: 1847}, {W: 3, Shots: 582, Fails: 140}, {W: 4, Shots: 13, Fails: 3}}}},
+			run{16384, 1966, []StratumCount{{W: 2, Shots: 15814, Fails: 1844}, {W: 3, Shots: 558, Fails: 120}, {W: 4, Shots: 12, Fails: 2}}}},
 		{"Steane", classes, EngineScalar,
 			run{16384, 1922, []StratumCount{{W: 2, Shots: 15843, Fails: 1795}, {W: 3, Shots: 531, Fails: 126}, {W: 4, Shots: 10, Fails: 1}}}},
 		{"Surface", noise.Uniform(1e-4), EngineBatch,
-			run{16384, 1657, []StratumCount{{W: 2, Shots: 16368, Fails: 1655}, {W: 3, Shots: 16, Fails: 2}}}},
+			run{16384, 1664, []StratumCount{{W: 2, Shots: 16368, Fails: 1662}, {W: 3, Shots: 16, Fails: 2}}}},
 		{"Surface", noise.Uniform(1e-4), EngineScalar,
 			run{16384, 1792, []StratumCount{{W: 2, Shots: 16371, Fails: 1790}, {W: 3, Shots: 13, Fails: 2}}}},
 		{"Carbon", noise.Uniform(1e-4), EngineBatch,
-			run{16384, 3525, []StratumCount{{W: 2, Shots: 16330, Fails: 3507}, {W: 3, Shots: 54, Fails: 18}}}},
+			run{16384, 3547, []StratumCount{{W: 2, Shots: 16332, Fails: 3531}, {W: 3, Shots: 52, Fails: 16}}}},
 		{"Carbon", noise.Uniform(1e-4), EngineScalar,
 			run{16384, 3518, []StratumCount{{W: 2, Shots: 16348, Fails: 3504}, {W: 3, Shots: 36, Fails: 14}}}},
 		{"Carbon", classes4, EngineBatch,
-			run{16384, 1907, []StratumCount{{W: 2, Shots: 16340, Fails: 1892}, {W: 3, Shots: 44, Fails: 15}}}},
+			run{16384, 1931, []StratumCount{{W: 2, Shots: 16340, Fails: 1917}, {W: 3, Shots: 44, Fails: 14}}}},
 	} {
 		est, err := ests[tc.code].WithEngine(tc.engine)
 		if err != nil {

@@ -6,10 +6,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/noise"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -34,9 +37,17 @@ func reseal(data []byte) []byte {
 	return append(append(hb, '\n'), data[nl+1:]...)
 }
 
+// maxFuzzSimQubits bounds the code length FuzzDecode simulates.
+const maxFuzzSimQubits = 16
+
 // FuzzDecode feeds resealed .dfp bytes to Decode. Every input must give a
 // typed error (ErrCorrupt or ErrVersion), or a protocol that encodes to
-// bytes which decode again and re-encode byte-identically.
+// bytes which decode again and re-encode byte-identically and that the
+// simulators run: one 64-lane batch word when it compiles and one
+// interpreted shot, both at p = 0.1, without a panic. Codes longer than
+// maxFuzzSimQubits decode but are not simulated: the decoder's syndrome
+// table grows as 2^rank, so one such input would cost seconds and
+// gigabytes without reaching any other code path.
 func FuzzDecode(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden.dfp"))
 	if err != nil {
@@ -46,6 +57,8 @@ func FuzzDecode(f *testing.F) {
 	nl := bytes.IndexByte(golden, '\n')
 	f.Add(golden[:nl+1])
 	f.Add(bytes.Replace(golden, []byte(`"n":4`), []byte(`"n":8`), 1))
+	measuring := bytes.Replace(golden, []byte(`"prep":{"n":4,`), []byte(`"prep":{"n":4,"num_bits":1,`), 1)
+	f.Add(bytes.Replace(measuring, []byte(`{"k":"cnot","q":0,"q2":3}`), []byte(`{"k":"cnot","q":0,"q2":3},{"k":"meas_z","q":3}`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, meta, err := store.Decode(reseal(data))
 		if err != nil {
@@ -69,5 +82,13 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encoding is not stable:\n%s\n%s", first, second)
 		}
+		if p.Code.N > maxFuzzSimQubits {
+			return
+		}
+		est := sim.NewEstimator(p)
+		if b := est.Batch(); b != nil {
+			b.Run(b.NewShot(), noise.NewSparseSampler(0.1, 1), ^uint64(0))
+		}
+		sim.Run(p, &noise.Depolarizing{P: 0.1, Rng: rand.New(rand.NewSource(1))})
 	})
 }

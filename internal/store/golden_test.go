@@ -36,7 +36,6 @@ func fixtureProtocol() *core.Protocol {
 	prep.AppendCNOT(0, 1)
 	prep.AppendCNOT(0, 2)
 	prep.AppendCNOT(0, 3)
-	prep.AppendMeasZ(3) // exercises num_bits and the classical-bit field
 
 	vec := f2.MustFromString
 	layer := &core.Layer{
@@ -163,11 +162,15 @@ func TestDecodeRejectsSemanticCorruption(t *testing.T) {
 	break3 := fixtureProtocol()
 	break3.Layers[0].Verif[0].Order = []int{0, 1, 2, 99} // CNOT order off the code
 	break4 := fixtureProtocol()
+	break4.Prep.AppendMeasZ(3)
 	break4.Prep.Gates[len(break4.Prep.Gates)-1].Bit = 5 // classical bit >= num_bits
 	break5 := fixtureProtocol()
 	break5.Prep.N = 8 // wider than the 4-qubit code
-	break5.Prep.Gates = break5.Prep.Gates[:len(break5.Prep.Gates)-1]
 	break5.Prep.AppendH(7)
+	break6 := fixtureProtocol()
+	break6.Prep.AppendMeasZ(3) // no synthesis emits a measuring prep
+	break7 := fixtureProtocol()
+	break7.Prep.AppendMeasX(0)
 
 	for name, p := range map[string]*core.Protocol{
 		"qubit out of range":         break1,
@@ -175,6 +178,8 @@ func TestDecodeRejectsSemanticCorruption(t *testing.T) {
 		"order qubit out of range":   break3,
 		"classical bit out of range": break4,
 		"prep wider than code":       break5,
+		"measuring prep":             break6,
+		"measuring prep x":           break7,
 	} {
 		t.Run(name, func(t *testing.T) {
 			data, err := store.Encode(store.Meta{Key: goldenKey}, p)
