@@ -10,12 +10,14 @@ import (
 type runnerMetrics struct {
 	running      *telemetry.Gauge     // jobs with a live coordinator goroutine
 	shards       *telemetry.Counter   // shards checkpointed durably
+	commits      *telemetry.Counter   // write+fsync commits of shard batches
 	resumed      *telemetry.Counter   // jobs resumed by ResumeAll
 	shardSeconds *telemetry.Histogram // wall time per shard task
 }
 
 // Instrument registers the runner's metrics on reg: running-job and
-// shard-queue-depth gauges, checkpointed-shard and resume counters, and a
+// shard-queue-depth gauges, checkpointed-shard, batch-commit and resume
+// counters, and a
 // histogram of local shard wall time; with a workers listener active, also
 // the lease coordinator's dftsp_remote_* families. Call it once, after
 // StartRemote and before the first Submit; an uninstrumented runner runs
@@ -29,6 +31,8 @@ func (r *Runner) Instrument(reg *telemetry.Registry) {
 			"Estimation jobs with a live coordinator in this process."),
 		shards: reg.Counter("dftsp_jobs_shards_total",
 			"Shard checkpoints appended durably to job logs."),
+		commits: reg.Counter("dftsp_jobs_commits_total",
+			"Write+fsync commits of shard checkpoint batches to job logs; shards_total over commits_total is the mean batch size."),
 		resumed: reg.Counter("dftsp_jobs_resumed_total",
 			"Unfinished jobs resumed from the store by ResumeAll."),
 		shardSeconds: reg.Histogram("dftsp_jobs_shard_seconds",

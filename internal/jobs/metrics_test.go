@@ -66,6 +66,9 @@ func TestRunnerMetrics(t *testing.T) {
 	if got := metricValue(t, out, "dftsp_jobs_shards_total"); got == "0" {
 		t.Error("dftsp_jobs_shards_total stayed 0 over a completed job")
 	}
+	if got := metricValue(t, out, "dftsp_jobs_commits_total"); got == "0" {
+		t.Error("dftsp_jobs_commits_total stayed 0 over a completed job")
+	}
 	if got := metricValue(t, out, "dftsp_jobs_shard_seconds_count"); got == "0" {
 		t.Error("shard histogram recorded no observations")
 	}
@@ -134,5 +137,41 @@ func TestQueueDepthWithListener(t *testing.T) {
 			t.Fatalf("job settled (%q, %v) and the queue depth never left 0", st.State, err)
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestCommitsCountBatches pins dftsp_jobs_commits_total to one per write
+// and fsync of a shard batch. On a queue that runs each shard as it is
+// offered, a twelve-shard fixed-budget point commits a full window of
+// eight shards at once and then the last four: two commits, so shards over
+// commits reads the mean batch size, six.
+func TestCommitsCountBatches(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	r := stubRunner(t, store, &stubQueue{inline: true})
+	r.Instrument(reg)
+	st, err := r.Submit(windowSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitTerminal(t, r, st.ID); st.State != StateDone {
+		t.Fatalf("job state %q, want done", st.State)
+	}
+	if err := r.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.Expose(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if shards, commits := metricValue(t, out, "dftsp_jobs_shards_total"), metricValue(t, out, "dftsp_jobs_commits_total"); shards != "12" || commits != "2" {
+		t.Errorf("%s shards in %s commits, want 12 in 2", shards, commits)
+	}
+	if err := telemetry.Lint(strings.NewReader(out)); err != nil {
+		t.Errorf("exposition invalid: %v", err)
 	}
 }

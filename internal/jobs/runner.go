@@ -111,12 +111,17 @@ type Event struct {
 	Job string `json:"job"`
 
 	// Point locates shard and point events on the rate grid; Round and
-	// Shard additionally locate shard events on the block grid.
+	// Shard additionally locate shard events on the block grid. Shards
+	// commit in the order they finish, so the "shard" events of a
+	// fixed-budget point, whose shards run ahead of its round boundaries,
+	// may arrive out of (Round, Shard) order; an adaptive point's events
+	// still arrive round by round.
 	Point int `json:"point"`
 	Round int `json:"round,omitempty"`
 	Shard int `json:"shard,omitempty"`
 
-	// Shots is the job's total durable shot count after the event.
+	// Shots is the job's total durable shot count after the event; the
+	// "shard" events of one batch commit all report the total after it.
 	Shots int64 `json:"shots,omitempty"`
 
 	// Result carries the finished point's statistics on "point" events.
@@ -132,17 +137,28 @@ type Event struct {
 // supplies a resolver backed by its protocol cache and store.
 type Resolver func(ctx context.Context, protocolKey string) (*sim.Estimator, error)
 
-// errQuiesced aborts a coordinator at the next checkpoint boundary during
-// a graceful shutdown; the job is left paused and resumable.
+// errQuiesced stops a coordinator from offering further shards during a
+// graceful shutdown; once its outstanding shards are checkpointed the job
+// is left paused and resumable.
 var errQuiesced = errors.New("jobs: runner quiescing")
 
+// shardQueue is the side of the shard queue a job's coordinator uses:
+// Offer queues one shard and calls deliver exactly once with its counts or
+// an error, as shardrpc.Coordinator.Offer does.
+type shardQueue interface {
+	Offer(ctx context.Context, desc shardrpc.Task, localRun func() (sim.Counts, error), deliver func(sim.Counts, error))
+}
+
 // Runner executes jobs from a store on a shared local worker pool. Every
-// job gets one coordinator goroutine that walks its points and rounds and
-// offers each round's shards to one shard queue, a shardrpc.Coordinator;
-// the pool's goroutines lease from that queue, so an idle worker always
-// takes the next shard from whichever job produced it. StartRemote serves
-// the same queue to remote workers. Checkpoint appends happen only on the
-// job's coordinator goroutine, so each job file has exactly one writer.
+// job gets one coordinator goroutine that walks its points and offers
+// their shards to one shard queue, a shardrpc.Coordinator, keeping at most
+// window of them outstanding within the point's horizon (one round for an
+// adaptive point, the whole point for a fixed budget); the pool's
+// goroutines lease from that queue, so an idle worker always takes the
+// next shard from whichever job produced it. StartRemote serves the same
+// queue to remote workers. Checkpoint appends happen only on the job's
+// coordinator goroutine, one batch of finished shards per write and
+// fsync, so each job file has exactly one writer.
 type Runner struct {
 	store   *Store
 	resolve Resolver
@@ -154,6 +170,7 @@ type Runner struct {
 	// the queue's lease protocol there, answering protocol fetches with
 	// protocol. Empty keeps the queue in-process.
 	queue      *shardrpc.Coordinator
+	offers     shardQueue // where coordinators offer shards: queue, or a test stub
 	remoteAddr string
 	protocol   func(key string) ([]byte, error)
 	remoteLn   net.Listener
@@ -205,6 +222,7 @@ func NewRunner(store *Store, resolve Resolver, workers int, remoteAddr string) *
 		jobs:       map[string]*job{},
 	}
 	r.queue = shardrpc.NewCoordinator(shardrpc.Config{TTL: leaseTTL(), Protocol: r.encodedProtocol})
+	r.offers = r.queue
 	for w := 0; w < workers; w++ {
 		r.workerWG.Add(1)
 		go func() {
@@ -392,13 +410,14 @@ func (r *Runner) ResumeAll() ([]Status, error) {
 	return out, errors.Join(errs...)
 }
 
-// Close shuts the runner down gracefully: no new shards are dispatched,
-// in-flight shards run to completion and are checkpointed, coordinators
-// exit at the next checkpoint boundary leaving their jobs paused on disk.
-// A shard leased to a remote worker either completes in time or its lease
-// expires and the local pool finishes it — either way the round reaches
-// its boundary and the job quiesces resumable; the workers listener and
-// the shard queue shut down only after every job has settled.
+// Close shuts the runner down gracefully: no new shards are offered,
+// the shards each job has outstanding run to completion and are
+// checkpointed, and coordinators exit once their window has drained,
+// leaving their jobs paused on disk. A shard leased to a remote worker
+// either completes in time or its lease expires and the local pool
+// finishes it — either way the window drains and the job quiesces
+// resumable; the workers listener and the shard queue shut down only after
+// every job has settled.
 // If ctx expires first, remaining jobs are cancelled hard — their in-flight
 // partial counts are discarded, which is always safe because only completed
 // shards are ever written. Close returns ctx.Err() in that case.
@@ -430,8 +449,8 @@ func (r *Runner) Close(ctx context.Context) error {
 		<-done
 	}
 	// Jobs have settled; only now close the listener and the queue, so
-	// in-flight lease completions could land right up to the last round
-	// boundary. Closing the queue ends the pool's LeaseLocal loops.
+	// in-flight lease completions could land until every window drained.
+	// Closing the queue ends the pool's LeaseLocal loops.
 	if r.remoteSrv != nil {
 		r.remoteSrv.Close()
 	}
@@ -494,6 +513,17 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	target, budget := spec.Budget()
 	totalBlocks := sim.NumBlocks(budget)
 
+	// A point's horizon is how far its shards may run ahead of its
+	// stopping rule. An adaptive point reads its pool at every round
+	// boundary, so its horizon is one round; a fixed-budget point never
+	// stops early, so its horizon is the whole point and nothing waits for
+	// a round's last checkpoint.
+	horizon := totalBlocks
+	if target > 0 {
+		horizon = sim.BlocksPerRound
+	}
+	x := &execution{r: r, j: j, lg: lg, st: st, est: est, results: make(chan shardResult, window)}
+
 	j.emit(Event{Type: "started", Job: j.id, Shots: totalShots(j.points)})
 
 	for i, rate := range spec.Rates {
@@ -535,99 +565,29 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 			st.setPoint(ps)
 			j.setPoint(ps)
 		}
-		seed := sim.PointSeed(spec.Seed, i)
+		// Every shard task of the point is this one with its block range
+		// and grid coordinates filled in. It carries the resolved engine
+		// and the point's recorded sampling so a worker samples the
+		// identical stream.
+		base := shardrpc.Task{
+			Job:         j.id,
+			Point:       i,
+			ProtocolKey: spec.ProtocolKey,
+			Engine:      est.EngineInUse().String(),
+			Method:      ps.Method,
+			MinFaults:   ps.MinFaults,
+			Model:       model,
+			Seed:        sim.PointSeed(spec.Seed, i),
+			Budget:      budget,
+		}
 
 		// pooled is the running pool of the point's shards, the same
-		// integers as pooling every part at once.
+		// integers as pooling every part at once, in any order.
 		var pooled sim.Counts
-		for start := 0; start < totalBlocks; start += sim.BlocksPerRound {
-			select {
-			case <-r.quiesce:
-				return errQuiesced
-			default:
+		for start := 0; start < totalBlocks; start += horizon {
+			if err := x.runShards(ctx, &ps, &pooled, base, start, min(start+horizon, totalBlocks)); err != nil {
+				return err
 			}
-			end := min(start+sim.BlocksPerRound, totalBlocks)
-			round := start / sim.BlocksPerRound
-			numShards := (end - start + ShardBlocks - 1) / ShardBlocks
-
-			type shardResult struct {
-				shard  int
-				counts sim.Counts
-				err    error
-			}
-			results := make(chan shardResult, numShards)
-			missing := 0
-			for sh := 0; sh < numShards; sh++ {
-				if c, ok := st.Shards[ShardKey{Point: i, Round: round, Shard: sh}]; ok {
-					pooled = sim.PoolCounts(pooled, c) // already durable; never re-run
-					continue
-				}
-				missing++
-				b0 := start + sh*ShardBlocks
-				b1 := min(b0+ShardBlocks, end)
-				sh := sh
-				// The queue guarantees exactly one delivery, fenced by lease
-				// generation, whether the local pool or a remote worker runs
-				// the shard. The task carries the resolved engine and the
-				// point's recorded sampling so a worker samples the
-				// identical stream.
-				desc := shardrpc.Task{
-					ID:          shardrpc.TaskID(j.id, i, round, sh),
-					Job:         j.id,
-					Point:       i,
-					Round:       round,
-					Shard:       sh,
-					ProtocolKey: spec.ProtocolKey,
-					Engine:      est.EngineInUse().String(),
-					Method:      ps.Method,
-					MinFaults:   ps.MinFaults,
-					Model:       model,
-					Seed:        seed,
-					Block0:      b0,
-					Block1:      b1,
-					Budget:      budget,
-				}
-				run := func() (sim.Counts, error) {
-					start := time.Now()
-					defer func() { r.metrics.shardSeconds.Observe(time.Since(start).Seconds()) }()
-					return desc.Run(ctx, est)
-				}
-				deliver := func(counts sim.Counts, err error) {
-					results <- shardResult{shard: sh, counts: counts, err: err}
-				}
-				r.queue.Offer(ctx, desc, run, deliver)
-			}
-
-			// Checkpoint every shard that completed, even if a sibling
-			// failed: durable progress survives the error.
-			var firstErr error
-			for k := 0; k < missing; k++ {
-				res := <-results
-				if res.err != nil {
-					if firstErr == nil {
-						firstErr = res.err
-					}
-					continue
-				}
-				rec := Record{Kind: "shard", Point: i, Round: round, Shard: res.shard, Counts: &res.counts}
-				if err := lg.Append(rec); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-				r.metrics.shards.Inc()
-				st.Shards[ShardKey{Point: i, Round: round, Shard: res.shard}] = res.counts
-				pooled = sim.PoolCounts(pooled, res.counts)
-				ps.Counts = pooled
-				st.Points[i] = ps
-				j.setPoint(ps)
-				j.emit(Event{Type: "shard", Job: j.id, Point: i, Round: round, Shard: res.shard, Shots: totalShots(j.snapshotPoints())})
-			}
-			if firstErr != nil {
-				return firstErr
-			}
-
 			// The stopping rule, evaluated at the same round boundaries
 			// and from the same pooled integers as the in-process
 			// estimator — the invariant that keeps a sharded job
@@ -653,6 +613,153 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	}
 	st.Done = true
 	return nil
+}
+
+// window is the most shards a job keeps offered and not yet durable: two
+// rounds' worth, so a fixed-budget point offers round r+1 while round r's
+// checkpoints commit, and jobs sharing the queue still take turns on it.
+const window = 2 * sim.BlocksPerRound / ShardBlocks
+
+// shardResult is one delivered shard: its grid coordinates within the
+// point, and its counts or the error it ended with.
+type shardResult struct {
+	round, shard int
+	counts       sim.Counts
+	err          error
+}
+
+// execution is the working state of one job's coordinator goroutine.
+type execution struct {
+	r   *Runner
+	j   *job
+	lg  *Log
+	st  *State
+	est *sim.Estimator
+
+	// results receives the offered shards' deliveries. At most window
+	// shards are outstanding, so a delivery never blocks.
+	results chan shardResult
+
+	// batch and recs hold one commit's results and records; both are
+	// reused from commit to commit.
+	batch []shardResult
+	recs  []Record
+}
+
+// runShards runs every shard of the point in blocks [start, end) that the
+// log does not hold yet. It keeps at most window shards outstanding and
+// commits the finished ones in batches: it waits for one delivery, takes
+// every other one already delivered, and appends their records with one
+// write and one fsync. Shards that finished commit even when a sibling
+// failed, so durable progress survives the error. On cancellation or
+// quiesce it stops offering and drains what is outstanding. It returns the
+// first error once nothing is outstanding.
+func (x *execution) runShards(ctx context.Context, ps *PointState, pooled *sim.Counts, base shardrpc.Task, start, end int) error {
+	var firstErr error
+	outstanding := 0
+	b0 := start
+	for {
+		for ; b0 < end && outstanding < window && firstErr == nil; b0 += ShardBlocks {
+			t := base
+			t.Round, t.Shard = b0/sim.BlocksPerRound, b0%sim.BlocksPerRound/ShardBlocks
+			if c, ok := x.st.Shards[ShardKey{Point: t.Point, Round: t.Round, Shard: t.Shard}]; ok {
+				*pooled = sim.PoolCounts(*pooled, c) // already durable; never re-run
+				continue
+			}
+			if firstErr = x.stopped(ctx); firstErr != nil {
+				break
+			}
+			t.ID = shardrpc.TaskID(t.Job, t.Point, t.Round, t.Shard)
+			t.Block0, t.Block1 = b0, min(b0+ShardBlocks, end)
+			x.offer(ctx, t)
+			outstanding++
+		}
+		if outstanding == 0 {
+			return firstErr
+		}
+		x.batch = append(x.batch[:0], <-x.results)
+	more:
+		for len(x.batch) < outstanding {
+			select {
+			case res := <-x.results:
+				x.batch = append(x.batch, res)
+			default:
+				break more
+			}
+		}
+		outstanding -= len(x.batch)
+		if err := x.commit(ps, pooled); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+}
+
+// stopped reports why no further shard may be offered: the job's context
+// ended or the runner is quiescing.
+func (x *execution) stopped(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-x.r.quiesce:
+		return errQuiesced
+	default:
+		return nil
+	}
+}
+
+// offer puts one shard on the runner's queue. The queue guarantees exactly
+// one delivery, fenced by lease generation, whether the local pool or a
+// remote worker runs the shard.
+func (x *execution) offer(ctx context.Context, t shardrpc.Task) {
+	run := func() (sim.Counts, error) {
+		start := time.Now()
+		defer func() { x.r.metrics.shardSeconds.Observe(time.Since(start).Seconds()) }()
+		return t.Run(ctx, x.est)
+	}
+	deliver := func(counts sim.Counts, err error) {
+		x.results <- shardResult{round: t.Round, shard: t.Shard, counts: counts, err: err}
+	}
+	x.r.offers.Offer(ctx, t, run, deliver)
+}
+
+// commit appends the records of the batch's finished shards as one batch
+// and, once they are durable, pools them into the point, publishes the
+// point's state and emits one "shard" event each. It returns the first
+// error of the batch or of the append.
+func (x *execution) commit(ps *PointState, pooled *sim.Counts) error {
+	var firstErr error
+	x.recs = x.recs[:0]
+	for k := range x.batch {
+		res := &x.batch[k]
+		if res.err != nil {
+			if firstErr == nil {
+				firstErr = res.err
+			}
+			continue
+		}
+		x.recs = append(x.recs, Record{Kind: "shard", Point: ps.Point, Round: res.round, Shard: res.shard, Counts: &res.counts})
+	}
+	if len(x.recs) == 0 {
+		return firstErr
+	}
+	if err := x.lg.Append(x.recs...); err != nil {
+		return err
+	}
+	x.r.metrics.commits.Inc()
+	x.r.metrics.shards.Add(uint64(len(x.recs)))
+	for _, rec := range x.recs {
+		x.st.Shards[ShardKey{Point: rec.Point, Round: rec.Round, Shard: rec.Shard}] = *rec.Counts
+		*pooled = sim.PoolCounts(*pooled, *rec.Counts)
+	}
+	ps.Counts = *pooled
+	x.st.Points[ps.Point] = *ps
+	x.j.setPoint(*ps)
+	shots := totalShots(x.j.snapshotPoints())
+	for _, rec := range x.recs {
+		x.j.emit(Event{Type: "shard", Job: x.j.id, Point: rec.Point, Round: rec.Round, Shard: rec.Shard, Shots: shots})
+	}
+	return firstErr
 }
 
 // status snapshots the job's reported state.

@@ -815,3 +815,295 @@ func TestRareOldPointResumesK1(t *testing.T) {
 		t.Fatalf("durable points %+v / %+v: want the old point unconditioned on k and the new one at k = 2 with its weight", p0, p1)
 	}
 }
+
+// heldShard is one shard offered to a stubQueue: its task, and the
+// function that settles it.
+type heldShard struct {
+	desc   shardrpc.Task
+	settle func(counts sim.Counts, err error)
+	run    func() (sim.Counts, error)
+}
+
+// release runs the shard and delivers its counts, unless the job's
+// context already settled it.
+func (h heldShard) release() { h.settle(h.run()) }
+
+// stubQueue stands in for the runner's lease coordinator in the scheduling
+// tests. Each Offer first calls check, when set, on the job's coordinator
+// goroutine; an inline queue then runs and delivers the shard at once, any
+// other queue hands it to the test on held, which decides when it runs.
+// Like the coordinator, it delivers each shard exactly once, with the
+// context's error if the context ends first.
+type stubQueue struct {
+	inline bool
+	check  func(desc shardrpc.Task)
+	held   chan heldShard
+}
+
+func (q *stubQueue) Offer(ctx context.Context, desc shardrpc.Task, run func() (sim.Counts, error), deliver func(sim.Counts, error)) {
+	if q.check != nil {
+		q.check(desc)
+	}
+	var once sync.Once
+	settle := func(counts sim.Counts, err error) { once.Do(func() { deliver(counts, err) }) }
+	context.AfterFunc(ctx, func() { settle(sim.Counts{}, ctx.Err()) })
+	h := heldShard{desc: desc, settle: settle, run: run}
+	if q.inline {
+		h.release()
+		return
+	}
+	q.held <- h
+}
+
+// stubRunner returns a runner over store whose coordinators offer their
+// shards to q. Cleanup closes it hard, so a failed test that leaves shards
+// held does not wait for them.
+func stubRunner(t *testing.T, store *Store, q *stubQueue) *Runner {
+	r := NewRunner(store, steaneResolver(t), 1, "")
+	r.offers = q
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		r.Close(ctx)
+	})
+	return r
+}
+
+// jobDone returns the channel closed when the running job id settles.
+func jobDone(r *Runner, id string) <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.jobs[id].done
+}
+
+// nextHeld waits for the stub's next offered shard.
+func nextHeld(t *testing.T, q *stubQueue) heldShard {
+	t.Helper()
+	select {
+	case h := <-q.held:
+		return h
+	case <-time.After(time.Minute):
+		t.Fatal("no shard offered within a minute")
+		return heldShard{}
+	}
+}
+
+// windowSpec is a fixed-budget direct spec of three rounds, twelve
+// shards: more than one window.
+func windowSpec() Spec {
+	return Spec{
+		ProtocolKey: testProtocolKey,
+		Method:      "direct",
+		Rates:       []float64{3e-2},
+		MCShots:     3 * sim.BlocksPerRound * sim.BlockShots,
+		Seed:        9,
+	}
+}
+
+// TestFixedBudgetRunsAhead holds every offered shard until the test
+// releases it. A fixed-budget point must fill its window before any shard
+// is durable, so round 1 is offered while none of round 0's records is;
+// every offer must find at most the window outstanding (offered and not
+// durable on disk); shards released newest first commit out of order; and
+// the point must finish bit-identical to a single-process run with every
+// shard offered once.
+func TestFixedBudgetRunsAhead(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := windowSpec()
+	id := spec.Normalized().ID()
+	numShards := sim.NumBlocks(spec.MCShots) / ShardBlocks
+
+	var mu sync.Mutex
+	offered := 0
+	// held holds every shard of the job, so Offer never blocks even if the
+	// window were not kept; check reports that instead.
+	q := &stubQueue{held: make(chan heldShard, numShards)}
+	q.check = func(desc shardrpc.Task) {
+		disk, err := store.Load(id)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		offered++
+		out := offered - len(disk.Shards)
+		mu.Unlock()
+		if out > window {
+			t.Errorf("offered %s with %d shards outstanding, window %d", desc.ID, out, window)
+		}
+	}
+	r := stubRunner(t, store, q)
+	if _, err := r.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	done := jobDone(r, id)
+
+	var held []heldShard
+	rounds := map[int]int{}
+	for len(held) < window {
+		h := nextHeld(t, q)
+		held = append(held, h)
+		rounds[h.desc.Round]++
+	}
+	if rounds[1] == 0 {
+		t.Fatalf("first window covers rounds %v, want round 1 offered before round 0 is durable", rounds)
+	}
+	if disk, err := store.Load(id); err != nil || len(disk.Shards) != 0 {
+		t.Fatalf("before any delivery: %d shards durable (%v), want 0", len(disk.Shards), err)
+	}
+
+	// Take every new offer first, then release the newest held shard;
+	// with nothing held, wait for an offer or for the job to settle.
+loop:
+	for {
+		select {
+		case h := <-q.held:
+			held = append(held, h)
+			continue
+		default:
+		}
+		if n := len(held); n > 0 {
+			held[n-1].release()
+			held = held[:n-1]
+			continue
+		}
+		select {
+		case h := <-q.held:
+			held = append(held, h)
+		case <-done:
+			break loop
+		}
+	}
+
+	st, err := r.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+	}
+	checkPointMatches(t, "point 0", st.Points[0], singleProcessPoint(t, spec, 0))
+	mu.Lock()
+	defer mu.Unlock()
+	if offered != numShards {
+		t.Errorf("%d offers for %d shards", offered, numShards)
+	}
+}
+
+// TestAdaptivePointKeepsRoundBarrier runs an adaptive point whose stopping
+// rule fires after several rounds on a queue that runs each shard as it is
+// offered. No shard of round r may be offered before every shard of the
+// rounds before it is durable, and the point must stop at the round the
+// in-process estimator stops at, bit-identical to it.
+func TestAdaptivePointKeepsRoundBarrier(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		ProtocolKey: testProtocolKey,
+		Method:      "direct",
+		Rates:       []float64{3e-3},
+		TargetRSE:   0.05,
+		MaxShots:    16 * sim.BlocksPerRound * sim.BlockShots,
+		Seed:        5,
+	}
+	want := singleProcessPoint(t, spec, 0)
+	const roundShots = sim.BlocksPerRound * sim.BlockShots
+	if want.Shots <= roundShots || want.Shots >= spec.MaxShots {
+		t.Fatalf("reference stops after %d shots; the test needs a stop after round 0 and before the budget", want.Shots)
+	}
+	id := spec.Normalized().ID()
+	const perRound = sim.BlocksPerRound / ShardBlocks
+	q := &stubQueue{inline: true}
+	q.check = func(desc shardrpc.Task) {
+		disk, err := store.Load(id)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		before := 0
+		for k := range disk.Shards {
+			if k.Round < desc.Round {
+				before++
+			}
+		}
+		if before != desc.Round*perRound {
+			t.Errorf("offered %s with %d shards of earlier rounds durable, want %d", desc.ID, before, desc.Round*perRound)
+		}
+	}
+	r := stubRunner(t, store, q)
+	if _, err := r.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, r, id)
+	if st.State != StateDone {
+		t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+	}
+	checkPointMatches(t, "point 0", st.Points[0], want)
+}
+
+// TestCloseDrainsWindow closes the runner while a fixed-budget point has a
+// full window outstanding. Close must offer nothing more, checkpoint every
+// outstanding shard as it finishes, and leave the job paused; a fresh
+// runner must resume it to the bit-identical result.
+func TestCloseDrainsWindow(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := windowSpec()
+	id := spec.Normalized().ID()
+	// held holds every shard of the job, so a wrong offer after Close
+	// shows up in it rather than blocking.
+	q := &stubQueue{held: make(chan heldShard, sim.NumBlocks(spec.MCShots)/ShardBlocks)}
+	r := stubRunner(t, store, q)
+	if _, err := r.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	var held []heldShard
+	for len(held) < window {
+		held = append(held, nextHeld(t, q))
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close(context.Background()) }()
+	<-r.quiesce
+	for k := len(held) - 1; k >= 0; k-- {
+		held[k].release()
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(q.held); n != 0 {
+		t.Fatalf("%d shards offered after Close", n)
+	}
+	st, err := r.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StatePaused {
+		t.Fatalf("after Close: state %q, want paused", st.State)
+	}
+	disk, err := store.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(disk.Shards) != window {
+		t.Fatalf("Close left %d shards durable, want the %d outstanding", len(disk.Shards), window)
+	}
+
+	r2 := NewRunner(store, steaneResolver(t), 2, "")
+	defer r2.Close(context.Background())
+	if _, err := r2.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, r2, id)
+	if final.State != StateDone {
+		t.Fatalf("resumed job state %q (err %q), want done", final.State, final.Error)
+	}
+	checkPointMatches(t, "point 0", final.Points[0], singleProcessPoint(t, spec, 0))
+}

@@ -36,11 +36,12 @@ type header struct {
 	SpecSum string `json:"spec_sum"` // checksum of the spec line (without newline)
 }
 
-// Record is one checkpoint log entry. Records are appended one JSON line
-// at a time, each carrying a strictly sequential Seq and a checksum over
-// its own encoding, so recovery can tell exactly where a crashed write
-// stopped: the log is replayed record by record and folding stops at the
-// first record that is truncated, corrupt or out of sequence.
+// Record is one checkpoint log entry, one JSON line. Records are appended
+// in batches (Log.Append), each carrying a strictly sequential Seq and a
+// checksum over its own encoding, so recovery can tell exactly where a
+// crashed write stopped: the log is replayed record by record and folding
+// stops at the first record that is truncated, corrupt (a line other than
+// its record's encoding, byte for byte) or out of sequence.
 type Record struct {
 	// Seq is the 1-based record number; each record's Seq is exactly the
 	// predecessor's plus one.
@@ -182,8 +183,10 @@ type Entry struct {
 	Size int64
 }
 
-// Store is a directory of persisted jobs. Creation is atomic and appends
-// are fsynced, so the store is safe against crashes at any point; methods
+// Store is a directory of persisted jobs. Creation is atomic and every
+// append is one write and one fsync of a batch of whole records, so the
+// store is safe against crashes at any point: recovery folds the records
+// up to the first torn one and truncates the rest (see Create); methods
 // are safe for concurrent use across processes for reading, but a job's
 // log must only be appended to by one Log handle at a time (the runner
 // guarantees one coordinator per job).
@@ -218,31 +221,40 @@ func (s *Store) path(id string) string { return filepath.Join(s.dir, Filename(id
 type Log struct {
 	f   *os.File
 	seq int64
+	buf []byte // the encoded batch, reused across appends
 }
 
-// Append assigns the next sequence number and checksum to rec, writes it
-// as one JSON line and fsyncs. When Append returns nil the record is
-// durable: a crash at any later moment resumes at or after this record.
-func (l *Log) Append(rec Record) error {
-	rec.Seq = l.seq + 1
-	rec.Sum = ""
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: marshal record: %w", err)
+// Append assigns the next sequence numbers and checksums to recs, in
+// order, and commits them as one batch: one write of their JSON lines and
+// one fsync. When Append returns nil every record of the batch is durable:
+// a crash at any later moment resumes at or after the last of them. A
+// crash during the commit may leave any part of the batch on disk, but
+// recovery folds records only up to the first torn or corrupt one (see
+// Record), so it keeps a prefix of the batch's whole records.
+func (l *Log) Append(recs ...Record) error {
+	buf := l.buf[:0]
+	for k, rec := range recs {
+		rec.Seq = l.seq + int64(k) + 1
+		rec.Sum = ""
+		data, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("jobs: marshal record: %w", err)
+		}
+		rec.Sum = checksum(data)
+		data, err = json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("jobs: marshal record: %w", err)
+		}
+		buf = append(append(buf, data...), '\n')
 	}
-	rec.Sum = checksum(data)
-	data, err = json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: marshal record: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := l.f.Write(data); err != nil {
-		return fmt.Errorf("jobs: append record: %w", err)
+	l.buf = buf
+	if _, err := l.f.Write(buf); err != nil {
+		return fmt.Errorf("jobs: append records: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("jobs: sync record: %w", err)
+		return fmt.Errorf("jobs: sync records: %w", err)
 	}
-	l.seq++
+	l.seq += int64(len(recs))
 	return nil
 }
 
@@ -351,11 +363,18 @@ func (s *Store) load(id string) (State, int64, error) {
 		return State{}, 0, fmt.Errorf("jobs: %w", err)
 	}
 	defer f.Close()
+	return fold(f, id)
+}
 
+// fold replays the job file read from r, addressed by id: it checks the
+// header and spec lines and folds the checkpoint records up to the first
+// bad one, returning the state and the byte offset just past that record.
+func fold(r io.Reader, id string) (State, int64, error) {
 	// Job files hold at most a few thousand records of a few hundred bytes;
 	// 1 MiB lines leave a wide margin over the largest strata payload.
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Split(scanWholeLines)
 
 	// Header line.
 	if !sc.Scan() {
@@ -414,6 +433,13 @@ func (s *Store) load(id string) (State, int64, error) {
 		if err != nil || checksum(canon) != want {
 			break
 		}
+		// The line must be the record's own encoding byte for byte: JSON
+		// decoding forgives a damaged key or string byte that leaves the
+		// decoded record as it was, and so would the checksum.
+		rec.Sum = want
+		if enc, err := json.Marshal(rec); err != nil || !bytes.Equal(enc, line) {
+			break
+		}
 		if rec.Seq != st.Records+1 {
 			break
 		}
@@ -437,6 +463,18 @@ func (s *Store) load(id string) (State, int64, error) {
 		offset += int64(len(line)) + 1
 	}
 	return st, offset, nil
+}
+
+// scanWholeLines splits like bufio.ScanLines, but returns only lines
+// that end in a newline, byte for byte: a last line whose newline was
+// never written is torn, however much of it parses, and a line is never
+// shortened by a carriage return. So the offset just past each returned
+// line is its length plus one, and Create truncates a torn tail exactly.
+func scanWholeLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 // Delete removes the job with the given ID; deleting a missing job is not

@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -327,4 +329,75 @@ func TestListSkipsForeignFiles(t *testing.T) {
 	if len(entries) != 1 || entries[0].ID != spec.ID() || entries[0].Key != spec.ProtocolKey {
 		t.Fatalf("List = %+v, want exactly the one real job", entries)
 	}
+}
+
+// resealRecords gives every line of recs that decodes as a record the
+// checksum of its decoded record, so the fuzzer reaches the fold's
+// handling of well-formed records and not only its checksum test.
+func resealRecords(recs []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(recs, []byte("\n")) {
+		body, nl := bytes.CutSuffix(line, []byte("\n"))
+		var rec Record
+		if json.Unmarshal(body, &rec) == nil {
+			rec.Sum = ""
+			if canon, err := json.Marshal(rec); err == nil {
+				rec.Sum = checksum(canon)
+				if enc, err := json.Marshal(rec); err == nil {
+					body = enc
+				}
+			}
+		}
+		out = append(out, body...)
+		if nl {
+			out = append(out, '\n')
+		}
+	}
+	return out
+}
+
+// FuzzLoad replays arbitrary checkpoint bytes, resealed or raw, after the
+// valid header and spec line of testdata/batched.dfj. The fold under Load
+// must return a typed error or a state, and rendering that state as a
+// status must not panic. Folding again only the bytes up to the offset it
+// stopped at, the prefix Create keeps, must give the same state and stop
+// at the end, just past a whole record.
+func FuzzLoad(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "batched.dfj"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Besides all the golden file's records, the seeds are its first
+	// three, whole, torn and changed: the fuzzer minimizes every input
+	// that finds new code, for longer the longer the input.
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	head, first := bytes.Join(lines[:2], nil), bytes.Join(lines[2:5], nil)
+	f.Add(bytes.Join(lines[2:], nil), false)
+	f.Add(first, false)
+	f.Add(first[:len(first)-len(lines[4])/2], false)
+	f.Add(bytes.Replace(first, []byte(`"kind":"shard"`), []byte(`"kind":"point"`), 1), true)
+	f.Add([]byte(`{"seq":1,"kind":"point","state":{"point":7,"rate":2,"method":"rare","locations":-3,"counts":{"shots":5,"fails":9}}}`+"\n"), true)
+	id := batchedSpec().ID()
+	f.Fuzz(func(t *testing.T, recs []byte, reseal bool) {
+		if reseal {
+			recs = resealRecords(recs)
+		}
+		content := append(bytes.Clone(head), recs...)
+		st, good, err := fold(bytes.NewReader(content), id)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		statusFromState(st, StatePaused)
+		if good < int64(len(head)) || good > int64(len(content)) || content[good-1] != '\n' ||
+			int64(bytes.Count(content[len(head):good], []byte("\n"))) != st.Records {
+			t.Fatalf("fold of %q stopped at byte %d with %d records", content, good, st.Records)
+		}
+		again, end, err := fold(bytes.NewReader(content[:good]), id)
+		if err != nil || end != good || !reflect.DeepEqual(again, st) {
+			t.Fatalf("folding the kept %d bytes again: %+v to byte %d, %v; want %+v", good, again, end, err, st)
+		}
+	})
 }
