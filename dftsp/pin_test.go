@@ -9,37 +9,44 @@ import (
 )
 
 // TestProtocolBytesPinned pins the stored bytes of the default-option
-// protocol of every catalog code and of the two "Opt"-encoder protocols of
-// Table I.
+// protocol of every catalog code, of the two "Opt"-encoder protocols of
+// Table I, and of the three globally optimized protocols the synth-cold
+// benchmark builds (their candidate loop runs the correction synthesis once
+// per candidate). Correction synthesis solves a build's classes on every
+// spare core, so CI runs this test under the default GOMAXPROCS and under
+// GOMAXPROCS=1, and both schedules must give these bytes.
 // Correction synthesis may get faster, but a change in which measurements or
 // recoveries it picks moves the simulated logical error rates (up to +30%
 // for Surface at p = 1e-2 with another optimal choice), so it must show
 // here as a deliberate hash update.
 func TestProtocolBytesPinned(t *testing.T) {
-	for _, tc := range []struct{ code, prep, sha string }{
-		{"Steane", "", "1bf1f2a5b01d0d9a1fc77a35c44840f5ed7917129086a6b746be0f8acf6ff5e1"},
-		{"Shor", "", "64c0f340a5ee3fa7dd52f3b63c19ef67b9633f48d3b3b3963c4915bf8204e5ee"},
-		{"Surface", "", "430221b87c2bfaba79af06019502e0e9cc711f9497cd661ba7884c6500115474"},
-		{"[[11,1,3]]", "", "10011e7d4ea02acc0ff9f2dbcd19ed0dfa331f13cf4f5c3d3c2c3f8dfa977bc1"},
-		{"Carbon", "", "f2bedd31bec0505f431533bdb45b1d73ab6c685cbc49a995bcefae779e8b3348"},
-		{"[[16,2,4]]", "", "ca27dbfe8318913924e1534ac8cc7965caa1f69cb5cb5bba09413a79ee5f8927"},
-		{"Tetrahedral", "", "7f06184cc9459625bb33b4946a093c4047c805b393a82df18275d432c31c8fc9"},
-		{"Hamming", "", "4e9882929282216bbbe2d61c5875585d1583a5709b8c25e4eaba3b47988d03ea"},
-		{"Tesseract", "", "f5acd582f3d9d954ff1190f8bde3c49fa42614faffb8ff761bf7f6277bb43f50"},
-		{"Steane", PrepOptimal, "f21b64d4a55e3b3de3818706693f53ee00b59e708bb249d64485d07637a4fc09"},
-		{"Shor", PrepOptimal, "b172d94ef48f7b429f1cd9ef7b65f4c4f15aa57f76c4c91c4b61a469bd58618f"},
+	for _, tc := range []struct{ code, prep, verif, sha string }{
+		{"Steane", "", "", "1bf1f2a5b01d0d9a1fc77a35c44840f5ed7917129086a6b746be0f8acf6ff5e1"},
+		{"Shor", "", "", "64c0f340a5ee3fa7dd52f3b63c19ef67b9633f48d3b3b3963c4915bf8204e5ee"},
+		{"Surface", "", "", "430221b87c2bfaba79af06019502e0e9cc711f9497cd661ba7884c6500115474"},
+		{"[[11,1,3]]", "", "", "10011e7d4ea02acc0ff9f2dbcd19ed0dfa331f13cf4f5c3d3c2c3f8dfa977bc1"},
+		{"Carbon", "", "", "f2bedd31bec0505f431533bdb45b1d73ab6c685cbc49a995bcefae779e8b3348"},
+		{"[[16,2,4]]", "", "", "ca27dbfe8318913924e1534ac8cc7965caa1f69cb5cb5bba09413a79ee5f8927"},
+		{"Tetrahedral", "", "", "7f06184cc9459625bb33b4946a093c4047c805b393a82df18275d432c31c8fc9"},
+		{"Hamming", "", "", "4e9882929282216bbbe2d61c5875585d1583a5709b8c25e4eaba3b47988d03ea"},
+		{"Tesseract", "", "", "f5acd582f3d9d954ff1190f8bde3c49fa42614faffb8ff761bf7f6277bb43f50"},
+		{"Steane", PrepOptimal, "", "f21b64d4a55e3b3de3818706693f53ee00b59e708bb249d64485d07637a4fc09"},
+		{"Shor", PrepOptimal, "", "b172d94ef48f7b429f1cd9ef7b65f4c4f15aa57f76c4c91c4b61a469bd58618f"},
+		{"Steane", "", VerifGlobal, "1bf1f2a5b01d0d9a1fc77a35c44840f5ed7917129086a6b746be0f8acf6ff5e1"},
+		{"Shor", "", VerifGlobal, "837dbbfc8759d68db8fe6597e8e06a67e9b84e5f3ff1c62834d53fffe7d75e82"},
+		{"Surface", "", VerifGlobal, "430221b87c2bfaba79af06019502e0e9cc711f9497cd661ba7884c6500115474"},
 	} {
-		p, err := Synthesize(bg, Options{Code: tc.code, Prep: tc.prep})
+		p, err := Synthesize(bg, Options{Code: tc.code, Prep: tc.prep, Verif: tc.verif})
 		if err != nil {
-			t.Fatalf("%s %s: %v", tc.code, tc.prep, err)
+			t.Fatalf("%s %s %s: %v", tc.code, tc.prep, tc.verif, err)
 		}
 		data, err := store.Encode(store.Meta{Key: "k"}, p.Core)
 		if err != nil {
-			t.Fatalf("%s %s: %v", tc.code, tc.prep, err)
+			t.Fatalf("%s %s %s: %v", tc.code, tc.prep, tc.verif, err)
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != tc.sha {
-			t.Errorf("%s %s: stored protocol SHA-256 %s, want %s", tc.code, tc.prep, got, tc.sha)
+			t.Errorf("%s %s %s: stored protocol SHA-256 %s, want %s", tc.code, tc.prep, tc.verif, got, tc.sha)
 		}
 	}
 }

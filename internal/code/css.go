@@ -29,6 +29,9 @@ type CSS struct {
 
 	distOnce sync.Once
 	dist     int // cached distance, computed once under distOnce
+
+	redOnce  sync.Once
+	redBasis [2]*f2.Mat // RREF basis of ReductionGroup(t) at index t, computed once under redOnce
 }
 
 // New validates the check matrices, reduces them to full rank and computes
@@ -168,9 +171,9 @@ func (c *CSS) XStabilizerGroup() *f2.Mat {
 // Hadamard, the preparation of |+...+>_L for the original code; this is the
 // standard X↔Z mirror trick.
 func (c *CSS) Dual() *CSS {
-	// The distance cache is deliberately not carried over: reading c.dist
-	// here would race with a concurrent c.Distance(), and the dual's own
-	// once-guard would ignore a pre-seeded value anyway.
+	// The distance and basis caches are deliberately not carried over:
+	// reading them here would race with their first computation, and the
+	// dual's own once-guards would ignore pre-seeded values anyway.
 	return &CSS{
 		Name: c.Name + "-dual",
 		N:    c.N,

@@ -50,7 +50,7 @@ func (c *CSS) ReductionGroup(t ErrType) *f2.Mat {
 // ReducedWeight returns wt_S(e) for an error e of sector t on |0...0>_L:
 // the minimum weight over the coset e + ReductionGroup(t).
 func (c *CSS) ReducedWeight(t ErrType, e f2.Vec) int {
-	return f2.CosetMinWeight(e, c.ReductionGroup(t))
+	return f2.CosetMinWeightReduced(e, c.reductionBasis(t))
 }
 
 // CosetRep returns the canonical representative of e modulo
@@ -58,7 +58,7 @@ func (c *CSS) ReducedWeight(t ErrType, e f2.Vec) int {
 // errors are equivalent on |0...0>_L exactly when their representatives are
 // equal.
 func (c *CSS) CosetRep(t ErrType, e f2.Vec) f2.Vec {
-	red := c.ReductionGroup(t).SpanBasis()
+	red := c.reductionBasis(t)
 	out := e.Clone()
 	for i := 0; i < red.Rows(); i++ {
 		p := red.Row(i).FirstOne()
@@ -67,4 +67,14 @@ func (c *CSS) CosetRep(t ErrType, e f2.Vec) f2.Vec {
 		}
 	}
 	return out
+}
+
+// reductionBasis returns the RREF basis of ReductionGroup(t), computed for
+// both sectors on first use and shared read-only after that.
+func (c *CSS) reductionBasis(t ErrType) *f2.Mat {
+	c.redOnce.Do(func() {
+		c.redBasis[ErrX] = c.ReductionGroup(ErrX).SpanBasis()
+		c.redBasis[ErrZ] = c.ReductionGroup(ErrZ).SpanBasis()
+	})
+	return c.redBasis[t]
 }

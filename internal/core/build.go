@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/code"
@@ -318,37 +321,65 @@ func chooseOrder(cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int) 
 	return best, bestCnt
 }
 
-// corrCache memoizes correction synthesis across branches: many signature
-// classes carry identical error sets (e.g. all single-flag branches of a
-// layer), and synthesis cost dominates the build.
-type corrCache map[string]*correct.Block
+// corrProblem is one distinct correction synthesis of a build: a sector and
+// an error set, shared by every class whose primary or hook errors it is.
+type corrProblem struct {
+	kind code.ErrType
+	errs []f2.Vec
+	blk  *correct.Block
+	err  error
+}
 
-func (cc corrCache) synthesize(ctx context.Context, cs *code.CSS, kind code.ErrType, errs []f2.Vec) (*correct.Block, error) {
-	key := kind.String()
-	for _, e := range errs {
-		key += "|" + e.String()
+// solve synthesizes the problem's block and re-validates the SAT model
+// outside the solver: every class error must reduce to weight <= 1 under its
+// cell's recovery.
+func (p *corrProblem) solve(ctx context.Context, cs *code.CSS) {
+	if p.err = ctx.Err(); p.err != nil {
+		return
 	}
-	if blk, ok := cc[key]; ok {
-		return blk, nil
+	p.blk, p.err = correct.Synthesize(ctx, cs.DetectionGroup(p.kind), cs.ReductionGroup(p.kind), p.errs, correct.Options{})
+	if p.err == nil {
+		p.err = correct.Check(p.blk, cs, p.kind, p.errs)
 	}
-	blk, err := correct.Synthesize(ctx, cs.DetectionGroup(kind), cs.ReductionGroup(kind), errs, correct.Options{})
-	if err != nil {
-		return nil, err
+}
+
+// solveAll solves every problem, largest error set first, on the calling
+// goroutine and on any spare cores it can take (correct.GoSpare); all of them
+// pull from one shared index. The first failure cancels the solves still
+// running, which then fail with context.Canceled. Every helper has returned
+// when solveAll does.
+func solveAll(ctx context.Context, cs *code.CSS, probs []*corrProblem) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sort.SliceStable(probs, func(i, j int) bool { return len(probs[i].errs) > len(probs[j].errs) })
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(probs)); i = next.Add(1) - 1 {
+			if probs[i].solve(ctx, cs); probs[i].err != nil {
+				cancel()
+			}
+		}
 	}
-	// Re-validate the SAT model outside the solver: every class error must
-	// reduce to weight <= 1 under its cell's recovery.
-	if err := correct.Check(blk, cs, kind, errs); err != nil {
-		return nil, err
+	var wg sync.WaitGroup
+	for h := 1; h < len(probs); h++ {
+		if !correct.GoSpare(&wg, work) {
+			break
+		}
 	}
-	cc[key] = blk
-	return blk, nil
+	work()
+	wg.Wait()
 }
 
 // buildCorrections synthesizes all correction blocks from the classified
 // faults and attaches them to the layers. It also asserts the silent-case
 // safety condition.
+//
+// It first collects every layer's classes and their distinct (sector, error
+// set) problems, then solves the problems (solveAll), and only then attaches
+// the blocks. Each block depends on its problem alone, so the protocol is the
+// same whatever order the solves finish in; a failure is reported for the
+// first class in (layer, signature key) order whose solve failed.
 func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, layers []*Layer) error {
-	cache := corrCache{}
 	// Silent faults: both sectors must already be benign.
 	for _, ft := range cl.faults {
 		if !ft.silent() {
@@ -362,6 +393,28 @@ func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, lay
 		}
 	}
 
+	type classRef struct {
+		li         int
+		key        string
+		sig        Signature
+		prim, hook *corrProblem
+	}
+	var classes []classRef
+	byKey := map[string]*corrProblem{}
+	var probs []*corrProblem
+	problem := func(kind code.ErrType, errs []f2.Vec) *corrProblem {
+		key := kind.String()
+		for _, e := range errs {
+			key += "|" + e.String()
+		}
+		p, ok := byKey[key]
+		if !ok {
+			p = &corrProblem{kind: kind, errs: errs}
+			byKey[key] = p
+			probs = append(probs, p)
+		}
+		return p
+	}
 	for li, layer := range layers {
 		classErrs := map[string]map[string]f2.Vec{}     // sig -> primary reps
 		classHookErrs := map[string]map[string]f2.Vec{} // sig -> hook reps
@@ -397,27 +450,44 @@ func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, lay
 				classHookErrs[key][hook.Key()] = hook
 			}
 		}
-		for key, reps := range classErrs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sig := classSig[key]
-			cc := &ClassCorrection{Sig: sig}
-			prim := vecsOf(reps)
-			blk, err := cache.synthesize(ctx, cs, layer.Detects, prim)
-			if err != nil {
-				return fmt.Errorf("core: layer %d class %s primary: %w", li+1, key, err)
-			}
-			cc.Primary = blk
-			if hooks := vecsOf(classHookErrs[key]); len(hooks) > 0 {
-				hblk, err := cache.synthesize(ctx, cs, layer.Detects.Opposite(), hooks)
-				if err != nil {
-					return fmt.Errorf("core: layer %d class %s hook: %w", li+1, key, err)
-				}
-				cc.Hook = hblk
-			}
-			layer.Classes[key] = cc
+		keys := make([]string, 0, len(classErrs))
+		for key := range classErrs {
+			keys = append(keys, key)
 		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			ref := classRef{li: li, key: key, sig: classSig[key]}
+			ref.prim = problem(layer.Detects, vecsOf(classErrs[key]))
+			if hooks := vecsOf(classHookErrs[key]); len(hooks) > 0 {
+				ref.hook = problem(layer.Detects.Opposite(), hooks)
+			}
+			classes = append(classes, ref)
+		}
+	}
+
+	solveAll(ctx, cs, probs)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// A solve cancelled because a sibling failed reports context.Canceled;
+	// the sibling's own error is the one to return.
+	failed := func(p *corrProblem) bool {
+		return p != nil && p.err != nil && !errors.Is(p.err, context.Canceled)
+	}
+	for _, c := range classes {
+		if failed(c.prim) {
+			return fmt.Errorf("core: layer %d class %s primary: %w", c.li+1, c.key, c.prim.err)
+		}
+		if failed(c.hook) {
+			return fmt.Errorf("core: layer %d class %s hook: %w", c.li+1, c.key, c.hook.err)
+		}
+	}
+	for _, c := range classes {
+		cc := &ClassCorrection{Sig: c.sig, Primary: c.prim.blk}
+		if c.hook != nil {
+			cc.Hook = c.hook.blk
+		}
+		layers[c.li].Classes[c.key] = cc
 	}
 	return nil
 }

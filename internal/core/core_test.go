@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/code"
+	"repro/internal/correct"
 	"repro/internal/f2"
 )
 
@@ -229,4 +234,96 @@ func TestBuildFromPrepRejectsWrongCircuit(t *testing.T) {
 	if _, err := BuildFromPrep(context.Background(), cs, bad, Config{}); err == nil {
 		t.Fatal("expected rejection of non-encoding circuit")
 	}
+}
+
+// css16BuildTime is the shorter duration of two uncancelled [[16,2,4]]
+// builds (the first pays for warming up), timed once per test binary so
+// that -count=N pays for it once.
+var css16BuildTime = sync.OnceValues(func() (time.Duration, error) {
+	var best time.Duration
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if _, err := Build(context.Background(), code.CSS16(), Config{}); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); i == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
+})
+
+// TestBuildCancelJoinsHelpers cancels a [[16,2,4]] build halfway and at
+// three quarters of its uncancelled duration: while its correction problems
+// are solved on the spare cores, and when only its largest class is left,
+// whose probes race their extractions (run under -race -count=10). Build
+// must return the context's error, and every helper of the class fan-out
+// and of the probe race must be joined before it returns: no goroutine is
+// left in the synthesis, every spare-core token is free again, and the
+// goroutine count goes back to its baseline.
+func TestBuildCancelJoinsHelpers(t *testing.T) {
+	full, err := css16BuildTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []time.Duration{full / 2, full * 3 / 4} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithTimeout(context.Background(), at)
+		_, err := Build(ctx, code.CSS16(), Config{})
+		if err == nil && at > full/2 {
+			// This run beat the timed one; the late point was not reached.
+			cancel()
+			t.Logf("build finished before its cancellation at %v of %v", at, full)
+			continue
+		}
+		if !errors.Is(err, ctx.Err()) || ctx.Err() == nil {
+			t.Fatalf("Build cancelled at %v of %v: error %v, want %v", at, full, err, ctx.Err())
+		}
+		cancel()
+		if live := synthesisGoroutines(); len(live) > 0 {
+			t.Fatalf("cancelled at %v: %d goroutines still synthesizing after Build returned:\n%s", at, len(live), live[0])
+		}
+
+		// Every token is back: exactly GOMAXPROCS-1 helpers can start now.
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		free := 0
+		for correct.GoSpare(&wg, func() { <-release }) {
+			free++
+		}
+		close(release)
+		wg.Wait()
+		if want := runtime.GOMAXPROCS(0) - 1; free != want {
+			t.Fatalf("cancelled at %v: %d spare-core tokens free, want %d", at, free, want)
+		}
+
+		// The context's timer goroutine and the token probes above may
+		// still be exiting.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("cancelled at %v: %d goroutines, %d before the build", at, n, base)
+		}
+	}
+}
+
+// synthesisGoroutines returns the stacks of the goroutines other than the
+// caller's that are still solving correction problems or probes. A helper
+// whose WaitGroup has released its waiter may still be inside Done; it no
+// longer counts.
+func synthesisGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, frame := range []string{"repro/internal/core.solveAll", "repro/internal/correct.(*class)", "repro/internal/cnf.", "repro/internal/sat."} {
+			if strings.Contains(g, frame) {
+				out = append(out, g)
+				break
+			}
+		}
+	}
+	return out
 }

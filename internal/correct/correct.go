@@ -16,9 +16,11 @@
 // their recoveries congruent modulo the stabilizers, a syndrome-table
 // lookup. It has no free recovery or stabilizer bits, so the solver never
 // refutes equivalent recoveries one by one, and the UNSAT probes at the
-// optimality boundary (most of the search time) get much cheaper. Only a
-// satisfiable probe is then solved again with the recovery encoding, which
-// spells out each recovery bit by bit, and its model becomes the block.
+// optimality boundary (most of the search time) get much cheaper. A
+// satisfiable probe is also solved with the recovery encoding, which spells
+// out each recovery bit by bit, and its model becomes the block; with a
+// spare core (GoSpare) that extraction starts beside the decide, and an
+// UNSAT decide cancels it.
 // The residual encoding's own models would do as well, but they pick other
 // measurements and recoveries among the optimal ones, and those protocols
 // are worse in simulation: the Surface code's stratified logical error rate
@@ -39,6 +41,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/cnf"
 	"repro/internal/code"
@@ -100,6 +104,33 @@ type Options struct {
 	// detection entirely to the solver. Exists for the ablation benchmark;
 	// results are identical, only solving time changes.
 	NoPairPruning bool
+}
+
+// spare is the process-wide pool of spare-core tokens, one for each core
+// beyond the one a synthesizing goroutine already runs on. A helper goroutine
+// runs only while it holds a token, so synthesis never keeps more than
+// GOMAXPROCS cores busy however many builds run at once, and with
+// GOMAXPROCS=1 the pool is empty and every synthesis runs on its caller's
+// goroutine alone.
+var spare = make(chan struct{}, max(runtime.GOMAXPROCS(0)-1, 0))
+
+// GoSpare runs fn on a helper goroutine if a spare core is free, and reports
+// whether it did; it never blocks. wg counts the helper until fn has
+// returned and its token is back in the pool, so a caller that waits on wg
+// before returning leaves every token free.
+func GoSpare(wg *sync.WaitGroup, fn func()) bool {
+	select {
+	case spare <- struct{}{}:
+	default:
+		return false
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { <-spare }()
+		fn()
+	}()
+	return true
 }
 
 // errEncodingMismatch reports a probe the residual encoding found
@@ -245,14 +276,31 @@ func newClass(det, red *f2.Mat, errs []f2.Vec, opt Options) *class {
 
 // solveCorrection decides a single (u, v) instance; v < 0 disables the
 // weight bound. It returns nil if unsatisfiable. The residual encoding
-// decides; only a satisfiable probe builds the recovery encoding, whose
-// model is the block.
+// decides, and the block is the recovery encoding's model. With a spare core
+// the extraction runs beside the decide and is cancelled if the decide
+// answers UNSAT; without one it runs after a SAT answer. Either way the
+// block is the extractor's model of this probe on a fresh solver.
 func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
+	var (
+		wg      sync.WaitGroup
+		blk     *Block
+		extrErr error
+	)
+	extrCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	raced := GoSpare(&wg, func() { blk, extrErr = c.extractCorrection(extrCtx, u, v) })
 	ok, err := c.decideCorrection(ctx, u, v)
 	if err != nil || !ok {
+		cancel()
+		wg.Wait()
 		return nil, err
 	}
-	blk, err := c.extractCorrection(ctx, u, v)
+	if raced {
+		wg.Wait()
+	} else {
+		blk, extrErr = c.extractCorrection(ctx, u, v)
+	}
+	err = extrErr
 	if err == nil && blk == nil {
 		err = fmt.Errorf("u=%d v=%d: %w", u, v, errEncodingMismatch)
 	}

@@ -15,33 +15,28 @@ const maxSpanBits = 24
 // addition. basis is reduced to an independent set first, keeping the
 // exponent minimal. It panics if the reduced basis has more than 24 rows.
 func CosetMinWeight(e Vec, basis *Mat) int {
-	w, _ := CosetMinRep(e, basis)
-	return w
+	return CosetMinWeightReduced(e, basis.SpanBasis())
 }
 
-// CosetMinRep returns the minimum weight over the coset e + rowspan(basis)
-// together with one representative achieving it.
-func CosetMinRep(e Vec, basis *Mat) (int, Vec) {
-	red := basis.SpanBasis()
+// CosetMinWeightReduced is CosetMinWeight over a basis that is already
+// independent, such as one SpanBasis returned. It reduces nothing and keeps
+// no representative, so a caller that holds the reduced basis of a group
+// pays only for the Gray-code walk. It panics if red has more than 24 rows.
+func CosetMinWeightReduced(e Vec, red *Mat) int {
 	r := red.Rows()
 	if r > maxSpanBits {
 		panic("f2: coset enumeration over more than 2^24 elements")
 	}
 	best := e.Weight()
-	bestRep := e.Clone()
 	cur := e.Clone()
 	// Gray code: on step i, toggle basis row TrailingZeros(i).
-	for i := uint64(1); i < 1<<uint(r); i++ {
+	for i := uint64(1); i < 1<<uint(r) && best > 0; i++ {
 		cur.XorInPlace(red.Row(bits.TrailingZeros64(i)))
 		if w := cur.Weight(); w < best {
 			best = w
-			bestRep = cur.Clone()
-			if best == 0 {
-				break
-			}
 		}
 	}
-	return best, bestRep
+	return best
 }
 
 // SpanForEach calls fn for every vector in the row span of basis, including

@@ -1,6 +1,7 @@
 package f2
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,6 +190,32 @@ func TestCosetMinWeight(t *testing.T) {
 	}
 }
 
+// CosetMinRep returns the minimum weight over the coset e + rowspan(basis)
+// together with one representative achieving it: the reference that
+// CosetMinWeight is held to.
+func CosetMinRep(e Vec, basis *Mat) (int, Vec) {
+	red := basis.SpanBasis()
+	r := red.Rows()
+	if r > maxSpanBits {
+		panic("f2: coset enumeration over more than 2^24 elements")
+	}
+	best := e.Weight()
+	bestRep := e.Clone()
+	cur := e.Clone()
+	// Gray code: on step i, toggle basis row TrailingZeros(i).
+	for i := uint64(1); i < 1<<uint(r); i++ {
+		cur.XorInPlace(red.Row(bits.TrailingZeros64(i)))
+		if w := cur.Weight(); w < best {
+			best = w
+			bestRep = cur.Clone()
+			if best == 0 {
+				break
+			}
+		}
+	}
+	return best, bestRep
+}
+
 func TestCosetMinRepAchieves(t *testing.T) {
 	stab := MustMatFromStrings(
 		"1100110",
@@ -301,7 +328,8 @@ func TestSolveProperty(t *testing.T) {
 	}
 }
 
-// Property: CosetMinWeight is invariant under adding span elements to e.
+// Property: CosetMinWeight is invariant under adding span elements to e, and
+// equals the weight of CosetMinRep's representative.
 func TestCosetInvarianceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -323,7 +351,8 @@ func TestCosetInvarianceProperty(t *testing.T) {
 			}
 		}
 		shifted := e.Xor(m.Row(rng.Intn(m.Rows())))
-		return CosetMinWeight(e, m) == CosetMinWeight(shifted, m)
+		w, rep := CosetMinRep(e, m)
+		return CosetMinWeight(e, m) == CosetMinWeight(shifted, m) && CosetMinWeight(e, m) == w && rep.Weight() == w
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
