@@ -118,34 +118,37 @@ func BenchmarkFig4Shot(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4ShotCompiled is BenchmarkFig4Shot on the compiled
-// zero-allocation engine: the same per-shot work, with the protocol
-// flattened once into a sim.Program and all per-shot state in a reused
-// sim.Shot. Run with -benchmem; allocs/op must be 0.
+// BenchmarkFig4ShotCompiled is BenchmarkFig4Shot on the scalar engine —
+// lane 0 of the compiled 64-lane batch engine, driven one shot at a time by
+// a scalar block runner: the same per-shot work, with the protocol
+// flattened once into a sim.Program and all per-shot state reused. Run with
+// -benchmem; allocs/op must be 0.
 func BenchmarkFig4ShotCompiled(b *testing.B) {
 	for _, cs := range code.Catalog() {
 		cs := cs
 		b.Run(cs.Name, func(b *testing.B) {
-			p := cachedProtocol(b, cs)
-			prog, err := sim.Compile(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			inj := &noise.Depolarizing{P: 0.01, Rng: rng}
-			sh := prog.NewShot()
+			r := scalarRunner(b, cachedProtocol(b, cs), 0.01)
 			b.ReportAllocs()
 			b.ResetTimer()
-			fails := 0
-			for i := 0; i < b.N; i++ {
-				prog.Run(sh, inj)
-				if prog.Judge(sh) {
-					fails++
-				}
-			}
-			b.ReportMetric(float64(fails)/float64(b.N), "pL@1e-2")
+			r.RunBlock(context.Background(), 1, 0, b.N)
+			b.ReportMetric(float64(r.Counts().Fails)/float64(b.N), "pL@1e-2")
 		})
 	}
+}
+
+// scalarRunner returns a direct-sampling block runner on the scalar engine
+// at uniform rate p.
+func scalarRunner(tb testing.TB, p *core.Protocol, rate float64) *sim.BlockRunner {
+	tb.Helper()
+	est, err := sim.NewEstimator(p).WithEngine(sim.EngineScalar)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := est.NewBlockRunnerModel(sim.MethodDirect, noise.Uniform(rate))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
 }
 
 // BenchmarkFig4ShotBatch is BenchmarkFig4ShotCompiled on the 64-lane
@@ -426,7 +429,7 @@ func TestBenchTrajectory(t *testing.T) {
 	codes := []*code.CSS{code.Steane(), code.Surface3(), code.Carbon()}
 	type tri struct {
 		Baseline benchEntry `json:"baseline"` // interpreted Run + lookup Judge (pre-PR4)
-		Compiled benchEntry `json:"compiled"` // PR 4 scalar sim.Program
+		Compiled benchEntry `json:"compiled"` // scalar engine: lane 0 of sim.Batch
 		Batch    benchEntry `json:"batch"`    // PR 5 64-lane sim.Batch
 		// CompiledSpeedup is compiled vs baseline; BatchSpeedup is batch vs
 		// compiled — each PR's engine against the previous ceiling.
@@ -474,10 +477,6 @@ func TestBenchTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		est := sim.NewEstimator(p)
-		prog := est.Program()
-		if prog == nil {
-			t.Fatalf("%s: protocol failed to compile", cs.Name)
-		}
 		batch := est.Batch()
 		if batch == nil {
 			t.Fatalf("%s: batch engine unavailable", cs.Name)
@@ -507,14 +506,10 @@ func TestBenchTrajectory(t *testing.T) {
 			}
 		})
 		compiled := measureShots(1, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			inj := &noise.Depolarizing{P: pp, Rng: rng}
-			sh := prog.NewShot()
+			r := scalarRunner(b, p, pp)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				prog.Run(sh, inj)
-				prog.Judge(sh)
-			}
+			b.ResetTimer()
+			r.RunBlock(context.Background(), 1, 0, b.N)
 		})
 		batchEnt := measureShots(64, func(b *testing.B) {
 			smp := noise.NewSparseSampler(pp, 1)

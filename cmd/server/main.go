@@ -94,8 +94,8 @@
 // unsampled points carry only "p" and "pl". The
 // "engine" option selects the Monte-Carlo engine ("auto" default: the
 // 64-lane bit-parallel batch engine when the protocol compiles; "scalar"
-// forces the compiled scalar path; "batch" rejects protocols past the
-// packing limits with 400).
+// forces one shot at a time, as lane 0 of the batch engine; "batch"
+// rejects protocols past the packing limits with 400).
 //
 // Both /estimate and /jobs accept per-location-class noise model options:
 // "bias_2q" and "bias_meas" scale the two-qubit and measurement fault rates

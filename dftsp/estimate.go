@@ -80,9 +80,11 @@ type EstimateOptions struct {
 
 	// Engine selects the Monte-Carlo engine: "" or "auto" picks the fastest
 	// available (the 64-lane bit-parallel batch engine when the protocol
-	// compiles, else the scalar compiled engine), "scalar" forces the scalar
-	// path, and "batch" requires the batch engine (rejected with
-	// ErrBadOptions when the protocol exceeds its packing limits).
+	// compiles, else the scalar engine on the interpreted executor),
+	// "scalar" forces one shot at a time (lane 0 of the batch engine when
+	// the protocol compiles), and "batch" requires the batch engine
+	// (rejected with ErrBadOptions when the protocol exceeds its packing
+	// limits).
 	Engine string `json:"engine,omitempty"`
 
 	// Bias2Q scales the two-qubit (CNOT) fault rate relative to the base
@@ -333,8 +335,9 @@ func (eo EstimateOptions) Validate() error {
 // estimator for the curve and, when MCShots > 0 or TargetRSE > 0, direct
 // Monte-Carlo sampling as a cross-check. Sampling runs on the 64-lane
 // bit-parallel batch engine by default (Engine "auto"), falling back to the
-// compiled scalar engine when the protocol exceeds the packing limits; both
-// are allocation-free in steady state. The sampling method follows Method:
+// interpreted executor when the protocol exceeds the packing limits; the
+// batch engine and the scalar engine on it (Engine "scalar") are
+// allocation-free in steady state. The sampling method follows Method:
 // "auto" (the default) switches per rate between direct sampling and the
 // rare-event conditional estimator, which resolves logical rates far below
 // 1/MaxShots by conditioning every shot on at least one fault — two when

@@ -189,6 +189,34 @@ func TestSearchFindsSmallCode(t *testing.T) {
 	}
 }
 
+// TestSelfDualSearchPinned pins the codes a fixed-seed self-dual Search
+// returns, recorded before the search drew its self-orthogonal subspaces
+// through randomSelfOrthogonal: the draws, and so the codes, must not move.
+func TestSelfDualSearchPinned(t *testing.T) {
+	for _, tc := range []struct {
+		opt  SearchOptions
+		name string
+		g    []string
+	}{
+		{SearchOptions{N: 7, K: 1, D: 3, SelfDual: true, MaxTries: 200000, Seed: 1}, "search-sd-7", []string{"1001110", "0100111", "0011101"}},
+		{SearchOptions{N: 7, K: 1, D: 3, SelfDual: true, MaxTries: 200000, Seed: 7}, "search-sd-7", []string{"1010011", "0110110", "0001111"}},
+		{SearchOptions{N: 4, K: 2, D: 2, SelfDual: true, MaxTries: 50000, Seed: 1}, "search-sd-4", []string{"1111"}},
+	} {
+		c := Search(context.Background(), tc.opt)
+		if c == nil {
+			t.Fatalf("%+v: no code found", tc.opt)
+		}
+		want := f2.MustMatFromStrings(tc.g...)
+		if c.Name != tc.name || c.Hx.String() != want.String() || c.Hz.String() != want.String() {
+			t.Fatalf("%+v: got %s with Hx\n%v\nHz\n%v\nwant %s with G\n%v", tc.opt, c.Name, c.Hx, c.Hz, tc.name, want)
+		}
+	}
+	// N-K odd admits no self-dual code.
+	if c := Search(context.Background(), SearchOptions{N: 6, K: 1, D: 2, SelfDual: true, MaxTries: 100}); c != nil {
+		t.Fatalf("self-dual search with N-K odd returned %s", c.Params())
+	}
+}
+
 func TestGaugeFix(t *testing.T) {
 	base := Tesseract()
 	c, err := GaugeFix(base, "gf", []int{0}, []int{1})

@@ -41,13 +41,22 @@ func Search(ctx context.Context, opt SearchOptions) *CSS {
 		opt.MaxTries = 2_000_000
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
+	// A self-dual code CSS(G, G) needs a self-orthogonal G of dimension
+	// (N-K)/2.
+	r := (opt.N - opt.K) / 2
+	if opt.SelfDual && 2*r != opt.N-opt.K {
+		return nil
+	}
+	ones := allOnes(opt.N)
 	for try := 0; try < opt.MaxTries; try++ {
 		if try%256 == 0 && ctx.Err() != nil {
 			return nil
 		}
 		var c *CSS
 		if opt.SelfDual {
-			c = trySelfDual(rng, opt)
+			if g := randomSelfOrthogonal(rng, opt.N, r, ones); g != nil {
+				c, _ = New(fmt.Sprintf("search-sd-%d", opt.N), g, g.Clone())
+			}
 		} else {
 			c = tryCSSPair(rng, opt)
 		}
@@ -68,43 +77,6 @@ func Search(ctx context.Context, opt SearchOptions) *CSS {
 		}
 	}
 	return nil
-}
-
-// trySelfDual samples a self-orthogonal subspace G of dimension (N-K)/2 and
-// returns CSS(G,G), or nil if the sample degenerated.
-func trySelfDual(rng *rand.Rand, opt SearchOptions) *CSS {
-	r := (opt.N - opt.K) / 2
-	if 2*r != opt.N-opt.K {
-		return nil
-	}
-	basis := f2.NewMat(opt.N)
-	// Constraints: candidate rows must be orthogonal to all previous rows
-	// and have even weight (orthogonal to the all-ones vector, since
-	// v·v = wt(v) mod 2).
-	ones := f2.NewVec(opt.N)
-	for i := 0; i < opt.N; i++ {
-		ones.Set(i, true)
-	}
-	for basis.Rows() < r {
-		constraints := basis.Clone()
-		constraints.MustAppendRow(ones.Clone())
-		ker := constraints.Kernel()
-		v, ok := randomNonZeroCombo(rng, ker, 32)
-		if !ok {
-			return nil
-		}
-		trial := basis.Clone()
-		trial.MustAppendRow(v)
-		if trial.Rank() != basis.Rows()+1 {
-			return nil // dependent sample; restart candidate
-		}
-		basis = trial
-	}
-	c, err := New(fmt.Sprintf("search-sd-%d", opt.N), basis, basis.Clone())
-	if err != nil {
-		return nil
-	}
-	return c
 }
 
 // tryCSSPair samples Hx of rank RankX and Hz as a random subspace of
@@ -199,10 +171,7 @@ func SearchSelfDualClimb(ctx context.Context, opt SearchOptions) *CSS {
 	if 2*r != opt.N-opt.K {
 		return nil
 	}
-	ones := f2.NewVec(opt.N)
-	for i := 0; i < opt.N; i++ {
-		ones.Set(i, true)
-	}
+	ones := allOnes(opt.N)
 
 	cost := func(g *f2.Mat) int {
 		inG := make(map[string]bool)
@@ -431,8 +400,20 @@ func resampleRow(rng *rand.Rand, m *f2.Mat, allowed *f2.Mat) *f2.Mat {
 	return nm
 }
 
+// allOnes returns the all-ones vector of length n: v·v = wt(v) mod 2, so
+// orthogonality to it is the even-weight constraint.
+func allOnes(n int) f2.Vec {
+	ones := f2.NewVec(n)
+	for i := 0; i < n; i++ {
+		ones.Set(i, true)
+	}
+	return ones
+}
+
 // randomSelfOrthogonal samples an r-dimensional self-orthogonal subspace
-// (all generators even weight, pairwise orthogonal), or nil on degeneracy.
+// (all generators even weight, pairwise orthogonal), or nil on degeneracy:
+// each new row is a random combination of the kernel of the rows so far
+// and the all-ones vector ones.
 func randomSelfOrthogonal(rng *rand.Rand, n, r int, ones f2.Vec) *f2.Mat {
 	basis := f2.NewMat(n)
 	for basis.Rows() < r {

@@ -94,11 +94,6 @@ func (b *Block) RecoveryFor(key string, n int) f2.Vec {
 
 // Options tune the synthesis; the zero value is the paper's setting.
 type Options struct {
-	// MaxU caps the number of additional measurements; 0 means the rank
-	// of the detection group (always sufficient). A cap above the rank is
-	// lowered to it: more measurements than the rank cannot grow their span.
-	MaxU int
-
 	// NoPairPruning disables the precomputed incompatible-pair clauses
 	// (σ(e) ≠ σ(e') for pairs that cannot share a recovery), leaving their
 	// detection entirely to the solver. Exists for the ablation benchmark;
@@ -165,12 +160,9 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 // u. probe returns nil for an unsatisfiable probe and the block of its model
 // otherwise.
 func (c *class) search(probe func(u, v int) (*Block, error)) (*Block, error) {
+	// More measurements than the detection rank cannot grow their span.
 	rank := c.gens.Rows()
-	maxU := c.opt.MaxU
-	if maxU <= 0 || maxU > rank {
-		maxU = rank
-	}
-	for u := 0; u <= maxU; u++ {
+	for u := 0; u <= rank; u++ {
 		blk, err := probe(u, -1)
 		if err != nil {
 			return nil, err
@@ -199,7 +191,7 @@ func (c *class) search(probe func(u, v int) (*Block, error)) (*Block, error) {
 		}
 		return best, nil
 	}
-	return nil, fmt.Errorf("correct: no correction with up to %d measurements (detection rank %d); class has inequivalent errors sharing the full syndrome", maxU, rank)
+	return nil, fmt.Errorf("correct: no correction with up to %[1]d measurements (detection rank %[1]d); class has inequivalent errors sharing the full syndrome", rank)
 }
 
 // class is one error class with everything its probes share, computed once

@@ -213,37 +213,6 @@ func rrefMatchesLex(t *testing.T, name string, c *class) {
 	}
 }
 
-// TestMaxUClampedToRank gives search a MaxU past the detection rank: a
-// feasible class must get the block of the default cap, and an infeasible
-// one the default cap's error, which names the rank.
-func TestMaxUClampedToRank(t *testing.T) {
-	ctx := context.Background()
-	tc := loadTableClasses(t)[0]
-	det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
-	rank := det.SpanBasis().Rows()
-	want, err := Synthesize(ctx, det, red, tc.errs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Synthesize(ctx, det, red, tc.errs, Options{MaxU: rank + 3})
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("MaxU = rank+3: %v, %v; MaxU = 0: %v", got, err, want)
-	}
-
-	// X1X2 and X3X4 share no recovery, and the only detector, Z1Z2,
-	// overlaps both evenly: no number of measurements separates them.
-	det = f2.MustMatFromStrings("110000")
-	errs := []f2.Vec{vec("110000"), vec("001100")}
-	_, wantErr := Synthesize(ctx, det, f2.NewMat(6), errs, Options{})
-	_, gotErr := Synthesize(ctx, det, f2.NewMat(6), errs, Options{MaxU: 4})
-	if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("MaxU = 4: %v; MaxU = 0: %v", gotErr, wantErr)
-	}
-	if !strings.Contains(gotErr.Error(), "detection rank 1") {
-		t.Fatalf("error %q does not name the rank", gotErr)
-	}
-}
-
 // BenchmarkDecideUnbounded times the two costliest unbounded probes of the
 // table classes: u = 3, v = -1 on the Hamming and Tetrahedral X classes,
 // both UNSAT.

@@ -2,7 +2,9 @@ package decoder
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/code"
 	"repro/internal/f2"
@@ -85,7 +87,10 @@ func TestDenseMatchesLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, cs := range []*code.CSS{code.Steane(), code.Hamming15(), code.Surface3()} {
 		lk := NewLookup(cs.Hz)
-		d := NewDense(cs.Hz)
+		d, err := NewDense(cs.Hz)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d.Size() != lk.Size() {
 			t.Fatalf("%s: dense size %d != lookup size %d", cs.Name, d.Size(), lk.Size())
 		}
@@ -121,7 +126,10 @@ func TestDenseMatchesLookup(t *testing.T) {
 // by the compiled simulation engine.
 func TestDenseIndexWords(t *testing.T) {
 	cs := code.Steane()
-	d := NewDense(cs.Hz)
+	d, err := NewDense(cs.Hz)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := f2.FromSupport(cs.N, 2, 5)
 	idx := d.Index(e.Words())
 	corr := d.CorrectionWords(idx)
@@ -138,5 +146,34 @@ func TestDenseIndexWords(t *testing.T) {
 		_ = d.CorrectionWords(d.Index(e.Words()))
 	}); allocs != 0 {
 		t.Fatalf("Index/CorrectionWords allocate %.2f per call, want 0", allocs)
+	}
+}
+
+// TestDenseRefusesHighRankAtOnce gives NewDense a rank-30 check matrix on
+// 40 qubits, past the dense bound of 24: it must be refused with an error
+// naming the rank, before any syndrome is enumerated — the lookup table of
+// that matrix would hold 2^30 entries.
+func TestDenseRefusesHighRankAtOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	h := f2.NewMat(40)
+	for i := 0; i < 30; i++ {
+		row := f2.FromSupport(40, i)
+		for q := 30; q < 40; q++ {
+			if rng.Intn(2) == 1 {
+				row.Flip(q)
+			}
+		}
+		h.MustAppendRow(row)
+	}
+	start := time.Now()
+	d, err := NewDense(h)
+	if err == nil || d != nil {
+		t.Fatalf("rank-30 matrix accepted: %v, %v", d, err)
+	}
+	if !strings.Contains(err.Error(), "rank 30") {
+		t.Fatalf("error %q does not name the rank", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("refusal took %v, want well under a second", elapsed)
 	}
 }

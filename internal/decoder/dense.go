@@ -29,24 +29,15 @@ type Dense struct {
 
 // NewDense builds the dense table for check matrix h by packing the
 // breadth-first minimum-weight table of NewLookup, so both decoders return
-// bit-identical corrections. It panics when the rank exceeds maxDenseRank;
-// use NewDenseChecked to get an error instead.
-func NewDense(h *f2.Mat) *Dense {
-	d, err := NewDenseChecked(h)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// NewDenseChecked is NewDense returning an error for check matrices whose
-// rank would make the dense table unreasonably large.
-func NewDenseChecked(h *f2.Mat) (*Dense, error) {
-	lk := NewLookup(h)
-	rank := lk.h.Rows()
-	if rank > maxDenseRank {
+// bit-identical corrections. It takes the rank from h's span basis first
+// and returns an error, without building any table, when the rank exceeds
+// maxDenseRank: the lookup table alone holds 2^rank syndromes.
+func NewDense(h *f2.Mat) (*Dense, error) {
+	if rank := h.SpanBasis().Rows(); rank > maxDenseRank {
 		return nil, fmt.Errorf("decoder: rank %d exceeds dense table limit %d", rank, maxDenseRank)
 	}
+	lk := NewLookup(h)
+	rank := lk.h.Rows()
 	d := &Dense{
 		h:    lk.h,
 		n:    lk.n,

@@ -17,7 +17,7 @@ import (
 // injection goes through a noise.BatchInjector; with a noise.SparseSampler
 // the injector skip-samples the lane×site grid geometrically, so at
 // realistic physical rates almost every site costs one comparison and zero
-// RNG calls, instead of the 64 per-lane draws the scalar engine would make.
+// RNG calls, instead of 64 per-lane draws.
 //
 // Divergent control flow is handled with lane masks: every measurement runs
 // word-wide under the mask of still-active lanes. The (rare) lanes whose
@@ -25,13 +25,17 @@ import (
 // classified through the program's dense class tables; then each class's
 // correction blocks run once, word-wide, under the mask of the class's
 // lanes — primary blocks first, then the hook blocks of the flagged lanes —
-// and each lane's recovery is read off its own syndrome bits. A
-// lane therefore meets exactly the locations the scalar engine would, in
-// the same order (the fixed-fault-mask cross-check pins this), while a skip
-// chain draws one site per block measurement for the whole class instead
-// of one per lane. A lane that terminates early (hook flag fired,
+// and each lane's recovery is read off its own syndrome bits. A lane
+// therefore meets exactly the locations the interpreted executor would, in
+// the same order (the fixed-fault-mask cross-check pins this), while a
+// skip chain draws one site per block measurement for the whole class
+// instead of one per lane. A lane that terminates early (hook flag fired,
 // Fig. 3(e)) simply leaves the active mask — subsequent sites neither
 // fault nor touch it.
+//
+// The scalar engine is this engine's lane 0: a one-lane Run through the
+// lane adapter, which hands every site of the shot to a scalar
+// noise.Injector (see Estimator.newShot).
 //
 // A Batch is immutable and safe for concurrent use; all mutable state lives
 // in a BatchShot. The repeat-until-success baseline (nondet.go) is out of
@@ -85,10 +89,10 @@ func qubitList(row []uint64) []int32 {
 // outcome words and the Judge parity words are allocated once by NewShot,
 // so the steady-state loop performs zero heap allocations per 64-shot word.
 //
-// The branch flags are lane masks mirroring the scalar Shot's booleans.
-// Per-layer signature history is not kept: the batch engine resolves each
-// nonzero signature immediately; use the scalar engines when signature
-// traces are needed.
+// The branch flags are lane masks mirroring the interpreted Outcome's
+// booleans. Per-layer signature history is not kept: the batch engine
+// resolves each nonzero signature immediately; use the interpreted
+// executor when signature traces are needed.
 type BatchShot struct {
 	ex, ez     []uint64 // lane-major frames, one word per data qubit
 	bOut, fOut []uint64 // per-measurement outcome/flag words of one layer
@@ -142,33 +146,26 @@ func (b *Batch) Run(bs *BatchShot, inj noise.BatchInjector, live uint64) {
 // preparation circuit over the lanes in live: straight-line, no divergence
 // possible yet.
 func (b *Batch) prepare(bs *BatchShot, inj noise.BatchInjector, live uint64) {
-	for q := range bs.ex {
-		bs.ex[q] = 0
-		bs.ez[q] = 0
-	}
+	ex, ez := bs.ex, bs.ez
+	clear(ex)
+	clear(ez)
 	bs.Live = live
 	bs.Triggered, bs.UnknownClass, bs.TerminatedEarly = 0, 0, 0
 	for _, g := range b.prog.prep {
 		switch g.kind {
 		case opPrep:
-			bs.ex[g.q1] = 0
-			bs.ez[g.q1] = 0
-			x, z := inj.Draw1Q(live)
-			bs.ex[g.q1] ^= x
-			bs.ez[g.q1] ^= z
+			ex[g.q1], ez[g.q1] = inj.Draw1Q(live)
 		case opH:
-			bs.ex[g.q1], bs.ez[g.q1] = bs.ez[g.q1], bs.ex[g.q1]
 			x, z := inj.Draw1Q(live)
-			bs.ex[g.q1] ^= x
-			bs.ez[g.q1] ^= z
+			ex[g.q1], ez[g.q1] = ez[g.q1]^x, ex[g.q1]^z
 		case opCNOT:
-			bs.ex[g.q2] ^= bs.ex[g.q1]
-			bs.ez[g.q1] ^= bs.ez[g.q2]
+			ex[g.q2] ^= ex[g.q1]
+			ez[g.q1] ^= ez[g.q2]
 			x1, z1, x2, z2 := inj.Draw2Q(live)
-			bs.ex[g.q1] ^= x1
-			bs.ez[g.q1] ^= z1
-			bs.ex[g.q2] ^= x2
-			bs.ez[g.q2] ^= z2
+			ex[g.q1] ^= x1
+			ez[g.q1] ^= z1
+			ex[g.q2] ^= x2
+			ez[g.q2] ^= z2
 		}
 	}
 }
@@ -203,8 +200,8 @@ func (bs *BatchShot) signature(lay *progLayer, lane uint) uint64 {
 // block once over all of the class's lanes, and then each class's hook
 // block once over its flagged lanes, taking classes in first-lane order.
 // Every lane thus still meets its primary block's locations before its
-// hook's, in the scalar engine's order. Each class compiles blocks of its
-// own, so one class is one distinct block.
+// hook's, in the interpreted executor's order. Each class compiles blocks
+// of its own, so one class is one distinct block.
 func (b *Batch) correct(bs *BatchShot, lay *progLayer, inj noise.BatchInjector, trig uint64) (flagged uint64) {
 	m := uint(len(lay.meas))
 	var prim, hook uint64 // lanes with a primary, a hook block to run
@@ -296,10 +293,10 @@ func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector,
 	}
 }
 
-// measure is the 64-lane twin of Program.measure: one ancilla-mediated
-// stabilizer measurement, word-wide over the lanes in active, with
-// identical per-lane fault-location order. The returned outcome and flag
-// words are masked to active.
+// measure is the 64-lane twin of the interpreted executor's measure: one
+// ancilla-mediated stabilizer measurement, word-wide over the lanes in
+// active, with identical per-lane fault-location order. The returned
+// outcome and flag words are masked to active.
 //
 // Masking invariant: the only words XORed into data frames are the fault
 // masks and (zType) ancZ / (xType) ancX, all of which accumulate
@@ -308,6 +305,7 @@ func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector,
 func (b *Batch) measure(bs *BatchShot, m *progMeas, inj noise.BatchInjector, active uint64) (out, flag uint64) {
 	w := len(m.order)
 	zType := m.zType
+	ex, ez := bs.ex, bs.ez
 	var ancX, ancZ, flagX, flagZ uint64
 
 	// Ancilla preparation.
@@ -316,24 +314,24 @@ func (b *Batch) measure(bs *BatchShot, m *progMeas, inj noise.BatchInjector, act
 	dataCNOT := func(q int32) {
 		if zType {
 			// CNOT(data q -> anc): X spreads q->anc, Z spreads anc->q.
-			ancX ^= bs.ex[q]
-			bs.ez[q] ^= ancZ
+			ancX ^= ex[q]
+			ez[q] ^= ancZ
 		} else {
 			// CNOT(anc -> data q).
-			bs.ex[q] ^= ancX
-			ancZ ^= bs.ez[q]
+			ex[q] ^= ancX
+			ancZ ^= ez[q]
 		}
 		x1, z1, x2, z2 := inj.Draw2Q(active)
 		if zType {
-			bs.ex[q] ^= x1
-			bs.ez[q] ^= z1
+			ex[q] ^= x1
+			ez[q] ^= z1
 			ancX ^= x2
 			ancZ ^= z2
 		} else {
 			ancX ^= x1
 			ancZ ^= z1
-			bs.ex[q] ^= x2
-			bs.ez[q] ^= z2
+			ex[q] ^= x2
+			ez[q] ^= z2
 		}
 	}
 	flagCNOT := func() {
@@ -392,14 +390,17 @@ func (b *Batch) measure(bs *BatchShot, m *progMeas, inj noise.BatchInjector, act
 
 // Judge applies the perfect lookup-table EC round to every live lane's
 // residual X frame and returns the mask of lanes with a logical error,
-// exactly like Program.Judge per lane, without allocating. It XORs frame
-// words into one syndrome word per check row and one logical word per
-// logical-Z row, bit l holding lane l's parity. The zero syndrome's
+// exactly like Estimator.Judge per lane, without allocating. The corrected
+// frame e ⊕ c(s) is never built: logical parities are linear,
+// Lz·(e ⊕ c(s)) = Lz·e ⊕ λ(s), so a lane fails iff its logical parities
+// Lz·e differ from the precomputed λ of its syndrome index s. Judge XORs
+// frame words into one syndrome word per check row and one logical word
+// per logical-Z row, bit l holding lane l's parity. The zero syndrome's
 // correction is the identity, so a lane with a zero syndrome — the
 // overwhelming majority at realistic rates — fails iff one of its logical
 // bits is set, which is one word-wide test for all of them. Only the lanes
-// with a nonzero syndrome s gather their syndrome index and logical bits
-// and compare the latter with λ(s), as Program.Judge does.
+// with a nonzero syndrome gather their syndrome index and logical bits and
+// compare the latter with λ(s).
 func (b *Batch) Judge(bs *BatchShot) uint64 {
 	var dirty, flipped uint64 // lanes with a nonzero syndrome; with a logical bit set
 	for i, qs := range b.checks {
@@ -436,4 +437,36 @@ func parityWord(frame []uint64, qs []int32) uint64 {
 		w ^= frame[q]
 	}
 	return w
+}
+
+// lane runs a scalar noise.Injector as lane 0 of the batch engine: each
+// Draw call whose active mask holds lane 0 is one location of the lane's
+// shot and draws one fault from inj, in the engine's execution order —
+// the interpreted executor's order. A call without lane 0 draws nothing.
+type lane struct{ inj noise.Injector }
+
+// Draw1Q implements noise.BatchInjector.
+func (l *lane) Draw1Q(active uint64) (x, z uint64) {
+	if active&1 == 0 {
+		return 0, 0
+	}
+	f := l.inj.Next(noise.Loc1Q)
+	return uint64(f.P1 & 1), uint64(f.P1 >> 1 & 1)
+}
+
+// Draw2Q implements noise.BatchInjector.
+func (l *lane) Draw2Q(active uint64) (x1, z1, x2, z2 uint64) {
+	if active&1 == 0 {
+		return 0, 0, 0, 0
+	}
+	f := l.inj.Next(noise.Loc2Q)
+	return uint64(f.P1 & 1), uint64(f.P1 >> 1 & 1), uint64(f.P2 & 1), uint64(f.P2 >> 1 & 1)
+}
+
+// DrawMeas implements noise.BatchInjector.
+func (l *lane) DrawMeas(active uint64) uint64 {
+	if active&1 == 0 || !l.inj.Next(noise.LocMeas).Flip {
+		return 0
+	}
+	return 1
 }

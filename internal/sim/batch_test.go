@@ -141,19 +141,10 @@ func TestBatchMatchesScalarFixedFaults(t *testing.T) {
 // covers exactness, this one covers the sampling distribution.)
 func TestBatchMatchesScalarStatistically(t *testing.T) {
 	est, batch := buildBatch(t, code.Steane())
-	prog := est.Program()
 	const pp = 0.05
 	const shots = 60_000
 
-	failsScalar := 0
-	inj := &noise.Depolarizing{P: pp, Rng: rand.New(rand.NewSource(101))}
-	sh := prog.NewShot()
-	for s := 0; s < shots; s++ {
-		prog.Run(sh, inj)
-		if prog.Judge(sh) {
-			failsScalar++
-		}
-	}
+	failsScalar := scalarFails(est, &noise.Depolarizing{P: pp, Rng: rand.New(rand.NewSource(101))}, shots)
 
 	smp := noise.NewSparseSampler(pp, 202)
 	bs := batch.NewShot()

@@ -335,9 +335,8 @@ type BlockRunner struct {
 	binj reseedableBatch
 	csmp *noise.CondSampler
 
-	// Scalar engine (bs == nil): shot runs one shot through the compiled
-	// program or, past its packing limits, the interpreter, reporting
-	// failure; inj is cj for the rare method.
+	// Scalar engine (bs == nil): shot runs one shot (Estimator.newShot),
+	// reporting failure; inj is cj for the rare method.
 	shot   func(noise.Injector) bool
 	inj    noise.Injector
 	reseed func(seed uint64)
@@ -377,6 +376,9 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 // (ErrBadRate, ErrBadConditioning). The runner samples on the estimator's
 // engine (WithEngine), which is part of the deterministic identity
 // of the stream: batch and scalar engines draw different RNG sequences.
+// A scalar runner runs one shot at a time on Estimator.newShot — lane 0
+// of the batch engine, or the interpreted executor past the packing
+// limits — drawing from a scalar injector.
 func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, error) {
 	k := 0 // direct
 	switch s.Method {
@@ -418,15 +420,7 @@ func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, e
 		r.inj = dep
 		r.reseed = func(seed uint64) { dep.Rng.Seed(int64(seed)) }
 	}
-	if prog := est.prog; prog != nil {
-		sh := prog.NewShot()
-		r.shot = func(inj noise.Injector) bool {
-			prog.Run(sh, inj)
-			return prog.Judge(sh)
-		}
-	} else {
-		r.shot = func(inj noise.Injector) bool { return est.Judge(Run(est.P, inj)) }
-	}
+	r.shot = est.newShot()
 	return r, nil
 }
 

@@ -5,18 +5,23 @@ import (
 	"fmt"
 )
 
-// Engine selects the Monte-Carlo sampling engine of an Estimator.
+// Engine selects the Monte-Carlo sampling engine of an Estimator. Both
+// engines execute a compiled protocol on the one compiled executor, Batch:
+// the batch engine 64 shots per word, the scalar engine one shot at a time
+// as the batch engine's lane 0.
 type Engine uint8
 
 // Engine values.
 const (
 	// EngineAuto picks the fastest available engine: the 64-lane batch
-	// engine when the protocol compiled, else the scalar compiled engine,
-	// else the interpreted executor.
+	// engine when the protocol compiled, else the scalar engine on the
+	// interpreted executor.
 	EngineAuto Engine = iota
 
-	// EngineScalar forces the scalar path: the compiled Program when
-	// available, the interpreted executor otherwise.
+	// EngineScalar forces the scalar engine: one shot at a time, drawing
+	// each location's fault from a scalar noise.Injector — lane 0 of the
+	// batch engine when the protocol compiled, the interpreted executor
+	// otherwise. Both draw the same stream and give bit-identical shots.
 	EngineScalar
 
 	// EngineBatch requires the 64-lane bit-parallel engine; selecting it

@@ -50,11 +50,12 @@ type xDecoder interface {
 // flipped by residual X errors).
 //
 // NewEstimator also compiles the protocol into a Program and its 64-lane
-// Batch; every Monte-Carlo entry point (AdaptiveModel, NewBlockRunnerModel)
-// runs the selected compiled engine when compilation succeeded and falls
-// back to the interpreted executor otherwise. The
-// interpreted executor and the compiled Program are bit-identical for a
-// shared RNG stream; the batch engine draws its own.
+// Batch, the one executor of compiled protocols; every Monte-Carlo entry
+// point (AdaptiveModel, NewBlockRunnerModel) runs the selected engine on
+// it when compilation succeeded and falls back to the interpreted executor
+// otherwise. The scalar engine is the batch engine's lane 0 (newShot): it
+// and the interpreted executor are bit-identical for a shared RNG stream;
+// the batch engine draws its own.
 //
 // An Estimator is read-only and safe for concurrent use from construction
 // on: any number of goroutines may call AdaptiveModel, NewBlockRunnerModel,
@@ -72,8 +73,8 @@ type Estimator struct {
 // NewEstimator and shared by every view WithEngine returns.
 type shared struct {
 	decX  xDecoder // corrects X errors via Z checks
-	prog  *Program // compiled shot engine; nil if compilation failed
-	batch *Batch   // 64-lane engine over prog; nil if compilation failed
+	prog  *Program // compiled protocol tables; nil if compilation failed
+	batch *Batch   // the executor of prog; nil if compilation failed
 
 	// Lazily built, shared by concurrent block runners: a resumed job
 	// point's shard tasks are the first to ask for them.
@@ -81,6 +82,7 @@ type shared struct {
 	locKinds    []noise.LocKind // cached fault-free-path location kinds
 	singlesOnce sync.Once
 	singles     *noise.Singles // single-fault table; built by Singles
+	verdicts    []uint64       // bit i: the verdict of the table's i-th entry
 
 	// Geometric gap tables, one per chain rate, shared read-only by every
 	// sampler a block runner builds on this estimator.
@@ -108,34 +110,54 @@ func (est *Estimator) LocationKinds() []noise.LocKind {
 // resolution rule (Resolve); with a compiled program, the table carries
 // the program's static location bound (Program.reach) as its Reach. The
 // table is built on first use — one single-fault shot per entry on the
-// compiled program, or the interpreted executor past its packing limits —
-// and cached; concurrent callers share one build.
+// scalar engine (newShot) — and cached with each entry's verdict bit, which
+// FaultOrderModel reads as order 1; concurrent callers share one build.
 func (est *Estimator) Singles() *noise.Singles {
 	est.singlesOnce.Do(func() {
 		kinds := est.LocationKinds()
 		rec := &trajectory{}
-		shot := func() bool { return est.Judge(Run(est.P, rec)) }
-		if prog := est.prog; prog != nil {
-			sh := prog.NewShot()
-			shot = func() bool {
-				prog.Run(sh, rec)
-				return prog.Judge(sh)
-			}
-		}
+		shot := est.newShot()
 		tab := &noise.Singles{}
 		if prog := est.prog; prog != nil {
 			tab.Reach = prog.reach()
 		}
+		i := 0
 		for j, kind := range kinds {
 			for oi, op := range noise.OpsFor(kind) {
 				rec.kinds, rec.at, rec.op = rec.kinds[:0], j, op
-				fail := shot()
+				fail := shot(rec)
 				tab.Add(j, oi, rec.kinds, fail)
+				if i%64 == 0 {
+					est.verdicts = append(est.verdicts, 0)
+				}
+				if fail {
+					est.verdicts[i/64] |= 1 << uint(i%64)
+				}
+				i++
 			}
 		}
 		est.singles = tab
 	})
 	return est.singles
+}
+
+// newShot returns a fresh one-shot-at-a-time evaluator that runs a shot
+// under inj and reports its Judge verdict: the scalar engine. When the
+// protocol compiled it is lane 0 of the batch engine (a one-lane Batch.Run
+// through the lane adapter, then bit 0 of Batch.Judge); past the packing
+// limits it is the interpreted executor. The evaluator keeps its own shot
+// state, so it must not be shared between goroutines.
+func (est *Estimator) newShot() func(inj noise.Injector) bool {
+	b := est.batch
+	if b == nil {
+		return func(inj noise.Injector) bool { return est.Judge(Run(est.P, inj)) }
+	}
+	bs, l := b.NewShot(), &lane{}
+	return func(inj noise.Injector) bool {
+		l.inj = inj
+		b.Run(bs, l, 1)
+		return b.Judge(bs)&1 == 1
+	}
 }
 
 // trajectory injects one fault, op at location at, and records the kinds
@@ -164,9 +186,11 @@ func (est *Estimator) ClassCounts() [3]int {
 // NewEstimator builds the decoder for the protocol's code and compiles the
 // shot program plus its 64-lane batch engine. When compilation succeeds
 // Judge shares the program's dense decoder (the minimum-weight table is
-// built exactly once); the interpreted fallback builds a lookup table
-// instead. The sampling engine is EngineAuto — batch when the protocol
-// compiled, scalar otherwise; WithEngine selects another.
+// built exactly once) and scalar shots run as the batch engine's lane 0;
+// the interpreted fallback builds a lookup table instead and runs scalar
+// shots on the interpreter (newShot picks between the two). The sampling
+// engine is EngineAuto — batch when the protocol compiled, scalar
+// otherwise; WithEngine selects another.
 func NewEstimator(p *core.Protocol) *Estimator {
 	est := &Estimator{P: p, shared: &shared{}}
 	if prog, err := Compile(p); err == nil {
@@ -181,9 +205,9 @@ func NewEstimator(p *core.Protocol) *Estimator {
 	return est
 }
 
-// Program returns the compiled shot engine, or nil when the protocol
-// exceeded the engine's packing limits and sampling falls back to the
-// interpreted executor.
+// Program returns the compiled protocol tables, or nil when the protocol
+// exceeded the packing limits and sampling falls back to the interpreted
+// executor.
 func (est *Estimator) Program() *Program { return est.prog }
 
 // Batch returns the 64-lane bit-parallel engine, or nil when the protocol
@@ -225,8 +249,9 @@ type FaultOrderResult struct {
 // and 1 are enumerated exhaustively — for a fault-tolerant protocol F[1]
 // must be exactly 0, which doubles as the FT certificate — and orders
 // 2..maxW are sampled with the given number of samples per order.
-// Cancelling ctx aborts the enumeration and sampling loops promptly with
-// ctx.Err(). Recombine with RateModel.
+// Cancelling ctx aborts the sampling loops promptly with ctx.Err(); the
+// single-fault table of order 1 is shared, so it is built whole and ctx is
+// checked once it is there. Recombine with RateModel.
 //
 // The noise is given as a ratio model: the class rates of ratio are relative
 // weights (their overall scale cancels — pass the model at any physical
@@ -242,12 +267,14 @@ type FaultOrderResult struct {
 // low by 34% / 28% / 23%; the rare-event estimator's k = 2 law
 // (AdaptiveModel) samples those pairs exactly.
 //
-// Fault sets are evaluated 64 per word on the batch engine (a
-// noise.BatchPlan lane per set, Batch.Run plus Batch.Judge), or lane by lane
-// through the interpreted executor when the protocol exceeds the batch
-// engine's packing limits. Either way the sets, their draws from rng and
-// their verdicts are those of a one-at-a-time interpreted evaluation, so F
-// is bit-identical to it for the same rng.
+// Order 1 reads the verdicts of the single-fault table (Singles), built
+// once per protocol and shared with the rare-event samplers. Sampled fault
+// sets are evaluated 64 per word on the batch engine (a noise.BatchPlan
+// lane per set, Batch.Run plus Batch.Judge), or lane by lane through the
+// scalar engine when the protocol exceeds the batch engine's packing
+// limits. Either way the sets, their draws from rng and their verdicts are
+// those of a one-at-a-time interpreted evaluation, so F is bit-identical to
+// it for the same rng.
 //
 // maxW must lie in [0, N] where N is the protocol's fault location count,
 // and may not exceed the locations of positive-weight classes, from which
@@ -287,11 +314,11 @@ func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rn
 	ev := est.newSetEval(n)
 	res := FaultOrderResult{N: n, F: make([]float64, maxW+1), ClassCounts: counts}
 	if maxW >= 1 {
-		verdicts, err := ev.singles(ctx, kinds)
-		if err != nil {
+		est.Singles()
+		if err := ctx.Err(); err != nil {
 			return FaultOrderResult{}, err
 		}
-		res.F[1] = law.order1(verdicts)
+		res.F[1] = law.order1(est.verdicts)
 	}
 	for w := 2; w <= maxW; w++ {
 		fails, err := ev.sampled(ctx, law, w, samples, rng)
@@ -417,10 +444,11 @@ func (l *faultLaw) order1(verdicts []uint64) float64 {
 // setEval evaluates fault sets 64 per word: lane l of plan carries one set,
 // and one Batch.Run plus Batch.Judge decides all of them. Past the batch
 // engine's packing limits (est.batch == nil) each lane replays through the
-// interpreted executor and Estimator.Judge instead.
+// scalar engine instead.
 type setEval struct {
 	est   *Estimator
-	bs    *BatchShot // nil: interpreted fallback
+	bs    *BatchShot                // nil: scalar fallback
+	shot  func(noise.Injector) bool // the scalar fallback
 	plan  noise.BatchPlan
 	stamp []int // per location: the last set that drew it
 	set   int   // sets drawn so far
@@ -431,6 +459,8 @@ func (est *Estimator) newSetEval(n int) *setEval {
 	ev := &setEval{est: est, stamp: make([]int, n)}
 	if est.batch != nil {
 		ev.bs = est.batch.NewShot()
+	} else {
+		ev.shot = est.newShot()
 	}
 	return ev
 }
@@ -445,45 +475,13 @@ func (ev *setEval) run(live uint64) uint64 {
 	} else {
 		for l := live; l != 0; l &= l - 1 {
 			lane := bits.TrailingZeros64(l)
-			if ev.est.Judge(Run(ev.est.P, ev.plan.Lane(lane))) {
+			if ev.shot(ev.plan.Lane(lane)) {
 				fails |= 1 << uint(lane)
 			}
 		}
 	}
 	ev.plan.Reset()
 	return fails
-}
-
-// singles decides every single fault — each operator at each location, in
-// location/operator order — and returns the verdicts as a bitset indexed by
-// pair number. ctx is polled once per word.
-func (ev *setEval) singles(ctx context.Context, kinds []noise.LocKind) ([]uint64, error) {
-	var verdicts []uint64
-	lane := 0
-	flush := func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		verdicts = append(verdicts, ev.run(1<<uint(lane)-1))
-		lane = 0
-		return nil
-	}
-	for loc, kind := range kinds {
-		for _, op := range noise.OpsFor(kind) {
-			ev.plan.Set(lane, loc, op)
-			if lane++; lane == 64 {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if lane > 0 {
-		if err := flush(); err != nil {
-			return nil, err
-		}
-	}
-	return verdicts, nil
 }
 
 // sampled draws samples sets of w distinct fault locations under law, one

@@ -213,7 +213,10 @@ func TestFaultOrderPinned(t *testing.T) {
 // that end on full and partial 64-lane words, FaultOrderModel must return
 // exactly what the interpreted reference above returns from the same seed.
 // The Steane and Surface estimators are also run stripped of their compiled
-// program and batch engine, which covers the interpreted fallback.
+// program and batch engine, which covers the interpreted fallback, and
+// Steane also stripped of its verification layers: that protocol is not
+// fault tolerant, so its F[1] is positive and order 1 is checked on failing
+// single faults, not only on an all-zero verdict table.
 func TestFaultOrderMatchesInterpreted(t *testing.T) {
 	ctx := context.Background()
 	codes := []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.CSS11(),
@@ -228,8 +231,16 @@ func TestFaultOrderMatchesInterpreted(t *testing.T) {
 		if ests[0].Batch() == nil {
 			t.Fatalf("%s: protocol did not compile", cs.Name)
 		}
-		if cs.Name == "Steane" || cs.Name == "Surface_3" {
+		if cs.Name == code.Steane().Name || cs.Name == code.Surface3().Name {
 			ests = append(ests, &Estimator{P: p, shared: &shared{decX: decoder.NewLookup(p.Code.Hz)}})
+		}
+		if cs.Name == code.Steane().Name {
+			bare := *p
+			bare.Layers = nil
+			ests = append(ests, NewEstimator(&bare))
+			if fo, err := ests[len(ests)-1].FaultOrderModel(ctx, 1, 1, rand.New(rand.NewSource(1)), noise.Uniform(1)); err != nil || !(fo.F[1] > 0) {
+				t.Fatalf("unverified Steane: F = %v, %v; want F[1] > 0", fo.F, err)
+			}
 		}
 		for ei, est := range ests {
 			for _, ratio := range faultOrderRatios {

@@ -75,7 +75,8 @@ func refJudge(b *Batch, bs *BatchShot) uint64 {
 
 // TestJudgeMatchesTranspose is the differential of the word-wide judge:
 // on every catalog code, Batch.Judge must return exactly refJudge's mask,
-// and Program.Judge on each live lane's frame must agree with its bit.
+// and so must the λ identity on each live lane's own qubit-major frame e
+// (a failure iff Lz·e differs from λ of e's syndrome index).
 // Frames are sparse (a few X errors per lane), dense (uniform random),
 // zero-syndrome with logical bits set (random sums of X stabilizers and X
 // logicals, which no correction touches), and zero-syndrome sums plus a
@@ -93,7 +94,7 @@ func TestJudgeMatchesTranspose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs, sh := batch.NewShot(), pr.NewShot()
+			bs, e := batch.NewShot(), make([]uint64, pr.nw)
 			rng := rand.New(rand.NewSource(int64(cs.N)))
 			flip := func(lane, q int) { bs.ex[q] ^= 1 << uint(lane) }
 			// codeword XORs a random sum of X stabilizers and X logicals,
@@ -161,16 +162,14 @@ func TestJudgeMatchesTranspose(t *testing.T) {
 						if live>>uint(lane)&1 == 0 {
 							continue
 						}
-						for j := range sh.ex {
-							sh.ex[j] = 0
+						for j := range e {
+							e[j] = 0
 						}
 						for q := 0; q < cs.N; q++ {
-							if bs.ex[q]>>uint(lane)&1 == 1 {
-								flipBit(sh.ex, int32(q))
-							}
+							e[q/64] |= bs.ex[q] >> uint(lane) & 1 << uint(q%64)
 						}
-						if pr.Judge(sh) != (got>>uint(lane)&1 == 1) {
-							t.Fatalf("%s: Program.Judge disagrees on lane %d", name, lane)
+						if fails := pr.logicals(e) != pr.lambda[pr.dec.Index(e)]; fails != (got>>uint(lane)&1 == 1) {
+							t.Fatalf("%s: the λ identity disagrees on lane %d", name, lane)
 						}
 					}
 					// A codeword lane has a zero syndrome and, since it holds

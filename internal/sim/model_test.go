@@ -28,10 +28,6 @@ func biasedTestModel(p float64) noise.Model {
 func TestGoldenRatesModelPathFourEngines(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
-	prog := est.Program()
-	if prog == nil {
-		t.Fatal("Steane protocol failed to compile")
-	}
 	batch := est.Batch()
 	if batch == nil {
 		t.Fatal("Steane batch engine unavailable")
@@ -47,15 +43,7 @@ func TestGoldenRatesModelPathFourEngines(t *testing.T) {
 		}
 	}
 
-	countProg := 0
-	inj = noise.NewDepolarizing(model, rand.New(rand.NewSource(seed)))
-	sh := prog.NewShot()
-	for s := 0; s < shots; s++ {
-		prog.Run(sh, inj)
-		if prog.Judge(sh) {
-			countProg++
-		}
-	}
+	countProg := scalarFails(est, noise.NewDepolarizing(model, rand.New(rand.NewSource(seed))), shots)
 
 	countTab := 0
 	inj = noise.NewDepolarizing(model, rand.New(rand.NewSource(seed)))
@@ -502,26 +490,25 @@ func TestRareStrataWeightsBiased(t *testing.T) {
 	}
 }
 
-// TestProgramZeroAllocsBiased extends the compiled engine's zero-alloc
+// TestProgramZeroAllocsBiased extends the scalar engine's zero-alloc
 // guarantee to biased models: the per-class rates and weighted menu must add
 // no per-shot allocations.
 func TestProgramZeroAllocsBiased(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	prog, err := Compile(p)
+	est, err := NewEstimator(buildProto(t, code.Steane())).WithEngine(EngineScalar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := noise.NewDepolarizing(noise.Model{P1Q: 0.02, P2Q: 0.05, PMeas: 0.01, Eta: 4}, rand.New(rand.NewSource(9)))
-	sh := prog.NewShot()
-	fails := 0
+	r, err := est.NewBlockRunnerModel(MethodDirect, noise.Model{P1Q: 0.02, P2Q: 0.05, PMeas: 0.01, Eta: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, b := context.Background(), 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		prog.Run(sh, inj)
-		if prog.Judge(sh) {
-			fails++
-		}
+		r.RunBlock(ctx, 9, b, 1)
+		b++
 	})
 	if allocs != 0 {
-		t.Fatalf("biased compiled shot loop allocates %.2f times per shot, want 0", allocs)
+		t.Fatalf("biased scalar shot loop allocates %.2f times per shot, want 0", allocs)
 	}
 }
 

@@ -10,13 +10,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/correct"
 	"repro/internal/decoder"
-	"repro/internal/f2"
-	"repro/internal/noise"
 )
 
-// Program is a core.Protocol compiled into a flat, allocation-free form for
-// the Monte-Carlo hot loop. Compilation happens once per estimator and does
-// everything the interpreted executor pays for on every shot:
+// Program is a core.Protocol compiled into flat tables for the Monte-Carlo
+// hot loop. Compilation happens once per estimator and does everything the
+// interpreted executor pays for on every shot:
 //
 //   - preparation gates are pre-indexed into a dense op list;
 //   - every measurement's CNOT order is resolved (m.Order or the stabilizer
@@ -28,13 +26,15 @@ import (
 //     block syndrome, with recoveries bit-packed for word-wise XOR;
 //   - the final perfect-EC round uses a decoder.Dense table, bit-packed
 //     logical-Z rows and the table of each syndrome's correction's
-//     logical-Z parities (see Judge).
+//     logical-Z parities (see Batch.Judge).
 //
-// A Program is immutable after Compile and safe for concurrent use; all
-// per-shot mutable state lives in a Shot. Run consumes the fault injector
-// in exactly the interpreted executor's order, so for any fixed fault plan
-// (or shared RNG stream) Program.Run and Run produce bit-identical
-// outcomes — the cross-check tests pin this down.
+// A Program only holds tables; Batch is the one executor of them. It runs
+// 64 shots per word, and one shot at a time as its lane 0 (the scalar
+// engine, Estimator.newShot), consuming a scalar fault injector in exactly
+// the interpreted executor's location order, so for any fixed fault plan
+// (or shared RNG stream) the scalar engine and Run produce bit-identical
+// outcomes — the cross-check tests pin this down. A Program is immutable
+// after Compile and safe for concurrent use.
 type Program struct {
 	n, nw  int // data qubits; words per frame
 	prep   []gateOp
@@ -94,18 +94,6 @@ const maxBlockStabs = 20
 // maxLogicals bounds the logical-Z rows so a frame's logical parities pack
 // into one uint64.
 const maxLogicals = 64
-
-// Shot is the reusable per-worker scratch of the compiled engine: the Pauli
-// frame and the signature ring are allocated once by NewShot and reused for
-// every subsequent Run, so the steady-state loop performs zero heap
-// allocations per shot.
-type Shot struct {
-	ex, ez []uint64
-	sigs   []uint64 // packed signature per executed layer
-
-	// Branch flags of the last Run, mirroring Outcome.
-	Triggered, UnknownClass, TerminatedEarly bool
-}
 
 // Compile flattens the protocol into a Program. It returns an error when
 // the protocol exceeds the engine's packing limits (more than 31
@@ -181,7 +169,7 @@ func Compile(p *core.Protocol) (*Program, error) {
 // compileJudge builds the final perfect-EC round of code c: the dense
 // decoder, the packed logical-Z rows and λ of every syndrome index.
 func (pr *Program) compileJudge(c *code.CSS) error {
-	dec, err := decoder.NewDenseChecked(c.Hz)
+	dec, err := decoder.NewDense(c.Hz)
 	if err != nil {
 		return err
 	}
@@ -271,16 +259,6 @@ func packSigKey(key string, m int) (uint64, error) {
 	return b | f<<uint(m), nil
 }
 
-// NewShot allocates the reusable per-worker scratch for this program.
-// A Shot must not be shared between concurrent Run calls.
-func (pr *Program) NewShot() *Shot {
-	return &Shot{
-		ex:   make([]uint64, pr.nw),
-		ez:   make([]uint64, pr.nw),
-		sigs: make([]uint64, 0, len(pr.layers)),
-	}
-}
-
 // reach returns a static upper bound on the fault locations one shot
 // executes, whatever its faults: the preparation, then in every layer its
 // verification measurements and the costliest class's primary and hook
@@ -309,7 +287,7 @@ func (pr *Program) reach() int {
 // measLocs counts the fault locations of a measurement sequence: each
 // measurement's ancilla preparation, one CNOT per qubit of its order and
 // its readout, plus a flag's preparation, two CNOTs and readout where one
-// is compiled in (see measure).
+// is compiled in (see Batch.measure).
 func measLocs(ms []progMeas) int {
 	n := 0
 	for i := range ms {
@@ -319,233 +297,6 @@ func measLocs(ms []progMeas) int {
 		}
 	}
 	return n
-}
-
-// word-level frame primitives; q is always in range by construction.
-
-func getBit(w []uint64, q int32) bool { return w[q>>6]>>(uint(q)&63)&1 == 1 }
-func flipBit(w []uint64, q int32)     { w[q>>6] ^= 1 << (uint(q) & 63) }
-func clearBit(w []uint64, q int32)    { w[q>>6] &^= 1 << (uint(q) & 63) }
-func setBit(w []uint64, q int32, one bool) {
-	if one {
-		w[q>>6] |= 1 << (uint(q) & 63)
-	} else {
-		clearBit(w, q)
-	}
-}
-
-func (sh *Shot) applyData(q int32, pauli byte) {
-	if pauli&1 != 0 {
-		flipBit(sh.ex, q)
-	}
-	if pauli&2 != 0 {
-		flipBit(sh.ez, q)
-	}
-}
-
-// Run executes one shot of the compiled protocol under the injector,
-// leaving the residual frame and branch flags in sh. It consumes injector
-// locations in exactly the same order as the interpreted Run and performs
-// no heap allocations.
-func (pr *Program) Run(sh *Shot, inj noise.Injector) {
-	for i := range sh.ex {
-		sh.ex[i] = 0
-		sh.ez[i] = 0
-	}
-	sh.sigs = sh.sigs[:0]
-	sh.Triggered, sh.UnknownClass, sh.TerminatedEarly = false, false, false
-
-	for _, g := range pr.prep {
-		switch g.kind {
-		case opPrep:
-			clearBit(sh.ex, g.q1)
-			clearBit(sh.ez, g.q1)
-			ft := inj.Next(noise.Loc1Q)
-			sh.applyData(g.q1, ft.P1)
-		case opH:
-			x, z := getBit(sh.ex, g.q1), getBit(sh.ez, g.q1)
-			setBit(sh.ex, g.q1, z)
-			setBit(sh.ez, g.q1, x)
-			ft := inj.Next(noise.Loc1Q)
-			sh.applyData(g.q1, ft.P1)
-		case opCNOT:
-			if getBit(sh.ex, g.q1) {
-				flipBit(sh.ex, g.q2)
-			}
-			if getBit(sh.ez, g.q2) {
-				flipBit(sh.ez, g.q1)
-			}
-			ft := inj.Next(noise.Loc2Q)
-			sh.applyData(g.q1, ft.P1)
-			sh.applyData(g.q2, ft.P2)
-		}
-	}
-
-	for li := range pr.layers {
-		lay := &pr.layers[li]
-		m := uint(len(lay.meas))
-		var bBits, fBits uint64
-		for mi := range lay.meas {
-			out, flag := pr.measure(sh, &lay.meas[mi], inj)
-			if out {
-				bBits |= 1 << uint(mi)
-			}
-			if flag {
-				fBits |= 1 << uint(mi)
-			}
-		}
-		packed := bBits | fBits<<m
-		sh.sigs = append(sh.sigs, packed)
-		if packed == 0 {
-			continue
-		}
-		sh.Triggered = true
-		ci, ok := lay.classes[packed]
-		if !ok {
-			sh.UnknownClass = true
-			continue
-		}
-		cc := &lay.classList[ci]
-		flagFired := fBits != 0
-		if cc.primary != nil {
-			pr.runBlock(sh, cc.primary, inj)
-		}
-		if cc.hook != nil && flagFired {
-			pr.runBlock(sh, cc.hook, inj)
-		}
-		if flagFired {
-			// Fig. 3(e): hook detected, protocol terminates after the
-			// correction.
-			sh.TerminatedEarly = true
-			return
-		}
-	}
-}
-
-// runBlock measures the block's stabilizers and XORs the dense-table
-// recovery for the observed syndrome into the corrected sector.
-func (pr *Program) runBlock(sh *Shot, blk *progBlock, inj noise.Injector) {
-	var idx uint64
-	for i := range blk.meas {
-		out, _ := pr.measure(sh, &blk.meas[i], inj)
-		if out {
-			idx |= 1 << uint(i)
-		}
-	}
-	rec := blk.rec[idx]
-	if rec == nil {
-		return
-	}
-	dst := sh.ex
-	if !blk.corrEx {
-		dst = sh.ez
-	}
-	for i, w := range rec {
-		dst[i] ^= w
-	}
-}
-
-// measure is the compiled twin of executor.measure: one ancilla-mediated
-// stabilizer measurement with fault injection, identical location order.
-func (pr *Program) measure(sh *Shot, m *progMeas, inj noise.Injector) (out, flag bool) {
-	w := len(m.order)
-	zType := m.zType
-	var ancX, ancZ, flagX, flagZ bool
-
-	// Ancilla preparation.
-	ft := inj.Next(noise.Loc1Q)
-	ancX = ft.P1&1 != 0
-	ancZ = ft.P1&2 != 0
-
-	dataCNOT := func(q int32) {
-		if zType {
-			// CNOT(data q -> anc): X spreads q->anc, Z spreads anc->q.
-			ancX = ancX != getBit(sh.ex, q)
-			if ancZ {
-				flipBit(sh.ez, q)
-			}
-		} else {
-			// CNOT(anc -> data q).
-			if ancX {
-				flipBit(sh.ex, q)
-			}
-			ancZ = ancZ != getBit(sh.ez, q)
-		}
-		ft := inj.Next(noise.Loc2Q)
-		if zType {
-			sh.applyData(q, ft.P1)
-			ancX = ancX != (ft.P2&1 != 0)
-			ancZ = ancZ != (ft.P2&2 != 0)
-		} else {
-			ancX = ancX != (ft.P1&1 != 0)
-			ancZ = ancZ != (ft.P1&2 != 0)
-			sh.applyData(q, ft.P2)
-		}
-	}
-	flagCNOT := func() {
-		if zType {
-			// CNOT(flag -> anc).
-			ancX = ancX != flagX
-			flagZ = flagZ != ancZ
-		} else {
-			// CNOT(anc -> flag).
-			flagX = flagX != ancX
-			ancZ = ancZ != flagZ
-		}
-		ft := inj.Next(noise.Loc2Q)
-		if zType {
-			flagX = flagX != (ft.P1&1 != 0)
-			flagZ = flagZ != (ft.P1&2 != 0)
-			ancX = ancX != (ft.P2&1 != 0)
-			ancZ = ancZ != (ft.P2&2 != 0)
-		} else {
-			ancX = ancX != (ft.P1&1 != 0)
-			ancZ = ancZ != (ft.P1&2 != 0)
-			flagX = flagX != (ft.P2&1 != 0)
-			flagZ = flagZ != (ft.P2&2 != 0)
-		}
-	}
-
-	dataCNOT(m.order[0])
-	if m.useFlag {
-		ft := inj.Next(noise.Loc1Q) // flag preparation
-		flagX = ft.P1&1 != 0
-		flagZ = ft.P1&2 != 0
-		flagCNOT()
-	}
-	for j := 1; j < w-1; j++ {
-		dataCNOT(m.order[j])
-	}
-	if m.useFlag {
-		flagCNOT()
-		// Flag measurement: X basis for Z-type, Z basis for X-type.
-		mf := inj.Next(noise.LocMeas)
-		if zType {
-			flag = flagZ != mf.Flip
-		} else {
-			flag = flagX != mf.Flip
-		}
-	}
-	if w > 1 {
-		dataCNOT(m.order[w-1])
-	}
-	mf := inj.Next(noise.LocMeas)
-	if zType {
-		out = ancX != mf.Flip
-	} else {
-		out = ancZ != mf.Flip
-	}
-	return out, flag
-}
-
-// Judge applies the perfect lookup-table EC round to the shot's residual X
-// frame and reports a logical error, exactly like Estimator.Judge on the
-// interpreted outcome, without allocating. The corrected frame e ⊕ c(s) is
-// never built: logical parities are linear, Lz·(e ⊕ c(s)) = Lz·e ⊕ λ(s),
-// so the shot fails iff Lz·e differs from the precomputed λ of its
-// syndrome index s.
-func (pr *Program) Judge(sh *Shot) bool {
-	return pr.logicals(sh.ex) != pr.lambda[pr.dec.Index(sh.ex)]
 }
 
 // logicals packs the logical-Z parities of the bit-packed X frame e: bit j
@@ -560,35 +311,4 @@ func (pr *Program) logicals(e []uint64) uint64 {
 		l |= uint64(bits.OnesCount64(acc)&1) << uint(j)
 	}
 	return l
-}
-
-// Outcome converts the shot's state into the interpreted executor's Outcome
-// form (allocating; used by the cross-check tests, never by the hot loop).
-func (pr *Program) Outcome(sh *Shot) Outcome {
-	out := Outcome{
-		Ex:              f2.NewVec(pr.n),
-		Ez:              f2.NewVec(pr.n),
-		Triggered:       sh.Triggered,
-		UnknownClass:    sh.UnknownClass,
-		TerminatedEarly: sh.TerminatedEarly,
-	}
-	for q := 0; q < pr.n; q++ {
-		if getBit(sh.ex, int32(q)) {
-			out.Ex.Flip(q)
-		}
-		if getBit(sh.ez, int32(q)) {
-			out.Ez.Flip(q)
-		}
-	}
-	for li, packed := range sh.sigs {
-		m := len(pr.layers[li].meas)
-		b := make([]byte, m)
-		f := make([]byte, m)
-		for i := 0; i < m; i++ {
-			b[i] = '0' + byte(packed>>uint(i)&1)
-			f[i] = '0' + byte(packed>>uint(m+i)&1)
-		}
-		out.Sigs = append(out.Sigs, core.Signature{B: string(b), F: string(f)})
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,88 +12,92 @@ import (
 	"repro/internal/noise"
 )
 
-// assertSameOutcome compares a compiled-engine outcome to an interpreted
-// one bit for bit: residual frames, per-layer signatures and branch flags.
-func assertSameOutcome(t *testing.T, label string, want, got Outcome) {
-	t.Helper()
-	if !want.Ex.Equal(got.Ex) || !want.Ez.Equal(got.Ez) {
-		t.Fatalf("%s: frames differ: run %v/%v, program %v/%v",
-			label, want.Ex, want.Ez, got.Ex, got.Ez)
-	}
-	if len(want.Sigs) != len(got.Sigs) {
-		t.Fatalf("%s: layer counts differ (%d vs %d)", label, len(want.Sigs), len(got.Sigs))
-	}
-	for li := range want.Sigs {
-		if want.Sigs[li] != got.Sigs[li] {
-			t.Fatalf("%s layer %d: run sig %v, program sig %v", label, li+1, want.Sigs[li], got.Sigs[li])
+// scalarFails counts the failures of shots consecutive scalar-engine shots
+// under inj.
+func scalarFails(est *Estimator, inj noise.Injector, shots int) int {
+	shot, fails := est.newShot(), 0
+	for s := 0; s < shots; s++ {
+		if shot(inj) {
+			fails++
 		}
 	}
-	if want.Triggered != got.Triggered || want.UnknownClass != got.UnknownClass ||
-		want.TerminatedEarly != got.TerminatedEarly {
-		t.Fatalf("%s: branch flags differ: run %+v, program %+v", label, want, got)
-	}
+	return fails
 }
 
-// TestProgramMatchesRunSingleFaults pins the compiled engine to the
-// interpreted executor over the complete single-fault space: for every
-// location and every operator, both must leave bit-identical frames,
-// signatures and branch flags.
-func TestProgramMatchesRunSingleFaults(t *testing.T) {
-	for _, cs := range []*code.CSS{code.Steane(), code.Surface3()} {
-		cs := cs
+// TestScalarEngineMatchesInterpreter pins the scalar engine — lane 0 of the
+// batch engine, fed one scalar fault injector through the lane adapter — to
+// the interpreted executor on every catalog code but Tesseract (whose
+// synthesis takes minutes). Over the complete single-fault space, and over
+// a biased-model depolarizing stream drawn from one shared seed, every shot
+// must leave bit-identical frames and branch flags and the same Judge
+// verdict, and the two streams must end in the same RNG state. The
+// evaluator NewBlockRunner and Singles use (newShot) must give the same
+// verdicts on a third copy of the stream.
+func TestScalarEngineMatchesInterpreter(t *testing.T) {
+	for _, cs := range code.Catalog() {
+		if cs.Name == code.Tesseract().Name {
+			continue
+		}
 		t.Run(cs.Name, func(t *testing.T) {
-			proto := buildProto(t, cs)
-			prog, err := Compile(proto)
-			if err != nil {
-				t.Fatal(err)
+			est := NewEstimator(buildProto(t, cs))
+			b := est.Batch()
+			if b == nil {
+				t.Fatal("batch engine unavailable")
 			}
-			counter := &noise.Counter{}
-			Run(proto, counter)
-			sh := prog.NewShot()
-			for loc, kind := range counter.Kinds {
+			bs, l, shot := b.NewShot(), &lane{}, est.newShot()
+			check := func(label string, want Outcome, inj, injShot noise.Injector) {
+				t.Helper()
+				l.inj = inj
+				b.Run(bs, l, 1)
+				got := b.LaneOutcome(bs, 0)
+				if !want.Ex.Equal(got.Ex) || !want.Ez.Equal(got.Ez) {
+					t.Fatalf("%s: frames differ: interpreter %v/%v, scalar engine %v/%v",
+						label, want.Ex, want.Ez, got.Ex, got.Ez)
+				}
+				if want.Triggered != got.Triggered || want.UnknownClass != got.UnknownClass ||
+					want.TerminatedEarly != got.TerminatedEarly {
+					t.Fatalf("%s: branch flags differ: interpreter %+v, scalar engine %+v", label, want, got)
+				}
+				verdict := est.Judge(want)
+				if b.Judge(bs)&1 == 1 != verdict || shot(injShot) != verdict {
+					t.Fatalf("%s: Judge verdicts differ", label)
+				}
+			}
+
+			for loc, kind := range est.LocationKinds() {
 				for _, op := range noise.OpsFor(kind) {
 					plan := map[int]noise.Fault{loc: op}
-					want := Run(proto, noise.NewPlan(plan))
-					prog.Run(sh, noise.NewPlan(plan))
-					assertSameOutcome(t, cs.Name, want, prog.Outcome(sh))
+					want := Run(est.P, noise.NewPlan(plan))
+					check(fmt.Sprintf("fault %v at %d", op, loc), want, noise.NewPlan(plan), noise.NewPlan(plan))
+				}
+			}
+
+			const shots, seed = 2000, 77
+			model := biasedTestModel(0.05)
+			rngs := [3]*rand.Rand{}
+			var injs [3]noise.Injector
+			for i := range rngs {
+				rngs[i] = rand.New(rand.NewSource(seed))
+				injs[i] = noise.NewDepolarizing(model, rngs[i])
+			}
+			for s := 0; s < shots; s++ {
+				check(fmt.Sprintf("shot %d", s), Run(est.P, injs[0]), injs[1], injs[2])
+			}
+			next := rngs[0].Int63()
+			for i, rng := range rngs[1:] {
+				if got := rng.Int63(); got != next {
+					t.Fatalf("stream %d ended in another RNG state than the interpreter's: next draw %d, want %d", i+1, got, next)
 				}
 			}
 		})
 	}
 }
 
-// TestProgramMatchesRunUnderNoise extends the cross-check to full
-// depolarizing streams: with one shared seed the two engines consume the
-// RNG in the same location order, so every shot must agree bit for bit —
-// including the Judge verdict.
-func TestProgramMatchesRunUnderNoise(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	est := NewEstimator(p)
-	prog := est.Program()
-	if prog == nil {
-		t.Fatal("Steane protocol failed to compile")
-	}
-	const pp, shots = 0.05, 3000
-	rngRun := rand.New(rand.NewSource(77))
-	rngProg := rand.New(rand.NewSource(77))
-	injRun := &noise.Depolarizing{P: pp, Rng: rngRun}
-	injProg := &noise.Depolarizing{P: pp, Rng: rngProg}
-	sh := prog.NewShot()
-	for s := 0; s < shots; s++ {
-		want := Run(p, injRun)
-		prog.Run(sh, injProg)
-		assertSameOutcome(t, "shot", want, prog.Outcome(sh))
-		if est.Judge(want) != prog.Judge(sh) {
-			t.Fatalf("shot %d: Judge verdicts differ", s)
-		}
-	}
-}
-
 // goldenSteaneFails is the failure count of 4000 fixed-seed shots at
 // p = 0.02 on the Steane protocol. The three scalar engines — interpreted
-// frame executor, compiled program and exact stabilizer tableau — share one
-// RNG stream and must reproduce it exactly; a change means the sampled
-// distribution moved.
+// frame executor, the scalar engine (lane 0 of the batch engine) and exact
+// stabilizer tableau — share one RNG stream and must reproduce it exactly;
+// a change means the sampled distribution moved.
 const goldenSteaneFails = 43
 
 // goldenSteaneBatchFails is the fourth engine's pin: the 64-lane batch
@@ -106,10 +112,6 @@ const goldenSteaneBatchFails = 74
 func TestGoldenRatesFourEngines(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
-	prog := est.Program()
-	if prog == nil {
-		t.Fatal("Steane protocol failed to compile")
-	}
 	batch := est.Batch()
 	if batch == nil {
 		t.Fatal("Steane batch engine unavailable")
@@ -124,15 +126,7 @@ func TestGoldenRatesFourEngines(t *testing.T) {
 		}
 	}
 
-	countProg := 0
-	inj = &noise.Depolarizing{P: pp, Rng: rand.New(rand.NewSource(seed))}
-	sh := prog.NewShot()
-	for s := 0; s < shots; s++ {
-		prog.Run(sh, inj)
-		if prog.Judge(sh) {
-			countProg++
-		}
-	}
+	countProg := scalarFails(est, &noise.Depolarizing{P: pp, Rng: rand.New(rand.NewSource(seed))}, shots)
 
 	countTab := 0
 	inj = &noise.Depolarizing{P: pp, Rng: rand.New(rand.NewSource(seed))}
@@ -161,27 +155,28 @@ func TestGoldenRatesFourEngines(t *testing.T) {
 	}
 }
 
-// TestProgramZeroAllocs asserts the headline property of the compiled
-// engine: the steady-state shot loop (Run + Judge on a reused Shot) does
-// zero heap allocations per shot.
+// TestProgramZeroAllocs asserts the headline property of the scalar engine:
+// its steady-state shot loop — a scalar block runner's one-lane Batch.Run
+// plus Batch.Judge on reused state — does zero heap allocations per shot.
 func TestProgramZeroAllocs(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	prog, err := Compile(p)
+	est, err := NewEstimator(buildProto(t, code.Steane())).WithEngine(EngineScalar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	inj := &noise.Depolarizing{P: 0.02, Rng: rng}
-	sh := prog.NewShot()
-	fails := 0
+	r, err := est.NewBlockRunnerModel(MethodDirect, noise.Uniform(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, b := context.Background(), 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		prog.Run(sh, inj)
-		if prog.Judge(sh) {
-			fails++
-		}
+		r.RunBlock(ctx, 9, b, 1)
+		b++
 	})
 	if allocs != 0 {
-		t.Fatalf("compiled shot loop allocates %.2f times per shot, want 0", allocs)
+		t.Fatalf("scalar shot loop allocates %.2f times per shot, want 0", allocs)
+	}
+	if r.Counts().Fails == 0 {
+		t.Fatal("no shot failed; the loop is not exercising corrections")
 	}
 }
 
@@ -340,26 +335,25 @@ func (c *locCounter) Next(k noise.LocKind) noise.Fault {
 func TestProgramReach(t *testing.T) {
 	for _, cs := range []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.CSS11(), code.Carbon()} {
 		est := NewEstimator(buildProto(t, cs))
-		prog := est.Program()
-		reach := prog.reach()
+		reach := est.Program().reach()
 		if got := est.Singles().Reach; got != reach {
 			t.Fatalf("%s: table reach %d, program reach %d", cs.Name, got, reach)
 		}
-		sh := prog.NewShot()
+		shot := est.newShot()
 		longest := 0
 		rec := &trajectory{}
 		for j, kind := range est.LocationKinds() {
 			for _, op := range noise.OpsFor(kind) {
 				rec.kinds, rec.at, rec.op = rec.kinds[:0], j, op
-				prog.Run(sh, rec)
+				shot(rec)
 				longest = max(longest, len(rec.kinds))
 			}
 		}
 		for _, p := range []float64{0.02, 0.1, 0.3} {
 			ctr := &locCounter{inj: noise.NewDepolarizing(noise.Uniform(p), rand.New(rand.NewSource(int64(p*1e3))))}
-			for shot := 0; shot < 5000; shot++ {
+			for i := 0; i < 5000; i++ {
 				ctr.n = 0
-				prog.Run(sh, ctr)
+				shot(ctr)
 				longest = max(longest, ctr.n)
 			}
 		}
