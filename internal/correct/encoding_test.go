@@ -213,6 +213,36 @@ func rrefMatchesLex(t *testing.T, name string, c *class) {
 	}
 }
 
+// TestMaxUClampedToRank checks that search caps the number of additional
+// measurements at the rank of the detection group, not at its row count:
+// more measurements than the rank cannot grow their span. X1X2 and X3X4
+// share no recovery, and the only detector, Z1Z2 (listed twice, so two rows
+// of rank 1), overlaps both evenly: no number of measurements separates
+// them. The search must probe u = 0 and 1 only, and its error must name the
+// rank.
+func TestMaxUClampedToRank(t *testing.T) {
+	det := f2.MustMatFromStrings("110000", "110000")
+	errs := []f2.Vec{vec("110000"), vec("001100")}
+	c := newClass(det, f2.NewMat(6), errs, Options{})
+	maxU := -1
+	_, err := c.search(func(u, v int) (*Block, error) {
+		if u > maxU {
+			maxU = u
+		}
+		return c.solveCorrection(context.Background(), u, v)
+	})
+	if maxU != 1 {
+		t.Fatalf("search probed up to u = %d, want the detection rank 1", maxU)
+	}
+	if err == nil || !strings.Contains(err.Error(), "detection rank 1") {
+		t.Fatalf("inseparable class: err %v, want one naming detection rank 1", err)
+	}
+	_, serr := Synthesize(context.Background(), det, f2.NewMat(6), errs, Options{})
+	if serr == nil || serr.Error() != err.Error() {
+		t.Fatalf("Synthesize: err %v, want %v", serr, err)
+	}
+}
+
 // BenchmarkDecideUnbounded times the two costliest unbounded probes of the
 // table classes: u = 3, v = -1 on the Hamming and Tetrahedral X classes,
 // both UNSAT.

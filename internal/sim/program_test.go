@@ -24,46 +24,60 @@ func scalarFails(est *Estimator, inj noise.Injector, shots int) int {
 	return fails
 }
 
-// TestScalarEngineMatchesInterpreter pins the scalar engine — lane 0 of the
-// batch engine, fed one scalar fault injector through the lane adapter — to
-// the interpreted executor on every catalog code but Tesseract (whose
-// synthesis takes minutes). Over the complete single-fault space, and over
-// a biased-model depolarizing stream drawn from one shared seed, every shot
-// must leave bit-identical frames and branch flags and the same Judge
-// verdict, and the two streams must end in the same RNG state. The
-// evaluator NewBlockRunner and Singles use (newShot) must give the same
-// verdicts on a third copy of the stream.
-func TestScalarEngineMatchesInterpreter(t *testing.T) {
-	for _, cs := range code.Catalog() {
-		if cs.Name == code.Tesseract().Name {
-			continue
+// scalarChecker returns a check that runs one shot of the scalar engine —
+// lane 0 of the batch engine, fed one scalar fault injector through the
+// lane adapter — under inj, and asserts it leaves the interpreted
+// outcome want: bit-identical frames and branch flags and the same Judge
+// verdict. The evaluator NewBlockRunner and Singles use (newShot) must give
+// that verdict too, on injShot.
+func scalarChecker(t *testing.T, est *Estimator) func(label string, want Outcome, inj, injShot noise.Injector) {
+	b := est.Batch()
+	if b == nil {
+		t.Fatal("batch engine unavailable")
+	}
+	bs, l, shot := b.NewShot(), &lane{}, est.newShot()
+	return func(label string, want Outcome, inj, injShot noise.Injector) {
+		t.Helper()
+		l.inj = inj
+		b.Run(bs, l, 1)
+		got := b.LaneOutcome(bs, 0)
+		if !want.Ex.Equal(got.Ex) || !want.Ez.Equal(got.Ez) {
+			t.Fatalf("%s: frames differ: interpreter %v/%v, scalar engine %v/%v",
+				label, want.Ex, want.Ez, got.Ex, got.Ez)
 		}
+		if want.Triggered != got.Triggered || want.UnknownClass != got.UnknownClass ||
+			want.TerminatedEarly != got.TerminatedEarly {
+			t.Fatalf("%s: branch flags differ: interpreter %+v, scalar engine %+v", label, want, got)
+		}
+		verdict := est.Judge(want)
+		if b.Judge(bs)&1 == 1 != verdict || shot(injShot) != verdict {
+			t.Fatalf("%s: Judge verdicts differ", label)
+		}
+	}
+}
+
+// differentialCodes is every catalog code but Tesseract, whose synthesis
+// takes minutes.
+func differentialCodes() []*code.CSS {
+	var out []*code.CSS
+	for _, cs := range code.Catalog() {
+		if cs.Name != code.Tesseract().Name {
+			out = append(out, cs)
+		}
+	}
+	return out
+}
+
+// TestProgramMatchesRunSingleFaults pins the scalar engine running the
+// compiled program to the interpreted executor over the complete
+// single-fault space of every differential code: for every location and
+// every operator, both must leave bit-identical frames and branch flags and
+// the same Judge verdict.
+func TestProgramMatchesRunSingleFaults(t *testing.T) {
+	for _, cs := range differentialCodes() {
 		t.Run(cs.Name, func(t *testing.T) {
 			est := NewEstimator(buildProto(t, cs))
-			b := est.Batch()
-			if b == nil {
-				t.Fatal("batch engine unavailable")
-			}
-			bs, l, shot := b.NewShot(), &lane{}, est.newShot()
-			check := func(label string, want Outcome, inj, injShot noise.Injector) {
-				t.Helper()
-				l.inj = inj
-				b.Run(bs, l, 1)
-				got := b.LaneOutcome(bs, 0)
-				if !want.Ex.Equal(got.Ex) || !want.Ez.Equal(got.Ez) {
-					t.Fatalf("%s: frames differ: interpreter %v/%v, scalar engine %v/%v",
-						label, want.Ex, want.Ez, got.Ex, got.Ez)
-				}
-				if want.Triggered != got.Triggered || want.UnknownClass != got.UnknownClass ||
-					want.TerminatedEarly != got.TerminatedEarly {
-					t.Fatalf("%s: branch flags differ: interpreter %+v, scalar engine %+v", label, want, got)
-				}
-				verdict := est.Judge(want)
-				if b.Judge(bs)&1 == 1 != verdict || shot(injShot) != verdict {
-					t.Fatalf("%s: Judge verdicts differ", label)
-				}
-			}
-
+			check := scalarChecker(t, est)
 			for loc, kind := range est.LocationKinds() {
 				for _, op := range noise.OpsFor(kind) {
 					plan := map[int]noise.Fault{loc: op}
@@ -71,7 +85,20 @@ func TestScalarEngineMatchesInterpreter(t *testing.T) {
 					check(fmt.Sprintf("fault %v at %d", op, loc), want, noise.NewPlan(plan), noise.NewPlan(plan))
 				}
 			}
+		})
+	}
+}
 
+// TestProgramMatchesRunUnderNoise extends the cross-check to biased-model
+// depolarizing streams: with one shared seed the scalar engine and the
+// interpreter consume the RNG in the same location order, so every shot
+// must agree bit for bit, including the Judge verdict, and the streams must
+// end in the same RNG state.
+func TestProgramMatchesRunUnderNoise(t *testing.T) {
+	for _, cs := range differentialCodes() {
+		t.Run(cs.Name, func(t *testing.T) {
+			est := NewEstimator(buildProto(t, cs))
+			check := scalarChecker(t, est)
 			const shots, seed = 2000, 77
 			model := biasedTestModel(0.05)
 			rngs := [3]*rand.Rand{}
