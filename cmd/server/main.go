@@ -128,6 +128,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -135,6 +136,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -142,6 +144,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -269,6 +272,10 @@ type server struct {
 	httpSeconds  *telemetry.HistogramVec // label: endpoint
 	httpInflight map[string]*telemetry.Gauge
 	httpShed     *telemetry.CounterVec // labels: endpoint, reason
+
+	// hits holds the encoded body of each memory hit by hitKey ([]byte),
+	// written by the first hit (handleSynthesize).
+	hits sync.Map
 
 	// ready backs /readyz: true once the server can take traffic, false
 	// again while it drains. newServer starts ready because main attaches
@@ -472,6 +479,16 @@ type synthesizeResponse struct {
 	QASM     string `json:"qasm,omitempty"`
 }
 
+// hitKey names one stored hit body: a cached protocol and the QASM switch.
+type hitKey struct {
+	p    *dftsp.Protocol
+	qasm bool
+}
+
+// handleSynthesize answers a hit with the bytes encoded at the protocol's
+// first hit with the same QASM switch; a miss is encoded afresh. The
+// service never drops a completed protocol, so s.hits holds at most two
+// bodies per cached protocol.
 func (s *server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req synthesizeRequest
 	if !decodePost(w, r, &req) {
@@ -482,6 +499,29 @@ func (s *server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err)
 		return
 	}
+	key := hitKey{p, req.QASM}
+	if body, ok := s.hits.Load(key); ok && hit {
+		writeBody(w, http.StatusOK, body.([]byte))
+		return
+	}
+	resp, err := synthesizeAnswer(p, req.QASM, hit)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	body, err := encodeJSON(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if hit {
+		s.hits.LoadOrStore(key, body)
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// synthesizeAnswer is the /synthesize response for p.
+func synthesizeAnswer(p *dftsp.Protocol, withQASM, hit bool) (synthesizeResponse, error) {
 	resp := synthesizeResponse{
 		Code:     p.CodeName(),
 		Params:   p.CodeParams(),
@@ -490,15 +530,14 @@ func (s *server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		Describe: p.Describe(),
 		CacheHit: hit,
 	}
-	if req.QASM {
+	if withQASM {
 		q, err := p.QASM()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
+			return resp, err
 		}
 		resp.QASM = q
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // estimateRequest selects a protocol and the estimation parameters.
@@ -697,10 +736,11 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleJobEvents streams a job's progress as application/x-ndjson: the
 // first line is the job's full status at subscription time, every following
-// line one progress event (see dftsp.JobEvent), flushed as it happens. The
-// stream ends when the job settles, the client disconnects, or the server
-// shuts down; events are hints and may be dropped under backpressure — the
-// status line and GET /jobs/{id} are authoritative.
+// line one progress event (see dftsp.JobEvent), flushed as it happens
+// (events queued together are flushed together). The stream ends when the
+// job settles, the client disconnects, or the server shuts down; events are
+// hints and may be dropped under backpressure — the status line and
+// GET /jobs/{id} are authoritative.
 func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	events, stop, err := s.svc.WatchJob(id)
@@ -716,28 +756,55 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(st); err != nil {
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
+	}
+	if err := json.NewEncoder(w).Encode(st); err != nil {
 		return
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	flush()
+	streamEvents(w, flush, events, r.Context().Done())
+}
+
+// streamEvents writes job events as NDJSON lines until events closes (the
+// job settled), done fires or a write fails. Each time it wakes it encodes
+// every event already queued, then flushes once, so the events of one
+// batch commit go out together.
+func streamEvents(w io.Writer, flush func(), events <-chan dftsp.JobEvent, done <-chan struct{}) {
+	enc := json.NewEncoder(w)
 	for {
 		select {
 		case ev, ok := <-events:
 			if !ok {
-				return // job settled
-			}
-			if err := enc.Encode(ev); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
+			more := encodeQueued(enc, ev, events)
+			flush()
+			if !more {
+				return
 			}
-		case <-r.Context().Done():
+		case <-done:
 			return
+		}
+	}
+}
+
+// encodeQueued encodes ev and every event queued behind it. It reports
+// false once events has closed or a write failed.
+func encodeQueued(enc *json.Encoder, ev dftsp.JobEvent, events <-chan dftsp.JobEvent) bool {
+	for {
+		if err := enc.Encode(ev); err != nil {
+			return false
+		}
+		var ok bool
+		select {
+		case ev, ok = <-events:
+			if !ok {
+				return false
+			}
+		default:
+			return true
 		}
 	}
 }
@@ -773,11 +840,25 @@ func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := encodeJSON(v)
+	if err != nil {
 		log.Printf("server: encoding response: %v", err)
 	}
+	writeBody(w, status, body)
+}
+
+// encodeJSON returns v as one line of JSON.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeBody sends a JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

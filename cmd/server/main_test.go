@@ -933,3 +933,35 @@ func postJSONGet(t *testing.T, url string) (int, map[string]any) {
 	}
 	return resp.StatusCode, out
 }
+
+// TestJobEventsFlushQueuedTogether queues several events before the stream
+// reads any: they must all be written, in order, before the one flush that
+// follows them, and the stream must end when the channel closes.
+func TestJobEventsFlushQueuedTogether(t *testing.T) {
+	events := make(chan dftsp.JobEvent, 8)
+	for i := range 5 {
+		events <- dftsp.JobEvent{Type: "shard", Job: "j", Point: 1, Shard: i, Shots: 4096 * int64(i+1)}
+	}
+	var buf bytes.Buffer
+	flushed := make(chan string, 4)
+	flush := func() { flushed <- buf.String() }
+	ended := make(chan struct{})
+	go func() {
+		streamEvents(&buf, flush, events, nil)
+		close(ended)
+	}()
+
+	var want strings.Builder
+	enc := json.NewEncoder(&want)
+	for i := range 5 {
+		enc.Encode(dftsp.JobEvent{Type: "shard", Job: "j", Point: 1, Shard: i, Shots: 4096 * int64(i+1)})
+	}
+	if got := <-flushed; got != want.String() {
+		t.Fatalf("first flush sent %q, want all five queued events %q", got, want.String())
+	}
+	close(events)
+	<-ended
+	if len(flushed) != 0 {
+		t.Fatalf("%d more flushes after the queued events, want none", len(flushed))
+	}
+}

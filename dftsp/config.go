@@ -1,8 +1,8 @@
 package dftsp
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -183,18 +183,35 @@ func (o Options) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
+	b := make([]byte, 0, 64)
 	switch {
 	case n.SurfaceDistance > 0:
-		fmt.Fprintf(&sb, "surface:%d", n.SurfaceDistance)
+		b = strconv.AppendInt(append(b, "surface:"...), int64(n.SurfaceDistance), 10)
 	case len(n.Hx) > 0:
-		fmt.Fprintf(&sb, "custom:%s/%s", strings.Join(n.Hx, ","), strings.Join(n.Hz, ","))
+		b = append(b, "custom:"...)
+		b = appendJoined(b, n.Hx)
+		b = append(b, '/')
+		b = appendJoined(b, n.Hz)
 	default:
-		fmt.Fprintf(&sb, "code:%s", n.Code)
+		b = append(append(b, "code:"...), n.Code...)
 	}
-	fmt.Fprintf(&sb, "|prep=%s,budget=%d|verif=%s,limit=%d|flagall=%v",
-		n.Prep, n.PrepBudget, n.Verif, n.GlobalLimit, n.FlagAll)
-	return sb.String(), nil
+	b = append(append(b, "|prep="...), n.Prep...)
+	b = strconv.AppendInt(append(b, ",budget="...), int64(n.PrepBudget), 10)
+	b = append(append(b, "|verif="...), n.Verif...)
+	b = strconv.AppendInt(append(b, ",limit="...), int64(n.GlobalLimit), 10)
+	b = strconv.AppendBool(append(b, "|flagall="...), n.FlagAll)
+	return string(b), nil
+}
+
+// appendJoined appends rows to b separated by commas.
+func appendJoined(b []byte, rows []string) []byte {
+	for i, r := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, r...)
+	}
+	return b
 }
 
 // buildCode materializes the selected CSS code. o must be normalized.

@@ -50,3 +50,39 @@ func TestProtocolBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsKeyPinned pins the canonical key of relaxed catalog spellings,
+// surface codes, custom codes and every synthesis option. The key is the
+// content address of every stored protocol and part of every job's
+// protocol key, so it must not move; the keys were recorded when Key was
+// still rendered with fmt.
+func TestOptionsKeyPinned(t *testing.T) {
+	steane := []string{"0001111", "0110011", "1010101"}
+	for _, tc := range []struct {
+		opts Options
+		key  string
+	}{
+		{Options{}, "code:Steane|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "Steane"}, "code:Steane|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "steane"}, "code:Steane|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "STEANE"}, "code:Steane|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "11-1-3"}, "code:[[11,1,3]]|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "[[11,1,3]]"}, "code:[[11,1,3]]|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "16-2-4"}, "code:[[16,2,4]]|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "tesseract"}, "code:Tesseract|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "Hamming", Prep: "OPT"}, "code:Hamming|prep=opt,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{SurfaceDistance: 3}, "surface:3|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{SurfaceDistance: 5, Prep: "opt", PrepBudget: 1000}, "surface:5|prep=opt,budget=1000|verif=opt,limit=0|flagall=false"},
+		{Options{Hx: steane, Hz: steane}, "custom:0001111,0110011,1010101/0001111,0110011,1010101|prep=heu,budget=0|verif=opt,limit=0|flagall=false"},
+		{Options{Hx: []string{"1100", "0011"}, Hz: []string{"1111"}, Verif: "Global", GlobalLimit: 4, FlagAll: true}, "custom:1100,0011/1111|prep=heu,budget=0|verif=global,limit=4|flagall=true"},
+		{Options{Code: "Shor", Prep: "opt", PrepBudget: 400000}, "code:Shor|prep=opt,budget=400000|verif=opt,limit=0|flagall=false"},
+		{Options{Code: "Surface", Verif: "global", GlobalLimit: 16}, "code:Surface|prep=heu,budget=0|verif=global,limit=16|flagall=false"},
+		{Options{Code: "Carbon", FlagAll: true}, "code:Carbon|prep=heu,budget=0|verif=opt,limit=0|flagall=true"},
+		{Options{Code: "shor", Prep: "Opt", Verif: "GLOBAL", PrepBudget: 7, GlobalLimit: 3, FlagAll: true}, "code:Shor|prep=opt,budget=7|verif=global,limit=3|flagall=true"},
+	} {
+		got, err := tc.opts.Key()
+		if err != nil || got != tc.key {
+			t.Errorf("%+v: Key() = %q, %v; want %q", tc.opts, got, err, tc.key)
+		}
+	}
+}

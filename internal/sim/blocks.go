@@ -437,9 +437,11 @@ func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) {
 		r.binj.Reseed(blockSeed(seed, b))
 		// One 64-lane word per iteration; the final word is masked to the
 		// remainder so exactly n shots run and the reported total can never
-		// exceed the budget.
+		// exceed the budget. The context is polled once per wordPollShots:
+		// a cancelCtx's Err takes its mutex, which every pool goroutine of
+		// a job shares.
 		for i := 0; i < n; i += 64 {
-			if ctx.Err() != nil {
+			if i%wordPollShots == 0 && ctx.Err() != nil {
 				return
 			}
 			live := ^uint64(0)

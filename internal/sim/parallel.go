@@ -27,3 +27,7 @@ func DefaultWorkers() int {
 // polls: frequent enough that cancellation lands within milliseconds, rare
 // enough that the poll is invisible in the shot throughput.
 const ctxPollShots = 64
+
+// wordPollShots is the number of shots a block runner's 64-lane word loop
+// runs between context polls: 16 words.
+const wordPollShots = 16 * 64
