@@ -136,7 +136,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -500,14 +499,27 @@ func (s *server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := hitKey{p, req.QASM}
-	if body, ok := s.hits.Load(key); ok && hit {
-		writeBody(w, http.StatusOK, body.([]byte))
-		return
+	if hit {
+		if body, ok := s.hits.Load(key); ok {
+			writeBody(w, http.StatusOK, body.([]byte))
+			return
+		}
 	}
-	resp, err := synthesizeAnswer(p, req.QASM, hit)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	resp := synthesizeResponse{
+		Code:     p.CodeName(),
+		Params:   p.CodeParams(),
+		Summary:  p.Summary(),
+		Metrics:  p.MetricsRow(),
+		Describe: p.Describe(),
+		CacheHit: hit,
+	}
+	if req.QASM {
+		q, err := p.QASM()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		resp.QASM = q
 	}
 	body, err := encodeJSON(resp)
 	if err != nil {
@@ -518,26 +530,6 @@ func (s *server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.hits.LoadOrStore(key, body)
 	}
 	writeBody(w, http.StatusOK, body)
-}
-
-// synthesizeAnswer is the /synthesize response for p.
-func synthesizeAnswer(p *dftsp.Protocol, withQASM, hit bool) (synthesizeResponse, error) {
-	resp := synthesizeResponse{
-		Code:     p.CodeName(),
-		Params:   p.CodeParams(),
-		Summary:  p.Summary(),
-		Metrics:  p.MetricsRow(),
-		Describe: p.Describe(),
-		CacheHit: hit,
-	}
-	if withQASM {
-		q, err := p.QASM()
-		if err != nil {
-			return resp, err
-		}
-		resp.QASM = q
-	}
-	return resp, nil
 }
 
 // estimateRequest selects a protocol and the estimation parameters.
@@ -756,55 +748,28 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	if err := json.NewEncoder(w).Encode(st); err != nil {
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(st); err != nil {
 		return
 	}
-	flush()
-	streamEvents(w, flush, events, r.Context().Done())
-}
-
-// streamEvents writes job events as NDJSON lines until events closes (the
-// job settled), done fires or a write fails. Each time it wakes it encodes
-// every event already queued, then flushes once, so the events of one
-// batch commit go out together.
-func streamEvents(w io.Writer, flush func(), events <-chan dftsp.JobEvent, done <-chan struct{}) {
-	enc := json.NewEncoder(w)
+	if flusher != nil {
+		flusher.Flush()
+	}
 	for {
 		select {
 		case ev, ok := <-events:
 			if !ok {
+				return // job settled
+			}
+			if err := enc.Encode(ev); err != nil {
 				return
 			}
-			more := encodeQueued(enc, ev, events)
-			flush()
-			if !more {
-				return
+			if flusher != nil && len(events) == 0 {
+				flusher.Flush()
 			}
-		case <-done:
+		case <-r.Context().Done():
 			return
-		}
-	}
-}
-
-// encodeQueued encodes ev and every event queued behind it. It reports
-// false once events has closed or a write failed.
-func encodeQueued(enc *json.Encoder, ev dftsp.JobEvent, events <-chan dftsp.JobEvent) bool {
-	for {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		var ok bool
-		select {
-		case ev, ok = <-events:
-			if !ok {
-				return false
-			}
-		default:
-			return true
 		}
 	}
 }

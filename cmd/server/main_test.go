@@ -934,34 +934,83 @@ func postJSONGet(t *testing.T, url string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
-// TestJobEventsFlushQueuedTogether queues several events before the stream
-// reads any: they must all be written, in order, before the one flush that
-// follows them, and the stream must end when the channel closes.
-func TestJobEventsFlushQueuedTogether(t *testing.T) {
-	events := make(chan dftsp.JobEvent, 8)
-	for i := range 5 {
-		events <- dftsp.JobEvent{Type: "shard", Job: "j", Point: 1, Shard: i, Shots: 4096 * int64(i+1)}
-	}
-	var buf bytes.Buffer
-	flushed := make(chan string, 4)
-	flush := func() { flushed <- buf.String() }
-	ended := make(chan struct{})
-	go func() {
-		streamEvents(&buf, flush, events, nil)
-		close(ended)
-	}()
+// flushRecorder records the body length at each Flush; its first Flush
+// runs hold before returning.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	flushes []int
+	hold    func()
+}
 
-	var want strings.Builder
-	enc := json.NewEncoder(&want)
-	for i := range 5 {
-		enc.Encode(dftsp.JobEvent{Type: "shard", Job: "j", Point: 1, Shard: i, Shots: 4096 * int64(i+1)})
+func (w *flushRecorder) Flush() {
+	w.flushes = append(w.flushes, w.Body.Len())
+	if len(w.flushes) == 1 {
+		w.hold()
 	}
-	if got := <-flushed; got != want.String() {
-		t.Fatalf("first flush sent %q, want all five queued events %q", got, want.String())
+}
+
+// TestJobEventsFlushQueuedTogether holds the event stream's first flush,
+// the one after the status line, until the job has settled, so every
+// event of the run is queued before the handler reads any. The handler
+// must then write them all, in order and ending in "done", before one
+// more flush.
+func TestJobEventsFlushQueuedTogether(t *testing.T) {
+	_, svc, srv := newJobsServer(t, t.TempDir())
+	rates := []float64{0.03, 0.02, 0.01}
+	st, err := svc.SubmitJob(context.Background(), dftsp.Options{Code: "Steane"},
+		dftsp.EstimateOptions{Rates: rates, MCShots: 300000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	close(events)
-	<-ended
-	if len(flushed) != 0 {
-		t.Fatalf("%d more flushes after the queued events, want none", len(flushed))
+	w := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), hold: func() {
+		deadline := time.Now().Add(time.Minute)
+		for {
+			js, err := svc.Job(st.ID)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if js.State != "running" {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Error("job still running after a minute")
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}}
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/jobs/"+st.ID+"/events", nil))
+
+	body := w.Body.String()
+	lines := strings.SplitAfter(body, "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	if len(w.flushes) != 2 || w.flushes[0] != len(lines[0]) || w.flushes[1] != len(body) {
+		t.Fatalf("flushed at body lengths %v, want after the status line (%d) and once after all events (%d)", w.flushes, len(lines[0]), len(body))
+	}
+	var status dftsp.JobStatus
+	if err := json.Unmarshal([]byte(lines[0]), &status); err != nil || status.State != "running" {
+		t.Fatalf("status line %q (%v): want the running job", lines[0], err)
+	}
+	events := lines[1:]
+	if len(events) < 2 {
+		t.Fatalf("%d events after the status line, want the whole run", len(events))
+	}
+	var shots int64
+	for i, line := range events {
+		var ev dftsp.JobEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event %d %q: %v", i, line, err)
+		}
+		if ev.Shots < shots {
+			t.Fatalf("event %d reports %d shots after %d: out of order", i, ev.Shots, shots)
+		}
+		shots = ev.Shots
+		if last := i == len(events)-1; last != (ev.Type == "done") {
+			t.Fatalf("event %d of %d has type %q; only the last may be, and must be, done", i, len(events), ev.Type)
+		}
+	}
+	if want := int64(len(rates)) * 300000; shots != want {
+		t.Fatalf("done event reports %d shots, want %d", shots, want)
 	}
 }

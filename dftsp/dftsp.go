@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/f2"
@@ -58,30 +57,6 @@ type Protocol struct {
 	// shares (estimate.go); its zero value is ready, so a Protocol literal
 	// built from Core and Options estimates like a synthesized one.
 	est estimateState
-
-	// The renderings, each computed by its first call. Their zero values
-	// are ready too.
-	summary, metrics, describe lazy[string]
-	qasm                       lazy[qasmExport]
-}
-
-// lazy holds a value computed once, by the first get.
-type lazy[T any] struct {
-	once sync.Once
-	v    T
-}
-
-// get returns the value, computing it with f on the first call;
-// concurrent first callers share one computation.
-func (l *lazy[T]) get(f func() T) T {
-	l.once.Do(func() { l.v = f() })
-	return l.v
-}
-
-// qasmExport is the rendered OpenQASM export with its error.
-type qasmExport struct {
-	text string
-	err  error
 }
 
 // Synthesize builds the complete deterministic fault-tolerant preparation
@@ -119,24 +94,16 @@ func (p *Protocol) CodeName() string { return p.Core.Code.Name }
 func (p *Protocol) CodeParams() string { return p.Core.Code.Params() }
 
 // Summary returns the compact one-line protocol description (code, prep
-// CNOTs, per-layer measurement/flag/class counts). It is computed once, by
-// the first call, and is safe for concurrent use.
-func (p *Protocol) Summary() string { return p.summary.get(p.Core.String) }
+// CNOTs, per-layer measurement/flag/class counts).
+func (p *Protocol) Summary() string { return p.Core.String() }
 
-// MetricsRow returns the protocol's Table-I-style metrics row. It is
-// computed once, by the first call, and is safe for concurrent use.
-func (p *Protocol) MetricsRow() string {
-	return p.metrics.get(func() string { return p.Core.ComputeMetrics().FormatRow() })
-}
+// MetricsRow returns the protocol's Table-I-style metrics row.
+func (p *Protocol) MetricsRow() string { return p.Core.ComputeMetrics().FormatRow() }
 
 // Describe returns a multi-line human-readable report: the static circuit
 // size and, per verification layer, every measurement with its support,
-// weight and flag status, plus the correction class count. It is computed
-// once, by the first call, and is safe for concurrent use.
-func (p *Protocol) Describe() string { return p.describe.get(p.renderDescribe) }
-
-// renderDescribe renders the report Describe returns.
-func (p *Protocol) renderDescribe() string {
+// weight and flag status, plus the correction class count.
+func (p *Protocol) Describe() string {
 	var sb strings.Builder
 	flat := p.Core.FlatCircuit()
 	fmt.Fprintf(&sb, "static circuit: %d wires, %d CNOTs, depth %d\n", flat.N, flat.CNOTCount(), flat.Depth())
@@ -173,25 +140,16 @@ func (p *Protocol) FaultLocations() int { return sim.Locations(p.Core) }
 // WriteQASM writes the static part of the protocol (preparation plus
 // verification measurements) as an OpenQASM 2.0 program.
 func (p *Protocol) WriteQASM(w io.Writer) error {
-	q, err := p.QASM()
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, q)
-	return err
+	return qasm.Export(w, p.Core.FlatCircuit(), p.Core.Code.Name+" |0>_L deterministic FT preparation")
 }
 
-// QASM returns the OpenQASM 2.0 export as a string. It is computed once, by
-// the first call, and is safe for concurrent use.
+// QASM returns the OpenQASM 2.0 export as a string.
 func (p *Protocol) QASM() (string, error) {
-	q := p.qasm.get(func() qasmExport {
-		var sb strings.Builder
-		if err := qasm.Export(&sb, p.Core.FlatCircuit(), p.Core.Code.Name+" |0>_L deterministic FT preparation"); err != nil {
-			return qasmExport{err: err}
-		}
-		return qasmExport{text: sb.String()}
-	})
-	return q.text, q.err
+	var sb strings.Builder
+	if err := p.WriteQASM(&sb); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
 }
 
 func supportString(v f2.Vec) string {
