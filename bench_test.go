@@ -121,7 +121,7 @@ func BenchmarkFig4Shot(b *testing.B) {
 // BenchmarkFig4ShotCompiled is BenchmarkFig4Shot on the scalar engine —
 // lane 0 of the compiled 64-lane batch engine, driven one shot at a time by
 // a scalar block runner: the same per-shot work, with the protocol
-// flattened once into a sim.Program and all per-shot state reused. Run with
+// flattened once into a sim.Batch and all per-shot state reused. Run with
 // -benchmem; allocs/op must be 0.
 func BenchmarkFig4ShotCompiled(b *testing.B) {
 	for _, cs := range code.Catalog() {
@@ -160,11 +160,7 @@ func BenchmarkFig4ShotBatch(b *testing.B) {
 		cs := cs
 		b.Run(cs.Name, func(b *testing.B) {
 			p := cachedProtocol(b, cs)
-			prog, err := sim.Compile(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch, err := sim.NewBatch(prog)
+			batch, err := sim.Compile(p)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -86,8 +86,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	logger := log.New(stderr, "worker "+*name+": ", log.LstdFlags|log.Lmsgprefix)
 
 	client := shardrpc.NewClient(shardrpc.ClientConfig{BaseURL: *coordinator, Name: *name})
+	live := ctx.Err() == nil
 	if err := client.Register(ctx); err != nil {
 		logger.Printf("register with %s: %v", *coordinator, err)
+		if live && ctx.Err() != nil {
+			// The signal landed while Register was in flight. The coordinator
+			// may have recorded the worker, but its reply and so the worker
+			// ID are lost: there is nothing to deregister, and the
+			// registration lapses with its TTL. That is a drain, not a failure.
+			fmt.Fprintf(stdout, "worker %s: 0 shards completed\n", *name)
+			return 0
+		}
 		return 1
 	}
 	logger.Printf("registered as %s (lease ttl %s)", client.WorkerID(), client.TTL())

@@ -5,9 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"os/signal"
+	"path"
 	"reflect"
 	"strings"
 	"sync"
@@ -293,6 +296,38 @@ func TestWorkerGracefulSIGTERMIdle(t *testing.T) {
 		rs, _ := r.Remote()
 		return rs.Workers == 0
 	})
+}
+
+// TestWorkerSignalDuringRegister pins the exit of a worker whose shutdown
+// signal lands while its registration is in flight: the coordinator has
+// recorded the registration but holds the reply, and run must drain to 0.
+func TestWorkerSignalDuringRegister(t *testing.T) {
+	registered, release := make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if path.Base(r.URL.Path) != "register" {
+			http.Error(w, "unexpected call", http.StatusBadRequest)
+			return
+		}
+		close(registered)
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var stdout bytes.Buffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(ctx, []string{"-coordinator", srv.Listener.Addr().String(), "-name", "lost"}, &stdout, io.Discard)
+	}()
+	<-registered
+	cancel()
+	if code := <-exit; code != 0 {
+		t.Fatalf("signal during register: exit %d, want 0", code)
+	}
+	if !strings.Contains(stdout.String(), "worker lost: 0 shards completed") {
+		t.Errorf("drain summary missing:\nstdout: %s", stdout.String())
+	}
 }
 
 // TestWorkerFlagErrors pins the CLI contract without spawning processes.

@@ -124,7 +124,7 @@ func TestResolveEstimatorSharesProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog := est.Program(); prog == nil || prog != p.est.estimator(p.Core).Program() {
+	if b := est.Batch(); b == nil || b != p.est.estimator(p.Core).Batch() {
 		t.Fatalf("job estimator does not share the cached protocol's compiled program")
 	}
 	if after := s1.Stats(); after.DiskHits != before.DiskHits || after.DiskMisses != before.DiskMisses {

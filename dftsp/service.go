@@ -38,7 +38,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	entries   map[string]*cacheEntry
-	store     store.Catalog // nil: memory-only
+	store     *store.Tiered // nil: memory-only
 	jobRunner *jobs.Runner  // nil: no job store attached (AttachJobs)
 
 	// shotsPerSec is an exponentially weighted moving average of per-job

@@ -52,16 +52,9 @@ func (s *Service) AttachStoreTiers(writableDir string, roDirs ...string) error {
 		tiers = append(tiers, t)
 	}
 
-	var st store.Catalog
-	switch {
-	case overlay != nil && len(tiers) == 0:
-		st = overlay // the plain single-store layout AttachStore always had
-	default:
-		tc, err := store.NewTiered(overlay, tiers...)
-		if err != nil {
-			return err
-		}
-		st = tc
+	st, err := store.NewTiered(overlay, tiers...)
+	if err != nil {
+		return err
 	}
 
 	s.mu.Lock()
@@ -137,7 +130,7 @@ func (s *Service) WarmStart(ctx context.Context) (loaded, skipped int, err error
 // loadStored reads one store entry and reconstructs the public Protocol,
 // validating that the recorded options still canonicalize to the entry's
 // key. It reports ok = false for any unusable entry.
-func (s *Service) loadStored(st store.Catalog, key string) (*Protocol, bool) {
+func (s *Service) loadStored(st *store.Tiered, key string) (*Protocol, bool) {
 	cp, meta, err := st.Get(key)
 	if err != nil {
 		return nil, false
@@ -163,7 +156,7 @@ func (s *Service) loadStored(st store.Catalog, key string) (*Protocol, bool) {
 
 // fillFromStore attempts to serve an in-flight cache entry from the store.
 // It returns true when the entry was published from disk.
-func (s *Service) fillFromStore(st store.Catalog, key string, e *cacheEntry) bool {
+func (s *Service) fillFromStore(st *store.Tiered, key string, e *cacheEntry) bool {
 	p, ok := s.loadStored(st, key)
 	if !ok {
 		s.diskMisses.Inc()
@@ -178,7 +171,7 @@ func (s *Service) fillFromStore(st store.Catalog, key string, e *cacheEntry) boo
 }
 
 // writeBack persists a freshly synthesized protocol, counting the outcome.
-func (s *Service) writeBack(st store.Catalog, key string, p *Protocol) {
+func (s *Service) writeBack(st *store.Tiered, key string, p *Protocol) {
 	optsJSON, err := json.Marshal(p.Options)
 	if err == nil {
 		err = st.Put(store.Meta{Key: key, Options: optsJSON}, p.Core)

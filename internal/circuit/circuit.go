@@ -185,16 +185,10 @@ type Effect struct {
 	Flips f2.Vec // length NumBits
 }
 
-// PropagateFrom conjugates the Pauli error p, inserted immediately after
-// gate index after (use -1 for an input error), through the remaining gates
-// and returns the error present at the circuit output. Preparations erase
-// any error on the prepared qubit; measurement flips are discarded (use
-// PropagateEffect to retain them).
-func (c *Circuit) PropagateFrom(after int, p pauli.Pauli) pauli.Pauli {
-	return c.PropagateEffect(after, p).Err
-}
-
-// PropagateEffect is PropagateFrom but also tracks which classical
+// PropagateEffect conjugates the Pauli error p, inserted immediately after
+// gate index after (use -1 for an input error), through the remaining gates.
+// It returns the error present at the circuit output, where preparations
+// have erased any error on the prepared qubit, and the classical
 // measurement bits the error flips: an X (or Y) component on a qubit flips
 // any later Z-basis measurement of that qubit, a Z (or Y) component any
 // later X-basis measurement.

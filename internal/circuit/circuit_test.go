@@ -11,22 +11,22 @@ func TestPropagationThroughCNOT(t *testing.T) {
 	c := New(2)
 	c.AppendCNOT(0, 1)
 	// X on control spreads to both qubits.
-	e := c.PropagateFrom(-1, pauli.XOp(2, 0))
+	e := c.PropagateEffect(-1, pauli.XOp(2, 0)).Err
 	if !e.Equal(pauli.MustParse(2, "X1X2")) {
 		t.Fatalf("X ctrl propagation: got %v", e)
 	}
 	// X on target stays put.
-	e = c.PropagateFrom(-1, pauli.XOp(2, 1))
+	e = c.PropagateEffect(-1, pauli.XOp(2, 1)).Err
 	if !e.Equal(pauli.XOp(2, 1)) {
 		t.Fatalf("X tgt propagation: got %v", e)
 	}
 	// Z on target spreads to both.
-	e = c.PropagateFrom(-1, pauli.ZOp(2, 1))
+	e = c.PropagateEffect(-1, pauli.ZOp(2, 1)).Err
 	if !e.Equal(pauli.MustParse(2, "Z1Z2")) {
 		t.Fatalf("Z tgt propagation: got %v", e)
 	}
 	// Z on control stays put.
-	e = c.PropagateFrom(-1, pauli.ZOp(2, 0))
+	e = c.PropagateEffect(-1, pauli.ZOp(2, 0)).Err
 	if !e.Equal(pauli.ZOp(2, 0)) {
 		t.Fatalf("Z ctrl propagation: got %v", e)
 	}
@@ -35,10 +35,10 @@ func TestPropagationThroughCNOT(t *testing.T) {
 func TestPropagationThroughH(t *testing.T) {
 	c := New(1)
 	c.AppendH(0)
-	if e := c.PropagateFrom(-1, pauli.XOp(1, 0)); !e.Equal(pauli.ZOp(1, 0)) {
+	if e := c.PropagateEffect(-1, pauli.XOp(1, 0)).Err; !e.Equal(pauli.ZOp(1, 0)) {
 		t.Fatalf("H should map X to Z, got %v", e)
 	}
-	if e := c.PropagateFrom(-1, pauli.YOp(1, 0)); !e.Equal(pauli.YOp(1, 0)) {
+	if e := c.PropagateEffect(-1, pauli.YOp(1, 0)).Err; !e.Equal(pauli.YOp(1, 0)) {
 		t.Fatalf("H should keep Y, got %v", e)
 	}
 }
@@ -46,7 +46,7 @@ func TestPropagationThroughH(t *testing.T) {
 func TestPrepErasesErrors(t *testing.T) {
 	c := New(1)
 	c.AppendPrepZ(0)
-	if e := c.PropagateFrom(-1, pauli.YOp(1, 0)); !e.IsIdentity() {
+	if e := c.PropagateEffect(-1, pauli.YOp(1, 0)).Err; !e.IsIdentity() {
 		t.Fatalf("prep should erase prior error, got %v", e)
 	}
 }
@@ -57,12 +57,12 @@ func TestPropagateFromMiddle(t *testing.T) {
 	c := New(3)
 	c.AppendCNOT(0, 1)
 	c.AppendCNOT(1, 2)
-	e := c.PropagateFrom(0, pauli.XOp(3, 1))
+	e := c.PropagateEffect(0, pauli.XOp(3, 1)).Err
 	if !e.Equal(pauli.MustParse(3, "X2X3")) {
 		t.Fatalf("mid-circuit fault propagation: got %v", e)
 	}
 	// The same fault at the end does not spread.
-	e = c.PropagateFrom(1, pauli.XOp(3, 1))
+	e = c.PropagateEffect(1, pauli.XOp(3, 1)).Err
 	if !e.Equal(pauli.XOp(3, 1)) {
 		t.Fatalf("end fault should not spread, got %v", e)
 	}
@@ -93,7 +93,7 @@ func TestSingleFaultFinalsConsistent(t *testing.T) {
 	c.AppendCNOT(1, 2)
 	c.AppendCNOT(0, 3)
 	for _, f := range c.SingleFaults() {
-		want := c.PropagateFrom(f.After, f.Op)
+		want := c.PropagateEffect(f.After, f.Op).Err
 		if !f.Final.Equal(want) {
 			t.Fatalf("fault %v after %d: final %v, want %v", f.Op, f.After, f.Final, want)
 		}

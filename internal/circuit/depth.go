@@ -24,38 +24,3 @@ func (c *Circuit) Depth() int {
 	}
 	return depth
 }
-
-// Moments groups the gates into parallel layers under the same ASAP
-// schedule; the concatenation of all moments is a valid reordering of the
-// circuit (gates within a moment act on disjoint qubits).
-func (c *Circuit) Moments() [][]Gate {
-	busyUntil := make([]int, c.N)
-	var moments [][]Gate
-	place := func(t int, g Gate) {
-		for len(moments) < t {
-			moments = append(moments, nil)
-		}
-		moments[t-1] = append(moments[t-1], g)
-	}
-	for _, g := range c.Gates {
-		var t int
-		switch g.Kind {
-		case CNOT:
-			t = max(busyUntil[g.Q], busyUntil[g.Q2]) + 1
-			busyUntil[g.Q] = t
-			busyUntil[g.Q2] = t
-		default:
-			t = busyUntil[g.Q] + 1
-			busyUntil[g.Q] = t
-		}
-		place(t, g)
-	}
-	return moments
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -31,39 +31,9 @@ func TestDepthWithPrepAndMeasure(t *testing.T) {
 	}
 }
 
-func TestMomentsPartitionGates(t *testing.T) {
-	c := New(3)
-	c.AppendPrepZ(0)
-	c.AppendPrepZ(1)
-	c.AppendPrepZ(2)
-	c.AppendCNOT(0, 1)
-	c.AppendCNOT(1, 2)
-	moments := c.Moments()
-	if len(moments) != c.Depth() {
-		t.Fatalf("moment count %d != depth %d", len(moments), c.Depth())
-	}
-	total := 0
-	for mi, m := range moments {
-		used := map[int]bool{}
-		for _, g := range m {
-			if used[g.Q] || (g.Kind == CNOT && used[g.Q2]) {
-				t.Fatalf("moment %d has overlapping gates", mi)
-			}
-			used[g.Q] = true
-			if g.Kind == CNOT {
-				used[g.Q2] = true
-			}
-		}
-		total += len(m)
-	}
-	if total != len(c.Gates) {
-		t.Fatalf("moments contain %d gates, circuit has %d", total, len(c.Gates))
-	}
-}
-
 func TestEmptyCircuitDepth(t *testing.T) {
 	c := New(3)
-	if c.Depth() != 0 || len(c.Moments()) != 0 {
+	if c.Depth() != 0 {
 		t.Fatal("empty circuit should have depth 0")
 	}
 }

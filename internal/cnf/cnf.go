@@ -1,7 +1,7 @@
 // Package cnf provides a convenience layer for building CNF formulas on top
-// of the CDCL solver in internal/sat: Tseitin-encoded XOR/AND/OR gates,
+// of the CDCL solver in internal/sat: Tseitin-encoded XOR/AND gates,
 // sequential-counter cardinality constraints, guarded constraints and model
-// enumeration. These are the building blocks of the synthesis encodings
+// blocking. These are the building blocks of the synthesis encodings
 // (verification and correction circuit synthesis).
 package cnf
 
@@ -68,12 +68,6 @@ func (b *Builder) Implies(g sat.Lit, lits ...sat.Lit) {
 	b.S.AddClause(cl...)
 }
 
-// Equiv constrains a <-> b.
-func (b *Builder) Equiv(x, y sat.Lit) {
-	b.S.AddClause(x.Neg(), y)
-	b.S.AddClause(y.Neg(), x)
-}
-
 // And returns a literal equivalent to the conjunction of lits.
 func (b *Builder) And(lits ...sat.Lit) sat.Lit {
 	switch len(lits) {
@@ -93,27 +87,6 @@ func (b *Builder) And(lits ...sat.Lit) sat.Lit {
 		cl = append(cl, l.Neg())
 	}
 	cl = append(cl, out)
-	b.S.AddClause(cl...)
-	return out
-}
-
-// Or returns a literal equivalent to the disjunction of lits.
-func (b *Builder) Or(lits ...sat.Lit) sat.Lit {
-	switch len(lits) {
-	case 0:
-		return b.False()
-	case 1:
-		return lits[0]
-	}
-	out := b.NewVar()
-	// each lit -> out
-	for _, l := range lits {
-		b.S.AddClause(l.Neg(), out)
-	}
-	// out -> some lit
-	cl := make([]sat.Lit, 0, len(lits)+1)
-	cl = append(cl, out.Neg())
-	cl = append(cl, lits...)
 	b.S.AddClause(cl...)
 	return out
 }
@@ -200,21 +173,11 @@ func (b *Builder) RREF(rows [][]sat.Lit) {
 }
 
 // AtMostOne adds the constraint that at most one of lits is true, using the
-// pairwise encoding (optimal for the small arities used here). An optional
-// guard may be supplied via AtMostOneGuarded.
+// pairwise encoding (optimal for the small arities used here).
 func (b *Builder) AtMostOne(lits ...sat.Lit) {
 	for i := 0; i < len(lits); i++ {
 		for j := i + 1; j < len(lits); j++ {
 			b.S.AddClause(lits[i].Neg(), lits[j].Neg())
-		}
-	}
-}
-
-// AtMostOneGuarded adds g -> at-most-one(lits).
-func (b *Builder) AtMostOneGuarded(g sat.Lit, lits ...sat.Lit) {
-	for i := 0; i < len(lits); i++ {
-		for j := i + 1; j < len(lits); j++ {
-			b.S.AddClause(g.Neg(), lits[i].Neg(), lits[j].Neg())
 		}
 	}
 }
@@ -347,12 +310,6 @@ func (b *Builder) AtLeastK(lits []sat.Lit, k int) {
 	b.AtMostK(neg, len(lits)-k)
 }
 
-// ExactlyK adds sum(lits) == k.
-func (b *Builder) ExactlyK(lits []sat.Lit, k int) {
-	b.AtMostK(lits, k)
-	b.AtLeastK(lits, k)
-}
-
 // Solve decides the accumulated formula.
 func (b *Builder) Solve() (bool, error) { return b.S.Solve() }
 
@@ -381,32 +338,4 @@ func (b *Builder) Block(lits []sat.Lit) {
 		}
 	}
 	b.S.AddClause(cl...)
-}
-
-// EnumerateModels repeatedly solves and blocks the projection onto lits,
-// invoking fn with the projected assignment until the formula is exhausted,
-// fn returns false, or limit models were produced (limit <= 0 means no
-// limit). It returns the number of models enumerated.
-func (b *Builder) EnumerateModels(lits []sat.Lit, limit int, fn func(vals []bool) bool) (int, error) {
-	count := 0
-	for limit <= 0 || count < limit {
-		ok, err := b.Solve()
-		if err != nil {
-			return count, err
-		}
-		if !ok {
-			return count, nil
-		}
-		vals := make([]bool, len(lits))
-		for i, l := range lits {
-			vals[i] = b.Val(l)
-		}
-		count++
-		cont := fn(vals)
-		b.Block(lits)
-		if !cont {
-			return count, nil
-		}
-	}
-	return count, nil
 }

@@ -194,35 +194,6 @@ func C6() *CSS {
 	return MustNew("C6", h, h.Clone())
 }
 
-// Toric returns the [[2L²,2,L]] toric code on an L×L torus: qubits on the
-// horizontal and vertical edges, X stabilizers on vertices, Z stabilizers
-// on plaquettes (one of each is redundant and dropped by rank reduction).
-func Toric(L int) *CSS {
-	if L < 2 {
-		panic("code: toric code needs L >= 2")
-	}
-	n := 2 * L * L
-	hEdge := func(r, c int) int { return r*L + c }       // horizontal edges
-	vEdge := func(r, c int) int { return L*L + r*L + c } // vertical edges
-	mod := func(a int) int { return ((a % L) + L) % L }
-	var xs, zs [][]int
-	for r := 0; r < L; r++ {
-		for c := 0; c < L; c++ {
-			// Vertex (r,c): incident edges.
-			xs = append(xs, []int{
-				hEdge(r, c), hEdge(r, mod(c-1)),
-				vEdge(r, c), vEdge(mod(r-1), c),
-			})
-			// Plaquette (r,c).
-			zs = append(zs, []int{
-				hEdge(r, c), hEdge(mod(r+1), c),
-				vEdge(r, c), vEdge(r, mod(c+1)),
-			})
-		}
-	}
-	return MustNew(fmt.Sprintf("Toric_%d", L), hammingMat(n, xs), hammingMat(n, zs))
-}
-
 // Catalog returns all paper-evaluation codes in Table I order.
 func Catalog() []*CSS {
 	return []*CSS{
@@ -265,40 +236,17 @@ func Slug(name string) string {
 	return sb.String()
 }
 
-// CanonicalName resolves a relaxed code spelling to the exact catalog name:
-// either an exact match or the unique catalog code with the same Slug
-// (catalog slugs are unique, so at most one entry can match either way).
-// It reports ok = false when no catalog code matches.
-func CanonicalName(name string) (canonical string, ok bool) {
-	if c := resolve(Catalog(), name); c != nil {
-		return c.Name, true
-	}
-	return "", false
-}
-
-// resolve finds the catalog entry matching name exactly or by slug;
-// building the catalog is the expensive part, so callers construct it once
-// and one pass decides.
-func resolve(catalog []*CSS, name string) *CSS {
-	want := Slug(name)
-	for _, c := range catalog {
-		if c.Name == name || (want != "" && Slug(c.Name) == want) {
-			return c
-		}
-	}
-	return nil
-}
-
 // ByName returns the catalog code with the given name, or an error listing
 // the available names. Besides exact catalog names it accepts any spelling
 // with the same canonical Slug, e.g. "steane" or "11-1-3".
+// Catalog slugs are unique, so at most one entry can match.
 func ByName(name string) (*CSS, error) {
-	catalog := Catalog()
-	if c := resolve(catalog, name); c != nil {
-		return c, nil
-	}
+	want := Slug(name)
 	var names []string
-	for _, c := range catalog {
+	for _, c := range Catalog() {
+		if c.Name == name || (want != "" && Slug(c.Name) == want) {
+			return c, nil
+		}
 		names = append(names, c.Name)
 	}
 	sort.Strings(names)

@@ -26,28 +26,6 @@ func TestC6Parameters(t *testing.T) {
 	}
 }
 
-func TestToricParameters(t *testing.T) {
-	for _, L := range []int{2, 3} {
-		c := Toric(L)
-		if c.N != 2*L*L || c.K != 2 {
-			t.Fatalf("Toric_%d: n,k = %d,%d, want %d,2", L, c.N, c.K, 2*L*L)
-		}
-		if d := c.Distance(); d != L {
-			t.Fatalf("Toric_%d distance = %d, want %d", L, d, L)
-		}
-	}
-}
-
-func TestToricStabilizerRedundancy(t *testing.T) {
-	// The 2L² vertex/plaquette operators have one redundancy each; the
-	// reduced check matrices must have rank L²-1 per sector.
-	L := 3
-	c := Toric(L)
-	if c.Hx.Rows() != L*L-1 || c.Hz.Rows() != L*L-1 {
-		t.Fatalf("toric ranks %d/%d, want %d", c.Hx.Rows(), c.Hz.Rows(), L*L-1)
-	}
-}
-
 func TestDualRoundTrip(t *testing.T) {
 	c := Steane()
 	d := c.Dual()

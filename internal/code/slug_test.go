@@ -42,17 +42,10 @@ func TestCanonicalNameAndByNameAcceptRelaxedSpellings(t *testing.T) {
 		"[[11,1,3]]": "[[11,1,3]]",
 		"tesseract":  "Tesseract",
 	} {
-		got, ok := CanonicalName(in)
-		if !ok || got != want {
-			t.Errorf("CanonicalName(%q) = (%q, %v), want (%q, true)", in, got, ok, want)
-		}
 		c, err := ByName(in)
 		if err != nil || c.Name != want {
 			t.Errorf("ByName(%q) = (%v, %v), want code %q", in, c, err, want)
 		}
-	}
-	if _, ok := CanonicalName("NoSuchCode"); ok {
-		t.Error("CanonicalName accepted an unknown name")
 	}
 	if _, err := ByName("NoSuchCode"); err == nil {
 		t.Error("ByName accepted an unknown name")

@@ -2,8 +2,9 @@
 // fails the build when an exported identifier of the public facade (dftsp)
 // or of the persistence layers (internal/store, internal/jobs) lacks a doc
 // comment, which is what keeps "every exported identifier is documented"
-// true over time instead of being a one-off cleanup. CI runs it as part of
-// the docs job.
+// true over time instead of being a one-off cleanup. A second test keeps
+// exported internal API that only tests call out of the production
+// packages (callers_test.go). CI runs both as part of the docs job.
 package docs
 
 import (

@@ -122,7 +122,7 @@ func TestSolve(t *testing.T) {
 		"110",
 		"011",
 	)
-	b := FromBits([]int{1, 0})
+	b := FromSupport(2, 0)
 	x, ok := m.Solve(b)
 	if !ok {
 		t.Fatal("system should be solvable")
@@ -132,7 +132,7 @@ func TestSolve(t *testing.T) {
 	}
 	// Inconsistent system: duplicate row with different rhs.
 	m2 := MustMatFromStrings("110", "110")
-	if _, ok := m2.Solve(FromBits([]int{1, 0})); ok {
+	if _, ok := m2.Solve(FromSupport(2, 0)); ok {
 		t.Fatal("inconsistent system reported solvable")
 	}
 }

@@ -38,17 +38,6 @@ func FromSupport(n int, support ...int) Vec {
 	return v
 }
 
-// FromBits returns a vector whose i-th coordinate is bits[i] mod 2.
-func FromBits(bits []int) Vec {
-	v := NewVec(len(bits))
-	for i, b := range bits {
-		if b%2 != 0 {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
 // FromString parses a vector from a string of '0' and '1' runes, ignoring
 // spaces. It reports an error on any other rune.
 func FromString(s string) (Vec, error) {

@@ -132,12 +132,6 @@ func (p Pauli) Mul(q Pauli) Pauli {
 	return Pauli{X: p.X.Xor(q.X), Z: p.Z.Xor(q.Z)}
 }
 
-// Commutes reports whether p and q commute. Two Paulis commute exactly when
-// the symplectic form <p.X,q.Z> + <p.Z,q.X> vanishes.
-func (p Pauli) Commutes(q Pauli) bool {
-	return (p.X.Dot(q.Z)+p.Z.Dot(q.X))%2 == 0
-}
-
 // Clone returns an independent copy.
 func (p Pauli) Clone() Pauli {
 	return Pauli{X: p.X.Clone(), Z: p.Z.Clone()}

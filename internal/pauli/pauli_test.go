@@ -1,10 +1,6 @@
 package pauli
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestConstructors(t *testing.T) {
 	x := XOp(4, 0, 2)
@@ -95,54 +91,6 @@ func TestMulIsXor(t *testing.T) {
 	}
 	if !a.Mul(a).IsIdentity() {
 		t.Fatal("p·p should be identity up to phase")
-	}
-}
-
-func TestCommutation(t *testing.T) {
-	x := XOp(2, 0)
-	z := ZOp(2, 0)
-	if x.Commutes(z) {
-		t.Fatal("X and Z on the same qubit anticommute")
-	}
-	if !x.Commutes(ZOp(2, 1)) {
-		t.Fatal("disjoint Paulis commute")
-	}
-	xx := MustParse(2, "X1X2")
-	zz := MustParse(2, "Z1Z2")
-	if !xx.Commutes(zz) {
-		t.Fatal("XX and ZZ commute (two anticommuting sites)")
-	}
-}
-
-// Property: commutation is symmetric, and p always commutes with itself.
-func TestCommutationProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		randPauli := func() Pauli {
-			p := New(n)
-			for q := 0; q < n; q++ {
-				if rng.Intn(2) == 1 {
-					p.X.Set(q, true)
-				}
-				if rng.Intn(2) == 1 {
-					p.Z.Set(q, true)
-				}
-			}
-			return p
-		}
-		a, b := randPauli(), randPauli()
-		if a.Commutes(b) != b.Commutes(a) {
-			return false
-		}
-		if !a.Commutes(a) {
-			return false
-		}
-		// Multiplying by a commuting operator preserves commutation with it.
-		return a.Mul(b).Commutes(b) == a.Commutes(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

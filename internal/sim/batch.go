@@ -1,15 +1,15 @@
 package sim
 
 import (
-	"errors"
 	"math/bits"
 
+	"repro/internal/decoder"
 	"repro/internal/noise"
 )
 
-// Batch is the 64-lane bit-parallel Monte-Carlo engine built on top of the
-// compiled Program: lane l of every word is an independent shot, so one pass
-// over the flattened op list advances 64 shots at once.
+// Batch is a core.Protocol compiled (by Compile) into the 64-lane
+// bit-parallel Monte-Carlo engine: lane l of every word is an independent
+// shot, so one pass over the flattened op list advances 64 shots at once.
 //
 // Layout: the Pauli frame is lane-major — one uint64 per data qubit, bit l
 // holding lane l's frame bit — so preparation gates and the CNOT spreading
@@ -35,54 +35,29 @@ import (
 //
 // The scalar engine is this engine's lane 0: a one-lane Run through the
 // lane adapter, which hands every site of the shot to a scalar
-// noise.Injector (see Estimator.newShot).
+// noise.Injector (see Estimator.newShot). It consumes the injector in
+// exactly the interpreted executor's location order, so for any fixed
+// fault plan (or shared RNG stream) the scalar engine and Run produce
+// bit-identical outcomes — the cross-check tests pin this down.
 //
 // A Batch is immutable and safe for concurrent use; all mutable state lives
 // in a BatchShot. The repeat-until-success baseline (nondet.go) is out of
 // scope — restarts resample whole shots, which the scalar engines already
 // do cheaply.
 type Batch struct {
-	prog    *Program
+	n, nw   int // data qubits; words per frame
+	prep    []gateOp
+	layers  []progLayer
 	maxMeas int // widest verification layer, sizes the outcome scratch
+
+	// The final perfect-EC round (compileJudge).
+	dec    *decoder.Dense
+	lz     [][]uint64 // bit-packed logical-Z rows, at most maxLogicals
+	lambda []uint64   // syndrome index s -> λ(s) = Lz·c(s), bit j for row j
 
 	// Judge's word-wide parities: the qubits of each decoder check row
 	// (bit i of the syndrome index) and of each logical-Z row.
-	checks, logicals [][]int32
-}
-
-// NewBatch wraps a compiled program in the 64-lane engine. The only
-// requirement is the program itself: every protocol within the Program
-// packing limits batches cleanly for any code length. NewBatch lists the
-// qubits of every decoder check row and logical-Z row, so Judge computes
-// all 64 lanes' syndromes and logical parities with word-wide XORs.
-func NewBatch(prog *Program) (*Batch, error) {
-	if prog == nil {
-		return nil, errors.New("sim: nil program")
-	}
-	b := &Batch{prog: prog}
-	for li := range prog.layers {
-		if m := len(prog.layers[li].meas); m > b.maxMeas {
-			b.maxMeas = m
-		}
-	}
-	for i := 0; i < prog.dec.Rank(); i++ {
-		b.checks = append(b.checks, qubitList(prog.dec.CheckRow(i)))
-	}
-	for _, row := range prog.lz {
-		b.logicals = append(b.logicals, qubitList(row))
-	}
-	return b, nil
-}
-
-// qubitList returns the positions of the set bits of a bit-packed row.
-func qubitList(row []uint64) []int32 {
-	var qs []int32
-	for j, w := range row {
-		for ; w != 0; w &= w - 1 {
-			qs = append(qs, int32(j*64+bits.TrailingZeros64(w)))
-		}
-	}
-	return qs
+	checkQubits, lzQubits [][]int32
 }
 
 // BatchShot is the reusable per-worker scratch of the batch engine: frames,
@@ -109,14 +84,13 @@ type BatchShot struct {
 // NewShot allocates the reusable scratch for this batch engine. A BatchShot
 // must not be shared between concurrent Run calls.
 func (b *Batch) NewShot() *BatchShot {
-	pr := b.prog
 	return &BatchShot{
-		ex:   make([]uint64, pr.n),
-		ez:   make([]uint64, pr.n),
+		ex:   make([]uint64, b.n),
+		ez:   make([]uint64, b.n),
 		bOut: make([]uint64, b.maxMeas),
 		fOut: make([]uint64, b.maxMeas),
-		syn:  make([]uint64, len(b.checks)),
-		lgc:  make([]uint64, len(b.logicals)),
+		syn:  make([]uint64, len(b.checkQubits)),
+		lgc:  make([]uint64, len(b.lzQubits)),
 	}
 }
 
@@ -128,11 +102,11 @@ func (b *Batch) NewShot() *BatchShot {
 func (b *Batch) Run(bs *BatchShot, inj noise.BatchInjector, live uint64) {
 	b.prepare(bs, inj, live)
 	active := live
-	for li := range b.prog.layers {
+	for li := range b.layers {
 		if active == 0 {
 			return
 		}
-		lay := &b.prog.layers[li]
+		lay := &b.layers[li]
 		if trig := b.verify(bs, lay, inj, active); trig != 0 {
 			bs.Triggered |= trig
 			// Fig. 3(e): a lane whose hook flag fired terminates after its
@@ -151,7 +125,7 @@ func (b *Batch) prepare(bs *BatchShot, inj noise.BatchInjector, live uint64) {
 	clear(ez)
 	bs.Live = live
 	bs.Triggered, bs.UnknownClass, bs.TerminatedEarly = 0, 0, 0
-	for _, g := range b.prog.prep {
+	for _, g := range b.prep {
 		switch g.kind {
 		case opPrep:
 			ex[g.q1], ez[g.q1] = inj.Draw1Q(live)
@@ -403,11 +377,11 @@ func (b *Batch) measure(bs *BatchShot, m *progMeas, inj noise.BatchInjector, act
 // compare the latter with λ(s).
 func (b *Batch) Judge(bs *BatchShot) uint64 {
 	var dirty, flipped uint64 // lanes with a nonzero syndrome; with a logical bit set
-	for i, qs := range b.checks {
+	for i, qs := range b.checkQubits {
 		bs.syn[i] = parityWord(bs.ex, qs)
 		dirty |= bs.syn[i]
 	}
-	for j, qs := range b.logicals {
+	for j, qs := range b.lzQubits {
 		bs.lgc[j] = parityWord(bs.ex, qs)
 		flipped |= bs.lgc[j]
 	}
@@ -422,7 +396,7 @@ func (b *Batch) Judge(bs *BatchShot) uint64 {
 		for j, w := range bs.lgc {
 			lgc |= (w >> lane & 1) << uint(j)
 		}
-		if lgc != b.prog.lambda[idx] {
+		if lgc != b.lambda[idx] {
 			fails |= 1 << lane
 		}
 	}

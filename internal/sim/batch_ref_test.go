@@ -19,11 +19,11 @@ import (
 func (b *Batch) runOneLane(bs *BatchShot, inj noise.BatchInjector, live uint64) {
 	b.prepare(bs, inj, live)
 	active := live
-	for li := range b.prog.layers {
+	for li := range b.layers {
 		if active == 0 {
 			return
 		}
-		lay := &b.prog.layers[li]
+		lay := &b.layers[li]
 		trig := b.verify(bs, lay, inj, active)
 		bs.Triggered |= trig
 		m := uint(len(lay.meas))

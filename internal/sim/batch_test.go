@@ -42,16 +42,15 @@ func (b *Batch) sample(bs *BatchShot, inj noise.BatchInjector, shots int) int {
 // Outcome.Sigs is left empty — the batch engine does not retain signature
 // history.
 func (b *Batch) LaneOutcome(bs *BatchShot, lane int) Outcome {
-	pr := b.prog
 	bit := uint64(1) << uint(lane)
 	out := Outcome{
-		Ex:              f2.NewVec(pr.n),
-		Ez:              f2.NewVec(pr.n),
+		Ex:              f2.NewVec(b.n),
+		Ez:              f2.NewVec(b.n),
 		Triggered:       bs.Triggered&bit != 0,
 		UnknownClass:    bs.UnknownClass&bit != 0,
 		TerminatedEarly: bs.TerminatedEarly&bit != 0,
 	}
-	for q := 0; q < pr.n; q++ {
+	for q := 0; q < b.n; q++ {
 		if bs.ex[q]&bit != 0 {
 			out.Ex.Flip(q)
 		}
@@ -238,7 +237,7 @@ func TestEngineSelection(t *testing.T) {
 	if est.EngineInUse() != EngineBatch {
 		t.Fatalf("scalar view changed the estimator it came from")
 	}
-	if scalar.Program() != est.Program() || scalar.Batch() != est.Batch() {
+	if scalar.Batch() != est.Batch() {
 		t.Fatal("scalar view does not share the compiled engines")
 	}
 	if _, err := scalar.WithEngine(EngineBatch); err != nil {

@@ -49,10 +49,10 @@ type xDecoder interface {
 // a logical operator of the prepared eigenstate (a logical Z for |0>_L,
 // flipped by residual X errors).
 //
-// NewEstimator also compiles the protocol into a Program and its 64-lane
-// Batch, the one executor of compiled protocols; every Monte-Carlo entry
-// point (AdaptiveModel, NewBlockRunnerModel) runs the selected engine on
-// it when compilation succeeded and falls back to the interpreted executor
+// NewEstimator also compiles the protocol into its 64-lane Batch, the one
+// executor of compiled protocols; every Monte-Carlo entry point
+// (AdaptiveModel, NewBlockRunnerModel) runs the selected engine on it
+// when compilation succeeded and falls back to the interpreted executor
 // otherwise. The scalar engine is the batch engine's lane 0 (newShot): it
 // and the interpreted executor are bit-identical for a shared RNG stream;
 // the batch engine draws its own.
@@ -73,8 +73,7 @@ type Estimator struct {
 // NewEstimator and shared by every view WithEngine returns.
 type shared struct {
 	decX  xDecoder // corrects X errors via Z checks
-	prog  *Program // compiled protocol tables; nil if compilation failed
-	batch *Batch   // the executor of prog; nil if compilation failed
+	batch *Batch   // the compiled protocol; nil if compilation failed
 
 	// Lazily built, shared by concurrent block runners: a resumed job
 	// point's shard tasks are the first to ask for them.
@@ -108,7 +107,7 @@ func (est *Estimator) LocationKinds() []noise.LocKind {
 // with the verdict of the shot it causes and the location kinds of the
 // trajectory it forces. It backs the k = 2 rare-event law and its
 // resolution rule (Resolve); with a compiled program, the table carries
-// the program's static location bound (Program.reach) as its Reach. The
+// the program's static location bound (Batch.reach) as its Reach. The
 // table is built on first use — one single-fault shot per entry on the
 // scalar engine (newShot) — and cached with each entry's verdict bit, which
 // FaultOrderModel reads as order 1; concurrent callers share one build.
@@ -118,8 +117,8 @@ func (est *Estimator) Singles() *noise.Singles {
 		rec := &trajectory{}
 		shot := est.newShot()
 		tab := &noise.Singles{}
-		if prog := est.prog; prog != nil {
-			tab.Reach = prog.reach()
+		if b := est.batch; b != nil {
+			tab.Reach = b.reach()
 		}
 		i := 0
 		for j, kind := range kinds {
@@ -184,8 +183,8 @@ func (est *Estimator) ClassCounts() [3]int {
 }
 
 // NewEstimator builds the decoder for the protocol's code and compiles the
-// shot program plus its 64-lane batch engine. When compilation succeeds
-// Judge shares the program's dense decoder (the minimum-weight table is
+// protocol into its 64-lane batch engine. When compilation succeeds
+// Judge shares the engine's dense decoder (the minimum-weight table is
 // built exactly once) and scalar shots run as the batch engine's lane 0;
 // the interpreted fallback builds a lookup table instead and runs scalar
 // shots on the interpreter (newShot picks between the two). The sampling
@@ -193,22 +192,14 @@ func (est *Estimator) ClassCounts() [3]int {
 // otherwise; WithEngine selects another.
 func NewEstimator(p *core.Protocol) *Estimator {
 	est := &Estimator{P: p, shared: &shared{}}
-	if prog, err := Compile(p); err == nil {
-		est.prog = prog
-		est.decX = prog.dec
-		if b, err := NewBatch(prog); err == nil {
-			est.batch = b
-		}
+	if b, err := Compile(p); err == nil {
+		est.batch = b
+		est.decX = b.dec
 	} else {
 		est.decX = decoder.NewLookup(p.Code.Hz)
 	}
 	return est
 }
-
-// Program returns the compiled protocol tables, or nil when the protocol
-// exceeded the packing limits and sampling falls back to the interpreted
-// executor.
-func (est *Estimator) Program() *Program { return est.prog }
 
 // Batch returns the 64-lane bit-parallel engine, or nil when the protocol
 // exceeded the compiled engine's packing limits.

@@ -30,7 +30,6 @@ func transpose64(w *[64]uint64) {
 // frame decodes the syndrome, XORs in the correction and tests each
 // logical-Z row. TestJudgeMatchesTranspose holds Batch.Judge to it.
 func refJudge(b *Batch, bs *BatchShot) uint64 {
-	pr := b.prog
 	var any uint64
 	for _, w := range bs.ex {
 		any |= w
@@ -39,27 +38,27 @@ func refJudge(b *Batch, bs *BatchShot) uint64 {
 	if any == 0 {
 		return 0
 	}
-	exT := make([]uint64, 64*pr.nw)
+	exT := make([]uint64, 64*b.nw)
 	var t [64]uint64
-	for blk := 0; blk < pr.nw; blk++ {
-		lo, hi := blk*64, min(blk*64+64, pr.n)
+	for blk := 0; blk < b.nw; blk++ {
+		lo, hi := blk*64, min(blk*64+64, b.n)
 		t = [64]uint64{}
 		copy(t[:hi-lo], bs.ex[lo:hi])
 		transpose64(&t)
 		for lane := 0; lane < 64; lane++ {
-			exT[lane*pr.nw+blk] = t[lane]
+			exT[lane*b.nw+blk] = t[lane]
 		}
 	}
-	tmp := make([]uint64, pr.nw)
+	tmp := make([]uint64, b.nw)
 	var fails uint64
 	for a := any; a != 0; a &= a - 1 {
 		lane := bits.TrailingZeros64(a)
-		e := exT[lane*pr.nw : (lane+1)*pr.nw]
-		corr := pr.dec.CorrectionWords(pr.dec.Index(e))
+		e := exT[lane*b.nw : (lane+1)*b.nw]
+		corr := b.dec.CorrectionWords(b.dec.Index(e))
 		for j := range e {
 			tmp[j] = e[j] ^ corr[j]
 		}
-		for _, row := range pr.lz {
+		for _, row := range b.lz {
 			var acc uint64
 			for j, w := range row {
 				acc ^= w & tmp[j]
@@ -86,15 +85,11 @@ func refJudge(b *Batch, bs *BatchShot) uint64 {
 func TestJudgeMatchesTranspose(t *testing.T) {
 	for _, cs := range code.Catalog() {
 		t.Run(cs.Name, func(t *testing.T) {
-			pr := &Program{n: cs.N, nw: (cs.N + 63) / 64}
-			if err := pr.compileJudge(cs); err != nil {
+			batch := &Batch{n: cs.N, nw: (cs.N + 63) / 64}
+			if err := batch.compileJudge(cs); err != nil {
 				t.Fatal(err)
 			}
-			batch, err := NewBatch(pr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs, e := batch.NewShot(), make([]uint64, pr.nw)
+			bs, e := batch.NewShot(), make([]uint64, batch.nw)
 			rng := rand.New(rand.NewSource(int64(cs.N)))
 			flip := func(lane, q int) { bs.ex[q] ^= 1 << uint(lane) }
 			// codeword XORs a random sum of X stabilizers and X logicals,
@@ -111,8 +106,8 @@ func TestJudgeMatchesTranspose(t *testing.T) {
 						rows = append(rows, cs.Lx.Row(i).Words()...)
 					}
 				}
-				for ri := 0; ri < len(rows); ri += pr.nw {
-					for j, w := range rows[ri : ri+pr.nw] {
+				for ri := 0; ri < len(rows); ri += batch.nw {
+					for j, w := range rows[ri : ri+batch.nw] {
 						for ; w != 0; w &= w - 1 {
 							flip(lane, j*64+bits.TrailingZeros64(w))
 						}
@@ -168,7 +163,7 @@ func TestJudgeMatchesTranspose(t *testing.T) {
 						for q := 0; q < cs.N; q++ {
 							e[q/64] |= bs.ex[q] >> uint(lane) & 1 << uint(q%64)
 						}
-						if fails := pr.logicals(e) != pr.lambda[pr.dec.Index(e)]; fails != (got>>uint(lane)&1 == 1) {
+						if fails := batch.logicals(e) != batch.lambda[batch.dec.Index(e)]; fails != (got>>uint(lane)&1 == 1) {
 							t.Fatalf("%s: the λ identity disagrees on lane %d", name, lane)
 						}
 					}

@@ -12,38 +12,6 @@ import (
 	"repro/internal/decoder"
 )
 
-// Program is a core.Protocol compiled into flat tables for the Monte-Carlo
-// hot loop. Compilation happens once per estimator and does everything the
-// interpreted executor pays for on every shot:
-//
-//   - preparation gates are pre-indexed into a dense op list;
-//   - every measurement's CNOT order is resolved (m.Order or the stabilizer
-//     support) and its flag decision (Flagged && weight >= 3) is frozen;
-//   - verification signatures are interned: the per-layer signature is
-//     packed into a uint64 (B bits low, F bits high) and mapped to a dense
-//     class index, so the shot loop never builds a string or hashes one;
-//   - correction blocks carry dense recovery tables indexed by the packed
-//     block syndrome, with recoveries bit-packed for word-wise XOR;
-//   - the final perfect-EC round uses a decoder.Dense table, bit-packed
-//     logical-Z rows and the table of each syndrome's correction's
-//     logical-Z parities (see Batch.Judge).
-//
-// A Program only holds tables; Batch is the one executor of them. It runs
-// 64 shots per word, and one shot at a time as its lane 0 (the scalar
-// engine, Estimator.newShot), consuming a scalar fault injector in exactly
-// the interpreted executor's location order, so for any fixed fault plan
-// (or shared RNG stream) the scalar engine and Run produce bit-identical
-// outcomes — the cross-check tests pin this down. A Program is immutable
-// after Compile and safe for concurrent use.
-type Program struct {
-	n, nw  int // data qubits; words per frame
-	prep   []gateOp
-	layers []progLayer
-	dec    *decoder.Dense
-	lz     [][]uint64 // bit-packed logical-Z rows, at most maxLogicals
-	lambda []uint64   // syndrome index s -> λ(s) = Lz·c(s), bit j for row j
-}
-
 // gate op kinds of the compiled preparation circuit.
 const (
 	opPrep uint8 = iota // PrepZ/PrepX: erase the frame, then a 1Q location
@@ -95,24 +63,39 @@ const maxBlockStabs = 20
 // into one uint64.
 const maxLogicals = 64
 
-// Compile flattens the protocol into a Program. It returns an error when
-// the protocol exceeds the engine's packing limits (more than 31
-// verification measurements in a layer, more than 20 block measurements, a
-// decoder rank above the dense-table bound, more than 64 logical qubits) or
-// contains malformed class keys; callers fall back to the interpreted Run
-// path in that case.
-func Compile(p *core.Protocol) (*Program, error) {
+// Compile flattens the protocol into the flat tables of its batch engine.
+// Compilation happens once per estimator and does everything the
+// interpreted executor pays for on every shot:
+//
+//   - preparation gates are pre-indexed into a dense op list;
+//   - every measurement's CNOT order is resolved (m.Order or the stabilizer
+//     support) and its flag decision (Flagged && weight >= 3) is frozen;
+//   - verification signatures are interned: the per-layer signature is
+//     packed into a uint64 (B bits low, F bits high) and mapped to a dense
+//     class index, so the shot loop never builds a string or hashes one;
+//   - correction blocks carry dense recovery tables indexed by the packed
+//     block syndrome, with recoveries bit-packed for word-wise XOR;
+//   - the final perfect-EC round uses a decoder.Dense table, bit-packed
+//     logical-Z rows and the table of each syndrome's correction's
+//     logical-Z parities (see Batch.Judge).
+//
+// It returns an error when the protocol exceeds the engine's packing
+// limits (more than 31 verification measurements in a layer, more than 20
+// block measurements, a decoder rank above the dense-table bound, more than
+// 64 logical qubits) or contains malformed class keys; callers fall back to
+// the interpreted Run path in that case.
+func Compile(p *core.Protocol) (*Batch, error) {
 	n := p.Code.N
-	pr := &Program{n: n, nw: (n + 63) / 64}
+	b := &Batch{n: n, nw: (n + 63) / 64}
 
 	for _, g := range p.Prep.Gates {
 		switch g.Kind {
 		case circuit.PrepZ, circuit.PrepX:
-			pr.prep = append(pr.prep, gateOp{kind: opPrep, q1: int32(g.Q)})
+			b.prep = append(b.prep, gateOp{kind: opPrep, q1: int32(g.Q)})
 		case circuit.H:
-			pr.prep = append(pr.prep, gateOp{kind: opH, q1: int32(g.Q)})
+			b.prep = append(b.prep, gateOp{kind: opH, q1: int32(g.Q)})
 		case circuit.CNOT:
-			pr.prep = append(pr.prep, gateOp{kind: opCNOT, q1: int32(g.Q), q2: int32(g.Q2)})
+			b.prep = append(b.prep, gateOp{kind: opCNOT, q1: int32(g.Q), q2: int32(g.Q2)})
 		default:
 			return nil, fmt.Errorf("sim: unexpected gate %v in preparation circuit", g.Kind)
 		}
@@ -141,14 +124,14 @@ func Compile(p *core.Protocol) (*Program, error) {
 			}
 			var pc progClass
 			if cc.Primary != nil {
-				blk, err := compileBlock(cc.Primary, layer.Detects, n, pr.nw)
+				blk, err := compileBlock(cc.Primary, layer.Detects, n, b.nw)
 				if err != nil {
 					return nil, err
 				}
 				pc.primary = blk
 			}
 			if cc.Hook != nil {
-				blk, err := compileBlock(cc.Hook, layer.Detects.Opposite(), n, pr.nw)
+				blk, err := compileBlock(cc.Hook, layer.Detects.Opposite(), n, b.nw)
 				if err != nil {
 					return nil, err
 				}
@@ -157,18 +140,22 @@ func Compile(p *core.Protocol) (*Program, error) {
 			pl.classes[packed] = int32(len(pl.classList))
 			pl.classList = append(pl.classList, pc)
 		}
-		pr.layers = append(pr.layers, pl)
+		b.layers = append(b.layers, pl)
+		b.maxMeas = max(b.maxMeas, len(pl.meas))
 	}
 
-	if err := pr.compileJudge(p.Code); err != nil {
+	if err := b.compileJudge(p.Code); err != nil {
 		return nil, err
 	}
-	return pr, nil
+	return b, nil
 }
 
 // compileJudge builds the final perfect-EC round of code c: the dense
-// decoder, the packed logical-Z rows and λ of every syndrome index.
-func (pr *Program) compileJudge(c *code.CSS) error {
+// decoder, the packed logical-Z rows and λ of every syndrome index, and
+// the qubits of every decoder check row and logical-Z row, so Judge
+// computes all 64 lanes' syndromes and logical parities with word-wide
+// XORs.
+func (b *Batch) compileJudge(c *code.CSS) error {
 	dec, err := decoder.NewDense(c.Hz)
 	if err != nil {
 		return err
@@ -176,15 +163,19 @@ func (pr *Program) compileJudge(c *code.CSS) error {
 	if k := c.Lz.Rows(); k > maxLogicals {
 		return fmt.Errorf("sim: %d logical qubits exceed the compiled limit %d", k, maxLogicals)
 	}
-	pr.dec = dec
+	b.dec = dec
 	for i := 0; i < c.Lz.Rows(); i++ {
-		row := make([]uint64, pr.nw)
+		row := make([]uint64, b.nw)
 		copy(row, c.Lz.Row(i).Words())
-		pr.lz = append(pr.lz, row)
+		b.lz = append(b.lz, row)
+		b.lzQubits = append(b.lzQubits, qubitList(row))
 	}
-	pr.lambda = make([]uint64, dec.Size())
-	for idx := range pr.lambda {
-		pr.lambda[idx] = pr.logicals(dec.CorrectionWords(uint64(idx)))
+	for i := 0; i < dec.Rank(); i++ {
+		b.checkQubits = append(b.checkQubits, qubitList(dec.CheckRow(i)))
+	}
+	b.lambda = make([]uint64, dec.Size())
+	for idx := range b.lambda {
+		b.lambda[idx] = b.logicals(dec.CorrectionWords(uint64(idx)))
 	}
 	return nil
 }
@@ -264,10 +255,10 @@ func packSigKey(key string, m int) (uint64, error) {
 // verification measurements and the costliest class's primary and hook
 // blocks together. A shot that stops early or runs no correction executes
 // fewer.
-func (pr *Program) reach() int {
-	n := len(pr.prep)
-	for li := range pr.layers {
-		lay := &pr.layers[li]
+func (b *Batch) reach() int {
+	n := len(b.prep)
+	for li := range b.layers {
+		lay := &b.layers[li]
 		n += measLocs(lay.meas)
 		worst := 0
 		for _, cc := range lay.classList {
@@ -301,9 +292,9 @@ func measLocs(ms []progMeas) int {
 
 // logicals packs the logical-Z parities of the bit-packed X frame e: bit j
 // is the GF(2) inner product of row j of Lz with e.
-func (pr *Program) logicals(e []uint64) uint64 {
+func (b *Batch) logicals(e []uint64) uint64 {
 	var l uint64
-	for j, row := range pr.lz {
+	for j, row := range b.lz {
 		var acc uint64
 		for i, w := range row {
 			acc ^= w & e[i]
@@ -311,4 +302,15 @@ func (pr *Program) logicals(e []uint64) uint64 {
 		l |= uint64(bits.OnesCount64(acc)&1) << uint(j)
 	}
 	return l
+}
+
+// qubitList returns the positions of the set bits of a bit-packed row.
+func qubitList(row []uint64) []int32 {
+	var qs []int32
+	for j, w := range row {
+		for ; w != 0; w &= w - 1 {
+			qs = append(qs, int32(j*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return qs
 }

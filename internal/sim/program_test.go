@@ -362,7 +362,7 @@ func (c *locCounter) Next(k noise.LocKind) noise.Fault {
 func TestProgramReach(t *testing.T) {
 	for _, cs := range []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.CSS11(), code.Carbon()} {
 		est := NewEstimator(buildProto(t, cs))
-		reach := est.Program().reach()
+		reach := est.Batch().reach()
 		if got := est.Singles().Reach; got != reach {
 			t.Fatalf("%s: table reach %d, program reach %d", cs.Name, got, reach)
 		}

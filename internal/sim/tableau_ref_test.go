@@ -20,10 +20,9 @@ import (
 // reconstructs the residual frame by measuring the code's stabilizers and
 // logicals destructively against the ideal state.
 //
-// This is ~n times slower than the frame executor and exists as an
-// independent implementation for cross-validation (both must produce
-// identical outcomes for identical fault plans) and for the frame-vs-tableau
-// ablation benchmark.
+// This is ~n times slower than the frame executor. It is the exact
+// reference engine of the cross-validation tests: both must produce
+// identical outcomes for identical fault plans.
 func RunTableau(p *core.Protocol, inj noise.Injector) Outcome {
 	n := p.Code.N
 	anc, flag := n, n+1
@@ -53,8 +52,9 @@ func (e *tbExec) fault(q int, c byte) {
 		e.tb.X(q)
 	case noise.PZ:
 		e.tb.Z(q)
-	case noise.PY:
-		e.tb.Y(q)
+	case noise.PY: // X then Z: Y up to a global phase
+		e.tb.X(q)
+		e.tb.Z(q)
 	}
 }
 

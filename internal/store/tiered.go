@@ -9,27 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Catalog is the read/write surface the dftsp service layers its cache
-// over: a single writable Store, a read-only Store, or a Tiered stack of
-// them all satisfy it. ReadOnly lets callers skip write-backs instead of
-// paying an ErrReadOnly per synthesis, and Instrument wires the catalog's
-// read/write/corrupt counters onto a telemetry registry.
-type Catalog interface {
-	// Get loads the protocol stored under key (see Store.Get).
-	Get(key string) (*core.Protocol, Meta, error)
-	// Put persists a protocol under meta.Key, or fails with ErrReadOnly.
-	Put(meta Meta, p *core.Protocol) error
-	// List enumerates the servable entries (see Store.List).
-	List() ([]Entry, error)
-	// Dir returns a representative directory for diagnostics.
-	Dir() string
-	// ReadOnly reports whether Put always fails with ErrReadOnly.
-	ReadOnly() bool
-	// Instrument registers the catalog's counters on reg. Safe to skip;
-	// an uninstrumented catalog simply counts into nil metrics.
-	Instrument(reg *telemetry.Registry)
-}
-
 // storeMetrics holds one store's telemetry counters; the zero value (all
 // nil) counts into the void, so instrumentation is strictly optional.
 type storeMetrics struct {
@@ -68,8 +47,8 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 // without owning it: the catalogs stay immutable and contention-free while
 // fresh syntheses (if any) land in the replica's private overlay.
 type Tiered struct {
-	overlay *Store // nil for a fully read-only stack
-	tiers   []*Store
+	overlay *Store   // nil for a fully read-only stack
+	layers  []*Store // probe order: the overlay, if any, then the tiers
 }
 
 // NewTiered builds a layered catalog from a writable overlay (may be nil)
@@ -86,7 +65,11 @@ func NewTiered(overlay *Store, tiers ...*Store) (*Tiered, error) {
 			return nil, fmt.Errorf("store: nil tier in catalog")
 		}
 	}
-	return &Tiered{overlay: overlay, tiers: tiers}, nil
+	layers := tiers
+	if overlay != nil {
+		layers = append([]*Store{overlay}, tiers...)
+	}
+	return &Tiered{overlay: overlay, layers: layers}, nil
 }
 
 // Get probes the overlay, then each read-only tier in order. A tier that
@@ -96,7 +79,7 @@ func NewTiered(overlay *Store, tiers ...*Store) (*Tiered, error) {
 // returned so corruption stays observable; otherwise ErrNotFound.
 func (t *Tiered) Get(key string) (*core.Protocol, Meta, error) {
 	var firstErr error
-	for _, s := range t.layers() {
+	for _, s := range t.layers {
 		p, meta, err := s.Get(key)
 		if err == nil {
 			return p, meta, nil
@@ -127,7 +110,7 @@ func (t *Tiered) Put(meta Meta, p *core.Protocol) error {
 func (t *Tiered) List() ([]Entry, error) {
 	seen := map[string]Entry{}
 	var order []string
-	for _, s := range t.layers() {
+	for _, s := range t.layers {
 		entries, err := s.List()
 		if err != nil {
 			return nil, err
@@ -150,27 +133,14 @@ func (t *Tiered) List() ([]Entry, error) {
 
 // Dir returns the overlay directory when the stack is writable, else the
 // first tier's — a single representative path for logs and /stats.
-func (t *Tiered) Dir() string {
-	if t.overlay != nil {
-		return t.overlay.Dir()
-	}
-	return t.tiers[0].Dir()
-}
+func (t *Tiered) Dir() string { return t.layers[0].Dir() }
 
 // ReadOnly reports whether the stack has no writable overlay.
 func (t *Tiered) ReadOnly() bool { return t.overlay == nil }
 
 // Instrument registers every layer's counters on reg.
 func (t *Tiered) Instrument(reg *telemetry.Registry) {
-	for _, s := range t.layers() {
+	for _, s := range t.layers {
 		s.Instrument(reg)
 	}
-}
-
-// layers returns the probe order: overlay first, then tiers.
-func (t *Tiered) layers() []*Store {
-	if t.overlay == nil {
-		return t.tiers
-	}
-	return append([]*Store{t.overlay}, t.tiers...)
 }

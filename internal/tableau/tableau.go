@@ -112,16 +112,6 @@ func (t *Tableau) Z(q int) {
 	}
 }
 
-// Y applies a Pauli Y to qubit q.
-func (t *Tableau) Y(q int) {
-	t.checkQubit(q)
-	for i := 0; i < 2*t.n; i++ {
-		if t.x[i].Get(q) != t.z[i].Get(q) {
-			t.r[i] ^= 1
-		}
-	}
-}
-
 func (t *Tableau) checkQubit(q int) {
 	if q < 0 || q >= t.n {
 		panic(fmt.Sprintf("tableau: qubit %d out of range [0,%d)", q, t.n))

@@ -320,16 +320,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

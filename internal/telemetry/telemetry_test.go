@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// Count returns the total number of observations; the tests read it where
+// production reads the exposition.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
 func TestCounterBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("reqs_total", "requests")
