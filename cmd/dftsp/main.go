@@ -12,12 +12,11 @@
 //	dftsp -hx 1110000,0111000 -hz ...   # custom code from check matrices
 //	dftsp -code Steane -rate 1e-3 -shots 100000 -workers 8
 //	dftsp -code Steane -rate 1e-2 -target-rse 0.05   # adaptive shot count
-//	dftsp -code Steane -rate 1e-2 -shots 1000000 -engine scalar
 //	dftsp -code Steane -rate 1e-5 -target-rse 0.1    # auto → rare-event
 //	dftsp -code Steane -rate 1e-2 -target-rse 0.02 -cpuprofile rate.pprof
 //
-// -engine selects the Monte-Carlo engine (auto/scalar/batch; auto prefers
-// the 64-lane batch engine). -method selects the
+// Sampling runs on the 64-lane batch engine, or on the interpreted
+// executor for a protocol past its packing limits. -method selects the
 // sampling method (auto/direct/rare; auto switches to the rare-event
 // conditional estimator below the crossover rate, which makes
 // tiny physical rates tractable). -bias2q, -biasmeas and -eta generalize
@@ -57,7 +56,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "Monte-Carlo worker count (0: DFTSP_WORKERS or CPU count)")
 		tgtRSE   = flag.Float64("target-rse", 0, "if > 0, sample adaptively until this relative standard error (overrides -shots)")
 		maxShots = flag.Int("max-shots", 0, "adaptive sampling cap per rate (0: 10,000,000)")
-		engine   = flag.String("engine", "", "Monte-Carlo engine: auto, scalar or batch (default: auto)")
 		method   = flag.String("method", "", "Monte-Carlo method: auto, direct or rare (default: auto)")
 		bias2Q   = flag.Float64("bias2q", 1, "two-qubit fault rate multiplier relative to the one-qubit rate")
 		biasMeas = flag.Float64("biasmeas", 1, "measurement flip rate multiplier relative to the one-qubit rate")
@@ -118,7 +116,6 @@ func main() {
 			TargetRSE: *tgtRSE,
 			MaxShots:  *maxShots,
 			Workers:   *workers,
-			Engine:    *engine,
 			Method:    *method,
 			Bias2Q:    *bias2Q,
 			BiasMeas:  *biasMeas,

@@ -58,7 +58,6 @@ func main() {
 		mcShots   = flag.Int("mcshots", 0, "if > 0, add Monte-Carlo cross-check rows")
 		tgtRSE    = flag.Float64("target-rse", 0, "if > 0, sample MC rows adaptively to this relative standard error")
 		maxShots  = flag.Int("max-shots", 0, "adaptive sampling cap per rate (0: 10,000,000)")
-		engine    = flag.String("engine", "", "Monte-Carlo engine: auto, scalar or batch (default: auto)")
 		method    = flag.String("method", "", "Monte-Carlo method: auto, direct or rare (default: auto)")
 		pMin      = flag.Float64("pmin", 1e-4, "lowest physical rate of the sweep")
 		pMax      = flag.Float64("pmax", 1e-1, "highest physical rate of the sweep")
@@ -103,7 +102,6 @@ func main() {
 			tgtRSE:   *tgtRSE,
 			maxShots: *maxShots,
 			mcShots:  *mcShots,
-			engine:   *engine,
 			seed:     *seed,
 		}
 		if err := runBias(ctx, names, etas, cfg); err != nil {
@@ -159,7 +157,6 @@ func main() {
 				MCShots:   *mcShots,
 				TargetRSE: *tgtRSE,
 				MaxShots:  *maxShots,
-				Engine:    *engine,
 				Method:    *method,
 				MCMinRate: mcMinRate,
 				Seed:      *seed + int64(i),
@@ -205,7 +202,6 @@ type biasConfig struct {
 	tgtRSE           float64
 	maxShots         int
 	mcShots          int
-	engine           string
 	seed             int64
 }
 
@@ -252,7 +248,6 @@ func runBias(ctx context.Context, names []string, etas []float64, cfg biasConfig
 					Rates:     []float64{cfg.rate},
 					MaxOrder:  cfg.maxW,
 					Samples:   cfg.samples,
-					Engine:    cfg.engine,
 					Seed:      cfg.seed + int64(i),
 					Bias2Q:    cfg.bias2Q,
 					BiasMeas:  cfg.biasMeas,

@@ -53,7 +53,7 @@ const usageText = `usage:
   jobs resume -dir DIR                         resume unfinished jobs and wait
 
 submit options: -code -prep -verif -flag-all select the protocol;
--rates -mc-shots -target-rse -max-shots -method -engine -seed shape the
+-rates -mc-shots -target-rse -max-shots -method -seed shape the
 estimate; -wait (with -addr) follows the job's event stream to completion.
 `
 
@@ -135,7 +135,6 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		targetRSE = fs.Float64("target-rse", 0, "adaptive sampling: stop at this relative standard error")
 		maxShots  = fs.Int("max-shots", 0, "adaptive sampling cap per rate (default 1e7)")
 		method    = fs.String("method", "", "sampling method: auto, direct or rare")
-		engine    = fs.String("engine", "", "Monte-Carlo engine: auto, scalar or batch")
 		seed      = fs.Int64("seed", 0, "sampling seed (default 1)")
 		workers   = fs.Int("workers", 0, "local worker count (default: CPU count; -dir only)")
 		wait      = fs.Bool("wait", false, "with -addr: follow the event stream until the job settles")
@@ -152,7 +151,6 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		TargetRSE: *targetRSE,
 		MaxShots:  *maxShots,
 		Method:    *method,
-		Engine:    *engine,
 		Seed:      *seed,
 	}
 	if *rates != "" {

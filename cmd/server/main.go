@@ -91,11 +91,7 @@
 // rare-event post-stratification weights) and "weight_variance" alongside
 // the "mc" estimate, even when those values are legitimately zero, plus
 // "min_faults" when the rare-event estimator conditioned on two faults;
-// unsampled points carry only "p" and "pl". The
-// "engine" option selects the Monte-Carlo engine ("auto" default: the
-// 64-lane bit-parallel batch engine when the protocol compiles; "scalar"
-// forces one shot at a time, as lane 0 of the batch engine; "batch"
-// rejects protocols past the packing limits with 400).
+// unsampled points carry only "p" and "pl".
 //
 // Both /estimate and /jobs accept per-location-class noise model options:
 // "bias_2q" and "bias_meas" scale the two-qubit and measurement fault rates

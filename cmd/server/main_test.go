@@ -280,15 +280,11 @@ func TestEstimateEndpoint(t *testing.T) {
 		t.Fatalf("unknown method: status %d: %v", status, out)
 	}
 
-	// Engine selection: an explicit scalar engine serves normally, an
-	// unknown engine is a client error before any synthesis-priced work.
+	// The engine follows the protocol; an "engine" option is an unknown
+	// field, a client error before any synthesis-priced work.
 	body = `{"options":{"code":"Steane"},"estimate":{"rates":[0.05],"max_order":1,"mc_shots":500,"engine":"scalar"}}`
-	if status, out := postJSON(t, ts.URL+"/estimate", body); status != http.StatusOK {
-		t.Fatalf("scalar engine: status %d: %v", status, out)
-	}
-	body = `{"options":{"code":"Steane"},"estimate":{"rates":[0.05],"engine":"warp"}}`
 	if status, out := postJSON(t, ts.URL+"/estimate", body); status != http.StatusBadRequest {
-		t.Fatalf("unknown engine: status %d: %v", status, out)
+		t.Fatalf("engine option: status %d: %v", status, out)
 	}
 
 	// The estimation volume above must surface as operator-visible
@@ -868,7 +864,7 @@ func TestJobsCancelAndServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts1, _, _ := newJobsServer(t, dir)
 
-	body := `{"options":{"code":"Steane"},"estimate":{"rates":[0.04],"mc_shots":163840,"engine":"scalar","seed":3}}`
+	body := `{"options":{"code":"Steane"},"estimate":{"rates":[0.04],"mc_shots":1638400,"seed":3}}`
 	status, sub := postJSON(t, ts1.URL+"/jobs", body)
 	if status != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d: %v", status, sub)
@@ -904,8 +900,8 @@ func TestJobsCancelAndServerRestart(t *testing.T) {
 		if st["state"] == "done" {
 			points, _ := st["points"].([]any)
 			pt, _ := points[0].(map[string]any)
-			if pt["shots"] != float64(163840) {
-				t.Fatalf("resumed job ran %v shots, want 163840", pt["shots"])
+			if pt["shots"] != float64(1638400) {
+				t.Fatalf("resumed job ran %v shots, want 1638400", pt["shots"])
 			}
 			break
 		}

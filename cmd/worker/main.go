@@ -5,8 +5,8 @@
 // (docs/shard-protocol.md): resolve the shard's protocol by key (from a
 // local read-only store if -store is given, otherwise fetched from the
 // coordinator), execute the task with shardrpc.Task.Run — the same shard
-// executor the coordinator's local pool runs, with the task's resolved
-// engine, method, noise model and seed — and report the shard's counts
+// executor the coordinator's local pool runs, with the task's engine,
+// method, noise model and seed — and report the shard's counts
 // back under the lease's fencing generation.
 //
 // Because shard RNG streams are keyed by block index and counts pool by
@@ -273,8 +273,8 @@ func (w *worker) chaosDelay(ctx context.Context, blocks int) {
 // protocolSource resolves protocol keys to estimators, caching one
 // estimator per key: a local read-only store first, the coordinator's
 // protocol endpoint second. Estimators are shared read-only across slots,
-// exactly as the coordinator's own pool shares them; Task.Run applies each
-// task's engine.
+// exactly as the coordinator's own pool shares them; Task.Run refuses a task
+// whose engine is not the one the estimator samples on.
 type protocolSource struct {
 	client *shardrpc.Client
 	store  *store.Store

@@ -37,7 +37,7 @@ type Options struct {
 	Code string `json:"code,omitempty"`
 
 	// SurfaceDistance requests the [[d²,1,d]] rotated surface code of this
-	// odd distance d >= 3.
+	// odd distance d, from 3 to maxSurfaceDistance (5).
 	SurfaceDistance int `json:"surface_distance,omitempty"`
 
 	// Hx and Hz give a custom CSS code as rows of the X and Z parity-check
@@ -114,6 +114,14 @@ func Codes() []CodeDescriptor {
 	return out
 }
 
+// maxSurfaceDistance is the largest SurfaceDistance accepted. Measured on a
+// 2-vCPU VM, the d = 5 code synthesizes in about 30 s, while synthesis of
+// the d = 7 code cannot finish: its verification stage enumerates a coset
+// space past f2's 2^24-element bound and fails after about 13 s of work
+// that polls no context. Every larger distance costs more still, with code
+// construction alone growing about as d^5.5 (0.12 s and 32 MB at d = 21).
+const maxSurfaceDistance = 5
+
 // normalized validates o and fills in defaults, returning the canonical form
 // used for synthesis and cache keying. Every rejection wraps ErrBadOptions;
 // a bad catalog name additionally wraps ErrUnknownCode.
@@ -137,8 +145,8 @@ func (o Options) normalized() (Options, error) {
 	if (len(o.Hx) > 0) != (len(o.Hz) > 0) {
 		return o, badOptions("custom codes need both hx and hz")
 	}
-	if o.SurfaceDistance > 0 && (o.SurfaceDistance < 3 || o.SurfaceDistance%2 == 0) {
-		return o, badOptions("surface distance must be odd and >= 3, got %d", o.SurfaceDistance)
+	if o.SurfaceDistance > 0 && (o.SurfaceDistance < 3 || o.SurfaceDistance%2 == 0 || o.SurfaceDistance > maxSurfaceDistance) {
+		return o, badOptions("surface distance must be odd, >= 3 and <= %d, got %d", maxSurfaceDistance, o.SurfaceDistance)
 	}
 	if o.Code != "" {
 		canonical, ok := catalogResolve()[o.Code]

@@ -69,6 +69,8 @@ func TestOptionsValidationTypedErrors(t *testing.T) {
 		{Code: "Steane", SurfaceDistance: 3},       // two sources
 		{Hx: []string{"11"}},                       // hx without hz
 		{SurfaceDistance: 4},                       // even distance
+		{SurfaceDistance: maxSurfaceDistance + 2},  // past the bound
+		{SurfaceDistance: 1<<20 + 1},               // far past the bound: instant, no code built
 		{Code: "Steane", Prep: "banana"},           // bad prep
 		{Code: "Steane", Verif: "banana"},          // bad verif
 		{Code: "NoSuchCode"},                       // unknown catalog name
@@ -88,6 +90,9 @@ func TestOptionsValidationTypedErrors(t *testing.T) {
 	_, err := Synthesize(bg, Options{Code: "NoSuchCode"})
 	if !errors.Is(err, ErrUnknownCode) {
 		t.Fatalf("unknown code error %v does not wrap ErrUnknownCode", err)
+	}
+	if _, err := Synthesize(bg, Options{SurfaceDistance: 7}); err == nil || !strings.Contains(err.Error(), "<= 5") {
+		t.Fatalf("surface distance 7: error %v does not name the limit 5", err)
 	}
 }
 
@@ -408,49 +413,6 @@ func TestEstimateBiasValidation(t *testing.T) {
 		if _, err := p.Estimate(bg, eo); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("case %d (%+v): err = %v, want ErrBadOptions", i, eo, err)
 		}
-	}
-}
-
-// TestEstimateEngineSelection covers the Engine escape hatch at the facade:
-// the explicit engines sample successfully and agree statistically, while a
-// bogus name is rejected as ErrBadOptions before any synthesis-priced work.
-func TestEstimateEngineSelection(t *testing.T) {
-	p, err := Synthesize(bg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(engine string) EstimateResult {
-		t.Helper()
-		res, err := p.Estimate(bg, EstimateOptions{
-			Rates:    []float64{5e-2},
-			MaxOrder: 1,
-			MCShots:  20_000,
-			Workers:  2,
-			Engine:   engine,
-		})
-		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
-		}
-		if res.Points[0].Shots != 20_000 {
-			t.Fatalf("engine %q ran %d shots, want 20000", engine, res.Points[0].Shots)
-		}
-		return res
-	}
-	scalar := run("scalar")
-	batch := run("batch")
-	auto := run("auto")
-	// Generous agreement bound: at p=0.05 the logical rate is a few percent,
-	// so 20k-shot estimates from independent streams land within ~0.01.
-	if diff := math.Abs(scalar.Points[0].MC - batch.Points[0].MC); diff > 0.02 {
-		t.Fatalf("scalar %g and batch %g estimates too far apart", scalar.Points[0].MC, batch.Points[0].MC)
-	}
-	if auto.Points[0].MC == 0 {
-		t.Fatal("auto engine sampled no failures")
-	}
-
-	_, err = p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, Engine: "warp"})
-	if !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("bogus engine: err = %v, want ErrBadOptions", err)
 	}
 }
 

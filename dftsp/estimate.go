@@ -78,15 +78,6 @@ type EstimateOptions struct {
 	// sim.DefaultWorkers() (DFTSP_WORKERS or the CPU count).
 	Workers int `json:"workers,omitempty"`
 
-	// Engine selects the Monte-Carlo engine: "" or "auto" picks the fastest
-	// available (the 64-lane bit-parallel batch engine when the protocol
-	// compiles, else the scalar engine on the interpreted executor),
-	// "scalar" forces one shot at a time (lane 0 of the batch engine when
-	// the protocol compiles), and "batch" requires the batch engine
-	// (rejected with ErrBadOptions when the protocol exceeds its packing
-	// limits).
-	Engine string `json:"engine,omitempty"`
-
 	// Bias2Q scales the two-qubit (CNOT) fault rate relative to the base
 	// physical rate: at rate p, two-qubit locations fault with probability
 	// p·Bias2Q while one-qubit locations keep p. 0 selects 1 — the paper's
@@ -264,9 +255,9 @@ type EstimateResult struct {
 	// Points is the evaluated curve, one entry per requested rate.
 	Points []RatePoint `json:"points"`
 
-	// Engine names the Monte-Carlo engine that actually sampled ("scalar"
-	// or "batch" — the resolved engine, never "auto"); empty when no point
-	// was sampled.
+	// Engine names the Monte-Carlo engine that sampled: "batch" when the
+	// protocol compiled, "scalar" (the interpreted executor) past the
+	// packing limits; empty when no point was sampled.
 	Engine string `json:"engine,omitempty"`
 
 	// MCSeconds is the wall time spent in direct Monte-Carlo sampling
@@ -303,9 +294,6 @@ func (eo EstimateOptions) Validate() error {
 	if !(eo.MCMinRate >= 0) {
 		return badOptions("mc_min_rate %g must be >= 0", eo.MCMinRate)
 	}
-	if _, err := sim.ParseEngine(eo.Engine); err != nil {
-		return badOptions("engine %q (want auto, scalar or batch)", eo.Engine)
-	}
 	if _, err := sim.ParseMethod(eo.Method); err != nil {
 		return badOptions("method %q (want auto, direct or rare)", eo.Method)
 	}
@@ -334,10 +322,9 @@ func (eo EstimateOptions) Validate() error {
 // circuit-level depolarizing model (E1_1), using the stratified fault-order
 // estimator for the curve and, when MCShots > 0 or TargetRSE > 0, direct
 // Monte-Carlo sampling as a cross-check. Sampling runs on the 64-lane
-// bit-parallel batch engine by default (Engine "auto"), falling back to the
-// interpreted executor when the protocol exceeds the packing limits; the
-// batch engine and the scalar engine on it (Engine "scalar") are
-// allocation-free in steady state. The sampling method follows Method:
+// bit-parallel batch engine, which is allocation-free in steady state, and
+// on the interpreted executor when the protocol exceeds the packing limits
+// (EstimateResult.Engine). The sampling method follows Method:
 // "auto" (the default) switches per rate between direct sampling and the
 // rare-event conditional estimator, which resolves logical rates far below
 // 1/MaxShots by conditioning every shot on at least one fault — two when
@@ -350,10 +337,10 @@ func (eo EstimateOptions) Validate() error {
 // Calls on one protocol share its estimation state, and Estimate is safe
 // for concurrent use. The compiled estimator (program, batch engine,
 // location kinds, single-fault table) is built once, shared by every
-// engine and by the jobs on this protocol, and the
+// request and by the jobs on this protocol, and the
 // stratified curve F is remembered per (MaxOrder, Samples, Seed, noise
 // ratio) for the 16 most recent such keys, so requests that differ only in
-// Rates, Method, Engine or the Monte-Carlo options reuse it. Every
+// Rates, Method or the Monte-Carlo options reuse it. Every
 // Monte-Carlo point is sampled fresh on each call. Answers are the same
 // either way: F depends on nothing else, and the returned F is a copy.
 //
@@ -380,13 +367,7 @@ func (p *Protocol) estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 		return EstimateResult{}, false, err
 	}
 	eo = eo.withDefaults()
-	// Validated above; only the explicit batch selection can still fail,
-	// when the protocol exceeds the engine's packing limits.
-	engine, _ := sim.ParseEngine(eo.Engine)
-	est, err := p.est.estimator(p.Core).WithEngine(engine)
-	if err != nil {
-		return EstimateResult{}, false, badOptions("%w", err)
-	}
+	est := p.est.estimator(p.Core)
 	// The noise ratio routes every stage: a uniform ratio (the zero value of
 	// the bias fields) runs each sampler's single-rate inner path, so the
 	// paper's model stays bit-identical to earlier releases.
@@ -394,6 +375,7 @@ func (p *Protocol) estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 	key := curveKey{maxOrder: eo.MaxOrder, samples: eo.Samples, seed: eo.Seed, ratio: ratio}
 	fo, hit := p.est.curve(key)
 	if !hit {
+		var err error
 		fo, err = est.FaultOrderModel(ctx, eo.MaxOrder, eo.Samples, rand.New(rand.NewSource(eo.Seed)), ratio)
 		if err != nil {
 			return EstimateResult{}, false, estimateError(err)
@@ -445,8 +427,8 @@ func (p *Protocol) estimate(ctx context.Context, eo EstimateOptions) (EstimateRe
 const maxCurves = 16
 
 // estimateState is the estimation state a Protocol keeps across Estimate
-// calls and the jobs on it: one compiled estimator, whose engine views every
-// request takes, and a FIFO memo of stratified curves. Its zero value is
+// calls and the jobs on it: one compiled estimator, which every request
+// samples on, and a FIFO memo of stratified curves. Its zero value is
 // ready; mu guards curves.
 type estimateState struct {
 	once   sync.Once
@@ -456,8 +438,7 @@ type estimateState struct {
 }
 
 // curveKey identifies a stratified curve: the options FaultOrderModel
-// reads, after withDefaults. The engine is not part of it, because F is
-// bit-identical on every engine.
+// reads, after withDefaults.
 type curveKey struct {
 	maxOrder, samples int
 	seed              int64

@@ -46,11 +46,10 @@ func curveCount(p *Protocol) int {
 }
 
 // TestEstimateSharedProtocol runs direct, rare and stratified-only requests
-// on every engine and two seeds from 8 goroutines against one Protocol, and
-// requires each answer to equal, byte for byte, the answer of a separately
-// synthesized protocol that keeps no estimation state. Run under -race it
-// checks that the shared estimator, its engine views and the curve memo are
-// safe.
+// at two seeds from 8 goroutines against one Protocol, and requires each
+// answer to equal, byte for byte, the answer of a separately synthesized
+// protocol that keeps no estimation state. Run under -race it checks that
+// the shared estimator and the curve memo are safe.
 func TestEstimateSharedProtocol(t *testing.T) {
 	for _, code := range []string{"Steane", "Carbon"} {
 		t.Run(code, func(t *testing.T) {
@@ -58,14 +57,12 @@ func TestEstimateSharedProtocol(t *testing.T) {
 			ref := synthCode(t, code)
 			var reqs []EstimateOptions
 			for _, seed := range []int64{1, 7} {
-				for _, engine := range []string{"auto", "scalar", "batch"} {
-					base := EstimateOptions{MaxOrder: 3, Samples: 640, Seed: seed, Workers: 2, Engine: engine}
-					direct, rare, strata := base, base, base
-					direct.Rates, direct.Method, direct.MCShots = []float64{2e-2}, "direct", 8192
-					rare.Rates, rare.Method, rare.MCShots = []float64{1e-4}, "rare", 8192
-					strata.Rates = []float64{1e-3, 1e-2}
-					reqs = append(reqs, direct, rare, strata)
-				}
+				base := EstimateOptions{MaxOrder: 3, Samples: 640, Seed: seed, Workers: 2}
+				direct, rare, strata := base, base, base
+				direct.Rates, direct.Method, direct.MCShots = []float64{2e-2}, "direct", 8192
+				rare.Rates, rare.Method, rare.MCShots = []float64{1e-4}, "rare", 8192
+				strata.Rates = []float64{1e-3, 1e-2}
+				reqs = append(reqs, direct, rare, strata)
 			}
 			want := make([]string, len(reqs))
 			for i, eo := range reqs {
@@ -101,8 +98,7 @@ func TestEstimateSharedProtocol(t *testing.T) {
 
 // TestEstimateCurveMemo pins what the per-protocol curve memo may and may
 // not do: a hit answers exactly as a miss, callers cannot poison it,
-// failures leave nothing behind, the engine is not part of the key, and it
-// holds at most maxCurves curves.
+// failures leave nothing behind, and it holds at most maxCurves curves.
 func TestEstimateCurveMemo(t *testing.T) {
 	uniform := EstimateOptions{Rates: []float64{1e-4, 1e-2}, MaxOrder: 3, Samples: 1000, Workers: 2}
 	biased := uniform
@@ -169,18 +165,6 @@ func TestEstimateCurveMemo(t *testing.T) {
 		}
 		if n := curveCount(q); n != 0 {
 			t.Fatalf("%d curves remembered after a rejected call", n)
-		}
-	})
-
-	t.Run("engine not in key", func(t *testing.T) {
-		q := stateless(p)
-		if _, hit, err := q.estimate(bg, uniform); err != nil || hit {
-			t.Fatalf("auto: hit %v, err %v", hit, err)
-		}
-		scalar := uniform
-		scalar.Engine = "scalar"
-		if _, hit, err := q.estimate(bg, scalar); err != nil || !hit {
-			t.Fatalf("scalar after auto: hit %v, err %v; want a hit", hit, err)
 		}
 	})
 

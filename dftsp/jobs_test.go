@@ -112,7 +112,7 @@ func TestResolveEstimatorSharesProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, MaxOrder: 1, MCShots: 64, Engine: "scalar"}); err != nil {
+	if _, err := p.Estimate(bg, EstimateOptions{Rates: []float64{1e-2}, MaxOrder: 1, MCShots: 64}); err != nil {
 		t.Fatal(err)
 	}
 	key, err := p.Options.Key()
@@ -204,8 +204,7 @@ func TestJobSurvivesServiceRestart(t *testing.T) {
 	dir := t.TempDir()
 	eo := EstimateOptions{
 		Rates:   []float64{3e-2, 5e-2},
-		MCShots: 40 * sim.BlockShots,
-		Engine:  "scalar", // slow engine so the shutdown lands mid-job
+		MCShots: 400 * sim.BlockShots, // enough shards that the shutdown lands mid-job
 		Seed:    7,
 	}
 
@@ -288,8 +287,7 @@ func TestCancelJobKeepsCheckpoints(t *testing.T) {
 	}
 	eo := EstimateOptions{
 		Rates:   []float64{4e-2},
-		MCShots: 60 * sim.BlockShots,
-		Engine:  "scalar",
+		MCShots: 600 * sim.BlockShots,
 		Seed:    3,
 	}
 	st, err := s.SubmitJob(bg, Options{}, eo)

@@ -133,11 +133,6 @@ func (c *Circuit) CNOTCount() int {
 	return n
 }
 
-// Clone returns a deep copy.
-func (c *Circuit) Clone() *Circuit {
-	return &Circuit{N: c.N, NumBits: c.NumBits, Gates: append([]Gate(nil), c.Gates...)}
-}
-
 // String renders one gate per line.
 func (c *Circuit) String() string {
 	var sb strings.Builder

@@ -140,3 +140,8 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("string = %q, want %q", c.String(), want)
 	}
 }
+
+// Clone returns a deep copy.
+func (c *Circuit) Clone() *Circuit {
+	return &Circuit{N: c.N, NumBits: c.NumBits, Gates: append([]Gate(nil), c.Gates...)}
+}

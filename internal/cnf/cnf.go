@@ -310,9 +310,6 @@ func (b *Builder) AtLeastK(lits []sat.Lit, k int) {
 	b.AtMostK(neg, len(lits)-k)
 }
 
-// Solve decides the accumulated formula.
-func (b *Builder) Solve() (bool, error) { return b.S.Solve() }
-
 // SolveContext decides the accumulated formula under a context: the solver
 // aborts promptly with ctx.Err() when ctx is cancelled or times out.
 func (b *Builder) SolveContext(ctx context.Context) (bool, error) { return b.S.SolveContext(ctx) }

@@ -11,7 +11,7 @@ import (
 func TestConstants(t *testing.T) {
 	b := NewBuilder()
 	tr, fa := b.True(), b.False()
-	ok, _ := b.Solve()
+	ok, _ := b.S.Solve()
 	if !ok {
 		t.Fatal("constants alone must be SAT")
 	}
@@ -32,7 +32,7 @@ func TestXorTruthTable(t *testing.T) {
 			}
 		}
 		p := b.Xor(xs...)
-		ok, _ := b.Solve()
+		ok, _ := b.S.Solve()
 		if !ok {
 			t.Fatalf("mask %d: unsat", mask)
 		}
@@ -48,7 +48,7 @@ func TestXorEmptyAndSingle(t *testing.T) {
 	if p := b.Xor(); p != b.False() {
 		// Force evaluation through solving.
 		b.AddClause(p)
-		if ok, _ := b.Solve(); ok {
+		if ok, _ := b.S.Solve(); ok {
 			t.Fatal("empty xor should be the false literal")
 		}
 	}
@@ -65,7 +65,7 @@ func TestAndOr(t *testing.T) {
 	a := b.And(x, y)
 	b.AddClause(x)
 	b.AddClause(y.Neg())
-	ok, _ := b.Solve()
+	ok, _ := b.S.Solve()
 	if !ok {
 		t.Fatal("unsat")
 	}
@@ -93,7 +93,7 @@ func countModels(t *testing.T, build func(b *Builder) []sat.Lit) int {
 func (b *Builder) EnumerateModels(lits []sat.Lit, limit int, fn func(vals []bool) bool) (int, error) {
 	count := 0
 	for limit <= 0 || count < limit {
-		ok, err := b.Solve()
+		ok, err := b.S.Solve()
 		if err != nil {
 			return count, err
 		}
@@ -181,7 +181,7 @@ func TestImpliesEquiv(t *testing.T) {
 	b.Implies(g, x)
 	b.AddClause(g)
 	b.AddClause(x.Neg())
-	if ok, _ := b.Solve(); ok {
+	if ok, _ := b.S.Solve(); ok {
 		t.Fatal("implication violated")
 	}
 }
@@ -205,7 +205,7 @@ func TestAtMostKForcedProperty(t *testing.T) {
 			}
 		}
 		b.AtMostK(xs, k)
-		ok, err := b.Solve()
+		ok, err := b.S.Solve()
 		if err != nil {
 			return false
 		}
@@ -233,7 +233,7 @@ func TestXorForcedProperty(t *testing.T) {
 			}
 		}
 		p := b.Xor(xs...)
-		ok, err := b.Solve()
+		ok, err := b.S.Solve()
 		if err != nil || !ok {
 			return false
 		}

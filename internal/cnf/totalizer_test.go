@@ -67,7 +67,7 @@ func TestTotalizerAgreesWithSequential(t *testing.T) {
 			} else {
 				b.AtMostK(xs, k)
 			}
-			ok, err := b.Solve()
+			ok, err := b.S.Solve()
 			return err == nil && ok
 		}
 		want := ones <= k
@@ -86,21 +86,21 @@ func TestTotalizerEdgeCases(t *testing.T) {
 	for _, x := range xs {
 		b.AddClause(x)
 	}
-	if ok, _ := b.Solve(); !ok {
+	if ok, _ := b.S.Solve(); !ok {
 		t.Fatal("k=n should allow all-true")
 	}
 	// k < 0 is unsatisfiable.
 	b2 := NewBuilder()
 	b2.NewVars(2)
 	b2.AtMostKTotalizer(b2.NewVars(2), -1)
-	if ok, _ := b2.Solve(); ok {
+	if ok, _ := b2.S.Solve(); ok {
 		t.Fatal("negative k must be UNSAT")
 	}
 	// k = 0 forces all-false.
 	b3 := NewBuilder()
 	ys := b3.NewVars(4)
 	b3.AtMostKTotalizer(ys, 0)
-	ok, _ := b3.Solve()
+	ok, _ := b3.S.Solve()
 	if !ok {
 		t.Fatal("k=0 should be satisfiable")
 	}

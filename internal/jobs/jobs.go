@@ -78,8 +78,8 @@ const NoiseCircuitDepolarizing = "E1_1"
 const ShardBlocks = 8
 
 // Spec is the complete, canonical identity of an estimation job: the
-// protocol (by its store key), the noise model, the sampling method and
-// engine, the point grid and the sampling budget. Two submissions with the
+// protocol (by its store key), the noise model, the sampling method, the
+// point grid and the sampling budget. Two submissions with the
 // same normalized spec are the same job — they share one ID, one file and
 // one execution.
 type Spec struct {
@@ -96,9 +96,11 @@ type Spec struct {
 	// "direct" or "rare". "" selects "auto".
 	Method string `json:"method"`
 
-	// Engine is the Monte-Carlo engine: "auto", "scalar" or "batch".
-	// "" selects "auto". The engine is part of the job identity because
-	// batch and scalar engines draw different RNG sequences.
+	// Engine is a legacy identity field: "" selects "auto", and the
+	// "scalar" and "batch" values that earlier builds accepted still
+	// validate, so every job ID and job file stays resumable. Nothing reads
+	// it: a job samples on the engine its protocol compiled to, and a
+	// point recorded on another stream restarts from shard 0.
 	Engine string `json:"engine"`
 
 	// Rates is the grid of physical error rates, one job point per rate,
@@ -203,8 +205,10 @@ func (s Spec) Validate() error {
 	if _, err := sim.ParseMethod(s.Method); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if _, err := sim.ParseEngine(s.Engine); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
+	switch s.Engine {
+	case "auto", "scalar", "batch":
+	default:
+		return fmt.Errorf("%w: unknown engine %q (want auto, scalar or batch)", ErrBadSpec, s.Engine)
 	}
 	if len(s.Rates) == 0 {
 		return fmt.Errorf("%w: no rates", ErrBadSpec)

@@ -505,10 +505,6 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	if err != nil {
 		return fmt.Errorf("resolve protocol: %w", err)
 	}
-	eng, _ := sim.ParseEngine(spec.Engine)
-	if est, err = est.WithEngine(eng); err != nil {
-		return err
-	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec
 	target, budget := spec.Budget()
 	totalBlocks := sim.NumBlocks(budget)

@@ -59,11 +59,7 @@ func steaneResolver(t *testing.T) Resolver {
 func singleProcessPoint(t *testing.T, spec Spec, point int) sim.AdaptiveResult {
 	t.Helper()
 	spec = spec.Normalized()
-	eng, _ := sim.ParseEngine(spec.Engine)
-	est, err := sim.NewEstimator(steaneProto(t)).WithEngine(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := sim.NewEstimator(steaneProto(t))
 	method, _ := sim.ParseMethod(spec.Method)
 	target, budget := spec.Budget()
 	ar, err := est.AdaptiveModel(context.Background(), method, spec.Model(spec.Rates[point]), target, budget,
@@ -120,8 +116,10 @@ func waitTerminal(t *testing.T, r *Runner, id string) Status {
 }
 
 // TestJobMatchesSingleProcess is the core acceptance invariant on both
-// engines and both methods: a job executed as checkpointed shards on the
-// worker pool reproduces the single-process adaptive estimate bit for bit.
+// methods: a job executed as checkpointed shards on the worker pool
+// reproduces the single-process adaptive estimate bit for bit. The spec's
+// legacy engine values ("batch", "scalar") name distinct jobs but sample
+// alike, on the engine the protocol compiled to.
 func TestJobMatchesSingleProcess(t *testing.T) {
 	for _, engine := range []string{"batch", "scalar"} {
 		for _, method := range []string{"direct", "rare"} {
@@ -454,9 +452,8 @@ func TestCancelThenResume(t *testing.T) {
 	spec := Spec{
 		ProtocolKey: testProtocolKey,
 		Method:      "direct",
-		Engine:      "scalar", // slow enough that the cancel lands mid-run
 		Rates:       []float64{3e-2, 5e-2},
-		MCShots:     40 * sim.BlockShots,
+		MCShots:     400 * sim.BlockShots, // enough shards that the cancel lands mid-run
 		Seed:        7,
 	}
 	r := NewRunner(store, steaneResolver(t), 2, "")
@@ -511,9 +508,8 @@ func TestGracefulCloseCheckpointsAndResumes(t *testing.T) {
 	spec := Spec{
 		ProtocolKey: testProtocolKey,
 		Method:      "direct",
-		Engine:      "scalar",
 		Rates:       []float64{3e-2, 5e-2},
-		MCShots:     40 * sim.BlockShots,
+		MCShots:     400 * sim.BlockShots,
 		Seed:        7,
 	}
 	r := NewRunner(store, steaneResolver(t), 2, "")
@@ -735,6 +731,59 @@ func TestResumeAll(t *testing.T) {
 	}
 	if len(resumed) != 0 {
 		t.Fatalf("second ResumeAll resumed %d jobs, want 0", len(resumed))
+	}
+}
+
+// TestLegacyScalarJobResumes resumes a job file written by a build that
+// still took an engine option (testdata/legacy_scalar.dfj): its spec names
+// the "scalar" engine, and its unfinished first point holds one shard of
+// the scalar stream. The job must keep the ID it was recorded under, and
+// the point must restart from shard 0 on the engine the protocol compiled
+// to, so the finished job equals a direct estimate of the same spec.
+func TestLegacyScalarJobResumes(t *testing.T) {
+	const id = "9ed1fc05f691a8c3758343a4f4335f31" // recorded with the file
+	spec := partialSpec()
+	spec.Engine = "scalar"
+	if got := spec.Normalized().ID(); got != id {
+		t.Fatalf("legacy spec has ID %s, want %s", got, id)
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_scalar.dfj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store.Dir(), Filename(id)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if before, err := store.Load(id); err != nil || before.Points[0].Stream != 0 || len(before.Shards) != 1 {
+		t.Fatalf("legacy log: %+v, %v; want one shard of a scalar-stream point", before, err)
+	}
+
+	r := NewRunner(store, steaneResolver(t), 2, "")
+	defer r.Close(context.Background())
+	resumed, err := r.ResumeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0].ID != id {
+		t.Fatalf("ResumeAll = %+v, want the legacy job", resumed)
+	}
+	st := waitTerminal(t, r, id)
+	if st.State != StateDone {
+		t.Fatalf("legacy job state %q (err %q), want done", st.State, st.Error)
+	}
+	for i := range spec.Rates {
+		checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], singleProcessPoint(t, spec, i))
+	}
+	disk, err := store.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p0 := disk.Points[0]; p0.Stream != sim.BatchStream || !p0.Done {
+		t.Fatalf("durable point 0 %+v: want done on stream %d", p0, sim.BatchStream)
 	}
 }
 

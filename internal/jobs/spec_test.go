@@ -169,7 +169,8 @@ func FuzzSpecID(f *testing.F) {
 }
 
 // TestBiasedJobMatchesSingleProcess extends the core sharding invariant to
-// biased noise models on both engines and both methods: a checkpointed,
+// biased noise models on both methods, under both legacy engine values of
+// the spec (see TestJobMatchesSingleProcess): a checkpointed,
 // pooled job under per-class rates must reproduce the in-process
 // AdaptiveModel estimate bit for bit — including the rare-event statistics
 // refinished from the durable per-class location counts.

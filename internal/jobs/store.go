@@ -477,16 +477,6 @@ func scanWholeLines(data []byte, atEOF bool) (advance int, token []byte, err err
 	return 0, nil, nil
 }
 
-// Delete removes the job with the given ID; deleting a missing job is not
-// an error.
-func (s *Store) Delete(id string) error {
-	err := os.Remove(s.path(id))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	return nil
-}
-
 // List enumerates the stored jobs this build can read, from each file's
 // header line only, sorted by ID. Foreign files (wrong extension),
 // unparsable headers and incompatible versions are skipped silently, for

@@ -45,7 +45,7 @@ func TestSpecIDCoalescesDefaults(t *testing.T) {
 		t.Error("different methods share an ID")
 	}
 	changed = base
-	changed.Engine = "scalar"
+	changed.Engine = "scalar" // a legacy engine value keeps its own job ID
 	if base.ID() == changed.ID() {
 		t.Error("different engines share an ID")
 	}

@@ -112,22 +112,6 @@ func (m Model) IsUniform() bool {
 	return u && m.Eta == 1
 }
 
-// Validate reports whether the model is usable by the samplers: every class
-// rate inside [0, 1] and a positive finite bias ratio. (The rare-event
-// conditional samplers additionally require rates strictly below 1 and at
-// least one fault to condition on; their constructors state that contract.)
-func (m Model) Validate() error {
-	for kind, p := range [3]float64{m.P1Q, m.P2Q, m.PMeas} {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("noise: class %d rate %g outside [0,1]", kind, p)
-		}
-	}
-	if math.IsNaN(m.Eta) || math.IsInf(m.Eta, 0) || m.Eta <= 0 {
-		return fmt.Errorf("noise: bias ratio eta %g must be positive and finite", m.Eta)
-	}
-	return nil
-}
-
 // CountKinds tallies a location-kind vector (a fault-free path recorded by
 // Counter) into per-class location counts, indexed by LocKind.
 func CountKinds(kinds []LocKind) [3]int {

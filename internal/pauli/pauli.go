@@ -119,11 +119,6 @@ func MustParse(n int, s string) Pauli {
 // N returns the number of qubits.
 func (p Pauli) N() int { return p.X.Len() }
 
-// Weight returns the number of qubits on which p acts non-trivially.
-func (p Pauli) Weight() int {
-	return p.X.Clone().Xor(p.Z).Weight() + p.X.And(p.Z).Weight()
-}
-
 // IsIdentity reports whether p is the identity.
 func (p Pauli) IsIdentity() bool { return p.X.IsZero() && p.Z.IsZero() }
 

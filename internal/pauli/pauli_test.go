@@ -112,3 +112,9 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone shares storage")
 	}
 }
+
+// Weight returns the number of qubits on which p acts non-trivially.
+func (p Pauli) Weight() int {
+	// |X ∪ Z| = (|X| + |Z| + |X ⊕ Z|) / 2
+	return (p.X.Weight() + p.Z.Weight() + p.X.Xor(p.Z).Weight()) / 2
+}

@@ -135,11 +135,6 @@ func (s *Solver) NumVars() int { return len(s.level) }
 // NumClauses returns the number of problem clauses currently stored.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// Stats returns cumulative decision, propagation and conflict counts.
-func (s *Solver) Stats() (decisions, propagations, conflicts int64) {
-	return s.decisions, s.propags, s.conflicts
-}
-
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.level)

@@ -102,3 +102,8 @@ func TestTrajectoryPinned(t *testing.T) {
 		})
 	}
 }
+
+// Stats returns cumulative decision, propagation and conflict counts.
+func (s *Solver) Stats() (decisions, propagations, conflicts int64) {
+	return s.decisions, s.propags, s.conflicts
+}

@@ -39,8 +39,8 @@ const LocalHolder = "local"
 
 // Task describes one shard of an estimation job: which blocks to run, with
 // which protocol, engine, sampling, noise model and seed. It carries the
-// coordinator's fully resolved choices — Engine and Method are never
-// "auto", and a rare task names its conditioning — so every worker samples
+// coordinator's fully resolved choices — Method is never "auto", and a
+// rare task names its conditioning — so every worker samples
 // the exact stream the coordinator's own pool would, regardless of the
 // worker's environment.
 type Task struct {
@@ -58,7 +58,9 @@ type Task struct {
 	// resolve it from a local store or the coordinator's protocol endpoint.
 	ProtocolKey string `json:"protocol_key"`
 
-	// Engine is the resolved sampling engine ("scalar" or "batch").
+	// Engine is the engine the coordinator's estimator samples on
+	// ("scalar" or "batch"); Run refuses the task on an estimator that
+	// samples on the other.
 	Engine string `json:"engine"`
 
 	// Method is the resolved sampling method ("direct" or "rare").
@@ -108,22 +110,19 @@ func (t Task) Sampling() (sim.Sampling, error) {
 // Run executes the task's block range [Block0, Block1) on one
 // sim.BlockRunner and returns the shard's counts. It is the one shard
 // executor: the coordinator's local pool and every remote worker run it,
-// so both sample the identical streams. It samples on the task's resolved
-// Engine whatever engine est was built for, and runs the task's sampling as
-// recorded, never re-resolved. ctx is checked before every block and after
-// the last, and a cancelled run returns ctx.Err() with zero counts — a
-// partial shard never leaves Run.
+// so both sample the identical streams. It refuses a task whose Engine is
+// not the one est samples on (EngineInUse), since that engine would draw
+// another stream, and runs the task's sampling as recorded, never
+// re-resolved. ctx is checked before every block and after the last, and a
+// cancelled run returns ctx.Err() with zero counts — a partial shard never
+// leaves Run.
 func (t Task) Run(ctx context.Context, est *sim.Estimator) (sim.Counts, error) {
 	s, err := t.Sampling()
 	if err != nil {
 		return sim.Counts{}, err
 	}
-	engine, err := sim.ParseEngine(t.Engine)
-	if err != nil {
-		return sim.Counts{}, err
-	}
-	if est, err = est.WithEngine(engine); err != nil {
-		return sim.Counts{}, err
+	if e := est.EngineInUse().String(); t.Engine != e {
+		return sim.Counts{}, fmt.Errorf("shardrpc: task %s samples on engine %q, the protocol on %q", t.ID, t.Engine, e)
 	}
 	br, err := est.NewBlockRunner(s, t.Model)
 	if err != nil {

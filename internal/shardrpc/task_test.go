@@ -134,57 +134,35 @@ func TestRareOldTaskRunsK1(t *testing.T) {
 	}
 }
 
-// TestTaskRunAppliesEngine requires Task.Run to sample on the task's
-// engine whatever estimator it is handed: a scalar task on an auto
-// estimator samples the scalar stream, a batch task on a scalar view the
-// batch stream, and an unknown engine is an error.
-func TestTaskRunAppliesEngine(t *testing.T) {
+// TestTaskRunChecksEngine requires Task.Run to refuse a task whose engine
+// is not the one its estimator samples on — another engine draws another
+// stream — and to run a task that names the estimator's own engine.
+func TestTaskRunChecksEngine(t *testing.T) {
 	p, err := core.Build(context.Background(), code.Steane(), core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	auto := sim.NewEstimator(p)
-	scalar, err := auto.WithEngine(sim.EngineScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []string{"direct", "rare"} {
-		task := Task{ID: "job/0/0/0", Method: method, Model: noise.Uniform(2e-2), Seed: 9, Block0: 0, Block1: 2, Budget: sim.BlockShots + 1000}
-		counts := map[string]sim.Counts{}
-		for _, engine := range []string{"scalar", "batch"} {
-			task.Engine = engine
-			onAuto, err := task.Run(ctx, auto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			onScalar, err := task.Run(ctx, scalar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(onAuto, onScalar) {
-				t.Errorf("%s %s task: auto estimator ran %+v, scalar view ran %+v", engine, method, onAuto, onScalar)
-			}
-			counts[engine] = onAuto
-		}
-		if reflect.DeepEqual(counts["scalar"], counts["batch"]) {
-			t.Errorf("%s: scalar and batch tasks sampled the same counts %+v; the engines draw different streams", method, counts["scalar"])
+	est := sim.NewEstimator(p)
+	task := Task{ID: "job/0/0/0", Method: "direct", Model: noise.Uniform(2e-2), Seed: 9, Block0: 0, Block1: 1, Budget: 64}
+	for _, engine := range []string{"scalar", "auto", "", "warp"} {
+		task.Engine = engine
+		if got, err := task.Run(ctx, est); err == nil || !reflect.DeepEqual(got, sim.Counts{}) {
+			t.Errorf("%q task on a batch estimator ran %+v, %v; want an error and zero counts", engine, got, err)
 		}
 	}
-
-	task := Task{ID: "job/0/0/0", Engine: "warp", Method: "direct", Model: noise.Uniform(2e-2), Block1: 1, Budget: 64}
-	if _, err := task.Run(ctx, auto); err == nil {
-		t.Error("unknown engine ran")
+	task.Engine = est.EngineInUse().String()
+	if got, err := task.Run(ctx, est); err != nil || got.Shots != 64 {
+		t.Errorf("batch task ran %+v, %v; want 64 shots", got, err)
 	}
 }
 
-// TestSharedSkipsConcurrent drives one estimator — and so the one compiled
-// program, batch engine, single-fault table and set of geometric gap
-// tables its engine views share — from 8 goroutines at two rates, direct
-// and rare, on the auto, scalar and batch engines, through both
-// sim.AdaptiveModel on an engine view and Task.Run on the estimator itself.
-// Every answer must equal the one a separate estimator gives serially; CI
-// runs the test under -race, which checks the shared state is only read.
+// TestSharedSkipsConcurrent drives one estimator — and so its one compiled
+// batch engine, single-fault table and set of geometric gap tables — from
+// 8 goroutines at two rates, direct and rare, through both
+// sim.AdaptiveModel and Task.Run. Every answer must equal the one a
+// separate estimator gives serially; CI runs the test under -race, which
+// checks the shared state is only read.
 func TestSharedSkipsConcurrent(t *testing.T) {
 	p, err := core.Build(context.Background(), code.Steane(), core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
 	if err != nil {
@@ -192,15 +170,10 @@ func TestSharedSkipsConcurrent(t *testing.T) {
 	}
 	ctx := context.Background()
 	type point struct {
-		engine sim.Engine
 		method sim.Method
 		rate   float64
 	}
-	var points []point
-	for _, engine := range []sim.Engine{sim.EngineAuto, sim.EngineScalar, sim.EngineBatch} {
-		points = append(points, point{engine, sim.MethodDirect, 1e-2}, point{engine, sim.MethodDirect, 3e-3},
-			point{engine, sim.MethodRare, 1e-2}, point{engine, sim.MethodRare, 3e-3})
-	}
+	points := []point{{sim.MethodDirect, 1e-2}, {sim.MethodDirect, 3e-3}, {sim.MethodRare, 1e-2}, {sim.MethodRare, 3e-3}}
 	type answer struct {
 		adaptive sim.AdaptiveResult
 		task     sim.Counts
@@ -208,11 +181,7 @@ func TestSharedSkipsConcurrent(t *testing.T) {
 	run := func(est *sim.Estimator, i int) (answer, error) {
 		pt, seed := points[i], int64(i+1)
 		m := noise.Uniform(pt.rate)
-		view, err := est.WithEngine(pt.engine)
-		if err != nil {
-			return answer{}, err
-		}
-		ar, err := view.AdaptiveModel(ctx, pt.method, m, 0, sim.BlockShots+500, seed, 2)
+		ar, err := est.AdaptiveModel(ctx, pt.method, m, 0, sim.BlockShots+500, seed, 2)
 		if err != nil {
 			return answer{}, err
 		}
@@ -222,7 +191,7 @@ func TestSharedSkipsConcurrent(t *testing.T) {
 			return answer{}, err
 		}
 		task := Task{
-			ID: "job/0/0/0", Engine: view.EngineInUse().String(), Method: pt.method.String(), MinFaults: s.MinFaults,
+			ID: "job/0/0/0", Engine: est.EngineInUse().String(), Method: pt.method.String(), MinFaults: s.MinFaults,
 			Model: m, Seed: seed, Block0: 0, Block1: 2, Budget: sim.BlockShots + 700,
 		}
 		c, err := task.Run(ctx, est)

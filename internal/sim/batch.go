@@ -33,17 +33,17 @@ import (
 // Fig. 3(e)) simply leaves the active mask — subsequent sites neither
 // fault nor touch it.
 //
-// The scalar engine is this engine's lane 0: a one-lane Run through the
-// lane adapter, which hands every site of the shot to a scalar
-// noise.Injector (see Estimator.newShot). It consumes the injector in
-// exactly the interpreted executor's location order, so for any fixed
-// fault plan (or shared RNG stream) the scalar engine and Run produce
-// bit-identical outcomes — the cross-check tests pin this down.
+// Lane 0 alone runs one shot: a one-lane Run through the lane adapter,
+// which hands every site of the shot to a scalar noise.Injector (see
+// Estimator.newShot, which builds the single-fault table this way). It
+// consumes the injector in exactly the interpreted executor's location
+// order, so for any fixed fault plan (or shared RNG stream) lane 0 and Run
+// produce bit-identical outcomes — the cross-check tests pin this down.
 //
 // A Batch is immutable and safe for concurrent use; all mutable state lives
 // in a BatchShot. The repeat-until-success baseline (nondet.go) is out of
-// scope — restarts resample whole shots, which the scalar engines already
-// do cheaply.
+// scope — restarts resample whole shots, which the interpreted executor
+// already does cheaply.
 type Batch struct {
 	n, nw   int // data qubits; words per frame
 	prep    []gateOp

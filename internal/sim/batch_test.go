@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -186,9 +185,9 @@ func TestBatchPartialWord(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAllocs asserts the batch engine's steady-state guarantee,
-// mirroring the PR 4 scalar one: the 64-shot word loop (Run + Judge on a
-// reused BatchShot) performs zero heap allocations.
+// TestBatchZeroAllocs asserts the batch engine's steady-state guarantee:
+// the 64-shot word loop (Run + Judge on a reused BatchShot) performs zero
+// heap allocations.
 func TestBatchZeroAllocs(t *testing.T) {
 	_, batch := buildBatch(t, code.Steane())
 	smp := noise.NewSparseSampler(0.02, 9)
@@ -203,80 +202,47 @@ func TestBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineSelection covers the Engine plumbing: parsing, the auto
-// resolution, the scalar override and the unavailable-batch rejection.
+// TestEngineSelection covers the engine report: an estimator whose
+// protocol compiled samples on the batch engine and its version-2 stream,
+// one past the packing limits (no Batch) on the scalar engine and the
+// unversioned stream.
 func TestEngineSelection(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"", EngineAuto, true},
-		{"auto", EngineAuto, true},
-		{"scalar", EngineScalar, true},
-		{"batch", EngineBatch, true},
-		{"warp", EngineAuto, false},
-	} {
-		e, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && e != tc.want) {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, e, err)
-		}
+	p := buildProto(t, code.Steane())
+	est := NewEstimator(p)
+	if est.EngineInUse() != EngineBatch || est.Stream() != BatchStream {
+		t.Fatalf("compiled protocol samples on %v, stream %d; want batch, stream %d", est.EngineInUse(), est.Stream(), BatchStream)
 	}
-
-	est := NewEstimator(buildProto(t, code.Steane()))
-	if est.EngineInUse() != EngineBatch {
-		t.Fatalf("auto engine resolved to %v, want batch", est.EngineInUse())
+	interp := interpreted(p)
+	if interp.EngineInUse() != EngineScalar || interp.Stream() != 0 {
+		t.Fatalf("interpreted protocol samples on %v, stream %d; want scalar, stream 0", interp.EngineInUse(), interp.Stream())
 	}
-	scalar, err := est.WithEngine(EngineScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar.EngineInUse() != EngineScalar {
-		t.Fatalf("scalar override not honored")
-	}
-	if est.EngineInUse() != EngineBatch {
-		t.Fatalf("scalar view changed the estimator it came from")
-	}
-	if scalar.Batch() != est.Batch() {
-		t.Fatal("scalar view does not share the compiled engines")
-	}
-	if _, err := scalar.WithEngine(EngineBatch); err != nil {
-		t.Fatal(err)
-	}
-
-	// An estimator without a compiled program must reject EngineBatch.
-	broken := &Estimator{shared: &shared{}}
-	if _, err := broken.WithEngine(EngineBatch); !errors.Is(err, ErrEngineUnavailable) {
-		t.Fatalf("EngineBatch without a batch engine: err %v, want ErrEngineUnavailable", err)
+	if EngineBatch.String() != "batch" || EngineScalar.String() != "scalar" {
+		t.Fatalf("engine names %q, %q", EngineBatch, EngineScalar)
 	}
 }
 
 // TestAdaptiveEnginesAgree runs the adaptive estimator once per engine at
 // the same physical rate and checks the two estimates agree statistically —
-// the end-to-end guarantee that swapping the engine flag does not move the
-// sampled distribution.
+// the end-to-end guarantee that a protocol past the packing limits samples
+// the same distribution on the scalar engine.
 func TestAdaptiveEnginesAgree(t *testing.T) {
-	est := NewEstimator(buildProto(t, code.Steane()))
+	p := buildProto(t, code.Steane())
 	ctx := t.Context()
 	const pp, shots = 0.05, 40_000
 
-	run := func(e Engine) AdaptiveResult {
+	run := func(est *Estimator) AdaptiveResult {
 		t.Helper()
-		est, err := est.WithEngine(e)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Shots != shots {
-			t.Fatalf("%v engine ran %d shots, want %d", e, res.Shots, shots)
+			t.Fatalf("%v engine ran %d shots, want %d", est.EngineInUse(), res.Shots, shots)
 		}
 		return res
 	}
-	a := run(EngineScalar)
-	b := run(EngineBatch)
+	a := run(interpreted(p))
+	b := run(NewEstimator(p))
 	pool := (a.PL + b.PL) / 2
 	sd := math.Sqrt(2 * pool * (1 - pool) / shots)
 	if diff := math.Abs(a.PL - b.PL); diff > 5*sd {
@@ -290,13 +256,10 @@ func TestAdaptiveEnginesAgree(t *testing.T) {
 // must land exactly on maxShots — including caps that are not multiples of
 // the worker count or the 64-lane word — on both engines.
 func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
-	est := NewEstimator(buildProto(t, code.Steane()))
+	p := buildProto(t, code.Steane())
 	ctx := t.Context()
-	for _, engine := range []Engine{EngineScalar, EngineBatch} {
-		est, err := est.WithEngine(engine)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, est := range []*Estimator{interpreted(p), NewEstimator(p)} {
+		engine := est.EngineInUse()
 		for _, maxShots := range []int{10_001, 8192, 63, 1} {
 			res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
 			if err != nil {
@@ -313,10 +276,6 @@ func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
 // the batch engine is a pure function of the caller's seed.
 func TestBatchDirectMCDeterministic(t *testing.T) {
 	est, _ := buildBatch(t, code.Steane())
-	est, err := est.WithEngine(EngineBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := directPL(t, est, 0.03, 10_000, 3, 1)
 	if b := directPL(t, est, 0.03, 10_000, 3, 1); a != b {
 		t.Fatalf("batch direct sampling not deterministic: %g vs %g", a, b)

@@ -335,8 +335,9 @@ type BlockRunner struct {
 	binj reseedableBatch
 	csmp *noise.CondSampler
 
-	// Scalar engine (bs == nil): shot runs one shot (Estimator.newShot),
-	// reporting failure; inj is cj for the rare method.
+	// Scalar engine (bs == nil): shot runs one shot on the interpreted
+	// executor (Estimator.newShot), reporting failure; inj is cj for the
+	// rare method.
 	shot   func(noise.Injector) bool
 	inj    noise.Injector
 	reseed func(seed uint64)
@@ -374,11 +375,10 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 // shard task, run exactly as recorded and never re-resolved. A rare-event
 // sampling conditioned on k faults needs what est.rare needs of k
 // (ErrBadRate, ErrBadConditioning). The runner samples on the estimator's
-// engine (WithEngine), which is part of the deterministic identity
-// of the stream: batch and scalar engines draw different RNG sequences.
-// A scalar runner runs one shot at a time on Estimator.newShot — lane 0
-// of the batch engine, or the interpreted executor past the packing
-// limits — drawing from a scalar injector.
+// engine (EngineInUse), which is part of the deterministic identity of the
+// stream: batch and scalar engines draw different RNG sequences. Past the
+// packing limits the runner runs one shot at a time on the interpreted
+// executor, drawing from a scalar injector.
 func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, error) {
 	k := 0 // direct
 	switch s.Method {
@@ -393,7 +393,7 @@ func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, e
 		return nil, fmt.Errorf("sim: a block runner needs a resolved method (direct or rare), got %q", s.Method)
 	}
 	r := &BlockRunner{est: est, method: s.Method}
-	if est.useBatch() {
+	if est.batch != nil {
 		r.bs = est.batch.NewShot()
 		switch k {
 		case 2:

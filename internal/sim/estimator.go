@@ -51,27 +51,20 @@ type xDecoder interface {
 //
 // NewEstimator also compiles the protocol into its 64-lane Batch, the one
 // executor of compiled protocols; every Monte-Carlo entry point
-// (AdaptiveModel, NewBlockRunnerModel) runs the selected engine on it
-// when compilation succeeded and falls back to the interpreted executor
-// otherwise. The scalar engine is the batch engine's lane 0 (newShot): it
-// and the interpreted executor are bit-identical for a shared RNG stream;
-// the batch engine draws its own.
+// (AdaptiveModel, NewBlockRunnerModel) samples on it when compilation
+// succeeded and one shot at a time on the interpreted executor otherwise
+// (EngineInUse). Lane 0 of the Batch runs a single shot (newShot), which is
+// how the single-fault table is built; it and the interpreted executor are
+// bit-identical for a shared RNG stream.
 //
 // An Estimator is read-only and safe for concurrent use from construction
 // on: any number of goroutines may call AdaptiveModel, NewBlockRunnerModel,
-// FaultOrderModel, Judge, Resolve, WithEngine and the lazily built,
-// sync.Once-guarded LocationKinds and Singles on it at once, each call
-// keeping its own shot state. The engine is fixed per Estimator; WithEngine
-// returns a view on another engine that shares every compiled table.
+// FaultOrderModel, Judge, Resolve and the lazily built, sync.Once-guarded
+// LocationKinds and Singles on it at once, each call keeping its own shot
+// state.
 type Estimator struct {
 	P *core.Protocol
-	*shared
-	engine Engine // requested engine; resolved by useBatch
-}
 
-// shared is the engine-independent state of an Estimator, built once by
-// NewEstimator and shared by every view WithEngine returns.
-type shared struct {
 	decX  xDecoder // corrects X errors via Z checks
 	batch *Batch   // the compiled protocol; nil if compilation failed
 
@@ -108,8 +101,8 @@ func (est *Estimator) LocationKinds() []noise.LocKind {
 // trajectory it forces. It backs the k = 2 rare-event law and its
 // resolution rule (Resolve); with a compiled program, the table carries
 // the program's static location bound (Batch.reach) as its Reach. The
-// table is built on first use — one single-fault shot per entry on the
-// scalar engine (newShot) — and cached with each entry's verdict bit, which
+// table is built on first use — one single-fault shot per entry through
+// newShot — and cached with each entry's verdict bit, which
 // FaultOrderModel reads as order 1; concurrent callers share one build.
 func (est *Estimator) Singles() *noise.Singles {
 	est.singlesOnce.Do(func() {
@@ -141,10 +134,10 @@ func (est *Estimator) Singles() *noise.Singles {
 }
 
 // newShot returns a fresh one-shot-at-a-time evaluator that runs a shot
-// under inj and reports its Judge verdict: the scalar engine. When the
-// protocol compiled it is lane 0 of the batch engine (a one-lane Batch.Run
-// through the lane adapter, then bit 0 of Batch.Judge); past the packing
-// limits it is the interpreted executor. The evaluator keeps its own shot
+// under inj and reports its Judge verdict. When the protocol compiled it is
+// lane 0 of the batch engine (a one-lane Batch.Run through the lane
+// adapter, then bit 0 of Batch.Judge); past the packing limits it is the
+// interpreted executor, the scalar engine. The evaluator keeps its own shot
 // state, so it must not be shared between goroutines.
 func (est *Estimator) newShot() func(inj noise.Injector) bool {
 	b := est.batch
@@ -185,13 +178,11 @@ func (est *Estimator) ClassCounts() [3]int {
 // NewEstimator builds the decoder for the protocol's code and compiles the
 // protocol into its 64-lane batch engine. When compilation succeeds
 // Judge shares the engine's dense decoder (the minimum-weight table is
-// built exactly once) and scalar shots run as the batch engine's lane 0;
-// the interpreted fallback builds a lookup table instead and runs scalar
-// shots on the interpreter (newShot picks between the two). The sampling
-// engine is EngineAuto — batch when the protocol compiled, scalar
-// otherwise; WithEngine selects another.
+// built exactly once) and the estimator samples on the batch engine; the
+// interpreted fallback builds a lookup table instead and samples on the
+// scalar engine.
 func NewEstimator(p *core.Protocol) *Estimator {
-	est := &Estimator{P: p, shared: &shared{}}
+	est := &Estimator{P: p}
 	if b, err := Compile(p); err == nil {
 		est.batch = b
 		est.decX = b.dec

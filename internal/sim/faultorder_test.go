@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/code"
-	"repro/internal/decoder"
 	"repro/internal/noise"
 )
 
@@ -232,7 +231,7 @@ func TestFaultOrderMatchesInterpreted(t *testing.T) {
 			t.Fatalf("%s: protocol did not compile", cs.Name)
 		}
 		if cs.Name == code.Steane().Name || cs.Name == code.Surface3().Name {
-			ests = append(ests, &Estimator{P: p, shared: &shared{decX: decoder.NewLookup(p.Code.Hz)}})
+			ests = append(ests, interpreted(p))
 		}
 		if cs.Name == code.Steane().Name {
 			bare := *p

@@ -422,20 +422,12 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 		t.Run(cs.Name, func(t *testing.T) {
 			p := buildProto(t, cs)
 
-			scalar, err := NewEstimator(p).WithEngine(EngineScalar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sres, err := scalar.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
+			sres, err := interpreted(p).AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			batch, err := NewEstimator(p).WithEngine(EngineBatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bres, err := batch.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
+			bres, err := NewEstimator(p).AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -490,30 +482,9 @@ func TestRareStrataWeightsBiased(t *testing.T) {
 	}
 }
 
-// TestProgramZeroAllocsBiased extends the scalar engine's zero-alloc
-// guarantee to biased models: the per-class rates and weighted menu must add
-// no per-shot allocations.
-func TestProgramZeroAllocsBiased(t *testing.T) {
-	est, err := NewEstimator(buildProto(t, code.Steane())).WithEngine(EngineScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := est.NewBlockRunnerModel(MethodDirect, noise.Model{P1Q: 0.02, P2Q: 0.05, PMeas: 0.01, Eta: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, b := context.Background(), 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		r.RunBlock(ctx, 9, b, 1)
-		b++
-	})
-	if allocs != 0 {
-		t.Fatalf("biased scalar shot loop allocates %.2f times per shot, want 0", allocs)
-	}
-}
-
-// TestBatchZeroAllocsBiased is the batch-engine twin: a per-class sparse
-// sampler with a biased menu must keep the 64-shot word loop allocation-free.
+// TestBatchZeroAllocsBiased extends the batch engine's zero-alloc guarantee
+// to biased models: a per-class sparse sampler with a biased menu must keep
+// the 64-shot word loop allocation-free.
 func TestBatchZeroAllocsBiased(t *testing.T) {
 	_, batch := buildBatch(t, code.Steane())
 	smp := noise.NewSparseSamplerModel(noise.Model{P1Q: 0.02, P2Q: 0.05, PMeas: 0.01, Eta: 4}, 9, nil)

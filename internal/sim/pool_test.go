@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/code"
-	"repro/internal/decoder"
 	"repro/internal/noise"
 )
 
@@ -271,17 +270,12 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 		seed     = 424242
 		maxShots = 3*BlockShots*1 + 1000 // odd, word-unaligned, clamps the final block
 	)
-	est := NewEstimator(buildProto(t, code.Steane()))
+	proto := buildProto(t, code.Steane())
 	ctx := context.Background()
 
-	for _, engine := range []Engine{EngineBatch, EngineScalar} {
+	for _, est := range []*Estimator{NewEstimator(proto), interpreted(proto)} {
 		for _, method := range []Method{MethodDirect, MethodRare} {
-			t.Run(engine.String()+"/"+method.String(), func(t *testing.T) {
-				est, err := est.WithEngine(engine)
-				if err != nil {
-					t.Fatal(err)
-				}
-
+			t.Run(est.EngineInUse().String()+"/"+method.String(), func(t *testing.T) {
 				want, err := est.AdaptiveModel(ctx, method, noise.Uniform(p), 0, maxShots, seed, 3)
 				if err != nil {
 					t.Fatal(err)
@@ -322,47 +316,6 @@ func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 	}
 }
 
-// TestBlockRunnerInterpretedMatchesCompiled covers RunBlock's interpreted
-// fallback, which only protocols past the compiled engine's packing limits
-// reach: an estimator stripped of its compiled program and batch engine
-// (deciding with the lookup decoder, as NewEstimator's fallback does) must
-// accumulate the same Counts as the compiled scalar engine for the same
-// seeds and blocks — the two executors are bit-identical by design.
-func TestBlockRunnerInterpretedMatchesCompiled(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	compiled, err := NewEstimator(p).WithEngine(EngineScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interp := &Estimator{P: p, shared: &shared{decX: decoder.NewLookup(p.Code.Hz)}}
-	ctx := context.Background()
-
-	for _, m := range []noise.Model{
-		noise.Uniform(2e-2),
-		{P1Q: 1e-2, P2Q: 3e-2, PMeas: 5e-3, Eta: 4},
-	} {
-		for _, method := range []Method{MethodDirect, MethodRare} {
-			var got [2]Counts
-			for i, est := range []*Estimator{compiled, interp} {
-				r, err := est.NewBlockRunnerModel(method, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for b := 0; b < 3; b++ {
-					r.RunBlock(ctx, 99, b, 700)
-				}
-				got[i] = r.Counts()
-			}
-			if got[0].Fails == 0 {
-				t.Fatalf("%+v %v: no failures sampled; the comparison is vacuous", m, method)
-			}
-			if !reflect.DeepEqual(got[0], got[1]) {
-				t.Errorf("%+v %v: interpreted %+v, compiled %+v", m, method, got[1], got[0])
-			}
-		}
-	}
-}
-
 // TestBlockRunnerSharesSkipTables checks that block runners take their
 // geometric gap tables from the estimator instead of building their own:
 // once a rate's table exists, a further direct or rare runner at that rate
@@ -398,13 +351,10 @@ func TestBlockRunnerSharesSkipTables(t *testing.T) {
 // 8 KB, less than Carbon's law (first-fault CDF, guide and suffix data) —
 // and the runner's stream does not change.
 func TestBlockRunnerSharesPairLaw(t *testing.T) {
-	est := NewEstimator(buildProto(t, code.Carbon()))
+	p := buildProto(t, code.Carbon())
 	k2 := Sampling{Method: MethodRare, MinFaults: 2}
-	for _, engine := range []Engine{EngineBatch, EngineScalar} {
-		est, err := est.WithEngine(engine)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, est := range []*Estimator{NewEstimator(p), interpreted(p)} {
+		engine := est.EngineInUse()
 		for _, m := range []noise.Model{noise.Uniform(1e-4), {P1Q: 6e-5, P2Q: 1e-4, PMeas: 2e-5, Eta: 4}} {
 			first, err := est.NewBlockRunner(k2, m)
 			if err != nil {

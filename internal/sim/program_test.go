@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,8 +11,8 @@ import (
 	"repro/internal/noise"
 )
 
-// scalarFails counts the failures of shots consecutive scalar-engine shots
-// under inj.
+// scalarFails counts the failures of shots consecutive one-shot evaluations
+// (newShot) under inj.
 func scalarFails(est *Estimator, inj noise.Injector, shots int) int {
 	shot, fails := est.newShot(), 0
 	for s := 0; s < shots; s++ {
@@ -24,12 +23,11 @@ func scalarFails(est *Estimator, inj noise.Injector, shots int) int {
 	return fails
 }
 
-// scalarChecker returns a check that runs one shot of the scalar engine —
-// lane 0 of the batch engine, fed one scalar fault injector through the
-// lane adapter — under inj, and asserts it leaves the interpreted
-// outcome want: bit-identical frames and branch flags and the same Judge
-// verdict. The evaluator NewBlockRunner and Singles use (newShot) must give
-// that verdict too, on injShot.
+// scalarChecker returns a check that runs one shot on lane 0 of the batch
+// engine, fed one scalar fault injector through the lane adapter, under
+// inj, and asserts it leaves the interpreted outcome want: bit-identical
+// frames and branch flags and the same Judge verdict. The evaluator
+// Singles uses (newShot) must give that verdict too, on injShot.
 func scalarChecker(t *testing.T, est *Estimator) func(label string, want Outcome, inj, injShot noise.Injector) {
 	b := est.Batch()
 	if b == nil {
@@ -121,8 +119,8 @@ func TestProgramMatchesRunUnderNoise(t *testing.T) {
 }
 
 // goldenSteaneFails is the failure count of 4000 fixed-seed shots at
-// p = 0.02 on the Steane protocol. The three scalar engines — interpreted
-// frame executor, the scalar engine (lane 0 of the batch engine) and exact
+// p = 0.02 on the Steane protocol. The three one-shot executors —
+// interpreted frame executor, lane 0 of the batch engine and exact
 // stabilizer tableau — share one RNG stream and must reproduce it exactly;
 // a change means the sampled distribution moved.
 const goldenSteaneFails = 43
@@ -179,31 +177,6 @@ func TestGoldenRatesFourEngines(t *testing.T) {
 	// 5 sigma of Binomial(4000, 0.0165) is ±40.
 	if mean := 0.0165 * shots; math.Abs(float64(countBatch)-mean) > 40 {
 		t.Fatalf("batch count %d implausibly far from the %.0f-fail expectation", countBatch, mean)
-	}
-}
-
-// TestProgramZeroAllocs asserts the headline property of the scalar engine:
-// its steady-state shot loop — a scalar block runner's one-lane Batch.Run
-// plus Batch.Judge on reused state — does zero heap allocations per shot.
-func TestProgramZeroAllocs(t *testing.T) {
-	est, err := NewEstimator(buildProto(t, code.Steane())).WithEngine(EngineScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := est.NewBlockRunnerModel(MethodDirect, noise.Uniform(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, b := context.Background(), 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		r.RunBlock(ctx, 9, b, 1)
-		b++
-	})
-	if allocs != 0 {
-		t.Fatalf("scalar shot loop allocates %.2f times per shot, want 0", allocs)
-	}
-	if r.Counts().Fails == 0 {
-		t.Fatal("no shot failed; the loop is not exercising corrections")
 	}
 }
 

@@ -300,9 +300,10 @@ func TestRarePrepOnlyResolvesK1(t *testing.T) {
 // least two faults.
 func TestRareK2StreamsPinned(t *testing.T) {
 	ctx := context.Background()
-	ests := map[string]*Estimator{}
+	ests := map[string][2]*Estimator{} // indexed by Engine
 	for _, cs := range []*code.CSS{code.Steane(), code.Surface3(), code.Carbon()} {
-		ests[cs.Name] = NewEstimator(buildProto(t, cs))
+		p := buildProto(t, cs)
+		ests[cs.Name] = [2]*Estimator{EngineScalar: interpreted(p), EngineBatch: NewEstimator(p)}
 	}
 
 	type run struct {
@@ -336,10 +337,7 @@ func TestRareK2StreamsPinned(t *testing.T) {
 		{"Carbon", classes4, EngineBatch,
 			run{16384, 1931, []StratumCount{{W: 2, Shots: 16340, Fails: 1917}, {W: 3, Shots: 44, Fails: 14}}}},
 	} {
-		est, err := ests[tc.code].WithEngine(tc.engine)
-		if err != nil {
-			t.Fatal(err)
-		}
+		est := ests[tc.code][tc.engine]
 		res, counts, err := est.adaptive(ctx, MethodRare, tc.model, 0, 16384, 7, 2)
 		if err != nil {
 			t.Fatal(err)

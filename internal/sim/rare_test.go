@@ -214,15 +214,12 @@ func TestCondWeightsBoundaries(t *testing.T) {
 // combination, because RNG streams are keyed by block index, not worker.
 func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	ctx := context.Background()
-	est := NewEstimator(buildProto(t, code.Steane()))
+	proto := buildProto(t, code.Steane())
 	const p = 0.02
 	const seed = 5
 
-	for _, engine := range []Engine{EngineBatch, EngineScalar} {
-		est, err := est.WithEngine(engine)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, est := range []*Estimator{NewEstimator(proto), interpreted(proto)} {
+		engine := est.EngineInUse()
 		for _, method := range []Method{MethodDirect, MethodRare} {
 			var ref *Counts
 			for _, workers := range []int{1, 2, 5} {
@@ -255,23 +252,15 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 // estimates at matched budgets must agree within 5 sigma.
 func TestRareEnginesAgree(t *testing.T) {
 	ctx := context.Background()
-	est := NewEstimator(buildProto(t, code.Steane()))
+	proto := buildProto(t, code.Steane())
 	const p = 0.01
 	const shots = 128 * 1024
 
-	onBatch, err := est.WithEngine(EngineBatch)
+	batch, err := NewEstimator(proto).AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := onBatch.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 31, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onScalar, err := est.WithEngine(EngineScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := onScalar.AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 41, 2)
+	scalar, err := interpreted(proto).AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 41, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
+	"repro/internal/decoder"
 	"repro/internal/f2"
 	"repro/internal/noise"
 )
@@ -18,6 +19,13 @@ func buildProto(t testing.TB, cs *code.CSS) *core.Protocol {
 		t.Fatalf("build %s: %v", cs.Name, err)
 	}
 	return p
+}
+
+// interpreted returns p's estimator stripped of its compiled Batch, deciding
+// with the lookup decoder as NewEstimator's fallback does: the scalar
+// engine that protocols past the packing limits sample on.
+func interpreted(p *core.Protocol) *Estimator {
+	return &Estimator{P: p, decX: decoder.NewLookup(p.Code.Hz)}
 }
 
 func TestFaultFreeRunIsClean(t *testing.T) {

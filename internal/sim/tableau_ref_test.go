@@ -260,7 +260,7 @@ func (e *tbExec) extractFrame() (ex, ez f2.Vec) {
 // expectData evaluates the expectation of a Z-type (zBasis) or X-type Pauli
 // supported on the data wires, extended by identity on ancilla wires.
 func (e *tbExec) expectData(support f2.Vec, zBasis bool) int {
-	op := pauli.New(e.tb.N())
+	op := pauli.New(e.p.Code.N + 2)
 	for _, q := range support.Support() {
 		if zBasis {
 			op.Z.Set(q, true)

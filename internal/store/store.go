@@ -202,16 +202,6 @@ func (s *Store) Get(key string) (*core.Protocol, Meta, error) {
 	return p, meta, nil
 }
 
-// Delete removes the entry for key. Deleting a missing entry is not an
-// error.
-func (s *Store) Delete(key string) error {
-	err := os.Remove(s.path(key))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
 // List enumerates the stored protocols this build can actually serve,
 // reading only each file's header line, sorted by key. Files that are not
 // store entries (wrong extension), entries whose header cannot be parsed,
@@ -243,12 +233,6 @@ func (s *Store) List() ([]Entry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// Len returns the number of listable entries.
-func (s *Store) Len() (int, error) {
-	es, err := s.List()
-	return len(es), err
 }
 
 // readHeader parses just the first line of a store file.

@@ -44,9 +44,6 @@ func New(n int) *Tableau {
 	return t
 }
 
-// N returns the number of qubits.
-func (t *Tableau) N() int { return t.n }
-
 // H applies a Hadamard gate to qubit q.
 func (t *Tableau) H(q int) {
 	t.checkQubit(q)
@@ -57,20 +54,6 @@ func (t *Tableau) H(q int) {
 		}
 		t.x[i].Set(q, zi)
 		t.z[i].Set(q, xi)
-	}
-}
-
-// S applies a phase gate to qubit q.
-func (t *Tableau) S(q int) {
-	t.checkQubit(q)
-	for i := 0; i < 2*t.n; i++ {
-		xi, zi := t.x[i].Get(q), t.z[i].Get(q)
-		if xi && zi {
-			t.r[i] ^= 1
-		}
-		if xi {
-			t.z[i].Set(q, !zi)
-		}
 	}
 }
 
@@ -266,19 +249,4 @@ func (t *Tableau) Expectation(p pauli.Pauli) int {
 		return 1
 	}
 	return -1
-}
-
-// Clone returns a deep copy of the tableau.
-func (t *Tableau) Clone() *Tableau {
-	c := &Tableau{
-		n: t.n,
-		x: make([]f2.Vec, len(t.x)),
-		z: make([]f2.Vec, len(t.z)),
-		r: append([]uint8(nil), t.r...),
-	}
-	for i := range t.x {
-		c.x[i] = t.x[i].Clone()
-		c.z[i] = t.z[i].Clone()
-	}
-	return c
 }

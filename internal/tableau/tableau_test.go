@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/f2"
 	"repro/internal/pauli"
 )
 
@@ -283,6 +284,35 @@ func BenchmarkCNOTLayer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for q := 0; q < 15; q++ {
 			tb.CNOT(q, q+1)
+		}
+	}
+}
+
+// Clone returns a deep copy of the tableau.
+func (t *Tableau) Clone() *Tableau {
+	c := &Tableau{
+		n: t.n,
+		x: make([]f2.Vec, len(t.x)),
+		z: make([]f2.Vec, len(t.z)),
+		r: append([]uint8(nil), t.r...),
+	}
+	for i := range t.x {
+		c.x[i] = t.x[i].Clone()
+		c.z[i] = t.z[i].Clone()
+	}
+	return c
+}
+
+// S applies a phase gate to qubit q.
+func (t *Tableau) S(q int) {
+	t.checkQubit(q)
+	for i := 0; i < 2*t.n; i++ {
+		xi, zi := t.x[i].Get(q), t.z[i].Get(q)
+		if xi && zi {
+			t.r[i] ^= 1
+		}
+		if xi {
+			t.z[i].Set(q, !zi)
 		}
 	}
 }

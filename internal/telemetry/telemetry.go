@@ -320,16 +320,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // HistogramVec addresses the labeled series of a histogram family.
 type HistogramVec struct{ f *family }
 

@@ -247,3 +247,13 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("vec total = %d, want 8000", v.Total())
 	}
 }
+
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}
