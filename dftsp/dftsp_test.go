@@ -456,6 +456,23 @@ func TestSynthesizeCancelledMidSAT(t *testing.T) {
 	}
 }
 
+// TestSynthesizeHonoursDeadline bounds the CPU a cold synthesis holds past
+// its deadline: the d = 5 surface code takes tens of seconds to build, much
+// of it choosing CNOT orders for weight-8 verification stabilizers, and a
+// 1 s deadline must stop it within 3 s.
+func TestSynthesizeHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(bg, time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := Synthesize(ctx, Options{SurfaceDistance: 5})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("synthesis returned %v after it started, want < 3s", elapsed)
+	}
+}
+
 func TestEstimateCancelledMidMonteCarlo(t *testing.T) {
 	p, err := Synthesize(bg, Options{})
 	if err != nil {

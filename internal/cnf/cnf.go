@@ -1,8 +1,8 @@
 // Package cnf provides a convenience layer for building CNF formulas on top
 // of the CDCL solver in internal/sat: Tseitin-encoded XOR/AND gates,
-// sequential-counter cardinality constraints, guarded constraints and model
-// blocking. These are the building blocks of the synthesis encodings
-// (verification and correction circuit synthesis).
+// sequential-counter and totalizer cardinality constraints, guarded
+// constraints and model blocking. These are the building blocks of the
+// synthesis encodings (verification and correction circuit synthesis).
 package cnf
 
 import (
@@ -242,22 +242,22 @@ func (b *Builder) AtMostKTotalizer(lits []sat.Lit, k int) {
 		}
 		return
 	}
-	out := b.totalizerTree(lits, k)
-	// Forbid the (k+1)-th output: out[i] means "at least i+1 inputs true".
-	if k < len(out) {
-		b.S.AddClause(out[k].Neg())
-	}
+	b.S.AddClause(b.Totalizer(lits, k)[k].Neg())
 }
 
-// totalizerTree returns unary counter outputs for lits, truncated to k+1
-// significant bits.
-func (b *Builder) totalizerTree(lits []sat.Lit, k int) []sat.Lit {
+// Totalizer returns the outputs of a totalizer over lits (see
+// AtMostKTotalizer), truncated to min(len(lits), k+1) counts: out[i] is
+// forced true whenever at least i+1 of lits are. It bounds nothing itself;
+// the unit ¬out[i] adds sum(lits) <= i, and a caller may add such units one
+// after another on the same solver to tighten the bound between solves.
+// k must be >= 0 and lits non-empty.
+func (b *Builder) Totalizer(lits []sat.Lit, k int) []sat.Lit {
 	if len(lits) == 1 {
 		return lits
 	}
 	mid := len(lits) / 2
-	left := b.totalizerTree(lits[:mid], k)
-	right := b.totalizerTree(lits[mid:], k)
+	left := b.Totalizer(lits[:mid], k)
+	right := b.Totalizer(lits[mid:], k)
 	n := len(left) + len(right)
 	if n > k+1 {
 		n = k + 1

@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,22 +9,23 @@ import (
 	"repro/internal/sat"
 )
 
-func TestTotalizerModelCounts(t *testing.T) {
-	binom := func(n, k int) int {
-		if k < 0 || k > n {
-			return 0
-		}
+// atMostCount returns Σ_{j≤k} C(n, j), the number of assignments of n
+// variables with at most k true.
+func atMostCount(n, k int) int {
+	want := 0
+	for j := 0; j <= k && j <= n; j++ {
 		r := 1
-		for i := 0; i < k; i++ {
+		for i := 0; i < j; i++ {
 			r = r * (n - i) / (i + 1)
 		}
-		return r
+		want += r
 	}
+	return want
+}
+
+func TestTotalizerModelCounts(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{{4, 1}, {5, 2}, {6, 3}, {5, 0}, {7, 1}} {
-		want := 0
-		for j := 0; j <= tc.k; j++ {
-			want += binom(tc.n, j)
-		}
+		want := atMostCount(tc.n, tc.k)
 		b := NewBuilder()
 		xs := b.NewVars(tc.n)
 		b.AtMostKTotalizer(xs, tc.k)
@@ -34,6 +36,117 @@ func TestTotalizerModelCounts(t *testing.T) {
 		if got != want {
 			t.Fatalf("totalizer AtMost%d over %d vars: %d models, want %d", tc.k, tc.n, got, want)
 		}
+	}
+}
+
+// TestTotalizerTightensOnOneSolver tightens the bound of one Totalizer the
+// way a minimum-weight search does: the units ¬out[n−1], ¬out[n−2], ...,
+// ¬out[k] are added one at a time to the same solver, each followed by a
+// solve whose model must respect every bound added so far. Then the models
+// over the inputs are counted against Σ_{j≤k} C(n, j). Counting blocks each
+// model for good, so every k gets its own solver, tightened from n−1.
+func TestTotalizerTightensOnOneSolver(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		for k := n - 1; k >= 0; k-- {
+			b := NewBuilder()
+			xs := b.NewVars(n)
+			out := b.Totalizer(xs, n-1)
+			if len(out) != n {
+				t.Fatalf("n=%d: %d outputs, want %d", n, len(out), n)
+			}
+			for j := n - 1; j >= k; j-- {
+				b.AddClause(out[j].Neg())
+				ok, err := b.S.Solve()
+				if err != nil || !ok {
+					t.Fatalf("n=%d: at most %d true: SAT=%v, err %v", n, j, ok, err)
+				}
+				w := 0
+				for _, x := range xs {
+					if b.Val(x) {
+						w++
+					}
+				}
+				if w > j {
+					t.Fatalf("n=%d: model of weight %d under the bound %d", n, w, j)
+				}
+			}
+			got, err := b.EnumerateModels(xs, 0, func([]bool) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := atMostCount(n, k); got != want {
+				t.Fatalf("n=%d tightened to %d: %d models, want %d", n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestTotalizerFindsMinimumWeight runs the minimum-weight loop on random
+// formulas: solve, then forbid the last model's weight w with ¬out[w-1], on
+// one solver until UNSAT. The weights must fall strictly, and the last one
+// must be the least weight of a model, found by trying every assignment
+// (-1 for an unsatisfiable formula).
+func TestTotalizerFindsMinimumWeight(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(10)
+		b := NewBuilder()
+		xs := b.NewVars(n)
+		var clauses [][]sat.Lit
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			cl := make([]sat.Lit, 1+rng.Intn(3))
+			for j := range cl {
+				cl[j] = sat.MkLit(rng.Intn(n), rng.Intn(3) == 0)
+			}
+			clauses = append(clauses, cl)
+			b.AddClause(cl...)
+		}
+		want := -1
+		for a := 0; a < 1<<n; a++ {
+			sats := true
+			for _, cl := range clauses {
+				hit := false
+				for _, l := range cl {
+					hit = hit || (a>>l.Var()&1 == 1) != l.Sign()
+				}
+				sats = sats && hit
+			}
+			if w := bits.OnesCount(uint(a)); sats && (want < 0 || w < want) {
+				want = w
+			}
+		}
+		var out []sat.Lit
+		last := -1
+		for {
+			ok, err := b.S.Solve()
+			if err != nil {
+				return false
+			}
+			if !ok {
+				break
+			}
+			w := 0
+			for _, x := range xs {
+				if b.Val(x) {
+					w++
+				}
+			}
+			if last >= 0 && w >= last {
+				return false
+			}
+			last = w
+			if w == 0 {
+				break
+			}
+			if out == nil {
+				out = b.Totalizer(xs, w-1)
+			}
+			b.AddClause(out[w-1].Neg())
+		}
+		return last == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -110,5 +223,3 @@ func TestTotalizerEdgeCases(t *testing.T) {
 		}
 	}
 }
-
-var _ = sat.Lit(0) // keep the import for documentation examples

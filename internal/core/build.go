@@ -133,7 +133,10 @@ func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 
 		layer1 = &Layer{Detects: code.ErrX, Classes: map[string]*ClassCorrection{}}
 		for _, s := range verif1 {
 			m := Measurement{Stab: s.Clone(), Kind: code.ErrZ}
-			order, dangerous := chooseOrder(cs, code.ErrZ, s)
+			order, dangerous, err := chooseOrder(ctx, cs, code.ErrZ, s)
+			if err != nil {
+				return nil, err
+			}
 			m.Order = order
 			// Dangerous hooks: defer to the Z layer when one is planned,
 			// otherwise protect with a flag.
@@ -225,7 +228,10 @@ func finishTwoLayer(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, l
 	layer2 := &Layer{Detects: code.ErrZ, Classes: map[string]*ClassCorrection{}}
 	for _, s := range verif2 {
 		m := Measurement{Stab: s.Clone(), Kind: code.ErrX}
-		order, dangerous := chooseOrder(cs, code.ErrX, s)
+		order, dangerous, err := chooseOrder(ctx, cs, code.ErrX, s)
+		if err != nil {
+			return nil, err
+		}
 		m.Order = order
 		if dangerous > 0 || (cfg.FlagAll && len(order) >= 3) {
 			m.Flagged = true // last layer: hooks must be flagged
@@ -251,11 +257,18 @@ func finishTwoLayer(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, l
 
 // chooseOrder selects a CNOT order for measuring stab, minimizing the number
 // of dangerous hook errors (suffix errors of the measurement's own type).
-// It returns the order and the remaining dangerous-hook count.
-func chooseOrder(cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int) {
+// It returns the order and the remaining dangerous-hook count. A weight-8
+// stabilizer has 8! orders, so the search polls ctx every pollOrders
+// orders it scores and returns ctx.Err() once ctx is done.
+func chooseOrder(ctx context.Context, cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int, error) {
 	sup := stab.Support()
 	w := len(sup)
+	var err error
+	scored := 0
 	dangerousCount := func(order []int) int {
+		if scored++; scored%pollOrders == 0 && err == nil {
+			err = ctx.Err()
+		}
 		cnt := 0
 		suffix := f2.NewVec(cs.N)
 		// Build suffixes from the back: after CNOT j (1-based), the
@@ -269,12 +282,12 @@ func chooseOrder(cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int) 
 		return cnt
 	}
 	if w <= 1 {
-		return sup, 0
+		return sup, 0, nil
 	}
 	best := append([]int(nil), sup...)
 	bestCnt := dangerousCount(best)
 	if bestCnt == 0 {
-		return best, 0
+		return best, 0, nil
 	}
 	if w <= 8 {
 		perm := append([]int(nil), sup...)
@@ -285,7 +298,7 @@ func chooseOrder(cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int) 
 					bestCnt = c
 					copy(best, perm)
 				}
-				return bestCnt == 0
+				return bestCnt == 0 || err != nil
 			}
 			for i := k; i < w; i++ {
 				perm[k], perm[i] = perm[i], perm[k]
@@ -297,13 +310,16 @@ func chooseOrder(cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int) 
 			return false
 		}
 		rec(0)
-		return best, bestCnt
+		if err != nil {
+			return nil, 0, err
+		}
+		return best, bestCnt, nil
 	}
 	// Large stabilizers: deterministic local search over adjacent swaps.
 	cur := append([]int(nil), sup...)
 	curCnt := dangerousCount(cur)
 	improved := true
-	for improved && curCnt > 0 {
+	for improved && curCnt > 0 && err == nil {
 		improved = false
 		for i := 0; i < w-1; i++ {
 			cur[i], cur[i+1] = cur[i+1], cur[i]
@@ -315,11 +331,18 @@ func chooseOrder(cs *code.CSS, measType code.ErrType, stab f2.Vec) ([]int, int) 
 			}
 		}
 	}
-	if curCnt < bestCnt {
-		return cur, curCnt
+	if err != nil {
+		return nil, 0, err
 	}
-	return best, bestCnt
+	if curCnt < bestCnt {
+		return cur, curCnt, nil
+	}
+	return best, bestCnt, nil
 }
+
+// pollOrders is how many CNOT orders chooseOrder scores between polls of
+// its context.
+const pollOrders = 256
 
 // corrProblem is one distinct correction synthesis of a build: a sector and
 // an error set, shared by every class whose primary or hook errors it is.

@@ -219,7 +219,10 @@ func TestChooseOrderDefusesSteaneHooks(t *testing.T) {
 	// The weight-3 logical Z measurement has only benign hooks for a
 	// correct ordering (suffixes reduce via Z_L).
 	zl := f2.FromSupport(7, 0, 1, 2)
-	_, dangerous := chooseOrder(cs, code.ErrZ, zl)
+	_, dangerous, err := chooseOrder(context.Background(), cs, code.ErrZ, zl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dangerous != 0 {
 		t.Fatalf("Steane Z_L measurement has %d dangerous hooks", dangerous)
 	}

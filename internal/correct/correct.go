@@ -10,17 +10,15 @@
 // (u, v) is encoded as CNF and decided by the CDCL solver; optimality
 // follows by iterating u upward and v downward exactly as in the paper.
 //
-// Each (u, v) probe is decided with two encodings. The residual encoding
-// decides it: every error picks which weight-≤1 residual w its recovery
+// Each (u, v) probe is answered with two encodings. The residual encoding
+// decides: every error picks which weight-≤1 residual w its recovery
 // leaves, and errors with equal syndromes must pick residuals that make
 // their recoveries congruent modulo the stabilizers, a syndrome-table
 // lookup. It has no free recovery or stabilizer bits, so the solver never
 // refutes equivalent recoveries one by one, and the UNSAT probes at the
-// optimality boundary (most of the search time) get much cheaper. A
-// satisfiable probe is also solved with the recovery encoding, which spells
-// out each recovery bit by bit, and its model becomes the block; with a
-// spare core (GoSpare) that extraction starts beside the decide, and an
-// UNSAT decide cancels it.
+// optimality boundary get much cheaper. A satisfiable probe is also solved
+// with the recovery encoding, which spells out each recovery bit by bit,
+// and its model becomes the block.
 // The residual encoding's own models would do as well, but they pick other
 // measurements and recoveries among the optimal ones, and those protocols
 // are worse in simulation: the Surface code's stratified logical error rate
@@ -28,19 +26,29 @@
 // So the recovery encoding stays the extractor, and every synthesized block
 // is the one it alone would give.
 //
+// An unbounded probe (v < 0) is decided on a fresh solver; with a spare core
+// (GoSpare) its extraction starts beside the decide, and an UNSAT decide
+// cancels it. The weighted probes (v ≥ 0) of the binary search all ask
+// where one threshold lies, since a weight bound that admits a basis admits
+// it at every larger v. So the residual encoding is solved for that
+// threshold v*(u) once, on one incremental solver whose totalizer bound is
+// tightened after each model (minWeight), and a weighted probe is UNSAT
+// for v < v* and extracted, alone, otherwise.
+//
 // The u measurements are interchangeable, and each probe breaks that
-// symmetry. An unbounded decide (v < 0) constrains them to the RREF basis of
-// their span: its answer depends on the span alone, so one basis per span
+// symmetry. An unbounded decide constrains them to the RREF basis of their
+// span: its answer depends on the span alone, so one basis per span
 // suffices, and that is |GL(u,2)| times fewer models where lex removes only
-// u! row orders. A weighted probe (v ≥ 0) orders them lexicographically,
-// since its weight bound depends on the basis, and so does every
-// extraction, since its model is the protocol.
+// u! row orders. The search for v* orders them lexicographically, since
+// weight depends on the basis, and so does every extraction, since its
+// model is the protocol.
 package correct
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -158,7 +166,10 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 // search runs the optimization over (u, v) probes: u upward from 0 to at
 // most the detection rank, then a binary search on v for the first feasible
 // u. probe returns nil for an unsatisfiable probe and the block of its model
-// otherwise.
+// otherwise. Synthesize's probe is solveCorrection, which answers the
+// weighted probes from v*(u); the tests pass probes that decide each one on
+// a fresh solver, and both must visit the same probes and end on the same
+// block.
 func (c *class) search(probe func(u, v int) (*Block, error)) (*Block, error) {
 	// More measurements than the detection rank cannot grow their span.
 	rank := c.gens.Rows()
@@ -206,8 +217,13 @@ type class struct {
 	gens    *f2.Mat // independent basis of the detection group
 	redGens *f2.Mat // independent basis of the reduction group S
 	opt     Options
-	pairs   []pair // every k1 < k2, in that order
+	pairs   []pair      // every k1 < k2, in that order
+	vmin    map[int]int // u → v*(u), filled by minWeight
 }
+
+// weightOnly is the weight bound that builds a probe's weight bits but
+// bounds nothing: cnf.AtMostK adds no clause for k ≥ len(lits).
+const weightOnly = math.MaxInt
 
 // pair relates errors e1 = errs[k1] and e2 = errs[k2].
 type pair struct {
@@ -266,13 +282,26 @@ func newClass(det, red *f2.Mat, errs []f2.Vec, opt Options) *class {
 	return c
 }
 
-// solveCorrection decides a single (u, v) instance; v < 0 disables the
-// weight bound. It returns nil if unsatisfiable. The residual encoding
-// decides, and the block is the recovery encoding's model. With a spare core
-// the extraction runs beside the decide and is cancelled if the decide
-// answers UNSAT; without one it runs after a SAT answer. Either way the
-// block is the extractor's model of this probe on a fresh solver.
+// solveCorrection solves a single (u, v) probe; v < 0 disables the weight
+// bound. It returns nil if unsatisfiable, and otherwise the block of the
+// recovery encoding's model of this probe on a fresh solver.
+//
+// A weighted probe (v ≥ 0) is answered by the class's least weight v*(u)
+// (minWeight): v < v* is UNSAT, and only a satisfiable probe is solved, by
+// its extraction alone. An unbounded probe is decided by the residual
+// encoding; with a spare core its extraction runs beside the decide and is
+// cancelled if the decide answers UNSAT, without one it runs after a SAT
+// answer. While a raced extraction finishes a SAT probe at u > 0, the
+// caller's goroutine computes v*(u) for the binary search that follows.
 func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
+	if v >= 0 {
+		vmin, err := c.minWeight(ctx, u)
+		if err != nil || v < vmin {
+			return nil, err
+		}
+		blk, err := c.extractCorrection(ctx, u, v)
+		return mustBeSAT(u, v, blk, err)
+	}
 	var (
 		wg      sync.WaitGroup
 		blk     *Block
@@ -281,27 +310,87 @@ func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
 	extrCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	raced := GoSpare(&wg, func() { blk, extrErr = c.extractCorrection(extrCtx, u, v) })
-	ok, err := c.decideCorrection(ctx, u, v)
+	ok, err := c.decide(ctx, u, v, true)
 	if err != nil || !ok {
 		cancel()
 		wg.Wait()
 		return nil, err
 	}
-	if raced {
-		wg.Wait()
-	} else {
+	if !raced {
 		blk, extrErr = c.extractCorrection(ctx, u, v)
+	} else if u > 0 {
+		if _, err := c.minWeight(ctx, u); err != nil {
+			cancel()
+			wg.Wait()
+			return nil, err
+		}
 	}
-	err = extrErr
+	wg.Wait()
+	return mustBeSAT(u, v, blk, extrErr)
+}
+
+// mustBeSAT turns an UNSAT extraction of a probe the residual encoding
+// satisfies into errEncodingMismatch.
+func mustBeSAT(u, v int, blk *Block, err error) (*Block, error) {
 	if err == nil && blk == nil {
 		err = fmt.Errorf("u=%d v=%d: %w", u, v, errEncodingMismatch)
 	}
 	return blk, err
 }
 
+// minWeight returns v*(u), the least total weight of u lex-ordered
+// measurements that the residual encoding satisfies: a weighted decide at
+// (u, v) is SAT exactly when v ≥ v*(u), so one v* answers every weighted
+// probe of the binary search. It is math.MaxInt when no u measurements do.
+//
+// One solver finds it: the lex decide formula without a weight bound is
+// solved, a totalizer over its weight bits is added, truncated at the first
+// model's weight, and after each model of weight w the unit ¬out[w-1]
+// forbids weight ≥ w before the same solver searches again. The last
+// model's weight is v*, and the final UNSAT proves v* − 1 infeasible. Every
+// step only adds clauses, so learned clauses stay valid throughout. The
+// value is kept per u for the class's later probes.
+func (c *class) minWeight(ctx context.Context, u int) (int, error) {
+	if w, ok := c.vmin[u]; ok {
+		return w, nil
+	}
+	vmin := math.MaxInt
+	b, weight := c.residual(u, weightOnly, false)
+	var out []sat.Lit
+	for b != nil {
+		ok, err := b.SolveContext(ctx)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		vmin = 0
+		for _, l := range weight {
+			if b.Val(l) {
+				vmin++
+			}
+		}
+		if vmin == 0 {
+			break
+		}
+		if out == nil {
+			out = b.Totalizer(weight, vmin-1)
+		}
+		b.AddClause(out[vmin-1].Neg())
+	}
+	if c.vmin == nil {
+		c.vmin = map[int]int{}
+	}
+	c.vmin[u] = vmin
+	return vmin, nil
+}
+
 // measurements adds what both encodings share: u non-trivial measurements
 // sel[i] (coefficients over the detection basis), the total weight bound v
-// (v < 0: none) and the syndrome bits sigma[k][i] = s_i · e_k.
+// (v < 0: none) and the syndrome bits sigma[k][i] = s_i · e_k. For v ≥ 0 and
+// u > 0 it also returns weight, the bits whose sum is the total weight;
+// v = weightOnly builds them without bounding their sum.
 //
 // With rref the rows of sel are an RREF basis of their span (cnf.RREF),
 // otherwise they are lexicographically ordered (cnf.LexLE). Only an
@@ -309,7 +398,7 @@ func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
 // every span of dimension u ≤ rank(det) has one RREF basis, so the two
 // forms are equisatisfiable (see ARCHITECTURE.md). A weight bound depends on
 // the basis, and an extracted model is the protocol, so those keep lex.
-func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma [][]sat.Lit) {
+func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma [][]sat.Lit, weight []sat.Lit) {
 	r, n := c.gens.Rows(), c.gens.Cols()
 	sel = make([][]sat.Lit, u)
 	for i := range sel {
@@ -326,7 +415,6 @@ func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma []
 
 	// Weight bound.
 	if v >= 0 && u > 0 {
-		var bits []sat.Lit
 		for i := 0; i < u; i++ {
 			for q := 0; q < n; q++ {
 				var lits []sat.Lit
@@ -336,11 +424,11 @@ func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma []
 					}
 				}
 				if len(lits) > 0 {
-					bits = append(bits, b.Xor(lits...))
+					weight = append(weight, b.Xor(lits...))
 				}
 			}
 		}
-		b.AtMostK(bits, v)
+		b.AtMostK(weight, v)
 	}
 
 	sigma = make([][]sat.Lit, len(c.errs))
@@ -356,7 +444,7 @@ func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma []
 			sigma[k][i] = b.Xor(lits...)
 		}
 	}
-	return sel, sigma
+	return sel, sigma, weight
 }
 
 // link constrains every pair of errors. A pair no recovery can serve must
@@ -388,22 +476,19 @@ func (c *class) link(b *cnf.Builder, sigma [][]sat.Lit, join func(p *pair, eq sa
 	return true
 }
 
-// decideCorrection decides a (u, v) probe with the residual encoding: each
-// error picks exactly one residual z[k][a], and a same-syndrome pair whose
-// e1 picks a forces e2 to pick from next[a]. Congruence modulo S is
+// residual builds the residual encoding of a (u, v) probe: each error
+// picks exactly one residual z[k][a], and a same-syndrome pair whose e1
+// picks a forces e2 to pick from next[a]. Congruence modulo S is
 // transitive, so these pairwise constraints make every syndrome cell share
-// one recovery up to S, which is all a recovery must achieve; the encoding is
-// equisatisfiable with the recovery encoding.
-func (c *class) decideCorrection(ctx context.Context, u, v int) (bool, error) {
-	return c.decide(ctx, u, v, v < 0)
-}
-
-// decide is decideCorrection with the symmetry break of sel chosen by the
-// caller (see measurements); rref requires v < 0 and u ≤ rank(det).
-func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
+// one recovery up to S, which is all a recovery must achieve; the encoding
+// is equisatisfiable with the recovery encoding. The symmetry break of sel
+// is the caller's (see measurements); rref requires v < 0 and
+// u ≤ rank(det). It returns a nil builder for a probe known UNSAT before
+// solving, and the weight bits of measurements.
+func (c *class) residual(u, v int, rref bool) (*cnf.Builder, []sat.Lit) {
 	n := c.gens.Cols()
 	b := cnf.NewBuilder()
-	_, sigma := c.measurements(b, u, v, rref)
+	_, sigma, weight := c.measurements(b, u, v, rref)
 	z := make([][]sat.Lit, len(c.errs))
 	for k := range z {
 		z[k] = b.NewVars(n + 1)
@@ -424,6 +509,15 @@ func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 		}
 	})
 	if !ok {
+		return nil, nil
+	}
+	return b, weight
+}
+
+// decide solves the residual encoding of a (u, v) probe on a fresh solver.
+func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
+	b, _ := c.residual(u, v, rref)
+	if b == nil {
 		return false, nil
 	}
 	return b.SolveContext(ctx)
@@ -441,7 +535,7 @@ func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 func (c *class) extractCorrection(ctx context.Context, u, v int) (*Block, error) {
 	r, n, rr := c.gens.Rows(), c.gens.Cols(), c.redGens.Rows()
 	b := cnf.NewBuilder()
-	sel, sigma := c.measurements(b, u, v, false)
+	sel, sigma, _ := c.measurements(b, u, v, false)
 
 	// Per-error recovery with correctability: wt(e ⊕ c_e ⊕ t) ≤ 1.
 	recovery := make([][]sat.Lit, len(c.errs))

@@ -106,6 +106,13 @@ func differential(t *testing.T, cs *code.CSS, kind code.ErrType, errs []f2.Vec, 
 	return probes
 }
 
+// decideCorrection is the reference for solveCorrection's answers: a
+// residual-encoding decide of the (u, v) probe on a fresh solver, with the
+// RREF break for an unbounded probe and the lex break under a weight bound.
+func (c *class) decideCorrection(ctx context.Context, u, v int) (bool, error) {
+	return c.decide(ctx, u, v, v < 0)
+}
+
 // TestEncodingsAgreeOnTableClasses decides every probe the search makes on
 // every class of the Table I option sets with both encodings.
 func TestEncodingsAgreeOnTableClasses(t *testing.T) {
@@ -169,6 +176,58 @@ func TestEncodingsAgreeOnRandomClasses(t *testing.T) {
 			differential(t, tc.cs, tc.kind, tc.errs, tc.opt)
 		})
 	}
+}
+
+// TestMinWeightMatchesProbes holds minWeight to the fresh weighted decides
+// it replaces, on every table class, every random class (half of them
+// without pair pruning) and pairwiseOnly. At the first feasible u > 0, a
+// fresh lex decide must be SAT at v* and UNSAT at v* − 1, and every weighted
+// probe of a probe-by-probe search that decides each probe on a fresh
+// solver must answer v ≥ v*. That search must end where Synthesize does.
+func TestMinWeightMatchesProbes(t *testing.T) {
+	ctx := context.Background()
+	classes := append(loadTableClasses(t), randomClasses()...)
+	classes = append(classes, tableClass{name: "pairwise-only", cs: bare6, kind: code.ErrX, errs: pairwiseOnly})
+	checked := 0
+	for _, tc := range classes {
+		det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
+		c := newClass(det, red, tc.errs, tc.opt)
+		got, gotErr := c.search(func(u, v int) (*Block, error) {
+			ok, err := c.decideCorrection(ctx, u, v)
+			if err != nil {
+				return nil, err
+			}
+			if v < 0 && ok && u > 0 {
+				checked++
+				vmin, err := c.minWeight(ctx, u)
+				if err != nil {
+					return nil, err
+				}
+				for _, w := range []int{vmin - 1, vmin} {
+					if lex, err := c.decide(ctx, u, w, false); err != nil || lex != (w == vmin) {
+						t.Errorf("%s u=%d: v*=%d, but the lex decide at v=%d answers SAT=%v (err %v)", tc.name, u, vmin, w, lex, err)
+					}
+				}
+			}
+			if v >= 0 {
+				if vmin := c.vmin[u]; ok != (v >= vmin) {
+					t.Errorf("%s u=%d v=%d: fresh decide SAT=%v, but v*=%d", tc.name, u, v, ok, vmin)
+				}
+			}
+			if !ok {
+				return nil, nil
+			}
+			return c.extractCorrection(ctx, u, v)
+		})
+		want, wantErr := Synthesize(ctx, det, red, tc.errs, tc.opt)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%s: probe-by-probe search: %v; Synthesize: %v", tc.name, gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Synthesize gave %v, the probe-by-probe search %v", tc.name, want, got)
+		}
+	}
+	t.Logf("%d classes, v* checked on %d", len(classes), checked)
 }
 
 // TestRREFDecideMatchesLex decides every unbounded probe, u = 0..rank(det),
