@@ -213,6 +213,8 @@ func TestMetricsExposesAllSubsystems(t *testing.T) {
 		"dftsp_estimate_seconds_count 1",
 		`dftsp_estimate_strata_total{result="miss"} 1`,
 		`dftsp_estimate_strata_total{result="hit"} 0`,
+		`dftsp_correction_memo_total{result="hit"} 0`,
+		`dftsp_correction_memo_total{result="miss"} 1`,
 		`dftsp_service_shots_sampled_total{engine=`,
 		`dftsp_http_requests_total{endpoint="synthesize",code="200"} 1`,
 		`dftsp_http_request_seconds_bucket{endpoint=`,

@@ -268,3 +268,29 @@ func FuzzSynthesizeBody(f *testing.F) {
 		}
 	})
 }
+
+// TestSynthesizeRejectsLargeSpans posts a custom [[28,1]] code whose Z
+// stabilizer group has 27 generators, more than synthesis can enumerate:
+// the answer is a 400 naming the bound, not a synthesis failure.
+func TestSynthesizeRejectsLargeSpans(t *testing.T) {
+	ts := newTestServer(t)
+	row := func(qs ...int) string {
+		b := []byte(strings.Repeat("0", 28))
+		for _, q := range qs {
+			b[q] = '1'
+		}
+		return string(b)
+	}
+	o := dftsp.Options{Hx: []string{row(0, 1)}, Hz: []string{row(0, 1)}}
+	for q := 2; q <= 26; q++ {
+		o.Hz = append(o.Hz, row(q))
+	}
+	body, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, out := postJSON(t, ts.URL+"/synthesize", string(body))
+	if msg, _ := out["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "2^24") {
+		t.Fatalf("status %d: %v, want 400 naming the 2^24 bound", status, out)
+	}
+}

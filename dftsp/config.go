@@ -248,6 +248,27 @@ func (o Options) buildCode() (*code.CSS, error) {
 	}
 }
 
+// checkSpans rejects a code with a group that synthesis or Params would
+// enumerate element by element and f2 refuses to (more than f2.MaxSpanRows
+// independent generators): the stabilizer groups of |0...0>_L, which are
+// the detection and reduction groups of both sectors. The Z stabilizer
+// group holds the k logical Zs, so it bounds the 2^k logical classes too.
+// The groups of a CSS code are independent by construction.
+func checkSpans(cs *code.CSS) error {
+	for _, g := range []struct {
+		name string
+		m    *f2.Mat
+	}{
+		{"X stabilizer group", cs.XStabilizerGroup()},
+		{"Z stabilizer group (Z checks and logical Zs)", cs.ZStabilizerGroup()},
+	} {
+		if r := g.m.Rows(); r > f2.MaxSpanRows {
+			return badOptions("the code's %s has %d generators; synthesis enumerates at most 2^%d elements", g.name, r, f2.MaxSpanRows)
+		}
+	}
+	return nil
+}
+
 // coreConfig translates the public options into the internal synthesis
 // configuration. o must be normalized.
 func (o Options) coreConfig() core.Config {

@@ -37,6 +37,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/correct"
 	"repro/internal/f2"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -72,6 +73,12 @@ type Protocol struct {
 // Invalid opts wrap ErrBadOptions; genuine synthesis failures wrap
 // ErrSynthesis.
 func Synthesize(ctx context.Context, opts Options) (*Protocol, error) {
+	return synthesize(ctx, opts, nil)
+}
+
+// synthesize is Synthesize with the correction problems answered through
+// memo; nil solves each one afresh.
+func synthesize(ctx context.Context, opts Options, memo *correct.Memo) (*Protocol, error) {
 	n, err := opts.normalized()
 	if err != nil {
 		return nil, err
@@ -80,7 +87,12 @@ func Synthesize(ctx context.Context, opts Options) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Build(ctx, cs, n.coreConfig())
+	if err := checkSpans(cs); err != nil {
+		return nil, err
+	}
+	cfg := n.coreConfig()
+	cfg.Memo = memo
+	p, err := core.Build(ctx, cs, cfg)
 	if err != nil {
 		return nil, synthesisError(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/correct"
 	"repro/internal/jobs"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -21,7 +22,10 @@ import (
 // With a persistent store attached (AttachStore), lookups fall through
 // memory → disk → SAT solve, and successful syntheses are written back to
 // disk so they survive restarts; WarmStart preloads the store into memory
-// at boot.
+// at boot. Its syntheses share one correction memo (correct.Memo), so a
+// correction problem solved for one protocol answers it for every later
+// one; the protocols are byte-identical to those of Synthesize, which
+// solves every problem afresh.
 //
 // All operational counters live on a telemetry.Registry (Metrics): the
 // server scrapes it at /metrics and Stats derives its JSON snapshot from
@@ -62,6 +66,11 @@ type Service struct {
 	estSeconds    *telemetry.Histogram
 	strataHits    *telemetry.Counter // requests that reused a remembered curve
 	strataMisses  *telemetry.Counter // requests that computed their curve
+
+	// corrMemo answers every correction problem a synthesis of this
+	// service solved before (correct.Memo); dftsp_correction_memo_total
+	// counts how.
+	corrMemo *correct.Memo
 
 	estSem   chan struct{} // bounds concurrent estimation jobs
 	batchSem chan struct{} // bounds concurrent batch synthesis items
@@ -158,6 +167,13 @@ func NewService(workers int) *Service {
 		"Estimation requests by whether their stratified fault-order curve was reused from the protocol (hit) or computed (miss).",
 		"result")
 	s.strataHits, s.strataMisses = strata.With("hit"), strata.With("miss")
+	memo := r.CounterVec("dftsp_correction_memo_total",
+		"Correction problems of syntheses by whether a remembered block answered them (hit) or they were solved (miss).",
+		"result")
+	for _, result := range []string{"hit", "miss"} {
+		memo.With(result) // every series is exposed from the start
+	}
+	s.corrMemo = correct.NewMemo(func(result string) { memo.With(result).Inc() })
 	r.Gauge("dftsp_service_workers",
 		"Monte-Carlo workers per estimation job.").Set(float64(workers))
 	r.GaugeFunc("dftsp_service_cache_entries",
@@ -253,7 +269,7 @@ func (s *Service) fill(synthCtx context.Context, key string, e *cacheEntry, opts
 				p, err = nil, fmt.Errorf("%w: synthesis panicked: %v", ErrSynthesis, r)
 			}
 		}()
-		p, err = Synthesize(synthCtx, opts)
+		p, err = synthesize(synthCtx, opts, s.corrMemo)
 	}()
 	s.synthSeconds.Observe(time.Since(start).Seconds())
 	if st != nil && err == nil && p != nil && !st.ReadOnly() {

@@ -216,7 +216,7 @@ func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 
 	}
 
 	// Single-layer (or zero-layer) protocol: classify and correct.
-	if err := buildCorrections(ctx, cs, cl1, p.Layers); err != nil {
+	if err := buildCorrections(ctx, cs, cl1, p.Layers, cfg.Memo); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -249,7 +249,7 @@ func finishTwoLayer(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, l
 	meas = append(meas, layer2.Verif)
 
 	cl := classify(cs, prepC, meas)
-	if err := buildCorrections(ctx, cs, cl, p.Layers); err != nil {
+	if err := buildCorrections(ctx, cs, cl, p.Layers, cfg.Memo); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -353,14 +353,14 @@ type corrProblem struct {
 	err  error
 }
 
-// solve synthesizes the problem's block and re-validates the SAT model
-// outside the solver: every class error must reduce to weight <= 1 under its
-// cell's recovery.
-func (p *corrProblem) solve(ctx context.Context, cs *code.CSS) {
+// solve synthesizes the problem's block, through memo when it is non-nil,
+// and re-validates the SAT model outside the solver: every class error must
+// reduce to weight <= 1 under its cell's recovery.
+func (p *corrProblem) solve(ctx context.Context, cs *code.CSS, memo *correct.Memo) {
 	if p.err = ctx.Err(); p.err != nil {
 		return
 	}
-	p.blk, p.err = correct.Synthesize(ctx, cs.DetectionGroup(p.kind), cs.ReductionGroup(p.kind), p.errs, correct.Options{})
+	p.blk, p.err = memo.Synthesize(ctx, cs.DetectionGroup(p.kind), cs.ReductionGroup(p.kind), p.errs, correct.Options{})
 	if p.err == nil {
 		p.err = correct.Check(p.blk, cs, p.kind, p.errs)
 	}
@@ -371,14 +371,14 @@ func (p *corrProblem) solve(ctx context.Context, cs *code.CSS) {
 // pull from one shared index. The first failure cancels the solves still
 // running, which then fail with context.Canceled. Every helper has returned
 // when solveAll does.
-func solveAll(ctx context.Context, cs *code.CSS, probs []*corrProblem) {
+func solveAll(ctx context.Context, cs *code.CSS, memo *correct.Memo, probs []*corrProblem) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sort.SliceStable(probs, func(i, j int) bool { return len(probs[i].errs) > len(probs[j].errs) })
 	var next atomic.Int64
 	work := func() {
 		for i := next.Add(1) - 1; i < int64(len(probs)); i = next.Add(1) - 1 {
-			if probs[i].solve(ctx, cs); probs[i].err != nil {
+			if probs[i].solve(ctx, cs, memo); probs[i].err != nil {
 				cancel()
 			}
 		}
@@ -402,7 +402,7 @@ func solveAll(ctx context.Context, cs *code.CSS, probs []*corrProblem) {
 // the blocks. Each block depends on its problem alone, so the protocol is the
 // same whatever order the solves finish in; a failure is reported for the
 // first class in (layer, signature key) order whose solve failed.
-func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, layers []*Layer) error {
+func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, layers []*Layer, memo *correct.Memo) error {
 	// Silent faults: both sectors must already be benign.
 	for _, ft := range cl.faults {
 		if !ft.silent() {
@@ -488,7 +488,7 @@ func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, lay
 		}
 	}
 
-	solveAll(ctx, cs, probs)
+	solveAll(ctx, cs, memo, probs)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

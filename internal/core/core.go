@@ -139,6 +139,11 @@ type Config struct {
 	// "always-flag" ablation (BenchmarkAblationFlagAll); it can only add
 	// overhead.
 	FlagAll bool
+
+	// Memo, when non-nil, answers correction problems that a build
+	// sharing it solved before without a SAT search; its blocks are
+	// byte-identical to fresh solves. nil solves every problem.
+	Memo *correct.Memo
 }
 
 // sortedClassKeys returns the class keys in deterministic order.

@@ -42,6 +42,12 @@
 // u! row orders. The search for v* orders them lexicographically, since
 // weight depends on the basis, and so does every extraction, since its
 // model is the protocol.
+//
+// Synthesize is a pure function of the RREF bases of det and red, the
+// ordered errors and the options, and it is deterministic in them. A Memo
+// keys on exactly those, so it can answer a problem solved before with the
+// bytes a fresh solve would give. dftsp.Service holds one; dftsp.Synthesize
+// and the CLIs solve every problem afresh.
 package correct
 
 import (

@@ -2,9 +2,11 @@ package f2
 
 import "math/bits"
 
-// maxSpanBits bounds the exponent of span enumeration; 2^24 vectors is a few
-// hundred milliseconds and far above anything the d<5 catalog needs.
-const maxSpanBits = 24
+// MaxSpanRows bounds the exponent of span enumeration: CosetMinWeight,
+// CosetMinWeightReduced and SpanForEach panic on a basis of more independent
+// rows. 2^24 vectors is a few hundred milliseconds and far above anything
+// the d<5 catalog needs.
+const MaxSpanRows = 24
 
 // CosetMinWeight returns min_{s in rowspan(basis)} wt(e + s): the minimum
 // Hamming weight of the coset e + span. This implements the
@@ -24,7 +26,7 @@ func CosetMinWeight(e Vec, basis *Mat) int {
 // pays only for the Gray-code walk. It panics if red has more than 24 rows.
 func CosetMinWeightReduced(e Vec, red *Mat) int {
 	r := red.Rows()
-	if r > maxSpanBits {
+	if r > MaxSpanRows {
 		panic("f2: coset enumeration over more than 2^24 elements")
 	}
 	best := e.Weight()
@@ -45,7 +47,7 @@ func CosetMinWeightReduced(e Vec, red *Mat) int {
 func SpanForEach(basis *Mat, fn func(Vec) bool) {
 	red := basis.SpanBasis()
 	r := red.Rows()
-	if r > maxSpanBits {
+	if r > MaxSpanRows {
 		panic("f2: span enumeration over more than 2^24 elements")
 	}
 	cur := NewVec(basis.Cols())

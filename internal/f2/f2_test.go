@@ -196,7 +196,7 @@ func TestCosetMinWeight(t *testing.T) {
 func CosetMinRep(e Vec, basis *Mat) (int, Vec) {
 	red := basis.SpanBasis()
 	r := red.Rows()
-	if r > maxSpanBits {
+	if r > MaxSpanRows {
 		panic("f2: coset enumeration over more than 2^24 elements")
 	}
 	best := e.Weight()
