@@ -15,8 +15,8 @@
 //	dftsp -code Steane -rate 1e-5 -target-rse 0.1    # auto → rare-event
 //	dftsp -code Steane -rate 1e-2 -target-rse 0.02 -cpuprofile rate.pprof
 //
-// Sampling runs on the 64-lane batch engine, or on the interpreted
-// executor for a protocol past its packing limits. -method selects the
+// Sampling runs on the 64-lane batch engine; a protocol past its packing
+// limits is refused with an error naming the limit. -method selects the
 // sampling method (auto/direct/rare; auto switches to the rare-event
 // conditional estimator below the crossover rate, which makes
 // tiny physical rates tractable). -bias2q, -biasmeas and -eta generalize

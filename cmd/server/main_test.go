@@ -9,11 +9,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/dftsp"
+	"repro/internal/correct"
+	"repro/internal/f2"
+	"repro/internal/store"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -855,6 +859,75 @@ func TestJobsErrorMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST on a GET route: status %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestUncompiledProtocolRefused stores, under Steane's key, Steane's
+// protocol with one correction block widened past the batch engine's
+// 20-measurement packing limit. Each stabilizer is measured again, so the
+// block still corrects exactly as before, but no engine samples it: both
+// /estimate and POST /jobs must answer 400 naming the packing limit, and
+// the refused job must leave no job file behind.
+func TestUncompiledProtocolRefused(t *testing.T) {
+	dir := t.TempDir()
+	p, err := dftsp.Synthesize(context.Background(), dftsp.Options{Code: "Steane"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widened := false
+	for _, cc := range p.Core.Layers[0].Classes {
+		if cc.Primary != nil && !widened {
+			cc.Primary = widenBlock(cc.Primary, 21)
+			widened = true
+		}
+	}
+	if !widened {
+		t.Fatal("Steane's first layer has no primary correction block")
+	}
+	if err := p.Certify(); err != nil {
+		t.Fatalf("widened protocol: %v", err)
+	}
+	key, err := p.Options.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := json.Marshal(p.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.Meta{Key: key, Options: opts}, p.Core); err != nil {
+		t.Fatal(err)
+	}
+
+	ts, _, _ := newJobsServer(t, dir)
+	body := `{"options":{"code":"Steane"},"estimate":{"rates":[0.01],"mc_shots":1000}}`
+	for _, path := range []string{"/estimate", "/jobs"} {
+		status, out := postJSON(t, ts.URL+path, body)
+		if msg, _ := out["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "packing limit is 20") {
+			t.Errorf("POST %s: status %d (%v), want 400 naming the packing limit", path, status, out)
+		}
+	}
+	if files, err := filepath.Glob(filepath.Join(dir, "*.dfj")); err != nil || len(files) != 0 {
+		t.Fatalf("refused job left job files %v (%v)", files, err)
+	}
+}
+
+// widenBlock returns blk with its measurements repeated up to n. A repeated
+// stabilizer repeats its outcome bit, so every recovery's syndrome key
+// repeats the same way and the block corrects exactly as blk does.
+func widenBlock(blk *correct.Block, n int) *correct.Block {
+	u := len(blk.Stabs)
+	w := &correct.Block{Recovery: map[string]f2.Vec{}}
+	for i := 0; i < n; i++ {
+		w.Stabs = append(w.Stabs, blk.Stabs[i%u])
+	}
+	for key, rec := range blk.Recovery {
+		w.Recovery[strings.Repeat(key, (n+u-1)/u)[:n]] = rec
+	}
+	return w
 }
 
 // TestJobsCancelAndServerRestart drives the operational story over HTTP: a

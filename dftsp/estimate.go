@@ -255,9 +255,9 @@ type EstimateResult struct {
 	// Points is the evaluated curve, one entry per requested rate.
 	Points []RatePoint `json:"points"`
 
-	// Engine names the Monte-Carlo engine that sampled: "batch" when the
-	// protocol compiled, "scalar" (the interpreted executor) past the
-	// packing limits; empty when no point was sampled.
+	// Engine names the Monte-Carlo engine that sampled: "batch", the only
+	// one (a protocol past its packing limits is refused with
+	// ErrBadOptions); empty when no point was sampled.
 	Engine string `json:"engine,omitempty"`
 
 	// MCSeconds is the wall time spent in direct Monte-Carlo sampling
@@ -322,9 +322,9 @@ func (eo EstimateOptions) Validate() error {
 // circuit-level depolarizing model (E1_1), using the stratified fault-order
 // estimator for the curve and, when MCShots > 0 or TargetRSE > 0, direct
 // Monte-Carlo sampling as a cross-check. Sampling runs on the 64-lane
-// bit-parallel batch engine, which is allocation-free in steady state, and
-// on the interpreted executor when the protocol exceeds the packing limits
-// (EstimateResult.Engine). The sampling method follows Method:
+// bit-parallel batch engine, which is allocation-free in steady state; a
+// protocol past its packing limits is refused with ErrBadOptions. The
+// sampling method follows Method:
 // "auto" (the default) switches per rate between direct sampling and the
 // rare-event conditional estimator, which resolves logical rates far below
 // 1/MaxShots by conditioning every shot on at least one fault — two when
@@ -489,10 +489,11 @@ func (st *estimateState) remember(key curveKey, fo sim.FaultOrderResult) {
 }
 
 // estimateError maps the simulator's validation sentinels onto the facade
-// taxonomy (ErrBadOptions); everything else — notably context cancellation —
-// passes through unchanged.
+// taxonomy (ErrBadOptions), among them sim.ErrNotCompiled, whose message
+// names the packing limit a protocol exceeds; everything else — notably
+// context cancellation — passes through unchanged.
 func estimateError(err error) error {
-	for _, sentinel := range []error{sim.ErrBadShots, sim.ErrBadSamples, sim.ErrBadOrder, sim.ErrBadTarget, sim.ErrBadRate} {
+	for _, sentinel := range []error{sim.ErrBadShots, sim.ErrBadSamples, sim.ErrBadOrder, sim.ErrBadTarget, sim.ErrBadRate, sim.ErrNotCompiled} {
 		if errors.Is(err, sentinel) {
 			return badOptions("%w", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/jobs"
+	"repro/internal/noise"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -210,7 +211,8 @@ func (s *Service) resolveEstimator(ctx context.Context, key string) (*sim.Estima
 // Estimate, a job samples every grid point — MCMinRate
 // does not apply — so each point keeps the exact per-point seed an
 // /estimate of the same options would use, and their results stay
-// bit-comparable.
+// bit-comparable. A protocol past the batch engine's packing limits is
+// refused with ErrBadOptions before any job file is written.
 func (s *Service) SubmitJob(ctx context.Context, opts Options, eo EstimateOptions) (JobStatus, error) {
 	r := s.runner()
 	if r == nil {
@@ -225,6 +227,11 @@ func (s *Service) SubmitJob(ctx context.Context, opts Options, eo EstimateOption
 	p, _, err := s.Protocol(ctx, opts)
 	if err != nil {
 		return JobStatus{}, err
+	}
+	// A protocol past the batch engine's packing limits has no sampler:
+	// refuse it before the runner writes a job file for it.
+	if _, err := p.est.estimator(p.Core).Resolve(sim.MethodDirect, noise.Model{}); err != nil {
+		return JobStatus{}, estimateError(err)
 	}
 	key, err := p.Options.Key()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -18,7 +19,8 @@ import (
 // Correction synthesis may get faster, but a change in which measurements or
 // recoveries it picks moves the simulated logical error rates (up to +30%
 // for Surface at p = 1e-2 with another optimal choice), so it must show
-// here as a deliberate hash update.
+// here as a deliberate hash update. Every pinned protocol must also compile
+// into the batch engine, the only engine that samples.
 func TestProtocolBytesPinned(t *testing.T) {
 	for _, tc := range protocolPins {
 		p, err := Synthesize(bg, Options{Code: tc.code, Prep: tc.prep, Verif: tc.verif})
@@ -26,6 +28,9 @@ func TestProtocolBytesPinned(t *testing.T) {
 			t.Fatalf("%s %s %s: %v", tc.code, tc.prep, tc.verif, err)
 		}
 		checkPinned(t, p, tc.sha)
+		if _, err := sim.Compile(p.Core); err != nil {
+			t.Errorf("%s %s %s: protocol does not compile: %v", tc.code, tc.prep, tc.verif, err)
+		}
 	}
 }
 

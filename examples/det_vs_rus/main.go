@@ -41,7 +41,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rus := est.NonDeterministicStats(model, *shots, 200, rand.New(rand.NewSource(99)))
+	rus, err := est.NonDeterministicStats(model, *shots, 200, rand.New(rand.NewSource(99)))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%s at p = %g (%d shots per scheme)\n\n", cs, *pp, *shots)
 	fmt.Printf("%-28s %-14s %-14s\n", "", "deterministic", "repeat-until-success")

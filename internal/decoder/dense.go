@@ -102,8 +102,8 @@ func (d *Dense) CheckRow(i int) []uint64 { return d.rows[i] }
 func (d *Dense) CorrectionWords(idx uint64) []uint64 { return d.corr[idx] }
 
 // Decode returns the minimum-weight error consistent with the syndrome of
-// e, exactly like Lookup.Decode. The returned vector shares no storage with
-// the table.
+// e, the lookup table's entry for it. The returned vector shares no storage
+// with the table.
 func (d *Dense) Decode(e f2.Vec) f2.Vec {
 	return d.vecs[d.Index(e.Words())].Clone()
 }

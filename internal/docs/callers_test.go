@@ -49,6 +49,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/sat.ParseDIMACS":              "loads the sat testdata instances",
 	"repro/internal/sat.Solver.WriteDIMACS":       "DIMACS round trips of the sat tests",
 	"repro/internal/sat.DIMACSError.Unwrap":       "errors.Is and errors.As call it through the unwrap interface",
+	"repro/internal/decoder.Lookup.Decode":        "the lookup-table judge of the decoder tests and the root shot-loop baseline",
 }
 
 // TestInternalExportsHaveCallers fails when an exported top-level function

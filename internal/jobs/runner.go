@@ -553,8 +553,8 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				}
 			}
 		}
-		if !ok || ps.Stream != est.Stream() {
-			ps.Stream, ps.Counts = est.Stream(), sim.Counts{}
+		if !ok || ps.Stream != sim.BatchStream {
+			ps.Stream, ps.Counts = sim.BatchStream, sim.Counts{}
 			if err := lg.Append(Record{Kind: "point", Point: i, State: &ps}); err != nil {
 				return err
 			}

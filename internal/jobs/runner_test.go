@@ -254,7 +254,7 @@ func prepShards(t *testing.T, store *Store, spec Spec, shards int, bias int64, t
 	est := sim.NewEstimator(steaneProto(t))
 	ps := PointState{Point: 0, Rate: spec.Rates[0], Method: "direct"}
 	if tagged {
-		ps.Stream = est.Stream()
+		ps.Stream = sim.BatchStream
 	}
 	if err := lg.Append(Record{Kind: "point", Point: 0, State: &ps}); err != nil {
 		t.Fatal(err)

@@ -109,9 +109,9 @@ type PointState struct {
 	ClassCounts []int `json:"class_counts,omitempty"`
 
 	// Stream is the version of the sampled stream the point's shards are
-	// drawn from (sim.Estimator.Stream): sim.BatchStream on the batch
-	// engine. It is omitted when 0, the scalar engines' stream and the
-	// batch stream before versions were recorded. An unfinished point
+	// drawn from: sim.BatchStream. It is omitted when 0, the stream of the
+	// scalar engine earlier builds ran and the batch stream before versions
+	// were recorded. An unfinished point
 	// whose stream is not the one this build draws restarts from shard 0
 	// on resume, so no point pools shards of two streams.
 	Stream int `json:"stream,omitempty"`

@@ -310,17 +310,6 @@ func (p *BatchPlan) Set(lane, loc int, f Fault) {
 	p.pending |= 1 << uint(lane)
 }
 
-// Lane returns lane's plan as a scalar injector for the interpreted
-// executor (allocating; the fallback for protocols past the batch engine's
-// packing limits).
-func (p *BatchPlan) Lane(lane int) *Plan {
-	faults := make(map[int]Fault, len(p.lanes[lane]))
-	for _, pf := range p.lanes[lane] {
-		faults[int(pf.loc)] = pf.f
-	}
-	return NewPlan(faults)
-}
-
 // draw advances every active lane that still has a fault ahead by one
 // location and reports the planned fault, if any, for each.
 func (p *BatchPlan) draw(active uint64, visit func(lane uint, f Fault)) {

@@ -126,3 +126,13 @@ func TestBatchPlanSetReset(t *testing.T) {
 		}
 	}
 }
+
+// Lane returns lane's plan as a scalar injector for the interpreted
+// executor (allocating).
+func (p *BatchPlan) Lane(lane int) *Plan {
+	faults := make(map[int]Fault, len(p.lanes[lane]))
+	for _, pf := range p.lanes[lane] {
+		faults[int(pf.loc)] = pf.f
+	}
+	return NewPlan(faults)
+}

@@ -38,7 +38,7 @@ import (
 // The table itself is model-independent. Build it once per protocol with
 // Add, then share it: from then on a Singles is safe for concurrent use. It
 // caches the K >= 2 law of each model it has been asked for (CondProb,
-// NewCondSampler2, NewCondInjector2), at most maxPairLaws of them before
+// NewCondSampler2), at most maxPairLaws of them before
 // the cache starts over, so every sampler over one protocol and model
 // shares one read-only law.
 type Singles struct {

@@ -58,9 +58,9 @@ type Task struct {
 	// resolve it from a local store or the coordinator's protocol endpoint.
 	ProtocolKey string `json:"protocol_key"`
 
-	// Engine is the engine the coordinator's estimator samples on
-	// ("scalar" or "batch"); Run refuses the task on an estimator that
-	// samples on the other.
+	// Engine is the engine the coordinator's estimator samples on, always
+	// "batch"; Run refuses a task naming another, such as the "scalar"
+	// engine of earlier builds.
 	Engine string `json:"engine"`
 
 	// Method is the resolved sampling method ("direct" or "rare").
@@ -112,7 +112,8 @@ func (t Task) Sampling() (sim.Sampling, error) {
 // executor: the coordinator's local pool and every remote worker run it,
 // so both sample the identical streams. It refuses a task whose Engine is
 // not the one est samples on (EngineInUse), since that engine would draw
-// another stream, and runs the task's sampling as recorded, never
+// another stream, and a protocol past the batch engine's packing limits
+// (sim.ErrNotCompiled), and runs the task's sampling as recorded, never
 // re-resolved. ctx is checked before every block and after the last, and a
 // cancelled run returns ctx.Err() with zero counts — a partial shard never
 // leaves Run.

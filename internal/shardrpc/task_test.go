@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,9 @@ func TestRareOldTaskRunsK1(t *testing.T) {
 
 // TestTaskRunChecksEngine requires Task.Run to refuse a task whose engine
 // is not the one its estimator samples on — another engine draws another
-// stream — and to run a task that names the estimator's own engine.
+// stream — and to run a task that names the estimator's own engine. A task
+// on a protocol past the batch engine's packing limits (here a layer of 32
+// verification measurements) fails with sim.ErrNotCompiled.
 func TestTaskRunChecksEngine(t *testing.T) {
 	p, err := core.Build(context.Background(), code.Steane(), core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
 	if err != nil {
@@ -154,6 +157,15 @@ func TestTaskRunChecksEngine(t *testing.T) {
 	task.Engine = est.EngineInUse().String()
 	if got, err := task.Run(ctx, est); err != nil || got.Shots != 64 {
 		t.Errorf("batch task ran %+v, %v; want 64 shots", got, err)
+	}
+
+	wide, layer := *p, *p.Layers[0]
+	for len(layer.Verif) <= 31 {
+		layer.Verif = append(slices.Clip(layer.Verif), p.Layers[0].Verif...)
+	}
+	wide.Layers = []*core.Layer{&layer}
+	if got, err := task.Run(ctx, sim.NewEstimator(&wide)); !errors.Is(err, sim.ErrNotCompiled) || !reflect.DeepEqual(got, sim.Counts{}) {
+		t.Errorf("task on a protocol past the packing limits ran %+v, %v; want ErrNotCompiled", got, err)
 	}
 }
 

@@ -69,8 +69,7 @@ type AdaptiveResult struct {
 // once the pool meets the target (Counts.Converged). Because the stream is
 // keyed by block — not runner — and the stopping rule is evaluated at fixed
 // round boundaries, the pooled counts are a pure function of (seed,
-// targetRSE, maxShots, engine): the runner count changes wall-clock time
-// only.
+// targetRSE, maxShots): the runner count changes wall-clock time only.
 func runAdaptive(ctx context.Context, runners []*BlockRunner, seed int64, targetRSE float64, maxShots int) (Counts, error) {
 	totalBlocks := NumBlocks(maxShots)
 	parts := make([]Counts, len(runners))

@@ -1,12 +1,19 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/code"
+	"repro/internal/core"
 	"repro/internal/f2"
 	"repro/internal/noise"
 )
@@ -202,72 +209,107 @@ func TestBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineSelection covers the engine report: an estimator whose
-// protocol compiled samples on the batch engine and its version-2 stream,
-// one past the packing limits (no Batch) on the scalar engine and the
-// unversioned stream.
+// TestEngineSelection covers the engine report: every estimator names the
+// batch engine, the only one that samples, as "batch".
 func TestEngineSelection(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	est := NewEstimator(p)
-	if est.EngineInUse() != EngineBatch || est.Stream() != BatchStream {
-		t.Fatalf("compiled protocol samples on %v, stream %d; want batch, stream %d", est.EngineInUse(), est.Stream(), BatchStream)
+	est := NewEstimator(buildProto(t, code.Steane()))
+	if est.Batch() == nil {
+		t.Fatal("Steane did not compile into the batch engine")
 	}
-	interp := interpreted(p)
-	if interp.EngineInUse() != EngineScalar || interp.Stream() != 0 {
-		t.Fatalf("interpreted protocol samples on %v, stream %d; want scalar, stream 0", interp.EngineInUse(), interp.Stream())
-	}
-	if EngineBatch.String() != "batch" || EngineScalar.String() != "scalar" {
-		t.Fatalf("engine names %q, %q", EngineBatch, EngineScalar)
+	if got := est.EngineInUse().String(); got != "batch" {
+		t.Fatalf("engine name %q, want batch", got)
 	}
 }
 
-// TestAdaptiveEnginesAgree runs the adaptive estimator once per engine at
-// the same physical rate and checks the two estimates agree statistically —
-// the end-to-end guarantee that a protocol past the packing limits samples
-// the same distribution on the scalar engine.
+// TestNotCompiledRefusedAtOnce gives the estimator a protocol whose Hz has
+// rank 30 on 40 qubits, past the dense decoder's bound of 24, so the batch
+// engine cannot compile it and nothing samples it. Every entry point must
+// return ErrNotCompiled wrapping the error that names the rank, well under
+// a second and without building a decoder table: a lookup table of that
+// matrix would hold 2^30 syndromes.
+func TestNotCompiledRefusedAtOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	hz := f2.NewMat(40)
+	for i := 0; i < 30; i++ {
+		row := f2.FromSupport(40, i)
+		for q := 30; q < 40; q++ {
+			if rng.Intn(2) == 1 {
+				row.Flip(q)
+			}
+		}
+		hz.MustAppendRow(row)
+	}
+	p := &core.Protocol{Code: &code.CSS{Name: "rank30", N: 40, Hz: hz}, Prep: circuit.New(40)}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	est := NewEstimator(p)
+	if est.Batch() != nil {
+		t.Fatal("rank-30 protocol compiled")
+	}
+	ctx := context.Background()
+	m := noise.Uniform(1e-3)
+	errs := map[string]error{}
+	_, errs["Resolve"] = est.Resolve(MethodAuto, m)
+	_, errs["AdaptiveModel"] = est.AdaptiveModel(ctx, MethodAuto, m, 0, 1000, 1, 1)
+	_, errs["FaultOrderModel"] = est.FaultOrderModel(ctx, 2, 100, rand.New(rand.NewSource(1)), noise.Uniform(1))
+	_, errs["NewBlockRunner"] = est.NewBlockRunner(Sampling{Method: MethodDirect, CondP: 1}, m)
+	_, errs["NewBlockRunnerModel"] = est.NewBlockRunnerModel(MethodRare, m)
+	_, errs["NonDeterministicStats"] = est.NonDeterministicStats(m, 10, 10, rand.New(rand.NewSource(1)))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+
+	for name, err := range errs {
+		if !errors.Is(err, ErrNotCompiled) || !strings.Contains(err.Error(), "rank 30") {
+			t.Errorf("%s: err %v, want ErrNotCompiled naming rank 30", name, err)
+		}
+	}
+	if elapsed > time.Second {
+		t.Errorf("refusals took %v, want well under a second", elapsed)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusals allocated %d B, want no decoder table", alloc)
+	}
+}
+
+// TestAdaptiveEnginesAgree runs the adaptive estimator on the batch engine
+// and the interpreted reference (interpretedPL) at the same physical rate
+// and checks the two estimates agree statistically: the batch engine and
+// its sparse sampler draw the distribution the interpreter defines.
 func TestAdaptiveEnginesAgree(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	ctx := t.Context()
+	est := NewEstimator(buildProto(t, code.Steane()))
 	const pp, shots = 0.05, 40_000
 
-	run := func(est *Estimator) AdaptiveResult {
-		t.Helper()
-		res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Shots != shots {
-			t.Fatalf("%v engine ran %d shots, want %d", est.EngineInUse(), res.Shots, shots)
-		}
-		return res
+	a := interpretedPL(est, noise.Uniform(pp), shots, 31)
+	b, err := est.AdaptiveModel(t.Context(), MethodDirect, noise.Uniform(pp), 0, shots, 31, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := run(interpreted(p))
-	b := run(NewEstimator(p))
-	pool := (a.PL + b.PL) / 2
+	if b.Shots != shots {
+		t.Fatalf("batch engine ran %d shots, want %d", b.Shots, shots)
+	}
+	pool := (a + b.PL) / 2
 	sd := math.Sqrt(2 * pool * (1 - pool) / shots)
-	if diff := math.Abs(a.PL - b.PL); diff > 5*sd {
-		t.Fatalf("engines disagree: scalar %.5f vs batch %.5f (diff %.5f > 5σ = %.5f)",
-			a.PL, b.PL, diff, 5*sd)
+	if diff := math.Abs(a - b.PL); diff > 5*sd {
+		t.Fatalf("engines disagree: interpreted %.5f vs batch %.5f (diff %.5f > 5σ = %.5f)",
+			a, b.PL, diff, 5*sd)
 	}
 }
 
 // TestAdaptiveNeverExceedsMaxShots is the regression net for the final-round
 // clamp: with a target the sampler cannot reach, the reported shot count
 // must land exactly on maxShots — including caps that are not multiples of
-// the worker count or the 64-lane word — on both engines.
+// the worker count or the 64-lane word.
 func TestAdaptiveNeverExceedsMaxShots(t *testing.T) {
-	p := buildProto(t, code.Steane())
-	ctx := t.Context()
-	for _, est := range []*Estimator{interpreted(p), NewEstimator(p)} {
-		engine := est.EngineInUse()
-		for _, maxShots := range []int{10_001, 8192, 63, 1} {
-			res, err := est.AdaptiveModel(ctx, MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Shots != maxShots {
-				t.Fatalf("engine %v maxShots %d: ran %d shots", engine, maxShots, res.Shots)
-			}
+	est := NewEstimator(buildProto(t, code.Steane()))
+	for _, maxShots := range []int{10_001, 8192, 63, 1} {
+		res, err := est.AdaptiveModel(t.Context(), MethodDirect, noise.Uniform(0.05), 1e-9, maxShots, 7, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Shots != maxShots {
+			t.Fatalf("maxShots %d: ran %d shots", maxShots, res.Shots)
 		}
 	}
 }

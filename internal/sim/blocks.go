@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"repro/internal/noise"
@@ -329,19 +328,11 @@ type BlockRunner struct {
 	est    *Estimator
 	method Method // resolved: direct or rare
 
-	// Batch engine (bs != nil): one 64-lane word per iteration through
-	// binj, which is csmp for the rare method.
+	// One 64-lane word per iteration through binj, which is csmp for the
+	// rare method.
 	bs   *BatchShot
 	binj reseedableBatch
 	csmp *noise.CondSampler
-
-	// Scalar engine (bs == nil): shot runs one shot on the interpreted
-	// executor (Estimator.newShot), reporting failure; inj is cj for the
-	// rare method.
-	shot   func(noise.Injector) bool
-	inj    noise.Injector
-	reseed func(seed uint64)
-	cj     *noise.CondInjector
 
 	shots  int64
 	fails  int64
@@ -374,12 +365,14 @@ func (est *Estimator) NewBlockRunnerModel(method Method, model noise.Model) (*Bl
 // noise model m: the sampling recorded for a job point or carried by a
 // shard task, run exactly as recorded and never re-resolved. A rare-event
 // sampling conditioned on k faults needs what est.rare needs of k
-// (ErrBadRate, ErrBadConditioning). The runner samples on the estimator's
-// engine (EngineInUse), which is part of the deterministic identity of the
-// stream: batch and scalar engines draw different RNG sequences. Past the
-// packing limits the runner runs one shot at a time on the interpreted
-// executor, drawing from a scalar injector.
+// (ErrBadRate, ErrBadConditioning). The runner samples on the batch
+// engine, whose stream version (BatchStream) is part of the deterministic
+// identity of the stream; a protocol past its packing limits is refused
+// with ErrNotCompiled.
 func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, error) {
+	if err := est.compiled(); err != nil {
+		return nil, err
+	}
 	k := 0 // direct
 	switch s.Method {
 	case MethodDirect:
@@ -392,35 +385,17 @@ func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, e
 	default:
 		return nil, fmt.Errorf("sim: a block runner needs a resolved method (direct or rare), got %q", s.Method)
 	}
-	r := &BlockRunner{est: est, method: s.Method}
-	if est.batch != nil {
-		r.bs = est.batch.NewShot()
-		switch k {
-		case 2:
-			r.csmp = noise.NewCondSampler2(m, est.Singles(), 0, &est.skips)
-			r.binj = r.csmp
-		case 1:
-			r.csmp = noise.NewCondSamplerModel(m, est.LocationKinds(), 0, &est.skips)
-			r.binj = r.csmp
-		default:
-			r.binj = noise.NewSparseSamplerModel(m, 0, &est.skips)
-		}
-		return r, nil
-	}
-
+	r := &BlockRunner{est: est, method: s.Method, bs: est.batch.NewShot()}
 	switch k {
 	case 2:
-		r.cj = noise.NewCondInjector2(m, est.Singles(), 0, &est.skips)
-		r.inj, r.reseed = r.cj, r.cj.Reseed
+		r.csmp = noise.NewCondSampler2(m, est.Singles(), 0, &est.skips)
+		r.binj = r.csmp
 	case 1:
-		r.cj = noise.NewCondInjectorModel(m, est.LocationKinds(), 0, &est.skips)
-		r.inj, r.reseed = r.cj, r.cj.Reseed
+		r.csmp = noise.NewCondSamplerModel(m, est.LocationKinds(), 0, &est.skips)
+		r.binj = r.csmp
 	default:
-		dep := noise.NewDepolarizing(m, rand.New(rand.NewSource(0)))
-		r.inj = dep
-		r.reseed = func(seed uint64) { dep.Rng.Seed(int64(seed)) }
+		r.binj = noise.NewSparseSamplerModel(m, 0, &est.skips)
 	}
-	r.shot = est.newShot()
 	return r, nil
 }
 
@@ -432,52 +407,32 @@ func (est *Estimator) NewBlockRunner(s Sampling, m noise.Model) (*BlockRunner, e
 // Counts are then partial and must be discarded.
 func (r *BlockRunner) RunBlock(ctx context.Context, seed int64, b, n int) {
 	r.shots += int64(n)
-	if r.bs != nil {
-		batch := r.est.batch
-		r.binj.Reseed(blockSeed(seed, b))
-		// One 64-lane word per iteration; the final word is masked to the
-		// remainder so exactly n shots run and the reported total can never
-		// exceed the budget. The context is polled once per wordPollShots:
-		// a cancelCtx's Err takes its mutex, which every pool goroutine of
-		// a job shares.
-		for i := 0; i < n; i += 64 {
-			if i%wordPollShots == 0 && ctx.Err() != nil {
-				return
-			}
-			live := ^uint64(0)
-			if rem := n - i; rem < 64 {
-				live = 1<<uint(rem) - 1
-			}
-			if r.csmp != nil {
-				r.csmp.Reset(live)
-			}
-			batch.Run(r.bs, r.binj, live)
-			failed := batch.Judge(r.bs) // Judge reports live lanes only
-			r.fails += int64(bits.OnesCount64(failed))
-			if r.csmp != nil {
-				for l := live; l != 0; l &= l - 1 {
-					lane := uint(bits.TrailingZeros64(l))
-					r.tally(int(r.csmp.Faults[lane]), failed>>lane&1 == 1)
-				}
-			}
-		}
-		return
-	}
-
-	r.reseed(blockSeed(seed, b))
-	for i := 0; i < n; i++ {
-		if i%ctxPollShots == 0 && ctx.Err() != nil {
+	batch := r.est.batch
+	r.binj.Reseed(blockSeed(seed, b))
+	// One 64-lane word per iteration; the final word is masked to the
+	// remainder so exactly n shots run and the reported total can never
+	// exceed the budget. The context is polled once per wordPollShots: a
+	// cancelCtx's Err takes its mutex, which every pool goroutine of a job
+	// shares.
+	for i := 0; i < n; i += 64 {
+		if i%wordPollShots == 0 && ctx.Err() != nil {
 			return
 		}
-		if r.cj != nil {
-			r.cj.Reset()
+		live := ^uint64(0)
+		if rem := n - i; rem < 64 {
+			live = 1<<uint(rem) - 1
 		}
-		failed := r.shot(r.inj)
-		if failed {
-			r.fails++
+		if r.csmp != nil {
+			r.csmp.Reset(live)
 		}
-		if r.cj != nil {
-			r.tally(r.cj.Faults, failed)
+		batch.Run(r.bs, r.binj, live)
+		failed := batch.Judge(r.bs) // Judge reports live lanes only
+		r.fails += int64(bits.OnesCount64(failed))
+		if r.csmp != nil {
+			for l := live; l != 0; l &= l - 1 {
+				lane := uint(bits.TrailingZeros64(l))
+				r.tally(int(r.csmp.Faults[lane]), failed>>lane&1 == 1)
+			}
 		}
 	}
 }

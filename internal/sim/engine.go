@@ -1,52 +1,28 @@
 package sim
 
-// Engine reports the Monte-Carlo engine an Estimator samples on. It is a
-// fact of the protocol, not a choice: the 64-lane batch engine when the
-// protocol compiled, the scalar engine — the interpreted executor, one shot
-// at a time — past the compiled engine's packing limits.
+// Engine names the Monte-Carlo engine an Estimator samples on. The 64-lane
+// batch engine on the compiled Batch is the only one: a protocol past its
+// packing limits is refused (ErrNotCompiled), not sampled another way. The
+// name stays part of job specs, shard tasks and estimate results, where
+// the "scalar" engine of earlier builds may still be recorded.
 type Engine uint8
 
-// Engine values.
-const (
-	// EngineScalar is the interpreted executor, drawing each location's
-	// fault from a scalar noise.Injector one shot at a time.
-	EngineScalar Engine = iota
+// EngineBatch is the 64-lane bit-parallel engine on the compiled Batch.
+const EngineBatch Engine = 1
 
-	// EngineBatch is the 64-lane bit-parallel engine on the compiled Batch.
-	EngineBatch
-)
+// String returns the engine's name, "batch".
+func (Engine) String() string { return "batch" }
 
-// String returns the engine's name: "scalar" or "batch".
-func (e Engine) String() string {
-	if e == EngineBatch {
-		return "batch"
-	}
-	return "scalar"
-}
-
-// EngineInUse reports the engine the sampling entry points run: batch when
-// the protocol compiled, scalar otherwise.
-func (est *Estimator) EngineInUse() Engine {
-	if est.batch != nil {
-		return EngineBatch
-	}
-	return EngineScalar
-}
+// EngineInUse reports the engine the sampling entry points run: always
+// EngineBatch.
+func (est *Estimator) EngineInUse() Engine { return EngineBatch }
 
 // BatchStream is the version of the batch engine's sampled stream. It
 // changes whenever one seed makes the 64-lane engine draw different
 // faults, so a checkpointed job can tell shards it may pool from shards it
 // must redraw. Version 2 runs each correction block once per class over
 // all of the class's triggered lanes; the unversioned stream before it ran
-// each triggered lane's blocks alone. The scalar engine's stream has never
-// changed and carries no version.
+// each triggered lane's blocks alone. Version 0, recorded by earlier
+// builds, is that unversioned stream or the stream of the scalar engine
+// they ran past the packing limits.
 const BatchStream = 2
-
-// Stream reports the version of the sampled stream the sampling entry
-// points draw: BatchStream on the batch engine, 0 on the scalar engine.
-func (est *Estimator) Stream() int {
-	if est.batch != nil {
-		return BatchStream
-	}
-	return 0
-}

@@ -10,8 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/decoder"
-	"repro/internal/f2"
 	"repro/internal/noise"
 )
 
@@ -33,13 +31,13 @@ var (
 	// ErrBadTarget rejects adaptive relative-standard-error targets
 	// outside [0, 1).
 	ErrBadTarget = errors.New("sim: target RSE out of range")
-)
 
-// xDecoder is the slice of the decoder API Judge needs; both
-// decoder.Lookup and decoder.Dense satisfy it with bit-identical results.
-type xDecoder interface {
-	Decode(e f2.Vec) f2.Vec
-}
+	// ErrNotCompiled refuses to sample a protocol that did not compile
+	// into the batch engine, the only engine that samples. The returned
+	// error wraps Compile's, which names the packing limit the protocol
+	// exceeds.
+	ErrNotCompiled = errors.New("sim: protocol exceeds the batch engine's packing limits")
+)
 
 // Estimator measures logical error rates of a protocol under a circuit-level
 // noise.Model (the paper's E1_1 depolarizing model is noise.Uniform(p)),
@@ -50,12 +48,12 @@ type xDecoder interface {
 // flipped by residual X errors).
 //
 // NewEstimator also compiles the protocol into its 64-lane Batch, the one
-// executor of compiled protocols; every Monte-Carlo entry point
-// (AdaptiveModel, NewBlockRunnerModel) samples on it when compilation
-// succeeded and one shot at a time on the interpreted executor otherwise
-// (EngineInUse). Lane 0 of the Batch runs a single shot (newShot), which is
-// how the single-fault table is built; it and the interpreted executor are
-// bit-identical for a shared RNG stream.
+// engine that samples: every Monte-Carlo and fault-set entry point
+// (AdaptiveModel, NewBlockRunnerModel, FaultOrderModel) runs on it, and on
+// a protocol past its packing limits each returns ErrNotCompiled. Lane 0 of
+// the Batch runs a single shot (newShot), which is how the single-fault
+// table is built; it and the interpreted executor are bit-identical for a
+// shared RNG stream.
 //
 // An Estimator is read-only and safe for concurrent use from construction
 // on: any number of goroutines may call AdaptiveModel, NewBlockRunnerModel,
@@ -65,8 +63,8 @@ type xDecoder interface {
 type Estimator struct {
 	P *core.Protocol
 
-	decX  xDecoder // corrects X errors via Z checks
-	batch *Batch   // the compiled protocol; nil if compilation failed
+	batch      *Batch // the compiled protocol; nil if compilation failed
+	compileErr error  // why compilation failed
 
 	// Lazily built, shared by concurrent block runners: a resumed job
 	// point's shard tasks are the first to ask for them.
@@ -99,20 +97,17 @@ func (est *Estimator) LocationKinds() []noise.LocKind {
 // operator at every fault-free-path location, in location/operator order,
 // with the verdict of the shot it causes and the location kinds of the
 // trajectory it forces. It backs the k = 2 rare-event law and its
-// resolution rule (Resolve); with a compiled program, the table carries
-// the program's static location bound (Batch.reach) as its Reach. The
-// table is built on first use — one single-fault shot per entry through
-// newShot — and cached with each entry's verdict bit, which
-// FaultOrderModel reads as order 1; concurrent callers share one build.
+// resolution rule (Resolve), and carries the program's static location
+// bound (Batch.reach) as its Reach. The table is built on first use — one
+// single-fault shot per entry through newShot — and cached with each
+// entry's verdict bit, which FaultOrderModel reads as order 1; concurrent
+// callers share one build. It needs a compiled protocol (Batch() != nil).
 func (est *Estimator) Singles() *noise.Singles {
 	est.singlesOnce.Do(func() {
 		kinds := est.LocationKinds()
 		rec := &trajectory{}
 		shot := est.newShot()
-		tab := &noise.Singles{}
-		if b := est.batch; b != nil {
-			tab.Reach = b.reach()
-		}
+		tab := &noise.Singles{Reach: est.batch.reach()}
 		i := 0
 		for j, kind := range kinds {
 			for oi, op := range noise.OpsFor(kind) {
@@ -134,16 +129,12 @@ func (est *Estimator) Singles() *noise.Singles {
 }
 
 // newShot returns a fresh one-shot-at-a-time evaluator that runs a shot
-// under inj and reports its Judge verdict. When the protocol compiled it is
-// lane 0 of the batch engine (a one-lane Batch.Run through the lane
-// adapter, then bit 0 of Batch.Judge); past the packing limits it is the
-// interpreted executor, the scalar engine. The evaluator keeps its own shot
-// state, so it must not be shared between goroutines.
+// under inj and reports its Judge verdict: lane 0 of the batch engine, a
+// one-lane Batch.Run through the lane adapter, then bit 0 of Batch.Judge.
+// The evaluator keeps its own shot state, so it must not be shared between
+// goroutines.
 func (est *Estimator) newShot() func(inj noise.Injector) bool {
 	b := est.batch
-	if b == nil {
-		return func(inj noise.Injector) bool { return est.Judge(Run(est.P, inj)) }
-	}
 	bs, l := b.NewShot(), &lane{}
 	return func(inj noise.Injector) bool {
 		l.inj = inj
@@ -175,26 +166,28 @@ func (est *Estimator) ClassCounts() [3]int {
 	return noise.CountKinds(est.LocationKinds())
 }
 
-// NewEstimator builds the decoder for the protocol's code and compiles the
-// protocol into its 64-lane batch engine. When compilation succeeds
-// Judge shares the engine's dense decoder (the minimum-weight table is
-// built exactly once) and the estimator samples on the batch engine; the
-// interpreted fallback builds a lookup table instead and samples on the
-// scalar engine.
+// NewEstimator compiles the protocol into its 64-lane batch engine, whose
+// dense decoder Judge shares (the minimum-weight table is built exactly
+// once). When compilation fails the estimator keeps Compile's error, and
+// every sampling entry point returns it wrapped in ErrNotCompiled; no
+// fallback decoder is built.
 func NewEstimator(p *core.Protocol) *Estimator {
-	est := &Estimator{P: p}
-	if b, err := Compile(p); err == nil {
-		est.batch = b
-		est.decX = b.dec
-	} else {
-		est.decX = decoder.NewLookup(p.Code.Hz)
-	}
-	return est
+	b, err := Compile(p)
+	return &Estimator{P: p, batch: b, compileErr: err}
 }
 
 // Batch returns the 64-lane bit-parallel engine, or nil when the protocol
 // exceeded the compiled engine's packing limits.
 func (est *Estimator) Batch() *Batch { return est.batch }
+
+// compiled returns nil when the protocol compiled, and otherwise
+// ErrNotCompiled wrapping Compile's error.
+func (est *Estimator) compiled() error {
+	if est.batch != nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrNotCompiled, est.compileErr)
+}
 
 // Judge applies the perfect EC round to an outcome and reports a logical
 // error in the paper's sense: after lookup-table correction, the residual X
@@ -202,9 +195,10 @@ func (est *Estimator) Batch() *Batch { return est.batch }
 // Z errors cannot cause a logical error on |0...0>_L — the state is a +1
 // eigenstate of every logical Z, so any post-EC Z residual (which lies in
 // span(Hz ∪ Lz)) acts trivially; this is also why the paper's simulation
-// reads out only the Z logicals destructively.
+// reads out only the Z logicals destructively. It decodes with the batch
+// engine's dense table, so it needs a compiled protocol (Batch() != nil).
 func (est *Estimator) Judge(out Outcome) bool {
-	ex := out.Ex.Xor(est.decX.Decode(out.Ex))
+	ex := out.Ex.Xor(est.batch.dec.Decode(out.Ex))
 	for i := 0; i < est.P.Code.Lz.Rows(); i++ {
 		if ex.Dot(est.P.Code.Lz.Row(i)) == 1 {
 			return true
@@ -252,12 +246,12 @@ type FaultOrderResult struct {
 // Order 1 reads the verdicts of the single-fault table (Singles), built
 // once per protocol and shared with the rare-event samplers. Sampled fault
 // sets are evaluated 64 per word on the batch engine (a noise.BatchPlan
-// lane per set, Batch.Run plus Batch.Judge), or lane by lane through the
-// scalar engine when the protocol exceeds the batch engine's packing
-// limits. Either way the sets, their draws from rng and their verdicts are
-// those of a one-at-a-time interpreted evaluation, so F is bit-identical to
-// it for the same rng.
+// lane per set, Batch.Run plus Batch.Judge). The sets, their draws from rng
+// and their verdicts are those of a one-at-a-time interpreted evaluation,
+// so F is bit-identical to it for the same rng.
 //
+// A protocol past the batch engine's packing limits is refused with
+// ErrNotCompiled.
 // maxW must lie in [0, N] where N is the protocol's fault location count,
 // and may not exceed the locations of positive-weight classes, from which
 // alone fault sets are drawn (violations wrap ErrBadOrder; orders above N
@@ -266,6 +260,9 @@ type FaultOrderResult struct {
 // samples must be positive whenever maxW >= 2 requires sampling (violations
 // wrap ErrBadSamples; those strata used to come out as 0/0 = NaN).
 func (est *Estimator) FaultOrderModel(ctx context.Context, maxW, samples int, rng *rand.Rand, ratio noise.Model) (FaultOrderResult, error) {
+	if err := est.compiled(); err != nil {
+		return FaultOrderResult{}, err
+	}
 	if maxW < 0 {
 		return FaultOrderResult{}, fmt.Errorf("%w: maxW %d < 0", ErrBadOrder, maxW)
 	}
@@ -424,13 +421,10 @@ func (l *faultLaw) order1(verdicts []uint64) float64 {
 }
 
 // setEval evaluates fault sets 64 per word: lane l of plan carries one set,
-// and one Batch.Run plus Batch.Judge decides all of them. Past the batch
-// engine's packing limits (est.batch == nil) each lane replays through the
-// scalar engine instead.
+// and one Batch.Run plus Batch.Judge decides all of them.
 type setEval struct {
-	est   *Estimator
-	bs    *BatchShot                // nil: scalar fallback
-	shot  func(noise.Injector) bool // the scalar fallback
+	b     *Batch
+	bs    *BatchShot
 	plan  noise.BatchPlan
 	stamp []int // per location: the last set that drew it
 	set   int   // sets drawn so far
@@ -438,30 +432,14 @@ type setEval struct {
 
 // newSetEval returns an evaluator for a path of n fault locations.
 func (est *Estimator) newSetEval(n int) *setEval {
-	ev := &setEval{est: est, stamp: make([]int, n)}
-	if est.batch != nil {
-		ev.bs = est.batch.NewShot()
-	} else {
-		ev.shot = est.newShot()
-	}
-	return ev
+	return &setEval{b: est.batch, bs: est.batch.NewShot(), stamp: make([]int, n)}
 }
 
 // run decides the sets planned in the lanes of live, returns the mask of
 // failing lanes and resets the plan for the next word.
 func (ev *setEval) run(live uint64) uint64 {
-	var fails uint64
-	if ev.bs != nil {
-		ev.est.batch.Run(ev.bs, &ev.plan, live)
-		fails = ev.est.batch.Judge(ev.bs)
-	} else {
-		for l := live; l != 0; l &= l - 1 {
-			lane := bits.TrailingZeros64(l)
-			if ev.shot(ev.plan.Lane(lane)) {
-				fails |= 1 << uint(lane)
-			}
-		}
-	}
+	ev.b.Run(ev.bs, &ev.plan, live)
+	fails := ev.b.Judge(ev.bs)
 	ev.plan.Reset()
 	return fails
 }

@@ -14,6 +14,10 @@ import (
 	"repro/internal/noise"
 )
 
+// ctxPollShots is the number of fault sets the references below evaluate
+// between context polls.
+const ctxPollShots = 64
+
 // refFaultOrder is the interpreted uniform branch of FaultOrderModel as it
 // was before the estimator moved onto the batch engine, kept verbatim as the
 // reference of TestFaultOrderMatchesInterpreted: every fault set runs one at
@@ -211,11 +215,9 @@ func TestFaultOrderPinned(t *testing.T) {
 // under the uniform and two biased ratios, for orders 1..4 and sample counts
 // that end on full and partial 64-lane words, FaultOrderModel must return
 // exactly what the interpreted reference above returns from the same seed.
-// The Steane and Surface estimators are also run stripped of their compiled
-// program and batch engine, which covers the interpreted fallback, and
-// Steane also stripped of its verification layers: that protocol is not
-// fault tolerant, so its F[1] is positive and order 1 is checked on failing
-// single faults, not only on an all-zero verdict table.
+// Steane is also run stripped of its verification layers: that protocol is
+// not fault tolerant, so its F[1] is positive and order 1 is checked on
+// failing single faults, not only on an all-zero verdict table.
 func TestFaultOrderMatchesInterpreted(t *testing.T) {
 	ctx := context.Background()
 	codes := []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.CSS11(),
@@ -229,9 +231,6 @@ func TestFaultOrderMatchesInterpreted(t *testing.T) {
 		ests := []*Estimator{NewEstimator(p)}
 		if ests[0].Batch() == nil {
 			t.Fatalf("%s: protocol did not compile", cs.Name)
-		}
-		if cs.Name == code.Steane().Name || cs.Name == code.Surface3().Name {
-			ests = append(ests, interpreted(p))
 		}
 		if cs.Name == code.Steane().Name {
 			bare := *p

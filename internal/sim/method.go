@@ -123,7 +123,12 @@ func (s Sampling) k() int { return max(1, s.MinFaults) }
 // and P(#faults >= 2) > 0, and on k = 1 otherwise. An explicit MethodRare
 // needs every class rate below 1 and a model that fires at least one fault
 // on the protocol (ErrBadRate), which for noise.Uniform(p) is 0 < p < 1.
+// A protocol past the batch engine's packing limits resolves to no
+// sampling (ErrNotCompiled).
 func (est *Estimator) Resolve(method Method, m noise.Model) (Sampling, error) {
+	if err := est.compiled(); err != nil {
+		return Sampling{}, err
+	}
 	switch method {
 	case MethodDirect:
 		return Sampling{Method: MethodDirect, CondP: 1}, nil
@@ -191,11 +196,12 @@ func (est *Estimator) rare(k int, m noise.Model) (Sampling, error) {
 // error equals that of q since CondP is an exact constant.
 //
 // maxShots must be positive (ErrBadShots), targetRSE in [0, 1)
-// (ErrBadTarget), and an explicit MethodRare needs a model it can condition
-// on (ErrBadRate). workers <= 0 selects DefaultWorkers(). Every block's RNG
-// stream is derived from seed via the SplitMix64 sequence keyed by block
-// index, so the result is a pure function of (seed, maxShots, targetRSE,
-// engine) on every machine: the worker count only changes wall-clock time,
+// (ErrBadTarget), an explicit MethodRare needs a model it can condition
+// on (ErrBadRate), and the protocol must have compiled (ErrNotCompiled).
+// workers <= 0 selects DefaultWorkers(). Every block's RNG stream is
+// derived from seed via the SplitMix64 sequence keyed by block index, so
+// the result is a pure function of (seed, maxShots, targetRSE) on every
+// machine: the worker count only changes wall-clock time,
 // never the pooled (shots, fails). The final block is clamped to the
 // remaining budget, so the reported Shots never exceeds maxShots.
 // Cancelling ctx stops every worker promptly and returns ctx.Err().

@@ -410,9 +410,9 @@ func TestRareMatchesDirectBiased(t *testing.T) {
 }
 
 // TestBatchMatchesScalarBiased is the biased cross-engine acceptance test:
-// direct Monte-Carlo of the same biased model on the scalar and batch
-// engines (independent RNG streams) must agree within a 5-sigma
-// two-proportion bound on each code family.
+// direct Monte-Carlo of the same biased model on the interpreted reference
+// (interpretedPL) and the batch engine (independent RNG streams) must agree
+// within a 5-sigma two-proportion bound on each code family.
 func TestBatchMatchesScalarBiased(t *testing.T) {
 	ctx := context.Background()
 	m := biasedTestModel(2e-2)
@@ -420,26 +420,21 @@ func TestBatchMatchesScalarBiased(t *testing.T) {
 	for _, cs := range rareCodes {
 		cs := cs
 		t.Run(cs.Name, func(t *testing.T) {
-			p := buildProto(t, cs)
+			est := NewEstimator(buildProto(t, cs))
+			spl := interpretedPL(est, m, shots, 31)
 
-			sres, err := interpreted(p).AdaptiveModel(ctx, MethodDirect, m, 0, shots, 31, 0)
+			bres, err := est.AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			bres, err := NewEstimator(p).AdaptiveModel(ctx, MethodDirect, m, 0, shots, 37, 0)
-			if err != nil {
-				t.Fatal(err)
+			if spl == 0 || bres.Fails == 0 {
+				t.Fatalf("degenerate sample: interpreted PL %g, batch %d fails", spl, bres.Fails)
 			}
-
-			if sres.Fails == 0 || bres.Fails == 0 {
-				t.Fatalf("degenerate sample: scalar %d, batch %d fails", sres.Fails, bres.Fails)
-			}
-			n1, n2 := float64(sres.Shots), float64(bres.Shots)
-			pooled := float64(sres.Fails+bres.Fails) / (n1 + n2)
-			se := math.Sqrt(pooled * (1 - pooled) * (1/n1 + 1/n2))
-			if z := math.Abs(sres.PL-bres.PL) / se; z > 5 {
-				t.Fatalf("engines disagree under bias: scalar %.6g vs batch %.6g (z = %.2f)", sres.PL, bres.PL, z)
+			pooled := (spl + bres.PL) / 2
+			se := math.Sqrt(pooled * (1 - pooled) * 2 / shots)
+			if z := math.Abs(spl-bres.PL) / se; z > 5 {
+				t.Fatalf("engines disagree under bias: interpreted %.6g vs batch %.6g (z = %.2f)", spl, bres.PL, z)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -42,9 +43,17 @@ type NonDetStats struct {
 
 // NonDeterministicStats samples the baseline scheme under the noise model m
 // (noise.Uniform(p) for the paper's model) on the interpreted executor,
-// drawing every round from rng. Shots counts accepted preparations; each
-// uses up to maxAttempts rounds.
-func (est *Estimator) NonDeterministicStats(m noise.Model, shots, maxAttempts int, rng *rand.Rand) NonDetStats {
+// drawing every round from rng, and judges each accepted state with the
+// batch engine's decoder (Judge). Shots counts accepted preparations; each
+// uses up to maxAttempts rounds. Both must be positive (ErrBadShots), and
+// the protocol must have compiled (ErrNotCompiled).
+func (est *Estimator) NonDeterministicStats(m noise.Model, shots, maxAttempts int, rng *rand.Rand) (NonDetStats, error) {
+	if err := est.compiled(); err != nil {
+		return NonDetStats{}, err
+	}
+	if shots <= 0 || maxAttempts <= 0 {
+		return NonDetStats{}, fmt.Errorf("%w: %d shots of up to %d attempts", ErrBadShots, shots, maxAttempts)
+	}
 	rounds, accepted, fails := 0, 0, 0
 	attemptsTotal := 0
 	inj := noise.NewDepolarizing(m, rng) // stateless beyond rng: every round may share it
@@ -68,5 +77,5 @@ func (est *Estimator) NonDeterministicStats(m noise.Model, shots, maxAttempts in
 		st.MeanAttempts = float64(attemptsTotal) / float64(accepted)
 		st.LogicalRate = float64(fails) / float64(accepted)
 	}
-	return st
+	return st, nil
 }

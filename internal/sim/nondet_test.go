@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -59,7 +60,10 @@ func TestNonDetStatsBehaviour(t *testing.T) {
 	p := buildProto(t, code.Steane())
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(9))
-	st := est.NonDeterministicStats(noise.Uniform(0.02), 4000, 100, rng)
+	st, err := est.NonDeterministicStats(noise.Uniform(0.02), 4000, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.AcceptRate <= 0.5 || st.AcceptRate >= 1 {
 		t.Fatalf("acceptance rate %.3f implausible at p=0.02", st.AcceptRate)
 	}
@@ -71,6 +75,11 @@ func TestNonDetStatsBehaviour(t *testing.T) {
 	if st.LogicalRate > 0.02 {
 		t.Fatalf("post-selected logical rate %.4f above physical rate", st.LogicalRate)
 	}
+	for _, bad := range [][2]int{{0, 100}, {-1, 100}, {4000, 0}, {4000, -3}} {
+		if _, err := est.NonDeterministicStats(noise.Uniform(0.02), bad[0], bad[1], rng); !errors.Is(err, ErrBadShots) {
+			t.Errorf("%d shots of up to %d attempts: err %v, want ErrBadShots", bad[0], bad[1], err)
+		}
+	}
 }
 
 func TestDeterministicMatchesBaselineQuality(t *testing.T) {
@@ -81,7 +90,10 @@ func TestDeterministicMatchesBaselineQuality(t *testing.T) {
 	est := NewEstimator(p)
 	rng := rand.New(rand.NewSource(10))
 	det := directPL(t, est, 0.01, 60000, 10, 1)
-	nd := est.NonDeterministicStats(noise.Uniform(0.01), 30000, 100, rng)
+	nd, err := est.NonDeterministicStats(noise.Uniform(0.01), 30000, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if det <= 0 || nd.LogicalRate < 0 {
 		t.Fatalf("degenerate rates: det=%g nd=%g", det, nd.LogicalRate)
 	}

@@ -23,11 +23,6 @@ func DefaultWorkers() int {
 	return runtime.NumCPU()
 }
 
-// ctxPollShots is the number of shots a sampling worker runs between context
-// polls: frequent enough that cancellation lands within milliseconds, rare
-// enough that the poll is invisible in the shot throughput.
-const ctxPollShots = 64
-
 // wordPollShots is the number of shots a block runner's 64-lane word loop
 // runs between context polls: 16 words.
 const wordPollShots = 16 * 64

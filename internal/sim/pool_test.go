@@ -262,57 +262,53 @@ func TestCountsResultValidation(t *testing.T) {
 // shards, running each shard on its own BlockRunner (fresh engine state,
 // like a worker that just stole the shard — or a process that resumed from
 // a checkpoint), pooling the counts and finishing the pool must reproduce
-// the single-process adaptive result bit-identically, on both engines and
-// both methods.
+// the single-process adaptive result bit-identically, for both methods.
 func TestBlockRunnerShardsMatchAdaptive(t *testing.T) {
 	const (
 		p        = 2e-2
 		seed     = 424242
 		maxShots = 3*BlockShots*1 + 1000 // odd, word-unaligned, clamps the final block
 	)
-	proto := buildProto(t, code.Steane())
+	est := NewEstimator(buildProto(t, code.Steane()))
 	ctx := context.Background()
+	for _, method := range []Method{MethodDirect, MethodRare} {
+		t.Run(est.EngineInUse().String()+"/"+method.String(), func(t *testing.T) {
+			want, err := est.AdaptiveModel(ctx, method, noise.Uniform(p), 0, maxShots, seed, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for _, est := range []*Estimator{NewEstimator(proto), interpreted(proto)} {
-		for _, method := range []Method{MethodDirect, MethodRare} {
-			t.Run(est.EngineInUse().String()+"/"+method.String(), func(t *testing.T) {
-				want, err := est.AdaptiveModel(ctx, method, noise.Uniform(p), 0, maxShots, seed, 3)
+			// Shard the block grid unevenly: blocks {0}, {1,2}, {3}.
+			totalBlocks := NumBlocks(maxShots)
+			shards := [][]int{{0}, {1, 2}, {3}}
+			var parts []Counts
+			for _, blocks := range shards {
+				r, err := est.NewBlockRunnerModel(method, noise.Uniform(p))
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				// Shard the block grid unevenly: blocks {0}, {1,2}, {3}.
-				totalBlocks := NumBlocks(maxShots)
-				shards := [][]int{{0}, {1, 2}, {3}}
-				var parts []Counts
-				for _, blocks := range shards {
-					r, err := est.NewBlockRunnerModel(method, noise.Uniform(p))
-					if err != nil {
-						t.Fatal(err)
+				for _, b := range blocks {
+					if b >= totalBlocks {
+						t.Fatalf("shard block %d outside the %d-block grid", b, totalBlocks)
 					}
-					for _, b := range blocks {
-						if b >= totalBlocks {
-							t.Fatalf("shard block %d outside the %d-block grid", b, totalBlocks)
-						}
-						r.RunBlock(ctx, seed, b, BlockLen(maxShots, b))
-					}
-					parts = append(parts, r.Counts())
+					r.RunBlock(ctx, seed, b, BlockLen(maxShots, b))
 				}
-				s, err := est.Resolve(method, noise.Uniform(p))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := PoolCounts(parts...).ResultModel(s, noise.Uniform(p), est.ClassCounts())
-				if err != nil {
-					t.Fatal(err)
-				}
+				parts = append(parts, r.Counts())
+			}
+			s, err := est.Resolve(method, noise.Uniform(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PoolCounts(parts...).ResultModel(s, noise.Uniform(p), est.ClassCounts())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				want.ShotsPerSec, got.ShotsPerSec = 0, 0 // wall-clock, not part of the invariant
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("pooled shard result diverges from single-process run:\n got %+v\nwant %+v", got, want)
-				}
-			})
-		}
+			want.ShotsPerSec, got.ShotsPerSec = 0, 0 // wall-clock, not part of the invariant
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pooled shard result diverges from single-process run:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -346,38 +342,35 @@ func TestBlockRunnerSharesSkipTables(t *testing.T) {
 
 // TestBlockRunnerSharesPairLaw checks that k = 2 rare-event runners take
 // the K >= 2 law from the single-fault table's per-model cache instead of
-// building their own: once a model's law exists, a further runner on the
-// batch or scalar engine allocates only itself and its sampler — under
-// 8 KB, less than Carbon's law (first-fault CDF, guide and suffix data) —
-// and the runner's stream does not change.
+// building their own: once a model's law exists, a further runner
+// allocates only itself and its sampler — under 8 KB, less than Carbon's
+// law (first-fault CDF, guide and suffix data) — and the runner's stream
+// does not change.
 func TestBlockRunnerSharesPairLaw(t *testing.T) {
-	p := buildProto(t, code.Carbon())
+	est := NewEstimator(buildProto(t, code.Carbon()))
 	k2 := Sampling{Method: MethodRare, MinFaults: 2}
-	for _, est := range []*Estimator{NewEstimator(p), interpreted(p)} {
-		engine := est.EngineInUse()
-		for _, m := range []noise.Model{noise.Uniform(1e-4), {P1Q: 6e-5, P2Q: 1e-4, PMeas: 2e-5, Eta: 4}} {
-			first, err := est.NewBlockRunner(k2, m)
-			if err != nil {
+	for _, m := range []noise.Model{noise.Uniform(1e-4), {P1Q: 6e-5, P2Q: 1e-4, PMeas: 2e-5, Eta: 4}} {
+		first, err := est.NewBlockRunner(k2, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := est.NewBlockRunner(k2, m); err != nil {
 				t.Fatal(err)
 			}
-			const runs = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				if _, err := est.NewBlockRunner(k2, m); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
-				t.Fatalf("%v %+v: a k = 2 runner allocates %d B, want no law of its own", engine, m, per)
-			}
-			second, _ := est.NewBlockRunner(k2, m)
-			first.RunBlock(context.Background(), 3, 0, 512)
-			second.RunBlock(context.Background(), 3, 0, 512)
-			if a, b := first.Counts(), second.Counts(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%v %+v: runners on one cached law disagree: %+v vs %+v", engine, m, a, b)
-			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
+			t.Fatalf("%+v: a k = 2 runner allocates %d B, want no law of its own", m, per)
+		}
+		second, _ := est.NewBlockRunner(k2, m)
+		first.RunBlock(context.Background(), 3, 0, 512)
+		second.RunBlock(context.Background(), 3, 0, 512)
+		if a, b := first.Counts(), second.Counts(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: runners on one cached law disagree: %+v vs %+v", m, a, b)
 		}
 	}
 }

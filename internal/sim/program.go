@@ -82,8 +82,8 @@ const maxLogicals = 64
 // It returns an error when the protocol exceeds the engine's packing
 // limits (more than 31 verification measurements in a layer, more than 20
 // block measurements, a decoder rank above the dense-table bound, more than
-// 64 logical qubits) or contains malformed class keys; callers fall back to
-// the interpreted Run path in that case.
+// 64 logical qubits) or contains malformed class keys; the estimator then
+// refuses to sample the protocol (ErrNotCompiled).
 func Compile(p *core.Protocol) (*Batch, error) {
 	n := p.Code.N
 	b := &Batch{n: n, nw: (n + 63) / 64}

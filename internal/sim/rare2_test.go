@@ -290,8 +290,8 @@ func TestRarePrepOnlyResolvesK1(t *testing.T) {
 	}
 }
 
-// TestRareK2StreamsPinned pins the k = 2 rare-event streams — batch and
-// scalar engines, uniform and class-biased models — to recorded counts, as
+// TestRareK2StreamsPinned pins the k = 2 rare-event streams of the batch
+// engine, under uniform and class-biased models, to recorded counts, as
 // TestUniformStreamsPinned pins k = 1: a change that moves them has changed
 // which fault pairs the K >= 2 law draws. The Steane rows at 5e-3 reach
 // second-fault continuations often; the Surface and Carbon rows at 1e-4,
@@ -300,10 +300,9 @@ func TestRarePrepOnlyResolvesK1(t *testing.T) {
 // least two faults.
 func TestRareK2StreamsPinned(t *testing.T) {
 	ctx := context.Background()
-	ests := map[string][2]*Estimator{} // indexed by Engine
+	ests := map[string]*Estimator{}
 	for _, cs := range []*code.CSS{code.Steane(), code.Surface3(), code.Carbon()} {
-		p := buildProto(t, cs)
-		ests[cs.Name] = [2]*Estimator{EngineScalar: interpreted(p), EngineBatch: NewEstimator(p)}
+		ests[cs.Name] = NewEstimator(buildProto(t, cs))
 	}
 
 	type run struct {
@@ -313,41 +312,31 @@ func TestRareK2StreamsPinned(t *testing.T) {
 	classes := noise.Model{P1Q: 3e-3, P2Q: 6e-3, PMeas: 1e-3, Eta: 4}
 	classes4 := noise.Model{P1Q: 6e-5, P2Q: 1e-4, PMeas: 2e-5, Eta: 4}
 	for _, tc := range []struct {
-		code   string
-		model  noise.Model
-		engine Engine
-		want   run
+		code  string
+		model noise.Model
+		want  run
 	}{
-		{"Steane", noise.Uniform(5e-3), EngineBatch,
+		{"Steane", noise.Uniform(5e-3),
 			run{16384, 3380, []StratumCount{{W: 2, Shots: 15791, Fails: 3161}, {W: 3, Shots: 576, Fails: 209}, {W: 4, Shots: 16, Fails: 10}, {W: 5, Shots: 1}}}},
-		{"Steane", noise.Uniform(5e-3), EngineScalar,
-			run{16384, 3330, []StratumCount{{W: 2, Shots: 15780, Fails: 3152}, {W: 3, Shots: 593, Fails: 173}, {W: 4, Shots: 10, Fails: 5}, {W: 5, Shots: 1}}}},
-		{"Steane", classes, EngineBatch,
+		{"Steane", classes,
 			run{16384, 1966, []StratumCount{{W: 2, Shots: 15814, Fails: 1844}, {W: 3, Shots: 558, Fails: 120}, {W: 4, Shots: 12, Fails: 2}}}},
-		{"Steane", classes, EngineScalar,
-			run{16384, 1922, []StratumCount{{W: 2, Shots: 15843, Fails: 1795}, {W: 3, Shots: 531, Fails: 126}, {W: 4, Shots: 10, Fails: 1}}}},
-		{"Surface", noise.Uniform(1e-4), EngineBatch,
+		{"Surface", noise.Uniform(1e-4),
 			run{16384, 1664, []StratumCount{{W: 2, Shots: 16368, Fails: 1662}, {W: 3, Shots: 16, Fails: 2}}}},
-		{"Surface", noise.Uniform(1e-4), EngineScalar,
-			run{16384, 1792, []StratumCount{{W: 2, Shots: 16371, Fails: 1790}, {W: 3, Shots: 13, Fails: 2}}}},
-		{"Carbon", noise.Uniform(1e-4), EngineBatch,
+		{"Carbon", noise.Uniform(1e-4),
 			run{16384, 3547, []StratumCount{{W: 2, Shots: 16332, Fails: 3531}, {W: 3, Shots: 52, Fails: 16}}}},
-		{"Carbon", noise.Uniform(1e-4), EngineScalar,
-			run{16384, 3518, []StratumCount{{W: 2, Shots: 16348, Fails: 3504}, {W: 3, Shots: 36, Fails: 14}}}},
-		{"Carbon", classes4, EngineBatch,
+		{"Carbon", classes4,
 			run{16384, 1931, []StratumCount{{W: 2, Shots: 16340, Fails: 1917}, {W: 3, Shots: 44, Fails: 14}}}},
 	} {
-		est := ests[tc.code][tc.engine]
-		res, counts, err := est.adaptive(ctx, MethodRare, tc.model, 0, 16384, 7, 2)
+		res, counts, err := ests[tc.code].adaptive(ctx, MethodRare, tc.model, 0, 16384, 7, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.MinFaults != 2 {
-			t.Fatalf("%s %+v %v: resolved k = %d, want 2", tc.code, tc.model, tc.engine, res.MinFaults)
+			t.Fatalf("%s %+v: resolved k = %d, want 2", tc.code, tc.model, res.MinFaults)
 		}
 		got := run{int(counts.Shots), int(counts.Fails), counts.Strata}
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s %+v %v: got %#v, want %#v", tc.code, tc.model, tc.engine, got, tc.want)
+			t.Errorf("%s %+v: got %#v, want %#v", tc.code, tc.model, got, tc.want)
 		}
 	}
 }

@@ -210,71 +210,64 @@ func TestCondWeightsBoundaries(t *testing.T) {
 // TestAdaptiveWorkerDeterminism is the regression test for the
 // block-scheduled sampling rework: with a fixed seed, the pooled
 // (shots, fails) of an adaptive run — and the full strata of a rare-event
-// run — must be identical across worker counts for every engine × method
-// combination, because RNG streams are keyed by block index, not worker.
+// run — must be identical across worker counts for both methods, because
+// RNG streams are keyed by block index, not worker.
 func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	ctx := context.Background()
-	proto := buildProto(t, code.Steane())
+	est := NewEstimator(buildProto(t, code.Steane()))
 	const p = 0.02
 	const seed = 5
 
-	for _, est := range []*Estimator{NewEstimator(proto), interpreted(proto)} {
-		engine := est.EngineInUse()
-		for _, method := range []Method{MethodDirect, MethodRare} {
-			var ref *Counts
-			for _, workers := range []int{1, 2, 5} {
-				_, got, err := est.adaptive(ctx, method, noise.Uniform(p), 0.08, 300_000, seed, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = &got
-					continue
-				}
-				if got.Shots != ref.Shots || got.Fails != ref.Fails {
-					t.Errorf("%v/%v: workers=%d got (%d, %d), workers=1 got (%d, %d)",
-						engine, method, workers, got.Shots, got.Fails, ref.Shots, ref.Fails)
-				}
-				if !reflect.DeepEqual(got.Strata, ref.Strata) {
-					t.Errorf("%v/%v: workers=%d strata %v != %v", engine, method, workers, got.Strata, ref.Strata)
-				}
+	for _, method := range []Method{MethodDirect, MethodRare} {
+		var ref *Counts
+		for _, workers := range []int{1, 2, 5} {
+			_, got, err := est.adaptive(ctx, method, noise.Uniform(p), 0.08, 300_000, seed, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ref.Fails == 0 {
-				t.Errorf("%v/%v: degenerate run, no failures at p=%g", engine, method, p)
+			if ref == nil {
+				ref = &got
+				continue
 			}
+			if got.Shots != ref.Shots || got.Fails != ref.Fails {
+				t.Errorf("%v: workers=%d got (%d, %d), workers=1 got (%d, %d)",
+					method, workers, got.Shots, got.Fails, ref.Shots, ref.Fails)
+			}
+			if !reflect.DeepEqual(got.Strata, ref.Strata) {
+				t.Errorf("%v: workers=%d strata %v != %v", method, workers, got.Strata, ref.Strata)
+			}
+		}
+		if ref.Fails == 0 {
+			t.Errorf("%v: degenerate run, no failures at p=%g", method, p)
 		}
 	}
 }
 
-// TestRareEnginesAgree pins the batch conditional sampler to the scalar
-// conditional injector statistically: the two engines draw from the same
-// conditional law through entirely different code paths, so their PL
-// estimates at matched budgets must agree within 5 sigma.
+// TestRareEnginesAgree pins the batch conditional sampler to the
+// interpreter statistically: the rare-event estimate on the batch engine
+// and direct sampling on the interpreted reference (interpretedPL) reach
+// PL through entirely different code paths, so at matched budgets they
+// must agree within 5 sigma.
 func TestRareEnginesAgree(t *testing.T) {
-	ctx := context.Background()
-	proto := buildProto(t, code.Steane())
+	est := NewEstimator(buildProto(t, code.Steane()))
 	const p = 0.01
 	const shots = 128 * 1024
 
-	batch, err := NewEstimator(proto).AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 31, 2)
+	rare, err := est.AdaptiveModel(context.Background(), MethodRare, noise.Uniform(p), 0, shots, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := interpreted(proto).AdaptiveModel(ctx, MethodRare, noise.Uniform(p), 0, shots, 41, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := interpretedPL(est, noise.Uniform(p), shots, 41)
 
-	if batch.Fails == 0 || scalar.Fails == 0 {
-		t.Fatalf("degenerate sample: batch %d, scalar %d fails", batch.Fails, scalar.Fails)
+	if rare.Fails == 0 || direct == 0 {
+		t.Fatalf("degenerate sample: rare %d fails, interpreted PL %g", rare.Fails, direct)
 	}
-	qb := float64(batch.Fails) / float64(batch.Shots)
-	qs := float64(scalar.Fails) / float64(scalar.Shots)
-	pool := (qb + qs) / 2
-	sd := math.Sqrt(2 * pool * (1 - pool) / shots)
-	if diff := math.Abs(qb - qs); diff > 5*sd {
-		t.Fatalf("conditional engines disagree: batch q=%.5f vs scalar q=%.5f (diff > 5σ = %.5f)",
-			qb, qs, 5*sd)
+	q := float64(rare.Fails) / float64(rare.Shots)
+	varR := rare.CondP * rare.CondP * q * (1 - q) / shots
+	varD := direct * (1 - direct) / shots
+	if diff, sd := math.Abs(rare.PL-direct), math.Sqrt(varR+varD); diff > 5*sd {
+		t.Fatalf("rare batch PL %.5g vs interpreted direct PL %.5g (diff > 5σ = %.5g)",
+			rare.PL, direct, 5*sd)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/code"
 	"repro/internal/core"
-	"repro/internal/decoder"
 	"repro/internal/f2"
 	"repro/internal/noise"
 )
@@ -21,11 +20,19 @@ func buildProto(t testing.TB, cs *code.CSS) *core.Protocol {
 	return p
 }
 
-// interpreted returns p's estimator stripped of its compiled Batch, deciding
-// with the lookup decoder as NewEstimator's fallback does: the scalar
-// engine that protocols past the packing limits sample on.
-func interpreted(p *core.Protocol) *Estimator {
-	return &Estimator{P: p, decX: decoder.NewLookup(p.Code.Hz)}
+// interpretedPL is the interpreted reference of direct sampling: shots
+// one-at-a-time runs of the interpreted executor under model m, all drawn
+// from one noise.Depolarizing stream seeded seed and judged by est. It
+// returns the failure proportion.
+func interpretedPL(est *Estimator, m noise.Model, shots int, seed int64) float64 {
+	inj := noise.NewDepolarizing(m, rand.New(rand.NewSource(seed)))
+	fails := 0
+	for s := 0; s < shots; s++ {
+		if est.Judge(Run(est.P, inj)) {
+			fails++
+		}
+	}
+	return float64(fails) / float64(shots)
 }
 
 func TestFaultFreeRunIsClean(t *testing.T) {
