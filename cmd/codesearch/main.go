@@ -1,14 +1,15 @@
 // Command codesearch discovers CSS codes with prescribed [[n,k,d]]
-// parameters by randomized subspace sampling with exact distance
-// certification. It was used to produce the stand-in instances for the
-// paper's Carbon [[12,2,4]], [[11,1,3]] and [[16,2,4]] rows, whose exact
-// generator matrices are not public (see README.md, "Codes in the catalog"). It is a
-// thin flag wrapper over dftsp.Search; the printed Hx/Hz rows feed directly
-// into `dftsp -hx ... -hz ...` or the server's "hx"/"hz" options.
+// parameters by random sampling or hill climbing, with exact distance
+// certification. The first two usage lines found the catalog's [[11,1,3]]
+// and [[16,2,4]] stand-ins, whose originals' generators are not public
+// (README.md, "Codes in the catalog"). It is a thin flag wrapper over
+// dftsp.Search; the printed Hx/Hz rows feed directly into
+// `dftsp -hx ... -hz ...` or the server's "hx"/"hz" options.
 //
 // Usage:
 //
-//	codesearch -n 12 -k 2 -d 4 -selfdual
+//	codesearch -n 11 -k 1 -d 3 -selfdual -climb -minstab 3 -seed 9
+//	codesearch -n 16 -k 2 -d 4 -selfdual -climb -seed 2
 //	codesearch -n 11 -k 1 -d 3 -rx 5
 //	codesearch -n 16 -k 2 -d 4 -rx 7 -gauge-tesseract
 package main

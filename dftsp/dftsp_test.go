@@ -738,6 +738,43 @@ func TestSearchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsBadOptions holds Search to refusing, before it draws a
+// candidate, every option set it could never satisfy or whose enumeration
+// would pass f2's 2^24 bound. Each must return ErrBadOptions naming the
+// field or the limit, at once, never panic or spend its budget.
+func TestSearchRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    SearchOptions
+		want string
+	}{
+		{"negative n", SearchOptions{N: -3, K: 1, D: 3, SelfDual: true}, "got n = -3"},
+		{"self-dual past the span bound", SearchOptions{N: 60, K: 2, D: 4, SelfDual: true, MinStabWeight: 2}, "2^24"},
+		{"self-dual climb past the span bound", SearchOptions{N: 60, K: 2, D: 4, SelfDual: true, Mode: SearchClimb, MinStabWeight: 2}, "2^24"},
+		{"climb past the span bound", SearchOptions{N: 50, K: 2, D: 4, RankX: 24, Mode: SearchClimb}, "2^26"},
+		{"zero k", SearchOptions{N: 7, K: 0, D: 3, SelfDual: true}, "1 <= k < n, d >= 1 and max_tries >= 0, got n = 7, k = 0"},
+		{"k equals n", SearchOptions{N: 7, K: 7, D: 1, SelfDual: true}, "k = 7"},
+		{"zero d", SearchOptions{N: 7, K: 1, D: 0, SelfDual: true}, "d = 0"},
+		{"negative budget", SearchOptions{N: 7, K: 1, D: 3, SelfDual: true, MaxTries: -1}, "max_tries = -1"},
+		{"self-dual with odd n-k", SearchOptions{N: 12, K: 1, D: 3, SelfDual: true}, "even n-k"},
+		{"no rank_x", SearchOptions{N: 11, K: 1, D: 3}, "rank_x"},
+		{"rank_x of n-k", SearchOptions{N: 11, K: 1, D: 3, RankX: 10}, "rank_x"},
+		{"climb without rank_x", SearchOptions{N: 11, K: 1, D: 3, Mode: SearchClimb, MinStabWeight: 3, Seed: 9}, "rank_x"},
+		{"shortening past the tesseract", SearchOptions{N: 17, K: 1, D: 3, Mode: SearchShortenTesseract}, "n <= 16"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			_, err := Search(bg, tc.o)
+			if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want ErrBadOptions naming %q", err, tc.want)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("refused after %v, want at once", d)
+			}
+		})
+	}
+}
+
 func TestLogGrid(t *testing.T) {
 	grid, err := LogGrid(1e-4, 1e-1, 13)
 	if err != nil {

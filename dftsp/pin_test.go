@@ -13,7 +13,7 @@ import (
 // protocol of every catalog code, of the two "Opt"-encoder protocols of
 // Table I, and of the three globally optimized protocols the synth-cold
 // benchmark builds (their candidate loop runs the correction synthesis once
-// per candidate). Correction synthesis solves a build's classes on every
+// per candidate). Correction synthesis solves a build's problems on every
 // spare core, so CI runs this test under the default GOMAXPROCS and under
 // GOMAXPROCS=1, and both schedules must give these bytes.
 // Correction synthesis may get faster, but a change in which measurements or

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/code"
+	"repro/internal/f2"
 )
 
 // Code-search strategies accepted by SearchOptions.Mode.
@@ -22,11 +23,12 @@ type SearchOptions struct {
 	K int `json:"k"` // logical qubits
 	D int `json:"d"` // required minimum distance (both dX and dZ)
 
-	// RankX fixes the rank of Hx for non-self-dual searches; 0 lets the
-	// search choose.
+	// RankX is the rank of Hx. A non-self-dual random or climb search
+	// needs 1 <= RankX < N-K; the rank of Hz is N-K-RankX.
 	RankX int `json:"rank_x,omitempty"`
 
-	// SelfDual requires Hx = Hz (weakly self-dual codes).
+	// SelfDual requires Hx = Hz (weakly self-dual codes), so N-K must be
+	// even.
 	SelfDual bool `json:"self_dual,omitempty"`
 
 	// Mode selects the strategy: SearchRandom (default), SearchClimb,
@@ -57,9 +59,13 @@ type FoundCode struct {
 // Search discovers a CSS code with the prescribed parameters using the
 // selected strategy, certifying the distance exactly. It returns an
 // ErrSynthesis-wrapped error when the budget is exhausted without a hit, an
-// ErrBadOptions-wrapped error for an unknown mode, and ctx.Err() (wrapped)
-// when the context is cancelled mid-search.
+// ErrBadOptions-wrapped error for options no search can meet (see
+// validate), and ctx.Err() (wrapped) when the context is cancelled
+// mid-search.
 func Search(ctx context.Context, o SearchOptions) (*FoundCode, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	opt := code.SearchOptions{
 		N: o.N, K: o.K, D: o.D, RankX: o.RankX, SelfDual: o.SelfDual,
 		MaxTries: o.MaxTries, Seed: o.Seed, MinStabWeight: o.MinStabWeight,
@@ -78,8 +84,6 @@ func Search(ctx context.Context, o SearchOptions) (*FoundCode, error) {
 		c = code.GaugeFixTesseract(o.Seed, o.D)
 	case SearchShortenTesseract:
 		c = code.ShortenTesseract(o.N, o.K, o.D)
-	default:
-		return nil, badOptions("unknown search mode %q", o.Mode)
 	}
 	if c == nil {
 		if err := ctx.Err(); err != nil {
@@ -95,4 +99,44 @@ func Search(ctx context.Context, o SearchOptions) (*FoundCode, error) {
 		fc.Hz = append(fc.Hz, c.Hz.Row(i).String())
 	}
 	return fc, nil
+}
+
+// validate rejects, before a candidate is drawn, an option set the chosen
+// strategy could never meet, or whose distance or climb-cost enumeration
+// would pass f2's 2^MaxSpanRows bound. Random sampling enumerates 2^K
+// logical classes and the spans of Hx and Hz; a climb also the kernels of
+// the checks, of dimension K plus the other side's rank.
+func (o SearchOptions) validate() error {
+	if o.N < 1 || o.K < 1 || o.K >= o.N || o.D < 1 || o.MaxTries < 0 {
+		return badOptions("search needs n >= 1, 1 <= k < n, d >= 1 and max_tries >= 0, got n = %d, k = %d, d = %d, max_tries = %d", o.N, o.K, o.D, o.MaxTries)
+	}
+	switch o.Mode {
+	case "", SearchRandom, SearchClimb:
+	case SearchGaugeTesseract:
+		return nil
+	case SearchShortenTesseract:
+		if o.N > 16 {
+			return badOptions("shortenings of the 16-qubit tesseract code need n <= 16, got %d", o.N)
+		}
+		return nil
+	default:
+		return badOptions("unknown search mode %q", o.Mode)
+	}
+	checks, rx := o.N-o.K, o.RankX
+	if o.SelfDual {
+		if checks%2 != 0 {
+			return badOptions("a self-dual search needs even n-k, got %d", checks)
+		}
+		rx = checks / 2
+	} else if rx < 1 || rx >= checks {
+		return badOptions("a non-self-dual search needs rank_x in [1, n-k) = [1, %d), got %d", checks, rx)
+	}
+	exp := max(o.K, rx, checks-rx)
+	if o.Mode == SearchClimb {
+		exp = o.K + max(rx, checks-rx)
+	}
+	if exp > f2.MaxSpanRows {
+		return badOptions("this search enumerates 2^%d elements, past the bound of 2^%d", exp, f2.MaxSpanRows)
+	}
+	return nil
 }

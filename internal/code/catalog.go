@@ -165,7 +165,7 @@ func Carbon() *CSS {
 
 // CSS11 returns a weakly self-dual [[11,1,3]] CSS code standing in for the
 // Grassl-wsd-table instance referenced by the paper (exact generators not
-// public). Found by cmd/codesearch; distance certified exactly.
+// public). Found by cmd/codesearch (searched.go); distance certified exactly.
 func CSS11() *CSS {
 	h := f2.MustMatFromStrings(css11Rows...)
 	return MustNew("[[11,1,3]]", h, h.Clone())
@@ -173,7 +173,7 @@ func CSS11() *CSS {
 
 // CSS16 returns a weakly self-dual [[16,2,4]] CSS code standing in for the
 // Grassl-wsd-table instance referenced by the paper. Found by
-// cmd/codesearch; distance certified exactly.
+// cmd/codesearch (searched.go); distance certified exactly.
 func CSS16() *CSS {
 	h := f2.MustMatFromStrings(css16Rows...)
 	return MustNew("[[16,2,4]]", h, h.Clone())

@@ -217,6 +217,29 @@ func TestSelfDualSearchPinned(t *testing.T) {
 	}
 }
 
+// TestSearchedRowsReproduce reruns the codesearch commands searched.go
+// records as the origins of css11Rows and css16Rows, with the CLI's
+// defaults where a command gives no flag (500000 tries, minimum stabilizer
+// weight 2): SearchSelfDualClimb must return exactly the recorded rows.
+func TestSearchedRowsReproduce(t *testing.T) {
+	for _, tc := range []struct {
+		opt  SearchOptions
+		rows []string
+	}{
+		{SearchOptions{N: 11, K: 1, D: 3, SelfDual: true, MaxTries: 500000, Seed: 9, MinStabWeight: 3}, css11Rows},
+		{SearchOptions{N: 16, K: 2, D: 4, SelfDual: true, MaxTries: 500000, Seed: 2, MinStabWeight: 2}, css16Rows},
+	} {
+		c := SearchSelfDualClimb(context.Background(), tc.opt)
+		if c == nil {
+			t.Fatalf("%+v: no code found", tc.opt)
+		}
+		want := f2.MustMatFromStrings(tc.rows...)
+		if c.Hx.String() != want.String() || c.Hz.String() != want.String() {
+			t.Fatalf("%+v: got Hx\n%v\nHz\n%v\nwant\n%v", tc.opt, c.Hx, c.Hz, want)
+		}
+	}
+}
+
 func TestGaugeFix(t *testing.T) {
 	base := Tesseract()
 	c, err := GaugeFix(base, "gf", []int{0}, []int{1})

@@ -26,13 +26,8 @@ type SearchOptions struct {
 
 // Search looks for a CSS code with the requested parameters by randomized
 // subspace sampling, certifying the distance exactly for every candidate.
-// It returns nil if the budget is exhausted.
-//
-// This is how the stand-in instances for the paper's [[11,1,3]], [[12,2,4]]
-// (Carbon) and [[16,2,4]] rows were produced: the exact generator matrices of
-// those codes are not printed in the paper, so parameter-equivalent codes
-// are discovered here and embedded in the catalog (see README.md, "Codes in
-// the catalog").
+// It returns nil if the budget is exhausted. The catalog's searched
+// stand-ins came from SearchSelfDualClimb instead (see searched.go).
 //
 // Cancelling ctx stops the search early; like budget exhaustion, this
 // returns nil (the caller distinguishes the two via ctx.Err()).

@@ -1,17 +1,16 @@
 package code
 
-// Generator matrices discovered by the randomized/hill-climbing search in
-// cmd/codesearch (see Search and SearchSelfDualClimb). Distances are
-// certified exactly by catalog_test.go.
+// Generator matrices discovered by the self-dual hill-climbing search of
+// cmd/codesearch (SearchSelfDualClimb); TestSearchedRowsReproduce reruns
+// each recorded command. Distances are certified exactly by catalog_test.go.
 //
-// These stand in for instances whose exact generators the paper does not
-// print: the Carbon code [[12,2,4]] (da Silva et al.) and the
-// Grassl-wsd-table [[11,1,3]] and [[16,2,4]] codes. Like the originals they
+// These stand in for the Grassl-wsd-table [[11,1,3]] and [[16,2,4]] codes,
+// whose exact generators the paper does not print. Like the originals they
 // are weakly self-dual CSS codes (Hx = Hz).
 
 // css11Rows: weakly self-dual [[11,1,3]]; Hx = Hz, no stabilizer-span
 // element lighter than 4 (so no decoupled qubit pairs).
-// Found by: codesearch -n 11 -k 1 -d 3 -climb -minstab 3 -seed 9.
+// Found by: codesearch -n 11 -k 1 -d 3 -selfdual -climb -minstab 3 -seed 9.
 var css11Rows = []string{
 	"10001011101",
 	"01001011110",
@@ -21,7 +20,7 @@ var css11Rows = []string{
 }
 
 // css16Rows: weakly self-dual [[16,2,4]]; Hx = Hz.
-// Found by: codesearch -n 16 -k 2 -d 4 -climb -seed 2.
+// Found by: codesearch -n 16 -k 2 -d 4 -selfdual -climb -seed 2.
 var css16Rows = []string{
 	"1000000001111100",
 	"0100000110110001",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -366,11 +367,19 @@ func (p *corrProblem) solve(ctx context.Context, cs *code.CSS, memo *correct.Mem
 	}
 }
 
+// spare is the process-wide pool of spare-core tokens, one for each core
+// beyond the one a synthesizing goroutine already runs on. solveAll starts a
+// helper only for a token it takes without waiting, and the helper gives it
+// back before it counts as done, so synthesis never keeps more than
+// GOMAXPROCS cores busy however many builds run at once, and with
+// GOMAXPROCS=1 every build solves on its caller's goroutine alone.
+var spare = make(chan struct{}, max(runtime.GOMAXPROCS(0)-1, 0))
+
 // solveAll solves every problem, largest error set first, on the calling
-// goroutine and on any spare cores it can take (correct.GoSpare); all of them
-// pull from one shared index. The first failure cancels the solves still
-// running, which then fail with context.Canceled. Every helper has returned
-// when solveAll does.
+// goroutine and on a helper for each spare-core token it can take; all of
+// them pull from one shared index. The first failure cancels the solves
+// still running, which then fail with context.Canceled. Every helper has
+// returned, and its token is back, when solveAll does.
 func solveAll(ctx context.Context, cs *code.CSS, memo *correct.Memo, probs []*corrProblem) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -384,10 +393,19 @@ func solveAll(ctx context.Context, cs *code.CSS, memo *correct.Memo, probs []*co
 		}
 	}
 	var wg sync.WaitGroup
+helpers:
 	for h := 1; h < len(probs); h++ {
-		if !correct.GoSpare(&wg, work) {
-			break
+		select {
+		case spare <- struct{}{}:
+		default:
+			break helpers
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-spare }()
+			work()
+		}()
 	}
 	work()
 	wg.Wait()

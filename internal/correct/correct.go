@@ -26,14 +26,14 @@
 // So the recovery encoding stays the extractor, and every synthesized block
 // is the one it alone would give.
 //
-// An unbounded probe (v < 0) is decided on a fresh solver; with a spare core
-// (GoSpare) its extraction starts beside the decide, and an UNSAT decide
-// cancels it. The weighted probes (v ≥ 0) of the binary search all ask
-// where one threshold lies, since a weight bound that admits a basis admits
-// it at every larger v. So the residual encoding is solved for that
-// threshold v*(u) once, on one incremental solver whose totalizer bound is
-// tightened after each model (minWeight), and a weighted probe is UNSAT
-// for v < v* and extracted, alone, otherwise.
+// An unbounded probe (v < 0) is decided on a fresh solver, and only a
+// satisfiable one is then extracted. The weighted probes (v ≥ 0) of the
+// binary search all ask where one threshold lies, since a weight bound that
+// admits a basis admits it at every larger v. So the residual encoding is
+// solved for that threshold v*(u) once, on one incremental solver whose
+// totalizer bound is tightened after each model (minWeight), and a weighted
+// probe is UNSAT for v < v* and extracted, alone, otherwise. Every probe
+// runs on its caller's goroutine.
 //
 // The u measurements are interchangeable, and each probe breaks that
 // symmetry. An unbounded decide constrains them to the RREF basis of their
@@ -55,8 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/cnf"
 	"repro/internal/code"
@@ -113,33 +111,6 @@ type Options struct {
 	// detection entirely to the solver. Exists for the ablation benchmark;
 	// results are identical, only solving time changes.
 	NoPairPruning bool
-}
-
-// spare is the process-wide pool of spare-core tokens, one for each core
-// beyond the one a synthesizing goroutine already runs on. A helper goroutine
-// runs only while it holds a token, so synthesis never keeps more than
-// GOMAXPROCS cores busy however many builds run at once, and with
-// GOMAXPROCS=1 the pool is empty and every synthesis runs on its caller's
-// goroutine alone.
-var spare = make(chan struct{}, max(runtime.GOMAXPROCS(0)-1, 0))
-
-// GoSpare runs fn on a helper goroutine if a spare core is free, and reports
-// whether it did; it never blocks. wg counts the helper until fn has
-// returned and its token is back in the pool, so a caller that waits on wg
-// before returning leaves every token free.
-func GoSpare(wg *sync.WaitGroup, fn func()) bool {
-	select {
-	case spare <- struct{}{}:
-	default:
-		return false
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() { <-spare }()
-		fn()
-	}()
-	return true
 }
 
 // errEncodingMismatch reports a probe the residual encoding found
@@ -295,49 +266,17 @@ func newClass(det, red *f2.Mat, errs []f2.Vec, opt Options) *class {
 // A weighted probe (v ≥ 0) is answered by the class's least weight v*(u)
 // (minWeight): v < v* is UNSAT, and only a satisfiable probe is solved, by
 // its extraction alone. An unbounded probe is decided by the residual
-// encoding; with a spare core its extraction runs beside the decide and is
-// cancelled if the decide answers UNSAT, without one it runs after a SAT
-// answer. While a raced extraction finishes a SAT probe at u > 0, the
-// caller's goroutine computes v*(u) for the binary search that follows.
+// encoding, and extracted only when that answers SAT.
 func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
 	if v >= 0 {
 		vmin, err := c.minWeight(ctx, u)
 		if err != nil || v < vmin {
 			return nil, err
 		}
-		blk, err := c.extractCorrection(ctx, u, v)
-		return mustBeSAT(u, v, blk, err)
-	}
-	var (
-		wg      sync.WaitGroup
-		blk     *Block
-		extrErr error
-	)
-	extrCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	raced := GoSpare(&wg, func() { blk, extrErr = c.extractCorrection(extrCtx, u, v) })
-	ok, err := c.decide(ctx, u, v, true)
-	if err != nil || !ok {
-		cancel()
-		wg.Wait()
+	} else if ok, err := c.decide(ctx, u, v, true); err != nil || !ok {
 		return nil, err
 	}
-	if !raced {
-		blk, extrErr = c.extractCorrection(ctx, u, v)
-	} else if u > 0 {
-		if _, err := c.minWeight(ctx, u); err != nil {
-			cancel()
-			wg.Wait()
-			return nil, err
-		}
-	}
-	wg.Wait()
-	return mustBeSAT(u, v, blk, extrErr)
-}
-
-// mustBeSAT turns an UNSAT extraction of a probe the residual encoding
-// satisfies into errEncodingMismatch.
-func mustBeSAT(u, v int, blk *Block, err error) (*Block, error) {
+	blk, err := c.extractCorrection(ctx, u, v)
 	if err == nil && blk == nil {
 		err = fmt.Errorf("u=%d v=%d: %w", u, v, errEncodingMismatch)
 	}

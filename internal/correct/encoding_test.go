@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -348,57 +347,4 @@ func TestEncodingMismatchIsAnError(t *testing.T) {
 	if !errors.Is(err, errEncodingMismatch) {
 		t.Fatalf("err = %v, want errEncodingMismatch", err)
 	}
-}
-
-// solverGoroutines returns the stacks of the goroutines other than the
-// caller's that are still building or solving a probe. A helper whose
-// WaitGroup has released its waiter may still be inside Done; it no longer
-// counts.
-func solverGoroutines() []string {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	var out []string
-	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
-		for _, frame := range []string{"repro/internal/correct.(*class)", "repro/internal/cnf.", "repro/internal/sat."} {
-			if strings.Contains(g, frame) {
-				out = append(out, g)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// TestProbeRaceJoinsExtraction runs the unbounded probes of the Hamming X
-// table class, UNSAT up to u = 3, with the SAT solve at u = 4 last. On a
-// spare core each probe's extraction runs beside its decide; when
-// solveCorrection returns, that extraction must have returned too, whether
-// the decide cancelled it (UNSAT) or took its model (SAT).
-func TestProbeRaceJoinsExtraction(t *testing.T) {
-	var tc tableClass
-	for _, c := range loadTableClasses(t) {
-		if c.cs.Name == "Hamming" && c.kind == code.ErrX {
-			tc = c
-		}
-	}
-	if tc.cs == nil {
-		t.Fatal("no Hamming X class in testdata/classes.txt")
-	}
-	c := newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs, Options{})
-	for u := 0; u <= c.gens.Rows(); u++ {
-		blk, err := c.solveCorrection(context.Background(), u, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if live := solverGoroutines(); len(live) > 0 {
-			t.Fatalf("u=%d: %d solver goroutines still running after the probe returned:\n%s", u, len(live), live[0])
-		}
-		if blk != nil {
-			if u != 4 {
-				t.Fatalf("first satisfiable probe at u=%d, want 4", u)
-			}
-			return
-		}
-	}
-	t.Fatal("no satisfiable unbounded probe")
 }

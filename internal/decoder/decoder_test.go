@@ -150,32 +150,34 @@ func TestDenseIndexWords(t *testing.T) {
 	}
 }
 
-// TestDenseRefusesHighRankAtOnce gives NewDense a rank-30 check matrix on
-// 40 qubits, past the dense bound of 24: it must be refused with an error
-// naming the rank, before any syndrome is enumerated — the lookup table of
-// that matrix would hold 2^30 entries.
+// TestDenseRefusesHighRankAtOnce gives NewDense check matrices on 40
+// qubits of rank 17, one past the dense bound of 16, and of rank 30: each
+// must be refused with an error naming its rank, before any syndrome is
+// enumerated — their lookup tables would hold 2^17 and 2^30 entries.
 func TestDenseRefusesHighRankAtOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	h := f2.NewMat(40)
-	for i := 0; i < 30; i++ {
-		row := f2.FromSupport(40, i)
-		for q := 30; q < 40; q++ {
-			if rng.Intn(2) == 1 {
-				row.Flip(q)
+	for _, rank := range []int{17, 30} {
+		rng := rand.New(rand.NewSource(int64(rank)))
+		h := f2.NewMat(40)
+		for i := 0; i < rank; i++ {
+			row := f2.FromSupport(40, i)
+			for q := 30; q < 40; q++ {
+				if rng.Intn(2) == 1 {
+					row.Flip(q)
+				}
 			}
+			h.MustAppendRow(row)
 		}
-		h.MustAppendRow(row)
-	}
-	start := time.Now()
-	d, err := NewDense(h)
-	if err == nil || d != nil {
-		t.Fatalf("rank-30 matrix accepted: %v, %v", d, err)
-	}
-	if !strings.Contains(err.Error(), "rank 30") {
-		t.Fatalf("error %q does not name the rank", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("refusal took %v, want well under a second", elapsed)
+		start := time.Now()
+		d, err := NewDense(h)
+		if err == nil || d != nil {
+			t.Fatalf("rank-%d matrix accepted: %v, %v", rank, d, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("rank %d", rank)) {
+			t.Fatalf("error %q does not name rank %d", err, rank)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("rank %d: refusal took %v, want well under a second", rank, elapsed)
+		}
 	}
 }
 

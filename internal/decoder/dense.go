@@ -8,9 +8,10 @@ import (
 )
 
 // maxDenseRank bounds the syndrome table size of a Dense decoder
-// (2^rank correction entries). The catalog codes have rank <= 8; the bound
-// only exists to refuse a pathological check matrix before allocating.
-const maxDenseRank = 24
+// (2^rank correction entries): about a second and 66 MB at rank 16, four
+// times the memory every two ranks past it. The largest check rank of a
+// catalog code or of surface_distance 5 is 12.
+const maxDenseRank = 16
 
 // Dense is the lookup decoder re-laid-out for the simulation hot path: the
 // syndrome is packed into a uint64 index (bit i = parity of check row i

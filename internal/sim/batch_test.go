@@ -222,7 +222,7 @@ func TestEngineSelection(t *testing.T) {
 }
 
 // TestNotCompiledRefusedAtOnce gives the estimator a protocol whose Hz has
-// rank 30 on 40 qubits, past the dense decoder's bound of 24, so the batch
+// rank 30 on 40 qubits, past the dense decoder's bound of 16, so the batch
 // engine cannot compile it and nothing samples it. Every entry point must
 // return ErrNotCompiled wrapping the error that names the rank, well under
 // a second and without building a decoder table: a lookup table of that
