@@ -761,6 +761,8 @@ func TestSearchRejectsBadOptions(t *testing.T) {
 		{"rank_x of n-k", SearchOptions{N: 11, K: 1, D: 3, RankX: 10}, "rank_x"},
 		{"climb without rank_x", SearchOptions{N: 11, K: 1, D: 3, Mode: SearchClimb, MinStabWeight: 3, Seed: 9}, "rank_x"},
 		{"shortening past the tesseract", SearchOptions{N: 17, K: 1, D: 3, Mode: SearchShortenTesseract}, "n <= 16"},
+		{"gauge fixing with n of 12", SearchOptions{N: 12, K: 2, D: 4, Mode: SearchGaugeTesseract}, "n = 12"},
+		{"gauge fixing with k of 1", SearchOptions{N: 16, K: 1, D: 4, Mode: SearchGaugeTesseract}, "k = 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()

@@ -113,6 +113,9 @@ func (o SearchOptions) validate() error {
 	switch o.Mode {
 	case "", SearchRandom, SearchClimb:
 	case SearchGaugeTesseract:
+		if o.N != 16 || o.K != 2 {
+			return badOptions("gauge fixings of the 16-qubit tesseract code are [[16,2,d]] codes: need n = 16 and k = 2, got n = %d, k = %d", o.N, o.K)
+		}
 		return nil
 	case SearchShortenTesseract:
 		if o.N > 16 {

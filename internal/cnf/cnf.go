@@ -26,6 +26,15 @@ func NewBuilder() *Builder {
 	return &Builder{S: sat.NewSolver()}
 }
 
+// Reset returns the builder to the state NewBuilder gives, over its own
+// solver reset (sat.Solver.Reset): the solver's storage is kept, and a
+// formula built after Reset is solved exactly as on a fresh builder. A
+// search that builds one formula per probe reuses one builder throughout.
+func (b *Builder) Reset() {
+	b.S.Reset()
+	*b = Builder{S: b.S}
+}
+
 // NewVar introduces a fresh variable and returns its positive literal.
 func (b *Builder) NewVar() sat.Lit {
 	return sat.MkLit(b.S.NewVar(), false)

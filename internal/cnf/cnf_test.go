@@ -20,6 +20,22 @@ func TestConstants(t *testing.T) {
 	}
 }
 
+// TestResetForgetsConstants builds on a reset builder: its constants must
+// be new variables of the new formula, as on a fresh builder.
+func TestResetForgetsConstants(t *testing.T) {
+	b := NewBuilder()
+	b.NewVars(3)
+	b.AddClause(b.False())
+	b.Reset()
+	tr := b.True()
+	if tr.Var() != 0 || b.S.NumVars() != 1 {
+		t.Fatalf("after Reset: True() = %v over %d variables, want v0 over 1", tr, b.S.NumVars())
+	}
+	if ok, _ := b.S.Solve(); !ok || !b.Val(tr) || b.Val(b.False()) {
+		t.Fatal("after Reset: the constants alone must be SAT with their values")
+	}
+}
+
 func TestXorTruthTable(t *testing.T) {
 	for mask := 0; mask < 8; mask++ {
 		b := NewBuilder()

@@ -375,6 +375,11 @@ func (p *corrProblem) solve(ctx context.Context, cs *code.CSS, memo *correct.Mem
 // GOMAXPROCS=1 every build solves on its caller's goroutine alone.
 var spare = make(chan struct{}, max(runtime.GOMAXPROCS(0)-1, 0))
 
+// helperDone, when non-nil, is called by each helper of solveAll after its
+// work loop and before it counts as done. It is nil outside the tests,
+// which park helpers in it to check that solveAll waits for them.
+var helperDone func()
+
 // solveAll solves every problem, largest error set first, on the calling
 // goroutine and on a helper for each spare-core token it can take; all of
 // them pull from one shared index. The first failure cancels the solves
@@ -405,6 +410,9 @@ helpers:
 			defer wg.Done()
 			defer func() { <-spare }()
 			work()
+			if helperDone != nil {
+				helperDone()
+			}
 		}()
 	}
 	work()

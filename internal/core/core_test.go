@@ -257,20 +257,52 @@ var css16BuildTime = sync.OnceValues(func() (time.Duration, error) {
 
 // TestBuildCancelJoinsHelpers cancels a [[16,2,4]] build halfway and at
 // three quarters of its uncancelled duration, while its correction problems
-// are solved on the spare cores and when only its largest class is left
-// (run under -race -count=10). Build must return the context's error, and
-// every helper of the problem fan-out must be joined before it returns: no
-// goroutine is left in the synthesis, every spare-core token is free again,
-// and the goroutine count goes back to its baseline.
+// are solved on the spare cores and when only its largest class is left.
+// Build must return the context's error, and every helper of the problem
+// fan-out must be joined before it returns: no goroutine is left in the
+// synthesis, every spare-core token is free again, and the goroutine count
+// goes back to its baseline. Each helper parks in helperDone until the
+// goroutine stacks show solveAll waiting for it, so a solveAll that
+// returned without joining its helpers fails here on every run, with or
+// without -race.
 func TestBuildCancelJoinsHelpers(t *testing.T) {
 	full, err := css16BuildTime()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { helperDone = nil })
 	for _, at := range []time.Duration{full / 2, full * 3 / 4} {
 		base := runtime.NumGoroutine()
+		parked := make(chan struct{}, cap(spare)) // one send per helper, at most one per token
+		release := make(chan struct{})
+		var releaseOnce sync.Once
+		free := func() { releaseOnce.Do(func() { close(release) }) }
+		helperDone = func() {
+			parked <- struct{}{}
+			<-release
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), at)
-		_, err := Build(ctx, code.CSS16(), Config{})
+		done := make(chan error, 1)
+		go func() {
+			_, err := Build(ctx, code.CSS16(), Config{})
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-parked:
+			// A helper is held: Build must not return until the stacks show
+			// solveAll waiting for it.
+			for !solveAllWaiting() {
+				select {
+				case <-done:
+					free()
+					t.Fatalf("cancelled at %v: Build returned while a fan-out helper was still running", at)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			free()
+			err = <-done
+		}
 		if err == nil && at > full/2 {
 			// This run beat the timed one; the late point was not reached.
 			cancel()
@@ -278,10 +310,13 @@ func TestBuildCancelJoinsHelpers(t *testing.T) {
 			continue
 		}
 		if !errors.Is(err, ctx.Err()) || ctx.Err() == nil {
+			free()
 			t.Fatalf("Build cancelled at %v of %v: error %v, want %v", at, full, err, ctx.Err())
 		}
 		cancel()
-		if live := synthesisGoroutines(); len(live) > 0 {
+		live := synthesisGoroutines()
+		free()
+		if len(live) > 0 {
 			t.Fatalf("cancelled at %v: %d goroutines still synthesizing after Build returned:\n%s", at, len(live), live[0])
 		}
 		if held := len(spare); held != 0 {
@@ -297,6 +332,19 @@ func TestBuildCancelJoinsHelpers(t *testing.T) {
 			t.Fatalf("cancelled at %v: %d goroutines, %d before the build", at, n, base)
 		}
 	}
+}
+
+// solveAllWaiting reports whether some goroutine is in solveAll, waiting
+// for its helpers.
+func solveAllWaiting() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*WaitGroup).Wait(") && strings.Contains(g, "repro/internal/core.solveAll(") {
+			return true
+		}
+	}
+	return false
 }
 
 // synthesisGoroutines returns the stacks of the goroutines other than the

@@ -26,14 +26,17 @@
 // So the recovery encoding stays the extractor, and every synthesized block
 // is the one it alone would give.
 //
-// An unbounded probe (v < 0) is decided on a fresh solver, and only a
-// satisfiable one is then extracted. The weighted probes (v ≥ 0) of the
-// binary search all ask where one threshold lies, since a weight bound that
-// admits a basis admits it at every larger v. So the residual encoding is
-// solved for that threshold v*(u) once, on one incremental solver whose
-// totalizer bound is tightened after each model (minWeight), and a weighted
-// probe is UNSAT for v < v* and extracted, alone, otherwise. Every probe
-// runs on its caller's goroutine.
+// An unbounded probe (v < 0) is decided first, and only a satisfiable one is
+// then extracted. The weighted probes (v ≥ 0) of the binary search all ask
+// where one threshold lies, since a weight bound that admits a basis admits
+// it at every larger v. So the residual encoding is solved for that
+// threshold v*(u) once, on one incremental solver whose totalizer bound is
+// tightened after each model (minWeight), and a weighted probe is UNSAT for
+// v < v* and extracted, alone, otherwise. Every probe
+// runs on its caller's goroutine, and each builds its formula on the one
+// builder of its search, reset in between: a reset solver searches exactly
+// like a fresh one (sat.Solver.Reset) and keeps its storage, so a search
+// allocates its solver about once rather than once per probe.
 //
 // The u measurements are interchangeable, and each probe breaks that
 // symmetry. An unbounded decide constrains them to the RREF basis of their
@@ -137,6 +140,7 @@ func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Option
 		return &Block{Recovery: map[string]f2.Vec{}}, nil
 	}
 	c := newClass(det, red, errs, opt)
+	c.b = cnf.NewBuilder()
 	return c.search(func(u, v int) (*Block, error) { return c.solveCorrection(ctx, u, v) })
 }
 
@@ -196,6 +200,19 @@ type class struct {
 	opt     Options
 	pairs   []pair      // every k1 < k2, in that order
 	vmin    map[int]int // u → v*(u), filled by minWeight
+	// b is the builder every probe resets and reuses; nil gives each probe
+	// a new one, the fresh-solver reference of the tests.
+	b *cnf.Builder
+}
+
+// builder returns an empty builder for the next probe. The previous
+// probe's formula and model are gone once it does.
+func (c *class) builder() *cnf.Builder {
+	if c.b == nil {
+		return cnf.NewBuilder()
+	}
+	c.b.Reset()
+	return c.b
 }
 
 // weightOnly is the weight bound that builds a probe's weight bits but
@@ -261,7 +278,7 @@ func newClass(det, red *f2.Mat, errs []f2.Vec, opt Options) *class {
 
 // solveCorrection solves a single (u, v) probe; v < 0 disables the weight
 // bound. It returns nil if unsatisfiable, and otherwise the block of the
-// recovery encoding's model of this probe on a fresh solver.
+// recovery encoding's model of this probe, which a fresh solver would give.
 //
 // A weighted probe (v ≥ 0) is answered by the class's least weight v*(u)
 // (minWeight): v < v* is UNSAT, and only a satisfiable probe is solved, by
@@ -432,7 +449,7 @@ func (c *class) link(b *cnf.Builder, sigma [][]sat.Lit, join func(p *pair, eq sa
 // solving, and the weight bits of measurements.
 func (c *class) residual(u, v int, rref bool) (*cnf.Builder, []sat.Lit) {
 	n := c.gens.Cols()
-	b := cnf.NewBuilder()
+	b := c.builder()
 	_, sigma, weight := c.measurements(b, u, v, rref)
 	z := make([][]sat.Lit, len(c.errs))
 	for k := range z {
@@ -459,7 +476,7 @@ func (c *class) residual(u, v int, rref bool) (*cnf.Builder, []sat.Lit) {
 	return b, weight
 }
 
-// decide solves the residual encoding of a (u, v) probe on a fresh solver.
+// decide solves the residual encoding of a (u, v) probe.
 func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 	b, _ := c.residual(u, v, rref)
 	if b == nil {
@@ -479,7 +496,7 @@ func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 // require differing syndromes, which prunes the search substantially.
 func (c *class) extractCorrection(ctx context.Context, u, v int) (*Block, error) {
 	r, n, rr := c.gens.Rows(), c.gens.Cols(), c.redGens.Rows()
-	b := cnf.NewBuilder()
+	b := c.builder()
 	sel, sigma, _ := c.measurements(b, u, v, false)
 
 	// Per-error recovery with correctability: wt(e ⊕ c_e ⊕ t) ≤ 1.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cnf"
 	"repro/internal/code"
 	"repro/internal/f2"
 )
@@ -123,6 +124,30 @@ func TestEncodingsAgreeOnTableClasses(t *testing.T) {
 		})
 	}
 	t.Logf("%d classes, %d probes", len(classes), probes)
+}
+
+// TestReusedBuilderMatchesFresh runs the search of every Table I class
+// twice: with a new builder for each probe, and on one builder that every
+// probe of every class resets and reuses, as each Synthesize call does with
+// its own. Both must end on the same block: a reset that left state behind
+// would change the solver's models, and the blocks are those models.
+func TestReusedBuilderMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	shared := cnf.NewBuilder()
+	for _, tc := range loadTableClasses(t) {
+		det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
+		fresh := newClass(det, red, tc.errs, Options{})
+		want, wantErr := fresh.search(func(u, v int) (*Block, error) { return fresh.solveCorrection(ctx, u, v) })
+		reused := newClass(det, red, tc.errs, Options{})
+		reused.b = shared
+		got, gotErr := reused.search(func(u, v int) (*Block, error) { return reused.solveCorrection(ctx, u, v) })
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%s: reused builder: %v; fresh builders: %v", tc.name, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused builder gave %v, fresh builders %v", tc.name, got, want)
+		}
+	}
 }
 
 // bare6 has no X stabilizers: it leaves X errors unreduced and lets every

@@ -104,7 +104,11 @@ func (e *DIMACSError) Unwrap() error { return e.Err }
 // reference more). Every rejected input gives a *DIMACSError, and a count or
 // literal beyond MaxDIMACSVars one that wraps ErrDIMACSTooLarge.
 func ParseDIMACS(r io.Reader) (*Solver, error) {
-	s := NewSolver()
+	return parseDIMACS(NewSolver(), r)
+}
+
+// parseDIMACS is ParseDIMACS into s, a fresh or reset solver.
+func parseDIMACS(s *Solver, r io.Reader) (*Solver, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	declared := false

@@ -9,9 +9,21 @@
 // it must handle are small (thousands of variables). Clauses live in one flat
 // literal arena addressed by int32 references, and assignments are kept per
 // literal, so the propagation loop touches no pointers; the search order —
-// every watch visit, swap, restart and deletion — is fixed by the instance
-// alone, so a given formula always yields the same decisions, conflicts and
-// model.
+// every watch visit, watch move, restart and deletion — is fixed by the
+// instance alone, so a given formula always yields the same decisions,
+// conflicts and model.
+//
+// The order of a clause's two watched literals is observable in three
+// places only, and each reads it after the visit that fixed it: a conflict
+// clause's literal order in analyze (fixed by the visit that found the
+// conflict), and a reason clause's literal order in analyze and its lits[0]
+// in locked (fixed by the visit that made it a reason; a reason is not
+// visited again while its literal stays assigned). So a visit that finds
+// the clause satisfied by its other watch leaves the clause untouched, and
+// only the unit, conflict and watch-move paths order the two watches.
+//
+// Reset empties a solver for the next formula and keeps its storage; a
+// reset solver searches exactly like a fresh one.
 package sat
 
 import (
@@ -95,10 +107,9 @@ type Solver struct {
 	trailLim []int // trail index at each decision level
 	qhead    int
 
-	activity []float64
-	varInc   float64
-	heap     varHeap
-	seen     []bool
+	varInc float64
+	heap   varHeap // holds the activity per variable
+	seen   []bool
 
 	// Scratch buffers reused across calls.
 	addBuf, learntBuf, analyzeBuf []Lit
@@ -116,9 +127,37 @@ type Solver struct {
 
 // NewSolver returns an empty solver with no variables.
 func NewSolver() *Solver {
-	s := &Solver{varInc: 1}
-	s.heap.activity = &s.activity
-	return s
+	return &Solver{varInc: 1}
+}
+
+// Reset returns the solver to the state NewSolver gives: no variables, no
+// clauses, no model, zero statistics and no conflict budget. It keeps the
+// storage of every slice, the inner watch lists included, so a solver
+// rebuilt after Reset allocates only past the largest formula it held, and
+// its search is exactly that of a fresh solver on the same formula.
+func (s *Solver) Reset() {
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	*s = Solver{
+		arena:      s.arena[:0],
+		clauses:    s.clauses[:0],
+		learnts:    s.learnts[:0],
+		watches:    s.watches[:0],
+		vals:       s.vals[:0],
+		phase:      s.phase[:0],
+		level:      s.level[:0],
+		reason:     s.reason[:0],
+		trail:      s.trail[:0],
+		trailLim:   s.trailLim[:0],
+		varInc:     1,
+		heap:       varHeap{data: s.heap.data[:0], pos: s.heap.pos[:0], activity: s.heap.activity[:0]},
+		seen:       s.seen[:0],
+		addBuf:     s.addBuf[:0],
+		learntBuf:  s.learntBuf[:0],
+		analyzeBuf: s.analyzeBuf[:0],
+		model:      s.model[:0],
+	}
 }
 
 // SetBudget limits the total number of conflicts across subsequent Solve
@@ -142,9 +181,13 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noRef)
-	s.activity = append(s.activity, 0)
+	s.heap.activity = append(s.heap.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2] // lists Reset emptied, storage kept
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.heap.insert(v)
 	return v
 }
@@ -259,6 +302,12 @@ func (s *Solver) cancelUntil(lvl int) {
 
 // propagate performs unit propagation; it returns a conflicting clause or
 // noRef if the queue drained without conflict.
+//
+// A visit reads the other watch as lits[0] ^ lits[1] ^ falseLit, so it needs
+// the clause's size only when that watch is not true, and a clause it finds
+// satisfied is kept without a write. The unit, conflict and watch-move paths
+// normalize first (lits[0] the other watch, lits[1] the false one), which is
+// the order analyze and locked read (see the package doc).
 func (s *Solver) propagate() cref {
 	arena, vals := s.arena, s.vals // neither header changes while propagating
 	for s.qhead < len(s.trail) {
@@ -267,46 +316,42 @@ func (s *Solver) propagate() cref {
 		s.propags++
 		falseLit := p.Neg()
 		ws := s.watches[p]
-		kept := ws[:0]
+		j := 0 // ws[:j] are the watches kept so far
 		confl := noRef
-		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
+	visit:
+		for i := 0; i < len(ws); i++ {
+			c := ws[i]
 			at := int(c) + hdrSlots
-			lits := arena[at : at+int(arena[c]>>hdrShift)]
-			// Normalize: make lits[1] the false literal.
-			if lits[0] == falseLit {
-				lits[0], lits[1] = lits[1], lits[0]
-			}
+			other := arena[at] ^ arena[at+1] ^ falseLit
 			// If the other watch is true, the clause is satisfied.
-			if vals[lits[0]] == lTrue {
-				kept = append(kept, c)
+			if vals[other] == lTrue {
+				ws[j] = c
+				j++
 				continue
 			}
+			lits := arena[at : at+int(arena[c]>>hdrShift)]
+			lits[0], lits[1] = other, falseLit
 			// Look for a new literal to watch.
-			moved := false
 			for k := 2; k < len(lits); k++ {
 				if vals[lits[k]] != lFalse {
-					lits[1], lits[k] = lits[k], lits[1]
+					lits[1], lits[k] = lits[k], falseLit
 					w := lits[1].Neg()
 					s.watches[w] = append(s.watches[w], c)
-					moved = true
-					break
+					continue visit // watch moved; drop from this list
 				}
 			}
-			if moved {
-				continue // watch moved; drop from this list
-			}
 			// Clause is unit or conflicting.
-			kept = append(kept, c)
-			if vals[lits[0]] == lFalse {
+			ws[j] = c
+			j++
+			if vals[other] == lFalse {
 				confl = c
 				s.qhead = len(s.trail) // flush queue
-				kept = append(kept, ws[wi+1:]...)
+				j += copy(ws[j:], ws[i+1:])
 				break
 			}
-			s.uncheckedEnqueue(lits[0], c)
+			s.uncheckedEnqueue(other, c)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 		if confl != noRef {
 			return confl
 		}
@@ -412,10 +457,11 @@ func (s *Solver) redundant(q Lit) bool {
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
+	act := s.heap.activity
+	act[v] += s.varInc
+	if act[v] > 1e100 {
+		for i := range act {
+			act[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
@@ -660,12 +706,12 @@ func luby(i int) int {
 // varHeap is a max-heap of variables ordered by activity.
 type varHeap struct {
 	data     []int
-	pos      []int // variable -> heap index, -1 if absent
-	activity *[]float64
+	pos      []int     // variable -> heap index, -1 if absent
+	activity []float64 // per variable
 }
 
 func (h *varHeap) less(a, b int) bool {
-	return (*h.activity)[h.data[a]] > (*h.activity)[h.data[b]]
+	return h.activity[h.data[a]] > h.activity[h.data[b]]
 }
 
 func (h *varHeap) swap(a, b int) {

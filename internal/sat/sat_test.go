@@ -384,12 +384,11 @@ func BenchmarkPigeonhole6(b *testing.B) {
 	}
 }
 
-// pigeonholeSolver builds PHP(p, h) without solving it: every pigeon sits
-// in some hole, no hole holds two pigeons. Unsatisfiable for p > h and
+// pigeonholeSolver builds PHP(p, h) on s, a fresh or reset solver, without
+// solving it: every pigeon sits in some hole, no hole holds two pigeons. Unsatisfiable for p > h and
 // exponentially hard for resolution-based solvers — the canonical
 // long-running CDCL instance for the cancellation tests.
-func pigeonholeSolver(p, h int) *Solver {
-	s := NewSolver()
+func pigeonholeSolver(s *Solver, p, h int) *Solver {
 	vars := make([][]int, p)
 	for i := range vars {
 		vars[i] = make([]int, h)
@@ -415,7 +414,7 @@ func pigeonholeSolver(p, h int) *Solver {
 }
 
 func TestSolveContextDeadline(t *testing.T) {
-	s := pigeonholeSolver(14, 13) // far beyond any reasonable time budget
+	s := pigeonholeSolver(NewSolver(), 14, 13) // far beyond any reasonable time budget
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -429,7 +428,7 @@ func TestSolveContextDeadline(t *testing.T) {
 }
 
 func TestSolveContextAlreadyCancelled(t *testing.T) {
-	s := pigeonholeSolver(14, 13)
+	s := pigeonholeSolver(NewSolver(), 14, 13)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.SolveContext(ctx); !errors.Is(err, context.Canceled) {

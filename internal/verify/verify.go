@@ -73,14 +73,18 @@ func (r *Result) CNOTs() int {
 // error in errs (odd overlap with at least one measurement). A nil Result
 // with nil error is returned when errs is empty (nothing to verify).
 // Cancelling ctx aborts the underlying SAT search with ctx.Err().
+//
+// Every (u, v) probe builds its formula on one builder, reset in between;
+// a reset solver searches exactly like a fresh one (sat.Solver.Reset).
 func Synthesize(ctx context.Context, det *f2.Mat, errs []f2.Vec) (*Result, error) {
 	if len(errs) == 0 {
 		return &Result{}, nil
 	}
+	b := cnf.NewBuilder()
 	maxU := det.SpanBasis().Rows()
 	for u := 1; u <= maxU; u++ {
 		// First decide feasibility for this u without a weight bound.
-		stabs, err := solveVerification(ctx, det, errs, u, -1)
+		stabs, err := solveVerification(ctx, b, det, errs, u, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +96,7 @@ func Synthesize(ctx context.Context, det *f2.Mat, errs []f2.Vec) (*Result, error
 		lo, hi := u, totalWeight(stabs)-1
 		for lo <= hi {
 			mid := (lo + hi) / 2
-			cand, err := solveVerification(ctx, det, errs, u, mid)
+			cand, err := solveVerification(ctx, b, det, errs, u, mid)
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +128,8 @@ func EnumerateOptimal(ctx context.Context, det *f2.Mat, errs []f2.Vec, limit int
 		return []*Result{opt}, nil
 	}
 	u, v := opt.Ancillas(), opt.CNOTs()
-	b, sel, _ := buildVerification(det, errs, u, v)
+	b := cnf.NewBuilder()
+	sel, _ := buildVerification(b, det, errs, u, v)
 	seen := map[string]bool{}
 	var out []*Result
 	for iter := 0; len(out) < limit && iter < 4096; iter++ {
@@ -151,10 +156,12 @@ func EnumerateOptimal(ctx context.Context, det *f2.Mat, errs []f2.Vec, limit int
 	return out, nil
 }
 
-// solveVerification decides one (u, v) instance; v < 0 disables the weight
-// bound. It returns the measured stabilizers or nil if unsatisfiable.
-func solveVerification(ctx context.Context, det *f2.Mat, errs []f2.Vec, u, v int) ([]f2.Vec, error) {
-	b, sel, ok := buildVerification(det, errs, u, v)
+// solveVerification decides one (u, v) instance on b, which it resets
+// first; v < 0 disables the weight bound. It returns the measured
+// stabilizers or nil if unsatisfiable.
+func solveVerification(ctx context.Context, b *cnf.Builder, det *f2.Mat, errs []f2.Vec, u, v int) ([]f2.Vec, error) {
+	b.Reset()
+	sel, ok := buildVerification(b, det, errs, u, v)
 	if !ok {
 		return nil, nil
 	}
@@ -168,13 +175,13 @@ func solveVerification(ctx context.Context, det *f2.Mat, errs []f2.Vec, u, v int
 	return extractStabs(b, sel, det, u), nil
 }
 
-// buildVerification constructs the CNF. sel[i][j] selects generator j for
-// measurement i. ok=false signals a trivially-unsatisfiable build.
-func buildVerification(det *f2.Mat, errs []f2.Vec, u, v int) (*cnf.Builder, [][]sat.Lit, bool) {
+// buildVerification constructs the CNF on the empty builder b. sel[i][j]
+// selects generator j for measurement i. ok=false signals a
+// trivially-unsatisfiable build.
+func buildVerification(b *cnf.Builder, det *f2.Mat, errs []f2.Vec, u, v int) ([][]sat.Lit, bool) {
 	gens := det.SpanBasis()
 	r := gens.Rows()
 	n := gens.Cols()
-	b := cnf.NewBuilder()
 
 	sel := make([][]sat.Lit, u)
 	for i := range sel {
@@ -198,7 +205,7 @@ func buildVerification(det *f2.Mat, errs []f2.Vec, u, v int) (*cnf.Builder, [][]
 		}
 		if len(odd) == 0 {
 			// Undetectable error: unsatisfiable for every u.
-			return nil, nil, false
+			return nil, false
 		}
 		for i := 0; i < u; i++ {
 			lits := make([]sat.Lit, 0, len(odd))
@@ -233,7 +240,7 @@ func buildVerification(det *f2.Mat, errs []f2.Vec, u, v int) (*cnf.Builder, [][]
 	for i := 0; i+1 < u; i++ {
 		b.LexLE(sel[i], sel[i+1])
 	}
-	return b, sel, true
+	return sel, true
 }
 
 func extractStabs(b *cnf.Builder, sel [][]sat.Lit, det *f2.Mat, u int) []f2.Vec {
