@@ -15,17 +15,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/code"
 	"repro/internal/core"
-	"repro/internal/correct"
 	"repro/internal/decoder"
-	"repro/internal/f2"
 	"repro/internal/noise"
 	"repro/internal/prep"
 	"repro/internal/sim"
-	"repro/internal/verify"
 )
 
 // ---------------------------------------------------------------------------
@@ -228,35 +224,6 @@ func BenchmarkFTCertificate(b *testing.B) {
 // Ablations: encoding and protocol design choices.
 // ---------------------------------------------------------------------------
 
-// BenchmarkAblationPairPruning compares correction synthesis with and
-// without the precomputed incompatible-pair clauses.
-func BenchmarkAblationPairPruning(b *testing.B) {
-	cs := code.ReedMuller15()
-	circ := prep.Heuristic(cs)
-	ex := verify.DangerousErrors(cs, circ, code.ErrX)
-	ver, err := verify.Synthesize(context.Background(), cs.DetectionGroup(code.ErrX), ex)
-	if err != nil {
-		b.Fatal(err)
-	}
-	class := triggeredClass(cs, circ, ver)
-	for _, tc := range []struct {
-		name string
-		opt  correct.Options
-	}{
-		{"with-pruning", correct.Options{}},
-		{"no-pruning", correct.Options{NoPairPruning: true}},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := correct.Synthesize(context.Background(), cs.DetectionGroup(code.ErrX), cs.ReductionGroup(code.ErrX), class, tc.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationFlagAll compares the hook strategy: CNOT-order defusal
 // plus selective flags (paper) versus flagging every measurement.
 func BenchmarkAblationFlagAll(b *testing.B) {
@@ -334,28 +301,6 @@ func BenchmarkPrepSynthesis(b *testing.B) {
 			}
 		}
 	})
-}
-
-// triggeredClass reproduces the error class of the first verification branch
-// (shared helper for ablation benchmarks): all X coset representatives with
-// odd overlap with the first verification measurement, plus the zero error.
-func triggeredClass(cs *code.CSS, circ *circuit.Circuit, ver *verify.Result) []f2.Vec {
-	stab := ver.Stabs[0]
-	seen := map[string]bool{}
-	class := []f2.Vec{f2.NewVec(cs.N)}
-	seen[class[0].Key()] = true
-	for _, ft := range circ.SingleFaults() {
-		if ft.Final.X.IsZero() {
-			continue
-		}
-		rep := cs.CosetRep(code.ErrX, ft.Final.X)
-		if stab.Dot(rep) != 1 || seen[rep.Key()] {
-			continue
-		}
-		seen[rep.Key()] = true
-		class = append(class, rep)
-	}
-	return class
 }
 
 // ---------------------------------------------------------------------------

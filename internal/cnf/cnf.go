@@ -7,6 +7,7 @@ package cnf
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/sat"
 )
@@ -297,6 +298,36 @@ func (b *Builder) Totalizer(lits []sat.Lit, k int) []sat.Lit {
 		b.S.AddClause(out[i+1].Neg(), out[i])
 	}
 	return out
+}
+
+// MinTrue returns the fewest of lits a model of the formula makes true
+// (math.MaxInt when it is unsatisfiable) on one solver: after each model
+// with w true, the unit ¬out[w−1] of a Totalizer truncated at the first
+// model's count forbids w or more, and the solver searches again until
+// UNSAT, which proves the last w minimal. Only clauses are added, so learned
+// clauses stay valid; the bound stays on the formula.
+func (b *Builder) MinTrue(ctx context.Context, lits []sat.Lit) (int, error) {
+	least := math.MaxInt
+	var out []sat.Lit
+	for {
+		ok, err := b.SolveContext(ctx)
+		if err != nil || !ok {
+			return least, err
+		}
+		least = 0
+		for _, l := range lits {
+			if b.Val(l) {
+				least++
+			}
+		}
+		if least == 0 {
+			return 0, nil
+		}
+		if out == nil {
+			out = b.Totalizer(lits, least-1)
+		}
+		b.AddClause(out[least-1].Neg())
+	}
 }
 
 // AtLeastK adds sum(lits) >= k by bounding the complement.

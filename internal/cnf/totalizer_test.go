@@ -1,6 +1,9 @@
 package cnf
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -81,11 +84,11 @@ func TestTotalizerTightensOnOneSolver(t *testing.T) {
 	}
 }
 
-// TestTotalizerFindsMinimumWeight runs the minimum-weight loop on random
-// formulas: solve, then forbid the last model's weight w with ¬out[w-1], on
-// one solver until UNSAT. The weights must fall strictly, and the last one
+// TestTotalizerFindsMinimumWeight runs MinTrue, the minimum-weight loop on
+// one solver and one tightened totalizer, on random formulas. Its answer
 // must be the least weight of a model, found by trying every assignment
-// (-1 for an unsatisfiable formula).
+// (math.MaxInt for an unsatisfiable formula), and the formula it leaves
+// must admit no model of that weight minus one.
 func TestTotalizerFindsMinimumWeight(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -101,7 +104,7 @@ func TestTotalizerFindsMinimumWeight(t *testing.T) {
 			clauses = append(clauses, cl)
 			b.AddClause(cl...)
 		}
-		want := -1
+		want := math.MaxInt
 		for a := 0; a < 1<<n; a++ {
 			sats := true
 			for _, cl := range clauses {
@@ -111,42 +114,34 @@ func TestTotalizerFindsMinimumWeight(t *testing.T) {
 				}
 				sats = sats && hit
 			}
-			if w := bits.OnesCount(uint(a)); sats && (want < 0 || w < want) {
+			if w := bits.OnesCount(uint(a)); sats && w < want {
 				want = w
 			}
 		}
-		var out []sat.Lit
-		last := -1
-		for {
-			ok, err := b.S.Solve()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
-			w := 0
-			for _, x := range xs {
-				if b.Val(x) {
-					w++
-				}
-			}
-			if last >= 0 && w >= last {
-				return false
-			}
-			last = w
-			if w == 0 {
-				break
-			}
-			if out == nil {
-				out = b.Totalizer(xs, w-1)
-			}
-			b.AddClause(out[w-1].Neg())
+		got, err := b.MinTrue(context.Background(), xs)
+		if err != nil || got != want {
+			return false
 		}
-		return last == want
+		if got == 0 || got == math.MaxInt {
+			return true
+		}
+		ok, err := b.S.Solve()
+		return err == nil && !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMinTrueCancelled checks that MinTrue returns a done context's error.
+func TestMinTrueCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b := NewBuilder()
+	xs := b.NewVars(3)
+	b.AddClause(xs...)
+	if _, err := b.MinTrue(ctx, xs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

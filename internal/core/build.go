@@ -51,7 +51,7 @@ func BuildFromPrep(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, cf
 		}
 		verif1 = res.Stabs
 	}
-	return assemble(ctx, cs, prepC, verif1, len(ezD) > 0, nil, cfg)
+	return assemble(ctx, cs, prepC, verif1, len(ezD) > 0, 0, cfg)
 }
 
 // buildGlobal explores all optimal layer-1 verifications (and for each, all
@@ -73,14 +73,25 @@ func buildGlobal(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, exD,
 			cands = append(cands, r.Stabs)
 		}
 	}
+	return cheapest(ctx, cands, func(v1 []f2.Vec) (*Protocol, error) {
+		return assemble(ctx, cs, prepC, v1, len(ezD) > 0, limit, cfg)
+	})
+}
+
+// cheapest builds the protocol of every candidate verification and returns
+// the one with the lowest average correction cost, the first on a tie. A
+// done ctx ends it at once with ctx's error; any other failed candidate is
+// skipped, and the first failure is returned when every candidate fails.
+// An empty candidate list is an error.
+func cheapest(ctx context.Context, cands [][]f2.Vec, build func([]f2.Vec) (*Protocol, error)) (*Protocol, error) {
 	var best *Protocol
 	var bestCost float64
 	var firstErr error
-	for _, v1 := range cands {
+	for _, v := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := assemble(ctx, cs, prepC, v1, len(ezD) > 0, &globalOpts{limit: limit}, cfg)
+		p, err := build(v)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -90,21 +101,18 @@ func buildGlobal(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, exD,
 			}
 			continue
 		}
-		cost := p.avgCorrectionCost()
-		if best == nil || cost < bestCost {
+		if cost := p.avgCorrectionCost(); best == nil || cost < bestCost {
 			best, bestCost = p, cost
 		}
 	}
-	if best == nil {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, fmt.Errorf("core: global optimization found no protocol")
+	switch {
+	case best != nil:
+		return best, nil
+	case firstErr != nil:
+		return nil, firstErr
 	}
-	return best, nil
+	return nil, errors.New("core: no candidate verification to build a protocol from")
 }
-
-type globalOpts struct{ limit int }
 
 func buildPrep(ctx context.Context, cs *code.CSS, cfg Config) (*circuit.Circuit, error) {
 	if cfg.Prep == PrepOptimal {
@@ -123,9 +131,10 @@ func buildPrep(ctx context.Context, cs *code.CSS, cfg Config) (*circuit.Circuit,
 
 // assemble builds the protocol given the layer-1 verification stabilizers.
 // wantLayer2 forces a Z layer when prep has dangerous Z errors; a Z layer is
-// also created when layer-1 hook deferral requires one. When g is non-nil,
-// the layer-2 verification is globally optimized as well.
-func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 []f2.Vec, wantLayer2 bool, g *globalOpts, cfg Config) (*Protocol, error) {
+// also created when layer-1 hook deferral requires one. When globalLimit is
+// positive, the layer-2 verification is globally optimized as well, over at
+// most that many optimal candidates.
+func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 []f2.Vec, wantLayer2 bool, globalLimit int, cfg Config) (*Protocol, error) {
 	p := &Protocol{Code: cs, Prep: prepC}
 
 	// ---- Layer 1: verify X errors with Z-type measurements. ----
@@ -173,8 +182,8 @@ func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 
 	// ---- Layer 2: verify Z errors with X-type measurements. ----
 	if len(e2) > 0 {
 		var verif2Cands [][]f2.Vec
-		if g != nil {
-			results, err := verify.EnumerateOptimal(ctx, cs.DetectionGroup(code.ErrZ), e2, g.limit)
+		if globalLimit > 0 {
+			results, err := verify.EnumerateOptimal(ctx, cs.DetectionGroup(code.ErrZ), e2, globalLimit)
 			if err != nil {
 				return nil, err
 			}
@@ -188,32 +197,9 @@ func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 
 			}
 			verif2Cands = [][]f2.Vec{res.Stabs}
 		}
-		var best *Protocol
-		var bestCost float64
-		var firstErr error
-		for _, v2 := range verif2Cands {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cand, err := finishTwoLayer(ctx, cs, prepC, layer1, v2, cfg)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, err
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			cost := cand.avgCorrectionCost()
-			if best == nil || cost < bestCost {
-				best, bestCost = cand, cost
-			}
-		}
-		if best == nil {
-			return nil, firstErr
-		}
-		return best, nil
+		return cheapest(ctx, verif2Cands, func(v2 []f2.Vec) (*Protocol, error) {
+			return finishTwoLayer(ctx, cs, prepC, layer1, v2, cfg)
+		})
 	}
 
 	// Single-layer (or zero-layer) protocol: classify and correct.
@@ -361,7 +347,7 @@ func (p *corrProblem) solve(ctx context.Context, cs *code.CSS, memo *correct.Mem
 	if p.err = ctx.Err(); p.err != nil {
 		return
 	}
-	p.blk, p.err = memo.Synthesize(ctx, cs.DetectionGroup(p.kind), cs.ReductionGroup(p.kind), p.errs, correct.Options{})
+	p.blk, p.err = memo.Synthesize(ctx, cs.DetectionGroup(p.kind), cs.ReductionGroup(p.kind), p.errs)
 	if p.err == nil {
 		p.err = correct.Check(p.blk, cs, p.kind, p.errs)
 	}

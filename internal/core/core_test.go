@@ -373,3 +373,46 @@ func synthesisGoroutines() []string {
 func (s Signature) IsZero() bool {
 	return !strings.ContainsRune(s.B, '1') && !strings.ContainsRune(s.F, '1')
 }
+
+// TestCheapestCandidate checks the candidate loop of global verification:
+// the first of equally cheap protocols wins, a failed candidate is skipped
+// and its error returned only when every candidate fails, a done context
+// stops the loop with its error, and an empty list is an error.
+func TestCheapestCandidate(t *testing.T) {
+	ctx := context.Background()
+	p, err := Build(ctx, code.Steane(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := *p
+	first, second := errors.New("first"), errors.New("second")
+	built := 0
+	build := func(v []f2.Vec) (*Protocol, error) {
+		built++
+		switch len(v) {
+		case 0:
+			return nil, first
+		case 1:
+			return p, nil
+		case 2:
+			return &twin, nil
+		}
+		return nil, second
+	}
+	one, two, three := make([]f2.Vec, 1), make([]f2.Vec, 2), make([]f2.Vec, 3)
+	if got, err := cheapest(ctx, [][]f2.Vec{nil, one, two}, build); err != nil || got != p {
+		t.Fatalf("tie: got %p, %v; want the first cheapest %p", got, err, p)
+	}
+	if _, err := cheapest(ctx, [][]f2.Vec{nil, three}, build); !errors.Is(err, first) {
+		t.Fatalf("every candidate failed: err %v, want the first failure", err)
+	}
+	if _, err := cheapest(ctx, nil, build); err == nil {
+		t.Fatal("no candidates: no error")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	built = 0
+	if _, err := cheapest(cancelled, [][]f2.Vec{one}, build); !errors.Is(err, context.Canceled) || built != 0 {
+		t.Fatalf("done context: err %v after %d builds, want context.Canceled before any", err, built)
+	}
+}

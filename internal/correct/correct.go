@@ -26,17 +26,15 @@
 // So the recovery encoding stays the extractor, and every synthesized block
 // is the one it alone would give.
 //
-// An unbounded probe (v < 0) is decided first, and only a satisfiable one is
-// then extracted. The weighted probes (v ≥ 0) of the binary search all ask
-// where one threshold lies, since a weight bound that admits a basis admits
-// it at every larger v. So the residual encoding is solved for that
-// threshold v*(u) once, on one incremental solver whose totalizer bound is
-// tightened after each model (minWeight), and a weighted probe is UNSAT for
-// v < v* and extracted, alone, otherwise. Every probe
-// runs on its caller's goroutine, and each builds its formula on the one
-// builder of its search, reset in between: a reset solver searches exactly
-// like a fresh one (sat.Solver.Reset) and keeps its storage, so a search
-// allocates its solver about once rather than once per probe.
+// The (u, v) loop is stabsel.Search, which verification runs too, and the
+// selection rows with their weight and syndrome bits are stabsel.Sel. An
+// unbounded probe (v < 0) is decided, and extracted only when SAT. The
+// residual encoding finds the least weight v*(u) once (cnf.Builder.MinTrue),
+// so a weighted probe is UNSAT for v < v* and otherwise extracted alone; an
+// extraction that comes back UNSAT is stabsel.ErrMismatch. Every probe runs
+// on its caller's goroutine, on the one builder of its search, reset in
+// between: a reset solver searches exactly like a fresh one
+// (sat.Solver.Reset) and keeps its storage.
 //
 // The u measurements are interchangeable, and each probe breaks that
 // symmetry. An unbounded decide constrains them to the RREF basis of their
@@ -46,8 +44,8 @@
 // weight depends on the basis, and so does every extraction, since its
 // model is the protocol.
 //
-// Synthesize is a pure function of the RREF bases of det and red, the
-// ordered errors and the options, and it is deterministic in them. A Memo
+// Synthesize is a pure function of the RREF bases of det and red and the
+// ordered errors, and it is deterministic in them. A Memo
 // keys on exactly those, so it can answer a problem solved before with the
 // bytes a fresh solve would give. dftsp.Service holds one; dftsp.Synthesize
 // and the CLIs solve every problem afresh.
@@ -55,14 +53,13 @@ package correct
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cnf"
 	"repro/internal/code"
 	"repro/internal/f2"
 	"repro/internal/sat"
+	"repro/internal/stabsel"
 )
 
 // Block is a synthesized correction: the additional stabilizer measurements
@@ -107,20 +104,6 @@ func (b *Block) RecoveryFor(key string, n int) f2.Vec {
 	return f2.NewVec(n)
 }
 
-// Options tune the synthesis; the zero value is the paper's setting.
-type Options struct {
-	// NoPairPruning disables the precomputed incompatible-pair clauses
-	// (σ(e) ≠ σ(e') for pairs that cannot share a recovery), leaving their
-	// detection entirely to the solver. Exists for the ablation benchmark;
-	// results are identical, only solving time changes.
-	NoPairPruning bool
-}
-
-// errEncodingMismatch reports a probe the residual encoding found
-// satisfiable and the recovery encoding did not. The two are equisatisfiable,
-// so this is a bug, never a reason to try a larger u.
-var errEncodingMismatch = errors.New("correct: residual encoding satisfiable but recovery encoding not")
-
 // Synthesize finds the optimal correction block for the error class errs.
 //
 //	det  — basis of the group whose measurement distinguishes the errors
@@ -135,55 +118,32 @@ var errEncodingMismatch = errors.New("correct: residual encoding satisfiable but
 //	       (measurement faults).
 //
 // Cancelling ctx aborts the underlying SAT search with ctx.Err().
-func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Options) (*Block, error) {
+func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec) (*Block, error) {
 	if len(errs) == 0 {
 		return &Block{Recovery: map[string]f2.Vec{}}, nil
 	}
-	c := newClass(det, red, errs, opt)
+	c := newClass(det, red, errs)
 	c.b = cnf.NewBuilder()
-	return c.search(func(u, v int) (*Block, error) { return c.solveCorrection(ctx, u, v) })
+	blk, ok, err := c.search(ctx).Run()
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("correct: no correction with up to %[1]d measurements (detection rank %[1]d); class has inequivalent errors sharing the full syndrome", c.gens.Rows())
+	}
+	return blk, nil
 }
 
-// search runs the optimization over (u, v) probes: u upward from 0 to at
-// most the detection rank, then a binary search on v for the first feasible
-// u. probe returns nil for an unsatisfiable probe and the block of its model
-// otherwise. Synthesize's probe is solveCorrection, which answers the
-// weighted probes from v*(u); the tests pass probes that decide each one on
-// a fresh solver, and both must visit the same probes and end on the same
-// block.
-func (c *class) search(probe func(u, v int) (*Block, error)) (*Block, error) {
-	// More measurements than the detection rank cannot grow their span.
-	rank := c.gens.Rows()
-	for u := 0; u <= rank; u++ {
-		blk, err := probe(u, -1)
-		if err != nil {
-			return nil, err
-		}
-		if blk == nil {
-			continue
-		}
-		if u == 0 {
-			return blk, nil
-		}
-		// Minimize total weight for this u by binary search on v.
-		best := blk
-		lo, hi := u, best.CNOTs()-1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			cand, err := probe(u, mid)
-			if err != nil {
-				return nil, err
-			}
-			if cand == nil {
-				lo = mid + 1
-			} else {
-				best = cand
-				hi = cand.CNOTs() - 1
-			}
-		}
-		return best, nil
+// search is the class's stabsel.Search: the residual encoding decides the
+// unbounded probes (RREF) and finds v* (lex), and the recovery encoding
+// extracts every satisfiable probe.
+func (c *class) search(ctx context.Context) stabsel.Search[*Block] {
+	return stabsel.Search[*Block]{
+		MaxU:   c.gens.Rows(),
+		Decide: func(u int) (bool, error) { return c.decide(ctx, u, stabsel.Unbounded, true) },
+		Solve:  func(u, v int) (*Block, bool, error) { return c.extractCorrection(ctx, u, v) },
+		Least:  func(u int) (int, error) { return c.least(ctx, u) },
 	}
-	return nil, fmt.Errorf("correct: no correction with up to %[1]d measurements (detection rank %[1]d); class has inequivalent errors sharing the full syndrome", rank)
 }
 
 // class is one error class with everything its probes share, computed once
@@ -197,9 +157,7 @@ type class struct {
 	errs    []f2.Vec
 	gens    *f2.Mat // independent basis of the detection group
 	redGens *f2.Mat // independent basis of the reduction group S
-	opt     Options
-	pairs   []pair      // every k1 < k2, in that order
-	vmin    map[int]int // u → v*(u), filled by minWeight
+	pairs   []pair  // every k1 < k2, in that order
 	// b is the builder every probe resets and reuses; nil gives each probe
 	// a new one, the fresh-solver reference of the tests.
 	b *cnf.Builder
@@ -215,10 +173,6 @@ func (c *class) builder() *cnf.Builder {
 	return c.b
 }
 
-// weightOnly is the weight bound that builds a probe's weight bits but
-// bounds nothing: cnf.AtMostK adds no clause for k ≥ len(lits).
-const weightOnly = math.MaxInt
-
 // pair relates errors e1 = errs[k1] and e2 = errs[k2].
 type pair struct {
 	k1, k2 int
@@ -231,8 +185,8 @@ type pair struct {
 	next [][]int
 }
 
-func newClass(det, red *f2.Mat, errs []f2.Vec, opt Options) *class {
-	c := &class{errs: errs, gens: det.SpanBasis(), redGens: red.SpanBasis(), opt: opt}
+func newClass(det, red *f2.Mat, errs []f2.Vec) *class {
+	c := &class{errs: errs, gens: det.SpanBasis(), redGens: red.SpanBasis()}
 	n := c.gens.Cols()
 	h := c.redGens.Kernel()
 
@@ -276,135 +230,33 @@ func newClass(det, red *f2.Mat, errs []f2.Vec, opt Options) *class {
 	return c
 }
 
-// solveCorrection solves a single (u, v) probe; v < 0 disables the weight
-// bound. It returns nil if unsatisfiable, and otherwise the block of the
-// recovery encoding's model of this probe, which a fresh solver would give.
-//
-// A weighted probe (v ≥ 0) is answered by the class's least weight v*(u)
-// (minWeight): v < v* is UNSAT, and only a satisfiable probe is solved, by
-// its extraction alone. An unbounded probe is decided by the residual
-// encoding, and extracted only when that answers SAT.
-func (c *class) solveCorrection(ctx context.Context, u, v int) (*Block, error) {
-	if v >= 0 {
-		vmin, err := c.minWeight(ctx, u)
-		if err != nil || v < vmin {
-			return nil, err
-		}
-	} else if ok, err := c.decide(ctx, u, v, true); err != nil || !ok {
-		return nil, err
-	}
-	blk, err := c.extractCorrection(ctx, u, v)
-	if err == nil && blk == nil {
-		err = fmt.Errorf("u=%d v=%d: %w", u, v, errEncodingMismatch)
-	}
-	return blk, err
+// least returns v*(u) for u ≥ 1, the least total weight of u lex-ordered
+// measurements that the residual encoding satisfies (cnf.Builder.MinTrue).
+func (c *class) least(ctx context.Context, u int) (int, error) {
+	b, weight := c.residual(u, stabsel.Least, false)
+	return b.MinTrue(ctx, weight)
 }
 
-// minWeight returns v*(u), the least total weight of u lex-ordered
-// measurements that the residual encoding satisfies: a weighted decide at
-// (u, v) is SAT exactly when v ≥ v*(u), so one v* answers every weighted
-// probe of the binary search. It is math.MaxInt when no u measurements do.
-//
-// One solver finds it: the lex decide formula without a weight bound is
-// solved, a totalizer over its weight bits is added, truncated at the first
-// model's weight, and after each model of weight w the unit ¬out[w-1]
-// forbids weight ≥ w before the same solver searches again. The last
-// model's weight is v*, and the final UNSAT proves v* − 1 infeasible. Every
-// step only adds clauses, so learned clauses stay valid throughout. The
-// value is kept per u for the class's later probes.
-func (c *class) minWeight(ctx context.Context, u int) (int, error) {
-	if w, ok := c.vmin[u]; ok {
-		return w, nil
-	}
-	vmin := math.MaxInt
-	b, weight := c.residual(u, weightOnly, false)
-	var out []sat.Lit
-	for b != nil {
-		ok, err := b.SolveContext(ctx)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		vmin = 0
-		for _, l := range weight {
-			if b.Val(l) {
-				vmin++
-			}
-		}
-		if vmin == 0 {
-			break
-		}
-		if out == nil {
-			out = b.Totalizer(weight, vmin-1)
-		}
-		b.AddClause(out[vmin-1].Neg())
-	}
-	if c.vmin == nil {
-		c.vmin = map[int]int{}
-	}
-	c.vmin[u] = vmin
-	return vmin, nil
-}
-
-// measurements adds what both encodings share: u non-trivial measurements
-// sel[i] (coefficients over the detection basis), the total weight bound v
-// (v < 0: none) and the syndrome bits sigma[k][i] = s_i · e_k. For v ≥ 0 and
-// u > 0 it also returns weight, the bits whose sum is the total weight;
-// v = weightOnly builds them without bounding their sum.
+// measurements adds what both encodings share, in this order: u
+// measurements sel, their symmetry break, the weight bits for bound v and
+// the syndrome bits sigma[k][i] = s_i · e_k.
 //
 // With rref the rows of sel are an RREF basis of their span (cnf.RREF),
-// otherwise they are lexicographically ordered (cnf.LexLE). Only an
-// unbounded decide may use rref: its answer depends on the span alone, and
-// every span of dimension u ≤ rank(det) has one RREF basis, so the two
-// forms are equisatisfiable (see ARCHITECTURE.md). A weight bound depends on
-// the basis, and an extracted model is the protocol, so those keep lex.
-func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel, sigma [][]sat.Lit, weight []sat.Lit) {
-	r, n := c.gens.Rows(), c.gens.Cols()
-	sel = make([][]sat.Lit, u)
-	for i := range sel {
-		sel[i] = b.NewVars(r)
-		b.AddClause(sel[i]...) // non-trivial measurement
-	}
+// otherwise lex-ordered. Only an unbounded decide may use rref: its answer
+// depends on the span alone, so the two forms are equisatisfiable for
+// u ≤ rank(det) (see ARCHITECTURE.md). A weight bound depends on the basis,
+// and an extracted model is the protocol, so those keep lex.
+func (c *class) measurements(b *cnf.Builder, u, v int, rref bool) (sel *stabsel.Sel, sigma [][]sat.Lit, weight []sat.Lit) {
+	sel = stabsel.New(b, c.gens, u)
 	if rref {
-		b.RREF(sel)
+		b.RREF(sel.Rows)
 	} else {
-		for i := 0; i+1 < u; i++ {
-			b.LexLE(sel[i], sel[i+1])
-		}
+		sel.Lex()
 	}
-
-	// Weight bound.
-	if v >= 0 && u > 0 {
-		for i := 0; i < u; i++ {
-			for q := 0; q < n; q++ {
-				var lits []sat.Lit
-				for j := 0; j < r; j++ {
-					if c.gens.Row(j).Get(q) {
-						lits = append(lits, sel[i][j])
-					}
-				}
-				if len(lits) > 0 {
-					weight = append(weight, b.Xor(lits...))
-				}
-			}
-		}
-		b.AtMostK(weight, v)
-	}
-
+	weight = sel.Weight(v)
 	sigma = make([][]sat.Lit, len(c.errs))
 	for k, e := range c.errs {
-		sigma[k] = make([]sat.Lit, u)
-		for i := 0; i < u; i++ {
-			var lits []sat.Lit
-			for j := 0; j < r; j++ {
-				if c.gens.Row(j).Dot(e) == 1 {
-					lits = append(lits, sel[i][j])
-				}
-			}
-			sigma[k][i] = b.Xor(lits...)
-		}
+		sigma[k] = sel.Syndrome(e)
 	}
 	return sel, sigma, weight
 }
@@ -417,7 +269,7 @@ func (c *class) link(b *cnf.Builder, sigma [][]sat.Lit, join func(p *pair, eq sa
 	for pi := range c.pairs {
 		p := &c.pairs[pi]
 		s1, s2 := sigma[p.k1], sigma[p.k2]
-		if !c.opt.NoPairPruning && !p.compatible {
+		if !p.compatible {
 			// No shared recovery exists: require σ(e1) != σ(e2).
 			var disj []sat.Lit
 			for i := range s1 {
@@ -486,7 +338,7 @@ func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 }
 
 // extractCorrection solves a (u, v) probe with the recovery encoding and
-// returns the block of its model, or nil if unsatisfiable.
+// returns the block of its model; ok is false when it is unsatisfiable.
 //
 // Encoding: instead of materializing all 2^u syndrome cells, each error gets
 // its own recovery vector c_e, and equal syndromes force equal recoveries
@@ -494,8 +346,8 @@ func (c *class) decide(ctx context.Context, u, v int, rref bool) (bool, error) {
 // cell formulation but linear in u. Pairs of errors that cannot share any
 // recovery — exactly those with reduced weight wt_S(e ⊕ e') > 2 — directly
 // require differing syndromes, which prunes the search substantially.
-func (c *class) extractCorrection(ctx context.Context, u, v int) (*Block, error) {
-	r, n, rr := c.gens.Rows(), c.gens.Cols(), c.redGens.Rows()
+func (c *class) extractCorrection(ctx context.Context, u, v int) (blk *Block, ok bool, err error) {
+	n, rr := c.gens.Cols(), c.redGens.Rows()
 	b := c.builder()
 	sel, sigma, _ := c.measurements(b, u, v, false)
 
@@ -522,31 +374,21 @@ func (c *class) extractCorrection(ctx context.Context, u, v int) (*Block, error)
 	}
 
 	// Same syndrome forces the same recovery.
-	ok := c.link(b, sigma, func(p *pair, eq sat.Lit) {
+	linked := c.link(b, sigma, func(p *pair, eq sat.Lit) {
 		for q := 0; q < n; q++ {
 			b.AddClause(eq.Neg(), recovery[p.k1][q].Neg(), recovery[p.k2][q])
 			b.AddClause(eq.Neg(), recovery[p.k1][q], recovery[p.k2][q].Neg())
 		}
 	})
-	if !ok {
-		return nil, nil
+	if !linked {
+		return nil, false, nil
 	}
-	ok, err := b.SolveContext(ctx)
-	if err != nil || !ok {
-		return nil, err
+	if ok, err = b.SolveContext(ctx); err != nil || !ok {
+		return nil, false, err
 	}
 
 	// Extract measurements and per-cell recoveries.
-	blk := &Block{Recovery: map[string]f2.Vec{}}
-	for i := 0; i < u; i++ {
-		s := f2.NewVec(n)
-		for j := 0; j < r; j++ {
-			if b.Val(sel[i][j]) {
-				s.XorInPlace(c.gens.Row(j))
-			}
-		}
-		blk.Stabs = append(blk.Stabs, s)
-	}
+	blk = &Block{Stabs: sel.Stabs(), Recovery: map[string]f2.Vec{}}
 	for k, e := range c.errs {
 		key := blk.SyndromeOf(e)
 		if _, done := blk.Recovery[key]; done {
@@ -560,7 +402,7 @@ func (c *class) extractCorrection(ctx context.Context, u, v int) (*Block, error)
 		}
 		blk.Recovery[key] = rec
 	}
-	return blk, nil
+	return blk, true, nil
 }
 
 // Check verifies a block against its error class: every error must be

@@ -15,7 +15,7 @@ func vec(s string) f2.Vec { return f2.MustFromString(s) }
 func TestEmptyClass(t *testing.T) {
 	det := f2.MustMatFromStrings("1100")
 	red := f2.MustMatFromStrings("0011")
-	blk, err := Synthesize(context.Background(), det, red, nil, Options{})
+	blk, err := Synthesize(context.Background(), det, red, nil)
 	if err != nil || blk.Ancillas() != 0 {
 		t.Fatalf("empty class should give trivial block: %v %v", blk, err)
 	}
@@ -26,7 +26,7 @@ func TestSingleErrorNeedsNoMeasurement(t *testing.T) {
 	det := f2.MustMatFromStrings("110000", "001100", "000011")
 	red := f2.NewMat(6) // trivial reduction group
 	errs := []f2.Vec{vec("110000")}
-	blk, err := Synthesize(context.Background(), det, red, errs, Options{})
+	blk, err := Synthesize(context.Background(), det, red, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestZeroErrorKeepsRecoveryLight(t *testing.T) {
 	det := f2.MustMatFromStrings("110000")
 	red := f2.NewMat(6)
 	errs := []f2.Vec{vec("000000"), vec("110000")}
-	blk, err := Synthesize(context.Background(), det, red, errs, Options{})
+	blk, err := Synthesize(context.Background(), det, red, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDisjointErrorsNeedMeasurement(t *testing.T) {
 	)
 	red := f2.NewMat(6)
 	errs := []f2.Vec{vec("110000"), vec("001100")}
-	blk, err := Synthesize(context.Background(), det, red, errs, Options{})
+	blk, err := Synthesize(context.Background(), det, red, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestWeightMinimized(t *testing.T) {
 	)
 	red := f2.NewMat(6)
 	errs := []f2.Vec{vec("110000"), vec("001100")}
-	blk, err := Synthesize(context.Background(), det, red, errs, Options{})
+	blk, err := Synthesize(context.Background(), det, red, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestReductionGroupUsed(t *testing.T) {
 	det := f2.MustMatFromStrings("110000")
 	red := f2.MustMatFromStrings("111100")
 	errs := []f2.Vec{vec("111100"), vec("000000")}
-	blk, err := Synthesize(context.Background(), det, red, errs, Options{})
+	blk, err := Synthesize(context.Background(), det, red, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSteaneCorrectionMatchesTable(t *testing.T) {
 		seen[rep.Key()] = true
 		class = append(class, rep)
 	}
-	blk, err := Synthesize(context.Background(), cs.DetectionGroup(code.ErrX), cs.ReductionGroup(code.ErrX), class, Options{})
+	blk, err := Synthesize(context.Background(), cs.DetectionGroup(code.ErrX), cs.ReductionGroup(code.ErrX), class)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,16 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/code"
 	"repro/internal/f2"
+	"repro/internal/stabsel"
 )
 
 // tableClass is one line of testdata/classes.txt, or one seeded random
-// class with its options.
+// class.
 type tableClass struct {
 	name string
 	cs   *code.CSS
 	kind code.ErrType
 	errs []f2.Vec
-	opt  Options
 }
 
 func loadTableClasses(t testing.TB) []tableClass {
@@ -60,43 +60,77 @@ func loadTableClasses(t testing.TB) []tableClass {
 	return out
 }
 
-// differential runs the optimization over one class with a probe that
-// solves every (u, v) with both encodings, and returns the probe count. It
-// fails the test when the encodings disagree, when a recovery-encoding model
-// does not correct the class, when the pair table disagrees with wt_S, or
-// when Synthesize ends elsewhere.
-func differential(t *testing.T, cs *code.CSS, kind code.ErrType, errs []f2.Vec, opt Options) int {
+// probeSearch is the reference (u, v) search: u upward from 0 to maxU,
+// then a binary search on v for the first feasible u, with every probe,
+// weighted ones included, answered by probe itself (nil: UNSAT). It is the
+// search as it ran before the least weight v* answered weighted probes, and
+// stabsel.Search must end where it does.
+func probeSearch(maxU int, probe func(u, v int) (*Block, error)) (*Block, error) {
+	for u := 0; u <= maxU; u++ {
+		blk, err := probe(u, -1)
+		if err != nil {
+			return nil, err
+		}
+		if blk == nil {
+			continue
+		}
+		best := blk
+		lo, hi := u, best.CNOTs()-1
+		for lo <= hi {
+			mid := (lo + hi) / 2
+			cand, err := probe(u, mid)
+			if err != nil {
+				return nil, err
+			}
+			if cand == nil {
+				lo = mid + 1
+			} else {
+				best = cand
+				hi = cand.CNOTs() - 1
+			}
+		}
+		return best, nil
+	}
+	return nil, fmt.Errorf("no correction with up to %d measurements", maxU)
+}
+
+// differential runs the reference search over one class with a probe that
+// solves every (u, v) with both encodings on fresh solvers, and returns the
+// probe count. It fails the test when the encodings disagree, when a
+// recovery-encoding model does not correct the class, when the pair table
+// disagrees with wt_S, or when Synthesize ends elsewhere.
+func differential(t *testing.T, cs *code.CSS, kind code.ErrType, errs []f2.Vec) int {
 	t.Helper()
 	ctx := context.Background()
 	det, red := cs.DetectionGroup(kind), cs.ReductionGroup(kind)
-	c := newClass(det, red, errs, opt)
+	c := newClass(det, red, errs)
 	for _, p := range c.pairs {
 		if want := f2.CosetMinWeight(errs[p.k1].Xor(errs[p.k2]), red) <= 2; p.compatible != want {
 			t.Errorf("pair %v, %v: compatible = %v, want %v", errs[p.k1], errs[p.k2], p.compatible, want)
 		}
 	}
 	probes := 0
-	got, gotErr := c.search(func(u, v int) (*Block, error) {
+	got, gotErr := probeSearch(c.gens.Rows(), func(u, v int) (*Block, error) {
 		probes++
 		ok, err := c.decideCorrection(ctx, u, v)
 		if err != nil {
 			return nil, err
 		}
-		blk, err := c.extractCorrection(ctx, u, v)
+		blk, extracted, err := c.extractCorrection(ctx, u, v)
 		if err != nil {
 			return nil, err
 		}
-		if ok != (blk != nil) {
-			t.Errorf("u=%d v=%d: residual encoding SAT=%v, recovery encoding SAT=%v", u, v, ok, blk != nil)
+		if ok != extracted {
+			t.Errorf("u=%d v=%d: residual encoding SAT=%v, recovery encoding SAT=%v", u, v, ok, extracted)
 		}
-		if blk != nil {
+		if extracted {
 			if err := Check(blk, cs, kind, errs); err != nil {
 				t.Errorf("u=%d v=%d: %v", u, v, err)
 			}
 		}
 		return blk, nil
 	})
-	want, wantErr := Synthesize(ctx, det, red, errs, opt)
+	want, wantErr := Synthesize(ctx, det, red, errs)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("probe-by-probe search: %v; Synthesize: %v", gotErr, wantErr)
 	}
@@ -120,7 +154,7 @@ func TestEncodingsAgreeOnTableClasses(t *testing.T) {
 	probes := 0
 	for _, tc := range classes {
 		t.Run(tc.name, func(t *testing.T) {
-			probes += differential(t, tc.cs, tc.kind, tc.errs, Options{})
+			probes += differential(t, tc.cs, tc.kind, tc.errs)
 		})
 	}
 	t.Logf("%d classes, %d probes", len(classes), probes)
@@ -136,11 +170,10 @@ func TestReusedBuilderMatchesFresh(t *testing.T) {
 	shared := cnf.NewBuilder()
 	for _, tc := range loadTableClasses(t) {
 		det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
-		fresh := newClass(det, red, tc.errs, Options{})
-		want, wantErr := fresh.search(func(u, v int) (*Block, error) { return fresh.solveCorrection(ctx, u, v) })
-		reused := newClass(det, red, tc.errs, Options{})
+		want, _, wantErr := newClass(det, red, tc.errs).search(ctx).Run()
+		reused := newClass(det, red, tc.errs)
 		reused.b = shared
-		got, gotErr := reused.search(func(u, v int) (*Block, error) { return reused.solveCorrection(ctx, u, v) })
+		got, _, gotErr := reused.search(ctx).Run()
 		if gotErr != nil || wantErr != nil {
 			t.Fatalf("%s: reused builder: %v; fresh builders: %v", tc.name, gotErr, wantErr)
 		}
@@ -160,8 +193,7 @@ var bare6 = code.MustNew("bare6", f2.NewMat(6), f2.MustMatFromStrings("110000"))
 var pairwiseOnly = []f2.Vec{vec("000000"), vec("110000"), vec("101000"), vec("011000")}
 
 // randomClasses returns 200 seeded random small classes on small codes,
-// every other one without pair pruning, including classes no correction can
-// serve.
+// including classes no correction can serve.
 func randomClasses() []tableClass {
 	rng := rand.New(rand.NewSource(7))
 	codes := []*code.CSS{code.Steane(), code.Shor(), code.Surface3(), code.C4(), code.C6(), bare6}
@@ -185,7 +217,6 @@ func randomClasses() []tableClass {
 		out = append(out, tableClass{
 			name: fmt.Sprintf("%d-%s-%v", i, cs.Name, kind),
 			cs:   cs, kind: kind, errs: errs,
-			opt: Options{NoPairPruning: i%2 == 1},
 		})
 	}
 	return out
@@ -194,20 +225,21 @@ func randomClasses() []tableClass {
 // TestEncodingsAgreeOnRandomClasses runs the encoding differential on the
 // random classes and on pairwiseOnly.
 func TestEncodingsAgreeOnRandomClasses(t *testing.T) {
-	differential(t, bare6, code.ErrX, pairwiseOnly, Options{})
+	differential(t, bare6, code.ErrX, pairwiseOnly)
 	for _, tc := range randomClasses() {
 		t.Run(tc.name, func(t *testing.T) {
-			differential(t, tc.cs, tc.kind, tc.errs, tc.opt)
+			differential(t, tc.cs, tc.kind, tc.errs)
 		})
 	}
 }
 
-// TestMinWeightMatchesProbes holds minWeight to the fresh weighted decides
-// it replaces, on every table class, every random class (half of them
-// without pair pruning) and pairwiseOnly. At the first feasible u > 0, a
-// fresh lex decide must be SAT at v* and UNSAT at v* − 1, and every weighted
-// probe of a probe-by-probe search that decides each probe on a fresh
-// solver must answer v ≥ v*. That search must end where Synthesize does.
+// TestMinWeightMatchesProbes holds the least weight v*, which answers
+// Synthesize's weighted probes, to the fresh weighted decides it replaces,
+// on every table class, every random class and pairwiseOnly. At the first
+// feasible u > 0, a fresh lex decide must be SAT at v* and UNSAT at v* − 1,
+// and every weighted probe of the reference search, which decides each
+// probe on a fresh solver, must answer v ≥ v*. That search must end where
+// Synthesize does.
 func TestMinWeightMatchesProbes(t *testing.T) {
 	ctx := context.Background()
 	classes := append(loadTableClasses(t), randomClasses()...)
@@ -215,18 +247,20 @@ func TestMinWeightMatchesProbes(t *testing.T) {
 	checked := 0
 	for _, tc := range classes {
 		det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
-		c := newClass(det, red, tc.errs, tc.opt)
-		got, gotErr := c.search(func(u, v int) (*Block, error) {
+		c := newClass(det, red, tc.errs)
+		vstar := map[int]int{}
+		got, gotErr := probeSearch(c.gens.Rows(), func(u, v int) (*Block, error) {
 			ok, err := c.decideCorrection(ctx, u, v)
 			if err != nil {
 				return nil, err
 			}
 			if v < 0 && ok && u > 0 {
 				checked++
-				vmin, err := c.minWeight(ctx, u)
+				vmin, err := c.least(ctx, u)
 				if err != nil {
 					return nil, err
 				}
+				vstar[u] = vmin
 				for _, w := range []int{vmin - 1, vmin} {
 					if lex, err := c.decide(ctx, u, w, false); err != nil || lex != (w == vmin) {
 						t.Errorf("%s u=%d: v*=%d, but the lex decide at v=%d answers SAT=%v (err %v)", tc.name, u, vmin, w, lex, err)
@@ -234,16 +268,17 @@ func TestMinWeightMatchesProbes(t *testing.T) {
 				}
 			}
 			if v >= 0 {
-				if vmin := c.vmin[u]; ok != (v >= vmin) {
+				if vmin := vstar[u]; ok != (v >= vmin) {
 					t.Errorf("%s u=%d v=%d: fresh decide SAT=%v, but v*=%d", tc.name, u, v, ok, vmin)
 				}
 			}
 			if !ok {
 				return nil, nil
 			}
-			return c.extractCorrection(ctx, u, v)
+			blk, _, err := c.extractCorrection(ctx, u, v)
+			return blk, err
 		})
-		want, wantErr := Synthesize(ctx, det, red, tc.errs, tc.opt)
+		want, wantErr := Synthesize(ctx, det, red, tc.errs)
 		if (gotErr != nil) != (wantErr != nil) {
 			t.Fatalf("%s: probe-by-probe search: %v; Synthesize: %v", tc.name, gotErr, wantErr)
 		}
@@ -263,7 +298,7 @@ func TestRREFDecideMatchesLex(t *testing.T) {
 	classes := append(loadTableClasses(t), randomClasses()...)
 	classes = append(classes, tableClass{name: "pairwise-only", cs: bare6, kind: code.ErrX, errs: pairwiseOnly})
 	for _, tc := range classes {
-		rrefMatchesLex(t, tc.name, newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs, tc.opt))
+		rrefMatchesLex(t, tc.name, newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs))
 	}
 
 	// pivotGap's four errors are pairwise incompatible and their syndromes
@@ -273,7 +308,7 @@ func TestRREFDecideMatchesLex(t *testing.T) {
 	// constraint that lost such spans would answer u = 2 wrongly.
 	det := f2.MustMatFromStrings("100000000", "010000000", "001000000")
 	pivotGap := []f2.Vec{vec("000000000"), vec("001111000"), vec("100000111"), vec("011100100")}
-	rrefMatchesLex(t, "pivot-gap", newClass(det, f2.NewMat(9), pivotGap, Options{}))
+	rrefMatchesLex(t, "pivot-gap", newClass(det, f2.NewMat(9), pivotGap))
 }
 
 // rrefMatchesLex decides the unbounded probes u = 0..rank(det) of c with
@@ -296,33 +331,33 @@ func rrefMatchesLex(t *testing.T, name string, c *class) {
 	}
 }
 
-// TestMaxUClampedToRank checks that search caps the number of additional
-// measurements at the rank of the detection group, not at its row count:
-// more measurements than the rank cannot grow their span. X1X2 and X3X4
-// share no recovery, and the only detector, Z1Z2 (listed twice, so two rows
-// of rank 1), overlaps both evenly: no number of measurements separates
-// them. The search must probe u = 0 and 1 only, and its error must name the
-// rank.
+// TestMaxUClampedToRank checks that the search caps the number of
+// additional measurements at the rank of the detection group, not at its
+// row count: more measurements than the rank cannot grow their span. X1X2
+// and X3X4 share no recovery, and the only detector, Z1Z2 (listed twice,
+// so two rows of rank 1), overlaps both evenly: no number of measurements
+// separates them. The search must probe u = 0 and 1 only and find nothing,
+// and Synthesize's error must name the rank.
 func TestMaxUClampedToRank(t *testing.T) {
+	ctx := context.Background()
 	det := f2.MustMatFromStrings("110000", "110000")
 	errs := []f2.Vec{vec("110000"), vec("001100")}
-	c := newClass(det, f2.NewMat(6), errs, Options{})
+	s := newClass(det, f2.NewMat(6), errs).search(ctx)
 	maxU := -1
-	_, err := c.search(func(u, v int) (*Block, error) {
-		if u > maxU {
-			maxU = u
-		}
-		return c.solveCorrection(context.Background(), u, v)
-	})
+	decide := s.Decide
+	s.Decide = func(u int) (bool, error) {
+		maxU = max(maxU, u)
+		return decide(u)
+	}
+	if _, ok, err := s.Run(); ok || err != nil {
+		t.Fatalf("inseparable class: search found a block (ok %v, err %v)", ok, err)
+	}
 	if maxU != 1 {
 		t.Fatalf("search probed up to u = %d, want the detection rank 1", maxU)
 	}
+	_, err := Synthesize(ctx, det, f2.NewMat(6), errs)
 	if err == nil || !strings.Contains(err.Error(), "detection rank 1") {
 		t.Fatalf("inseparable class: err %v, want one naming detection rank 1", err)
-	}
-	_, serr := Synthesize(context.Background(), det, f2.NewMat(6), errs, Options{})
-	if serr == nil || serr.Error() != err.Error() {
-		t.Fatalf("Synthesize: err %v, want %v", serr, err)
 	}
 }
 
@@ -337,7 +372,7 @@ func BenchmarkDecideUnbounded(b *testing.B) {
 			continue
 		}
 		found++
-		c := newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs, Options{})
+		c := newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs)
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if ok, err := c.decideCorrection(ctx, 3, -1); err != nil || ok {
@@ -351,14 +386,15 @@ func BenchmarkDecideUnbounded(b *testing.B) {
 	}
 }
 
-// TestEncodingMismatchIsAnError makes the residual encoding permit every
-// pair of residuals, so it answers SAT where the recovery encoding answers
-// UNSAT. The search must stop with an error, not read the probe as UNSAT
-// and move on to a larger u.
+// TestEncodingMismatchIsAnError makes the residual encoding treat every
+// pair as sharing a recovery and permit every pair of residuals, so it
+// answers SAT where the recovery encoding answers UNSAT. Synthesize must
+// stop with stabsel.ErrMismatch, not read the probe as UNSAT and move on to
+// a larger u.
 func TestEncodingMismatchIsAnError(t *testing.T) {
 	det := f2.MustMatFromStrings("100000", "001000")
 	errs := []f2.Vec{vec("110000"), vec("001100")}
-	c := newClass(det, f2.NewMat(6), errs, Options{NoPairPruning: true})
+	c := newClass(det, f2.NewMat(6), errs)
 	all := make([][]int, 7)
 	for a := range all {
 		for b := 0; b < 7; b++ {
@@ -366,10 +402,10 @@ func TestEncodingMismatchIsAnError(t *testing.T) {
 		}
 	}
 	for i := range c.pairs {
-		c.pairs[i].next = all
+		c.pairs[i].compatible, c.pairs[i].next = true, all
 	}
-	_, err := c.search(func(u, v int) (*Block, error) { return c.solveCorrection(context.Background(), u, v) })
-	if !errors.Is(err, errEncodingMismatch) {
-		t.Fatalf("err = %v, want errEncodingMismatch", err)
+	_, _, err := c.search(context.Background()).Run()
+	if !errors.Is(err, stabsel.ErrMismatch) {
+		t.Fatalf("err = %v, want stabsel.ErrMismatch", err)
 	}
 }

@@ -16,8 +16,8 @@ const memoCap = 512
 
 // Memo answers each correction problem it has solved before: a
 // content-addressed store of the blocks Synthesize returned. Its key is
-// every input the search reads (the RREF bases of det and red, the ordered
-// errors and the options), so a remembered block is the one a fresh solve
+// every input the search reads (the RREF bases of det and red and the
+// ordered errors), so a remembered block is the one a fresh solve
 // of the same inputs returns. It keeps a private copy of each block and
 // hands every caller its own clone.
 //
@@ -42,13 +42,13 @@ func NewMemo(count func(result string)) *Memo {
 	return &Memo{count: count, blocks: map[string]*Block{}}
 }
 
-// Synthesize returns Synthesize(ctx, det, red, errs, opt), from the memo
-// when the problem was solved before.
-func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, opt Options) (*Block, error) {
+// Synthesize returns Synthesize(ctx, det, red, errs), from the memo when
+// the problem was solved before.
+func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec) (*Block, error) {
 	if m == nil {
-		return Synthesize(ctx, det, red, errs, opt)
+		return Synthesize(ctx, det, red, errs)
 	}
-	key := memoKey(det, red, errs, opt)
+	key := memoKey(det, red, errs)
 	m.mu.Lock()
 	blk, ok := m.blocks[key]
 	m.mu.Unlock()
@@ -57,7 +57,7 @@ func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, 
 		return blk.clone(), nil
 	}
 	m.count("miss")
-	blk, err := Synthesize(ctx, det, red, errs, opt)
+	blk, err := Synthesize(ctx, det, red, errs)
 	if err != nil {
 		return nil, err
 	}
@@ -76,10 +76,9 @@ func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec, 
 }
 
 // memoKey renders everything Synthesize reads of its inputs: the RREF
-// bases newClass derives from det and red, the errors in order, and opt.
-func memoKey(det, red *f2.Mat, errs []f2.Vec, opt Options) string {
+// bases newClass derives from det and red, and the errors in order.
+func memoKey(det, red *f2.Mat, errs []f2.Vec) string {
 	var sb strings.Builder
-	sb.WriteString(strconv.FormatBool(opt.NoPairPruning))
 	for _, m := range []*f2.Mat{det.SpanBasis(), red.SpanBasis()} {
 		sb.WriteString("|" + strconv.Itoa(m.Cols()) + "," + strconv.Itoa(m.Rows()) + ":")
 		for _, r := range m.RowSlice() {

@@ -72,7 +72,7 @@ func TestMemoHitMatchesFreshSolve(t *testing.T) {
 		}
 		det, red, errs = c.cs.DetectionGroup(c.kind), c.cs.ReductionGroup(c.kind), c.errs
 		var err error
-		if fresh, err = Synthesize(ctx, det, red, errs, Options{}); err != nil {
+		if fresh, err = Synthesize(ctx, det, red, errs); err != nil {
 			t.Fatal(err)
 		}
 		if fresh.Ancillas() > 0 && len(errs) > 1 {
@@ -82,11 +82,11 @@ func TestMemoHitMatchesFreshSolve(t *testing.T) {
 	if fresh.Ancillas() == 0 {
 		t.Fatal("no Shor table class needs a measurement")
 	}
-	if blk, err := (*Memo)(nil).Synthesize(ctx, det, red, errs, Options{}); err != nil || !reflect.DeepEqual(blk, fresh) {
+	if blk, err := (*Memo)(nil).Synthesize(ctx, det, red, errs); err != nil || !reflect.DeepEqual(blk, fresh) {
 		t.Fatalf("nil memo: block %v, %v; want %v", blk, err, fresh)
 	}
 	m, counts := newCountedMemo()
-	first, err := m.Synthesize(ctx, det, red, errs, Options{})
+	first, err := m.Synthesize(ctx, det, red, errs)
 	if err != nil || !reflect.DeepEqual(first, fresh) {
 		t.Fatalf("miss: block %v, %v; want %v", first, err, fresh)
 	}
@@ -97,35 +97,31 @@ func TestMemoHitMatchesFreshSolve(t *testing.T) {
 	}
 	first.Recovery["scribbled"] = f2.NewVec(1)
 	// Equal matrices built apart address the same entry.
-	hit, err := m.Synthesize(ctx, det.Clone(), red.Clone(), errs, Options{})
+	hit, err := m.Synthesize(ctx, det.Clone(), red.Clone(), errs)
 	if err != nil || !reflect.DeepEqual(hit, fresh) {
 		t.Fatalf("hit after the miss's block was mutated: %v, %v; want %v", hit, err, fresh)
 	}
 	hit.Stabs[0].Flip(0)
-	if again, _ := m.Synthesize(ctx, det, red, errs, Options{}); !reflect.DeepEqual(again, fresh) {
+	if again, _ := m.Synthesize(ctx, det, red, errs); !reflect.DeepEqual(again, fresh) {
 		t.Fatalf("hit after a hit's block was mutated: %v; want %v", again, fresh)
 	}
 	wantCounts(t, counts, 2, 1)
 
-	// Another option, another order of the errors or a smaller class is
-	// another problem.
+	// Another order of the errors or a smaller class is another problem.
 	rev := append([]f2.Vec(nil), errs...)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	for _, tc := range []struct {
-		errs []f2.Vec
-		opt  Options
-	}{{errs, Options{NoPairPruning: true}}, {rev, Options{}}, {errs[1:], Options{}}} {
-		want, err := Synthesize(ctx, det, red, tc.errs, tc.opt)
+	for _, other := range [][]f2.Vec{rev, errs[1:]} {
+		want, err := Synthesize(ctx, det, red, other)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := m.Synthesize(ctx, det, red, tc.errs, tc.opt); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v %+v: block %v, %v; want %v", tc.errs, tc.opt, got, err, want)
+		if got, err := m.Synthesize(ctx, det, red, other); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: block %v, %v; want %v", other, got, err, want)
 		}
 	}
-	wantCounts(t, counts, 2, 4)
+	wantCounts(t, counts, 2, 3)
 }
 
 // TestMemoDoesNotKeepErrors checks that neither a failed problem nor a
@@ -137,7 +133,7 @@ func TestMemoDoesNotKeepErrors(t *testing.T) {
 	det, red := f2.NewMat(6), f2.NewMat(6)
 	bad := []f2.Vec{vec("110000"), vec("001100")}
 	for i := 0; i < 2; i++ {
-		if _, err := m.Synthesize(context.Background(), det, red, bad, Options{}); err == nil {
+		if _, err := m.Synthesize(context.Background(), det, red, bad); err == nil {
 			t.Fatalf("call %d: a class with no correction was answered", i)
 		}
 	}
@@ -146,10 +142,10 @@ func TestMemoDoesNotKeepErrors(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	det, red, errs := tableProblem(t, "Steane", code.ErrX)
-	if _, err := m.Synthesize(cancelled, det, red, errs, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := m.Synthesize(cancelled, det, red, errs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve: error %v, want %v", err, context.Canceled)
 	}
-	if blk, err := m.Synthesize(context.Background(), det, red, errs, Options{}); err != nil || blk == nil {
+	if blk, err := m.Synthesize(context.Background(), det, red, errs); err != nil || blk == nil {
 		t.Fatalf("solve after a cancelled one: %v, %v", blk, err)
 	}
 	wantCounts(t, counts, 0, 4)
@@ -163,7 +159,7 @@ func TestMemoDoesNotKeepErrors(t *testing.T) {
 // or a miss, and the memo keeps the problem once however many solved it.
 func TestMemoConcurrentCallers(t *testing.T) {
 	det, red, errs := tableProblem(t, "Steane", code.ErrX)
-	want, err := Synthesize(context.Background(), det, red, errs, Options{})
+	want, err := Synthesize(context.Background(), det, red, errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +172,7 @@ func TestMemoConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			blks[i], errs2[i] = m.Synthesize(context.Background(), det, red, errs, Options{})
+			blks[i], errs2[i] = m.Synthesize(context.Background(), det, red, errs)
 		}()
 	}
 	wg.Wait()
@@ -208,7 +204,7 @@ func TestMemoEvictsOldestPastCap(t *testing.T) {
 	}
 	m, counts := newCountedMemo()
 	for i := 0; i <= memoCap; i++ {
-		if _, err := m.Synthesize(ctx, det, red, problem(i), Options{}); err != nil {
+		if _, err := m.Synthesize(ctx, det, red, problem(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,21 +212,21 @@ func TestMemoEvictsOldestPastCap(t *testing.T) {
 	if len(m.blocks) != memoCap || len(m.order) != memoCap {
 		t.Fatalf("memo holds %d blocks (%d in order), want %d", len(m.blocks), len(m.order), memoCap)
 	}
-	if _, ok := m.blocks[memoKey(det, red, problem(0), Options{})]; ok {
+	if _, ok := m.blocks[memoKey(det, red, problem(0))]; ok {
 		t.Fatal("the oldest problem is still held")
 	}
-	if m.order[0] != memoKey(det, red, problem(1), Options{}) {
+	if m.order[0] != memoKey(det, red, problem(1)) {
 		t.Fatal("the second-oldest problem is not first in line")
 	}
-	if _, err := m.Synthesize(ctx, det, red, problem(memoCap), Options{}); err != nil {
+	if _, err := m.Synthesize(ctx, det, red, problem(memoCap)); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, counts, 1, memoCap+1)
-	if _, err := m.Synthesize(ctx, det, red, problem(0), Options{}); err != nil {
+	if _, err := m.Synthesize(ctx, det, red, problem(0)); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, counts, 1, memoCap+2)
-	if _, ok := m.blocks[memoKey(det, red, problem(1), Options{})]; ok {
+	if _, ok := m.blocks[memoKey(det, red, problem(1))]; ok {
 		t.Fatal("re-solving the dropped problem did not drop the next oldest")
 	}
 }

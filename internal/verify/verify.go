@@ -5,18 +5,27 @@
 // anticommutes with at least one measured stabilizer. This corresponds to
 // step (b) of the paper's protocol and reuses the formulation of Peham et
 // al. (Ref. [22]).
+//
+// The optimization is stabsel.Search, the (u, v) search correction
+// synthesis (internal/correct) runs too: u measurements upward, then a
+// binary search on the total weight v whose probes below the least weight
+// v* (cnf.Builder.MinTrue over the weight bits) are UNSAT without a solve.
+// Every other probe is solved on one builder, reset in between (a reset
+// solver searches like a fresh one), and its model is the verification.
 package verify
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/code"
 	"repro/internal/f2"
 	"repro/internal/sat"
+	"repro/internal/stabsel"
 )
 
 // DangerousErrors extracts, from all single faults of the preparation
@@ -70,46 +79,14 @@ func (r *Result) CNOTs() int {
 
 // Synthesize finds a verification measuring the minimum number of
 // stabilizers from the span of det, of minimum total weight, detecting every
-// error in errs (odd overlap with at least one measurement). A nil Result
-// with nil error is returned when errs is empty (nothing to verify).
+// error in errs (odd overlap with at least one measurement). An empty errs
+// needs no verification: the Result is empty (no Stabs) and the error nil.
 // Cancelling ctx aborts the underlying SAT search with ctx.Err().
-//
-// Every (u, v) probe builds its formula on one builder, reset in between;
-// a reset solver searches exactly like a fresh one (sat.Solver.Reset).
 func Synthesize(ctx context.Context, det *f2.Mat, errs []f2.Vec) (*Result, error) {
 	if len(errs) == 0 {
 		return &Result{}, nil
 	}
-	b := cnf.NewBuilder()
-	maxU := det.SpanBasis().Rows()
-	for u := 1; u <= maxU; u++ {
-		// First decide feasibility for this u without a weight bound.
-		stabs, err := solveVerification(ctx, b, det, errs, u, -1)
-		if err != nil {
-			return nil, err
-		}
-		if stabs == nil {
-			continue
-		}
-		// Then shrink the weight bound to the optimum (binary search).
-		bestStabs := stabs
-		lo, hi := u, totalWeight(stabs)-1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			cand, err := solveVerification(ctx, b, det, errs, u, mid)
-			if err != nil {
-				return nil, err
-			}
-			if cand == nil {
-				lo = mid + 1
-			} else {
-				bestStabs = cand
-				hi = totalWeight(cand) - 1
-			}
-		}
-		return &Result{Stabs: bestStabs}, nil
-	}
-	return nil, fmt.Errorf("verify: no verification exists with up to %d measurements (unreachable for valid inputs)", maxU)
+	return newProblem(det, errs).synthesize(ctx)
 }
 
 // EnumerateOptimal returns all verifications with the optimal measurement
@@ -120,16 +97,15 @@ func EnumerateOptimal(ctx context.Context, det *f2.Mat, errs []f2.Vec, limit int
 	if limit <= 0 {
 		limit = 64
 	}
-	opt, err := Synthesize(ctx, det, errs)
+	if len(errs) == 0 {
+		return []*Result{{}}, nil
+	}
+	p := newProblem(det, errs)
+	opt, err := p.synthesize(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if len(opt.Stabs) == 0 {
-		return []*Result{opt}, nil
-	}
-	u, v := opt.Ancillas(), opt.CNOTs()
-	b := cnf.NewBuilder()
-	sel, _ := buildVerification(b, det, errs, u, v)
+	b, sel, _ := p.build(opt.Ancillas(), opt.CNOTs())
 	seen := map[string]bool{}
 	var out []*Result
 	for iter := 0; len(out) < limit && iter < 4096; iter++ {
@@ -140,7 +116,7 @@ func EnumerateOptimal(ctx context.Context, det *f2.Mat, errs []f2.Vec, limit int
 		if !ok {
 			break
 		}
-		stabs := extractStabs(b, sel, det, u)
+		stabs := sel.Stabs()
 		key := stabsKey(stabs)
 		if !seen[key] {
 			seen[key] = true
@@ -148,7 +124,7 @@ func EnumerateOptimal(ctx context.Context, det *f2.Mat, errs []f2.Vec, limit int
 		}
 		// Block this selection-variable assignment.
 		var all []sat.Lit
-		for _, row := range sel {
+		for _, row := range sel.Rows {
 			all = append(all, row...)
 		}
 		b.Block(all)
@@ -156,114 +132,73 @@ func EnumerateOptimal(ctx context.Context, det *f2.Mat, errs []f2.Vec, limit int
 	return out, nil
 }
 
-// solveVerification decides one (u, v) instance on b, which it resets
-// first; v < 0 disables the weight bound. It returns the measured
-// stabilizers or nil if unsatisfiable.
-func solveVerification(ctx context.Context, b *cnf.Builder, det *f2.Mat, errs []f2.Vec, u, v int) ([]f2.Vec, error) {
-	b.Reset()
-	sel, ok := buildVerification(b, det, errs, u, v)
-	if !ok {
-		return nil, nil
-	}
-	sat, err := b.SolveContext(ctx)
+// problem is one verification search: the detection basis, computed once,
+// the errors, and the builder every probe resets and reuses.
+type problem struct {
+	gens *f2.Mat
+	errs []f2.Vec
+	b    *cnf.Builder
+}
+
+func newProblem(det *f2.Mat, errs []f2.Vec) *problem {
+	return &problem{gens: det.SpanBasis(), errs: errs, b: cnf.NewBuilder()}
+}
+
+// synthesize runs the search for a non-empty errs.
+func (p *problem) synthesize(ctx context.Context) (*Result, error) {
+	res, ok, err := p.search(ctx).Run()
 	if err != nil {
 		return nil, err
 	}
-	if !sat {
-		return nil, nil
+	if !ok {
+		return nil, fmt.Errorf("verify: no verification exists with up to %d measurements (an error no detection-group element anticommutes with)", p.gens.Rows())
 	}
-	return extractStabs(b, sel, det, u), nil
+	return res, nil
 }
 
-// buildVerification constructs the CNF on the empty builder b. sel[i][j]
-// selects generator j for measurement i. ok=false signals a
-// trivially-unsatisfiable build.
-func buildVerification(b *cnf.Builder, det *f2.Mat, errs []f2.Vec, u, v int) ([][]sat.Lit, bool) {
-	gens := det.SpanBasis()
-	r := gens.Rows()
-	n := gens.Cols()
-
-	sel := make([][]sat.Lit, u)
-	for i := range sel {
-		sel[i] = b.NewVars(r)
+// search is the problem's optimal-measurement search (stabsel.Search): u
+// from 1 to the detection rank, each unbounded probe solved once, and v*
+// from the formula with unbounded weight bits.
+func (p *problem) search(ctx context.Context) stabsel.Search[*Result] {
+	return stabsel.Search[*Result]{
+		MinU:  1,
+		MaxU:  p.gens.Rows(),
+		Solve: func(u, v int) (*Result, bool, error) { return p.solve(ctx, u, v) },
+		Least: func(u int) (int, error) {
+			b, _, weight := p.build(u, stabsel.Least)
+			return b.MinTrue(ctx, weight)
+		},
 	}
-
-	// Each measurement must be non-trivial (at least one generator).
-	for i := 0; i < u; i++ {
-		b.AddClause(sel[i]...)
-	}
-
-	// Detection: every error anticommutes with some measurement.
-	for _, e := range errs {
-		var detLits []sat.Lit
-		// Generators with odd overlap with e.
-		var odd []int
-		for j := 0; j < r; j++ {
-			if gens.Row(j).Dot(e) == 1 {
-				odd = append(odd, j)
-			}
-		}
-		if len(odd) == 0 {
-			// Undetectable error: unsatisfiable for every u.
-			return nil, false
-		}
-		for i := 0; i < u; i++ {
-			lits := make([]sat.Lit, 0, len(odd))
-			for _, j := range odd {
-				lits = append(lits, sel[i][j])
-			}
-			detLits = append(detLits, b.Xor(lits...))
-		}
-		b.AddClause(detLits...)
-	}
-
-	// Weight bound over all support bits of all measurements.
-	if v >= 0 {
-		var bits []sat.Lit
-		for i := 0; i < u; i++ {
-			for q := 0; q < n; q++ {
-				var lits []sat.Lit
-				for j := 0; j < r; j++ {
-					if gens.Row(j).Get(q) {
-						lits = append(lits, sel[i][j])
-					}
-				}
-				if len(lits) > 0 {
-					bits = append(bits, b.Xor(lits...))
-				}
-			}
-		}
-		b.AtMostK(bits, v)
-	}
-
-	// Symmetry breaking: measurements ordered by selection bit-vector.
-	for i := 0; i+1 < u; i++ {
-		b.LexLE(sel[i], sel[i+1])
-	}
-	return sel, true
 }
 
-func extractStabs(b *cnf.Builder, sel [][]sat.Lit, det *f2.Mat, u int) []f2.Vec {
-	gens := det.SpanBasis()
-	out := make([]f2.Vec, 0, u)
-	for i := 0; i < u; i++ {
-		s := f2.NewVec(gens.Cols())
-		for j := 0; j < gens.Rows(); j++ {
-			if b.Val(sel[i][j]) {
-				s.XorInPlace(gens.Row(j))
-			}
-		}
-		out = append(out, s)
+// solve decides one (u, v) probe; v < 0 disables the weight bound. It
+// returns the measured stabilizers of its model; ok is false when it is
+// unsatisfiable.
+func (p *problem) solve(ctx context.Context, u, v int) (*Result, bool, error) {
+	b, sel, _ := p.build(u, v)
+	if ok, err := b.SolveContext(ctx); err != nil || !ok {
+		return nil, false, err
 	}
-	return out
+	return &Result{Stabs: sel.Stabs()}, true, nil
 }
 
-func totalWeight(stabs []f2.Vec) int {
-	w := 0
-	for _, s := range stabs {
-		w += s.Weight()
+// build constructs the formula of probe (u, v) on an empty builder, in this
+// order: the selection rows (sel.Rows[i][j] selects generator j for
+// measurement i), the detection clauses, the weight bits for bound v
+// (stabsel.Sel.Weight) and the lex chain. It returns the builder, the
+// selection and the weight bits.
+func (p *problem) build(u, v int) (*cnf.Builder, *stabsel.Sel, []sat.Lit) {
+	b := p.b
+	b.Reset()
+	sel := stabsel.New(b, p.gens, u)
+	// Detection: every error anticommutes with some measurement (an error
+	// no basis row detects gets an all-false clause).
+	for _, e := range p.errs {
+		b.AddClause(sel.Syndrome(e)...)
 	}
-	return w
+	weight := sel.Weight(v)
+	sel.Lex()
+	return b, sel, weight
 }
 
 func sortVecs(vs []f2.Vec) {
@@ -273,12 +208,8 @@ func sortVecs(vs []f2.Vec) {
 func stabsKey(stabs []f2.Vec) string {
 	ss := make([]string, len(stabs))
 	for i, s := range stabs {
-		ss[i] = s.String()
+		ss[i] = s.String() + "|"
 	}
 	sort.Strings(ss)
-	key := ""
-	for _, s := range ss {
-		key += s + "|"
-	}
-	return key
+	return strings.Join(ss, "")
 }
