@@ -62,11 +62,11 @@ func steane(t *testing.T) *core.Protocol {
 
 func resolver(t *testing.T) jobs.Resolver {
 	p := steane(t)
-	return func(ctx context.Context, key string) (*sim.Estimator, error) {
+	return func(ctx context.Context, key string) (*sim.Estimator, string, error) {
 		if key != testKey {
-			return nil, fmt.Errorf("unknown protocol %q", key)
+			return nil, "", fmt.Errorf("unknown protocol %q", key)
 		}
-		return sim.NewEstimator(p), nil
+		return sim.NewEstimator(p), "sha256:steane", nil
 	}
 }
 

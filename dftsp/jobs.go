@@ -2,7 +2,6 @@ package dftsp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -126,11 +125,11 @@ func (s *Service) encodedProtocol(key string) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("protocol %s is not available", key)
 	}
-	optsJSON, err := json.Marshal(p.Options)
+	meta, err := storeMeta(key, p)
 	if err != nil {
 		return nil, err
 	}
-	return store.Encode(store.Meta{Key: key, Options: optsJSON}, p.Core)
+	return store.Encode(meta, p.Core)
 }
 
 // lookup returns the protocol under key without ever synthesizing:
@@ -177,12 +176,13 @@ func (s *Service) runner() *jobs.Runner {
 
 // resolveEstimator is the job runner's protocol resolver, over lookup: it
 // returns the protocol's own estimator, so a job on a cached protocol
-// shares its compile, single-fault table and gap tables with /estimate. It
-// never triggers a synthesis — SubmitJob synthesizes before submitting, and
-// at resume time a protocol that is neither cached nor stored cannot be
-// reconstructed from its key alone. Store reads count as disk hits or
-// misses.
-func (s *Service) resolveEstimator(ctx context.Context, key string) (*sim.Estimator, error) {
+// shares its compile, single-fault table and gap tables with /estimate,
+// and the payload checksum of the protocol's store encoding under key,
+// the one its .dfp file records. It never triggers a synthesis —
+// SubmitJob synthesizes before submitting, and at resume time a protocol
+// that is neither cached nor stored cannot be reconstructed from its key
+// alone. Store reads count as disk hits or misses.
+func (s *Service) resolveEstimator(ctx context.Context, key string) (*sim.Estimator, string, error) {
 	p, read := s.lookup(key)
 	switch {
 	case p != nil && read:
@@ -191,9 +191,17 @@ func (s *Service) resolveEstimator(ctx context.Context, key string) (*sim.Estima
 		s.diskMisses.Inc()
 	}
 	if p == nil {
-		return nil, fmt.Errorf("protocol %s is not available (synthesize it first, or attach its store)", key)
+		return nil, "", fmt.Errorf("protocol %s is not available (synthesize it first, or attach its store)", key)
 	}
-	return p.est.estimator(p.Core), nil
+	meta, err := storeMeta(key, p)
+	if err != nil {
+		return nil, "", err
+	}
+	sum, err := store.Checksum(meta, p.Core)
+	if err != nil {
+		return nil, "", err
+	}
+	return p.est.estimator(p.Core), sum, nil
 }
 
 // SubmitJob synthesizes (or fetches) the protocol for opts and submits a

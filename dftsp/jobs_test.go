@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,7 +102,8 @@ func TestSubmitJobMatchesEstimate(t *testing.T) {
 // cached protocol's own estimator — the compiled program /estimate built,
 // not a second compile — and pins which lookups count as store traffic:
 // job resolution counts its disk hits and misses, the worker protocol
-// endpoint counts neither.
+// endpoint counts neither. A resolution from memory and one from disk give
+// the same protocol checksum, the one the stored file's header records.
 func TestResolveEstimatorSharesProtocol(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewService(2)
@@ -120,7 +122,7 @@ func TestResolveEstimatorSharesProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s1.Stats()
-	est, err := s1.resolveEstimator(bg, key)
+	est, sum, err := s1.resolveEstimator(bg, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,8 @@ func TestResolveEstimatorSharesProtocol(t *testing.T) {
 	if err := s2.AttachStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.encodedProtocol(key); err != nil {
+	data, err := s2.encodedProtocol(key)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.encodedProtocol("missing"); err == nil {
@@ -145,10 +148,16 @@ func TestResolveEstimatorSharesProtocol(t *testing.T) {
 	if st := s2.Stats(); st.DiskHits != 0 || st.DiskMisses != 0 {
 		t.Fatalf("protocol endpoint counted store traffic: %+v", st)
 	}
-	if _, err := s2.resolveEstimator(bg, key); err != nil {
+	// Both resolutions name the protocol by the checksum its .dfp records.
+	_, diskSum, err := s2.resolveEstimator(bg, key)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.resolveEstimator(bg, "missing"); err == nil {
+	header, _, _ := strings.Cut(string(data), "\n")
+	if diskSum != sum || !strings.Contains(header, `"checksum":"`+sum+`"`) {
+		t.Fatalf("resolved checksums %q (memory) and %q (disk), stored header %s", sum, diskSum, header)
+	}
+	if _, _, err := s2.resolveEstimator(bg, "missing"); err == nil {
 		t.Fatal("resolver returned an estimator for an unknown key")
 	}
 	if st := s2.Stats(); st.DiskHits != 1 || st.DiskMisses != 1 {

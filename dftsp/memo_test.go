@@ -24,7 +24,7 @@ func TestServiceMemoPinsHammingAfterTetrahedral(t *testing.T) {
 		if err != nil || hit {
 			t.Fatalf("%s: cache hit %v, error %v; want a synthesis", name, hit, err)
 		}
-		checkPinned(t, p, pinnedSHA(t, name))
+		checkPinned(t, p, name)
 	}
 	if hit, miss := memoCounts(s); hit != 1 || miss != 1 {
 		t.Fatalf("correction memo: %d hits, %d misses; want 1, 1", hit, miss)

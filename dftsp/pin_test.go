@@ -1,82 +1,301 @@
 package dftsp
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
 
-// TestProtocolBytesPinned pins the stored bytes of the default-option
-// protocol of every catalog code, of the two "Opt"-encoder protocols of
-// Table I, and of the three globally optimized protocols the synth-cold
-// benchmark builds (their candidate loop runs the correction synthesis once
-// per candidate). Correction synthesis solves a build's problems on every
-// spare core, so CI runs this test under the default GOMAXPROCS and under
-// GOMAXPROCS=1, and both schedules must give these bytes.
-// Correction synthesis may get faster, but a change in which measurements or
-// recoveries it picks moves the simulated logical error rates (up to +30%
-// for Surface at p = 1e-2 with another optimal choice), so it must show
-// here as a deliberate hash update. Every pinned protocol must also compile
-// into the batch engine, the only engine that samples.
-func TestProtocolBytesPinned(t *testing.T) {
-	for _, tc := range protocolPins {
-		p, err := Synthesize(bg, Options{Code: tc.code, Prep: tc.prep, Verif: tc.verif})
-		if err != nil {
-			t.Fatalf("%s %s %s: %v", tc.code, tc.prep, tc.verif, err)
+// update re-records the byte pins. The one procedure for every protocol
+// byte pin of this package is
+//
+//	go test ./dftsp -run TestProtocolBytesPinned -update
+//
+// which rewrites testdata/protocol_pins.txt from the current synthesis; the
+// diff of that file lists every moved hash. TestProtocolClaims must pass
+// unchanged before the new hashes are committed.
+var update = flag.Bool("update", false, "rewrite testdata/protocol_pins.txt from the current synthesis")
+
+// pinsFile holds the SHA-256 of the stored bytes of every pinned option
+// set, one "label<TAB>sha" line each.
+const pinsFile = "testdata/protocol_pins.txt"
+
+// pinSets are the pinned option sets: the default options of every catalog
+// code, the two "Opt"-encoder sets of Table I, and the three globally
+// optimized sets the synth-cold benchmark builds (their candidate loop runs
+// the correction synthesis once per candidate).
+var pinSets = []Options{
+	{Code: "Steane"}, {Code: "Shor"}, {Code: "Surface"}, {Code: "[[11,1,3]]"}, {Code: "Carbon"},
+	{Code: "[[16,2,4]]"}, {Code: "Tetrahedral"}, {Code: "Hamming"}, {Code: "Tesseract"},
+	{Code: "Steane", Prep: PrepOptimal}, {Code: "Shor", Prep: PrepOptimal},
+	{Code: "Steane", Verif: VerifGlobal}, {Code: "Shor", Verif: VerifGlobal}, {Code: "Surface", Verif: VerifGlobal},
+}
+
+// pinLabel names an option set as bench/testdata/table1.golden does:
+// the code, then " prep=opt" or " verif=global" when set.
+func pinLabel(o Options) string {
+	label := o.Code
+	if o.Prep != "" {
+		label += " prep=" + o.Prep
+	}
+	if o.Verif != "" {
+		label += " verif=" + o.Verif
+	}
+	return label
+}
+
+// pinned synthesizes every pin set once per test binary: the byte pins and
+// the claims test read the same protocols.
+var pinned struct {
+	once  sync.Once
+	ps    []*Protocol
+	label string // the set that failed, if any
+	err   error
+}
+
+func pinnedProtocols(t *testing.T) []*Protocol {
+	t.Helper()
+	pinned.once.Do(func() {
+		for _, o := range pinSets {
+			p, err := Synthesize(bg, o)
+			if err != nil {
+				pinned.label, pinned.err = pinLabel(o), err
+				return
+			}
+			pinned.ps = append(pinned.ps, p)
 		}
-		checkPinned(t, p, tc.sha)
+	})
+	if pinned.err != nil {
+		t.Fatalf("%s: %v", pinned.label, pinned.err)
+	}
+	return pinned.ps
+}
+
+// TestProtocolBytesPinned pins the stored bytes of every pin set
+// (testdata/protocol_pins.txt). Correction synthesis solves a build's
+// problems on every spare core, so CI runs this test under the default
+// GOMAXPROCS and under GOMAXPROCS=1, and both schedules must give these
+// bytes. The hashes are change detectors: a synthesis change that picks
+// other measurements or recoveries among the optimal ones moves them, and
+// may move the simulated logical error rates (up to +30% for Surface at
+// p = 1e-2 with another optimal choice). Such a change re-records them with
+// -update (see update) and shows that TestProtocolClaims still passes.
+// Every pinned protocol must also compile into the batch engine, the only
+// engine that samples.
+func TestProtocolBytesPinned(t *testing.T) {
+	var want map[string]string
+	if !*update {
+		want = readLabelled(t, pinsFile)
+	}
+	var rec strings.Builder
+	rec.WriteString("# SHA-256 of store.Encode(store.Meta{Key: \"k\"}, p.Core) of each pinned option set.\n")
+	rec.WriteString("# Re-record with: go test ./dftsp -run TestProtocolBytesPinned -update\n")
+	for i, p := range pinnedProtocols(t) {
+		label := pinLabel(pinSets[i])
+		got := protocolSHA(t, p)
+		fmt.Fprintf(&rec, "%s\t%s\n", label, got)
+		if !*update && got != want[label] {
+			t.Errorf("%s: stored protocol SHA-256 %s, want %s", label, got, want[label])
+		}
 		if _, err := sim.Compile(p.Core); err != nil {
-			t.Errorf("%s %s %s: protocol does not compile: %v", tc.code, tc.prep, tc.verif, err)
+			t.Errorf("%s: protocol does not compile: %v", label, err)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(pinsFile, []byte(rec.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// checkPinned fails the test unless p's stored bytes have the SHA-256 sum.
-func checkPinned(t *testing.T, p *Protocol, sha string) {
+// readLabelled reads a file of "label<TAB>value" lines, skipping blank and
+// '#' lines.
+func readLabelled(t *testing.T, path string) map[string]string {
 	t.Helper()
-	o := p.Options
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		label, value, ok := strings.Cut(line, "\t")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out[label] = value
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// protocolSHA returns the SHA-256 of p's stored bytes.
+func protocolSHA(t *testing.T, p *Protocol) string {
+	t.Helper()
 	data, err := store.Encode(store.Meta{Key: "k"}, p.Core)
 	if err != nil {
-		t.Fatalf("%s %s %s: %v", o.Code, o.Prep, o.Verif, err)
+		t.Fatal(err)
 	}
 	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != sha {
-		t.Errorf("%s %s %s: stored protocol SHA-256 %s, want %s", o.Code, o.Prep, o.Verif, got, sha)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkPinned fails the test unless p's stored bytes have the pinned
+// SHA-256 of the default-option protocol of catalog code name.
+func checkPinned(t *testing.T, p *Protocol, name string) {
+	t.Helper()
+	want, ok := readLabelled(t, pinsFile)[name]
+	if !ok {
+		t.Fatalf("no pin for %s", name)
+	}
+	if got := protocolSHA(t, p); got != want {
+		t.Errorf("%s: stored protocol SHA-256 %s, want %s", name, got, want)
 	}
 }
 
-// pinnedSHA returns the pinned SHA-256 of the default-option protocol of a
-// catalog code.
-func pinnedSHA(t *testing.T, code string) string {
-	t.Helper()
-	for _, tc := range protocolPins {
-		if tc.code == code && tc.prep == "" && tc.verif == "" {
-			return tc.sha
+// The quality figure of TestProtocolClaims: the stratified logical error
+// rate at p = claimRate, from FaultOrderModel with claimSamples samples per
+// sampled order up to order 3 and seed 1.
+const (
+	claimRate    = 1e-3
+	claimSamples = 100000
+)
+
+// protocolClaims are the paper's claims for every pin set, recorded from
+// the protocols the byte pins held when this test was added: the (u, v) of
+// every correction class (classShapes) and the quality figure with its
+// sampling σ.
+var protocolClaims = map[string]struct {
+	classes   string
+	pl, sigma float64
+}{
+	"Steane":               {"L1 1|0=1/3", 3.31827e-05, 2.38e-07},
+	"Shor":                 {"L1 1|0=1/3", 4.52043e-05, 3.17e-07},
+	"Surface":              {"L1 1|0=1/3", 2.14027e-05, 2.19e-07},
+	"[[11,1,3]]":           {"L1 1|0=2/8; L2 0|1=0/0+1/3 1|0=2/8 1|1=0/0+1/3", 7.10027e-05, 7.97e-07},
+	"Carbon":               {"L1 01|00=2/8 10|00=1/4 11|00=1/4; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=1/6 01|01=0/0+1/4 01|10=0/0+1/4 10|00=1/6 10|10=0/0+1/4 11|00=1/4 11|10=0/0+1/4", 4.85104e-04, 2.94e-06},
+	"[[16,2,4]]":           {"L1 01|00=2/10 10|00=2/8 11|00=2/8; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=2/10 01|01=0/0+1/4 01|10=0/0+0/0 10|00=2/12 10|10=0/0+1/4 11|00=2/8 11|10=0/0+0/0", 6.41999e-04, 4.04e-06},
+	"Tetrahedral":          {"L1 1|0=4/12", 4.02930e-05, 6.48e-07},
+	"Hamming":              {"L1 1|0=4/12", 3.85789e-04, 1.67e-06},
+	"Tesseract":            {"L1 1|0=4/16; L2 000|001=0/0+2/8 000|010=0/0+2/8 000|100=0/0+2/8 001|000=1/8 001|001=0/0+2/8 001|010=0/0+1/4 001|100=0/0+1/4 010|000=1/8 010|010=0/0+2/8 010|100=0/0+1/4 011|000=0/0 011|010=0/0+1/4 011|100=0/0+0/0 100|000=1/8 100|100=0/0+2/8 101|000=1/8 101|100=0/0+1/4 110|000=0/0 110|100=0/0+1/4 111|000=0/0 111|100=0/0+0/0", 1.43846e-03, 6.44e-06},
+	"Steane prep=opt":      {"L1 1|0=1/3", 3.23995e-05, 2.23e-07},
+	"Shor prep=opt":        {"L1 1|0=1/3", 3.93603e-05, 2.70e-07},
+	"Steane verif=global":  {"L1 1|0=1/3", 3.31827e-05, 2.38e-07},
+	"Shor verif=global":    {"L1 1|0=1/3", 4.17574e-05, 3.07e-07},
+	"Surface verif=global": {"L1 1|0=1/3", 2.14027e-05, 2.19e-07},
+}
+
+// TestProtocolClaims holds every pin set to what the paper claims for it,
+// not to the bytes the solver returns:
+//   - its Table I row, byte for byte as in bench/testdata/table1.golden,
+//     wherever the set is one of that file's rows (all but Tesseract);
+//   - the (u, v) of every correction class, the optimum of each class's
+//     search;
+//   - the strict fault-tolerance certificate (Certify);
+//   - a quality figure no worse than recorded beyond its sampling σ.
+//
+// Another choice among the optimal blocks may move the byte pins, but not
+// this test.
+func TestProtocolClaims(t *testing.T) {
+	golden := readLabelled(t, "../bench/testdata/table1.golden")
+	rows := 0
+	for i, p := range pinnedProtocols(t) {
+		label := pinLabel(pinSets[i])
+		want, ok := protocolClaims[label]
+		if !ok {
+			t.Fatalf("%s: no recorded claims", label)
+		}
+		if row, ok := golden[label]; ok {
+			rows++
+			if got := p.MetricsRow(); got != row {
+				t.Errorf("%s: Table I row\n%s\nwant\n%s", label, got, row)
+			}
+		}
+		if got := classShapes(p.Core); got != want.classes {
+			t.Errorf("%s: correction classes\n%s\nwant\n%s", label, got, want.classes)
+		}
+		if err := p.Certify(); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+		pl, sigma := claimFigure(t, p)
+		t.Logf("%s: pL(%g) = %.6g (σ %.3g), recorded %.6g (σ %.3g)", label, claimRate, pl, sigma, want.pl, want.sigma)
+		if pl > want.pl+want.sigma {
+			t.Errorf("%s: pL(%g) = %.6g, worse than the recorded %.6g beyond its σ %.3g", label, claimRate, pl, want.pl, want.sigma)
 		}
 	}
-	t.Fatalf("no pin for %s", code)
-	return ""
+	if rows != len(golden) {
+		t.Errorf("%d of the %d rows of table1.golden are pin sets", rows, len(golden))
+	}
 }
 
-// protocolPins are the pinned stored bytes of TestProtocolBytesPinned.
-var protocolPins = []struct{ code, prep, verif, sha string }{
-	{"Steane", "", "", "1bf1f2a5b01d0d9a1fc77a35c44840f5ed7917129086a6b746be0f8acf6ff5e1"},
-	{"Shor", "", "", "64c0f340a5ee3fa7dd52f3b63c19ef67b9633f48d3b3b3963c4915bf8204e5ee"},
-	{"Surface", "", "", "430221b87c2bfaba79af06019502e0e9cc711f9497cd661ba7884c6500115474"},
-	{"[[11,1,3]]", "", "", "10011e7d4ea02acc0ff9f2dbcd19ed0dfa331f13cf4f5c3d3c2c3f8dfa977bc1"},
-	{"Carbon", "", "", "f2bedd31bec0505f431533bdb45b1d73ab6c685cbc49a995bcefae779e8b3348"},
-	{"[[16,2,4]]", "", "", "ca27dbfe8318913924e1534ac8cc7965caa1f69cb5cb5bba09413a79ee5f8927"},
-	{"Tetrahedral", "", "", "7f06184cc9459625bb33b4946a093c4047c805b393a82df18275d432c31c8fc9"},
-	{"Hamming", "", "", "4e9882929282216bbbe2d61c5875585d1583a5709b8c25e4eaba3b47988d03ea"},
-	{"Tesseract", "", "", "f5acd582f3d9d954ff1190f8bde3c49fa42614faffb8ff761bf7f6277bb43f50"},
-	{"Steane", PrepOptimal, "", "f21b64d4a55e3b3de3818706693f53ee00b59e708bb249d64485d07637a4fc09"},
-	{"Shor", PrepOptimal, "", "b172d94ef48f7b429f1cd9ef7b65f4c4f15aa57f76c4c91c4b61a469bd58618f"},
-	{"Steane", "", VerifGlobal, "1bf1f2a5b01d0d9a1fc77a35c44840f5ed7917129086a6b746be0f8acf6ff5e1"},
-	{"Shor", "", VerifGlobal, "837dbbfc8759d68db8fe6597e8e06a67e9b84e5f3ff1c62834d53fffe7d75e82"},
-	{"Surface", "", VerifGlobal, "430221b87c2bfaba79af06019502e0e9cc711f9497cd661ba7884c6500115474"},
+// classShapes renders the (u, v) of every correction class of p, layer by
+// layer in signature order: "L<layer> <signature>=<primary u/v>", plus
+// "+<hook u/v>" for a class with a hook correction.
+func classShapes(p *core.Protocol) string {
+	var layers []string
+	for i, l := range p.Layers {
+		keys := make([]string, 0, len(l.Classes))
+		for k := range l.Classes {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		classes := []string{fmt.Sprintf("L%d", i+1)}
+		for _, k := range keys {
+			c := l.Classes[k]
+			s := k + "=-"
+			if c.Primary != nil {
+				s = fmt.Sprintf("%s=%d/%d", k, c.Primary.Ancillas(), c.Primary.CNOTs())
+			}
+			if c.Hook != nil {
+				s += fmt.Sprintf("+%d/%d", c.Hook.Ancillas(), c.Hook.CNOTs())
+			}
+			classes = append(classes, s)
+		}
+		layers = append(layers, strings.Join(classes, " "))
+	}
+	return strings.Join(layers, "; ")
+}
+
+// claimFigure returns p's stratified logical error rate at claimRate and its
+// sampling σ: the binomial spread of each sampled order's failure fraction,
+// weighted by that order's probability.
+func claimFigure(t *testing.T, p *Protocol) (pl, sigma float64) {
+	t.Helper()
+	res, err := p.Estimate(bg, EstimateOptions{Rates: []float64{claimRate}, MaxOrder: 3, Samples: claimSamples, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variance := 0.0
+	for w := 2; w < len(res.F); w++ {
+		a := binomial(res.Locations, w, claimRate)
+		variance += a * a * res.F[w] * (1 - res.F[w]) / claimSamples
+	}
+	return res.Points[0].PL, math.Sqrt(variance)
+}
+
+// binomial returns C(n, w) p^w (1-p)^(n-w).
+func binomial(n, w int, p float64) float64 {
+	ln := func(x int) float64 { v, _ := math.Lgamma(float64(x + 1)); return v }
+	return math.Exp(ln(n) - ln(w) - ln(n-w) + float64(w)*math.Log(p) + float64(n-w)*math.Log1p(-p))
 }
 
 // TestOptionsKeyPinned pins the canonical key of relaxed catalog spellings,

@@ -170,11 +170,18 @@ func (s *Service) fillFromStore(st *store.Tiered, key string, e *cacheEntry) boo
 	return true
 }
 
+// storeMeta is the metadata p is stored under key with: the key and p's
+// options.
+func storeMeta(key string, p *Protocol) (store.Meta, error) {
+	optsJSON, err := json.Marshal(p.Options)
+	return store.Meta{Key: key, Options: optsJSON}, err
+}
+
 // writeBack persists a freshly synthesized protocol, counting the outcome.
 func (s *Service) writeBack(st *store.Tiered, key string, p *Protocol) {
-	optsJSON, err := json.Marshal(p.Options)
+	meta, err := storeMeta(key, p)
 	if err == nil {
-		err = st.Put(store.Meta{Key: key, Options: optsJSON}, p.Core)
+		err = st.Put(meta, p.Core)
 	}
 	if err != nil {
 		s.writeFailures.Inc()

@@ -6,49 +6,38 @@
 // s_1..s_u from the detection-group span with minimal u and minimal total
 // weight v = Σ wt(s_i), such that all errors with the same extended syndrome
 // b ∈ {0,1}^u are reduced to a correctable error (stabilizer-reduced weight
-// ≤ 1) by one shared Pauli recovery c_b. The decision problem for fixed
-// (u, v) is encoded as CNF and decided by the CDCL solver; optimality
-// follows by iterating u upward and v downward exactly as in the paper.
+// ≤ 1) by one shared Pauli recovery c_b. Optimality follows the paper: u
+// upward to the first feasible u*, then the least total weight v* of u*
+// measurements, with the decision problem encoded as CNF two ways.
 //
-// Each (u, v) probe is answered with two encodings. The residual encoding
-// decides: every error picks which weight-≤1 residual w its recovery
-// leaves, and errors with equal syndromes must pick residuals that make
-// their recoveries congruent modulo the stabilizers, a syndrome-table
-// lookup. It has no free recovery or stabilizer bits, so the solver never
-// refutes equivalent recoveries one by one, and the UNSAT probes at the
-// optimality boundary get much cheaper. A satisfiable probe is also solved
-// with the recovery encoding, which spells out each recovery bit by bit,
-// and its model becomes the block.
-// The residual encoding's own models would do as well, but they pick other
-// measurements and recoveries among the optimal ones, and those protocols
-// are worse in simulation: the Surface code's stratified logical error rate
-// at p = 1e-2 rises from 2.05e-3 to 2.65e-3 (+30%), Carbon's by about 3%.
-// So the recovery encoding stays the extractor, and every synthesized block
-// is the one it alone would give.
+// The residual encoding decides: every error picks which weight-≤1
+// residual w its recovery leaves, and errors with equal syndromes must pick
+// residuals that make their recoveries congruent modulo the stabilizers, a
+// syndrome-table lookup. With no free recovery or stabilizer bits, the
+// solver never refutes equivalent recoveries one by one, so the UNSAT
+// probes at the optimality boundary stay cheap. It decides u = 0, 1, … up
+// to u* and gives v* (cnf.Builder.MinTrue; v* = 0 at u* = 0). The recovery
+// encoding, which spells out each recovery bit by bit, is then solved once,
+// at (u*, v*), and its model is the block; an UNSAT answer or a block whose
+// weight is not v* is stabsel.ErrMismatch. The residual encoding's own
+// models would do as well, but they pick other measurements and recoveries
+// among the optimal ones, and those protocols are worse in simulation (the
+// Surface code's stratified logical error rate at p = 1e-2 rises by 30%,
+// Carbon's by about 3%).
 //
-// The (u, v) loop is stabsel.Search, which verification runs too, and the
-// selection rows with their weight and syndrome bits are stabsel.Sel. An
-// unbounded probe (v < 0) is decided, and extracted only when SAT. The
-// residual encoding finds the least weight v*(u) once (cnf.Builder.MinTrue),
-// so a weighted probe is UNSAT for v < v* and otherwise extracted alone; an
-// extraction that comes back UNSAT is stabsel.ErrMismatch. Every probe runs
-// on its caller's goroutine, on the one builder of its search, reset in
+// The selection rows with their weight and syndrome bits are stabsel.Sel.
+// Every solve runs on its caller's goroutine, on one builder reset in
 // between: a reset solver searches exactly like a fresh one
 // (sat.Solver.Reset) and keeps its storage.
 //
-// The u measurements are interchangeable, and each probe breaks that
-// symmetry. An unbounded decide constrains them to the RREF basis of their
-// span: its answer depends on the span alone, so one basis per span
-// suffices, and that is |GL(u,2)| times fewer models where lex removes only
-// u! row orders. The search for v* orders them lexicographically, since
-// weight depends on the basis, and so does every extraction, since its
-// model is the protocol.
+// The u measurements are interchangeable: an unbounded decide keeps one
+// RREF basis per span, |GL(u,2)| times fewer models than the u! row orders
+// lex removes, and the weighted solves keep lex (see measurements).
 //
 // Synthesize is a pure function of the RREF bases of det and red and the
-// ordered errors, and it is deterministic in them. A Memo
-// keys on exactly those, so it can answer a problem solved before with the
-// bytes a fresh solve would give. dftsp.Service holds one; dftsp.Synthesize
-// and the CLIs solve every problem afresh.
+// ordered errors. A Memo keys on exactly those, so it can answer a problem
+// solved before with the bytes a fresh solve would give. dftsp.Service
+// holds one; dftsp.Synthesize and the CLIs solve every problem afresh.
 package correct
 
 import (
@@ -119,31 +108,57 @@ func (b *Block) RecoveryFor(key string, n int) f2.Vec {
 //
 // Cancelling ctx aborts the underlying SAT search with ctx.Err().
 func Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec) (*Block, error) {
-	if len(errs) == 0 {
-		return &Block{Recovery: map[string]f2.Vec{}}, nil
-	}
-	c := newClass(det, red, errs)
-	c.b = cnf.NewBuilder()
-	blk, ok, err := c.search(ctx).Run()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("correct: no correction with up to %[1]d measurements (detection rank %[1]d); class has inequivalent errors sharing the full syndrome", c.gens.Rows())
-	}
-	return blk, nil
+	return synthesize(ctx, det.SpanBasis(), red.SpanBasis(), errs)
 }
 
-// search is the class's stabsel.Search: the residual encoding decides the
-// unbounded probes (RREF) and finds v* (lex), and the recovery encoding
-// extracts every satisfiable probe.
-func (c *class) search(ctx context.Context) stabsel.Search[*Block] {
-	return stabsel.Search[*Block]{
-		MaxU:   c.gens.Rows(),
-		Decide: func(u int) (bool, error) { return c.decide(ctx, u, stabsel.Unbounded, true) },
-		Solve:  func(u, v int) (*Block, bool, error) { return c.extractCorrection(ctx, u, v) },
-		Least:  func(u int) (int, error) { return c.least(ctx, u) },
+// synthesize is Synthesize on the RREF bases of det and red.
+func synthesize(ctx context.Context, gens, redGens *f2.Mat, errs []f2.Vec) (*Block, error) {
+	c := newClass(gens, redGens, errs)
+	c.b = cnf.NewBuilder()
+	return c.search(ctx).run()
+}
+
+// search is a class's search, its three kinds of solve as closures.
+type search struct {
+	maxU    int // the detection rank
+	decide  func(u int) (bool, error)
+	least   func(u int) (int, error)
+	extract func(u, v int) (*Block, bool, error)
+}
+
+func (c *class) search(ctx context.Context) search {
+	return search{
+		maxU:    c.gens.Rows(),
+		decide:  func(u int) (bool, error) { return c.decide(ctx, u, stabsel.Unbounded, true) },
+		least:   func(u int) (int, error) { return c.least(ctx, u) },
+		extract: func(u, v int) (*Block, bool, error) { return c.extractCorrection(ctx, u, v) },
 	}
+}
+
+// run decides u = 0, 1, … up to maxU and extracts at the first satisfiable
+// u*, under the bound v* = least(u*) (none at u* = 0, where it is 0).
+func (s search) run() (*Block, error) {
+	for u := 0; u <= s.maxU; u++ {
+		feasible, err := s.decide(u)
+		if err != nil {
+			return nil, err
+		}
+		if !feasible {
+			continue
+		}
+		v := stabsel.Unbounded
+		if u > 0 {
+			if v, err = s.least(u); err != nil {
+				return nil, err
+			}
+		}
+		blk, ok, err := s.extract(u, v)
+		if err == nil && (!ok || u > 0 && blk.CNOTs() != v) {
+			blk, err = nil, fmt.Errorf("correct: extraction at u=%d v=%d: %w", u, v, stabsel.ErrMismatch)
+		}
+		return blk, err
+	}
+	return nil, fmt.Errorf("correct: no correction with up to %[1]d measurements (detection rank %[1]d); class has inequivalent errors sharing the full syndrome", s.maxU)
 }
 
 // class is one error class with everything its probes share, computed once
@@ -185,8 +200,10 @@ type pair struct {
 	next [][]int
 }
 
-func newClass(det, red *f2.Mat, errs []f2.Vec) *class {
-	c := &class{errs: errs, gens: det.SpanBasis(), redGens: red.SpanBasis()}
+// newClass builds the class of errs over gens and redGens, the RREF bases
+// of the detection and reduction groups.
+func newClass(gens, redGens *f2.Mat, errs []f2.Vec) *class {
+	c := &class{errs: errs, gens: gens, redGens: redGens}
 	n := c.gens.Cols()
 	h := c.redGens.Kernel()
 

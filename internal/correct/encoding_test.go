@@ -60,11 +60,12 @@ func loadTableClasses(t testing.TB) []tableClass {
 	return out
 }
 
-// probeSearch is the reference (u, v) search: u upward from 0 to maxU,
-// then a binary search on v for the first feasible u, with every probe,
-// weighted ones included, answered by probe itself (nil: UNSAT). It is the
-// search as it ran before the least weight v* answered weighted probes, and
-// stabsel.Search must end where it does.
+// probeSearch is the reference (u, v) search, the loop Synthesize ran
+// before it extracted once per class: u upward from 0 to maxU, then a
+// binary search on v below the unbounded block's weight for the first
+// feasible u, with every probe, weighted ones included, answered by probe
+// itself (nil: UNSAT). With a probe that decides and then extracts, it
+// returns the block Synthesize returned then.
 func probeSearch(maxU int, probe func(u, v int) (*Block, error)) (*Block, error) {
 	for u := 0; u <= maxU; u++ {
 		blk, err := probe(u, -1)
@@ -94,23 +95,29 @@ func probeSearch(maxU int, probe func(u, v int) (*Block, error)) (*Block, error)
 	return nil, fmt.Errorf("no correction with up to %d measurements", maxU)
 }
 
+// classOf is the class of errs over the RREF bases of cs's groups for kind.
+func classOf(cs *code.CSS, kind code.ErrType, errs []f2.Vec) *class {
+	return newClass(cs.DetectionGroup(kind).SpanBasis(), cs.ReductionGroup(kind).SpanBasis(), errs)
+}
+
 // differential runs the reference search over one class with a probe that
 // solves every (u, v) with both encodings on fresh solvers, and returns the
 // probe count. It fails the test when the encodings disagree, when a
-// recovery-encoding model does not correct the class, when the pair table
-// disagrees with wt_S, or when Synthesize ends elsewhere.
+// recovery-encoding model does not correct the class, or when the pair
+// table disagrees with wt_S. Synthesize must then reach the reference's
+// (u*, v*) with a block of weight exactly v* that corrects the class.
 func differential(t *testing.T, cs *code.CSS, kind code.ErrType, errs []f2.Vec) int {
 	t.Helper()
 	ctx := context.Background()
-	det, red := cs.DetectionGroup(kind), cs.ReductionGroup(kind)
-	c := newClass(det, red, errs)
+	red := cs.ReductionGroup(kind)
+	c := classOf(cs, kind, errs)
 	for _, p := range c.pairs {
 		if want := f2.CosetMinWeight(errs[p.k1].Xor(errs[p.k2]), red) <= 2; p.compatible != want {
 			t.Errorf("pair %v, %v: compatible = %v, want %v", errs[p.k1], errs[p.k2], p.compatible, want)
 		}
 	}
 	probes := 0
-	got, gotErr := probeSearch(c.gens.Rows(), func(u, v int) (*Block, error) {
+	ref, refErr := probeSearch(c.gens.Rows(), func(u, v int) (*Block, error) {
 		probes++
 		ok, err := c.decideCorrection(ctx, u, v)
 		if err != nil {
@@ -130,25 +137,40 @@ func differential(t *testing.T, cs *code.CSS, kind code.ErrType, errs []f2.Vec) 
 		}
 		return blk, nil
 	})
-	want, wantErr := Synthesize(ctx, det, red, errs)
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("probe-by-probe search: %v; Synthesize: %v", gotErr, wantErr)
-	}
-	if gotErr == nil && !reflect.DeepEqual(got, want) {
-		t.Errorf("Synthesize gave %v, the probe-by-probe search %v", want, got)
-	}
+	checkOptimum(t, cs, kind, errs, ref, refErr)
 	return probes
 }
 
-// decideCorrection is the reference for solveCorrection's answers: a
+// checkOptimum fails the test unless Synthesize ends where the reference
+// search did: both without a correction, or on (u*, v*) with a block of
+// weight exactly v* that Check accepts.
+func checkOptimum(t *testing.T, cs *code.CSS, kind code.ErrType, errs []f2.Vec, ref *Block, refErr error) {
+	t.Helper()
+	got, err := Synthesize(context.Background(), cs.DetectionGroup(kind), cs.ReductionGroup(kind), errs)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("reference search: %v; Synthesize: %v", refErr, err)
+	}
+	if err != nil {
+		return
+	}
+	if got.Ancillas() != ref.Ancillas() || got.CNOTs() != ref.CNOTs() {
+		t.Errorf("Synthesize reached (u, v) = (%d, %d), the reference search (%d, %d)", got.Ancillas(), got.CNOTs(), ref.Ancillas(), ref.CNOTs())
+	}
+	if err := Check(got, cs, kind, errs); err != nil {
+		t.Errorf("Synthesize's block: %v", err)
+	}
+}
+
+// decideCorrection is the reference for the search's answers: a
 // residual-encoding decide of the (u, v) probe on a fresh solver, with the
 // RREF break for an unbounded probe and the lex break under a weight bound.
 func (c *class) decideCorrection(ctx context.Context, u, v int) (bool, error) {
 	return c.decide(ctx, u, v, v < 0)
 }
 
-// TestEncodingsAgreeOnTableClasses decides every probe the search makes on
-// every class of the Table I option sets with both encodings.
+// TestEncodingsAgreeOnTableClasses decides every probe the reference search
+// makes on every class of the Table I option sets with both encodings, and
+// holds Synthesize to the reference's optimum.
 func TestEncodingsAgreeOnTableClasses(t *testing.T) {
 	classes := loadTableClasses(t)
 	probes := 0
@@ -161,19 +183,18 @@ func TestEncodingsAgreeOnTableClasses(t *testing.T) {
 }
 
 // TestReusedBuilderMatchesFresh runs the search of every Table I class
-// twice: with a new builder for each probe, and on one builder that every
-// probe of every class resets and reuses, as each Synthesize call does with
+// twice: with a new builder for each solve, and on one builder that every
+// solve of every class resets and reuses, as each Synthesize call does with
 // its own. Both must end on the same block: a reset that left state behind
 // would change the solver's models, and the blocks are those models.
 func TestReusedBuilderMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	shared := cnf.NewBuilder()
 	for _, tc := range loadTableClasses(t) {
-		det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
-		want, _, wantErr := newClass(det, red, tc.errs).search(ctx).Run()
-		reused := newClass(det, red, tc.errs)
+		want, wantErr := classOf(tc.cs, tc.kind, tc.errs).search(ctx).run()
+		reused := classOf(tc.cs, tc.kind, tc.errs)
 		reused.b = shared
-		got, _, gotErr := reused.search(ctx).Run()
+		got, gotErr := reused.search(ctx).run()
 		if gotErr != nil || wantErr != nil {
 			t.Fatalf("%s: reused builder: %v; fresh builders: %v", tc.name, gotErr, wantErr)
 		}
@@ -233,23 +254,20 @@ func TestEncodingsAgreeOnRandomClasses(t *testing.T) {
 	}
 }
 
-// TestMinWeightMatchesProbes holds the least weight v*, which answers
-// Synthesize's weighted probes, to the fresh weighted decides it replaces,
-// on every table class, every random class and pairwiseOnly. At the first
-// feasible u > 0, a fresh lex decide must be SAT at v* and UNSAT at v* − 1,
-// and every weighted probe of the reference search, which decides each
-// probe on a fresh solver, must answer v ≥ v*. That search must end where
-// Synthesize does.
+// TestMinWeightMatchesProbes holds the least weight v*, at which Synthesize
+// extracts, to fresh weighted decides on every table class, every random
+// class and pairwiseOnly. At the first feasible u > 0, a fresh lex decide
+// must be SAT at v* and UNSAT at v* − 1, and every weighted probe of the
+// reference search, which decides each probe on a fresh solver, must answer
+// v ≥ v*. Synthesize must reach the reference's optimum.
 func TestMinWeightMatchesProbes(t *testing.T) {
 	ctx := context.Background()
-	classes := append(loadTableClasses(t), randomClasses()...)
-	classes = append(classes, tableClass{name: "pairwise-only", cs: bare6, kind: code.ErrX, errs: pairwiseOnly})
 	checked := 0
+	classes := allClasses(t)
 	for _, tc := range classes {
-		det, red := tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind)
-		c := newClass(det, red, tc.errs)
+		c := classOf(tc.cs, tc.kind, tc.errs)
 		vstar := map[int]int{}
-		got, gotErr := probeSearch(c.gens.Rows(), func(u, v int) (*Block, error) {
+		ref, refErr := probeSearch(c.gens.Rows(), func(u, v int) (*Block, error) {
 			ok, err := c.decideCorrection(ctx, u, v)
 			if err != nil {
 				return nil, err
@@ -278,15 +296,49 @@ func TestMinWeightMatchesProbes(t *testing.T) {
 			blk, _, err := c.extractCorrection(ctx, u, v)
 			return blk, err
 		})
-		want, wantErr := Synthesize(ctx, det, red, tc.errs)
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("%s: probe-by-probe search: %v; Synthesize: %v", tc.name, gotErr, wantErr)
-		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Synthesize gave %v, the probe-by-probe search %v", tc.name, want, got)
-		}
+		t.Run(tc.name, func(t *testing.T) { checkOptimum(t, tc.cs, tc.kind, tc.errs, ref, refErr) })
 	}
 	t.Logf("%d classes, v* checked on %d", len(classes), checked)
+}
+
+// allClasses is every table class, every random class and pairwiseOnly.
+func allClasses(t testing.TB) []tableClass {
+	classes := append(loadTableClasses(t), randomClasses()...)
+	return append(classes, tableClass{name: "pairwise-only", cs: bare6, kind: code.ErrX, errs: pairwiseOnly})
+}
+
+// TestOneExtractionPerClass wraps the search's solves on every class of
+// allClasses: a class with a correction is extracted exactly once, at the
+// least weight of the first feasible u, and a class without one never.
+func TestOneExtractionPerClass(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range allClasses(t) {
+		s := classOf(tc.cs, tc.kind, tc.errs).search(ctx)
+		var extracts, leasts, lastU, lastV int
+		extract, least := s.extract, s.least
+		s.extract = func(u, v int) (*Block, bool, error) {
+			extracts++
+			lastU, lastV = u, v
+			return extract(u, v)
+		}
+		s.least = func(u int) (int, error) {
+			leasts++
+			return least(u)
+		}
+		blk, err := s.run()
+		if errors.Is(err, stabsel.ErrMismatch) {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ok := err == nil // otherwise the class has no correction
+		switch {
+		case !ok && extracts+leasts != 0:
+			t.Errorf("%s: no correction, yet %d extractions and %d least-weight solves", tc.name, extracts, leasts)
+		case ok && extracts != 1:
+			t.Errorf("%s: %d extractions, want 1", tc.name, extracts)
+		case ok && (lastU != blk.Ancillas() || leasts != min(lastU, 1) || (lastU > 0 && lastV != blk.CNOTs())):
+			t.Errorf("%s: extracted at (%d, %d) after %d least-weight solves, block (%d, %d)", tc.name, lastU, lastV, leasts, blk.Ancillas(), blk.CNOTs())
+		}
+	}
 }
 
 // TestRREFDecideMatchesLex decides every unbounded probe, u = 0..rank(det),
@@ -295,10 +347,8 @@ func TestMinWeightMatchesProbes(t *testing.T) {
 // by the lex chain every other probe uses, the reference. The answers must
 // agree.
 func TestRREFDecideMatchesLex(t *testing.T) {
-	classes := append(loadTableClasses(t), randomClasses()...)
-	classes = append(classes, tableClass{name: "pairwise-only", cs: bare6, kind: code.ErrX, errs: pairwiseOnly})
-	for _, tc := range classes {
-		rrefMatchesLex(t, tc.name, newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs))
+	for _, tc := range allClasses(t) {
+		rrefMatchesLex(t, tc.name, classOf(tc.cs, tc.kind, tc.errs))
 	}
 
 	// pivotGap's four errors are pairwise incompatible and their syndromes
@@ -308,7 +358,7 @@ func TestRREFDecideMatchesLex(t *testing.T) {
 	// constraint that lost such spans would answer u = 2 wrongly.
 	det := f2.MustMatFromStrings("100000000", "010000000", "001000000")
 	pivotGap := []f2.Vec{vec("000000000"), vec("001111000"), vec("100000111"), vec("011100100")}
-	rrefMatchesLex(t, "pivot-gap", newClass(det, f2.NewMat(9), pivotGap))
+	rrefMatchesLex(t, "pivot-gap", newClass(det.SpanBasis(), f2.NewMat(9), pivotGap))
 }
 
 // rrefMatchesLex decides the unbounded probes u = 0..rank(det) of c with
@@ -342,22 +392,23 @@ func TestMaxUClampedToRank(t *testing.T) {
 	ctx := context.Background()
 	det := f2.MustMatFromStrings("110000", "110000")
 	errs := []f2.Vec{vec("110000"), vec("001100")}
-	s := newClass(det, f2.NewMat(6), errs).search(ctx)
+	s := newClass(det.SpanBasis(), f2.NewMat(6), errs).search(ctx)
 	maxU := -1
-	decide := s.Decide
-	s.Decide = func(u int) (bool, error) {
+	decide := s.decide
+	s.decide = func(u int) (bool, error) {
 		maxU = max(maxU, u)
 		return decide(u)
 	}
-	if _, ok, err := s.Run(); ok || err != nil {
-		t.Fatalf("inseparable class: search found a block (ok %v, err %v)", ok, err)
+	for name, run := range map[string]func() (*Block, error){
+		"search":     s.run,
+		"Synthesize": func() (*Block, error) { return Synthesize(ctx, det, f2.NewMat(6), errs) },
+	} {
+		if blk, err := run(); blk != nil || err == nil || !strings.Contains(err.Error(), "detection rank 1") {
+			t.Fatalf("inseparable class, %s: block %v, err %v; want an error naming detection rank 1", name, blk, err)
+		}
 	}
 	if maxU != 1 {
 		t.Fatalf("search probed up to u = %d, want the detection rank 1", maxU)
-	}
-	_, err := Synthesize(ctx, det, f2.NewMat(6), errs)
-	if err == nil || !strings.Contains(err.Error(), "detection rank 1") {
-		t.Fatalf("inseparable class: err %v, want one naming detection rank 1", err)
 	}
 }
 
@@ -372,7 +423,7 @@ func BenchmarkDecideUnbounded(b *testing.B) {
 			continue
 		}
 		found++
-		c := newClass(tc.cs.DetectionGroup(tc.kind), tc.cs.ReductionGroup(tc.kind), tc.errs)
+		c := classOf(tc.cs, tc.kind, tc.errs)
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if ok, err := c.decideCorrection(ctx, 3, -1); err != nil || ok {
@@ -386,12 +437,16 @@ func BenchmarkDecideUnbounded(b *testing.B) {
 	}
 }
 
-// TestEncodingMismatchIsAnError makes the residual encoding treat every
-// pair as sharing a recovery and permit every pair of residuals, so it
-// answers SAT where the recovery encoding answers UNSAT. Synthesize must
-// stop with stabsel.ErrMismatch, not read the probe as UNSAT and move on to
-// a larger u.
+// TestEncodingMismatchIsAnError gives the search answers that contradict
+// each other, and each must stop Synthesize with stabsel.ErrMismatch
+// rather than end on a block or move on to a larger u:
+//   - a residual encoding that treats every pair as sharing a recovery and
+//     permits every pair of residuals answers u = 0 SAT, where the recovery
+//     encoding answers UNSAT;
+//   - a least weight one too low, at which the extraction is UNSAT;
+//   - an extraction whose block is heavier than v*.
 func TestEncodingMismatchIsAnError(t *testing.T) {
+	ctx := context.Background()
 	det := f2.MustMatFromStrings("100000", "001000")
 	errs := []f2.Vec{vec("110000"), vec("001100")}
 	c := newClass(det, f2.NewMat(6), errs)
@@ -404,8 +459,30 @@ func TestEncodingMismatchIsAnError(t *testing.T) {
 	for i := range c.pairs {
 		c.pairs[i].compatible, c.pairs[i].next = true, all
 	}
-	_, _, err := c.search(context.Background()).Run()
-	if !errors.Is(err, stabsel.ErrMismatch) {
-		t.Fatalf("err = %v, want stabsel.ErrMismatch", err)
+	if _, err := c.search(ctx).run(); !errors.Is(err, stabsel.ErrMismatch) {
+		t.Errorf("permissive residual tables: err = %v, want stabsel.ErrMismatch", err)
+	}
+
+	s := newClass(det, f2.NewMat(6), errs).search(ctx)
+	least := s.least
+	s.least = func(u int) (int, error) {
+		v, err := least(u)
+		return v - 1, err
+	}
+	if _, err := s.run(); !errors.Is(err, stabsel.ErrMismatch) {
+		t.Errorf("least weight one too low: err = %v, want stabsel.ErrMismatch", err)
+	}
+
+	s = newClass(det, f2.NewMat(6), errs).search(ctx)
+	extract := s.extract
+	s.extract = func(u, v int) (*Block, bool, error) {
+		blk, ok, err := extract(u, v)
+		if ok {
+			blk.Stabs[0] = vec("111111")
+		}
+		return blk, ok, err
+	}
+	if _, err := s.run(); !errors.Is(err, stabsel.ErrMismatch) {
+		t.Errorf("block heavier than v*: err = %v, want stabsel.ErrMismatch", err)
 	}
 }

@@ -48,7 +48,8 @@ func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec) 
 	if m == nil {
 		return Synthesize(ctx, det, red, errs)
 	}
-	key := memoKey(det, red, errs)
+	gens, redGens := det.SpanBasis(), red.SpanBasis()
+	key := memoKey(gens, redGens, errs)
 	m.mu.Lock()
 	blk, ok := m.blocks[key]
 	m.mu.Unlock()
@@ -57,7 +58,7 @@ func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec) 
 		return blk.clone(), nil
 	}
 	m.count("miss")
-	blk, err := Synthesize(ctx, det, red, errs)
+	blk, err := synthesize(ctx, gens, redGens, errs)
 	if err != nil {
 		return nil, err
 	}
@@ -76,10 +77,10 @@ func (m *Memo) Synthesize(ctx context.Context, det, red *f2.Mat, errs []f2.Vec) 
 }
 
 // memoKey renders everything Synthesize reads of its inputs: the RREF
-// bases newClass derives from det and red, and the errors in order.
-func memoKey(det, red *f2.Mat, errs []f2.Vec) string {
+// bases gens and redGens of det and red, and the errors in order.
+func memoKey(gens, redGens *f2.Mat, errs []f2.Vec) string {
 	var sb strings.Builder
-	for _, m := range []*f2.Mat{det.SpanBasis(), red.SpanBasis()} {
+	for _, m := range []*f2.Mat{gens, redGens} {
 		sb.WriteString("|" + strconv.Itoa(m.Cols()) + "," + strconv.Itoa(m.Rows()) + ":")
 		for _, r := range m.RowSlice() {
 			sb.WriteString(r.Key())

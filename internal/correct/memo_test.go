@@ -212,10 +212,10 @@ func TestMemoEvictsOldestPastCap(t *testing.T) {
 	if len(m.blocks) != memoCap || len(m.order) != memoCap {
 		t.Fatalf("memo holds %d blocks (%d in order), want %d", len(m.blocks), len(m.order), memoCap)
 	}
-	if _, ok := m.blocks[memoKey(det, red, problem(0))]; ok {
+	if _, ok := m.blocks[memoKey(det.SpanBasis(), red.SpanBasis(), problem(0))]; ok {
 		t.Fatal("the oldest problem is still held")
 	}
-	if m.order[0] != memoKey(det, red, problem(1)) {
+	if m.order[0] != memoKey(det.SpanBasis(), red.SpanBasis(), problem(1)) {
 		t.Fatal("the second-oldest problem is not first in line")
 	}
 	if _, err := m.Synthesize(ctx, det, red, problem(memoCap)); err != nil {
@@ -226,7 +226,7 @@ func TestMemoEvictsOldestPastCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounts(t, counts, 1, memoCap+2)
-	if _, ok := m.blocks[memoKey(det, red, problem(1))]; ok {
+	if _, ok := m.blocks[memoKey(det.SpanBasis(), red.SpanBasis(), problem(1))]; ok {
 		t.Fatal("re-solving the dropped problem did not drop the next oldest")
 	}
 }

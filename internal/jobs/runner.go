@@ -131,11 +131,13 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Resolver maps a protocol key to an estimator for that protocol. The
-// runner calls it once per job start and only reads the estimator, so a
-// resolver may return one it shares with other jobs and requests. dftsp
-// supplies a resolver backed by its protocol cache and store.
-type Resolver func(ctx context.Context, protocolKey string) (*sim.Estimator, error)
+// Resolver maps a protocol key to an estimator for that protocol and the
+// protocol's content identity: the payload checksum of its store encoding
+// ("sha256:" and hex, as a .dfp header records it). The runner calls it
+// once per job start and only reads the estimator, so a resolver may
+// return one it shares with other jobs and requests. dftsp supplies a
+// resolver backed by its protocol cache and store.
+type Resolver func(ctx context.Context, protocolKey string) (est *sim.Estimator, sum string, err error)
 
 // errQuiesced stops a coordinator from offering further shards during a
 // graceful shutdown; once its outstanding shards are checkpointed the job
@@ -501,7 +503,7 @@ func (r *Runner) run(ctx context.Context, j *job, lg *Log, st State) {
 // context is cancelled, or the runner quiesces.
 func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error {
 	spec := st.Spec
-	est, err := r.resolve(ctx, spec.ProtocolKey)
+	est, sum, err := r.resolve(ctx, spec.ProtocolKey)
 	if err != nil {
 		return fmt.Errorf("resolve protocol: %w", err)
 	}
@@ -523,7 +525,12 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	j.emit(Event{Type: "started", Job: j.id, Shots: totalShots(j.points)})
 
 	for i, rate := range spec.Rates {
-		if ps, ok := st.Points[i]; ok && ps.Done {
+		// A point recorded on another protocol starts afresh, finished or
+		// not, so every point of the job samples the protocol it resolves
+		// to now.
+		ps, started := st.Points[i]
+		started = started && (ps.Protocol == "" || ps.Protocol == sum)
+		if started && ps.Done {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -532,11 +539,11 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 
 		// A new point resolves its sampling once and records it; a
 		// started point samples exactly as recorded. A started point whose
-		// shards come from another stream than this build draws keeps its
-		// sampling but restarts from shard 0 under a new start record.
+		// shards come from another stream than this build draws, or that
+		// records no protocol checksum, keeps its sampling but restarts
+		// from shard 0 under a new start record.
 		model := spec.Model(rate)
-		ps, ok := st.Points[i]
-		if !ok {
+		if !started {
 			s, err := est.Resolve(reqMethod, model)
 			if err != nil {
 				return err
@@ -553,8 +560,8 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 				}
 			}
 		}
-		if !ok || ps.Stream != sim.BatchStream {
-			ps.Stream, ps.Counts = sim.BatchStream, sim.Counts{}
+		if !started || ps.Stream != sim.BatchStream || ps.Protocol != sum {
+			ps.Stream, ps.Protocol, ps.Counts = sim.BatchStream, sum, sim.Counts{}
 			if err := lg.Append(Record{Kind: "point", Point: i, State: &ps}); err != nil {
 				return err
 			}

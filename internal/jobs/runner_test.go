@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -40,15 +42,26 @@ func steaneProto(t *testing.T) *core.Protocol {
 	return proto
 }
 
+// steaneSum is the protocol checksum steaneResolver gives. The runner only
+// compares checksums, so the jobs tests name their protocols by fixed
+// labels' hashes and their files do not move with the synthesized bytes.
+var steaneSum = testSum("steane")
+
+// testSum is a checksum in the form a Resolver gives, over label.
+func testSum(label string) string {
+	sum := sha256.Sum256([]byte(label))
+	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
 // steaneResolver resolves testProtocolKey to one Steane estimator, shared
-// by every job the runner starts.
+// by every job the runner starts, and steaneSum.
 func steaneResolver(t *testing.T) Resolver {
 	est := sim.NewEstimator(steaneProto(t))
-	return func(ctx context.Context, key string) (*sim.Estimator, error) {
+	return func(ctx context.Context, key string) (*sim.Estimator, string, error) {
 		if key != testProtocolKey {
-			return nil, fmt.Errorf("unknown protocol %q", key)
+			return nil, "", fmt.Errorf("unknown protocol %q", key)
 		}
-		return est, nil
+		return est, steaneSum, nil
 	}
 }
 
@@ -237,13 +250,13 @@ func TestAutoJobIgnoresEngineEnv(t *testing.T) {
 // block runners the coordinator uses (plus an optional fail-count bias to
 // make checkpoint reuse observable). It returns the job ID.
 func prepPartial(t *testing.T, store *Store, spec Spec, shards int, bias int64) string {
-	return prepShards(t, store, spec, shards, bias, true)
+	return prepShards(t, store, spec, shards, bias, sim.BatchStream, steaneSum)
 }
 
-// prepShards is prepPartial with the point's stream tag optional: an
-// untagged start record is what a build that predates stream versions
-// wrote.
-func prepShards(t *testing.T, store *Store, spec Spec, shards int, bias int64, tagged bool) string {
+// prepShards is prepPartial with the point's stream tag and protocol
+// checksum given: a start record without them is what a build that
+// predates stream versions, or protocol checksums, wrote.
+func prepShards(t *testing.T, store *Store, spec Spec, shards int, bias int64, stream int, protocol string) string {
 	t.Helper()
 	spec = spec.Normalized()
 	lg, _, err := store.Create(spec)
@@ -252,10 +265,7 @@ func prepShards(t *testing.T, store *Store, spec Spec, shards int, bias int64, t
 	}
 	defer lg.Close()
 	est := sim.NewEstimator(steaneProto(t))
-	ps := PointState{Point: 0, Rate: spec.Rates[0], Method: "direct"}
-	if tagged {
-		ps.Stream = sim.BatchStream
-	}
+	ps := PointState{Point: 0, Rate: spec.Rates[0], Method: "direct", Stream: stream, Protocol: protocol}
 	if err := lg.Append(Record{Kind: "point", Point: 0, State: &ps}); err != nil {
 		t.Fatal(err)
 	}
@@ -348,19 +358,29 @@ func TestResumeTrustsCheckpoints(t *testing.T) {
 // TestResumeRestartsUntaggedStream resumes a job whose unfinished batch
 // point carries no stream tag, as a build that drew the batch stream
 // before it was versioned wrote it, with a deliberately biased durable
-// shard. The point must restart from shard 0 under the same job ID — the
-// bias does not reach its result — finish bit-identical to a
-// single-process run, and leave a log whose replay holds only the
-// restarted point's shards, tagged with this build's stream.
+// shard; and one whose point carries the stream tag but no protocol
+// checksum, as a build before checksums wrote it. The point must restart
+// from shard 0 under the same job ID — the bias does not reach its result
+// — finish bit-identical to a single-process run, and leave a log whose
+// replay holds only the restarted point's shards, tagged with this build's
+// stream and the resolved protocol's checksum.
 func TestResumeRestartsUntaggedStream(t *testing.T) {
+	for _, stream := range []int{0, sim.BatchStream} {
+		t.Run(fmt.Sprintf("stream=%d", stream), func(t *testing.T) { resumeRestartsUntagged(t, stream) })
+	}
+}
+
+// resumeRestartsUntagged is TestResumeRestartsUntaggedStream with the
+// prepared point's stream tag, and no protocol checksum.
+func resumeRestartsUntagged(t *testing.T, stream int) {
 	store, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := partialSpec()
-	id := prepShards(t, store, spec, 1, 1000, false)
-	if before, err := store.Load(id); err != nil || before.Points[0].Stream != 0 || len(before.Shards) != 1 {
-		t.Fatalf("prepared log: %+v, %v; want one shard of an untagged point", before, err)
+	id := prepShards(t, store, spec, 1, 1000, stream, "")
+	if before, err := store.Load(id); err != nil || before.Points[0].Stream != stream || before.Points[0].Protocol != "" || len(before.Shards) != 1 {
+		t.Fatalf("prepared log: %+v, %v; want one shard of a point without a protocol checksum", before, err)
 	}
 
 	r := NewRunner(store, steaneResolver(t), 2, "")
@@ -391,8 +411,8 @@ func TestResumeRestartsUntaggedStream(t *testing.T) {
 		}
 	}
 	p0 := disk.Points[0]
-	if p0.Stream != sim.BatchStream || !p0.Done {
-		t.Fatalf("durable point 0 %+v: want done on stream %d", p0, sim.BatchStream)
+	if p0.Stream != sim.BatchStream || p0.Protocol != steaneSum || !p0.Done {
+		t.Fatalf("durable point 0 %+v: want done on stream %d and protocol %s", p0, sim.BatchStream, steaneSum)
 	}
 	if !reflect.DeepEqual(sim.PoolCounts(parts...), p0.Counts) {
 		t.Fatalf("replayed shards of point 0 pool to %+v, the point finished with %+v", sim.PoolCounts(parts...), p0.Counts)
@@ -619,7 +639,7 @@ func TestWatchStreamsEvents(t *testing.T) {
 	// fires.
 	gate := make(chan struct{})
 	base := steaneResolver(t)
-	resolver := func(ctx context.Context, key string) (*sim.Estimator, error) {
+	resolver := func(ctx context.Context, key string) (*sim.Estimator, string, error) {
 		<-gate
 		return base(ctx, key)
 	}
@@ -677,8 +697,8 @@ func TestResolverFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolver := func(ctx context.Context, key string) (*sim.Estimator, error) {
-		return nil, fmt.Errorf("protocol backend down")
+	resolver := func(ctx context.Context, key string) (*sim.Estimator, string, error) {
+		return nil, "", fmt.Errorf("protocol backend down")
 	}
 	r := NewRunner(store, resolver, 2, "")
 	defer r.Close(context.Background())
@@ -784,6 +804,100 @@ func TestLegacyScalarJobResumes(t *testing.T) {
 	}
 	if p0 := disk.Points[0]; p0.Stream != sim.BatchStream || !p0.Done {
 		t.Fatalf("durable point 0 %+v: want done on stream %d", p0, sim.BatchStream)
+	}
+}
+
+// TestResumeOnAnotherProtocolRestarts pauses a rare job on one protocol,
+// Steane: point 0 finished and point 1 started with one durable shard, both
+// recorded under Steane's checksum, the shards' counts made up so any reuse
+// shows. It then resumes the job under the same protocol key resolving to
+// another protocol, Shor, with another fault-location count. Every point
+// must start afresh: the job keeps its ID, each point equals the
+// single-process estimate on Shor (sampling resolved on Shor), and the
+// log's replay holds only the new start records and their shards.
+func TestResumeOnAnotherProtocolRestarts(t *testing.T) {
+	shor, err := core.Build(context.Background(), code.Shor(), core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shorEst, shorSum := sim.NewEstimator(shor), testSum("shor")
+	spec := Spec{
+		ProtocolKey: testProtocolKey,
+		Method:      "rare",
+		Rates:       []float64{2e-3, 1e-3},
+		MCShots:     12 * sim.BlockShots,
+		Seed:        5,
+	}.Normalized()
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, _, err := store.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steane := sim.NewEstimator(steaneProto(t))
+	if steane.ClassCounts() == shorEst.ClassCounts() {
+		t.Fatal("the two protocols have the same fault locations; the test would not see stale sampling")
+	}
+	made := sim.Counts{Shots: ShardBlocks * sim.BlockShots, Fails: 1000}
+	for _, rec := range []Record{
+		{Kind: "point", Point: 0, State: &PointState{Point: 0, Rate: spec.Rates[0], Method: "rare", Locations: 21, Stream: sim.BatchStream, Protocol: steaneSum}},
+		{Kind: "shard", Point: 0, Shard: 0, Counts: &made},
+		{Kind: "shard", Point: 0, Shard: 1, Counts: &made},
+		{Kind: "point", Point: 0, State: &PointState{Point: 0, Rate: spec.Rates[0], Method: "rare", Locations: 21, Stream: sim.BatchStream, Protocol: steaneSum, Counts: sim.PoolCounts(made, made), Done: true}},
+		{Kind: "point", Point: 1, State: &PointState{Point: 1, Rate: spec.Rates[1], Method: "rare", Locations: 21, Stream: sim.BatchStream, Protocol: steaneSum}},
+		{Kind: "shard", Point: 1, Shard: 0, Counts: &made},
+	} {
+		if err := lg.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lg.Close()
+
+	resolver := func(ctx context.Context, key string) (*sim.Estimator, string, error) {
+		return shorEst, shorSum, nil
+	}
+	r := NewRunner(store, resolver, 2, "")
+	defer r.Close(context.Background())
+	st, err := r.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != spec.ID() {
+		t.Fatalf("resubmitted job has ID %q, want %q", st.ID, spec.ID())
+	}
+	if st = waitTerminal(t, r, st.ID); st.State != StateDone {
+		t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
+	}
+	method, _ := sim.ParseMethod(spec.Method)
+	target, budget := spec.Budget()
+	for i, rate := range spec.Rates {
+		want, err := shorEst.AdaptiveModel(context.Background(), method, spec.Model(rate), target, budget, sim.PointSeed(spec.Seed, i), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPointMatches(t, fmt.Sprintf("point %d", i), st.Points[i], want)
+	}
+
+	disk, err := store.Load(spec.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range spec.Rates {
+		var parts []sim.Counts
+		for k, c := range disk.Shards {
+			if k.Point == i {
+				parts = append(parts, c)
+			}
+		}
+		ps := disk.Points[i]
+		if ps.Protocol != shorSum || !ps.Done || ps.Locations == 21 {
+			t.Fatalf("durable point %d %+v: want done on the new protocol with its own sampling", i, ps)
+		}
+		if !reflect.DeepEqual(sim.PoolCounts(parts...), ps.Counts) {
+			t.Fatalf("replayed shards of point %d pool to %+v, the point finished with %+v", i, sim.PoolCounts(parts...), ps.Counts)
+		}
 	}
 }
 

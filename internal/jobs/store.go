@@ -116,6 +116,16 @@ type PointState struct {
 	// on resume, so no point pools shards of two streams.
 	Stream int `json:"stream,omitempty"`
 
+	// Protocol is the content identity of the protocol the point samples:
+	// the payload checksum of its store encoding, as the Resolver gives
+	// it. A job names its protocol by options key, and the same key can
+	// name new bytes after a synthesis change, so on resume a point
+	// recorded on another protocol starts afresh (new sampling, shard 0),
+	// finished or not, and an unfinished point that records none (written
+	// before the field existed) restarts from shard 0 with its sampling.
+	// It is omitted when empty.
+	Protocol string `json:"protocol,omitempty"`
+
 	// Counts is the pooled outcome of the point's executed shards.
 	Counts sim.Counts `json:"counts"`
 

@@ -187,25 +187,26 @@ var faultOrderRatios = []noise.Model{
 
 // TestFaultOrderPinned pins FaultOrderModel's F vectors to recorded values:
 // Carbon under the paper's uniform model and Steane under a class-biased
-// ratio with a tilted two-qubit menu. Any change that moves them has changed
-// which fault sets the stratified estimator draws or how it judges them.
+// ratio with a tilted two-qubit menu, both on recorded protocols
+// (storedProto). Any change that moves them has changed which fault sets
+// the stratified estimator draws or how it judges them.
 func TestFaultOrderPinned(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
-		cs    *code.CSS
+		code  string
 		ratio noise.Model
 		want  []float64
 	}{
-		{code.Carbon(), noise.Uniform(1), []float64{0, 0, 0.188, 0.3685}},
-		{code.Steane(), noise.Model{P1Q: 1, P2Q: 2.5, PMeas: 0.5, Eta: 4}, []float64{0, 0, 0.0875, 0.188}},
+		{"Carbon", noise.Uniform(1), []float64{0, 0, 0.188, 0.3685}},
+		{"Steane", noise.Model{P1Q: 1, P2Q: 2.5, PMeas: 0.5, Eta: 4}, []float64{0, 0, 0.0875, 0.188}},
 	} {
-		est := NewEstimator(buildProto(t, tc.cs))
+		est := NewEstimator(storedProto(t, tc.code))
 		fo, err := est.FaultOrderModel(ctx, 3, 2000, rand.New(rand.NewSource(11)), tc.ratio)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fo.F, tc.want) {
-			t.Errorf("%s %+v: F = %#v, want %#v", tc.cs.Name, tc.ratio, fo.F, tc.want)
+			t.Errorf("%s %+v: F = %#v, want %#v", tc.code, tc.ratio, fo.F, tc.want)
 		}
 	}
 }

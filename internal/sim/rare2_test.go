@@ -297,12 +297,12 @@ func TestRarePrepOnlyResolvesK1(t *testing.T) {
 // second-fault continuations often; the Surface and Carbon rows at 1e-4,
 // the benchmark's rare-event rate, are the regime where nearly every
 // continuation gap runs past the end of the shot. Every stratum holds at
-// least two faults.
+// least two faults. The protocols are recorded ones (storedProto).
 func TestRareK2StreamsPinned(t *testing.T) {
 	ctx := context.Background()
 	ests := map[string]*Estimator{}
-	for _, cs := range []*code.CSS{code.Steane(), code.Surface3(), code.Carbon()} {
-		ests[cs.Name] = NewEstimator(buildProto(t, cs))
+	for _, name := range []string{"Steane", "Surface", "Carbon"} {
+		ests[name] = NewEstimator(storedProto(t, name))
 	}
 
 	type run struct {

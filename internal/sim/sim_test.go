@@ -3,12 +3,15 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/code"
 	"repro/internal/core"
 	"repro/internal/f2"
 	"repro/internal/noise"
+	"repro/internal/store"
 )
 
 func buildProto(t testing.TB, cs *code.CSS) *core.Protocol {
@@ -16,6 +19,24 @@ func buildProto(t testing.TB, cs *code.CSS) *core.Protocol {
 	p, err := core.Build(context.Background(), cs, core.Config{Prep: core.PrepHeuristic, Verif: core.VerifOptimal})
 	if err != nil {
 		t.Fatalf("build %s: %v", cs.Name, err)
+	}
+	return p
+}
+
+// storedProto decodes testdata/<name>.dfp through store.Decode: the
+// protocol buildProto gave for that catalog code when the file was recorded
+// (heuristic preparation, optimal verification, stored with
+// store.Encode(store.Meta{Key: name}, p)). A pin sampled on it moves only
+// when the sampler does, not when synthesis picks another optimal protocol.
+func storedProto(t testing.TB, name string) *core.Protocol {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name+".dfp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := store.Decode(data)
+	if err != nil {
+		t.Fatalf("decode %s: %v", name, err)
 	}
 	return p
 }

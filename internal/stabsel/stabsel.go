@@ -1,10 +1,10 @@
-// Package stabsel is the optimal-measurement search that verification
+// Package stabsel is the optimal-measurement encoding that verification
 // (internal/verify) and correction (internal/correct) share: choose u
 // stabilizers from the span of a detection basis, the fewest and then the
 // lightest, by SAT probes (u, v). Sel is the part of a probe's formula both
 // have in common; each caller adds its parts in its own order, because that
 // order steers the solver, and the solver's models are the protocols.
-// Search is the (u, v) loop.
+// Search is verification's (u, v) loop; correction has its own.
 package stabsel
 
 import (
@@ -109,42 +109,29 @@ func (s *Sel) Stabs() []f2.Vec {
 }
 
 // ErrMismatch reports answers that contradict each other: a probe known
-// satisfiable, from Decide or from v ≥ v*, that Solve finds unsatisfiable,
-// or a v* above a model's weight. It is a bug, never a reason to try a
-// larger u.
+// satisfiable (v ≥ v*) that solves unsatisfiable, or a v* above or off a
+// model's weight. It is a bug, never a reason to try a larger u.
 var ErrMismatch = errors.New("stabsel: a probe known satisfiable was solved unsatisfiable")
 
-// Search is the (u, v) loop over probes, v < 0 meaning no weight bound;
-// R's CNOTs is a result's total weight. u runs from MinU to MaxU, at most
-// the detection rank. Decide, when set, answers the unbounded probe, and
-// Solve is then asked for its model only when it is SAT; otherwise Solve
-// decides it. Solve returns a probe's result, ok false when UNSAT. Least
-// returns v*(u), the least total weight of u measurements: a weighted
-// probe is SAT exactly when v ≥ v*.
+// Search is verification's (u, v) loop over probes, v < 0 meaning no
+// weight bound; R's CNOTs is a result's total weight. u runs from 1 to
+// MaxU, at most the detection rank. Solve returns a probe's result, ok
+// false when UNSAT. Least returns v*(u), the least total weight of u
+// measurements: a weighted probe is SAT exactly when v ≥ v*.
 type Search[R interface{ CNOTs() int }] struct {
-	MinU, MaxU int
-	Decide     func(u int) (bool, error)
-	Solve      func(u, v int) (r R, ok bool, err error)
-	Least      func(u int) (int, error)
+	MaxU  int
+	Solve func(u, v int) (r R, ok bool, err error)
+	Least func(u int) (int, error)
 }
 
 // Run returns the lightest result of the fewest measurements, ok false when
 // no u up to MaxU admits one. For the first feasible u it binary-searches
 // v below the unbounded model's weight, asks Least once, lazily, answers a
-// probe with v < v* as UNSAT without solving it, and solves the others.
+// probe with v < v* as UNSAT without solving it, and solves the others,
+// each of whose models is a candidate result.
 func (s Search[R]) Run() (best R, ok bool, err error) {
-	for u := s.MinU; u <= s.MaxU; u++ {
-		if s.Decide != nil {
-			sat, err := s.Decide(u)
-			if err != nil {
-				return best, false, err
-			}
-			if !sat {
-				continue
-			}
-		}
-		best, ok, err = s.solve(u, Unbounded, s.Decide != nil)
-		if err != nil {
+	for u := 1; u <= s.MaxU; u++ {
+		if best, ok, err = s.Solve(u, Unbounded); err != nil {
 			return best, false, err
 		}
 		if !ok {
@@ -166,21 +153,15 @@ func (s Search[R]) Run() (best R, ok bool, err error) {
 				lo = mid + 1
 				continue
 			}
-			if best, _, err = s.solve(u, mid, true); err != nil {
+			if best, ok, err = s.Solve(u, mid); err != nil {
 				return best, false, err
+			}
+			if !ok {
+				return best, false, fmt.Errorf("u=%d v=%d: %w", u, mid, ErrMismatch)
 			}
 			hi = best.CNOTs() - 1
 		}
 		return best, true, nil
 	}
 	return best, false, nil
-}
-
-// solve runs one probe; an UNSAT answer is an error if known says SAT.
-func (s Search[R]) solve(u, v int, known bool) (R, bool, error) {
-	r, ok, err := s.Solve(u, v)
-	if err == nil && known && !ok {
-		err = fmt.Errorf("u=%d v=%d: %w", u, v, ErrMismatch)
-	}
-	return r, ok, err
 }

@@ -21,13 +21,13 @@ func (w weight) CNOTs() int { return int(w) }
 // the bound allows. It records every call the search makes.
 type fake struct {
 	feasU, first, vstar int
-	decides, solves     []int // u of each Decide call; v of each Solve call
+	solves              []int // v of each Solve call
 	leasts              int
 }
 
-func (f *fake) search(decide bool) Search[weight] {
-	s := Search[weight]{
-		MinU: 1, MaxU: 4,
+func (f *fake) search() Search[weight] {
+	return Search[weight]{
+		MaxU: 4,
 		Solve: func(u, v int) (weight, bool, error) {
 			f.solves = append(f.solves, v)
 			switch {
@@ -48,48 +48,34 @@ func (f *fake) search(decide bool) Search[weight] {
 			return f.vstar, nil
 		},
 	}
-	if decide {
-		s.Decide = func(u int) (bool, error) {
-			f.decides = append(f.decides, u)
-			return u >= f.feasU, nil
-		}
-	}
-	return s
 }
 
 // TestSearchSolvesOnlyAtOrAboveLeast checks the search's probe sequence on
-// fake problems, with and without Decide: it ends on the least weight at
-// the first feasible u, asks Least once and only when a weighted probe is
-// left, and solves no weighted probe below v*.
+// fake problems: it ends on the least weight at the first feasible u, asks
+// Least once and only when a weighted probe is left, solves every u up to
+// the first feasible one unbounded, and solves no weighted probe below v*.
 func TestSearchSolvesOnlyAtOrAboveLeast(t *testing.T) {
-	for _, decide := range []bool{false, true} {
-		for _, tc := range []struct{ feasU, first, vstar, leasts int }{
-			{1, 9, 3, 1}, {2, 9, 9, 1}, {3, 3, 3, 0}, {2, 20, 2, 1}, {1, 12, 7, 1},
-		} {
-			f := &fake{feasU: tc.feasU, first: tc.first, vstar: tc.vstar}
-			best, ok, err := f.search(decide).Run()
-			if err != nil || !ok || int(best) != tc.vstar {
-				t.Fatalf("%+v decide=%v: best %d, ok %v, err %v; want %d", tc, decide, best, ok, err, tc.vstar)
+	for _, tc := range []struct{ feasU, first, vstar, leasts int }{
+		{1, 9, 3, 1}, {2, 9, 9, 1}, {3, 3, 3, 0}, {2, 20, 2, 1}, {1, 12, 7, 1},
+	} {
+		f := &fake{feasU: tc.feasU, first: tc.first, vstar: tc.vstar}
+		best, ok, err := f.search().Run()
+		if err != nil || !ok || int(best) != tc.vstar {
+			t.Fatalf("%+v: best %d, ok %v, err %v; want %d", tc, best, ok, err, tc.vstar)
+		}
+		if f.leasts != tc.leasts {
+			t.Errorf("%+v: Least called %d times, want %d", tc, f.leasts, tc.leasts)
+		}
+		unbounded := 0
+		for _, v := range f.solves {
+			if v < 0 {
+				unbounded++
+			} else if v < tc.vstar {
+				t.Errorf("%+v: solved the weighted probe v=%d below v*=%d", tc, v, tc.vstar)
 			}
-			if f.leasts != tc.leasts {
-				t.Errorf("%+v decide=%v: Least called %d times, want %d", tc, decide, f.leasts, tc.leasts)
-			}
-			unbounded := 0
-			for _, v := range f.solves {
-				if v < 0 {
-					unbounded++
-				} else if v < tc.vstar {
-					t.Errorf("%+v decide=%v: solved the weighted probe v=%d below v*=%d", tc, decide, v, tc.vstar)
-				}
-			}
-			// Without Decide every u up to the first feasible is solved
-			// unbounded; with it only the feasible one is.
-			if want := map[bool]int{false: tc.feasU, true: 1}[decide]; unbounded != want {
-				t.Errorf("%+v decide=%v: %d unbounded solves, want %d", tc, decide, unbounded, want)
-			}
-			if decide && len(f.decides) != tc.feasU {
-				t.Errorf("%+v: %d decides, want %d", tc, len(f.decides), tc.feasU)
-			}
+		}
+		if unbounded != tc.feasU {
+			t.Errorf("%+v: %d unbounded solves, want %d", tc, unbounded, tc.feasU)
 		}
 	}
 }
@@ -98,7 +84,7 @@ func TestSearchSolvesOnlyAtOrAboveLeast(t *testing.T) {
 // with ok false and no error, and never asks for a least weight.
 func TestSearchFindsNothing(t *testing.T) {
 	f := &fake{feasU: 5, first: 9, vstar: 3}
-	if _, ok, err := f.search(false).Run(); ok || err != nil {
+	if _, ok, err := f.search().Run(); ok || err != nil {
 		t.Fatalf("ok %v, err %v; want nothing found", ok, err)
 	}
 	if f.leasts != 0 || len(f.solves) != 4 {
@@ -107,40 +93,33 @@ func TestSearchFindsNothing(t *testing.T) {
 }
 
 // TestSearchMismatchIsAnError gives the search answers that contradict
-// each other: Decide SAT but the unbounded solve UNSAT, a weighted probe
-// at v* UNSAT, and a least weight above the unbounded model's. Each must
-// end the search with ErrMismatch rather than a larger u or a result.
+// each other: a weighted probe at v* UNSAT, and a least weight above the
+// unbounded model's. Each must end the search with ErrMismatch rather than
+// a larger u or a result.
 func TestSearchMismatchIsAnError(t *testing.T) {
 	f := &fake{feasU: 2, first: 9, vstar: 4}
-	s := f.search(true)
-	s.Decide = func(u int) (bool, error) { return true, nil }
-	if _, _, err := s.Run(); !errors.Is(err, ErrMismatch) {
-		t.Errorf("decide SAT, solve UNSAT: err %v, want ErrMismatch", err)
-	}
-
-	s = f.search(false)
+	s := f.search()
 	s.Least = func(int) (int, error) { return f.vstar - 1, nil }
 	if _, _, err := s.Run(); !errors.Is(err, ErrMismatch) {
 		t.Errorf("weighted probe at v* UNSAT: err %v, want ErrMismatch", err)
 	}
 
-	s = f.search(false)
+	s = f.search()
 	s.Least = func(int) (int, error) { return f.first + 1, nil }
 	if _, _, err := s.Run(); !errors.Is(err, ErrMismatch) {
 		t.Errorf("least weight above a model: err %v, want ErrMismatch", err)
 	}
 }
 
-// TestSearchReturnsCallbackErrors checks that an error of Decide, Solve or
-// Least ends the search with that error.
+// TestSearchReturnsCallbackErrors checks that an error of Solve or Least
+// ends the search with that error.
 func TestSearchReturnsCallbackErrors(t *testing.T) {
 	boom := errors.New("boom")
 	for name, spoil := range map[string]func(*Search[weight]){
-		"decide": func(s *Search[weight]) { s.Decide = func(int) (bool, error) { return false, boom } },
-		"solve":  func(s *Search[weight]) { s.Solve = func(int, int) (weight, bool, error) { return 0, false, boom } },
-		"least":  func(s *Search[weight]) { s.Least = func(int) (int, error) { return 0, boom } },
+		"solve": func(s *Search[weight]) { s.Solve = func(int, int) (weight, bool, error) { return 0, false, boom } },
+		"least": func(s *Search[weight]) { s.Least = func(int) (int, error) { return 0, boom } },
 	} {
-		s := (&fake{feasU: 1, first: 9, vstar: 3}).search(true)
+		s := (&fake{feasU: 1, first: 9, vstar: 3}).search()
 		spoil(&s)
 		if _, ok, err := s.Run(); !errors.Is(err, boom) || ok {
 			t.Errorf("%s: ok %v, err %v; want boom", name, ok, err)

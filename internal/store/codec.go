@@ -108,14 +108,13 @@ func Encode(meta Meta, p *core.Protocol) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(payload)
 	h := header{
 		Format:   Format,
 		Version:  Version,
 		Key:      meta.Key,
 		Code:     p.Code.Name,
 		Params:   p.Code.Params(),
-		Checksum: "sha256:" + hex.EncodeToString(sum[:]),
+		Checksum: payloadSum(payload),
 	}
 	hb, err := json.Marshal(h)
 	if err != nil {
@@ -128,6 +127,23 @@ func Encode(meta Meta, p *core.Protocol) ([]byte, error) {
 	buf.Write(payload)
 	buf.WriteByte('\n')
 	return buf.Bytes(), nil
+}
+
+// Checksum returns the payload checksum Encode(meta, p) records in its
+// header, "sha256:" and the hex SHA-256 of the payload: the protocol's
+// content identity, which job points record (jobs.PointState.Protocol).
+func Checksum(meta Meta, p *core.Protocol) (string, error) {
+	payload, err := encodePayload(meta, p)
+	if err != nil {
+		return "", err
+	}
+	return payloadSum(payload), nil
+}
+
+// payloadSum renders the checksum of a payload as the header records it.
+func payloadSum(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 func encodePayload(meta Meta, p *core.Protocol) ([]byte, error) {
@@ -213,8 +229,7 @@ func Decode(data []byte) (*core.Protocol, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("%w: file version %d, this build reads version %d", ErrVersion, h.Version, Version)
 	}
 	payload := bytes.TrimSuffix(data[nl+1:], []byte("\n"))
-	sum := sha256.Sum256(payload)
-	if got := "sha256:" + hex.EncodeToString(sum[:]); got != h.Checksum {
+	if got := payloadSum(payload); got != h.Checksum {
 		return nil, Meta{}, corrupt("checksum mismatch: file says %s, payload hashes to %s", h.Checksum, got)
 	}
 	var rec record

@@ -6,12 +6,12 @@
 // step (b) of the paper's protocol and reuses the formulation of Peham et
 // al. (Ref. [22]).
 //
-// The optimization is stabsel.Search, the (u, v) search correction
-// synthesis (internal/correct) runs too: u measurements upward, then a
+// The optimization is stabsel.Search: u measurements upward, then a
 // binary search on the total weight v whose probes below the least weight
-// v* (cnf.Builder.MinTrue over the weight bits) are UNSAT without a solve.
-// Every other probe is solved on one builder, reset in between (a reset
-// solver searches like a fresh one), and its model is the verification.
+// v* (cnf.Builder.MinTrue over the weight bits, as correction synthesis
+// uses it too) are UNSAT without a solve. Every other probe is solved on
+// one builder, reset in between (a reset solver searches like a fresh
+// one), and its model is the verification.
 package verify
 
 import (
@@ -161,7 +161,6 @@ func (p *problem) synthesize(ctx context.Context) (*Result, error) {
 // from the formula with unbounded weight bits.
 func (p *problem) search(ctx context.Context) stabsel.Search[*Result] {
 	return stabsel.Search[*Result]{
-		MinU:  1,
 		MaxU:  p.gens.Rows(),
 		Solve: func(u, v int) (*Result, bool, error) { return p.solve(ctx, u, v) },
 		Least: func(u int) (int, error) {
