@@ -314,8 +314,9 @@ func (s *Service) WatchJob(id string) (<-chan JobEvent, func(), error) {
 // ResumeJobs submits every unfinished job found in the job store — the boot
 // step that makes a restarted server pick up where a killed process
 // stopped. Run WarmStart (or attach the protocol store) first so the jobs'
-// protocols resolve. Jobs that fail to resume are reported in the joined
-// error but do not stop the sweep.
+// protocols resolve: a job whose protocol does not resolve resumes as a
+// failed job, resumable once its protocol is available. Jobs whose submit
+// fails are reported in the joined error but do not stop the sweep.
 func (s *Service) ResumeJobs() ([]JobStatus, error) {
 	r := s.runner()
 	if r == nil {

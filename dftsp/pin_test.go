@@ -33,18 +33,23 @@ var update = flag.Bool("update", false, "rewrite testdata/protocol_pins.txt from
 const pinsFile = "testdata/protocol_pins.txt"
 
 // pinSets are the pinned option sets: the default options of every catalog
-// code, the two "Opt"-encoder sets of Table I, and the three globally
-// optimized sets the synth-cold benchmark builds (their candidate loop runs
-// the correction synthesis once per candidate).
+// code, the two "Opt"-encoder sets of Table I, the three globally optimized
+// sets the synth-cold benchmark builds (their candidate loop runs the
+// correction synthesis once per candidate), the cheapest two-layer global
+// set (its layer-2 candidates are enumerated too), and three always-flag
+// sets, one two-layer global among them.
 var pinSets = []Options{
 	{Code: "Steane"}, {Code: "Shor"}, {Code: "Surface"}, {Code: "[[11,1,3]]"}, {Code: "Carbon"},
 	{Code: "[[16,2,4]]"}, {Code: "Tetrahedral"}, {Code: "Hamming"}, {Code: "Tesseract"},
 	{Code: "Steane", Prep: PrepOptimal}, {Code: "Shor", Prep: PrepOptimal},
 	{Code: "Steane", Verif: VerifGlobal}, {Code: "Shor", Verif: VerifGlobal}, {Code: "Surface", Verif: VerifGlobal},
+	{Code: "[[11,1,3]]", Verif: VerifGlobal},
+	{Code: "Carbon", FlagAll: true}, {Code: "[[11,1,3]]", Verif: VerifGlobal, FlagAll: true}, {Code: "Steane", FlagAll: true},
 }
 
 // pinLabel names an option set as bench/testdata/table1.golden does:
-// the code, then " prep=opt" or " verif=global" when set.
+// the code, then " prep=opt" or " verif=global" when set, then " flag_all"
+// when FlagAll is set.
 func pinLabel(o Options) string {
 	label := o.Code
 	if o.Prep != "" {
@@ -52,6 +57,9 @@ func pinLabel(o Options) string {
 	}
 	if o.Verif != "" {
 		label += " verif=" + o.Verif
+	}
+	if o.FlagAll {
+		label += " flag_all"
 	}
 	return label
 }
@@ -188,20 +196,24 @@ var protocolClaims = map[string]struct {
 	classes   string
 	pl, sigma float64
 }{
-	"Steane":               {"L1 1|0=1/3", 3.31827e-05, 2.38e-07},
-	"Shor":                 {"L1 1|0=1/3", 4.52043e-05, 3.17e-07},
-	"Surface":              {"L1 1|0=1/3", 2.14027e-05, 2.19e-07},
-	"[[11,1,3]]":           {"L1 1|0=2/8; L2 0|1=0/0+1/3 1|0=2/8 1|1=0/0+1/3", 7.10027e-05, 7.97e-07},
-	"Carbon":               {"L1 01|00=2/8 10|00=1/4 11|00=1/4; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=1/6 01|01=0/0+1/4 01|10=0/0+1/4 10|00=1/6 10|10=0/0+1/4 11|00=1/4 11|10=0/0+1/4", 4.85104e-04, 2.94e-06},
-	"[[16,2,4]]":           {"L1 01|00=2/10 10|00=2/8 11|00=2/8; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=2/10 01|01=0/0+1/4 01|10=0/0+0/0 10|00=2/12 10|10=0/0+1/4 11|00=2/8 11|10=0/0+0/0", 6.41999e-04, 4.04e-06},
-	"Tetrahedral":          {"L1 1|0=4/12", 4.02930e-05, 6.48e-07},
-	"Hamming":              {"L1 1|0=4/12", 3.85789e-04, 1.67e-06},
-	"Tesseract":            {"L1 1|0=4/16; L2 000|001=0/0+2/8 000|010=0/0+2/8 000|100=0/0+2/8 001|000=1/8 001|001=0/0+2/8 001|010=0/0+1/4 001|100=0/0+1/4 010|000=1/8 010|010=0/0+2/8 010|100=0/0+1/4 011|000=0/0 011|010=0/0+1/4 011|100=0/0+0/0 100|000=1/8 100|100=0/0+2/8 101|000=1/8 101|100=0/0+1/4 110|000=0/0 110|100=0/0+1/4 111|000=0/0 111|100=0/0+0/0", 1.43846e-03, 6.44e-06},
-	"Steane prep=opt":      {"L1 1|0=1/3", 3.23995e-05, 2.23e-07},
-	"Shor prep=opt":        {"L1 1|0=1/3", 3.93603e-05, 2.70e-07},
-	"Steane verif=global":  {"L1 1|0=1/3", 3.31827e-05, 2.38e-07},
-	"Shor verif=global":    {"L1 1|0=1/3", 4.17574e-05, 3.07e-07},
-	"Surface verif=global": {"L1 1|0=1/3", 2.14027e-05, 2.19e-07},
+	"Steane":                           {"L1 1|0=1/3", 3.31827e-05, 2.38e-07},
+	"Shor":                             {"L1 1|0=1/3", 4.52043e-05, 3.17e-07},
+	"Surface":                          {"L1 1|0=1/3", 2.14027e-05, 2.19e-07},
+	"[[11,1,3]]":                       {"L1 1|0=2/8; L2 0|1=0/0+1/3 1|0=2/8 1|1=0/0+1/3", 7.10027e-05, 7.97e-07},
+	"Carbon":                           {"L1 01|00=2/8 10|00=1/4 11|00=1/4; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=1/6 01|01=0/0+1/4 01|10=0/0+1/4 10|00=1/6 10|10=0/0+1/4 11|00=1/4 11|10=0/0+1/4", 4.85104e-04, 2.94e-06},
+	"[[16,2,4]]":                       {"L1 01|00=2/10 10|00=2/8 11|00=2/8; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=2/10 01|01=0/0+1/4 01|10=0/0+0/0 10|00=2/12 10|10=0/0+1/4 11|00=2/8 11|10=0/0+0/0", 6.41999e-04, 4.04e-06},
+	"Tetrahedral":                      {"L1 1|0=4/12", 4.02930e-05, 6.48e-07},
+	"Hamming":                          {"L1 1|0=4/12", 3.85789e-04, 1.67e-06},
+	"Tesseract":                        {"L1 1|0=4/16; L2 000|001=0/0+2/8 000|010=0/0+2/8 000|100=0/0+2/8 001|000=1/8 001|001=0/0+2/8 001|010=0/0+1/4 001|100=0/0+1/4 010|000=1/8 010|010=0/0+2/8 010|100=0/0+1/4 011|000=0/0 011|010=0/0+1/4 011|100=0/0+0/0 100|000=1/8 100|100=0/0+2/8 101|000=1/8 101|100=0/0+1/4 110|000=0/0 110|100=0/0+1/4 111|000=0/0 111|100=0/0+0/0", 1.43846e-03, 6.44e-06},
+	"Steane prep=opt":                  {"L1 1|0=1/3", 3.23995e-05, 2.23e-07},
+	"Shor prep=opt":                    {"L1 1|0=1/3", 3.93603e-05, 2.70e-07},
+	"Steane verif=global":              {"L1 1|0=1/3", 3.31827e-05, 2.38e-07},
+	"Shor verif=global":                {"L1 1|0=1/3", 4.17574e-05, 3.07e-07},
+	"Surface verif=global":             {"L1 1|0=1/3", 2.14027e-05, 2.19e-07},
+	"[[11,1,3]] verif=global":          {"L1 1|0=2/8; L2 0|1=0/0+1/3 1|0=2/8 1|1=0/0+1/3", 7.10027e-05, 7.97e-07},
+	"Carbon flag_all":                  {"L1 00|01=0/0+1/6 00|10=0/0+1/4 01|00=2/8 01|01=0/0+1/6 10|00=1/4 10|10=0/0+1/4 11|00=1/4; L2 00|01=0/0+1/4 00|10=0/0+1/4 01|00=1/8 01|01=0/0+1/4 01|10=0/0+0/0 10|00=1/6 10|10=0/0+1/4 11|00=1/4 11|10=0/0+0/0", 4.79342e-04, 3.21e-06},
+	"[[11,1,3]] verif=global flag_all": {"L1 0|1=0/0+1/4 1|0=2/8 1|1=0/0+1/4; L2 0|1=0/0+1/3 1|0=1/4 1|1=0/0+1/3", 9.05973e-05, 9.74e-07},
+	"Steane flag_all":                  {"L1 0|1=0/0+0/0 1|0=1/3 1|1=0/0+0/0", 4.04082e-05, 3.18e-07},
 }
 
 // TestProtocolClaims holds every pin set to what the paper claims for it,

@@ -194,19 +194,30 @@ func C6() *CSS {
 	return MustNew("C6", h, h.Clone())
 }
 
+// catalog lists the paper-evaluation codes in Table I order, each by name
+// and constructor, so a lookup builds only the code it returns.
+var catalog = []struct {
+	name  string
+	build func() *CSS
+}{
+	{"Steane", Steane},
+	{"Shor", Shor},
+	{"Surface", Surface3},
+	{"[[11,1,3]]", CSS11},
+	{"Tetrahedral", ReedMuller15},
+	{"Hamming", Hamming15},
+	{"Carbon", Carbon},
+	{"[[16,2,4]]", CSS16},
+	{"Tesseract", Tesseract},
+}
+
 // Catalog returns all paper-evaluation codes in Table I order.
 func Catalog() []*CSS {
-	return []*CSS{
-		Steane(),
-		Shor(),
-		Surface3(),
-		CSS11(),
-		ReedMuller15(),
-		Hamming15(),
-		Carbon(),
-		CSS16(),
-		Tesseract(),
+	out := make([]*CSS, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.build()
 	}
+	return out
 }
 
 // Slug returns the canonical, case-insensitive, filesystem- and URL-safe
@@ -243,11 +254,11 @@ func Slug(name string) string {
 func ByName(name string) (*CSS, error) {
 	want := Slug(name)
 	var names []string
-	for _, c := range Catalog() {
-		if c.Name == name || (want != "" && Slug(c.Name) == want) {
-			return c, nil
+	for _, e := range catalog {
+		if e.name == name || (want != "" && Slug(e.name) == want) {
+			return e.build(), nil
 		}
-		names = append(names, c.Name)
+		names = append(names, e.name)
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("code: unknown code %q (available: %v)", name, names)

@@ -1,6 +1,9 @@
 package code
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestSlug(t *testing.T) {
 	cases := map[string]string{
@@ -49,5 +52,35 @@ func TestCanonicalNameAndByNameAcceptRelaxedSpellings(t *testing.T) {
 	}
 	if _, err := ByName("NoSuchCode"); err == nil {
 		t.Error("ByName accepted an unknown name")
+	}
+}
+
+// TestByNameMatchesCatalog resolves every catalog code by its name and by
+// its slug, and requires the code Catalog lists.
+func TestByNameMatchesCatalog(t *testing.T) {
+	for _, want := range Catalog() {
+		for _, name := range []string{want.Name, Slug(want.Name)} {
+			got, err := ByName(name)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("ByName(%q) = %v, want Catalog's %v", name, got, want)
+			}
+		}
+	}
+}
+
+// TestByNameBuildsOneCode bounds ByName's allocations by those of the one
+// constructor it calls, plus the slug and the scan.
+func TestByNameBuildsOneCode(t *testing.T) {
+	one := testing.AllocsPerRun(20, func() { Steane() })
+	byName := testing.AllocsPerRun(20, func() {
+		if _, err := ByName("Steane"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if byName > one+4 {
+		t.Errorf("ByName(\"Steane\") allocates %v times, Steane() %v", byName, one)
 	}
 }

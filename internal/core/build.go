@@ -38,51 +38,51 @@ func BuildFromPrep(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, cf
 	}
 	exD := verify.DangerousErrors(cs, prepC, code.ErrX)
 	ezD := verify.DangerousErrors(cs, prepC, code.ErrZ)
-
-	if cfg.Verif == VerifGlobal {
-		return buildGlobal(ctx, cs, prepC, exD, ezD, cfg)
+	cands, err := verifications(ctx, cs, code.ErrX, exD, cfg)
+	if err != nil {
+		return nil, err
 	}
+	return cheapest(ctx, cands, func(v1 []f2.Vec) (*Protocol, error) {
+		return assemble(ctx, cs, prepC, v1, len(ezD) > 0, cfg)
+	})
+}
 
-	var verif1 []f2.Vec
-	if len(exD) > 0 {
-		res, err := verify.Synthesize(ctx, cs.DetectionGroup(code.ErrX), exD)
+// verifications returns the candidate verifications of the errs of one
+// sector (kind): a single nil candidate when errs is empty, the one optimal
+// verification under VerifOptimal, and at most cfg.GlobalLimit (0 selects
+// 16) optimal ones under VerifGlobal.
+func verifications(ctx context.Context, cs *code.CSS, kind code.ErrType, errs []f2.Vec, cfg Config) ([][]f2.Vec, error) {
+	if len(errs) == 0 {
+		return [][]f2.Vec{nil}, nil
+	}
+	if cfg.Verif != VerifGlobal {
+		res, err := verify.Synthesize(ctx, cs.DetectionGroup(kind), errs)
 		if err != nil {
 			return nil, err
 		}
-		verif1 = res.Stabs
+		return [][]f2.Vec{res.Stabs}, nil
 	}
-	return assemble(ctx, cs, prepC, verif1, len(ezD) > 0, 0, cfg)
-}
-
-// buildGlobal explores all optimal layer-1 verifications (and for each, all
-// optimal layer-2 verifications), returning the protocol with the lowest
-// average correction cost, tie-broken by total verification cost.
-func buildGlobal(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, exD, ezD []f2.Vec, cfg Config) (*Protocol, error) {
 	limit := cfg.GlobalLimit
 	if limit <= 0 {
 		limit = 16
 	}
-	cands := [][]f2.Vec{nil}
-	if len(exD) > 0 {
-		results, err := verify.EnumerateOptimal(ctx, cs.DetectionGroup(code.ErrX), exD, limit)
-		if err != nil {
-			return nil, err
-		}
-		cands = cands[:0]
-		for _, r := range results {
-			cands = append(cands, r.Stabs)
-		}
+	results, err := verify.EnumerateOptimal(ctx, cs.DetectionGroup(kind), errs, limit)
+	if err != nil {
+		return nil, err
 	}
-	return cheapest(ctx, cands, func(v1 []f2.Vec) (*Protocol, error) {
-		return assemble(ctx, cs, prepC, v1, len(ezD) > 0, limit, cfg)
-	})
+	cands := make([][]f2.Vec, len(results))
+	for i, r := range results {
+		cands[i] = r.Stabs
+	}
+	return cands, nil
 }
 
 // cheapest builds the protocol of every candidate verification and returns
 // the one with the lowest average correction cost, the first on a tie. A
 // done ctx ends it at once with ctx's error; any other failed candidate is
 // skipped, and the first failure is returned when every candidate fails.
-// An empty candidate list is an error.
+// One candidate, the "Opt" method's, gives its protocol or its error
+// unchanged. An empty candidate list is an error.
 func cheapest(ctx context.Context, cands [][]f2.Vec, build func([]f2.Vec) (*Protocol, error)) (*Protocol, error) {
 	var best *Protocol
 	var bestCost float64
@@ -129,117 +129,93 @@ func buildPrep(ctx context.Context, cs *code.CSS, cfg Config) (*circuit.Circuit,
 	return prep.Heuristic(cs), nil
 }
 
-// assemble builds the protocol given the layer-1 verification stabilizers.
-// wantLayer2 forces a Z layer when prep has dangerous Z errors; a Z layer is
-// also created when layer-1 hook deferral requires one. When globalLimit is
-// positive, the layer-2 verification is globally optimized as well, over at
-// most that many optimal candidates.
-func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 []f2.Vec, wantLayer2 bool, globalLimit int, cfg Config) (*Protocol, error) {
+// assemble builds the protocol given the layer-1 verification stabilizers
+// (none for a prep without dangerous X errors). wantLayer2 forces a Z layer
+// when prep has dangerous Z errors; a Z layer is also created when layer-1
+// hook deferral requires one. A protocol without a Z layer is corrected as
+// it stands; otherwise the Z layer's candidate verifications (see
+// verifications) each complete a protocol, and the cheapest is kept.
+func assemble(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, verif1 []f2.Vec, wantLayer2 bool, cfg Config) (*Protocol, error) {
+	// Layer 1 verifies X errors with Z-type measurements.
+	layer1, err := newLayer(ctx, cs, code.ErrX, verif1, !wantLayer2, cfg)
+	if err != nil {
+		return nil, err
+	}
 	p := &Protocol{Code: cs, Prep: prepC}
-
-	// ---- Layer 1: verify X errors with Z-type measurements. ----
-	var layer1 *Layer
-	if len(verif1) > 0 {
-		layer1 = &Layer{Detects: code.ErrX, Classes: map[string]*ClassCorrection{}}
-		for _, s := range verif1 {
-			m := Measurement{Stab: s.Clone(), Kind: code.ErrZ}
-			order, dangerous, err := chooseOrder(ctx, cs, code.ErrZ, s)
-			if err != nil {
-				return nil, err
-			}
-			m.Order = order
-			// Dangerous hooks: defer to the Z layer when one is planned,
-			// otherwise protect with a flag.
-			if dangerous > 0 && !wantLayer2 {
-				m.Flagged = true
-			}
-			if cfg.FlagAll && m.Weight() >= 3 {
-				m.Flagged = true
-			}
-			layer1.Verif = append(layer1.Verif, m)
-		}
+	if layer1 != nil {
 		p.Layers = append(p.Layers, layer1)
 	}
+	cl1 := classify(p)
 
-	// ---- Determine the layer-2 error set from the prep+layer-1 faults. ----
-	lay1Meas := [][]Measurement{}
-	if layer1 != nil {
-		lay1Meas = append(lay1Meas, layer1.Verif)
-	}
-	cl1 := classify(cs, prepC, lay1Meas)
+	// The layer-2 error set: the dangerous Z errors of the faults no
+	// layer-1 flag caught (a fired flag hook-corrects in layer 1).
 	var e2 []f2.Vec
 	seen := map[string]bool{}
 	for _, ft := range cl1.faults {
 		if len(ft.sig) > 0 && ft.sig[0].fAny() {
-			continue // flag fired: hook-corrected in layer 1
+			continue
 		}
 		if cs.ReducedWeight(code.ErrZ, ft.ez) >= 2 && !seen[ft.ez.Key()] {
 			seen[ft.ez.Key()] = true
 			e2 = append(e2, ft.ez)
 		}
 	}
-
-	// ---- Layer 2: verify Z errors with X-type measurements. ----
-	if len(e2) > 0 {
-		var verif2Cands [][]f2.Vec
-		if globalLimit > 0 {
-			results, err := verify.EnumerateOptimal(ctx, cs.DetectionGroup(code.ErrZ), e2, globalLimit)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range results {
-				verif2Cands = append(verif2Cands, r.Stabs)
-			}
-		} else {
-			res, err := verify.Synthesize(ctx, cs.DetectionGroup(code.ErrZ), e2)
-			if err != nil {
-				return nil, err
-			}
-			verif2Cands = [][]f2.Vec{res.Stabs}
+	if len(e2) == 0 {
+		if err := buildCorrections(ctx, p, cl1, cfg.Memo); err != nil {
+			return nil, err
 		}
-		return cheapest(ctx, verif2Cands, func(v2 []f2.Vec) (*Protocol, error) {
-			return finishTwoLayer(ctx, cs, prepC, layer1, v2, cfg)
-		})
+		return p, nil
 	}
 
-	// Single-layer (or zero-layer) protocol: classify and correct.
-	if err := buildCorrections(ctx, cs, cl1, p.Layers, cfg.Memo); err != nil {
+	cands, err := verifications(ctx, cs, code.ErrZ, e2, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// finishTwoLayer builds the complete protocol for a fixed layer-2
-// verification choice. layer1 may be nil.
-func finishTwoLayer(ctx context.Context, cs *code.CSS, prepC *circuit.Circuit, layer1 *Layer, verif2 []f2.Vec, cfg Config) (*Protocol, error) {
-	layer2 := &Layer{Detects: code.ErrZ, Classes: map[string]*ClassCorrection{}}
-	for _, s := range verif2 {
-		m := Measurement{Stab: s.Clone(), Kind: code.ErrX}
-		order, dangerous, err := chooseOrder(ctx, cs, code.ErrX, s)
+	return cheapest(ctx, cands, func(v2 []f2.Vec) (*Protocol, error) {
+		// Layer 2 verifies Z errors with X-type measurements. It is the
+		// last layer, so its hooks must be flagged.
+		layer2, err := newLayer(ctx, cs, code.ErrZ, v2, true, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m.Order = order
-		if dangerous > 0 || (cfg.FlagAll && len(order) >= 3) {
-			m.Flagged = true // last layer: hooks must be flagged
+		q := &Protocol{Code: cs, Prep: prepC}
+		if layer1 != nil {
+			// Each candidate attaches its corrections to its own class map.
+			q.Layers = append(q.Layers, &Layer{Detects: layer1.Detects, Verif: layer1.Verif, Classes: map[string]*ClassCorrection{}})
 		}
-		layer2.Verif = append(layer2.Verif, m)
-	}
-	p := &Protocol{Code: cs, Prep: prepC}
-	var meas [][]Measurement
-	if layer1 != nil {
-		l1 := &Layer{Detects: layer1.Detects, Verif: layer1.Verif, Classes: map[string]*ClassCorrection{}}
-		p.Layers = append(p.Layers, l1)
-		meas = append(meas, l1.Verif)
-	}
-	p.Layers = append(p.Layers, layer2)
-	meas = append(meas, layer2.Verif)
+		q.Layers = append(q.Layers, layer2)
+		if err := buildCorrections(ctx, q, classify(q), cfg.Memo); err != nil {
+			return nil, err
+		}
+		return q, nil
+	})
+}
 
-	cl := classify(cs, prepC, meas)
-	if err := buildCorrections(ctx, cs, cl, p.Layers, cfg.Memo); err != nil {
-		return nil, err
+// newLayer builds the verification layer that detects errors of sector
+// detects by measuring stabs with the opposite-type stabilizers, each in
+// the CNOT order chooseOrder picks; no stabs gives no layer. A measurement
+// is flagged when hooks the order cannot defuse remain and the layer is
+// the last (an earlier layer defers them to the next), and, under
+// cfg.FlagAll, whenever its weight is at least 3.
+func newLayer(ctx context.Context, cs *code.CSS, detects code.ErrType, stabs []f2.Vec, last bool, cfg Config) (*Layer, error) {
+	if len(stabs) == 0 {
+		return nil, nil
 	}
-	return p, nil
+	l := &Layer{Detects: detects, Classes: map[string]*ClassCorrection{}}
+	kind := detects.Opposite()
+	for _, s := range stabs {
+		order, dangerous, err := chooseOrder(ctx, cs, kind, s)
+		if err != nil {
+			return nil, err
+		}
+		l.Verif = append(l.Verif, Measurement{
+			Stab:    s.Clone(),
+			Kind:    kind,
+			Order:   order,
+			Flagged: dangerous > 0 && last || cfg.FlagAll && len(order) >= 3,
+		})
+	}
+	return l, nil
 }
 
 // chooseOrder selects a CNOT order for measuring stab, minimizing the number
@@ -406,15 +382,16 @@ helpers:
 }
 
 // buildCorrections synthesizes all correction blocks from the classified
-// faults and attaches them to the layers. It also asserts the silent-case
-// safety condition.
+// faults of p and attaches them to p's layers. It also asserts the
+// silent-case safety condition.
 //
 // It first collects every layer's classes and their distinct (sector, error
 // set) problems, then solves the problems (solveAll), and only then attaches
 // the blocks. Each block depends on its problem alone, so the protocol is the
 // same whatever order the solves finish in; a failure is reported for the
 // first class in (layer, signature key) order whose solve failed.
-func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, layers []*Layer, memo *correct.Memo) error {
+func buildCorrections(ctx context.Context, p *Protocol, cl *classification, memo *correct.Memo) error {
+	cs, layers := p.Code, p.Layers
 	// Silent faults: both sectors must already be benign.
 	for _, ft := range cl.faults {
 		if !ft.silent() {
@@ -442,13 +419,13 @@ func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, lay
 		for _, e := range errs {
 			key += "|" + e.String()
 		}
-		p, ok := byKey[key]
+		prob, ok := byKey[key]
 		if !ok {
-			p = &corrProblem{kind: kind, errs: errs}
-			byKey[key] = p
-			probs = append(probs, p)
+			prob = &corrProblem{kind: kind, errs: errs}
+			byKey[key] = prob
+			probs = append(probs, prob)
 		}
-		return p
+		return prob
 	}
 	for li, layer := range layers {
 		classErrs := map[string]map[string]f2.Vec{}     // sig -> primary reps
@@ -506,8 +483,8 @@ func buildCorrections(ctx context.Context, cs *code.CSS, cl *classification, lay
 	}
 	// A solve cancelled because a sibling failed reports context.Canceled;
 	// the sibling's own error is the one to return.
-	failed := func(p *corrProblem) bool {
-		return p != nil && p.err != nil && !errors.Is(p.err, context.Canceled)
+	failed := func(prob *corrProblem) bool {
+		return prob != nil && prob.err != nil && !errors.Is(prob.err, context.Canceled)
 	}
 	for _, c := range classes {
 		if failed(c.prim) {

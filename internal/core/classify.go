@@ -153,13 +153,14 @@ type circuitLayout struct {
 	flagBits [][]int // per layer, per measurement (-1 if unflagged)
 }
 
-// buildFullCircuit concatenates the preparation circuit and all layer
-// measurement circuits on a common wire set: data wires 0..n-1 followed by
-// one ancilla (and possibly one flag) wire per measurement.
-func buildFullCircuit(n int, prepC *circuit.Circuit, layers [][]Measurement) circuitLayout {
+// layout concatenates the preparation circuit and all layer measurement
+// circuits on a common wire set: data wires 0..n-1 followed by one ancilla
+// (and possibly one flag) wire per measurement.
+func (p *Protocol) layout() circuitLayout {
+	n := p.Code.N
 	wires := n
-	for _, layer := range layers {
-		for _, m := range layer {
+	for _, layer := range p.Layers {
+		for _, m := range layer.Verif {
 			wires++
 			if m.Flagged {
 				wires++
@@ -167,16 +168,16 @@ func buildFullCircuit(n int, prepC *circuit.Circuit, layers [][]Measurement) cir
 		}
 	}
 	c := circuit.New(wires)
-	for _, g := range prepC.Gates {
+	for _, g := range p.Prep.Gates {
 		c.Gates = append(c.Gates, g)
 	}
-	c.NumBits = prepC.NumBits
+	c.NumBits = p.Prep.NumBits
 
 	lo := circuitLayout{circ: c}
 	next := n
-	for _, layer := range layers {
+	for _, layer := range p.Layers {
 		var mb, fb []int
-		for _, m := range layer {
+		for _, m := range layer.Verif {
 			anc := next
 			next++
 			flag := -1
@@ -207,11 +208,7 @@ type FlatLayout struct {
 // data + ancilla wires. Conditional correction branches are not included —
 // they depend on the measured signature.
 func (p *Protocol) Flatten() FlatLayout {
-	var layers [][]Measurement
-	for _, l := range p.Layers {
-		layers = append(layers, l.Verif)
-	}
-	lo := buildFullCircuit(p.Code.N, p.Prep, layers)
+	lo := p.layout()
 	return FlatLayout{Circ: lo.circ, MeasBits: lo.measBits, FlagBits: lo.flagBits}
 }
 
@@ -220,17 +217,18 @@ func (p *Protocol) FlatCircuit() *circuit.Circuit {
 	return p.Flatten().Circ
 }
 
-// classify enumerates every single fault of the combined circuit and reduces
+// classify enumerates every single fault of p's combined circuit and reduces
 // it to data-sector coset representatives plus per-layer signatures.
-func classify(cs *code.CSS, prepC *circuit.Circuit, layers [][]Measurement) *classification {
-	lo := buildFullCircuit(cs.N, prepC, layers)
+func classify(p *Protocol) *classification {
+	cs := p.Code
+	lo := p.layout()
 	out := &classification{}
 	for _, ft := range lo.circ.SingleFaults() {
 		cf := classifiedFault{
 			ex: cs.CosetRep(code.ErrX, restrict(ft.Effect.Err.X, cs.N)),
 			ez: cs.CosetRep(code.ErrZ, restrict(ft.Effect.Err.Z, cs.N)),
 		}
-		for li := range layers {
+		for li := range p.Layers {
 			sig := laySig{
 				b: make([]bool, len(lo.measBits[li])),
 				f: make([]bool, len(lo.measBits[li])),

@@ -108,10 +108,13 @@ func (m PrepMethod) String() string {
 // VerifMethod selects the verification/correction synthesis strategy.
 type VerifMethod int
 
-// Verification synthesis methods (paper: "Opt" and "Global").
+// Verification synthesis methods (paper: "Opt" and "Global"). Both give
+// each layer a list of candidate verifications and keep the candidate
+// whose protocol has the lowest average correction cost; Opt's list is its
+// one optimal verification.
 const (
-	VerifOptimal VerifMethod = iota // one optimal verification, then corrections
-	VerifGlobal                     // explore all optimal verifications, keep the best overall
+	VerifOptimal VerifMethod = iota // one optimal verification per layer
+	VerifGlobal                     // every optimal verification per layer, up to GlobalLimit
 )
 
 func (m VerifMethod) String() string {
@@ -123,15 +126,18 @@ func (m VerifMethod) String() string {
 
 // Config tunes protocol synthesis.
 type Config struct {
-	Prep  PrepMethod
+	Prep PrepMethod
+
+	// Verif selects each layer's candidate verifications: one under
+	// VerifOptimal, the enumerated optima under VerifGlobal.
 	Verif VerifMethod
 
 	// PrepBudget bounds the optimal preparation search (states per
 	// direction); 0 selects the default.
 	PrepBudget int
 
-	// GlobalLimit caps the number of optimal verifications explored per
-	// layer by the global method; 0 selects a default of 16.
+	// GlobalLimit caps the candidate verifications of each layer under
+	// VerifGlobal; 0 selects a default of 16. VerifOptimal ignores it.
 	GlobalLimit int
 
 	// FlagAll forces a flag on every verification measurement (of weight

@@ -133,8 +133,9 @@ type Event struct {
 
 // Resolver maps a protocol key to an estimator for that protocol and the
 // protocol's content identity: the payload checksum of its store encoding
-// ("sha256:" and hex, as a .dfp header records it). The runner calls it
-// once per job start and only reads the estimator, so a resolver may
+// ("sha256:" and hex, as a .dfp header records it). Submit calls it once
+// per job start, after the job is registered and outside the runner's
+// lock, and the runner only reads the estimator, so a resolver may
 // return one it shares with other jobs and requests. dftsp supplies a
 // resolver backed by its protocol cache and store.
 type Resolver func(ctx context.Context, protocolKey string) (est *sim.Estimator, sum string, err error)
@@ -293,15 +294,26 @@ func (r *Runner) Submit(spec Spec) (Status, error) {
 		points: map[int]PointState{},
 		subs:   map[int]chan Event{},
 	}
-	for i, ps := range st.Points {
-		j.points[i] = ps
-	}
 	r.jobs[id] = j
 	r.jobWG.Add(1)
 	r.mu.Unlock()
 
+	// The protocol resolves once per start, before any point is
+	// published: a point recorded on another protocol starts afresh,
+	// finished or not, so every point of the job samples the protocol it
+	// resolves to now. A resolve error fails the job, which discards
+	// nothing.
+	est, sum, err := r.resolve(ctx, st.Spec.ProtocolKey)
+	for i, ps := range st.Points {
+		if err == nil && ps.Protocol != "" && ps.Protocol != sum {
+			delete(st.Points, i)
+			continue
+		}
+		j.setPoint(ps)
+	}
+
 	r.metrics.running.Add(1)
-	go r.run(ctx, j, lg, st)
+	go r.run(ctx, j, lg, st, est, sum, err)
 	return j.status(), nil
 }
 
@@ -386,9 +398,11 @@ func (r *Runner) Watch(id string) (<-chan Event, func(), error) {
 
 // ResumeAll submits every unfinished job found in the store — the boot
 // step that makes a restart pick up where the killed process stopped — and
-// returns the statuses of the jobs it resumed. Jobs that fail to resume
-// (for example because their protocol is no longer resolvable) are
-// reported in the joined error but do not stop the sweep.
+// returns the statuses of the jobs it resumed. Jobs whose submit fails
+// (for example because the runner is closed or their file is unreadable)
+// are reported in the joined error but do not stop the sweep; a job whose
+// protocol no longer resolves is resumed and ends failed, resumable once
+// the protocol is available again.
 func (r *Runner) ResumeAll() ([]Status, error) {
 	entries, err := r.store.List()
 	if err != nil {
@@ -461,14 +475,19 @@ func (r *Runner) Close(ctx context.Context) error {
 	return err
 }
 
-// run is the coordinator goroutine of one job.
-func (r *Runner) run(ctx context.Context, j *job, lg *Log, st State) {
+// run is the coordinator goroutine of one job, which runs on the protocol
+// Submit resolved: est and sum, or the resolve error err.
+func (r *Runner) run(ctx context.Context, j *job, lg *Log, st State, est *sim.Estimator, sum string, err error) {
 	defer r.jobWG.Done()
 	defer lg.Close()
 	defer j.cancel()
 	defer r.metrics.running.Add(-1)
 
-	err := r.execute(ctx, j, lg, &st)
+	if err != nil {
+		err = fmt.Errorf("resolve protocol: %w", err)
+	} else {
+		err = r.execute(ctx, j, lg, &st, est, sum)
+	}
 
 	j.mu.Lock()
 	var ev Event
@@ -499,14 +518,12 @@ func (r *Runner) run(ctx context.Context, j *job, lg *Log, st State) {
 	close(j.done)
 }
 
-// execute walks the job's points and rounds until the job completes, the
-// context is cancelled, or the runner quiesces.
-func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error {
+// execute walks the job's points and rounds on the protocol of est, whose
+// content identity is sum, until the job completes, the context is
+// cancelled, or the runner quiesces. st holds only points recorded on that
+// protocol or on none.
+func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State, est *sim.Estimator, sum string) error {
 	spec := st.Spec
-	est, sum, err := r.resolve(ctx, spec.ProtocolKey)
-	if err != nil {
-		return fmt.Errorf("resolve protocol: %w", err)
-	}
 	reqMethod, _ := sim.ParseMethod(spec.Method) // validated with the spec
 	target, budget := spec.Budget()
 	totalBlocks := sim.NumBlocks(budget)
@@ -525,11 +542,7 @@ func (r *Runner) execute(ctx context.Context, j *job, lg *Log, st *State) error 
 	j.emit(Event{Type: "started", Job: j.id, Shots: totalShots(j.points)})
 
 	for i, rate := range spec.Rates {
-		// A point recorded on another protocol starts afresh, finished or
-		// not, so every point of the job samples the protocol it resolves
-		// to now.
 		ps, started := st.Points[i]
-		started = started && (ps.Protocol == "" || ps.Protocol == sum)
 		if started && ps.Done {
 			continue
 		}

@@ -635,14 +635,6 @@ func TestWatchStreamsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gate the resolver so the subscription is attached before any event
-	// fires.
-	gate := make(chan struct{})
-	base := steaneResolver(t)
-	resolver := func(ctx context.Context, key string) (*sim.Estimator, string, error) {
-		<-gate
-		return base(ctx, key)
-	}
 	spec := Spec{
 		ProtocolKey: testProtocolKey,
 		Method:      "direct",
@@ -650,18 +642,29 @@ func TestWatchStreamsEvents(t *testing.T) {
 		MCShots:     10 * sim.BlockShots,
 		Seed:        7,
 	}
-	r := NewRunner(store, resolver, 2, "")
+	// Subscribe from the resolver: Submit registers the job before it
+	// resolves the protocol, and no event fires before that.
+	var r *Runner
+	var ev <-chan Event
+	base := steaneResolver(t)
+	resolver := func(ctx context.Context, key string) (*sim.Estimator, string, error) {
+		var stop func()
+		var err error
+		if ev, stop, err = r.Watch(spec.Normalized().ID()); err != nil {
+			return nil, "", err
+		}
+		t.Cleanup(stop)
+		return base(ctx, key)
+	}
+	r = NewRunner(store, resolver, 2, "")
 	defer r.Close(context.Background())
 	st, err := r.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, stop, err := r.Watch(st.ID)
-	if err != nil {
-		t.Fatal(err)
+	if ev == nil {
+		t.Fatal("Submit returned before resolving the protocol")
 	}
-	defer stop()
-	close(gate)
 
 	seen := map[string]int{}
 	var pointEvents []Event
@@ -855,10 +858,20 @@ func TestResumeOnAnotherProtocolRestarts(t *testing.T) {
 	}
 	lg.Close()
 
+	// The resolver subscribes to the job's events, which start only once
+	// the protocol has resolved.
+	var r *Runner
+	var ev <-chan Event
 	resolver := func(ctx context.Context, key string) (*sim.Estimator, string, error) {
+		var stop func()
+		var err error
+		if ev, stop, err = r.Watch(spec.ID()); err != nil {
+			return nil, "", err
+		}
+		t.Cleanup(stop)
 		return shorEst, shorSum, nil
 	}
-	r := NewRunner(store, resolver, 2, "")
+	r = NewRunner(store, resolver, 2, "")
 	defer r.Close(context.Background())
 	st, err := r.Submit(spec)
 	if err != nil {
@@ -866,6 +879,17 @@ func TestResumeOnAnotherProtocolRestarts(t *testing.T) {
 	}
 	if st.ID != spec.ID() {
 		t.Fatalf("resubmitted job has ID %q, want %q", st.ID, spec.ID())
+	}
+	if ev == nil {
+		t.Fatal("Submit returned before resolving the protocol")
+	}
+	// Neither the status Submit returns nor the started event may report
+	// the discarded counts of the old protocol.
+	if p := st.Points[0]; p.Done || p.Shots != 0 || st.Shots != 0 {
+		t.Fatalf("status at submit: %d shots, point 0 %+v; want nothing done on the new protocol", st.Shots, p)
+	}
+	if e := <-ev; e.Type != "started" || e.Shots != 0 {
+		t.Fatalf("first event %+v, want started with 0 shots", e)
 	}
 	if st = waitTerminal(t, r, st.ID); st.State != StateDone {
 		t.Fatalf("job state %q (err %q), want done", st.State, st.Error)
