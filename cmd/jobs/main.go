@@ -26,14 +26,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"repro/dftsp"
@@ -52,60 +51,88 @@ const usageText = `usage:
   jobs ls     -dir DIR | -addr URL             list all jobs
   jobs resume -dir DIR                         resume unfinished jobs and wait
 
-submit options: -code -prep -verif -flag-all select the protocol;
--rates -mc-shots -target-rse -max-shots -method -seed shape the
-estimate; -wait (with -addr) follows the job's event stream to completion.
+submit options: -code and the synthesis and estimate flags of a POST /jobs
+body (see jobs submit -h); -workers sizes the local pool (-dir only); -wait
+(with -addr) follows the job's event stream to completion.
 `
 
 // run is main without the process-global parts, so tests can drive the CLI
-// end to end.
+// end to end. A usage error exits 2, a failed subcommand 1.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		fmt.Fprint(stderr, usageText)
 		return 2
 	}
-	switch args[0] {
-	case "submit":
-		return runSubmit(ctx, args[1:], stdout, stderr)
-	case "status":
-		return runStatus(ctx, args[1:], stdout, stderr)
-	case "ls":
-		return runLs(ctx, args[1:], stdout, stderr)
-	case "resume":
-		return runResume(ctx, args[1:], stdout, stderr)
-	default:
+	sub, ok := map[string]func(ctx context.Context, c *cli, args []string, stdout, stderr io.Writer) error{
+		"submit": runSubmit,
+		"status": runStatus,
+		"ls":     runLs,
+		"resume": runResume,
+	}[args[0]]
+	if !ok {
 		fmt.Fprintf(stderr, "jobs: unknown command %q\n%s", args[0], usageText)
 		return 2
 	}
-}
-
-// modeFlags is the -dir/-addr mode selection shared by every subcommand.
-type modeFlags struct {
-	dir  *string
-	addr *string
-}
-
-func addModeFlags(fs *flag.FlagSet) modeFlags {
-	return modeFlags{
-		dir:  fs.String("dir", "", "job directory for local in-process execution"),
-		addr: fs.String("addr", "", "base URL of a running server's /jobs API"),
+	var c cli
+	fs := newFlags(args[0], &c)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args[1:]); err != nil {
+		return 2
 	}
+	if err := c.checkUsage(args[0], fs.Args()); err != nil {
+		fmt.Fprintf(stderr, "jobs %s: %v\n", args[0], err)
+		return 2
+	}
+	if err := sub(ctx, &c, fs.Args(), stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "jobs %s: %v\n", args[0], err)
+		return 1
+	}
+	return 0
 }
 
-// check validates the mode selection; needDir restricts the subcommand to
-// local mode.
-func (m modeFlags) check(stderr io.Writer, cmd string, needDir bool) bool {
+// cli is what a subcommand's command line selects.
+type cli struct {
+	dir, addr string
+	opts      dftsp.Options         // submit
+	est       dftsp.EstimateOptions // submit
+	wait      bool                  // submit
+	workers   int                   // resume
+}
+
+// newFlags returns the flag set of subcommand cmd, bound to c: the -dir or
+// -addr mode every subcommand takes, plus submit's protocol and estimate
+// flags and resume's local pool size.
+func newFlags(cmd string, c *cli) *flag.FlagSet {
+	fs := flag.NewFlagSet("jobs "+cmd, flag.ContinueOnError)
+	fs.StringVar(&c.dir, "dir", "", "job directory for local in-process execution")
+	fs.StringVar(&c.addr, "addr", "", "base URL of a running server's /jobs API")
+	switch cmd {
+	case "submit":
+		c.opts.Code = "Steane"
+		fs.StringVar(&c.opts.Code, "code", c.opts.Code, "catalog code name")
+		fs.BoolVar(&c.wait, "wait", false, "with -addr: follow the event stream until the job settles")
+		c.opts.RegisterFlags(fs)
+		c.est.RegisterFlags(fs)
+	case "resume":
+		fs.IntVar(&c.workers, "workers", 0, "local worker count (0: DFTSP_WORKERS or the CPU count)")
+	}
+	return fs
+}
+
+// checkUsage validates the mode selection of subcommand cmd and its
+// arguments: resume runs in local mode only, and status needs a job ID.
+func (c *cli) checkUsage(cmd string, args []string) error {
 	switch {
-	case *m.dir == "" && *m.addr == "":
-		fmt.Fprintf(stderr, "jobs %s: one of -dir or -addr is required\n", cmd)
-	case *m.dir != "" && *m.addr != "":
-		fmt.Fprintf(stderr, "jobs %s: -dir and -addr are mutually exclusive\n", cmd)
-	case needDir && *m.dir == "":
-		fmt.Fprintf(stderr, "jobs %s: only supported with -dir (a running server resumes its jobs at boot)\n", cmd)
-	default:
-		return true
+	case c.dir == "" && c.addr == "":
+		return errors.New("one of -dir or -addr is required")
+	case c.dir != "" && c.addr != "":
+		return errors.New("-dir and -addr are mutually exclusive")
+	case cmd == "resume" && c.dir == "":
+		return errors.New("only supported with -dir (a running server resumes its jobs at boot)")
+	case cmd == "status" && (len(args) == 0 || args[0] == ""):
+		return errors.New("a job ID is required")
 	}
-	return false
+	return nil
 }
 
 // openLocal builds an in-process service over dir, which serves as both the
@@ -121,101 +148,53 @@ func openLocal(dir string, workers int) (*dftsp.Service, error) {
 	return svc, nil
 }
 
-func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("jobs submit", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	mode := addModeFlags(fs)
-	var (
-		code      = fs.String("code", "Steane", "catalog code name")
-		prep      = fs.String("prep", "", "preparation synthesis: heu or opt (default: the paper's)")
-		verif     = fs.String("verif", "", "verification synthesis: opt or global")
-		flagAll   = fs.Bool("flag-all", false, "force a flag on every verification measurement")
-		rates     = fs.String("rates", "", "comma-separated physical error rates (default: the paper's Fig. 4 grid)")
-		mcShots   = fs.Int("mc-shots", 0, "fixed Monte-Carlo shots per rate")
-		targetRSE = fs.Float64("target-rse", 0, "adaptive sampling: stop at this relative standard error")
-		maxShots  = fs.Int("max-shots", 0, "adaptive sampling cap per rate (default 1e7)")
-		method    = fs.String("method", "", "sampling method: auto, direct or rare")
-		seed      = fs.Int64("seed", 0, "sampling seed (default 1)")
-		workers   = fs.Int("workers", 0, "local worker count (default: CPU count; -dir only)")
-		wait      = fs.Bool("wait", false, "with -addr: follow the event stream until the job settles")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !mode.check(stderr, "submit", false) {
-		return 2
-	}
-	opts := dftsp.Options{Code: *code, Prep: *prep, Verif: *verif, FlagAll: *flagAll}
-	eo := dftsp.EstimateOptions{
-		MCShots:   *mcShots,
-		TargetRSE: *targetRSE,
-		MaxShots:  *maxShots,
-		Method:    *method,
-		Seed:      *seed,
-	}
-	if *rates != "" {
-		for _, f := range strings.Split(*rates, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				fmt.Fprintf(stderr, "jobs submit: bad rate %q: %v\n", f, err)
-				return 2
-			}
-			eo.Rates = append(eo.Rates, r)
-		}
-	}
+// errJobFailed reports a job that settled in the failed state; its status,
+// error included, is already printed.
+var errJobFailed = errors.New("job failed")
 
-	if *mode.addr != "" {
-		body, err := json.Marshal(struct {
-			Options  dftsp.Options         `json:"options"`
-			Estimate dftsp.EstimateOptions `json:"estimate"`
-		}{opts, eo})
+func runSubmit(ctx context.Context, c *cli, _ []string, stdout, stderr io.Writer) error {
+	if c.addr == "" {
+		svc, err := openLocal(c.dir, c.est.Workers)
 		if err != nil {
-			fmt.Fprintln(stderr, "jobs submit:", err)
-			return 1
+			return err
 		}
-		var st dftsp.JobStatus
-		if err := httpJSON(ctx, http.MethodPost, *mode.addr+"/jobs", body, &st); err != nil {
-			fmt.Fprintln(stderr, "jobs submit:", err)
-			return 1
-		}
-		if !*wait {
-			printStatus(stdout, st)
-			return 0
-		}
-		st, err = followHTTP(ctx, *mode.addr, st.ID, stdout)
+		st, err := svc.SubmitJob(ctx, c.opts, c.est)
 		if err != nil {
-			fmt.Fprintln(stderr, "jobs submit:", err)
-			return 1
+			return err
 		}
-		printStatus(stdout, st)
-		if st.State == jobs.StateFailed {
-			return 1
+		return waitLocal(ctx, svc, []string{st.ID}, stdout)
+	}
+	body, err := json.Marshal(struct {
+		Options  dftsp.Options         `json:"options"`
+		Estimate dftsp.EstimateOptions `json:"estimate"`
+	}{c.opts, c.est})
+	if err != nil {
+		return err
+	}
+	var st dftsp.JobStatus
+	if err := httpJSON(ctx, http.MethodPost, c.addr+"/jobs", body, &st); err != nil {
+		return err
+	}
+	if c.wait {
+		if st, err = followHTTP(ctx, c.addr, st.ID, stdout); err != nil {
+			return err
 		}
-		return 0
 	}
-
-	svc, err := openLocal(*mode.dir, *workers)
-	if err != nil {
-		fmt.Fprintln(stderr, "jobs submit:", err)
-		return 1
+	printStatus(stdout, st)
+	if st.State == jobs.StateFailed {
+		return errJobFailed
 	}
-	st, err := svc.SubmitJob(ctx, opts, eo)
-	if err != nil {
-		fmt.Fprintln(stderr, "jobs submit:", err)
-		return 1
-	}
-	return waitLocal(ctx, svc, []string{st.ID}, stdout, stderr)
+	return nil
 }
 
 // waitLocal follows the given local jobs until each settles; a cancelled
 // ctx (Ctrl-C) checkpoints in-flight shards and leaves them paused.
-func waitLocal(ctx context.Context, svc *dftsp.Service, ids []string, stdout, stderr io.Writer) int {
-	code := 0
+func waitLocal(ctx context.Context, svc *dftsp.Service, ids []string, stdout io.Writer) error {
+	var failed, shutdown error
 	for _, id := range ids {
 		events, stop, err := svc.WatchJob(id)
 		if err != nil {
-			fmt.Fprintln(stderr, "jobs:", err)
-			return 1
+			return err
 		}
 	follow:
 		for {
@@ -225,106 +204,71 @@ func waitLocal(ctx context.Context, svc *dftsp.Service, ids []string, stdout, st
 					break follow
 				}
 				if ev.Type == "point" && ev.Result != nil {
-					pt := *ev.Result
-					fmt.Fprintf(stdout, "point %d done: p=%g pl=%g rse=%.3g shots=%d (%s)\n",
-						pt.Point, pt.Rate, pt.PL, pt.RSE, pt.Shots, pt.Method)
+					printPoint(stdout, *ev.Result)
 				}
 			case <-ctx.Done():
 				stop()
 				// Graceful: checkpoint in-flight shards, pause the jobs.
-				if err := svc.ShutdownJobs(context.Background()); err != nil {
-					fmt.Fprintln(stderr, "jobs: shutdown:", err)
-				}
+				shutdown = svc.ShutdownJobs(context.Background())
 				break follow
 			}
 		}
 		stop()
 		st, err := svc.Job(id)
 		if err != nil {
-			fmt.Fprintln(stderr, "jobs:", err)
-			return 1
+			return err
 		}
 		printStatus(stdout, st)
 		if st.State == jobs.StateFailed {
-			code = 1
+			failed = errJobFailed
 		}
 	}
 	// Idempotent when ctx was cancelled above; otherwise a clean stop.
-	if err := svc.ShutdownJobs(context.Background()); err != nil {
-		fmt.Fprintln(stderr, "jobs: shutdown:", err)
-		return 1
+	if err := svc.ShutdownJobs(context.Background()); err != nil || shutdown != nil {
+		return fmt.Errorf("shutdown: %w", errors.Join(shutdown, err))
 	}
-	return code
+	return failed
 }
 
-func runStatus(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("jobs status", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	mode := addModeFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !mode.check(stderr, "status", false) {
-		return 2
-	}
-	id := fs.Arg(0)
-	if id == "" {
-		fmt.Fprintln(stderr, "jobs status: a job ID is required")
-		return 2
-	}
+func runStatus(ctx context.Context, c *cli, args []string, stdout, _ io.Writer) error {
 	var st dftsp.JobStatus
-	if *mode.addr != "" {
-		if err := httpJSON(ctx, http.MethodGet, *mode.addr+"/jobs/"+id, nil, &st); err != nil {
-			fmt.Fprintln(stderr, "jobs status:", err)
-			return 1
+	if c.addr != "" {
+		if err := httpJSON(ctx, http.MethodGet, c.addr+"/jobs/"+args[0], nil, &st); err != nil {
+			return err
 		}
 	} else {
-		svc, err := openLocal(*mode.dir, 1)
+		svc, err := openLocal(c.dir, 1)
 		if err != nil {
-			fmt.Fprintln(stderr, "jobs status:", err)
-			return 1
+			return err
 		}
 		defer svc.ShutdownJobs(context.Background())
-		if st, err = svc.Job(id); err != nil {
-			fmt.Fprintln(stderr, "jobs status:", err)
-			return 1
+		if st, err = svc.Job(args[0]); err != nil {
+			return err
 		}
 	}
 	printStatus(stdout, st)
-	return 0
+	return nil
 }
 
-func runLs(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("jobs ls", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	mode := addModeFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !mode.check(stderr, "ls", false) {
-		return 2
-	}
+func runLs(ctx context.Context, c *cli, _ []string, stdout, _ io.Writer) error {
 	var all []dftsp.JobStatus
-	if *mode.addr != "" {
+	if c.addr != "" {
 		var resp struct {
 			Count int               `json:"count"`
 			Jobs  []dftsp.JobStatus `json:"jobs"`
 		}
-		if err := httpJSON(ctx, http.MethodGet, *mode.addr+"/jobs", nil, &resp); err != nil {
-			fmt.Fprintln(stderr, "jobs ls:", err)
-			return 1
+		if err := httpJSON(ctx, http.MethodGet, c.addr+"/jobs", nil, &resp); err != nil {
+			return err
 		}
 		all = resp.Jobs
 	} else {
-		svc, err := openLocal(*mode.dir, 1)
+		svc, err := openLocal(c.dir, 1)
 		if err != nil {
-			fmt.Fprintln(stderr, "jobs ls:", err)
-			return 1
+			return err
 		}
 		defer svc.ShutdownJobs(context.Background())
 		if all, err = svc.Jobs(); err != nil {
-			fmt.Fprintln(stderr, "jobs ls:", err)
-			return 1
+			return err
 		}
 	}
 	for _, st := range all {
@@ -338,24 +282,13 @@ func runLs(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			st.ID, st.State, st.Spec.ProtocolKey, done, len(st.Points), st.Shots)
 	}
 	fmt.Fprintf(stdout, "%d jobs\n", len(all))
-	return 0
+	return nil
 }
 
-func runResume(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("jobs resume", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	mode := addModeFlags(fs)
-	workers := fs.Int("workers", 0, "local worker count (default: CPU count)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !mode.check(stderr, "resume", true) {
-		return 2
-	}
-	svc, err := openLocal(*mode.dir, *workers)
+func runResume(ctx context.Context, c *cli, _ []string, stdout, stderr io.Writer) error {
+	svc, err := openLocal(c.dir, c.workers)
 	if err != nil {
-		fmt.Fprintln(stderr, "jobs resume:", err)
-		return 1
+		return err
 	}
 	resumed, err := svc.ResumeJobs()
 	if err != nil {
@@ -364,18 +297,14 @@ func runResume(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	}
 	if len(resumed) == 0 {
 		fmt.Fprintln(stdout, "nothing to resume")
-		if err := svc.ShutdownJobs(context.Background()); err != nil {
-			fmt.Fprintln(stderr, "jobs resume:", err)
-			return 1
-		}
-		return 0
+		return svc.ShutdownJobs(context.Background())
 	}
 	fmt.Fprintf(stdout, "resuming %d jobs\n", len(resumed))
 	ids := make([]string, len(resumed))
 	for i, st := range resumed {
 		ids[i] = st.ID
 	}
-	return waitLocal(ctx, svc, ids, stdout, stderr)
+	return waitLocal(ctx, svc, ids, stdout)
 }
 
 // httpJSON performs one JSON request/response round trip, surfacing the
@@ -439,9 +368,7 @@ func followHTTP(ctx context.Context, base, id string, stdout io.Writer) (dftsp.J
 				continue
 			}
 			if ev.Type == "point" && ev.Result != nil {
-				pt := *ev.Result
-				fmt.Fprintf(stdout, "point %d done: p=%g pl=%g rse=%.3g shots=%d (%s)\n",
-					pt.Point, pt.Rate, pt.PL, pt.RSE, pt.Shots, pt.Method)
+				printPoint(stdout, *ev.Result)
 			}
 		}
 		resp.Body.Close()
@@ -456,6 +383,12 @@ func followHTTP(ctx context.Context, base, id string, stdout io.Writer) (dftsp.J
 			return st, nil
 		}
 	}
+}
+
+// printPoint renders one finished point of a job's event stream.
+func printPoint(w io.Writer, pt jobs.PointStatus) {
+	fmt.Fprintf(w, "point %d done: p=%g pl=%g rse=%.3g shots=%d (%s)\n",
+		pt.Point, pt.Rate, pt.PL, pt.RSE, pt.Shots, pt.Method)
 }
 
 // printStatus renders one job: a header line, then every point with any

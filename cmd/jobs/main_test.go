@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"repro/dftsp"
+	"repro/internal/docs"
 	"repro/internal/jobs"
 	"repro/internal/sim"
 )
@@ -315,5 +318,62 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(final.Points[0].Counts, ref.Points[0].Counts) {
 		t.Fatalf("kill-and-resume diverged from the uninterrupted run:\n resumed  = %+v\n reference= %+v",
 			final.Points[0].Counts, ref.Points[0].Counts)
+	}
+}
+
+// submitParentFlags lists the flags of jobs submit with their defaults
+// from before its options flags were bound by dftsp's RegisterFlags: each
+// keeps its name and default.
+var submitParentFlags = map[string]string{
+	"dir": "", "addr": "", "code": "Steane", "prep": "", "verif": "", "flag-all": "false",
+	"rates": "", "mc-shots": "0", "target-rse": "0", "max-shots": "0", "method": "",
+	"seed": "0", "workers": "0", "wait": "false",
+}
+
+func TestParentFlagsKept(t *testing.T) {
+	fs := newFlags("submit", &cli{})
+	for name, want := range submitParentFlags {
+		if f := fs.Lookup(name); f == nil {
+			t.Errorf("submit -%s is gone", name)
+		} else if f.DefValue != want {
+			t.Errorf("submit -%s default %q, want %q", name, f.DefValue, want)
+		}
+	}
+	if f := newFlags("resume", &cli{}).Lookup("workers"); f == nil || f.DefValue != "0" {
+		t.Errorf("resume -workers = %+v, want default 0", f)
+	}
+}
+
+func TestDocumentedInvocationsParse(t *testing.T) {
+	docs.ParseInvocations(t, "../..", "jobs", func(args []string) error {
+		if len(args) == 0 {
+			return errors.New("no subcommand")
+		}
+		fs := newFlags(args[0], &cli{})
+		fs.SetOutput(io.Discard)
+		return fs.Parse(args[1:])
+	})
+}
+
+// TestCLISubmitsBiasedJob submits the biased job a POST /jobs body can
+// describe, through the same flags.
+func TestCLISubmitsBiasedJob(t *testing.T) {
+	dir := t.TempDir()
+	code, _, stderr := runCLI(t, "submit", "-dir", dir, "-code", "steane",
+		"-rates", "0.03", "-mc-shots", "640", "-bias-2q", "2", "-bias-meas", "3", "-eta", "4", "-workers", "1")
+	if code != 0 {
+		t.Fatalf("submit: exit %d, stderr %q", code, stderr)
+	}
+	svc := dftsp.NewService(1)
+	if err := svc.AttachJobs(dir, ""); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.ShutdownJobs(context.Background())
+	all, err := svc.Jobs()
+	if err != nil || len(all) != 1 {
+		t.Fatalf("jobs = %v, %v; want one", all, err)
+	}
+	if s := all[0].Spec; s.Bias2Q != 2 || s.BiasMeas != 3 || s.Eta != 4 {
+		t.Fatalf("job spec noise = %g/%g/%g, want 2/3/4", s.Bias2Q, s.BiasMeas, s.Eta)
 	}
 }

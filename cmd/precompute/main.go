@@ -5,12 +5,14 @@
 // the file format).
 //
 // By default it synthesizes the entire code catalog with the paper's
-// default methods; -codes restricts the set, -prep/-verif/-flag-all select
-// the synthesis variant (each variant has its own store key, so a store can
-// hold several variants of the same code side by side). Protocols already
-// in the store are detected through the cache layering and skipped without
-// solver work, so re-running precompute after adding one code to the list
-// only pays for the new code.
+// default methods; -codes restricts the set (relaxed spellings such as
+// "steane" or "11-1-3" are accepted, and an unknown name is refused before
+// any synthesis), and -prep/-verif/-prep-budget/-global-limit/-flag-all
+// select the synthesis variant (each variant has its own store key, so a
+// store can hold several variants of the same code side by side).
+// Protocols already in the store are detected through the cache layering
+// and skipped without solver work, so re-running precompute after adding
+// one code to the list only pays for the new code.
 //
 // With -store-ro existing catalogs are mounted read-only under the writable
 // -store-dir overlay: protocols already present in a base catalog are
@@ -22,10 +24,12 @@
 // estimation job per synthesized protocol — by default the paper's Fig. 4
 // curve at an adaptive 10% relative standard error — storing the
 // checkpointed job file next to the protocol in the same directory (see
-// docs/job-format.md). Curves already complete are detected through the
-// job's content address and skipped without sampling; an interrupted run
-// (Ctrl-C checkpoints in-flight shards) resumes from its last checkpoint
-// on the next invocation, finishing bit-identical to an uninterrupted run.
+// docs/job-format.md). The estimate flags are those of a POST /jobs body,
+// checked before any synthesis. Curves already complete are detected
+// through the job's content address and skipped without sampling; an
+// interrupted run (Ctrl-C checkpoints in-flight shards) resumes from its
+// last checkpoint on the next invocation, finishing bit-identical to an
+// uninterrupted run.
 //
 // Usage:
 //
@@ -45,7 +49,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -59,69 +62,82 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// cli is what the command line selects.
+type cli struct {
+	storeDir, storeRO, codes string
+	timeout                  time.Duration
+	list, estimate           bool
+	opts                     dftsp.Options
+	est                      dftsp.EstimateOptions
+}
+
+// newFlags returns the command's flag set, bound to c.
+func newFlags(c *cli) *flag.FlagSet {
+	fs := flag.NewFlagSet("precompute", flag.ContinueOnError)
+	c.opts = dftsp.Options{Prep: dftsp.PrepHeuristic, Verif: dftsp.VerifOptimal}
+	c.est = dftsp.EstimateOptions{TargetRSE: 0.1}
+	fs.StringVar(&c.storeDir, "store-dir", "", "writable store directory to fill (required unless -list with -store-ro)")
+	fs.StringVar(&c.storeRO, "store-ro", "", "comma-separated read-only base catalogs; protocols found there are not re-synthesized")
+	fs.StringVar(&c.codes, "codes", "", "comma-separated catalog code names (empty: the whole catalog)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "overall deadline (0: none)")
+	fs.BoolVar(&c.list, "list", false, "list the store's contents instead of synthesizing")
+	fs.BoolVar(&c.estimate, "estimate", false, "also run (or resume) a persistent estimation job per protocol, stored next to it; the estimate flags shape it (set -target-rse 0 with -mc-shots for a fixed budget)")
+	c.opts.RegisterFlags(fs)
+	c.est.RegisterFlags(fs)
+	return fs
+}
+
 // run is main without the process-global parts, so tests can drive the CLI
 // end to end.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("precompute", flag.ContinueOnError)
+	var c cli
+	fs := newFlags(&c)
 	fs.SetOutput(stderr)
-	var (
-		storeDir = fs.String("store-dir", "", "writable store directory to fill (required unless -list with -store-ro)")
-		storeRO  = fs.String("store-ro", "", "comma-separated read-only base catalogs; protocols found there are not re-synthesized")
-		codes    = fs.String("codes", "", "comma-separated catalog code names (default: the whole catalog)")
-		prep     = fs.String("prep", "heu", "preparation synthesis: heu or opt")
-		verif    = fs.String("verif", "opt", "verification synthesis: opt or global")
-		flagAll  = fs.Bool("flag-all", false, "force a flag on every verification measurement")
-		timeout  = fs.Duration("timeout", 0, "overall deadline (0: none)")
-		list     = fs.Bool("list", false, "list the store's contents instead of synthesizing")
-
-		estimate  = fs.Bool("estimate", false, "also run (or resume) a persistent estimation job per protocol, stored next to it")
-		rates     = fs.String("rates", "", "-estimate: comma-separated physical rates (default: the paper's Fig. 4 grid)")
-		targetRSE = fs.Float64("target-rse", 0.1, "-estimate: adaptive stopping RSE (set 0 with -mc-shots for a fixed budget)")
-		mcShots   = fs.Int("mc-shots", 0, "-estimate: fixed Monte-Carlo shots per rate instead of adaptive sampling")
-		seed      = fs.Int64("seed", 0, "-estimate: sampling seed (default 1)")
-	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	var roDirs []string
-	for _, dir := range strings.Split(*storeRO, ",") {
+	for _, dir := range strings.Split(c.storeRO, ",") {
 		if dir = strings.TrimSpace(dir); dir != "" {
 			roDirs = append(roDirs, dir)
 		}
 	}
-	if *storeDir == "" && !(*list && len(roDirs) > 0) {
+	if c.storeDir == "" && !(c.list && len(roDirs) > 0) {
 		fmt.Fprintln(stderr, "precompute: -store-dir is required (add read-only base catalogs with -store-ro)")
 		fs.Usage()
 		return 2
 	}
-	if *timeout > 0 {
+	if c.estimate {
+		if err := c.est.Validate(); err != nil {
+			fmt.Fprintln(stderr, "precompute:", err)
+			return 2
+		}
+	}
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
 
-	svc := dftsp.NewService(0)
-	if err := svc.AttachStoreTiers(*storeDir, roDirs...); err != nil {
+	svc := dftsp.NewService(c.est.Workers)
+	if err := svc.AttachStoreTiers(c.storeDir, roDirs...); err != nil {
 		fmt.Fprintln(stderr, "precompute:", err)
 		return 1
 	}
 
-	if *list {
+	if c.list {
 		return listStore(svc, stdout, stderr)
 	}
 
-	names := dftsp.CodeNames()
-	if *codes != "" {
-		names = strings.Split(*codes, ",")
+	codes, err := dftsp.Codes(c.codes)
+	if err != nil {
+		fmt.Fprintln(stderr, "precompute:", err)
+		return 1
 	}
-	items := make([]dftsp.Options, 0, len(names))
-	for _, name := range names {
-		items = append(items, dftsp.Options{
-			Code:    strings.TrimSpace(name),
-			Prep:    *prep,
-			Verif:   *verif,
-			FlagAll: *flagAll,
-		})
+	items := make([]dftsp.Options, len(codes))
+	for i, cd := range codes {
+		items[i] = c.opts
+		items[i].Code = cd.Name
 	}
 
 	start := time.Now()
@@ -153,23 +169,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	st := svc.Stats()
 	fmt.Fprintf(stdout, "precompute: %d synthesized, %d already stored, %d failed in %v (store: %s, %d writes, %d write failures)\n",
-		synthesized, skipped, failed, time.Since(start).Round(time.Millisecond), *storeDir, st.StoreWrites, st.WriteFailures)
+		synthesized, skipped, failed, time.Since(start).Round(time.Millisecond), c.storeDir, st.StoreWrites, st.WriteFailures)
 	if failed > 0 || st.WriteFailures > 0 {
 		return 1
 	}
-	if *estimate {
-		eo := dftsp.EstimateOptions{TargetRSE: *targetRSE, MCShots: *mcShots, Seed: *seed}
-		if *rates != "" {
-			for _, f := range strings.Split(*rates, ",") {
-				r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-				if err != nil {
-					fmt.Fprintf(stderr, "precompute: bad rate %q: %v\n", f, err)
-					return 2
-				}
-				eo.Rates = append(eo.Rates, r)
-			}
-		}
-		return estimateCurves(ctx, svc, items, results, eo, stdout, stderr)
+	if c.estimate {
+		return estimateCurves(ctx, svc, items, results, c.est, stdout, stderr)
 	}
 	return 0
 }

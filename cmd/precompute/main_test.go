@@ -2,9 +2,13 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/docs"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -185,5 +189,61 @@ func TestPrecomputeStoreROBuildsIncrementalLayer(t *testing.T) {
 	// Synthesizing without a writable overlay is refused up front.
 	if code, _, _ := runCLI(t, "-store-ro", base, "-codes", "Shor"); code != 2 {
 		t.Fatalf("exit %d synthesizing into a read-only catalog, want 2", code)
+	}
+}
+
+// parentFlags lists the command's flags with their defaults from before its
+// options flags were bound by dftsp's RegisterFlags: each keeps its name
+// and default.
+var parentFlags = map[string]string{
+	"store-dir": "", "store-ro": "", "codes": "", "prep": "heu", "verif": "opt",
+	"flag-all": "false", "timeout": "0s", "list": "false", "estimate": "false",
+	"rates": "", "target-rse": "0.1", "mc-shots": "0", "seed": "0",
+}
+
+func TestParentFlagsKept(t *testing.T) {
+	fs := newFlags(&cli{})
+	for name, want := range parentFlags {
+		if f := fs.Lookup(name); f == nil {
+			t.Errorf("-%s is gone", name)
+		} else if f.DefValue != want {
+			t.Errorf("-%s default %q, want %q", name, f.DefValue, want)
+		}
+	}
+}
+
+func TestDocumentedInvocationsParse(t *testing.T) {
+	docs.ParseInvocations(t, "../..", "precompute", func(args []string) error {
+		fs := newFlags(&cli{})
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		if fs.NArg() > 0 {
+			return fmt.Errorf("arguments left over: %q", fs.Args())
+		}
+		return nil
+	})
+}
+
+// TestPrecomputeRefusesBeforeSynthesis checks that an unknown code in the
+// list, or a bad estimate flag, leaves the store untouched.
+func TestPrecomputeRefusesBeforeSynthesis(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		exit int
+		want string
+	}{
+		{[]string{"-codes", "Steane,NoSuchCode"}, 1, "available"},
+		{[]string{"-codes", "Steane", "-estimate", "-method", "bogus"}, 2, `method "bogus"`},
+	} {
+		dir := t.TempDir()
+		code, _, errOut := runCLI(t, append([]string{"-store-dir", dir}, tc.args...)...)
+		if code != tc.exit || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want %d with %q", tc.args, code, errOut, tc.exit, tc.want)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%v: the store holds %d files, want none", tc.args, len(entries))
+		}
 	}
 }

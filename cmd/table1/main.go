@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -25,28 +26,39 @@ import (
 )
 
 func main() {
-	var (
-		codesFlag = flag.String("codes", "", "comma-separated code names (default: all)")
-		all       = flag.Bool("all", false, "run every prep/verification method combination")
-		check     = flag.Bool("check", false, "print build time per row")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	codes := dftsp.Codes()
-	if *codesFlag != "" {
-		byName := map[string]dftsp.CodeDescriptor{}
-		for _, c := range codes {
-			byName[c.Name] = c
-		}
-		codes = nil
-		for _, name := range strings.Split(*codesFlag, ",") {
-			c, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "table1: unknown code %q (available: %v)\n", name, dftsp.CodeNames())
-				os.Exit(1)
-			}
-			codes = append(codes, c)
-		}
+// cli is what the command line selects.
+type cli struct {
+	codes      string
+	all, check bool
+}
+
+// newFlags returns the command's flag set, bound to c.
+func newFlags(c *cli) *flag.FlagSet {
+	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
+	fs.StringVar(&c.codes, "codes", "", "comma-separated code names (empty: all)")
+	fs.BoolVar(&c.all, "all", false, "run every prep/verification method combination")
+	fs.BoolVar(&c.check, "check", false, "print build time per row")
+	return fs
+}
+
+// run is main without the process-global parts, so tests can drive the CLI
+// end to end.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var c cli
+	fs := newFlags(&c)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	codes, err := dftsp.Codes(c.codes)
+	if err != nil {
+		fmt.Fprintln(stderr, "table1:", err)
+		return 1
 	}
 
 	type method struct {
@@ -55,7 +67,7 @@ func main() {
 		maxN  int // largest code the method is attempted on
 	}
 	methods := []method{{dftsp.PrepHeuristic, dftsp.VerifOptimal, 1 << 30}}
-	if *all {
+	if c.all {
 		// Mirror the paper: exact preparation synthesis and global
 		// optimization are only run where tractable.
 		methods = append(methods,
@@ -65,30 +77,29 @@ func main() {
 		)
 	}
 
-	fmt.Println("Table I — deterministic FT state preparation circuit metrics for |0>_L")
-	fmt.Println("(per layer: am/af = verification/flag ancillas, wm/wf = their CNOTs;")
-	fmt.Println(" corr lists ancillas/CNOTs per branch, 'f' marks flag branches)")
-	fmt.Println()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	for _, c := range codes {
+	fmt.Fprintln(stdout, "Table I — deterministic FT state preparation circuit metrics for |0>_L")
+	fmt.Fprintln(stdout, "(per layer: am/af = verification/flag ancillas, wm/wf = their CNOTs;")
+	fmt.Fprintln(stdout, " corr lists ancillas/CNOTs per branch, 'f' marks flag branches)")
+	fmt.Fprintln(stdout)
+	for _, cd := range codes {
 		for _, m := range methods {
-			if c.N > m.maxN {
+			if cd.N > m.maxN {
 				continue
 			}
 			t0 := time.Now()
-			p, err := dftsp.Synthesize(ctx, dftsp.Options{Code: c.Name, Prep: m.prep, Verif: m.verif})
+			p, err := dftsp.Synthesize(ctx, dftsp.Options{Code: cd.Name, Prep: m.prep, Verif: m.verif})
 			if err != nil {
-				fmt.Printf("%-12s %s/%s: ERROR: %v\n", c.Name, m.prep, m.verif, err)
+				fmt.Fprintf(stdout, "%-12s %s/%s: ERROR: %v\n", cd.Name, m.prep, m.verif, err)
 				continue
 			}
-			fmt.Printf("%-4s/%-6s %s", title(m.prep), title(m.verif), p.MetricsRow())
-			if *check {
-				fmt.Printf("  [%.1fs]", time.Since(t0).Seconds())
+			fmt.Fprintf(stdout, "%-4s/%-6s %s", title(m.prep), title(m.verif), p.MetricsRow())
+			if c.check {
+				fmt.Fprintf(stdout, "  [%.1fs]", time.Since(t0).Seconds())
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return 0
 }
 
 // title capitalizes a method name for display ("heu" -> "Heu").

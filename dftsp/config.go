@@ -21,8 +21,10 @@ const (
 )
 
 // Options selects a CSS code and tunes protocol synthesis. It is the single
-// entry point of the public pipeline: every CLI flag set and every server
-// request body maps onto this struct.
+// entry point of the public pipeline: every server request body decodes
+// into it, and every command binds its synthesis-method fields through
+// RegisterFlags, each flag named after the field's JSON name with '_'
+// replaced by '-'. The code source stays with each command.
 //
 // Exactly one code source must be set: Code (a catalog name), SurfaceDistance
 // (a rotated surface code), or Hx+Hz (a custom code given as bit-string check
@@ -68,50 +70,62 @@ type Options struct {
 	FlagAll bool `json:"flag_all,omitempty"`
 }
 
-// DefaultOptions returns the paper's default configuration for the Steane
-// code: heuristic preparation with per-layer optimal verification.
-func DefaultOptions() Options {
-	return Options{Code: "Steane", Prep: PrepHeuristic, Verif: VerifOptimal}
-}
-
-// catalogResolve memoizes the exact-name and canonical-slug → catalog-name
+// catalogResolve memoizes the exact-name and canonical-slug → catalog entry
 // map: normalized() resolves every request — and every cache-key
-// computation — through it, and rebuilding the nine catalog codes each time
-// would dominate cache hits.
-var catalogResolve = sync.OnceValue(func() map[string]string {
-	m := map[string]string{}
-	for _, c := range code.Catalog() {
-		m[c.Name] = c.Name
-		m[code.Slug(c.Name)] = c.Name
+// computation — through it.
+var catalogResolve = sync.OnceValue(func() map[string]code.Entry {
+	m := map[string]code.Entry{}
+	for _, e := range code.Entries() {
+		m[e.Name] = e
+		m[code.Slug(e.Name)] = e
 	}
 	return m
 })
 
+// resolveCode returns the catalog entry that name spells, exactly or with
+// the same code.Slug, or an ErrUnknownCode error listing the catalog.
+func resolveCode(name string) (code.Entry, error) {
+	e, ok := catalogResolve()[name]
+	if !ok {
+		e, ok = catalogResolve()[code.Slug(name)]
+	}
+	if !ok {
+		return e, badOptions("%w %q (available: %v)", ErrUnknownCode, name, CodeNames())
+	}
+	return e, nil
+}
+
 // CodeNames returns the catalog code names accepted by Options.Code, sorted.
 func CodeNames() []string {
 	var names []string
-	for _, c := range code.Catalog() {
-		names = append(names, c.Name)
+	for _, e := range code.Entries() {
+		names = append(names, e.Name)
 	}
 	sort.Strings(names)
 	return names
 }
 
 // CodeDescriptor identifies one catalog code without synthesizing anything.
-type CodeDescriptor struct {
-	Name string `json:"name"`
-	N    int    `json:"n"` // physical qubits
-	K    int    `json:"k"` // logical qubits
-	D    int    `json:"d"` // exact code distance
-}
+type CodeDescriptor = code.Entry
 
-// Codes describes the evaluation catalog in the paper's Table I order.
-func Codes() []CodeDescriptor {
-	var out []CodeDescriptor
-	for _, c := range code.Catalog() {
-		out = append(out, CodeDescriptor{Name: c.Name, N: c.N, K: c.K, D: c.Distance()})
+// Codes describes the catalog codes of a command's comma-separated -codes
+// list, in the order given, each name resolved as Options.Code is; an empty
+// list selects the whole catalog in the paper's Table I order. An unknown
+// name wraps ErrUnknownCode and lists the available names. Nothing is
+// synthesized.
+func Codes(list string) ([]CodeDescriptor, error) {
+	if list == "" {
+		return code.Entries(), nil
 	}
-	return out
+	var out []CodeDescriptor
+	for _, name := range strings.Split(list, ",") {
+		e, err := resolveCode(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }
 
 // maxSurfaceDistance is the largest SurfaceDistance accepted. Measured on a
@@ -149,14 +163,11 @@ func (o Options) normalized() (Options, error) {
 		return o, badOptions("surface distance must be odd, >= 3 and <= %d, got %d", maxSurfaceDistance, o.SurfaceDistance)
 	}
 	if o.Code != "" {
-		canonical, ok := catalogResolve()[o.Code]
-		if !ok {
-			canonical, ok = catalogResolve()[code.Slug(o.Code)]
+		e, err := resolveCode(o.Code)
+		if err != nil {
+			return o, err
 		}
-		if !ok {
-			return o, badOptions("%w %q (available: %v)", ErrUnknownCode, o.Code, CodeNames())
-		}
-		o.Code = canonical
+		o.Code = e.Name
 	}
 
 	o.Prep = strings.ToLower(o.Prep)

@@ -15,7 +15,10 @@ import (
 	"repro/internal/sim"
 )
 
-// EstimateOptions tunes logical error-rate estimation.
+// EstimateOptions tunes logical error-rate estimation. It is the "estimate"
+// object of /estimate and /jobs request bodies, and every command that
+// estimates binds all of its fields through RegisterFlags, each flag named
+// after the field's JSON name with '_' replaced by '-'.
 type EstimateOptions struct {
 	// Rates are the physical error rates to evaluate. Empty selects the
 	// paper's Fig. 4 grid of 13 log-spaced points in [1e-4, 1e-1].

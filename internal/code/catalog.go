@@ -194,21 +194,31 @@ func C6() *CSS {
 	return MustNew("C6", h, h.Clone())
 }
 
-// catalog lists the paper-evaluation codes in Table I order, each by name
-// and constructor, so a lookup builds only the code it returns.
+// Entry describes one catalog code by its name and [[n,k,d]] parameters,
+// without building it.
+type Entry struct {
+	Name string `json:"name"`
+	N    int    `json:"n"` // physical qubits
+	K    int    `json:"k"` // logical qubits
+	D    int    `json:"d"` // exact code distance
+}
+
+// catalog lists the paper-evaluation codes in Table I order, each by entry
+// and constructor, so a lookup builds only the code it returns and a
+// listing builds none.
 var catalog = []struct {
-	name  string
+	Entry
 	build func() *CSS
 }{
-	{"Steane", Steane},
-	{"Shor", Shor},
-	{"Surface", Surface3},
-	{"[[11,1,3]]", CSS11},
-	{"Tetrahedral", ReedMuller15},
-	{"Hamming", Hamming15},
-	{"Carbon", Carbon},
-	{"[[16,2,4]]", CSS16},
-	{"Tesseract", Tesseract},
+	{Entry{"Steane", 7, 1, 3}, Steane},
+	{Entry{"Shor", 9, 1, 3}, Shor},
+	{Entry{"Surface", 9, 1, 3}, Surface3},
+	{Entry{"[[11,1,3]]", 11, 1, 3}, CSS11},
+	{Entry{"Tetrahedral", 15, 1, 3}, ReedMuller15},
+	{Entry{"Hamming", 15, 7, 3}, Hamming15},
+	{Entry{"Carbon", 12, 2, 4}, Carbon},
+	{Entry{"[[16,2,4]]", 16, 2, 4}, CSS16},
+	{Entry{"Tesseract", 16, 6, 4}, Tesseract},
 }
 
 // Catalog returns all paper-evaluation codes in Table I order.
@@ -216,6 +226,15 @@ func Catalog() []*CSS {
 	out := make([]*CSS, len(catalog))
 	for i, e := range catalog {
 		out[i] = e.build()
+	}
+	return out
+}
+
+// Entries describes the catalog in Table I order without building a code.
+func Entries() []Entry {
+	out := make([]Entry, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.Entry
 	}
 	return out
 }
@@ -255,10 +274,10 @@ func ByName(name string) (*CSS, error) {
 	want := Slug(name)
 	var names []string
 	for _, e := range catalog {
-		if e.name == name || (want != "" && Slug(e.name) == want) {
+		if e.Name == name || (want != "" && Slug(e.Name) == want) {
 			return e.build(), nil
 		}
-		names = append(names, e.name)
+		names = append(names, e.Name)
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("code: unknown code %q (available: %v)", name, names)

@@ -47,6 +47,22 @@ func TestCatalogParameters(t *testing.T) {
 	}
 }
 
+// TestEntriesMatchCatalog holds the static [[n,k,d]] column of Entries
+// equal to the codes Catalog builds, so listing the catalog can skip
+// building it.
+func TestEntriesMatchCatalog(t *testing.T) {
+	entries, codes := Entries(), Catalog()
+	if len(entries) != len(codes) {
+		t.Fatalf("%d entries for %d codes", len(entries), len(codes))
+	}
+	for i, c := range codes {
+		want := Entry{c.Name, c.N, c.K, c.Distance()}
+		if entries[i] != want {
+			t.Errorf("entry %d = %+v, want %+v", i, entries[i], want)
+		}
+	}
+}
+
 func TestCatalogCSSCondition(t *testing.T) {
 	for _, c := range Catalog() {
 		for i := 0; i < c.Hx.Rows(); i++ {

@@ -48,6 +48,8 @@ var testOnlyExports = map[string]string{
 	"repro/internal/sat.Solver.NumClauses":        "clause counts of the sat tests; kept until UNSAT answers are checked",
 	"repro/internal/sat.ParseDIMACS":              "loads the sat testdata instances",
 	"repro/internal/sat.Solver.WriteDIMACS":       "DIMACS round trips of the sat tests",
+	"repro/internal/docs.ParseInvocations":        "holds the documented command lines to each command's flag set in the cmd tests",
+	"repro/internal/code.Catalog":                 "iterates every built catalog code in the tests of most packages",
 	"repro/internal/sat.DIMACSError.Unwrap":       "errors.Is and errors.As call it through the unwrap interface",
 	"repro/internal/decoder.Lookup.Decode":        "the lookup-table judge of the decoder tests and the root shot-loop baseline",
 }

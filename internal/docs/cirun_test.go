@@ -98,39 +98,6 @@ func testFuncs(t *testing.T) map[string][]string {
 	return funcs
 }
 
-// shellFields splits a workflow line into words the way the shell would
-// for the commands the workflow uses: on blanks, with single- and
-// double-quoted spans kept whole and their quotes removed.
-func shellFields(line string) []string {
-	var fields []string
-	var cur strings.Builder
-	var quote rune
-	inWord := false
-	for _, r := range line {
-		switch {
-		case quote != 0 && r == quote:
-			quote = 0
-		case quote != 0:
-			cur.WriteRune(r)
-		case r == '\'' || r == '"':
-			quote, inWord = r, true
-		case r == ' ' || r == '\t':
-			if inWord {
-				fields = append(fields, cur.String())
-				cur.Reset()
-				inWord = false
-			}
-		default:
-			cur.WriteRune(r)
-			inWord = true
-		}
-	}
-	if inWord {
-		fields = append(fields, cur.String())
-	}
-	return fields
-}
-
 // runPattern returns the -run pattern of a `go test` command and the
 // package directories it tests ("." when it names none).
 func runPattern(args []string) (pattern string, pkgs []string, ok bool) {
