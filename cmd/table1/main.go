@@ -2,7 +2,8 @@
 // synthesized deterministic fault-tolerant state preparation protocols for
 // |0>_L of every catalog code, across preparation (Heu/Opt) and
 // verification (Opt/Global) synthesis methods. It is a thin flag wrapper
-// over the public dftsp package.
+// over the public dftsp package. A row whose synthesis fails prints as
+// ERROR, the other rows still print, and the command exits 1.
 //
 // Usage:
 //
@@ -81,6 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "(per layer: am/af = verification/flag ancillas, wm/wf = their CNOTs;")
 	fmt.Fprintln(stdout, " corr lists ancillas/CNOTs per branch, 'f' marks flag branches)")
 	fmt.Fprintln(stdout)
+	failed := 0
 	for _, cd := range codes {
 		for _, m := range methods {
 			if cd.N > m.maxN {
@@ -90,6 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			p, err := dftsp.Synthesize(ctx, dftsp.Options{Code: cd.Name, Prep: m.prep, Verif: m.verif})
 			if err != nil {
 				fmt.Fprintf(stdout, "%-12s %s/%s: ERROR: %v\n", cd.Name, m.prep, m.verif, err)
+				failed++
 				continue
 			}
 			fmt.Fprintf(stdout, "%-4s/%-6s %s", title(m.prep), title(m.verif), p.MetricsRow())
@@ -98,6 +101,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintln(stdout)
 		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(stderr, "table1: %d rows failed\n", failed)
+		return 1
 	}
 	return 0
 }

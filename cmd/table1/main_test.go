@@ -58,3 +58,15 @@ func TestCodesResolvedLikeOptions(t *testing.T) {
 		t.Fatalf("-codes Steane,NoSuchCode: exit %d, stdout %q, stderr %q; want 1 listing the catalog", code, stdout, stderr)
 	}
 }
+
+// TestFailedRowsExitOne prints every row, failed ones as ERROR, and exits 1
+// when any failed: a cancelled context fails each synthesis.
+func TestFailedRowsExitOne(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out, errOut strings.Builder
+	code := run(ctx, []string{"-codes", "Steane,Shor"}, &out, &errOut)
+	if code != 1 || strings.Count(out.String(), "ERROR") != 2 {
+		t.Fatalf("cancelled run: exit %d, stderr %q, stdout:\n%s; want 1 and two ERROR rows", code, errOut.String(), out.String())
+	}
+}

@@ -82,6 +82,12 @@ type classification struct {
 // Z; X-type measurements use ancilla→data CNOTs with a |+> ancilla measured
 // in X. Flag qubits couple to the ancilla after the first and before the
 // last data CNOT, in the standard flag scheme of Chamberland-Beverland.
+//
+// This is the one layout of the gadget that synthesis's fault
+// classification (Flatten), QASM export and the batch sampler (sim.Compile
+// compiles every verification layer and correction block from it) share;
+// the interpreted executor sim.Run keeps its own gadget as the independent
+// reference the sampler is cross-checked against.
 func AppendMeasurement(c *circuit.Circuit, m Measurement, anc, flag int) (outBit, flagBit int) {
 	order := m.Order
 	if len(order) == 0 {
@@ -145,18 +151,21 @@ func AppendMeasurement(c *circuit.Circuit, m Measurement, anc, flag int) (outBit
 	return outBit, flagBit
 }
 
-// circuitLayout maps classical bits of the combined circuit back to
-// measurements.
-type circuitLayout struct {
-	circ     *circuit.Circuit
-	measBits [][]int // per layer, per measurement
-	flagBits [][]int // per layer, per measurement (-1 if unflagged)
+// FlatLayout is the combined static circuit of a protocol: the preparation
+// plus all verification measurements, with the classical-bit indices of
+// each layer's syndrome and flag outcomes.
+type FlatLayout struct {
+	Circ     *circuit.Circuit
+	MeasBits [][]int // per layer, per measurement
+	FlagBits [][]int // per layer, per measurement; -1 when unflagged
 }
 
-// layout concatenates the preparation circuit and all layer measurement
-// circuits on a common wire set: data wires 0..n-1 followed by one ancilla
-// (and possibly one flag) wire per measurement.
-func (p *Protocol) layout() circuitLayout {
+// Flatten returns the static part of the protocol as one circuit: the
+// preparation and all layer measurement circuits on a common wire set, data
+// wires 0..n-1 followed by one ancilla (and possibly one flag) wire per
+// measurement. Conditional correction branches are not included — they
+// depend on the measured signature.
+func (p *Protocol) Flatten() FlatLayout {
 	n := p.Code.N
 	wires := n
 	for _, layer := range p.Layers {
@@ -173,7 +182,7 @@ func (p *Protocol) layout() circuitLayout {
 	}
 	c.NumBits = p.Prep.NumBits
 
-	lo := circuitLayout{circ: c}
+	lo := FlatLayout{Circ: c}
 	next := n
 	for _, layer := range p.Layers {
 		var mb, fb []int
@@ -189,27 +198,10 @@ func (p *Protocol) layout() circuitLayout {
 			mb = append(mb, out)
 			fb = append(fb, fbit)
 		}
-		lo.measBits = append(lo.measBits, mb)
-		lo.flagBits = append(lo.flagBits, fb)
+		lo.MeasBits = append(lo.MeasBits, mb)
+		lo.FlagBits = append(lo.FlagBits, fb)
 	}
 	return lo
-}
-
-// FlatLayout is the exported form of the combined static circuit: the
-// preparation plus all verification measurements, with the classical-bit
-// indices of each layer's syndrome and flag outcomes.
-type FlatLayout struct {
-	Circ     *circuit.Circuit
-	MeasBits [][]int // per layer, per measurement
-	FlagBits [][]int // per layer, per measurement; -1 when unflagged
-}
-
-// Flatten returns the static part of the protocol as one circuit over
-// data + ancilla wires. Conditional correction branches are not included —
-// they depend on the measured signature.
-func (p *Protocol) Flatten() FlatLayout {
-	lo := p.layout()
-	return FlatLayout{Circ: lo.circ, MeasBits: lo.measBits, FlagBits: lo.flagBits}
 }
 
 // FlatCircuit returns Flatten().Circ; useful for export and inspection.
@@ -221,21 +213,21 @@ func (p *Protocol) FlatCircuit() *circuit.Circuit {
 // it to data-sector coset representatives plus per-layer signatures.
 func classify(p *Protocol) *classification {
 	cs := p.Code
-	lo := p.layout()
+	lo := p.Flatten()
 	out := &classification{}
-	for _, ft := range lo.circ.SingleFaults() {
+	for _, ft := range lo.Circ.SingleFaults() {
 		cf := classifiedFault{
 			ex: cs.CosetRep(code.ErrX, restrict(ft.Effect.Err.X, cs.N)),
 			ez: cs.CosetRep(code.ErrZ, restrict(ft.Effect.Err.Z, cs.N)),
 		}
 		for li := range p.Layers {
 			sig := laySig{
-				b: make([]bool, len(lo.measBits[li])),
-				f: make([]bool, len(lo.measBits[li])),
+				b: make([]bool, len(lo.MeasBits[li])),
+				f: make([]bool, len(lo.MeasBits[li])),
 			}
-			for mi, bit := range lo.measBits[li] {
+			for mi, bit := range lo.MeasBits[li] {
 				sig.b[mi] = ft.Effect.Flips.Get(bit)
-				if fbit := lo.flagBits[li][mi]; fbit >= 0 {
+				if fbit := lo.FlagBits[li][mi]; fbit >= 0 {
 					sig.f[mi] = ft.Effect.Flips.Get(fbit)
 				}
 			}

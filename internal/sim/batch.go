@@ -9,29 +9,33 @@ import (
 
 // Batch is a core.Protocol compiled (by Compile) into the 64-lane
 // bit-parallel Monte-Carlo engine: lane l of every word is an independent
-// shot, so one pass over the flattened op list advances 64 shots at once.
+// shot, so one pass over the compiled op lists advances 64 shots at once.
 //
-// Layout: the Pauli frame is lane-major — one uint64 per data qubit, bit l
-// holding lane l's frame bit — so preparation gates and the CNOT spreading
-// inside stabilizer measurements become single word-wide XORs. Fault
-// injection goes through a noise.BatchInjector; with a noise.SparseSampler
-// the injector skip-samples the lane×site grid geometrically, so at
-// realistic physical rates almost every site costs one comparison and zero
-// RNG calls, instead of 64 per-lane draws.
+// Layout: the Pauli frame is lane-major — one uint64 per wire, bit l
+// holding lane l's frame bit — so every gate becomes a few word-wide XORs.
+// The wires are the n data qubits, then the one ancilla and the one flag
+// that every measurement of core.AppendMeasurement's gadget reuses. The
+// preparation, each verification layer and each correction block are op
+// lists run by one loop (exec); a measurement op writes its outcome word
+// into an outcome slot. Fault injection goes through a
+// noise.BatchInjector; with a noise.SparseSampler the injector
+// skip-samples the lane×site grid geometrically, so at realistic physical
+// rates almost every site costs one comparison and zero RNG calls, instead
+// of 64 per-lane draws.
 //
-// Divergent control flow is handled with lane masks: every measurement runs
-// word-wide under the mask of still-active lanes. The (rare) lanes whose
-// layer signature is nonzero are extracted with bits.TrailingZeros64 and
-// classified through the program's dense class tables; then each class's
-// correction blocks run once, word-wide, under the mask of the class's
-// lanes — primary blocks first, then the hook blocks of the flagged lanes —
-// and each lane's recovery is read off its own syndrome bits. A lane
-// therefore meets exactly the locations the interpreted executor would, in
-// the same order (the fixed-fault-mask cross-check pins this), while a
-// skip chain draws one site per block measurement for the whole class
+// Divergent control flow is handled with lane masks: every op runs
+// word-wide under the mask of still-active lanes. The lanes whose layer
+// signature is nonzero are matched against each class's packed signature
+// with one AND or AND-NOT per outcome slot; then each class's correction
+// blocks run once, word-wide, under the mask of the class's lanes —
+// primary blocks first, then the hook blocks of the flagged lanes, each in
+// first-lane order — and each lane's recovery is read off its own syndrome
+// bits. A lane therefore meets exactly the locations the interpreted
+// executor would, in the same order (the fixed-fault-mask cross-check pins
+// this), while a skip chain draws one site per block op for the whole class
 // instead of one per lane. A lane that terminates early (hook flag fired,
-// Fig. 3(e)) simply leaves the active mask — subsequent sites neither
-// fault nor touch it.
+// Fig. 3(e)) simply leaves the active mask — subsequent sites neither fault
+// nor touch it.
 //
 // Lane 0 alone runs one shot: a one-lane Run through the lane adapter,
 // which hands every site of the shot to a scalar noise.Injector (see
@@ -45,10 +49,10 @@ import (
 // scope — restarts resample whole shots, which the interpreted executor
 // already does cheaply.
 type Batch struct {
-	n, nw   int // data qubits; words per frame
-	prep    []gateOp
-	layers  []progLayer
-	maxMeas int // widest verification layer, sizes the outcome scratch
+	n, nw  int // data qubits; words per data frame
+	prep   []gateOp
+	layers []progLayer
+	slots  int // outcome slots of the widest verification layer
 
 	// The final perfect-EC round (compileJudge).
 	dec    *decoder.Dense
@@ -69,9 +73,11 @@ type Batch struct {
 // resolves each nonzero signature immediately; use the interpreted
 // executor when signature traces are needed.
 type BatchShot struct {
-	ex, ez     []uint64 // lane-major frames, one word per data qubit
-	bOut, fOut []uint64 // per-measurement outcome/flag words of one layer
-	syn, lgc   []uint64 // Judge scratch: syndrome and logical parity words
+	// Lane-major frames of the data qubits; the ancilla and flag words sit
+	// past them, within capacity.
+	ex, ez   []uint64
+	out      []uint64 // outcome slots of the layer or block just measured
+	syn, lgc []uint64 // Judge scratch: syndrome and logical parity words
 
 	// Live is the lane mask the last Run was asked to simulate.
 	Live uint64
@@ -85,12 +91,11 @@ type BatchShot struct {
 // must not be shared between concurrent Run calls.
 func (b *Batch) NewShot() *BatchShot {
 	return &BatchShot{
-		ex:   make([]uint64, b.n),
-		ez:   make([]uint64, b.n),
-		bOut: make([]uint64, b.maxMeas),
-		fOut: make([]uint64, b.maxMeas),
-		syn:  make([]uint64, len(b.checkQubits)),
-		lgc:  make([]uint64, len(b.lzQubits)),
+		ex:  make([]uint64, b.n, b.n+2),
+		ez:  make([]uint64, b.n, b.n+2),
+		out: make([]uint64, max(b.slots, maxBlockStabs)),
+		syn: make([]uint64, len(b.checkQubits)),
+		lgc: make([]uint64, len(b.lzQubits)),
 	}
 }
 
@@ -100,7 +105,11 @@ func (b *Batch) NewShot() *BatchShot {
 // residual frames and branch-flag masks are left in bs. It performs no heap
 // allocations.
 func (b *Batch) Run(bs *BatchShot, inj noise.BatchInjector, live uint64) {
-	b.prepare(bs, inj, live)
+	clear(bs.ex)
+	clear(bs.ez)
+	bs.Live = live
+	bs.Triggered, bs.UnknownClass, bs.TerminatedEarly = 0, 0, 0
+	b.exec(bs, b.prep, inj, live)
 	active := live
 	for li := range b.layers {
 		if active == 0 {
@@ -116,133 +125,136 @@ func (b *Batch) Run(bs *BatchShot, inj noise.BatchInjector, live uint64) {
 	}
 }
 
-// prepare clears the frames and branch flags of bs and runs the
-// preparation circuit over the lanes in live: straight-line, no divergence
-// possible yet.
-func (b *Batch) prepare(bs *BatchShot, inj noise.BatchInjector, live uint64) {
-	ex, ez := bs.ex, bs.ez
-	clear(ex)
-	clear(ez)
-	bs.Live = live
-	bs.Triggered, bs.UnknownClass, bs.TerminatedEarly = 0, 0, 0
-	for _, g := range b.prep {
+// exec runs ops word-wide over the lanes in active, drawing one fault site
+// per op in order. Measurement outcomes are masked to active.
+//
+// Masking invariant: in a measurement gadget the only words XORed into
+// data frames are fault masks and the ancilla's words, which accumulate
+// exclusively active-masked fault bits on the sector they spread, and the
+// preparation runs before any lane terminates — so an inactive lane's data
+// frame is never touched, even though the word-wide ops nominally span all
+// lanes.
+func (b *Batch) exec(bs *BatchShot, ops []gateOp, inj noise.BatchInjector, active uint64) {
+	ex, ez := bs.ex[:b.n+2], bs.ez[:b.n+2]
+	for _, g := range ops {
 		switch g.kind {
 		case opPrep:
-			ex[g.q1], ez[g.q1] = inj.Draw1Q(live)
+			ex[g.q1], ez[g.q1] = inj.Draw1Q(active)
 		case opH:
-			x, z := inj.Draw1Q(live)
+			x, z := inj.Draw1Q(active)
 			ex[g.q1], ez[g.q1] = ez[g.q1]^x, ex[g.q1]^z
 		case opCNOT:
 			ex[g.q2] ^= ex[g.q1]
 			ez[g.q1] ^= ez[g.q2]
-			x1, z1, x2, z2 := inj.Draw2Q(live)
+			x1, z1, x2, z2 := inj.Draw2Q(active)
 			ex[g.q1] ^= x1
 			ez[g.q1] ^= z1
 			ex[g.q2] ^= x2
 			ez[g.q2] ^= z2
+		case opMeasZ:
+			bs.out[g.q2] = (ex[g.q1] ^ inj.DrawMeas(active)) & active
+		case opMeasX:
+			bs.out[g.q2] = (ez[g.q1] ^ inj.DrawMeas(active)) & active
 		}
 	}
 }
 
-// verify runs one verification layer's measurements word-wide over the
-// lanes in active, leaving the outcome and flag words in bs, and returns
-// the mask of lanes with a nonzero signature.
+// verify runs one verification layer word-wide over the lanes in active,
+// leaving its signature bits in the outcome slots, and returns the mask of
+// lanes with a nonzero signature.
 func (b *Batch) verify(bs *BatchShot, lay *progLayer, inj noise.BatchInjector, active uint64) (trig uint64) {
-	for mi := range lay.meas {
-		out, flag := b.measure(bs, &lay.meas[mi], inj, active)
-		bs.bOut[mi] = out
-		bs.fOut[mi] = flag
-		trig |= out | flag
+	out := bs.out[:2*lay.m]
+	clear(out) // an unflagged measurement's flag slot stays 0
+	b.exec(bs, lay.ops, inj, active)
+	for _, w := range out {
+		trig |= w
 	}
 	return trig
 }
 
-// signature packs lane's verification outcomes of the layer just measured
-// into the key of the layer's class table.
-func (bs *BatchShot) signature(lay *progLayer, lane uint) uint64 {
-	var bBits, fBits uint64
-	for mi := range lay.meas {
-		bBits |= (bs.bOut[mi] >> lane & 1) << uint(mi)
-		fBits |= (bs.fOut[mi] >> lane & 1) << uint(mi)
-	}
-	return bBits | fBits<<uint(len(lay.meas))
-}
-
 // correct resolves the triggered lanes trig of the layer just measured and
-// returns the mask of lanes whose hook flag fired. It first looks every
-// lane's class up in the dense class table, then runs each class's primary
+// returns the mask of lanes whose hook flag fired. It matches the lanes
+// against each class's signature word-wide, then runs each class's primary
 // block once over all of the class's lanes, and then each class's hook
 // block once over its flagged lanes, taking classes in first-lane order.
 // Every lane thus still meets its primary block's locations before its
 // hook's, in the interpreted executor's order. Each class compiles blocks
 // of its own, so one class is one distinct block.
 func (b *Batch) correct(bs *BatchShot, lay *progLayer, inj noise.BatchInjector, trig uint64) (flagged uint64) {
-	m := uint(len(lay.meas))
-	var prim, hook uint64 // lanes with a primary, a hook block to run
-	// Bit k of lane l's class index is bit l of cls[k].
-	var cls [32]uint64
-	nk := bits.Len(uint(len(lay.classList)))
-	for t := trig; t != 0; t &= t - 1 {
-		lane := uint(bits.TrailingZeros64(t))
-		sig := bs.signature(lay, lane)
-		ci, ok := lay.classes[sig]
-		if !ok {
-			bs.UnknownClass |= 1 << lane
-			continue
+	out := bs.out[:2*lay.m]
+	var fired uint64 // lanes with a flag outcome
+	for _, w := range out[lay.m:] {
+		fired |= w
+	}
+	// The classes that hold a lane, and their lanes. Signatures are
+	// distinct, so no lane is in two classes.
+	var hit [64]*progClass
+	var lanes [64]uint64
+	nh, left := 0, trig
+	for ci := range lay.classes {
+		cc := &lay.classes[ci]
+		in := left
+		for k, w := range out {
+			// Keep the lanes whose bit k equals the signature's.
+			in &^= w ^ -(cc.sig >> uint(k) & 1)
+			if in == 0 {
+				break
+			}
 		}
-		for k := 0; k < nk; k++ {
-			cls[k] |= uint64(ci>>k&1) << lane
-		}
-		cc := &lay.classList[ci]
-		if cc.primary != nil {
-			prim |= 1 << lane
-		}
-		if sig>>m != 0 {
-			flagged |= 1 << lane
-			if cc.hook != nil {
-				hook |= 1 << lane
+		if in != 0 {
+			hit[nh], lanes[nh] = cc, in
+			nh++
+			if left &^= in; left == 0 {
+				break
 			}
 		}
 	}
+	bs.UnknownClass |= left
+	flagged = fired & (trig &^ left)
+	var prim, hook uint64 // lanes with a primary, a hook block to run
+	for i, cc := range hit[:nh] {
+		if cc.primary != nil {
+			prim |= lanes[i]
+		}
+		if cc.hook != nil {
+			hook |= lanes[i] & fired
+		}
+	}
 	for prim != 0 {
-		ci, lanes := classOf(&cls, nk, prim)
-		b.runBlock(bs, lay.classList[ci].primary, inj, lanes)
-		prim &^= lanes
+		i := firstHit(lanes[:nh], prim)
+		b.runBlock(bs, hit[i].primary, inj, lanes[i])
+		prim &^= lanes[i]
 	}
 	for hook != 0 {
-		ci, lanes := classOf(&cls, nk, hook)
-		b.runBlock(bs, lay.classList[ci].hook, inj, lanes)
-		hook &^= lanes
+		i := firstHit(lanes[:nh], hook)
+		b.runBlock(bs, hit[i].hook, inj, lanes[i]&hook)
+		hook &^= lanes[i]
 	}
 	bs.TerminatedEarly |= flagged
 	return flagged
 }
 
-// classOf returns the class index of the first lane in pending, read off
-// the bit planes cls of nk bits, and the lanes of pending in that class.
-func classOf(cls *[32]uint64, nk int, pending uint64) (ci int, lanes uint64) {
-	lane := uint(bits.TrailingZeros64(pending))
-	lanes = pending
-	for k, plane := range cls[:nk] {
-		if plane>>lane&1 == 1 {
-			ci |= 1 << k
-			lanes &= plane
-		} else {
-			lanes &^= plane
-		}
+// firstHit returns the index of the lane set that holds the first lane of
+// pending.
+func firstHit(lanes []uint64, pending uint64) int {
+	first := pending & -pending
+	i := 0
+	for lanes[i]&first == 0 {
+		i++
 	}
-	return ci, lanes
+	return i
 }
 
 // runBlock measures the block's stabilizers word-wide over lanes and XORs
 // each lane's dense-table recovery, indexed by that lane's own outcome
-// bits, into the lane's corrected sector.
+// bits, into the lane's corrected sector. The block's outcomes reuse the
+// layer's slots, which correct has read by then.
 func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector, lanes uint64) {
-	var outs [maxBlockStabs]uint64
+	b.exec(bs, blk.ops, inj, lanes)
+	outs := bs.out[:blk.u]
 	var fired uint64 // lanes with a nonzero syndrome
-	for i := range blk.meas {
-		outs[i], _ = b.measure(bs, &blk.meas[i], inj, lanes)
-		fired |= outs[i]
+	for _, w := range outs {
+		fired |= w
 	}
 	if blk.rec[0] != nil {
 		fired = lanes // the zero syndrome has a recovery too
@@ -254,8 +266,8 @@ func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector,
 	for t := fired; t != 0; t &= t - 1 {
 		lane := uint(bits.TrailingZeros64(t))
 		var idx uint64
-		for i := range blk.meas {
-			idx |= (outs[i] >> lane & 1) << uint(i)
+		for i, w := range outs {
+			idx |= (w >> lane & 1) << uint(i)
 		}
 		// rec is qubit-major (bit q of word q/64); scatter it into bit
 		// lane of the lane-major frame.
@@ -265,101 +277,6 @@ func (b *Batch) runBlock(bs *BatchShot, blk *progBlock, inj noise.BatchInjector,
 			}
 		}
 	}
-}
-
-// measure is the 64-lane twin of the interpreted executor's measure: one
-// ancilla-mediated stabilizer measurement, word-wide over the lanes in
-// active, with identical per-lane fault-location order. The returned
-// outcome and flag words are masked to active.
-//
-// Masking invariant: the only words XORed into data frames are the fault
-// masks and (zType) ancZ / (xType) ancX, all of which accumulate
-// exclusively active-masked fault bits — so an inactive lane's frame is
-// never touched, even though the word-wide ops nominally span all lanes.
-func (b *Batch) measure(bs *BatchShot, m *progMeas, inj noise.BatchInjector, active uint64) (out, flag uint64) {
-	w := len(m.order)
-	zType := m.zType
-	ex, ez := bs.ex, bs.ez
-	var ancX, ancZ, flagX, flagZ uint64
-
-	// Ancilla preparation.
-	ancX, ancZ = inj.Draw1Q(active)
-
-	dataCNOT := func(q int32) {
-		if zType {
-			// CNOT(data q -> anc): X spreads q->anc, Z spreads anc->q.
-			ancX ^= ex[q]
-			ez[q] ^= ancZ
-		} else {
-			// CNOT(anc -> data q).
-			ex[q] ^= ancX
-			ancZ ^= ez[q]
-		}
-		x1, z1, x2, z2 := inj.Draw2Q(active)
-		if zType {
-			ex[q] ^= x1
-			ez[q] ^= z1
-			ancX ^= x2
-			ancZ ^= z2
-		} else {
-			ancX ^= x1
-			ancZ ^= z1
-			ex[q] ^= x2
-			ez[q] ^= z2
-		}
-	}
-	flagCNOT := func() {
-		if zType {
-			// CNOT(flag -> anc).
-			ancX ^= flagX
-			flagZ ^= ancZ
-		} else {
-			// CNOT(anc -> flag).
-			flagX ^= ancX
-			ancZ ^= flagZ
-		}
-		x1, z1, x2, z2 := inj.Draw2Q(active)
-		if zType {
-			flagX ^= x1
-			flagZ ^= z1
-			ancX ^= x2
-			ancZ ^= z2
-		} else {
-			ancX ^= x1
-			ancZ ^= z1
-			flagX ^= x2
-			flagZ ^= z2
-		}
-	}
-
-	dataCNOT(m.order[0])
-	if m.useFlag {
-		flagX, flagZ = inj.Draw1Q(active) // flag preparation
-		flagCNOT()
-	}
-	for j := 1; j < w-1; j++ {
-		dataCNOT(m.order[j])
-	}
-	if m.useFlag {
-		flagCNOT()
-		// Flag measurement: X basis for Z-type, Z basis for X-type.
-		mf := inj.DrawMeas(active)
-		if zType {
-			flag = (flagZ ^ mf) & active
-		} else {
-			flag = (flagX ^ mf) & active
-		}
-	}
-	if w > 1 {
-		dataCNOT(m.order[w-1])
-	}
-	mf := inj.DrawMeas(active)
-	if zType {
-		out = (ancX ^ mf) & active
-	} else {
-		out = (ancZ ^ mf) & active
-	}
-	return out, flag
 }
 
 // Judge applies the perfect lookup-table EC round to every live lane's

@@ -17,7 +17,11 @@ import (
 // blocks measured under a one-lane mask, which is a scalar replay on the
 // batch state. TestGroupedBlocksMatchOneLane holds Run to it.
 func (b *Batch) runOneLane(bs *BatchShot, inj noise.BatchInjector, live uint64) {
-	b.prepare(bs, inj, live)
+	clear(bs.ex)
+	clear(bs.ez)
+	bs.Live = live
+	bs.Triggered, bs.UnknownClass, bs.TerminatedEarly = 0, 0, 0
+	b.exec(bs, b.prep, inj, live)
 	active := live
 	for li := range b.layers {
 		if active == 0 {
@@ -26,17 +30,25 @@ func (b *Batch) runOneLane(bs *BatchShot, inj noise.BatchInjector, live uint64) 
 		lay := &b.layers[li]
 		trig := b.verify(bs, lay, inj, active)
 		bs.Triggered |= trig
-		m := uint(len(lay.meas))
+		// The blocks reuse the outcome slots, so keep the layer's.
+		outs := append([]uint64(nil), bs.out[:2*lay.m]...)
 		for t := trig; t != 0; t &= t - 1 {
 			lane := uint(bits.TrailingZeros64(t))
-			sig := bs.signature(lay, lane)
-			ci, ok := lay.classes[sig]
-			if !ok {
+			var sig uint64
+			for k, w := range outs {
+				sig |= (w >> lane & 1) << uint(k)
+			}
+			var cc *progClass
+			for ci := range lay.classes {
+				if lay.classes[ci].sig == sig {
+					cc = &lay.classes[ci]
+				}
+			}
+			if cc == nil {
 				bs.UnknownClass |= 1 << lane
 				continue
 			}
-			cc := &lay.classList[ci]
-			flagFired := sig>>m != 0
+			flagFired := sig>>uint(lay.m) != 0
 			if cc.primary != nil {
 				b.runBlockOneLane(bs, cc.primary, inj, lane)
 			}
@@ -56,9 +68,9 @@ func (b *Batch) runOneLane(bs *BatchShot, inj noise.BatchInjector, live uint64) 
 // corrected sector.
 func (b *Batch) runBlockOneLane(bs *BatchShot, blk *progBlock, inj noise.BatchInjector, lane uint) {
 	mask := uint64(1) << lane
+	b.exec(bs, blk.ops, inj, mask)
 	var idx uint64
-	for i := range blk.meas {
-		out, _ := b.measure(bs, &blk.meas[i], inj, mask)
+	for i, out := range bs.out[:blk.u] {
 		if out != 0 {
 			idx |= 1 << uint(i)
 		}

@@ -194,18 +194,24 @@ func TestBatchPartialWord(t *testing.T) {
 
 // TestBatchZeroAllocs asserts the batch engine's steady-state guarantee:
 // the 64-shot word loop (Run + Judge on a reused BatchShot) performs zero
-// heap allocations.
+// heap allocations, on a one-layer unflagged protocol (Steane) and on a
+// two-layer flagged one (Carbon), whose words at p = 0.02 run the class
+// match, primary and hook blocks and early termination.
 func TestBatchZeroAllocs(t *testing.T) {
-	_, batch := buildBatch(t, code.Steane())
-	smp := noise.NewSparseSampler(0.02, 9)
-	bs := batch.NewShot()
-	fails := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		batch.Run(bs, smp, ^uint64(0))
-		fails += bits.OnesCount64(batch.Judge(bs))
-	})
-	if allocs != 0 {
-		t.Fatalf("batch word loop allocates %.2f times per word, want 0", allocs)
+	for _, cs := range []*code.CSS{code.Steane(), code.Carbon()} {
+		_, batch := buildBatch(t, cs)
+		smp := noise.NewSparseSampler(0.02, 9)
+		bs := batch.NewShot()
+		var fails, terminated int
+		allocs := testing.AllocsPerRun(2000, func() {
+			batch.Run(bs, smp, ^uint64(0))
+			fails += bits.OnesCount64(batch.Judge(bs))
+			terminated += bits.OnesCount64(bs.TerminatedEarly)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: batch word loop allocates %.2f times per word, want 0", cs.Name, allocs)
+		}
+		t.Logf("%s: %d failures, %d early terminations", cs.Name, fails, terminated)
 	}
 }
 
@@ -270,6 +276,21 @@ func TestNotCompiledRefusedAtOnce(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
 		t.Errorf("refusals allocated %d B, want no decoder table", alloc)
+	}
+}
+
+// TestEmptyMeasurementRefused gives Compile a verification measurement of
+// the zero stabilizer, which has no gadget to lay out: it must return an
+// error rather than panic.
+func TestEmptyMeasurementRefused(t *testing.T) {
+	p := buildProto(t, code.Steane())
+	lay := *p.Layers[0]
+	lay.Verif = append([]core.Measurement(nil), lay.Verif...)
+	lay.Verif[0] = core.Measurement{Stab: f2.NewVec(p.Code.N), Kind: lay.Verif[0].Kind}
+	q := *p
+	q.Layers = []*core.Layer{&lay}
+	if _, err := Compile(&q); err == nil || !strings.Contains(err.Error(), "empty support") {
+		t.Fatalf("Compile: err %v, want one naming the empty support", err)
 	}
 }
 

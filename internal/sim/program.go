@@ -12,47 +12,52 @@ import (
 	"repro/internal/decoder"
 )
 
-// gate op kinds of the compiled preparation circuit.
+// op kinds of the compiled circuits, one fault location each.
 const (
-	opPrep uint8 = iota // PrepZ/PrepX: erase the frame, then a 1Q location
-	opH                 // Hadamard: swap the frame sectors
-	opCNOT
+	opPrep  uint8 = iota // PrepZ/PrepX: erase the frame, then a 1Q location
+	opH                  // Hadamard: swap the frame sectors
+	opCNOT               // q1 controls q2
+	opMeasZ              // outcome slot q2 = Z readout of q1 (its X frame)
+	opMeasX              // outcome slot q2 = X readout of q1 (its Z frame)
 )
 
+// gateOp is one compiled circuit gate on the lane-major frame: wires 0..n-1
+// are the data qubits, n the ancilla and n+1 the flag of every measurement.
 type gateOp struct {
 	kind   uint8
 	q1, q2 int32
 }
 
-// progMeas is one pre-resolved ancilla-mediated stabilizer measurement.
-type progMeas struct {
-	order   []int32
-	zType   bool // measures a Z-type stabilizer (detects X errors)
-	useFlag bool // flag circuit compiled in (Flagged && weight >= 3)
-}
-
-// progBlock is a compiled correction block: measurements plus a dense
-// syndrome -> recovery table.
+// progBlock is a compiled correction block: its measurement circuit, whose
+// measurement i writes outcome slot i, plus a dense syndrome -> recovery
+// table.
 type progBlock struct {
-	meas []progMeas
+	ops []gateOp
+	u   int // measurements, the syndrome's bit count
 	// corrEx: recoveries apply to the X sector (and the measurements are
 	// Z-type); otherwise the Z sector with X-type measurements.
 	corrEx bool
 	rec    [][]uint64 // packed syndrome -> recovery words; nil = identity
 }
 
+// progClass is one signature class of a layer: its packed signature (B
+// bits low, F bits high) and its compiled correction blocks.
 type progClass struct {
+	sig           uint64
 	primary, hook *progBlock
 }
 
+// progLayer is a compiled verification layer: its m measurements' circuit,
+// in which measurement i writes its outcome to slot i and its flag to slot
+// m+i, so slot k holds bit k of the packed signature, and its classes.
 type progLayer struct {
-	meas      []progMeas
-	classes   map[uint64]int32 // packed signature -> class index
-	classList []progClass
+	ops     []gateOp
+	m       int
+	classes []progClass
 }
 
 // maxLayerMeas bounds the verification measurements per layer so that the
-// B and F bit fields pack into one uint64 signature key.
+// B and F bit fields pack into one uint64 signature.
 const maxLayerMeas = 31
 
 // maxBlockStabs bounds a correction block's measurement count so its dense
@@ -67,12 +72,13 @@ const maxLogicals = 64
 // Compilation happens once per estimator and does everything the
 // interpreted executor pays for on every shot:
 //
-//   - preparation gates are pre-indexed into a dense op list;
-//   - every measurement's CNOT order is resolved (m.Order or the stabilizer
-//     support) and its flag decision (Flagged && weight >= 3) is frozen;
-//   - verification signatures are interned: the per-layer signature is
-//     packed into a uint64 (B bits low, F bits high) and mapped to a dense
-//     class index, so the shot loop never builds a string or hashes one;
+//   - the preparation, every verification layer and every correction block
+//     become dense op lists; each measurement's gadget is the one
+//     core.AppendMeasurement lays out (CNOT order, flag decision), on one
+//     ancilla wire n and one flag wire n+1;
+//   - each class's signature is packed into a uint64 (B bits low, F bits
+//     high), bit k matching the layer's outcome slot k, so the shot loop
+//     never builds a string or hashes one;
 //   - correction blocks carry dense recovery tables indexed by the packed
 //     block syndrome, with recoveries bit-packed for word-wise XOR;
 //   - the final perfect-EC round uses a decoder.Dense table, bit-packed
@@ -82,35 +88,28 @@ const maxLogicals = 64
 // It returns an error when the protocol exceeds the engine's packing
 // limits (more than 31 verification measurements in a layer, more than 20
 // block measurements, a decoder rank above the dense-table bound, more than
-// 64 logical qubits) or contains malformed class keys; the estimator then
-// refuses to sample the protocol (ErrNotCompiled).
+// 64 logical qubits) or contains malformed class keys or empty
+// measurements; the estimator then refuses to sample the protocol
+// (ErrNotCompiled).
 func Compile(p *core.Protocol) (*Batch, error) {
 	n := p.Code.N
 	b := &Batch{n: n, nw: (n + 63) / 64}
-
-	for _, g := range p.Prep.Gates {
-		switch g.Kind {
-		case circuit.PrepZ, circuit.PrepX:
-			b.prep = append(b.prep, gateOp{kind: opPrep, q1: int32(g.Q)})
-		case circuit.H:
-			b.prep = append(b.prep, gateOp{kind: opH, q1: int32(g.Q)})
-		case circuit.CNOT:
-			b.prep = append(b.prep, gateOp{kind: opCNOT, q1: int32(g.Q), q2: int32(g.Q2)})
-		default:
-			return nil, fmt.Errorf("sim: unexpected gate %v in preparation circuit", g.Kind)
-		}
+	var err error
+	if b.prep, err = compileOps(p.Prep.Gates, nil); err != nil {
+		return nil, err
 	}
 
 	for _, layer := range p.Layers {
-		if len(layer.Verif) > maxLayerMeas {
-			return nil, fmt.Errorf("sim: layer has %d measurements, packing limit is %d", len(layer.Verif), maxLayerMeas)
+		m := len(layer.Verif)
+		if m > maxLayerMeas {
+			return nil, fmt.Errorf("sim: layer has %d measurements, packing limit is %d", m, maxLayerMeas)
 		}
-		pl := progLayer{classes: make(map[uint64]int32, len(layer.Classes))}
-		for mi := range layer.Verif {
-			pl.meas = append(pl.meas, compileMeas(&layer.Verif[mi]))
+		pl := progLayer{m: m}
+		if pl.ops, err = gadgetOps(n, layer.Verif); err != nil {
+			return nil, err
 		}
-		// Sorted keys give deterministic class indices (behaviour does not
-		// depend on them; debuggability does).
+		// Sorted keys give a deterministic class order (behaviour does not
+		// depend on it: no two classes match one lane).
 		keys := make([]string, 0, len(layer.Classes))
 		for k := range layer.Classes {
 			keys = append(keys, k)
@@ -118,30 +117,24 @@ func Compile(p *core.Protocol) (*Batch, error) {
 		sort.Strings(keys)
 		for _, key := range keys {
 			cc := layer.Classes[key]
-			packed, err := packSigKey(key, len(layer.Verif))
-			if err != nil {
+			pc := progClass{}
+			if pc.sig, err = packSigKey(key, m); err != nil {
 				return nil, err
 			}
-			var pc progClass
 			if cc.Primary != nil {
-				blk, err := compileBlock(cc.Primary, layer.Detects, n, b.nw)
-				if err != nil {
+				if pc.primary, err = compileBlock(cc.Primary, layer.Detects, n, b.nw); err != nil {
 					return nil, err
 				}
-				pc.primary = blk
 			}
 			if cc.Hook != nil {
-				blk, err := compileBlock(cc.Hook, layer.Detects.Opposite(), n, b.nw)
-				if err != nil {
+				if pc.hook, err = compileBlock(cc.Hook, layer.Detects.Opposite(), n, b.nw); err != nil {
 					return nil, err
 				}
-				pc.hook = blk
 			}
-			pl.classes[packed] = int32(len(pl.classList))
-			pl.classList = append(pl.classList, pc)
+			pl.classes = append(pl.classes, pc)
 		}
 		b.layers = append(b.layers, pl)
-		b.maxMeas = max(b.maxMeas, len(pl.meas))
+		b.slots = max(b.slots, 2*m)
 	}
 
 	if err := b.compileJudge(p.Code); err != nil {
@@ -180,25 +173,56 @@ func (b *Batch) compileJudge(c *code.CSS) error {
 	return nil
 }
 
-// compileMeas freezes one verification measurement: explicit CNOT order or
-// the stabilizer support, and the executor's flag decision.
-func compileMeas(m *core.Measurement) progMeas {
-	order := m.Order
-	if len(order) == 0 {
-		order = m.Stab.Support()
+// gadgetOps lays the measurements out with core.AppendMeasurement on
+// ancilla wire n and flag wire n+1 and compiles them: measurement i writes
+// its outcome to slot i and its flag, where one is compiled in, to slot
+// len(ms)+i.
+func gadgetOps(n int, ms []core.Measurement) ([]gateOp, error) {
+	c := circuit.New(n + 2)
+	slot := make([]int32, 2*len(ms)) // classical bit -> outcome slot
+	for i, m := range ms {
+		if len(m.Order) == 0 && m.Stab.IsZero() {
+			return nil, fmt.Errorf("sim: measurement %d has an empty support", i)
+		}
+		out, flag := core.AppendMeasurement(c, m, n, n+1)
+		slot[out] = int32(i)
+		if flag >= 0 {
+			slot[flag] = int32(len(ms) + i)
+		}
 	}
-	pm := progMeas{
-		order:   make([]int32, len(order)),
-		zType:   m.Kind == code.ErrZ,
-		useFlag: m.Flagged && len(order) >= 3,
-	}
-	for i, q := range order {
-		pm.order[i] = int32(q)
-	}
-	return pm
+	return compileOps(c.Gates, slot[:c.NumBits])
 }
 
-// compileBlock freezes a correction block for the sector kind it corrects:
+// compileOps lowers gates to ops; slot maps a measurement's classical bit
+// to the outcome slot it writes (nil admits no measurement).
+func compileOps(gates []circuit.Gate, slot []int32) ([]gateOp, error) {
+	ops := make([]gateOp, len(gates))
+	for i, g := range gates {
+		op := gateOp{q1: int32(g.Q), q2: int32(g.Q2)}
+		switch g.Kind {
+		case circuit.PrepZ, circuit.PrepX:
+			op.kind = opPrep
+		case circuit.H:
+			op.kind = opH
+		case circuit.CNOT:
+			op.kind = opCNOT
+		case circuit.MeasZ, circuit.MeasX:
+			if g.Bit < 0 || g.Bit >= len(slot) {
+				return nil, fmt.Errorf("sim: unexpected gate %v in preparation circuit", g.Kind)
+			}
+			op.kind, op.q2 = opMeasZ, slot[g.Bit]
+			if g.Kind == circuit.MeasX {
+				op.kind = opMeasX
+			}
+		default: // gadgets lay out no other gate
+			return nil, fmt.Errorf("sim: unexpected gate %v in preparation circuit", g.Kind)
+		}
+		ops[i] = op
+	}
+	return ops, nil
+}
+
+// compileBlock compiles a correction block for the sector kind it corrects:
 // the measured stabilizers are of the opposite operator type, and the dense
 // recovery table maps every packed syndrome to bit-packed recovery words
 // (nil for the identity recovery).
@@ -207,11 +231,15 @@ func compileBlock(blk *correct.Block, kind code.ErrType, n, nw int) (*progBlock,
 	if u > maxBlockStabs {
 		return nil, fmt.Errorf("sim: correction block has %d measurements, packing limit is %d", u, maxBlockStabs)
 	}
-	pb := &progBlock{corrEx: kind == code.ErrX, rec: make([][]uint64, 1<<uint(u))}
-	for _, s := range blk.Stabs {
-		m := core.Measurement{Stab: s, Kind: kind.Opposite()}
-		pb.meas = append(pb.meas, compileMeas(&m))
+	ms := make([]core.Measurement, u)
+	for i, s := range blk.Stabs {
+		ms[i] = core.Measurement{Stab: s, Kind: kind.Opposite()}
 	}
+	ops, err := gadgetOps(n, ms)
+	if err != nil {
+		return nil, err
+	}
+	pb := &progBlock{ops: ops, u: u, corrEx: kind == code.ErrX, rec: make([][]uint64, 1<<uint(u))}
 	for key, rec := range blk.Recovery {
 		if len(key) != u {
 			return nil, fmt.Errorf("sim: recovery key %q does not match %d block measurements", key, u)
@@ -251,41 +279,25 @@ func packSigKey(key string, m int) (uint64, error) {
 }
 
 // reach returns a static upper bound on the fault locations one shot
-// executes, whatever its faults: the preparation, then in every layer its
-// verification measurements and the costliest class's primary and hook
-// blocks together. A shot that stops early or runs no correction executes
-// fewer.
+// executes, whatever its faults: every op is one location, so it counts the
+// preparation's ops, then in every layer its verification ops and the
+// costliest class's primary and hook blocks together. A shot that stops
+// early or runs no correction executes fewer.
 func (b *Batch) reach() int {
 	n := len(b.prep)
 	for li := range b.layers {
 		lay := &b.layers[li]
-		n += measLocs(lay.meas)
 		worst := 0
-		for _, cc := range lay.classList {
+		for _, cc := range lay.classes {
 			w := 0
 			for _, blk := range []*progBlock{cc.primary, cc.hook} {
 				if blk != nil {
-					w += measLocs(blk.meas)
+					w += len(blk.ops)
 				}
 			}
 			worst = max(worst, w)
 		}
-		n += worst
-	}
-	return n
-}
-
-// measLocs counts the fault locations of a measurement sequence: each
-// measurement's ancilla preparation, one CNOT per qubit of its order and
-// its readout, plus a flag's preparation, two CNOTs and readout where one
-// is compiled in (see Batch.measure).
-func measLocs(ms []progMeas) int {
-	n := 0
-	for i := range ms {
-		n += len(ms[i].order) + 2
-		if ms[i].useFlag {
-			n += 4
-		}
+		n += len(lay.ops) + worst
 	}
 	return n
 }
